@@ -31,7 +31,7 @@ from .models import (
     save_model,
     train_ngram,
 )
-from .remote import RemoteModel
+from .remote import RemoteError, RemoteModel
 from .schemes import AK, WatermarkConfig
 
 try:
@@ -215,22 +215,38 @@ def cmd_detect(args, config, argv) -> int:
         suspect = load_model(args.model)
     sampling = _sampling(args, config)
     reports = []
+    out_dir = Path(args.out)
     chunks = [docs[i::reps] for i in range(reps)]
-    for chunk in chunks:
-        if not chunk:
-            continue
-        if args.mode == OPEN:
-            report = pipelines.detect_open(suspect, chunk, wm, budget=budget)
-        else:
-            prompts = [doc["tokens"] for doc in chunk]
-            report = pipelines.detect_closed(
-                suspect, prompts, wm, phi=phi, budget=budget,
-                sampling=sampling, dedup=not args.no_dedup)
-        reports.append(report)
+    try:
+        for chunk in chunks:
+            if not chunk:
+                continue
+            if args.mode == OPEN:
+                report = pipelines.detect_open(suspect, chunk, wm, budget=budget)
+            else:
+                prompts = [doc["tokens"] for doc in chunk]
+                report = pipelines.detect_closed(
+                    suspect, prompts, wm, phi=phi, budget=budget,
+                    sampling=sampling, dedup=not args.no_dedup)
+            reports.append(report)
+    except pipelines.DetectionInterrupted as exc:
+        _write_report(out_dir, key, reports + [exc.partial])
+        raise
     if args.no_dedup:
         print("WARNING: de-duplication disabled; the reported p-values are "
               "statistically INVALID", file=sys.stderr)
-    out_dir = Path(args.out)
+    _write_report(out_dir, key, reports)
+    _write_manifest(out_dir, argv, config, [Path(args.corpus)], key)
+    for report in reports:
+        print(f"{report.mode} n_scored={report.n_scored} "
+              f"score={report.score:.3f} log10_p={report.log10_p:.3f}")
+    if all(r.inconclusive for r in reports):
+        print("inconclusive: no eligible tuples were scored", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
+
+
+def _write_report(out_dir: Path, key: SecretKey, reports: list) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "key_fingerprint": key.fingerprint(),
@@ -240,14 +256,6 @@ def cmd_detect(args, config, argv) -> int:
     }
     (out_dir / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, argv, config, [Path(args.corpus)], key)
-    for report in reports:
-        print(f"{report.mode} n_scored={report.n_scored} "
-              f"score={report.score:.3f} log10_p={report.log10_p:.3f}")
-    if all(r.inconclusive for r in reports):
-        print("inconclusive: no eligible tuples were scored", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
 
 
 def _report_dict(report: pipelines.DetectionReport) -> dict:
@@ -396,7 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(getattr(args, "config", None))
         return args.func(args, config, argv)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RemoteError,
+            pipelines.DetectionInterrupted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -85,11 +85,12 @@ def build_filter(corpus, k: int, source: str = "") -> FilterSet:
     """All distinct k-grams across documents; windows never span documents."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    kgrams = set()
+    windows = set()
     for tokens in corpus:
-        for i in range(len(tokens) - k + 1):
-            kgrams.add(window_hash(tokens[i : i + k], FILTER_KEY))
-    return FilterSet(kgrams=kgrams, k=k, source=source)
+        windows.update(zip(*(tokens[i:] for i in range(k))))
+    # each distinct k-gram is hashed once, however often it occurs
+    return FilterSet(kgrams={window_hash(w, FILTER_KEY) for w in windows},
+                     k=k, source=source)
 
 
 _FILTER_MAGIC = b"RSF1"

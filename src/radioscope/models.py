@@ -6,16 +6,31 @@ corpora.  The student is the same model class trained on a mixture of
 watermarked and clean documents, standing in for a fine-tuned suspect.
 Backoff is "stupid": the longest context with observed counts wins, down
 to the unigram level.
+
+Storage is KenLM's sorted-array layout.  For each context length L = 0..n
+the model keeps the sorted unique int64 codes of the observed (L+1)-grams
+(base V, last token least significant, so a code is context * V + token)
+with their counts.  Derived from them are the sorted unique context codes,
+each context's CSR row offsets into the token-id and count arrays, and
+each context's greedy token.  Lookups binary-search one level at a time,
+longest context first.
+
+A checkpoint is the magic ``RSM2`` followed by one ``np.savez`` archive
+holding ``order``, ``vocab_size``, ``smoothing_lambda`` and, per level L,
+``keys{L}`` and ``counts{L}``, each in the narrowest unsigned dtype that
+holds it.  It is read with ``allow_pickle=False``.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from .hashing import ConfigError
 from .schemes import AK, KGW, MPAC, GreenlistCache, WatermarkConfig, mpac_embed_bias
 
 
@@ -49,12 +64,20 @@ class MixSpec:
             raise ValueError("d must be in [0, 1]")
 
 
+#: Tokens per ``np.unique`` pass in :meth:`NGramModel.update`.  Chunks bound
+#: the temporaries: order-3 training on 1M tokens peaks at 60 MB (traced
+#: allocations) in chunks of this size and at 74 MB in a single pass.
+_CHUNK_TOKENS = 1 << 18
+
+
 class NGramModel:
     """Add-lambda n-gram model with stupid backoff.
 
     ``order`` is the context length: an order-n model conditions on up to n
     previous tokens.  Counts are kept for every context length from 0 to
-    ``order`` so that unseen long contexts back off gracefully.
+    ``order`` so that unseen long contexts back off gracefully.  A
+    (context, token) code is an int64, so
+    ``(order + 1) * ceil(log2(vocab_size))`` may not exceed 63.
     """
 
     def __init__(self, order: int, vocab_size: int, smoothing_lambda: float = 0.01):
@@ -62,68 +85,117 @@ class NGramModel:
             raise ValueError("order must be >= 1")
         if smoothing_lambda < 0:
             raise ValueError("smoothing lambda must be >= 0")
+        if (order + 1) * (vocab_size - 1).bit_length() > 63:
+            raise ConfigError(f"order {order} with vocab_size {vocab_size} needs "
+                              "(context, token) codes wider than 63 bits")
         self.order = order
         self.vocab_size = vocab_size
         self.smoothing_lambda = smoothing_lambda
-        # counts[L][context_tuple] -> {token: count}
-        self.counts: list[dict] = [dict() for _ in range(order + 1)]
+        # per context length L: sorted unique (L+1)-gram codes, their counts
+        self._keys = [np.empty(0, np.int64)] * (order + 1)
+        self._counts = list(self._keys)
+        self._index()
+
+    def _index(self) -> None:
+        """Context codes, CSR row offsets, token ids and greedy tokens per level."""
+        v = self.vocab_size
+        self._ctx, self._off, self._tok, self._greedy = [], [], [], []
+        for keys, counts in zip(self._keys, self._counts):
+            starts = np.flatnonzero(np.diff(keys // v, prepend=-1))
+            # a sentinel above every code keeps each search result in range
+            self._ctx.append(np.append(keys[starts] // v, np.iinfo(np.int64).max))
+            self._off.append(np.append(starts, len(keys)))
+            self._tok.append((keys % v).astype(np.intp))
+            # the row maximum of count * V + (V - 1 - token) is the highest
+            # count with the lowest token (exact while counts stay < 2**32)
+            best = np.maximum.reduceat(counts * v + (v - 1 - self._tok[-1]), starts)
+            self._greedy.append((v - 1 - best % v).tolist())
         self._dist_cache: dict = {}
 
     def update(self, corpus) -> None:
-        """Accumulate counts from an iterable of token-id documents."""
-        n_docs = 0
-        for tokens in corpus:
-            n_docs += 1
-            toks = list(tokens)
-            for i, tok in enumerate(toks):
-                if tok < 0 or tok >= self.vocab_size:
-                    raise ValueError(f"token id {tok} out of vocabulary")
-                for length in range(min(i, self.order) + 1):
-                    ctx = tuple(toks[i - length : i])
-                    bucket = self.counts[length].setdefault(ctx, {})
-                    bucket[tok] = bucket.get(tok, 0) + 1
-        if n_docs == 0:
-            raise ValueError("empty corpus")
-        self._dist_cache.clear()
+        """Accumulate counts from an iterable of token-id documents.
 
-    def _lookup(self, context):
-        """Longest-suffix context bucket, or None if nothing was trained."""
-        ctx = tuple(context[-self.order :]) if self.order else ()
-        for length in range(len(ctx), -1, -1):
-            bucket = self.counts[length].get(ctx[len(ctx) - length :])
-            if bucket:
-                return bucket
-        return None
+        Each chunk of ``_CHUNK_TOKENS`` tokens is merged into the stored
+        counts, so a second call continues training.
+        """
+        docs = list(corpus)
+        if not docs:
+            raise ValueError("empty corpus")
+        order, v = self.order, self.vocab_size
+        lens = np.fromiter(map(len, docs), np.int64, len(docs))
+        n = int(lens.sum())
+        # ``order`` zeros in front give every token that many predecessors
+        flat = np.zeros(order + n, np.int64)
+        flat[order:] = np.fromiter(chain.from_iterable(docs), np.int64, n)
+        bad = (flat[order:] < 0) | (flat[order:] >= v)
+        if bad.any():
+            raise ValueError(f"token id {flat[order + bad.argmax()]} out of vocabulary")
+        # predecessors of each token within its own document, capped at order
+        depth = np.full(n, order, np.int32)
+        for j in range(order):
+            depth[(np.cumsum(lens) - lens)[lens > j] + j] = j
+        for lo in range(0, n, _CHUNK_TOKENS):
+            hi = min(lo + _CHUNK_TOKENS, n)
+            code = np.zeros(hi - lo, np.int64)
+            for length in range(order + 1):
+                code += flat[order + lo - length : order + hi - length] * v**length
+                self._add(length, code[depth[lo:hi] >= length])
+        del flat, depth
+        self._index()
+
+    def _add(self, length: int, codes: np.ndarray) -> None:
+        """Count ``codes`` into the sorted table of context length ``length``."""
+        new, cnt = np.unique(codes, return_counts=True)
+        keys = np.concatenate([self._keys[length], new])
+        order = keys.argsort(kind="stable")  # merges the two sorted runs
+        keys = keys[order]
+        counts = np.concatenate([self._counts[length], cnt])[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        self._keys[length] = keys[first]
+        self._counts[length] = np.add.reduceat(counts, first)
+
+    def _find(self, context):
+        """(length, row) of the longest trained suffix of ``context``, or None."""
+        v = self.vocab_size
+        code = length = 0  # code of the last ``length`` in-vocabulary tokens
+        for tok in context[-self.order :]:
+            if 0 <= tok < v:
+                code, length = code * v + tok, length + 1
+            else:  # no trained context holds this token
+                code = length = 0
+        while True:
+            ctx = self._ctx[length]
+            row = int(ctx.searchsorted(code))
+            if ctx.item(row) == code:
+                return length, row
+            if not length:
+                return None
+            length -= 1
+            code %= v**length
 
     def next_distribution(self, context) -> np.ndarray:
         """Smoothed next-token probabilities given the trailing context."""
-        bucket = self._lookup(context)
-        lam = self.smoothing_lambda
+        found = self._find(context)
         v = self.vocab_size
-        if bucket is None:
+        if found is None:
             return np.full(v, 1.0 / v)
-        key = id(bucket)
-        cached = self._dist_cache.get(key)
-        if cached is None:
+        p = self._dist_cache.get(found)
+        if p is None:
+            length, row = found
+            lo, hi = self._off[length].item(row), self._off[length].item(row + 1)
+            cnt = self._counts[length][lo:hi]
+            lam = self.smoothing_lambda
             p = np.full(v, lam, dtype=np.float64)
-            idx = np.fromiter(bucket.keys(), dtype=np.intp, count=len(bucket))
-            cnt = np.fromiter(bucket.values(), dtype=np.float64, count=len(bucket))
-            p[idx] += cnt
-            p /= cnt.sum() + lam * v
-            self._dist_cache[key] = p
-            cached = p
-        return cached
+            p[self._tok[length][lo:hi]] += cnt
+            # an exact integer total, like ndarray.sum but faster on short rows
+            p /= sum(cnt.tolist()) + lam * v
+            self._dist_cache[found] = p
+        return p
 
     def next_greedy(self, context) -> int:
         """Most likely next token (ties toward the lowest id)."""
-        bucket = self._lookup(context)
-        if bucket is None:
-            return 0
-        best_tok, best_cnt = None, -1
-        for tok, cnt in bucket.items():
-            if cnt > best_cnt or (cnt == best_cnt and tok < best_tok):
-                best_tok, best_cnt = tok, cnt
-        return best_tok
+        found = self._find(context)
+        return 0 if found is None else self._greedy[found[0]][found[1]]
 
     def log_loss(self, tokens) -> float:
         """Total negative log-probability of a document."""
@@ -280,20 +352,16 @@ def zipf_markov_corpus(vocab_size: int, n_docs: int, doc_len: int, seed: int,
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
     profile = 1.0 / ranks**zipf_a
     profile /= profile.sum()
-    cum = np.empty((vocab_size, vocab_size))
-    succ = np.empty((vocab_size, vocab_size), dtype=np.intp)
-    for v in range(vocab_size):
-        perm = rng.permutation(vocab_size)
-        succ[v] = perm
-        cum[v] = np.cumsum(profile)
+    # every token shares the rank profile; only the permutation differs
+    cum = np.cumsum(profile)
+    succ = [rng.permutation(vocab_size).tolist() for _ in range(vocab_size)]
     docs = []
     for _ in range(n_docs):
         tok = int(rng.integers(vocab_size))
         doc = [tok]
         u = rng.random(doc_len - 1)
-        for i in range(doc_len - 1):
-            j = int(np.searchsorted(cum[tok], u[i]))
-            tok = int(succ[tok][min(j, vocab_size - 1)])
+        for j in np.minimum(cum.searchsorted(u), vocab_size - 1).tolist():
+            tok = succ[tok][j]
             doc.append(tok)
         docs.append(doc)
     return docs
@@ -373,42 +441,43 @@ def load_corpus(path) -> list[dict]:
     return docs
 
 
-_MODEL_MAGIC = b"RSM1"
+_MODEL_MAGIC = b"RSM2"
 
 
 def save_model(model: NGramModel, path) -> None:
-    """Versioned binary checkpoint with sorted context/count records."""
+    """Checkpoint: the magic ``RSM2``, then one ``np.savez`` archive."""
+    levels = {}
+    for length in range(model.order + 1):
+        for name, values in (("keys", model._keys), ("counts", model._counts)):
+            # the narrowest unsigned dtype that holds the level's values
+            narrow = np.min_scalar_type(int(values[length].max(initial=0)))
+            levels[f"{name}{length}"] = values[length].astype(narrow)
     with open(path, "wb") as f:
         f.write(_MODEL_MAGIC)
-        f.write(struct.pack("<BdI", model.order, model.smoothing_lambda,
-                            model.vocab_size))
-        for length in range(model.order + 1):
-            bucket_map = model.counts[length]
-            f.write(struct.pack("<BQ", length, len(bucket_map)))
-            for ctx in sorted(bucket_map):
-                entries = sorted(bucket_map[ctx].items())
-                f.write(struct.pack(f"<{length}I", *ctx))
-                f.write(struct.pack("<I", len(entries)))
-                for tok, cnt in entries:
-                    f.write(struct.pack("<IQ", tok, cnt))
+        np.savez(f, order=model.order, vocab_size=model.vocab_size,
+                 smoothing_lambda=model.smoothing_lambda, **levels)
 
 
 def load_model(path) -> NGramModel:
     with open(path, "rb") as f:
         magic = f.read(4)
-        if magic != _MODEL_MAGIC:
-            raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-        order, lam, vocab = struct.unpack("<BdI", f.read(13))
-        model = NGramModel(order, vocab, lam)
-        for _ in range(order + 1):
-            length, n_ctx = struct.unpack("<BQ", f.read(9))
-            table = model.counts[length]
-            for _ in range(n_ctx):
-                ctx = struct.unpack(f"<{length}I", f.read(4 * length))
-                (n_entries,) = struct.unpack("<I", f.read(4))
-                bucket = {}
-                for _ in range(n_entries):
-                    tok, cnt = struct.unpack("<IQ", f.read(12))
-                    bucket[tok] = cnt
-                table[ctx] = bucket
+        if magic != _MODEL_MAGIC:  # RSM1, the per-record format, is no longer read
+            raise ValueError(f"{path} is not an RSM2 model checkpoint (magic "
+                             f"{magic!r}); re-run `radioscope train` to write one")
+        try:
+            with np.load(f, allow_pickle=False) as z:
+                model = NGramModel(int(z["order"]), int(z["vocab_size"]),
+                                   float(z["smoothing_lambda"]))
+                levels = [(z[f"keys{n}"], z[f"counts{n}"])
+                          for n in range(model.order + 1)]
+        except (zipfile.BadZipFile, KeyError) as exc:
+            raise ValueError(f"corrupt model checkpoint {path}: {exc}") from exc
+    for n, (keys, counts) in enumerate(levels):
+        if not (keys.dtype.kind == counts.dtype.kind == "u" and keys.ndim == 1
+                and keys.shape == counts.shape and (counts > 0).all()
+                and (keys[1:] > keys[:-1]).all()
+                and (keys < model.vocab_size ** (n + 1)).all()):
+            raise ValueError(f"corrupt model checkpoint {path}: level {n}")
+        model._keys[n], model._counts[n] = keys.astype(np.int64), counts.astype(np.int64)
+    model._index()
     return model

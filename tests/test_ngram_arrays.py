@@ -1,0 +1,186 @@
+"""The array-backed n-gram model and source against their loop oracles."""
+
+import itertools
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ngram_oracle import DictNGramModel, loop_zipf_markov_corpus
+from radioscope import (
+    ConfigError,
+    NGramModel,
+    load_model,
+    save_model,
+    train_ngram,
+    zipf_markov_corpus,
+)
+from radioscope import dedup, models
+from radioscope.dedup import FILTER_KEY, build_filter
+from radioscope.hashing import window_hash
+
+
+@st.composite
+def training_runs(draw):
+    v = draw(st.integers(2, 64))
+    order = draw(st.integers(1, 4))
+    doc = st.lists(st.integers(0, v - 1), max_size=30)
+    first = draw(st.lists(doc, min_size=1, max_size=6))
+    second = draw(st.lists(doc, min_size=1, max_size=4))
+    lam = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    unseen = draw(st.lists(st.lists(st.integers(0, v - 1), max_size=order + 1),
+                           max_size=20))
+    return v, order, lam, first, second, unseen
+
+
+def _contexts(v, order, docs, unseen):
+    """Every context of length 0..order+1 when few, else the observed ones."""
+    if v ** (order + 1) <= 2000:
+        return [ctx for length in range(order + 2)
+                for ctx in itertools.product(range(v), repeat=length)]
+    seen = {tuple(doc[max(0, i - length) : i]) for doc in docs
+            for i in range(len(doc) + 1) for length in range(order + 2)}
+    return sorted(seen) + [tuple(ctx) for ctx in unseen]
+
+
+def _assert_same(model, oracle, contexts, docs):
+    for ctx in contexts:
+        assert np.array_equal(model.next_distribution(ctx),
+                              oracle.next_distribution(ctx)), ctx
+        assert model.next_greedy(ctx) == oracle.next_greedy(ctx), ctx
+    for doc in docs:
+        assert model.log_loss(doc) == oracle.log_loss(doc)
+
+
+class TestAgainstDictModel:
+    @settings(max_examples=150, deadline=None)
+    @given(training_runs())
+    def test_distributions_greedy_and_loss_identical(self, run):
+        v, order, lam, first, second, unseen = run
+        model = NGramModel(order, v, lam)
+        oracle = DictNGramModel(order, v, lam)
+        for batch, docs in ((first, first), (second, first + second)):
+            model.update(batch)
+            oracle.update(batch)
+            _assert_same(model, oracle, _contexts(v, order, docs, unseen), docs)
+
+    def test_out_of_vocabulary_context_backs_off(self):
+        # (1, -3) and (2, 4) would encode as the trained contexts (0, 1)
+        # and (3, 0) if out-of-vocabulary tokens were not cut off
+        docs = [[0, 1, 2, 3, 0, 1, 3, 0, 2]]
+        model, oracle = NGramModel(2, 4), DictNGramModel(2, 4)
+        model.update(docs)
+        oracle.update(docs)
+        _assert_same(model, oracle, [(9, 2), (-1, 1), (4,), (2, 4), (1, -3)], [])
+
+    def test_chunks_merge_into_the_same_counts(self, monkeypatch):
+        monkeypatch.setattr(models, "_CHUNK_TOKENS", 97)
+        docs = zipf_markov_corpus(16, 40, 500, seed=4) + [[], [3], [5, 6]]
+        model = train_ngram(docs, order=3, vocab_size=16)
+        oracle = DictNGramModel(3, 16, 0.01)
+        oracle.update(docs)
+        rng = np.random.default_rng(0)
+        contexts = [tuple(ctx) for ctx in rng.integers(0, 16, size=(3000, 3))]
+        _assert_same(model, oracle, contexts, docs[:2])
+
+
+class TestSource:
+    @pytest.mark.parametrize("vocab,n_docs,doc_len,seed,zipf_a", [
+        (2, 3, 50, 0, 1.15),
+        (32, 5, 100, 3, 1.15),
+        (64, 4, 1, 9, 1.15),
+        (128, 3, 1000, 7, 1.15),
+        (100, 6, 200, 12, 0.7),
+        (50, 2, 300, 5, 2.5),
+    ])
+    def test_matches_per_token_loop(self, vocab, n_docs, doc_len, seed, zipf_a):
+        assert (zipf_markov_corpus(vocab, n_docs, doc_len, seed, zipf_a)
+                == loop_zipf_markov_corpus(vocab, n_docs, doc_len, seed, zipf_a))
+
+
+class TestKeyWidth:
+    def test_widest_accepted_model_counts_exactly(self):
+        v = 2**15
+        model = NGramModel(3, v)
+        model.update([[v - 1] * 6, [v - 2, v - 1, v - 1, v - 2]])
+        assert model.next_greedy([v - 1] * 3) == v - 1
+        assert model.next_greedy([v - 2, v - 1, v - 1]) == v - 2
+
+    def test_one_bit_too_many_refused(self):
+        with pytest.raises(ConfigError, match="63 bits"):
+            NGramModel(3, 2**16)
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_vocabulary_token_named(self, bad):
+        model = NGramModel(2, 16)
+        with pytest.raises(ValueError, match=f"token id {bad} out of vocabulary"):
+            model.update([[1, 2, 3], [4, bad, 5]])
+
+
+class TestCheckpoint:
+    def test_roundtrip_keeps_every_level(self, tmp_path):
+        docs = zipf_markov_corpus(32, 20, 200, seed=1)
+        model = train_ngram(docs, order=3, smoothing_lambda=0.2, vocab_size=32)
+        save_model(model, tmp_path / "m.bin")
+        assert (tmp_path / "m.bin").read_bytes()[:4] == b"RSM2"
+        loaded = load_model(tmp_path / "m.bin")
+        oracle = DictNGramModel(3, 32, 0.2)
+        oracle.update(docs)
+        rng = np.random.default_rng(5)
+        contexts = [tuple(ctx) for ctx in rng.integers(0, 32, size=(500, 3))]
+        _assert_same(loaded, oracle, contexts + [(), (3,), (3, 4)], docs[:2])
+
+    def test_rsm1_refused_in_one_line(self, tmp_path):
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"RSM1" + struct.pack("<BdI", 2, 0.01, 16))
+        with pytest.raises(ValueError, match="re-run `radioscope train`") as info:
+            load_model(path)
+        assert "\n" not in str(info.value)
+
+    def test_truncated_archive_is_value_error(self, tmp_path):
+        model = train_ngram([[1, 2, 3, 4]], order=2, vocab_size=8)
+        save_model(model, tmp_path / "m.bin")
+        data = (tmp_path / "m.bin").read_bytes()
+        (tmp_path / "cut.bin").write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError, match="corrupt model checkpoint"):
+            load_model(tmp_path / "cut.bin")
+
+    @pytest.mark.parametrize("arrays", [
+        {"keys1": np.array([19, 10, 28, 37], np.uint8)},  # not sorted
+        {"keys1": np.array([10, 19], np.uint8)},  # fewer keys than counts
+        {"keys0": np.array(3, np.uint8), "counts0": np.array(5, np.uint8)},
+        {"counts1": np.array([1, 0, 1, 1], np.uint8)},  # a zero count
+        {"keys2": np.array([83, 156, 8**3], np.uint16)},  # beyond the code range
+        {"keys1": np.array([10, 19, 28, 37])},  # signed
+        {"keys1": np.array([10.0, 19.0, 28.0, 37.0])},  # not integers
+    ])
+    def test_malformed_level_is_value_error(self, tmp_path, arrays):
+        model = train_ngram([[1, 2, 3, 4, 5]], order=2, vocab_size=8)
+        save_model(model, tmp_path / "m.bin")
+        with open(tmp_path / "m.bin", "rb") as f:
+            assert f.read(4) == b"RSM2"
+            with np.load(f, allow_pickle=False) as z:
+                fields = {name: z[name] for name in z.files} | arrays
+        with open(tmp_path / "bad.bin", "wb") as f:
+            f.write(b"RSM2")
+            np.savez(f, **fields)
+        with pytest.raises(ValueError, match="corrupt model checkpoint"):
+            load_model(tmp_path / "bad.bin")
+
+
+class TestFilter:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_same_fingerprints_as_every_position(self, k, monkeypatch):
+        rng = np.random.default_rng(k)
+        corpus = [rng.integers(0, 6, size=rng.integers(0, 40)).tolist()
+                  for _ in range(30)]
+        brute = {window_hash(doc[i : i + k], FILTER_KEY)
+                 for doc in corpus for i in range(len(doc) - k + 1)}
+        calls = []
+        monkeypatch.setattr(dedup, "window_hash",
+                            lambda w, key: calls.append(w) or window_hash(w, key))
+        phi = build_filter(corpus, k)
+        assert phi.kgrams == brute
+        assert len(calls) == len(set(map(tuple, calls))) == len(brute)
