@@ -210,7 +210,7 @@ def cmd_detect(args, config, argv) -> int:
     phi = load_filter(args.filter) if args.filter else None
     if args.endpoint:
         suspect = RemoteModel(args.endpoint, credentials=args.credentials,
-                              max_in_flight=args.threads or 8)
+                              max_in_flight=args.threads)
     else:
         suspect = load_model(args.model)
     sampling = _sampling(args, config)
@@ -252,17 +252,10 @@ def _write_report(out_dir: Path, key: SecretKey, reports: list) -> None:
         "key_fingerprint": key.fingerprint(),
         "mean_p": sum(r.p_value for r in reports) / len(reports),
         "mean_log10_p": sum(r.log10_p for r in reports) / len(reports),
-        "runs": [_report_dict(r) for r in reports],
+        "runs": [dataclasses.asdict(r) for r in reports],
     }
     (out_dir / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _report_dict(report: pipelines.DetectionReport) -> dict:
-    d = dataclasses.asdict(report)
-    d["per_chunk"] = [dataclasses.asdict(c) if dataclasses.is_dataclass(c) else c
-                      for c in report.per_chunk]
-    return d
 
 
 def cmd_scenario(args, config, argv) -> int:
@@ -304,6 +297,13 @@ def cmd_filter(args, config, argv) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if not 1 <= n <= 64:
+        raise argparse.ArgumentTypeError(f"must be in 1..64, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radioscope",
@@ -315,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key=value config file; flags win")
         p.add_argument("--key", help="secret watermark key (int, 0x hex ok)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="bound on pipeline parallelism")
 
     p = sub.add_parser("generate", help="sample a corpus from the teacher")
     common(p)
@@ -352,6 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="suspect checkpoint path")
     p.add_argument("--endpoint", help="remote suspect URL (closed mode)")
     p.add_argument("--credentials", help="bearer token for --endpoint")
+    p.add_argument("--threads", type=_thread_count, default=8,
+                   help="requests in flight to --endpoint (1-64, default 8)")
     p.add_argument("--corpus", required=True,
                    help="watermarked documents (open) or prompt sources (closed)")
     p.add_argument("--filter", help="k-gram filter file (closed mode)")

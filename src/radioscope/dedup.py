@@ -18,9 +18,6 @@ from .hashing import SecretKey, extend_hash, window_hash
 #: Fixed public key for filter fingerprints (key-independent k-gram identity).
 FILTER_KEY = SecretKey(0x100000001B3)
 
-#: Default open-mode attention span for remote suspects, in tokens.
-DEFAULT_SPAN = 2048
-
 CLOSED = "closed"
 OPEN = "open"
 

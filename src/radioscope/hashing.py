@@ -110,16 +110,19 @@ def stream_at(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return _mix(seeds + idx * _U_GOLDEN)
 
 
-def derive_permutation(seed: int, vocab_size: int) -> np.ndarray:
+def derive_permutation(seed, vocab_size: int) -> np.ndarray:
     """Seed-determined permutation of ``0..vocab_size-1``.
 
     Tokens are ordered by their stream key (ties, which have probability
-    ~2**-64, broken by token id).  Stable across platforms.
+    ~2**-64, broken by token id).  Stable across platforms.  A 1-d array
+    of seeds gives one permutation per row.
     """
     if vocab_size < 1:
         raise ConfigError("vocab_size must be >= 1")
-    keys = stream_block(np.array([seed], dtype=np.uint64), 0, vocab_size)[0]
-    return np.argsort(keys, kind="stable")
+    seeds = np.asarray(seed, dtype=np.uint64)
+    keys = stream_block(seeds.reshape(-1), 0, vocab_size)
+    perm = np.argsort(keys, axis=1, kind="stable")
+    return perm if seeds.ndim else perm[0]
 
 
 def derive_greenlist(seed: int, gamma: float, vocab_size: int) -> np.ndarray:

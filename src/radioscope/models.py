@@ -19,6 +19,26 @@ A checkpoint is the magic ``RSM2`` followed by one ``np.savez`` archive
 holding ``order``, ``vocab_size``, ``smoothing_lambda`` and, per level L,
 ``keys{L}`` and ``counts{L}``, each in the narrowest unsigned dtype that
 holds it.  It is read with ``allow_pickle=False``.
+
+Generation samples through decode rows, each built once per state.  A
+state is the last ``max(order, k)`` tokens (``order`` without a
+watermark), coded as base-(V+1) digits ``token + 1``.  A context's nucleus
+row holds its kept token ids by descending probability, their
+log-probabilities and cumulative sums, padded to V; a watermarked state's
+row holds its context's nucleus row and the scheme's part: the
+cumulative biased probabilities (KGW, MPAC) or the chosen token (AK).
+The rows of all the states first reached at a step are built together
+with 2-d array operations (a lone row, as per-document walks reach them,
+with the same 1-d arithmetic), and rows live in blocks that never move.
+
+With a watermark and prompts of at least k tokens, every body step draws
+exactly one uniform (KGW, MPAC) or none (AK).  ``generate_corpus`` then
+draws each document's prompt and uniforms in document order up front and
+advances all documents one position per step.  Otherwise a single-token
+nucleus row draws no uniform, so where a document's uniforms start
+depends on the previous document's path, and documents are walked one at
+a time over the same rows.  Either way the RNG is consumed as by a
+per-token loop, and corpora and completions are byte-identical to it.
 """
 
 from __future__ import annotations
@@ -30,8 +50,8 @@ from itertools import chain
 
 import numpy as np
 
-from .hashing import ConfigError
-from .schemes import AK, KGW, MPAC, GreenlistCache, WatermarkConfig, mpac_embed_bias
+from .hashing import ConfigError, rvalue_batch
+from .schemes import AK, KGW, MPAC, WatermarkConfig, kgw_green_masks, mpac_embed_bias
 
 
 @dataclass(frozen=True)
@@ -221,12 +241,229 @@ def train_ngram(corpus, order: int, smoothing_lambda: float = 0.01,
     return model
 
 
-class TextSampler:
-    """Autoregressive sampler with per-context memoized decoding tables.
+#: Elements of one (rows, V) temporary while decode rows are built: the
+#: states first reached at a step are built in batches of at most this
+#: many elements (2048 rows at V = 128).
+_BATCH_ELEMS = 1 << 18
 
-    The temperature-shaped, nucleus-sorted distribution of a context never
-    changes for a fixed model, so it is computed once per context and
-    reused across documents.
+#: Bytes of float64 rows in one storage block of a row store.
+_BLOCK_BYTES = 1 << 24
+
+
+def _decode(code: int, radix: int) -> tuple:
+    """Tokens of a state code, oldest first; a zero digit marks no token."""
+    toks = []
+    while code:
+        code, digit = divmod(code, radix)
+        toks.append(digit - 1)
+    return tuple(reversed(toks))
+
+
+class _RowStore:
+    """Decode rows keyed by state code, appended in batches as states are reached.
+
+    ``index`` maps a code to its row.  Each field (name -> row shape,
+    dtype) is kept in blocks of ``2**bits`` rows, ``_BLOCK_BYTES`` of float64
+    rows: a block is allocated when the one before it is full and never
+    moves, so a growing store copies nothing and states never reached
+    take no memory.  ``_build`` returns the fields of a batch of new rows.
+    """
+
+    def __init__(self, vocab_size: int, fields: dict):
+        self.vocab_size = vocab_size
+        self.bits = max(0, (_BLOCK_BYTES // 8 // vocab_size).bit_length() - 1)
+        self.fields = fields
+        self.blocks: dict = {name: [] for name in fields}
+        self.index: dict = {}
+        self.n = 0
+
+    def rows(self, codes: list) -> np.ndarray:
+        """Row of each code, building the rows of the codes first reached."""
+        get = self.index.get
+        rows = np.array([get(c, -1) for c in codes], dtype=np.intp)
+        missing = np.flatnonzero(rows < 0).tolist()
+        if missing:
+            new = list(dict.fromkeys(codes[i] for i in missing))
+            batch = max(1, _BATCH_ELEMS // self.vocab_size)
+            for lo in range(0, len(new), batch):
+                self._append(new[lo : lo + batch])
+            rows[missing] = [get(codes[i]) for i in missing]
+        return rows
+
+    def row(self, code) -> int:
+        """Row of one code, built alone when first reached."""
+        r = self.index.get(code)
+        if r is None:
+            r = self.n
+            self._append([code])
+        return r
+
+    def take(self, name: str, rows: np.ndarray,
+             cols: np.ndarray | None = None) -> np.ndarray:
+        """Field ``name`` of each of ``rows``, or its entry at ``cols`` in each."""
+        blocks = self.blocks[name]
+        if len(blocks) == 1:
+            return blocks[0][rows] if cols is None else blocks[0][rows, cols]
+        shape, dtype = self.fields[name]
+        high, low = rows >> self.bits, rows & ((1 << self.bits) - 1)
+        out = np.empty(rows.shape + (shape if cols is None else ()), dtype)
+        for b, block in enumerate(blocks):
+            sel = np.flatnonzero(high == b)
+            if len(sel):
+                out[sel] = block[low[sel]] if cols is None else block[low[sel], cols[sel]]
+        return out
+
+    def _append(self, codes: list) -> None:
+        n, m, bits = self.n, len(codes), self.bits
+        for name, values in self._build(codes).items():
+            blocks = self.blocks[name]
+            shape, dtype = self.fields[name]
+            start = n
+            while start < n + m:
+                b = start >> bits
+                if b == len(blocks):
+                    blocks.append(np.empty((1 << bits,) + shape, dtype))
+                stop = min(n + m, (b + 1) << bits)
+                first = b << bits
+                blocks[b][start - first : stop - first] = values[start - n : stop - n]
+                start = stop
+        self.index.update(zip(codes, range(n, n + m)))
+        self.n = n + m
+
+    def _build(self, codes: list) -> dict:
+        raise NotImplementedError
+
+
+class NucleusRows(_RowStore):
+    """Nucleus rows of the contexts reached so far, for one temperature and p.
+
+    A context is coded by its last ``order`` tokens.  Its row holds the
+    kept token ids by descending probability (``idx``), their
+    renormalized log-probabilities (``log_kept``) and cumulative
+    probabilities (``cum``), and how many are kept (``keep``).  Rows are
+    ``V`` wide: past ``keep`` the ids are 0, the logs ``-inf`` and the
+    sums repeat the total.
+    """
+
+    def __init__(self, model: NGramModel, temperature: float, nucleus_p: float):
+        v = model.vocab_size
+        super().__init__(v, {"idx": ((v,), np.min_scalar_type(v - 1)),
+                             "log_kept": ((v,), np.float64), "cum": ((v,), np.float64),
+                             "keep": ((), np.min_scalar_type(v))})
+        self.model = model
+        self.temperature = temperature
+        self.nucleus_p = nucleus_p
+
+    def _build(self, codes: list) -> dict:
+        if len(codes) == 1:
+            return self._build_one(codes[0])
+        radix, v = self.vocab_size + 1, self.vocab_size
+        q = np.array([self.model.next_distribution(_decode(c, radix)) for c in codes])
+        np.maximum(q, 1e-300, out=q)
+        np.log(q, out=q)
+        q /= self.temperature
+        q -= np.maximum.reduce(q, axis=1, keepdims=True)
+        np.exp(q, out=q)
+        q /= np.add.reduce(q, axis=1, keepdims=True)
+        order = (-q).argsort(axis=1, kind="stable")
+        q = q[np.arange(len(q))[:, None], order]
+        keep = np.add.reduce(q.cumsum(axis=1) < self.nucleus_p, axis=1) + 1
+        np.minimum(keep, v, out=keep)
+        # each kept prefix is renormalized by its own sum: a pairwise sum
+        # over a zero-padded row would round differently
+        for row, k in zip(q, keep.tolist()):
+            row[:k] /= np.add.reduce(row[:k])
+            row[k:] = 0.0
+        with np.errstate(divide="ignore"):
+            log_kept = np.log(q)
+        return {"idx": order, "log_kept": log_kept, "cum": q.cumsum(axis=1), "keep": keep}
+
+    def _build_one(self, code: int) -> dict:
+        """One row by 1-d operations: the batch arithmetic, faster for a
+        single row, which is how per-document walks reach their states."""
+        p = self.model.next_distribution(_decode(code, self.vocab_size + 1))
+        q = np.log(np.maximum(p, 1e-300))
+        q /= self.temperature
+        q -= q.max()
+        np.exp(q, out=q)
+        q /= q.sum()
+        order = np.argsort(-q, kind="stable")
+        q = q[order]
+        keep = min(int(q.cumsum().searchsorted(self.nucleus_p)) + 1, self.vocab_size)
+        q[:keep] /= q[:keep].sum()
+        q[keep:] = 0.0
+        with np.errstate(divide="ignore"):
+            log_kept = np.log(q)
+        return {"idx": order[None], "log_kept": log_kept[None], "cum": q.cumsum()[None],
+                "keep": (keep,)}
+
+
+class _WatermarkRows(_RowStore):
+    """Decode rows of the states that hold a full watermark window.
+
+    A state is coded by its last ``max(order, k)`` tokens.  Its row holds
+    the row of its context in the nucleus store (``base``) and either the
+    token the scheme picks (AK, ``tok``) or the cumulative biased
+    probabilities over the kept ids (KGW and MPAC, ``bcum``, which past
+    ``keep`` repeats the total).
+    """
+
+    def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig):
+        v = nucleus.vocab_size
+        picked = (("tok", ((), nucleus.fields["idx"][1])) if wm.scheme == AK
+                  else ("bcum", ((v,), np.float64)))
+        super().__init__(v, dict([("base", ((), np.intp)), picked]))
+        self.nucleus = nucleus
+        self.wm = wm
+
+    def _build(self, codes: list) -> dict:
+        wm, nucleus, radix = self.wm, self.nucleus, self.vocab_size + 1
+        ctx_mod, win_mod = radix**nucleus.model.order, radix**wm.k
+        base = nucleus.rows([c % ctx_mod for c in codes])
+        windows = [_decode(c % win_mod, radix) for c in codes]
+        idx, log_kept = nucleus.take("idx", base), nucleus.take("log_kept", base)
+        keep = nucleus.take("keep", base).tolist()
+        if wm.scheme == KGW:
+            green = kgw_green_masks(np.array([wm.seed(w) for w in windows],
+                                             dtype=np.uint64), wm)
+            biased = log_kept + wm.delta * np.take_along_axis(
+                green, idx.astype(np.intp), axis=1)
+            biased -= np.maximum.reduce(biased, axis=1, keepdims=True)
+            return {"base": base, "bcum": np.exp(biased, out=biased).cumsum(axis=1)}
+        if wm.scheme == MPAC:
+            bcum = np.empty_like(log_kept)
+            for row, ids, lk, k, window in zip(bcum, idx, log_kept, keep, windows):
+                ids = ids[:k].astype(np.intp)
+                full = np.full(self.vocab_size, -np.inf)
+                full[ids] = lk[:k]
+                biased = mpac_embed_bias(np.where(np.isfinite(full), full, -1e30),
+                                         window, wm)
+                biased[~np.isfinite(full)] = -np.inf
+                sub = biased[ids]
+                row[:k] = np.cumsum(np.exp(sub - sub.max()))
+                row[k:] = row[k - 1]
+            return {"base": base, "bcum": bcum}
+        # AK: the argmax of R ** (1/p) over the kept ids
+        tok = np.empty(len(codes), idx.dtype)
+        for i, (ids, lk, k, window) in enumerate(zip(idx, log_kept, keep, windows)):
+            ids, lk = ids[:k], lk[:k]
+            r = rvalue_batch(np.full(k, wm.seed(window), dtype=np.uint64), ids)
+            p = np.exp(lk - lk.max())
+            p /= p.sum()
+            cost = -np.log(np.maximum(r, 1e-300)) / p
+            tok[i] = ids[np.argmin(cost)]
+        return {"base": base, "tok": tok}
+
+
+class TextSampler:
+    """Autoregressive sampler over decode rows built once per state.
+
+    A state is the last ``max(order, k)`` tokens (``order`` without a
+    watermark), coded as base-(V+1) digits ``token + 1``, newest least
+    significant, so a shorter context has leading zeros.  Nucleus rows
+    live in ``tables``, keyed by (temperature, nucleus_p), and may be
+    shared by samplers of the same model; watermark rows belong to the
+    sampler.
     """
 
     def __init__(self, model: NGramModel, sampling: SamplingConfig,
@@ -235,98 +472,95 @@ class TextSampler:
         self.model = model
         self.sampling = sampling
         self.wm = wm
-        # base tables may be shared across samplers for the same
-        # (model, temperature, nucleus_p); the caller guarantees that
-        self._tables: dict = {} if tables is None else tables
-        # biased decode tables are deterministic per (context, window)
-        self._wm_tables: dict = {}
-        self._green = GreenlistCache(wm) if wm is not None and wm.scheme == KGW else None
         if wm is not None and wm.scheme == AK and wm.temperature is not None:
             # AK strength knob: temperature applied to logits before softmax
             self.temperature = wm.temperature
         else:
             self.temperature = sampling.temperature
-        if tables is not None and self.temperature != sampling.temperature:
-            # shared tables were built for a different effective temperature
-            self._tables = {}
+        tables = {} if tables is None else tables
+        key = (self.temperature, sampling.nucleus_p)
+        if key not in tables:
+            tables[key] = NucleusRows(model, *key)
+        self._nucleus = tables[key]
+        self._marked = None if wm is None else _WatermarkRows(self._nucleus, wm)
+        self._radix = radix = model.vocab_size + 1
+        self._depth = depth = model.order if wm is None else max(model.order, wm.k)
+        # codes below this lack a full window; % _tail drops the oldest token
+        self._windowed = None if wm is None else radix ** (wm.k - 1)
+        self._tail = radix ** (depth - 1)
+        self._code_dtype = np.int64 if radix**depth <= np.iinfo(np.int64).max else object
 
-    def _table(self, context):
-        ctx = tuple(context[-self.model.order :])
-        entry = self._tables.get(ctx)
-        if entry is None:
-            p = self.model.next_distribution(ctx)
-            logits = np.log(np.maximum(p, 1e-300)) / self.temperature
-            logits -= logits.max()
-            q = np.exp(logits)
-            q /= q.sum()
-            order_desc = np.argsort(-q, kind="stable")
-            q_desc = q[order_desc]
-            cum = np.cumsum(q_desc)
-            keep = int(np.searchsorted(cum, self.sampling.nucleus_p) + 1)
-            keep = min(keep, len(q_desc))
-            idx = order_desc[:keep]
-            kept = q_desc[:keep]
-            kept = kept / kept.sum()
-            entry = (idx, np.log(kept), np.cumsum(kept))
-            self._tables[ctx] = entry
-        return entry
-
-    def next_token(self, context, rng: np.random.Generator) -> int:
-        idx, log_kept, cum = self._table(context)
-        wm = self.wm
-        window = None
-        if wm is not None and len(context) >= wm.k:
-            window = tuple(context[-wm.k :])
-        if wm is None or window is None:
-            if len(idx) == 1:
-                return int(idx[0])
-            j = int(np.searchsorted(cum, rng.random(), side="right"))
-            return int(idx[min(j, len(idx) - 1)])
-        ctx = tuple(context[-self.model.order :])
-        cache_key = (ctx, window)
-        entry = self._wm_tables.get(cache_key)
-        if entry is None:
-            entry = self._wm_entry(idx, log_kept, window)
-            self._wm_tables[cache_key] = entry
-        if wm.scheme == AK:  # deterministic choice cached directly
-            return entry
-        bcum = entry
-        u = rng.random() * bcum[-1]
-        j = int(np.searchsorted(bcum, u, side="right"))
-        return int(idx[min(j, len(idx) - 1)])
-
-    def _wm_entry(self, idx, log_kept, window):
-        wm = self.wm
-        if wm.scheme == KGW:
-            seed = wm.seed(window)
-            biased = log_kept + wm.delta * self._green.mask(seed)[idx]
-            return np.cumsum(np.exp(biased - biased.max()))
-        if wm.scheme == MPAC:
-            full = np.full(self.model.vocab_size, -np.inf)
-            full[idx] = log_kept
-            biased = mpac_embed_bias(np.where(np.isfinite(full), full, -1e30),
-                                     window, wm)
-            biased[~np.isfinite(full)] = -np.inf
-            sub = biased[idx]
-            return np.cumsum(np.exp(sub - sub.max()))
-        # AK: argmax of R ** (1/p) over the kept set
-        from .hashing import rvalue_batch
-
-        seed = wm.seed(window)
-        r = rvalue_batch(np.full(len(idx), seed, dtype=np.uint64), idx)
-        p = np.exp(log_kept - log_kept.max())
-        p /= p.sum()
-        cost = -np.log(np.maximum(r, 1e-300)) / p
-        return int(idx[np.argmin(cost)])
+    def _encode(self, prompt) -> int:
+        code = 0
+        for tok in list(prompt)[-self._depth :]:
+            if not 0 <= tok < self.model.vocab_size:
+                raise ValueError(f"token id {tok} out of vocabulary")
+            code = code * self._radix + int(tok) + 1
+        return code
 
     def generate(self, prompt, max_tokens: int, rng: np.random.Generator) -> list[int]:
         """Continuation of ``prompt`` (prompt tokens not included)."""
-        context = list(prompt)
+        nucleus, marked, radix = self._nucleus, self._marked, self._radix
+        bits, low = nucleus.bits, (1 << nucleus.bits) - 1  # the same in both stores
+        idx, cum, keeps = (nucleus.blocks[f] for f in ("idx", "cum", "keep"))
+        if marked is not None:
+            base = marked.blocks["base"]
+            picked = marked.blocks["tok" if self.wm.scheme == AK else "bcum"]
+            ak = self.wm.scheme == AK
+        ctx_mod, windowed = radix**self.model.order, self._windowed
+        code = self._encode(prompt)
         out = []
         for _ in range(max_tokens):
-            tok = self.next_token(context, rng)
-            context.append(tok)
+            if marked is not None and code >= windowed:
+                r = marked.row(code)
+                row = picked[r >> bits][r & low]
+                if ak:
+                    tok = int(row)
+                else:
+                    b = int(base[r >> bits][r & low])
+                    j = int(row.searchsorted(rng.random() * row.item(-1), "right"))
+                    j = min(j, keeps[b >> bits][b & low] - 1)
+                    tok = int(idx[b >> bits][b & low, j])
+            else:
+                r = nucleus.row(code % ctx_mod)
+                keep = int(keeps[r >> bits][r & low])
+                if keep == 1:  # a single kept token draws no uniform
+                    tok = int(idx[r >> bits][r & low, 0])
+                else:
+                    j = int(cum[r >> bits][r & low].searchsorted(rng.random(), "right"))
+                    tok = int(idx[r >> bits][r & low, min(j, keep - 1)])
             out.append(tok)
+            code = code % self._tail * radix + tok + 1
+        return out
+
+    def generate_lockstep(self, prompts: np.ndarray, steps: int,
+                          uniforms: np.ndarray | None) -> np.ndarray:
+        """``steps`` tokens after each prompt row, every document at once.
+
+        Needs a watermark and prompts of at least ``k`` tokens, so that each
+        step draws one uniform per document (KGW, MPAC: ``uniforms[:, t]``)
+        or none (AK).  Step t gathers each document's row, scales its
+        uniform by the row total and counts the cumulative sums at or below
+        it, which is ``searchsorted(side="right")`` row by row.
+        """
+        nucleus, marked, radix = self._nucleus, self._marked, self._radix
+        dtype = self._code_dtype
+        codes = np.zeros(len(prompts), dtype)
+        for col in prompts.T[-self._depth :]:
+            codes = codes * radix + col.astype(dtype) + 1
+        out = np.empty((len(prompts), steps), nucleus.fields["idx"][1])
+        for t in range(steps):
+            rows = marked.rows(codes.tolist())
+            if self.wm.scheme == AK:
+                tok = marked.take("tok", rows)
+            else:
+                base, bcum = marked.take("base", rows), marked.take("bcum", rows)
+                u = uniforms[:, t] * bcum[:, -1]
+                j = (bcum <= u[:, None]).sum(axis=1)
+                j = np.minimum(j, nucleus.take("keep", base) - 1)
+                tok = nucleus.take("idx", base, j)
+            out[:, t] = tok
+            codes = codes % self._tail * radix + tok.astype(dtype) + 1
         return out
 
 
@@ -385,16 +619,32 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
 
     Every document starts from a short random prompt (included in the
     document) so that full watermark windows exist from early positions.
+    The RNG is drawn in document order: the prompt, then the body's
+    uniforms.
     """
     sampler = TextSampler(model, sampling, wm, tables=tables)
     rng = np.random.default_rng(sampling.seed)
     flag = (wm is not None) if wm_flag is None else wm_flag
-    docs = []
-    for _ in range(n_docs):
-        prompt = [int(t) for t in rng.integers(model.vocab_size, size=prompt_len)]
-        body = sampler.generate(prompt, doc_len - prompt_len, rng)
-        docs.append({"tokens": prompt + body, "wm": flag})
-    return docs
+    steps = max(doc_len - prompt_len, 0)
+    if wm is None or prompt_len < wm.k:
+        # a single-token nucleus row draws no uniform, so where one can be
+        # reached a document's uniforms start where the previous path ended
+        docs = []
+        for _ in range(n_docs):
+            prompt = rng.integers(model.vocab_size, size=prompt_len).tolist()
+            docs.append({"tokens": prompt + sampler.generate(prompt, steps, rng),
+                         "wm": flag})
+        return docs
+    # every body step draws one uniform (KGW, MPAC) or none (AK)
+    prompts = np.empty((n_docs, prompt_len), np.int64)
+    uniforms = None if wm.scheme == AK else np.empty((n_docs, steps))
+    for d in range(n_docs):
+        prompts[d] = rng.integers(model.vocab_size, size=prompt_len)
+        if uniforms is not None:
+            uniforms[d] = rng.random(steps)
+    bodies = sampler.generate_lockstep(prompts, steps, uniforms)
+    return [{"tokens": prompt + body, "wm": flag}
+            for prompt, body in zip(prompts.tolist(), bodies.tolist())]
 
 
 def mix_dataset(wm_corpus: list[dict], clean_corpus: list[dict],

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import stats
 from .dedup import CLOSED, OPEN, Candidate, FilterSet, Tape, canonical_dedup
-from .hashing import SecretKey, stream_value
+from .hashing import ConfigError, SecretKey, stream_value
 from .models import (
     MixSpec,
     NGramModel,
@@ -32,7 +32,6 @@ from .models import (
 )
 from .remote import CapabilityError, RemoteModel
 from .schemes import AK, KGW, WatermarkConfig, score_batch
-from .stats import TestResult
 
 _LN10 = float(np.log(10.0))
 
@@ -50,7 +49,6 @@ class DetectionReport:
     log10_p: float
     inconclusive: bool = False
     dedup_applied: bool = True
-    per_chunk: list = field(default_factory=list)
     filter_stats: tuple | None = None  # (|phi|, hit rate)
     dedup_stats: tuple = (0, 0)  # (candidates, admitted)
     meta: dict = field(default_factory=dict)
@@ -76,6 +74,14 @@ def pvalue_for(score: float, n: int, cfg: WatermarkConfig) -> tuple[float, float
     return p, lp / _LN10
 
 
+def _check_vocab(tokens, vocab_size: int, what: str) -> None:
+    """Refuse a token outside ``[0, vocab_size)``, naming ``what`` and the position."""
+    for pos, tok in enumerate(tokens):
+        if not 0 <= tok < vocab_size:
+            raise ConfigError(f"{what}: token {tok} at position {pos} is "
+                              f"outside the vocabulary [0, {vocab_size})")
+
+
 def _score_candidates(admitted: list[Candidate], cfg: WatermarkConfig) -> float:
     if not admitted:
         return 0.0
@@ -99,7 +105,6 @@ def _finish_report(admitted, n_candidates, cfg, mode, supervision,
         log10_p=log10_p,
         inconclusive=(n == 0),
         dedup_applied=dedup,
-        per_chunk=[TestResult(score, n, p, log10_p, cfg.scheme)],
         filter_stats=phi_stats,
         dedup_stats=(n_candidates, n),
         meta=meta,
@@ -130,13 +135,16 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
             "collapse on watermarked prompts",
             stacklevel=2,
         )
-    k = key_cfg.k
+    k, v = key_cfg.k, key_cfg.vocab_size
+    prompts = [list(prompt) for prompt in prompts]
+    for doc_id, prompt in enumerate(prompts):
+        _check_vocab(prompt, v, f"prompt {doc_id}")
     if completions is None:
         completions = _complete(suspect, prompts, sampling, key_cfg, tables)
     candidates = []
     phi_checked = phi_hits = 0
     for doc_id, (prompt, completion) in enumerate(zip(prompts, completions)):
-        prompt = list(prompt)
+        _check_vocab(completion, v, f"completion {doc_id}")
         stream = prompt + list(completion)
         prompt_kgrams = {tuple(prompt[i : i + k]) for i in range(len(prompt) - k + 1)}
         for pos in range(k, len(stream)):
@@ -203,6 +211,7 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
         is_dict = isinstance(doc, dict)
         tokens = list(doc["tokens"] if is_dict else doc)
         prompt_len = int(doc.get("prompt_len", 0)) if is_dict else 0
+        _check_vocab(tokens, key_cfg.vocab_size, f"document {doc_id}")
         first_start: dict = {}
         for start in range(len(tokens) - k + 1):
             window = tuple(tokens[start : start + k])

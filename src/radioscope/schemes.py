@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,29 +89,18 @@ class WatermarkConfig:
         return window_hash(window, self.key)
 
 
-class GreenlistCache:
-    """Per-key cache of greenlist index arrays and membership masks."""
+def kgw_green_masks(seeds: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:
+    """Greenlist membership of every token under each seed, ``(len(seeds), V)``.
 
-    def __init__(self, cfg: WatermarkConfig, maxsize: int = 1 << 17):
-        self.cfg = cfg
-        v = cfg.vocab_size
-        g = int(cfg.gamma * v)
-
-        @lru_cache(maxsize=maxsize)
-        def lookup(seed: int):
-            perm = derive_permutation(seed, v)
-            ids = perm[:g]
-            mask = np.zeros(v, dtype=bool)
-            mask[ids] = True
-            return ids, mask
-
-        self._lookup = lookup
-
-    def greenlist(self, seed: int) -> np.ndarray:
-        return self._lookup(seed)[0]
-
-    def mask(self, seed: int) -> np.ndarray:
-        return self._lookup(seed)[1]
+    The green tokens of a seed are the first ``floor(gamma * V)`` of its
+    permutation, as in :func:`~radioscope.hashing.derive_greenlist`; all
+    permutations of the batch come from one stream block.
+    """
+    v = cfg.vocab_size
+    perm = derive_permutation(np.asarray(seeds, dtype=np.uint64), v)
+    masks = np.zeros((len(perm), v), dtype=bool)
+    np.put_along_axis(masks, perm[:, : int(cfg.gamma * v)], True, axis=1)
+    return masks
 
 
 def kgw_bias_logits(logits: np.ndarray, window, cfg: WatermarkConfig) -> np.ndarray:

@@ -10,28 +10,23 @@ that p-values far below 1e-300 keep an exact ``log10``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 _LN10 = math.log(10.0)
 _EPS = 1e-16
 _TINY = 1e-300
-_MAX_ITER = 600
+
+
+def _max_iter(a: float) -> int:
+    """Iteration cap of the series and continued fractions at shape ``a``.
+
+    Their iteration counts grow like sqrt(a) near the mean; a value that
+    converges under a lower cap converges at the same iteration here.
+    """
+    return 600 + 10 * math.isqrt(int(a))
 
 
 class StatError(ValueError):
     """Domain error in a statistical computation."""
-
-
-@dataclass
-class TestResult:
-    """Outcome of one radioactivity test."""
-
-    score: float
-    n_scored: int
-    p_value: float
-    log10_p: float
-    scheme: str
-    meta: dict = field(default_factory=dict)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -45,7 +40,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         d = _TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER):
+    for m in range(1, _max_iter(max(a, b))):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -116,7 +111,7 @@ def _gamma_series_p(a: float, x: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_MAX_ITER):
+    for _ in range(_max_iter(a)):
         ap += 1.0
         term *= x / ap
         total += term
@@ -131,7 +126,7 @@ def _gamma_cf_log_q(a: float, x: float) -> float:
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER):
+    for i in range(1, _max_iter(a)):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
