@@ -53,17 +53,8 @@ def _load_config(path: str | None) -> dict:
     """Plain key=value config; flag values take precedence over these."""
     if not path:
         return {}
-    config: dict = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            config[key.strip().replace("-", "_")] = value.strip()
-    return config
+    return {key.replace("-", "_"): value
+            for _, key, value in pipelines.read_key_values(path)}
 
 
 def _resolve(args: argparse.Namespace, config: dict, name: str, cast, default):
@@ -206,7 +197,11 @@ def cmd_detect(args, config, argv) -> int:
     wm = _wm_config(args, config, key, vocab)
     budget = _resolve(args, config, "budget", int, 1_000_000)
     reps = _resolve(args, config, "reps", int, 1)
+    if reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}")
     docs = load_corpus(args.corpus)
+    if not docs:
+        raise ValueError(f"{args.corpus}: the corpus has no documents")
     phi = load_filter(args.filter) if args.filter else None
     if args.endpoint:
         suspect = RemoteModel(args.endpoint, credentials=args.credentials,

@@ -1,19 +1,25 @@
 """Eligibility rules that keep the radioactivity test honest.
 
-Two rules make the scored increments i.i.d. under the null: each
-(k+1)-tuple is scored at most once, and a tuple is skipped whenever its
-window already occurs in the scoring context (the prompt in closed mode,
-the earlier attention span in open mode).  The tape records what has been
-admitted; the filter restricts closed-mode scoring to windows likely
+Two rules make the scored increments i.i.d. under the null.  A tuple is
+skipped whenever its exact window already occurs in the scoring context
+(the prompt in closed mode; the prompt or any earlier start of the same
+document in open mode).  Of the remaining tuples, only the first of each
+distinct (window seed, token) pair is scored: two tuples with the same
+seed and token would repeat the same score increment.  Detection builds
+one candidate table (``CANDIDATE`` rows) with :func:`candidate_table`,
+which marks the blocked rows, and :func:`canonical_dedup` drops them and
+the repeats.  The filter restricts closed-mode scoring to windows likely
 present in the suspect's training data.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .hashing import SecretKey, extend_hash, window_hash
+import numpy as np
+
+from .hashing import SecretKey, window_hash
 
 #: Fixed public key for filter fingerprints (key-independent k-gram identity).
 FILTER_KEY = SecretKey(0x100000001B3)
@@ -21,46 +27,21 @@ FILTER_KEY = SecretKey(0x100000001B3)
 CLOSED = "closed"
 OPEN = "open"
 
+#: One row per scorable position: its document and position, the seed of
+#: the window before it, the token scored against that window, and whether
+#: the window already sits in the scoring context.
+CANDIDATE = np.dtype([("doc", np.int64), ("pos", np.int64), ("seed", np.uint64),
+                      ("token", np.int64), ("blocked", np.bool_)])
+
 
 class InputIntegrityError(ValueError):
-    """Duplicate ordering keys in a candidate stream."""
+    """Duplicate ordering keys in a candidate table."""
 
 
-@dataclass
-class Tape:
-    """De-duplication memory for one detection run."""
-
-    mode: str = CLOSED
-    granularity: str = "k1"  # "k1": distinct (k+1)-tuples; "k": distinct windows
-    seen: set = field(default_factory=set)
-
-    def fingerprint(self, window, token, key: SecretKey) -> int:
-        h = window_hash(window, key)
-        if self.granularity == "k":
-            return h
-        return extend_hash(h, token, key)
-
-
-def _window_occurs(window, tokens) -> bool:
-    k = len(window)
-    w = tuple(window)
-    return any(tuple(tokens[i : i + k]) == w for i in range(len(tokens) - k + 1))
-
-
-def tape_admit(window, token, local_context, tape: Tape, key: SecretKey) -> bool:
-    """Admit a (window, token) tuple, recording it on success.
-
-    ``local_context`` is the prompt (closed mode) or the tokens preceding
-    the current position within the attention span (open mode); the tuple
-    is rejected if the window occurs anywhere in it.
-    """
-    fp = tape.fingerprint(window, token, key)
-    if fp in tape.seen:
-        return False
-    if _window_occurs(window, local_context):
-        return False
-    tape.seen.add(fp)
-    return True
+def _void_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one opaque value, for ``np.unique``."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
 @dataclass
@@ -114,35 +95,55 @@ def load_filter(path) -> FilterSet:
     return FilterSet(kgrams=set(fps), k=k, source=str(path))
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One scorable tuple with its provenance and eligibility context."""
+def canonical_dedup(cands: np.ndarray) -> np.ndarray:
+    """Admitted rows of a ``CANDIDATE`` table, in (doc, pos) order.
 
-    doc_id: int
-    pos: int
-    window: tuple
-    token: int
-    context_blocked: bool = False  # window occurs in prompt / earlier span
-
-
-def canonical_dedup(candidates, tape: Tape, key: SecretKey) -> list[Candidate]:
-    """Two-phase de-duplication with a deterministic admission order.
-
-    Candidates may be collected in any order (e.g. from parallel shards);
-    admission happens in (doc_id, pos) order, so the eligible set does not
-    depend on how the collection was parallelized.
+    Rows may come in any order (e.g. from parallel shards); admission
+    happens in (doc, pos) order, so the admitted set does not depend on
+    how the collection was split.  Blocked rows are dropped, and of the
+    rest the first row of each distinct (seed, token) pair is admitted.
     """
-    ordered = sorted(candidates, key=lambda c: (c.doc_id, c.pos))
-    for a, b in zip(ordered, ordered[1:]):
-        if (a.doc_id, a.pos) == (b.doc_id, b.pos):
-            raise InputIntegrityError(f"duplicate ordering key {(a.doc_id, a.pos)}")
-    admitted = []
-    for cand in ordered:
-        if cand.context_blocked:
-            continue
-        fp = tape.fingerprint(cand.window, cand.token, key)
-        if fp in tape.seen:
-            continue
-        tape.seen.add(fp)
-        admitted.append(cand)
-    return admitted
+    ordered = cands[np.lexsort((cands["pos"], cands["doc"]))]
+    repeated = np.flatnonzero((ordered["doc"][1:] == ordered["doc"][:-1])
+                              & (ordered["pos"][1:] == ordered["pos"][:-1]))
+    if len(repeated):
+        row = ordered[repeated[0]]
+        raise InputIntegrityError(
+            f"duplicate ordering key {(int(row['doc']), int(row['pos']))}")
+    eligible = ordered[~ordered["blocked"]]
+    pairs = np.column_stack((eligible["seed"], eligible["token"].astype(np.uint64)))
+    _, first = np.unique(_void_rows(pairs), return_index=True)
+    return eligible[np.sort(first)]
+
+
+def candidate_table(docs, context_lens, k: int, seed, open_mode: bool) -> np.ndarray:
+    """One ``CANDIDATE`` row per position of each document after a full window.
+
+    ``token`` is the document's own next token and ``seed`` is ``seed(window)``,
+    called once per distinct window of the run.  A row is blocked when its
+    window occurs within the first ``context_lens[d]`` tokens of document
+    ``d`` and, in open mode, also when it occurs at any earlier start.
+    """
+    arrays = [np.asarray(doc, dtype=np.int64) for doc in docs]
+    counts = np.array([max(len(a) - k, 0) for a in arrays], dtype=np.int64)
+    cands = np.zeros(int(counts.sum()), dtype=CANDIDATE)
+    if not len(cands):
+        return cands
+    grams = np.concatenate([np.lib.stride_tricks.sliding_window_view(a[:-1], k)
+                            for a, n in zip(arrays, counts) if n])
+    doc = np.repeat(np.arange(len(arrays)), counts)
+    start = np.arange(len(doc)) - np.repeat(np.cumsum(counts) - counts, counts)
+    _, first, window = np.unique(_void_rows(grams), return_index=True,
+                                 return_inverse=True)
+    seeds = np.array([seed(w) for w in grams[first].tolist()], dtype=np.uint64)
+    # starts ascend within a document, so the first index of each
+    # (document, window) pair is the window's first start in that document
+    _, first_in_doc, inverse = np.unique(doc * len(first) + window,
+                                         return_index=True, return_inverse=True)
+    limit = np.repeat(np.asarray(context_lens, dtype=np.int64) - k + 1, counts)
+    if open_mode:
+        limit = np.maximum(limit, start)
+    cands["doc"], cands["pos"], cands["seed"] = doc, start + k, seeds[window]
+    cands["token"] = np.concatenate([a[k:] for a in arrays])
+    cands["blocked"] = start[first_in_doc][inverse] < limit
+    return cands

@@ -74,11 +74,6 @@ def window_hash(window, key: SecretKey) -> int:
     return h
 
 
-def extend_hash(h: int, token: int, key: SecretKey) -> int:
-    """One extra recurrence step; used as a (k+1)-tuple fingerprint."""
-    return (h * key.s + int(token)) % HASH_MOD
-
-
 def stream_value(seed: int, index: int) -> int:
     """The ``index``-th 64-bit value of the splitmix64 stream for ``seed``."""
     z = (seed + (index + 1) * _GOLDEN) & MASK64

@@ -2,9 +2,9 @@
 
 Closed mode prompts the suspect and scores the resulting text; open mode
 forwards watermarked text through the suspect and scores its greedy
-next-token predictions.  Both run every candidate tuple through the
-de-duplication tape before scoring, then convert the cumulative score
-into an exact p-value.
+next-token predictions.  Both collect one candidate table, de-duplicate
+it with :func:`~radioscope.dedup.canonical_dedup`, score the admitted
+rows and convert the cumulative score into an exact p-value.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .dedup import CLOSED, OPEN, Candidate, FilterSet, Tape, canonical_dedup
+from .dedup import CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
 from .hashing import ConfigError, SecretKey, stream_value
 from .models import (
     MixSpec,
@@ -31,7 +31,7 @@ from .models import (
     train_ngram,
 )
 from .remote import CapabilityError, RemoteModel
-from .schemes import AK, KGW, WatermarkConfig, score_batch
+from .schemes import KGW, WatermarkConfig, detector, score_batch
 
 _LN10 = float(np.log(10.0))
 
@@ -64,12 +64,10 @@ class DetectionInterrupted(RuntimeError):
 
 def pvalue_for(score: float, n: int, cfg: WatermarkConfig) -> tuple[float, float]:
     """(p, log10 p) for a cumulative score under the config's scheme."""
+    log_tail = detector(cfg)[1]
     if n == 0:
         return 1.0, 0.0
-    if cfg.scheme == AK:
-        lp = stats.log_gamma_pvalue(score, n)
-    else:
-        lp = stats.log_binomial_pvalue(int(round(score)), n, cfg.gamma)
+    lp = log_tail(score, n, cfg)
     p = float(np.exp(lp)) if lp > -745.0 else 0.0
     return p, lp / _LN10
 
@@ -82,17 +80,17 @@ def _check_vocab(tokens, vocab_size: int, what: str) -> None:
                               f"outside the vocabulary [0, {vocab_size})")
 
 
-def _score_candidates(admitted: list[Candidate], cfg: WatermarkConfig) -> float:
-    if not admitted:
-        return 0.0
-    seeds = np.array([cfg.seed(c.window) for c in admitted], dtype=np.uint64)
-    tokens = np.array([c.token for c in admitted], dtype=np.intp)
-    return float(score_batch(seeds, tokens, cfg).sum())
+def _check_run(cfg: WatermarkConfig, budget: int) -> None:
+    """Refuse a scheme without a radioactivity test and a negative budget."""
+    detector(cfg)
+    if budget < 0:
+        raise ConfigError(f"budget must be >= 0, got {budget}")
 
 
-def _finish_report(admitted, n_candidates, cfg, mode, supervision,
-                   dedup, phi_stats, meta) -> DetectionReport:
-    score = _score_candidates(admitted, cfg)
+def _finish_report(cands, dedup, budget, cfg, mode, supervision,
+                   phi_stats) -> DetectionReport:
+    admitted = (canonical_dedup(cands) if dedup else cands)[:budget]
+    score = float(score_batch(admitted["seed"], admitted["token"], cfg).sum())
     n = len(admitted)
     p, log10_p = pvalue_for(score, n, cfg)
     return DetectionReport(
@@ -106,8 +104,8 @@ def _finish_report(admitted, n_candidates, cfg, mode, supervision,
         inconclusive=(n == 0),
         dedup_applied=dedup,
         filter_stats=phi_stats,
-        dedup_stats=(n_candidates, n),
-        meta=meta,
+        dedup_stats=(len(cands), n),
+        meta={"budget": budget},
     )
 
 
@@ -120,12 +118,13 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
     """Prompt the suspect, score the resulting text with the watermark key.
 
     With de-duplication, a tuple is scored only if its window is not a
-    k-gram of the prompt and its (k+1)-tuple has not been scored before;
-    this silently excludes all prompt-internal tuples.  With
+    k-gram of the prompt and its (window seed, token) pair has not been
+    scored before; this silently excludes all prompt-internal tuples.  With
     ``dedup=False`` every tuple in prompt+completion is scored, which is
     statistically invalid (a loud warning is emitted) and exists to
     demonstrate the false-alarm collapse.
     """
+    _check_run(key_cfg, budget)
     if not prompts:
         raise ValueError("prompts must be nonempty")
     sampling = sampling or SamplingConfig()
@@ -141,31 +140,21 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
         _check_vocab(prompt, v, f"prompt {doc_id}")
     if completions is None:
         completions = _complete(suspect, prompts, sampling, key_cfg, tables)
-    candidates = []
-    phi_checked = phi_hits = 0
+    streams, prompt_lens = [], []
     for doc_id, (prompt, completion) in enumerate(zip(prompts, completions)):
         _check_vocab(completion, v, f"completion {doc_id}")
-        stream = prompt + list(completion)
-        prompt_kgrams = {tuple(prompt[i : i + k]) for i in range(len(prompt) - k + 1)}
-        for pos in range(k, len(stream)):
-            window = tuple(stream[pos - k : pos])
-            if phi is not None:
-                phi_checked += 1
-                if window not in phi:
-                    continue
-                phi_hits += 1
-            blocked = dedup and window in prompt_kgrams
-            candidates.append(Candidate(doc_id, pos, window, stream[pos], blocked))
-    if dedup:
-        tape = Tape(mode=CLOSED)
-        admitted = canonical_dedup(candidates, tape, key_cfg.key)
-    else:
-        admitted = sorted(candidates, key=lambda c: (c.doc_id, c.pos))
-    admitted = admitted[:budget]
-    phi_stats = (len(phi), phi_hits / max(phi_checked, 1)) if phi is not None else None
-    return _finish_report(admitted, len(candidates), key_cfg, CLOSED,
-                          supervision, dedup, phi_stats,
-                          {"budget": budget})
+        streams.append(prompt + list(completion))
+        prompt_lens.append(len(prompt))
+    cands = candidate_table(streams, prompt_lens, k, key_cfg.seed, open_mode=False)
+    phi_stats = None
+    if phi is not None:
+        hits = np.fromiter((tuple(streams[d][p - k : p]) in phi for d, p in
+                            zip(cands["doc"].tolist(), cands["pos"].tolist())),
+                           dtype=bool, count=len(cands))
+        phi_stats = (len(phi), int(hits.sum()) / max(len(hits), 1))
+        cands = cands[hits]
+    return _finish_report(cands, dedup, budget, key_cfg, CLOSED, supervision,
+                          phi_stats)
 
 
 def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg,
@@ -184,63 +173,51 @@ def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg,
 
 
 def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
-                budget: int = 1_000_000, span: int | None = None,
-                supervision: str = "supervised", dedup: bool = True,
+                budget: int = 1_000_000, supervision: str = "supervised",
+                dedup: bool = True,
                 greedy_cache: dict | None = None) -> DetectionReport:
     """Reading mode: forward watermarked text, score greedy predictions.
 
     For every position with a full k-window, the suspect's most likely
     next token is scored against the input-derived window.  A window that
-    already occurred earlier in the attention span is skipped.  Documents
-    may carry a ``prompt_len`` field marking a leading region that is
-    never scored but still counts as earlier context.
+    already occurred earlier in the document is skipped.  Documents may
+    carry a ``prompt_len`` field marking a leading region that is never
+    scored but still counts as earlier context.
     """
+    _check_run(key_cfg, budget)
     if not hasattr(suspect, "next_greedy"):
         raise CapabilityError(
             "suspect does not expose next-token distributions; use detect_closed"
         )
-    k = key_cfg.k
+    texts, prompt_lens = [], []
+    for doc_id, doc in enumerate(wm_texts):
+        is_dict = isinstance(doc, dict)
+        texts.append(list(doc["tokens"] if is_dict else doc))
+        prompt_lens.append(int(doc.get("prompt_len", 0)) if is_dict else 0)
+        _check_vocab(texts[-1], key_cfg.vocab_size, f"document {doc_id}")
+    cands = candidate_table(texts, prompt_lens, key_cfg.k, key_cfg.seed,
+                            open_mode=True)
+    cands = cands[cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]]]
     # the suspect's prediction depends only on its own context length, so
     # greedy readouts are memoized per effective context; pass the cache in
     # to share it across runs against the same suspect
     order = getattr(suspect, "order", None)
     if greedy_cache is None:
         greedy_cache = {}
-    candidates = []
-    for doc_id, doc in enumerate(wm_texts):
-        is_dict = isinstance(doc, dict)
-        tokens = list(doc["tokens"] if is_dict else doc)
-        prompt_len = int(doc.get("prompt_len", 0)) if is_dict else 0
-        _check_vocab(tokens, key_cfg.vocab_size, f"document {doc_id}")
-        first_start: dict = {}
-        for start in range(len(tokens) - k + 1):
-            window = tuple(tokens[start : start + k])
-            first_start.setdefault(window, start)
-        prompt_kgrams = {tuple(tokens[i : i + k])
-                         for i in range(prompt_len - k + 1)}
-        for pos in range(max(k, prompt_len), len(tokens)):
-            window = tuple(tokens[pos - k : pos])
-            earlier = first_start[window] < pos - k
-            if earlier and span is not None and first_start[window] < pos - k - span:
-                earlier = False  # outside the attention span
-            blocked = dedup and (earlier or window in prompt_kgrams)
-            if order is not None:
-                ctx = tuple(tokens[max(0, pos - order) : pos])
-                predicted = greedy_cache.get(ctx)
-                if predicted is None:
-                    predicted = suspect.next_greedy(ctx)
-                    greedy_cache[ctx] = predicted
-            else:
-                predicted = suspect.next_greedy(tokens[:pos])
-            candidates.append(Candidate(doc_id, pos, window, predicted, blocked))
-    if dedup:
-        tape = Tape(mode=OPEN)
-        admitted = canonical_dedup(candidates, tape, key_cfg.key)
-    else:
-        admitted = sorted(candidates, key=lambda c: (c.doc_id, c.pos))
-    admitted = admitted[:budget]
-    return _finish_report(admitted, len(candidates), key_cfg, OPEN,
-                          supervision, dedup, None, {"budget": budget})
+    predicted = []
+    for doc_id, pos in zip(cands["doc"].tolist(), cands["pos"].tolist()):
+        tokens = texts[doc_id]
+        if order is not None:
+            ctx = tuple(tokens[max(0, pos - order) : pos])
+            token = greedy_cache.get(ctx)
+            if token is None:
+                token = suspect.next_greedy(ctx)
+                greedy_cache[ctx] = token
+        else:
+            token = suspect.next_greedy(tokens[:pos])
+        predicted.append(token)
+    cands["token"] = predicted
+    return _finish_report(cands, dedup, budget, key_cfg, OPEN, supervision, None)
 
 
 def mia_detect(suspect: NGramModel, candidate_set, fresh_set):
@@ -396,10 +373,12 @@ _FLOAT_KEYS = {"gamma", "delta", "temperature", "smoothing_lambda", "rho_value",
 _LIST_KEYS = {"modes", "rho", "d_values", "k_values"}
 
 
-def parse_scenario(path) -> dict:
-    """Parse a plain ``key = value`` scenario file with line-level errors."""
-    spec = dict(_SCENARIO_DEFAULTS)
-    seen_scenario = False
+def read_key_values(path):
+    """Yield ``(lineno, key, value)`` for each ``key = value`` line of a file.
+
+    ``#`` starts a comment and blank lines are skipped; any other line
+    without ``=`` is a ``ValueError`` naming the file and line.
+    """
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -408,34 +387,41 @@ def parse_scenario(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key == "scenario":
-                    if value not in _SCENARIOS:
-                        raise ValueError(f"unknown scenario {value!r}")
-                    spec[key] = value
-                    seen_scenario = True
-                elif key in ("scheme", "message"):
-                    spec[key] = value
-                elif key in _INT_KEYS:
-                    spec[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    spec[key] = float(value)
-                elif key in _LIST_KEYS:
-                    items = [v.strip() for v in value.split(",") if v.strip()]
-                    if key == "modes":
-                        bad = set(items) - {OPEN, CLOSED}
-                        if bad:
-                            raise ValueError(f"unknown mode(s) {sorted(bad)}")
-                        spec[key] = items
-                    elif key == "k_values":
-                        spec[key] = [int(v) for v in items]
-                    else:
-                        spec[key] = [float(v) for v in items]
+            yield lineno, key.strip(), value.strip()
+
+
+def parse_scenario(path) -> dict:
+    """Parse a plain ``key = value`` scenario file with line-level errors."""
+    spec = dict(_SCENARIO_DEFAULTS)
+    seen_scenario = False
+    for lineno, key, value in read_key_values(path):
+        try:
+            if key == "scenario":
+                if value not in _SCENARIOS:
+                    raise ValueError(f"unknown scenario {value!r}")
+                spec[key] = value
+                seen_scenario = True
+            elif key in ("scheme", "message"):
+                spec[key] = value
+            elif key in _INT_KEYS:
+                spec[key] = int(value)
+            elif key in _FLOAT_KEYS:
+                spec[key] = float(value)
+            elif key in _LIST_KEYS:
+                items = [v.strip() for v in value.split(",") if v.strip()]
+                if key == "modes":
+                    bad = set(items) - {OPEN, CLOSED}
+                    if bad:
+                        raise ValueError(f"unknown mode(s) {sorted(bad)}")
+                    spec[key] = items
+                elif key == "k_values":
+                    spec[key] = [int(v) for v in items]
                 else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    spec[key] = [float(v) for v in items]
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not seen_scenario:
         raise ValueError(f"{path}: missing required key 'scenario'")
     return spec

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stats
 from .hashing import (
     ConfigError,
     SecretKey,
@@ -260,8 +261,30 @@ def mpac_extract(stream, cfg: WatermarkConfig, reference: str | None = None):
     return digits, accuracy
 
 
+def _kgw_log_tail(score: float, n: int, cfg: WatermarkConfig) -> float:
+    return stats.log_binomial_pvalue(int(round(score)), n, cfg.gamma)
+
+
+def _ak_log_tail(score: float, n: int, cfg: WatermarkConfig) -> float:
+    return stats.log_gamma_pvalue(score, n)
+
+
+#: Schemes with a radioactivity test: per-tuple score increments and the
+#: natural-log p-value of a total score over n i.i.d. increments under H0.
+DETECTORS = {
+    KGW: (kgw_score_batch, _kgw_log_tail),
+    AK: (ak_score_batch, _ak_log_tail),
+}
+
+
+def detector(cfg: WatermarkConfig) -> tuple:
+    """``(score_fn, log_tail)`` of the config's scheme; ConfigError if it has none."""
+    if cfg.scheme not in DETECTORS:
+        raise ConfigError(f"scheme {cfg.scheme!r} has no radioactivity test; "
+                          f"detection supports {', '.join(DETECTORS)}")
+    return DETECTORS[cfg.scheme]
+
+
 def score_batch(seeds: np.ndarray, tokens: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:
     """Per-tuple score increments for the config's scheme."""
-    if cfg.scheme == AK:
-        return ak_score_batch(seeds, tokens, cfg)
-    return kgw_score_batch(seeds, tokens, cfg)
+    return detector(cfg)[0](seeds, tokens, cfg)

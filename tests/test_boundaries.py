@@ -1,12 +1,16 @@
 """Tokens are checked against the vocabulary at the detection boundary,
-and ``--threads`` is validated where it applies."""
+``--threads`` is validated where it applies, and detection refuses a
+scheme without a test, a negative budget, fewer than one repetition and
+an empty corpus."""
 
+import numpy as np
 import pytest
 
 from radioscope import (ConfigError, SamplingConfig, WatermarkConfig, save_model,
                         train_ngram)
 from radioscope.cli import EXIT_ERROR, _build_parser, main
-from radioscope.pipelines import detect_closed, detect_open
+from radioscope.pipelines import detect_closed, detect_open, pvalue_for
+from radioscope.schemes import score_batch
 
 KEY_HEX = "0xDEADBEEFCAFE"
 
@@ -63,3 +67,82 @@ def test_threads_accepted_on_detect_only():
     assert args.threads == 64
     with pytest.raises(SystemExit):
         _build_parser().parse_args(["generate", "--out", "o", "--threads", "2"])
+
+
+@pytest.fixture
+def cli_files(tmp_path, small_model, monkeypatch):
+    """A saved model and a two-document corpus for ``detect``."""
+    monkeypatch.delenv("RADIOSCOPE_KEY", raising=False)
+    model = tmp_path / "m.bin"
+    save_model(small_model, model)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"tokens": [1, 2, 3, 4, 5, 6, 7, 8]}\n'
+                      '{"tokens": [9, 8, 7, 6, 5, 4, 3, 2]}\n')
+    return tmp_path, model, corpus
+
+
+def detect_cli(cli_files, *extra, mode="open", corpus=None):
+    tmp_path, model, default_corpus = cli_files
+    return main(["detect", "--mode", mode, "--model", str(model),
+                 "--corpus", str(corpus or default_corpus), "--key", KEY_HEX,
+                 "--vocab-size", "64", "--out", str(tmp_path / "out"), *extra])
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    return err
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_detection_refuses_a_scheme_without_a_test(small_model, key, mode):
+    cfg = WatermarkConfig("mpac", key, 64, k=2, message="01")
+    with pytest.raises(ConfigError, match="mpac"):
+        if mode == "open":
+            detect_open(small_model, [[1, 2, 3, 4]], cfg)
+        else:
+            detect_closed(small_model, [[1, 2]], cfg, completions=[[3, 4]])
+    with pytest.raises(ConfigError, match="mpac"):
+        pvalue_for(0.0, 0, cfg)
+    with pytest.raises(ConfigError, match="mpac"):
+        score_batch(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64), cfg)
+
+
+def test_cli_mpac_detect_is_one_error_line(cli_files, capsys):
+    config = cli_files[0] / "mpac.cfg"
+    config.write_text("scheme = mpac\nmessage = 01\n")
+    assert detect_cli(cli_files, "--config", str(config)) == EXIT_ERROR
+    assert "no radioactivity test" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_negative_budget_refused(small_model, kgw_cfg, mode):
+    with pytest.raises(ConfigError, match="budget must be >= 0, got -5"):
+        if mode == "open":
+            detect_open(small_model, [[1, 2, 3, 4]], kgw_cfg, budget=-5)
+        else:
+            detect_closed(small_model, [[1, 2]], kgw_cfg, budget=-5,
+                          completions=[[3, 4]])
+
+
+def test_cli_negative_budget_is_one_error_line(cli_files, capsys):
+    assert detect_cli(cli_files, "--budget", "-5") == EXIT_ERROR
+    assert "budget must be >= 0" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_cli_reps_below_one_is_one_error_line(cli_files, capsys, reps):
+    assert detect_cli(cli_files, "--reps", reps) == EXIT_ERROR
+    assert f"reps must be >= 1, got {reps}" in one_error_line(capsys)
+    config = cli_files[0] / "detect.cfg"
+    config.write_text(f"reps = {reps}\n")
+    assert detect_cli(cli_files, "--config", str(config)) == EXIT_ERROR
+    assert f"reps must be >= 1, got {reps}" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_cli_empty_corpus_is_one_error_line(cli_files, capsys, mode):
+    empty = cli_files[0] / "empty.jsonl"
+    empty.write_text("")
+    assert detect_cli(cli_files, mode=mode, corpus=empty) == EXIT_ERROR
+    assert "no documents" in one_error_line(capsys)

@@ -1,48 +1,61 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from radioscope import (
-    Candidate,
+    CANDIDATE,
     FilterSet,
     InputIntegrityError,
     SecretKey,
-    Tape,
+    WatermarkConfig,
     build_filter,
     canonical_dedup,
     load_filter,
     save_filter,
-    tape_admit,
 )
-from radioscope.dedup import CLOSED, OPEN
+from radioscope.dedup import candidate_table
 
 KEY = SecretKey(0xFACE)
+CFG = WatermarkConfig("kgw", KEY, 16, k=2)
+
+
+def table(rows):
+    """A candidate table from (doc, pos, seed, token, blocked) tuples."""
+    return np.array(rows, dtype=CANDIDATE)
+
+
+def seed(window):
+    return CFG.seed(window)
+
+
+def pairs(cands):
+    return {(int(c["seed"]), int(c["token"])) for c in cands}
 
 
 class TestTapeAdmit:
+    """Admission of single tuples: repeats, context blocking, new tokens."""
+
     def test_second_presentation_rejected(self):
-        tape = Tape(mode=CLOSED)
-        assert tape_admit((1, 2), 3, [], tape, KEY)
-        assert not tape_admit((1, 2), 3, [], tape, KEY)
+        cands = table([(0, 2, seed((1, 2)), 3, False), (0, 7, seed((1, 2)), 3, False)])
+        assert canonical_dedup(cands)["pos"].tolist() == [2]
 
     def test_window_in_prompt_rejected(self):
-        tape = Tape(mode=CLOSED)
-        assert not tape_admit((5, 6), 7, [9, 5, 6, 2], tape, KEY)
+        # stream 9 5 6 2 | 5 6 7: the window (5, 6) before 7 is a prompt k-gram
+        cands = candidate_table([[9, 5, 6, 2, 5, 6, 7]], [4], CFG.k, CFG.seed,
+                                open_mode=False)
+        blocked = dict(zip(cands["pos"].tolist(), cands["blocked"].tolist()))
+        assert blocked == {2: True, 3: True, 4: True, 5: False, 6: True}
+        assert canonical_dedup(cands)["pos"].tolist() == [5]
 
     def test_first_occurrence_admitted(self):
-        tape = Tape(mode=OPEN)
-        assert tape_admit((5, 6), 7, [1, 2, 3], tape, KEY)
+        cands = candidate_table([[1, 2, 3, 5, 6, 7, 5, 6, 8]], [0], CFG.k, CFG.seed,
+                                open_mode=True)
+        blocked = dict(zip(cands["pos"].tolist(), cands["blocked"].tolist()))
+        assert blocked[5] is False  # (5, 6) first seen
+        assert blocked[8] is True  # (5, 6) again, at a later start
 
     def test_same_window_different_token_admitted_by_default(self):
-        tape = Tape(mode=CLOSED)
-        assert tape_admit((1, 2), 3, [], tape, KEY)
-        assert tape_admit((1, 2), 4, [], tape, KEY)
-
-    def test_window_granularity_mode(self):
-        tape = Tape(mode=CLOSED, granularity="k")
-        assert tape_admit((1, 2), 3, [], tape, KEY)
-        assert not tape_admit((1, 2), 4, [], tape, KEY)
+        cands = table([(0, 2, seed((1, 2)), 3, False), (0, 7, seed((1, 2)), 4, False)])
+        assert canonical_dedup(cands)["pos"].tolist() == [2, 7]
 
 
 class TestFilter:
@@ -99,59 +112,58 @@ class TestFilter:
 
 
 def make_candidates(corpus, k=2):
-    out = []
-    for doc_id, doc in enumerate(corpus):
-        for pos in range(k, len(doc)):
-            out.append(Candidate(doc_id, pos, tuple(doc[pos - k : pos]),
-                                 doc[pos]))
-    return out
+    cfg = WatermarkConfig("kgw", KEY, 16, k=k)
+    return candidate_table(corpus, [0] * len(corpus), cfg.k, cfg.seed,
+                           open_mode=False)
 
 
 class TestCanonicalDedup:
     def test_all_distinct_all_admitted(self):
-        cands = [Candidate(0, i + 2, (i, i + 1), i + 2) for i in range(10)]
-        admitted = canonical_dedup(cands, Tape(mode=CLOSED), KEY)
+        cands = table([(0, i + 2, seed((i, i + 1)), i + 2, False) for i in range(10)])
+        admitted = canonical_dedup(cands)
         assert len(admitted) == 10
 
     def test_duplicate_keys_rejected(self):
-        cands = [Candidate(0, 2, (1, 2), 3), Candidate(0, 2, (4, 5), 6)]
-        with pytest.raises(InputIntegrityError):
-            canonical_dedup(cands, Tape(mode=CLOSED), KEY)
+        cands = table([(0, 2, seed((1, 2)), 3, False), (0, 2, seed((4, 5)), 6, False)])
+        with pytest.raises(InputIntegrityError, match=r"\(0, 2\)"):
+            canonical_dedup(cands)
 
     def test_sharding_invariance(self):
         rng = np.random.default_rng(7)
         corpus = [rng.integers(0, 8, size=40).tolist() for _ in range(6)]
         cands = make_candidates(corpus)
-        single = canonical_dedup(list(cands), Tape(mode=CLOSED), KEY)
+        single = canonical_dedup(cands)
         shards = [cands[i::8] for i in range(8)]
-        recombined = list(itertools.chain.from_iterable(shards))
-        sharded = canonical_dedup(recombined, Tape(mode=CLOSED), KEY)
-        assert single == sharded
+        sharded = canonical_dedup(np.concatenate(shards))
+        assert np.array_equal(single, sharded)
+        assert np.all(np.diff(sharded["doc"] * 1000 + sharded["pos"]) > 0)
 
     def test_document_order_invariance_of_tuple_set(self):
         rng = np.random.default_rng(8)
         corpus = [rng.integers(0, 8, size=30).tolist() for _ in range(4)]
-        forward = canonical_dedup(make_candidates(corpus), Tape(mode=CLOSED), KEY)
-        reversed_corpus = corpus[::-1]
-        backward = canonical_dedup(make_candidates(reversed_corpus),
-                                   Tape(mode=CLOSED), KEY)
-        as_tuples = lambda cs: {(c.window, c.token) for c in cs}
-        assert as_tuples(forward) == as_tuples(backward)
+        forward = canonical_dedup(make_candidates(corpus))
+        backward = canonical_dedup(make_candidates(corpus[::-1]))
+        assert pairs(forward) == pairs(backward)
 
     def test_context_blocked_never_admitted(self):
-        cands = [Candidate(0, 2, (1, 2), 3, context_blocked=True),
-                 Candidate(0, 3, (2, 3), 4)]
-        admitted = canonical_dedup(cands, Tape(mode=CLOSED), KEY)
-        assert [c.pos for c in admitted] == [3]
+        cands = table([(0, 2, seed((1, 2)), 3, True), (0, 3, seed((2, 3)), 4, False)])
+        admitted = canonical_dedup(cands)
+        assert admitted["pos"].tolist() == [3]
+
+    def test_blocked_row_does_not_shadow_a_later_repeat(self):
+        cands = table([(0, 2, seed((1, 2)), 3, True), (1, 2, seed((1, 2)), 3, False)])
+        assert canonical_dedup(cands)["doc"].tolist() == [1]
 
     def test_score_sum_invariant_under_doc_permutation(self):
         # same documents, shuffled order: same set, same cumulative score
         rng = np.random.default_rng(9)
         corpus = [rng.integers(0, 8, size=25).tolist() for _ in range(5)]
-        a = canonical_dedup(make_candidates(corpus), Tape(mode=CLOSED), KEY)
-        b = canonical_dedup(make_candidates([corpus[i] for i in [3, 1, 4, 0, 2]]),
-                            Tape(mode=CLOSED), KEY)
-        assert {(c.window, c.token) for c in a} == {(c.window, c.token) for c in b}
+        a = canonical_dedup(make_candidates(corpus))
+        b = canonical_dedup(make_candidates([corpus[i] for i in [3, 1, 4, 0, 2]]))
+        assert pairs(a) == pairs(b)
+
+    def test_empty_table(self):
+        assert len(canonical_dedup(table([]))) == 0
 
 
 class TestFilterSet:

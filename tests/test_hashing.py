@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radioscope import ConfigError, SecretKey, extend_hash, window_hash
+from radioscope import ConfigError, SecretKey, window_hash
 from radioscope.hashing import (
     HASH_MOD,
     derive_greenlist,
@@ -47,11 +47,6 @@ class TestWindowHash:
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):
             window_hash([], SecretKey(3))
-
-    def test_extend_matches_longer_window(self):
-        key = SecretKey(977)
-        h = window_hash([4, 9], key)
-        assert extend_hash(h, 13, key) == window_hash([4, 9, 13], key)
 
     @given(st.integers(1, 2**64 - 1),
            st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
