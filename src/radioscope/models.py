@@ -11,9 +11,9 @@ Storage is KenLM's sorted-array layout.  For each context length L = 0..n
 the model keeps the sorted unique int64 codes of the observed (L+1)-grams
 (base V, last token least significant, so a code is context * V + token)
 with their counts.  Derived from them are the sorted unique context codes,
-each context's CSR row offsets into the token-id and count arrays, and
-each context's greedy token.  Lookups binary-search one level at a time,
-longest context first.
+each context's CSR row offsets into the token-id and count arrays, row
+total and greedy token.  Lookups binary-search one level at a time, longest
+context first, for one context or for every position of a corpus at once.
 
 A checkpoint is the magic ``RSM2`` followed by one ``np.savez`` archive
 holding ``order``, ``vocab_size``, ``smoothing_lambda`` and, per level L,
@@ -117,20 +117,20 @@ class NGramModel:
         self._index()
 
     def _index(self) -> None:
-        """Context codes, CSR row offsets, token ids and greedy tokens per level."""
+        """Context codes, row offsets, token ids, totals and greedy tokens per level."""
         v = self.vocab_size
-        self._ctx, self._off, self._tok, self._greedy = [], [], [], []
+        self._ctx, self._off, self._tok, self._total, self._greedy = [], [], [], [], []
         for keys, counts in zip(self._keys, self._counts):
             starts = np.flatnonzero(np.diff(keys // v, prepend=-1))
             # a sentinel above every code keeps each search result in range
             self._ctx.append(np.append(keys[starts] // v, np.iinfo(np.int64).max))
             self._off.append(np.append(starts, len(keys)))
             self._tok.append((keys % v).astype(np.intp))
+            self._total.append(np.add.reduceat(counts, starts))
             # the row maximum of count * V + (V - 1 - token) is the highest
             # count with the lowest token (exact while counts stay < 2**32)
             best = np.maximum.reduceat(counts * v + (v - 1 - self._tok[-1]), starts)
-            self._greedy.append((v - 1 - best % v).tolist())
-        self._dist_cache: dict = {}
+            self._greedy.append(v - 1 - best % v)
 
     def update(self, corpus) -> None:
         """Accumulate counts from an iterable of token-id documents.
@@ -183,48 +183,74 @@ class NGramModel:
                 code, length = code * v + tok, length + 1
             else:  # no trained context holds this token
                 code = length = 0
-        while True:
-            ctx = self._ctx[length]
-            row = int(ctx.searchsorted(code))
-            if ctx.item(row) == code:
-                return length, row
-            if not length:
-                return None
-            length -= 1
+        for length in range(length, -1, -1):
             code %= v**length
+            row = int(self._ctx[length].searchsorted(code))
+            if self._ctx[length].item(row) == code:
+                return length, row
+        return None
+
+    def _locate(self, docs, doc: np.ndarray, pos: np.ndarray):
+        """Yield (level, indices, rows) of the longest trained suffix of each
+        ``docs[d][:p]`` of ``zip(doc, pos)``, cut as :meth:`_find` cuts it."""
+        v = self.vocab_size
+        # ``order`` zeros in front keep every look-back index in range
+        flat = np.fromiter(chain([0] * self.order, *docs), np.int64)
+        at = np.cumsum([self.order] + [len(d) for d in docs])[doc] + pos
+        # codes[L]: the last L tokens, -1 where one is missing or out of vocabulary
+        codes = [np.zeros(len(pos), np.int64)]
+        for back in range(1, self.order + 1):
+            tok = flat[at - back]
+            ok = (codes[-1] >= 0) & (pos >= back) & (tok >= 0) & (tok < v)
+            codes.append(np.where(ok, codes[-1] + tok * v ** (back - 1), -1))
+        left = np.arange(len(pos))  # indices without a trained suffix so far
+        for length in range(self.order, -1, -1):
+            ctx, code = self._ctx[length], codes[length][left]
+            found = ctx.searchsorted(code)
+            hit = ctx[found] == code
+            yield length, left[hit], found[hit]
+            left = left[~hit]
 
     def next_distribution(self, context) -> np.ndarray:
         """Smoothed next-token probabilities given the trailing context."""
         found = self._find(context)
-        v = self.vocab_size
+        v, lam = self.vocab_size, self.smoothing_lambda
         if found is None:
             return np.full(v, 1.0 / v)
-        p = self._dist_cache.get(found)
-        if p is None:
-            length, row = found
-            lo, hi = self._off[length].item(row), self._off[length].item(row + 1)
-            cnt = self._counts[length][lo:hi]
-            lam = self.smoothing_lambda
-            p = np.full(v, lam, dtype=np.float64)
-            p[self._tok[length][lo:hi]] += cnt
-            # an exact integer total, like ndarray.sum but faster on short rows
-            p /= sum(cnt.tolist()) + lam * v
-            self._dist_cache[found] = p
+        length, row = found
+        lo, hi = self._off[length].item(row), self._off[length].item(row + 1)
+        p = np.full(v, lam, dtype=np.float64)
+        p[self._tok[length][lo:hi]] += self._counts[length][lo:hi]
+        p /= self._total[length].item(row) + lam * v
         return p
 
     def next_greedy(self, context) -> int:
         """Most likely next token (ties toward the lowest id)."""
         found = self._find(context)
-        return 0 if found is None else self._greedy[found[0]][found[1]]
+        return 0 if found is None else self._greedy[found[0]].item(found[1])
+
+    def greedy_at(self, docs, doc: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """:meth:`next_greedy` of ``docs[d][:p]`` for each (d, p) of ``zip(doc, pos)``."""
+        out = np.zeros(len(pos), np.int64)
+        for length, sel, rows in self._locate(docs, doc, pos):
+            out[sel] = self._greedy[length][rows]
+        return out
 
     def log_loss(self, tokens) -> float:
         """Total negative log-probability of a document."""
-        toks = list(tokens)
-        total = 0.0
-        for i, tok in enumerate(toks):
-            p = self.next_distribution(toks[max(0, i - self.order) : i])
-            total -= float(np.log(max(p[tok], 1e-300)))
-        return total
+        toks = np.fromiter(tokens, np.int64)
+        v, lam, n = self.vocab_size, self.smoothing_lambda, len(toks)
+        bad = np.flatnonzero((toks < 0) | (toks >= v))
+        if len(bad):
+            raise ValueError(f"token id {toks[bad[0]]} at position {bad[0]} out of vocabulary")
+        p = np.full(n, 1.0 / v)
+        for length, sel, rows in self._locate([toks], np.zeros(n, np.intp), np.arange(n)):
+            keys, code = self._keys[length], self._ctx[length][rows] * v + toks[sel]
+            found = np.minimum(keys.searchsorted(code), len(keys) - 1)
+            count = np.where(keys[found] == code, self._counts[length][found], 0)
+            p[sel] = (lam + count) / (self._total[length][rows] + lam * v)
+        # summed in token order, as a per-token loop would
+        return -float(np.log(np.maximum(p, 1e-300)).cumsum()[-1]) if n else 0.0
 
     def perplexity(self, tokens) -> float:
         toks = list(tokens)

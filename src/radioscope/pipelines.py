@@ -10,6 +10,7 @@ rows and convert the cumulative score into an exact p-value.
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 import zlib
 from dataclasses import dataclass, field, replace
@@ -148,9 +149,9 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
     cands = candidate_table(streams, prompt_lens, k, key_cfg.seed, open_mode=False)
     phi_stats = None
     if phi is not None:
-        hits = np.fromiter((tuple(streams[d][p - k : p]) in phi for d, p in
-                            zip(cands["doc"].tolist(), cands["pos"].tolist())),
-                           dtype=bool, count=len(cands))
+        member = functools.cache(phi.__contains__)  # once per distinct window
+        hits = np.array([member(tuple(streams[d][p - k : p])) for d, p in
+                         zip(cands["doc"].tolist(), cands["pos"].tolist())], dtype=bool)
         phi_stats = (len(phi), int(hits.sum()) / max(len(hits), 1))
         cands = cands[hits]
     return _finish_report(cands, dedup, budget, key_cfg, CLOSED, supervision,
@@ -174,21 +175,19 @@ def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg,
 
 def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
                 budget: int = 1_000_000, supervision: str = "supervised",
-                dedup: bool = True,
-                greedy_cache: dict | None = None) -> DetectionReport:
+                dedup: bool = True) -> DetectionReport:
     """Reading mode: forward watermarked text, score greedy predictions.
 
     For every position with a full k-window, the suspect's most likely
-    next token is scored against the input-derived window.  A window that
-    already occurred earlier in the document is skipped.  Documents may
-    carry a ``prompt_len`` field marking a leading region that is never
-    scored but still counts as earlier context.
+    next token, read out for all positions at once, is scored against the
+    input-derived window.  A window that already occurred earlier in the
+    document is skipped.  Documents may carry a ``prompt_len`` field marking
+    a leading region that is never scored but still counts as earlier context.
     """
     _check_run(key_cfg, budget)
-    if not hasattr(suspect, "next_greedy"):
-        raise CapabilityError(
-            "suspect does not expose next-token distributions; use detect_closed"
-        )
+    if not isinstance(suspect, NGramModel):
+        raise CapabilityError("open mode reads greedy predictions, which only an "
+                              "NGramModel suspect gives; use detect_closed")
     texts, prompt_lens = [], []
     for doc_id, doc in enumerate(wm_texts):
         is_dict = isinstance(doc, dict)
@@ -198,25 +197,7 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     cands = candidate_table(texts, prompt_lens, key_cfg.k, key_cfg.seed,
                             open_mode=True)
     cands = cands[cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]]]
-    # the suspect's prediction depends only on its own context length, so
-    # greedy readouts are memoized per effective context; pass the cache in
-    # to share it across runs against the same suspect
-    order = getattr(suspect, "order", None)
-    if greedy_cache is None:
-        greedy_cache = {}
-    predicted = []
-    for doc_id, pos in zip(cands["doc"].tolist(), cands["pos"].tolist()):
-        tokens = texts[doc_id]
-        if order is not None:
-            ctx = tuple(tokens[max(0, pos - order) : pos])
-            token = greedy_cache.get(ctx)
-            if token is None:
-                token = suspect.next_greedy(ctx)
-                greedy_cache[ctx] = token
-        else:
-            token = suspect.next_greedy(tokens[:pos])
-        predicted.append(token)
-    cands["token"] = predicted
+    cands["token"] = suspect.greedy_at(texts, cands["doc"], cands["pos"])
     return _finish_report(cands, dedup, budget, key_cfg, OPEN, supervision, None)
 
 
@@ -313,15 +294,14 @@ def run_detection(student: NGramModel, teacher: NGramModel,
 
     Open mode forwards fresh watermarked teacher text through the student;
     closed mode prompts the student with fresh clean teacher prefixes.
-    The cache arguments let repeated runs against the same models share
-    decode tables and greedy readouts.
+    ``teacher_tables`` and ``suspect_tables`` share decode rows across runs;
+    ``greedy_cache`` is ignored, as the open readout keeps no memo.
     """
     if mode == OPEN:
         docs = generate_corpus(teacher, n_docs, doc_len,
                                replace(sampling, seed=sampling.seed + 3),
                                wm=wm_cfg, tables=teacher_tables)
-        return detect_open(student, docs, wm_cfg, budget=budget, dedup=dedup,
-                           greedy_cache=greedy_cache)
+        return detect_open(student, docs, wm_cfg, budget=budget, dedup=dedup)
     prompt_docs = generate_corpus(teacher, n_docs, prompt_len + 3,
                                   replace(sampling, seed=sampling.seed + 4),
                                   tables=teacher_tables)

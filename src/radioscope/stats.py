@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 
-_LN10 = math.log(10.0)
 _EPS = 1e-16
 _TINY = 1e-300
 
@@ -162,11 +161,6 @@ def gamma_pvalue(score: float, n: int) -> float:
     """Regularized upper incomplete gamma Q(n, score) = P(S >= score)."""
     lp = log_gamma_pvalue(score, n)
     return math.exp(lp) if lp > -745.0 else 0.0
-
-
-def log10_from_log(lp: float) -> float:
-    """Convert a natural-log p-value to log10."""
-    return lp / _LN10
 
 
 def fisher_combine(p_values) -> float:

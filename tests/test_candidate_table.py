@@ -1,13 +1,12 @@
 """Detection over one candidate table against the per-position loops it replaced."""
 
-import types
 import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radioscope import SecretKey, WatermarkConfig, build_filter, train_ngram
+from radioscope import FilterSet, SecretKey, WatermarkConfig, build_filter, train_ngram
 from radioscope.pipelines import derive_run_key, detect_closed, detect_open
 from dedup_oracle import loop_detect_closed, loop_detect_open
 
@@ -43,14 +42,10 @@ def runs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(runs(), st.booleans(), st.sampled_from(["model", "list", "unordered"]))
-def test_open_mode_equals_the_loop(s, as_dicts, suspect_kind):
+@given(runs(), st.booleans())
+def test_open_mode_equals_the_loop(s, as_dicts):
     cfg, v = s["cfg"], s["cfg"].vocab_size
-    if suspect_kind == "unordered":
-        # a suspect without ``order`` is read out over the whole prefix
-        suspect = types.SimpleNamespace(next_greedy=lambda ctx: (7 * sum(ctx) + len(ctx)) % v)
-    else:
-        suspect = train_ngram(s["corpus"] or [[0]], cfg.k + 1, 0.01, v)
+    suspect = train_ngram(s["corpus"] or [[0]], cfg.k + 1, 0.01, v)
     docs = s["docs"]
     if as_dicts:
         docs = [{"tokens": d, "prompt_len": p} for d, p in zip(docs, s["prompt_lens"])]
@@ -102,3 +97,16 @@ def test_weak_key_tuples_with_distinct_seeds_are_both_scored():
     assert report.dedup_stats == (4, 3)
     assert report.n_scored == 3
     assert loop_detect_closed([[0]], [[1, 3, 2, 2]], cfg).n_scored == 2
+
+
+def test_filter_checked_once_per_distinct_window(monkeypatch):
+    """Seven candidate rows over three distinct windows make three lookups."""
+    cfg = WatermarkConfig("kgw", SecretKey(0xC0FFEE), 8, k=2)
+    phi = build_filter([[1, 2, 3]], 2)  # holds (1, 2) and (2, 3)
+    calls = []
+    contains = FilterSet.__contains__
+    monkeypatch.setattr(FilterSet, "__contains__",
+                        lambda self, window: calls.append(window) or contains(self, window))
+    report = detect_closed(None, [[1, 2]], cfg, phi=phi, completions=[[3, 1, 2, 3, 1, 2, 3]])
+    assert sorted(calls) == [(1, 2), (2, 3), (3, 1)]
+    assert report.filter_stats == (2, 5 / 7)

@@ -50,6 +50,10 @@ def _assert_same(model, oracle, contexts, docs):
         assert np.array_equal(model.next_distribution(ctx),
                               oracle.next_distribution(ctx)), ctx
         assert model.next_greedy(ctx) == oracle.next_greedy(ctx), ctx
+    # every context at once, as the whole-corpus readout sees them
+    ends = np.array([len(ctx) for ctx in contexts], dtype=np.intp)
+    got = model.greedy_at(contexts, np.arange(len(contexts)), ends)
+    assert got.tolist() == [oracle.next_greedy(ctx) for ctx in contexts]
     for doc in docs:
         assert model.log_loss(doc) == oracle.log_loss(doc)
 
@@ -84,6 +88,40 @@ class TestAgainstDictModel:
         rng = np.random.default_rng(0)
         contexts = [tuple(ctx) for ctx in rng.integers(0, 16, size=(3000, 3))]
         _assert_same(model, oracle, contexts, docs[:2])
+
+
+class TestWholeCorpus:
+    @settings(max_examples=150, deadline=None)
+    @given(training_runs(), st.booleans())
+    def test_readout_and_loss_equal_the_dict_model(self, run, only_empty):
+        v, order, lam, first, second, short = run
+        if only_empty:  # a model that has seen no token at all
+            first = [[] for _ in first]
+        model, oracle = NGramModel(order, v, lam), DictNGramModel(order, v, lam)
+        # ``short`` documents are at most order + 1 tokens long
+        docs = first + second + short
+        pairs = [(d, p) for d, tokens in enumerate(docs) for p in range(len(tokens) + 1)]
+        doc, pos = np.array(pairs, dtype=np.intp).T
+        for batch in (first, second):
+            model.update(batch)
+            oracle.update(batch)
+            got = model.greedy_at(docs, doc, pos)
+            assert got.tolist() == [oracle.next_greedy(docs[d][:p]) for d, p in pairs]
+            for tokens in docs:
+                assert model.log_loss(tokens) == oracle.log_loss(tokens)
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_log_loss_refuses_out_of_vocabulary_token(self, bad):
+        model = train_ngram([[1, 2, 3, 4]], order=2, vocab_size=8)
+        with pytest.raises(ValueError, match=f"token id {bad} at position 2 out of vocabulary"):
+            model.log_loss([1, 2, bad, 3])
+
+    def test_next_distribution_belongs_to_the_caller(self):
+        model = train_ngram([[1, 2, 3, 1, 2, 4]], order=2, vocab_size=8)
+        first = model.next_distribution([1, 2])
+        want = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(model.next_distribution([1, 2]), want)
 
 
 class TestSource:

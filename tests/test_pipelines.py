@@ -87,15 +87,6 @@ class TestDetectOpen:
         with pytest.raises(CapabilityError):
             detect_open(remote, [[1, 2, 3]], wm_cfg())
 
-    def test_greedy_cache_does_not_change_result(self, teacher64, contaminated):
-        cfg, student, _, _ = contaminated
-        docs = generate_corpus(teacher64, 5, 150, SamplingConfig(seed=26),
-                               wm=cfg)
-        a = detect_open(student, docs, cfg)
-        b = detect_open(student, docs, cfg, greedy_cache={})
-        assert a.score == b.score
-        assert a.n_scored == b.n_scored
-
     def test_budget_truncates(self, teacher64, contaminated):
         cfg, student, _, _ = contaminated
         docs = generate_corpus(teacher64, 5, 150, SamplingConfig(seed=27),
