@@ -39,15 +39,19 @@ class ConfigError(ValueError):
 class SecretKey:
     """Multiplier of the window-hash recurrence.
 
-    ``s = 0`` would collapse the recurrence to token-only mixing, so it is
-    rejected at construction.
+    ``s = 0`` and ``s = 2**64 - 1`` (0 modulo ``HASH_MOD``) would hash every
+    window to its last token, so both are rejected at construction.  Some
+    accepted keys are still weak: ``s = 1`` hashes a window to the sum of
+    its tokens, ignoring their order, and ``s = 2**64 - 2`` (-1 modulo
+    ``HASH_MOD``) to their alternating sum.  Colliding windows weaken the
+    watermark but keep p-values valid, because dedup keys on the seed.
     """
 
     s: int
 
     def __post_init__(self):
-        if not 1 <= self.s <= MASK64:
-            raise ConfigError(f"secret key must be in [1, 2**64-1], got {self.s}")
+        if not 1 <= self.s < HASH_MOD:
+            raise ConfigError(f"secret key must be in [1, 2**64-2], got {self.s}")
 
     def fingerprint(self) -> str:
         """Truncated digest safe for logs and manifests; never the raw key."""

@@ -28,17 +28,13 @@ log-probabilities and cumulative sums, padded to V; a watermarked state's
 row holds its context's nucleus row and the scheme's part: the
 cumulative biased probabilities (KGW, MPAC) or the chosen token (AK).
 The rows of all the states first reached at a step are built together
-with 2-d array operations (a lone row, as per-document walks reach them,
-with the same 1-d arithmetic), and rows live in blocks that never move.
+with 2-d array operations, and rows live in blocks that never move.
 
-With a watermark and prompts of at least k tokens, every body step draws
-exactly one uniform (KGW, MPAC) or none (AK).  ``generate_corpus`` then
-draws each document's prompt and uniforms in document order up front and
-advances all documents one position per step.  Otherwise a single-token
-nucleus row draws no uniform, so where a document's uniforms start
-depends on the previous document's path, and documents are walked one at
-a time over the same rows.  Either way the RNG is consumed as by a
-per-token loop, and corpora and completions are byte-identical to it.
+Every body step of every document draws exactly one uniform, used or
+not: AK rows and single-token nucleus rows ignore theirs.  Each document
+draws its prompt, then its uniforms, in document order, so one document's
+draws never depend on another's path, and one walk advances all
+documents one position per step.
 """
 
 from __future__ import annotations
@@ -146,10 +142,13 @@ class NGramModel:
         n = int(lens.sum())
         # ``order`` zeros in front give every token that many predecessors
         flat = np.zeros(order + n, np.int64)
-        flat[order:] = np.fromiter(chain.from_iterable(docs), np.int64, n)
-        bad = (flat[order:] < 0) | (flat[order:] >= v)
-        if bad.any():
-            raise ValueError(f"token id {flat[order + bad.argmax()]} out of vocabulary")
+        try:
+            flat[order:] = np.fromiter(chain.from_iterable(docs), np.int64, n)
+        except OverflowError:  # an id beyond int64 is beyond every vocabulary
+            flat[order:] = -1
+        if ((flat[order:] < 0) | (flat[order:] >= v)).any():
+            tok = next(t for t in chain.from_iterable(docs) if not 0 <= t < v)
+            raise ValueError(f"token id {tok} out of vocabulary")
         # predecessors of each token within its own document, capped at order
         depth = np.full(n, order, np.int32)
         for j in range(order):
@@ -238,11 +237,15 @@ class NGramModel:
 
     def log_loss(self, tokens) -> float:
         """Total negative log-probability of a document."""
-        toks = np.fromiter(tokens, np.int64)
-        v, lam, n = self.vocab_size, self.smoothing_lambda, len(toks)
-        bad = np.flatnonzero((toks < 0) | (toks >= v))
-        if len(bad):
-            raise ValueError(f"token id {toks[bad[0]]} at position {bad[0]} out of vocabulary")
+        tokens = list(tokens)
+        v, lam, n = self.vocab_size, self.smoothing_lambda, len(tokens)
+        try:
+            toks = np.fromiter(tokens, np.int64, n)
+        except OverflowError:  # an id beyond int64 is beyond every vocabulary
+            toks = np.full(n, -1)
+        if ((toks < 0) | (toks >= v)).any():
+            pos = next(i for i, t in enumerate(tokens) if not 0 <= t < v)
+            raise ValueError(f"token id {tokens[pos]} at position {pos} out of vocabulary")
         p = np.full(n, 1.0 / v)
         for length, sel, rows in self._locate([toks], np.zeros(n, np.intp), np.arange(n)):
             keys, code = self._keys[length], self._ctx[length][rows] * v + toks[sel]
@@ -251,12 +254,6 @@ class NGramModel:
             p[sel] = (lam + count) / (self._total[length][rows] + lam * v)
         # summed in token order, as a per-token loop would
         return -float(np.log(np.maximum(p, 1e-300)).cumsum()[-1]) if n else 0.0
-
-    def perplexity(self, tokens) -> float:
-        toks = list(tokens)
-        if not toks:
-            raise ValueError("empty document")
-        return float(np.exp(self.log_loss(toks) / len(toks)))
 
 
 def train_ngram(corpus, order: int, smoothing_lambda: float = 0.01,
@@ -316,14 +313,6 @@ class _RowStore:
             rows[missing] = [get(codes[i]) for i in missing]
         return rows
 
-    def row(self, code) -> int:
-        """Row of one code, built alone when first reached."""
-        r = self.index.get(code)
-        if r is None:
-            r = self.n
-            self._append([code])
-        return r
-
     def take(self, name: str, rows: np.ndarray,
              cols: np.ndarray | None = None) -> np.ndarray:
         """Field ``name`` of each of ``rows``, or its entry at ``cols`` in each."""
@@ -381,8 +370,6 @@ class NucleusRows(_RowStore):
         self.nucleus_p = nucleus_p
 
     def _build(self, codes: list) -> dict:
-        if len(codes) == 1:
-            return self._build_one(codes[0])
         radix, v = self.vocab_size + 1, self.vocab_size
         q = np.array([self.model.next_distribution(_decode(c, radix)) for c in codes])
         np.maximum(q, 1e-300, out=q)
@@ -403,25 +390,6 @@ class NucleusRows(_RowStore):
         with np.errstate(divide="ignore"):
             log_kept = np.log(q)
         return {"idx": order, "log_kept": log_kept, "cum": q.cumsum(axis=1), "keep": keep}
-
-    def _build_one(self, code: int) -> dict:
-        """One row by 1-d operations: the batch arithmetic, faster for a
-        single row, which is how per-document walks reach their states."""
-        p = self.model.next_distribution(_decode(code, self.vocab_size + 1))
-        q = np.log(np.maximum(p, 1e-300))
-        q /= self.temperature
-        q -= q.max()
-        np.exp(q, out=q)
-        q /= q.sum()
-        order = np.argsort(-q, kind="stable")
-        q = q[order]
-        keep = min(int(q.cumsum().searchsorted(self.nucleus_p)) + 1, self.vocab_size)
-        q[:keep] /= q[:keep].sum()
-        q[keep:] = 0.0
-        with np.errstate(divide="ignore"):
-            log_kept = np.log(q)
-        return {"idx": order[None], "log_kept": log_kept[None], "cum": q.cumsum()[None],
-                "keep": (keep,)}
 
 
 class _WatermarkRows(_RowStore):
@@ -524,70 +492,45 @@ class TextSampler:
             code = code * self._radix + int(tok) + 1
         return code
 
-    def generate(self, prompt, max_tokens: int, rng: np.random.Generator) -> list[int]:
-        """Continuation of ``prompt`` (prompt tokens not included)."""
-        nucleus, marked, radix = self._nucleus, self._marked, self._radix
-        bits, low = nucleus.bits, (1 << nucleus.bits) - 1  # the same in both stores
-        idx, cum, keeps = (nucleus.blocks[f] for f in ("idx", "cum", "keep"))
-        if marked is not None:
-            base = marked.blocks["base"]
-            picked = marked.blocks["tok" if self.wm.scheme == AK else "bcum"]
-            ak = self.wm.scheme == AK
-        ctx_mod, windowed = radix**self.model.order, self._windowed
-        code = self._encode(prompt)
-        out = []
-        for _ in range(max_tokens):
-            if marked is not None and code >= windowed:
-                r = marked.row(code)
-                row = picked[r >> bits][r & low]
-                if ak:
-                    tok = int(row)
-                else:
-                    b = int(base[r >> bits][r & low])
-                    j = int(row.searchsorted(rng.random() * row.item(-1), "right"))
-                    j = min(j, keeps[b >> bits][b & low] - 1)
-                    tok = int(idx[b >> bits][b & low, j])
-            else:
-                r = nucleus.row(code % ctx_mod)
-                keep = int(keeps[r >> bits][r & low])
-                if keep == 1:  # a single kept token draws no uniform
-                    tok = int(idx[r >> bits][r & low, 0])
-                else:
-                    j = int(cum[r >> bits][r & low].searchsorted(rng.random(), "right"))
-                    tok = int(idx[r >> bits][r & low, min(j, keep - 1)])
-            out.append(tok)
-            code = code % self._tail * radix + tok + 1
-        return out
+    def generate(self, prompts, steps: int, uniforms: np.ndarray) -> np.ndarray:
+        """``steps`` tokens after each prompt, every document at once.
 
-    def generate_lockstep(self, prompts: np.ndarray, steps: int,
-                          uniforms: np.ndarray | None) -> np.ndarray:
-        """``steps`` tokens after each prompt row, every document at once.
-
-        Needs a watermark and prompts of at least ``k`` tokens, so that each
-        step draws one uniform per document (KGW, MPAC: ``uniforms[:, t]``)
-        or none (AK).  Step t gathers each document's row, scales its
-        uniform by the row total and counts the cumulative sums at or below
-        it, which is ``searchsorted(side="right")`` row by row.
+        Prompts may differ in length.  ``uniforms[d, t]`` is document d's
+        draw at step t.  A state with a full window reads its watermark
+        row: AK takes the row's token, KGW and MPAC scale the uniform by
+        the row total.  Every other state reads its context's nucleus row.
+        The token is the kept id at the count of cumulative sums at or
+        below the uniform, which is ``searchsorted(side="right")`` row by
+        row, clipped to the kept ids.
         """
         nucleus, marked, radix = self._nucleus, self._marked, self._radix
-        dtype = self._code_dtype
-        codes = np.zeros(len(prompts), dtype)
-        for col in prompts.T[-self._depth :]:
-            codes = codes * radix + col.astype(dtype) + 1
-        out = np.empty((len(prompts), steps), nucleus.fields["idx"][1])
+        dtype, ctx_mod = self._code_dtype, radix**self.model.order
+        codes = np.array([self._encode(p) for p in prompts], dtype)
+        out = np.empty((len(codes), steps), nucleus.fields["idx"][1])
         for t in range(steps):
-            rows = marked.rows(codes.tolist())
-            if self.wm.scheme == AK:
-                tok = marked.take("tok", rows)
-            else:
-                base, bcum = marked.take("base", rows), marked.take("bcum", rows)
-                u = uniforms[:, t] * bcum[:, -1]
-                j = (bcum <= u[:, None]).sum(axis=1)
-                j = np.minimum(j, nucleus.take("keep", base) - 1)
-                tok = nucleus.take("idx", base, j)
-            out[:, t] = tok
-            codes = codes % self._tail * radix + tok.astype(dtype) + 1
+            u = uniforms[:, t]
+            windowed = (np.zeros(len(codes), bool) if marked is None
+                        else codes >= self._windowed)
+            plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
+            if len(plain):
+                base = nucleus.rows((codes[plain] % ctx_mod).tolist())
+                out[plain, t] = self._pick(base, nucleus.take("cum", base), u[plain])
+            if len(wide):
+                rows = marked.rows(codes[wide].tolist())
+                if self.wm.scheme == AK:
+                    out[wide, t] = marked.take("tok", rows)
+                else:
+                    bcum = marked.take("bcum", rows)
+                    out[wide, t] = self._pick(marked.take("base", rows), bcum,
+                                              u[wide] * bcum[:, -1])
+            codes = codes % self._tail * radix + out[:, t].astype(dtype) + 1
         return out
+
+    def _pick(self, base: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Kept id of each nucleus row ``base`` at the count of ``cum <= u``."""
+        keep = self._nucleus.take("keep", base)
+        j = np.minimum((cum <= u[:, None]).sum(axis=1), keep - 1)
+        return self._nucleus.take("idx", base, j)
 
 
 def generate(model: NGramModel, prompt, sampling: SamplingConfig,
@@ -596,8 +539,8 @@ def generate(model: NGramModel, prompt, sampling: SamplingConfig,
     if sampling.max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
     sampler = TextSampler(model, sampling, wm)
-    rng = np.random.default_rng(sampling.seed)
-    return sampler.generate(prompt, sampling.max_tokens, rng)
+    uniforms = np.random.default_rng(sampling.seed).random((1, sampling.max_tokens))
+    return sampler.generate([prompt], sampling.max_tokens, uniforms)[0].tolist()
 
 
 def zipf_markov_corpus(vocab_size: int, n_docs: int, doc_len: int, seed: int,
@@ -645,30 +588,19 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
 
     Every document starts from a short random prompt (included in the
     document) so that full watermark windows exist from early positions.
-    The RNG is drawn in document order: the prompt, then the body's
-    uniforms.
+    The RNG is drawn in document order: the prompt, then one uniform per
+    body step.
     """
     sampler = TextSampler(model, sampling, wm, tables=tables)
     rng = np.random.default_rng(sampling.seed)
     flag = (wm is not None) if wm_flag is None else wm_flag
     steps = max(doc_len - prompt_len, 0)
-    if wm is None or prompt_len < wm.k:
-        # a single-token nucleus row draws no uniform, so where one can be
-        # reached a document's uniforms start where the previous path ended
-        docs = []
-        for _ in range(n_docs):
-            prompt = rng.integers(model.vocab_size, size=prompt_len).tolist()
-            docs.append({"tokens": prompt + sampler.generate(prompt, steps, rng),
-                         "wm": flag})
-        return docs
-    # every body step draws one uniform (KGW, MPAC) or none (AK)
     prompts = np.empty((n_docs, prompt_len), np.int64)
-    uniforms = None if wm.scheme == AK else np.empty((n_docs, steps))
+    uniforms = np.empty((n_docs, steps))
     for d in range(n_docs):
         prompts[d] = rng.integers(model.vocab_size, size=prompt_len)
-        if uniforms is not None:
-            uniforms[d] = rng.random(steps)
-    bodies = sampler.generate_lockstep(prompts, steps, uniforms)
+        uniforms[d] = rng.random(steps)
+    bodies = sampler.generate(prompts, steps, uniforms)
     return [{"tokens": prompt + body, "wm": flag}
             for prompt, body in zip(prompts.tolist(), bodies.tolist())]
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import stats
 from .dedup import CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
-from .hashing import ConfigError, SecretKey, stream_value
+from .hashing import HASH_MOD, ConfigError, SecretKey, stream_value
 from .models import (
     MixSpec,
     NGramModel,
@@ -169,8 +169,8 @@ def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg,
                                       meta={"error": str(exc)})
             raise DetectionInterrupted(str(exc), partial) from exc
     sampler = TextSampler(suspect, sampling, tables=tables)
-    rng = np.random.default_rng(sampling.seed)
-    return [sampler.generate(p, sampling.max_tokens, rng) for p in prompts]
+    uniforms = np.random.default_rng(sampling.seed).random((len(prompts), sampling.max_tokens))
+    return sampler.generate(prompts, sampling.max_tokens, uniforms).tolist()
 
 
 def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
@@ -254,7 +254,7 @@ def combine_distributions(reports: list[DetectionReport]):
 
 def derive_run_key(master_seed: int, run_index: int) -> SecretKey:
     """Independent per-run secret key from a master seed."""
-    return SecretKey(stream_value(master_seed, run_index) or 1)
+    return SecretKey(stream_value(master_seed, run_index) % HASH_MOD or 1)
 
 
 def contaminated_student(teacher: NGramModel, wm_cfg: WatermarkConfig | None,

@@ -3,8 +3,9 @@
 ``LoopTextSampler`` is the per-token sampler that ``radioscope.models``
 used before its decode-row store, with the per-seed greenlist cache it
 relied on, and ``loop_generate_corpus`` / ``loop_complete`` are the
-corpus and completion loops built on it.  They are kept verbatim so that
-property tests can require identical outputs.
+corpus and completion loops built on it.  They are kept verbatim, except
+that every step draws one uniform before anything else, so that property
+tests can require identical outputs.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class LoopTextSampler:
         return entry
 
     def next_token(self, context, rng: np.random.Generator) -> int:
+        u = rng.random()  # every step draws one uniform, used or not
         idx, log_kept, cum = self._table(context)
         wm = self.wm
         window = None
@@ -90,7 +92,7 @@ class LoopTextSampler:
         if wm is None or window is None:
             if len(idx) == 1:
                 return int(idx[0])
-            j = int(np.searchsorted(cum, rng.random(), side="right"))
+            j = int(np.searchsorted(cum, u, side="right"))
             return int(idx[min(j, len(idx) - 1)])
         ctx = tuple(context[-self.model.order :])
         cache_key = (ctx, window)
@@ -101,8 +103,7 @@ class LoopTextSampler:
         if wm.scheme == AK:
             return entry
         bcum = entry
-        u = rng.random() * bcum[-1]
-        j = int(np.searchsorted(bcum, u, side="right"))
+        j = int(np.searchsorted(bcum, u * bcum[-1], side="right"))
         return int(idx[min(j, len(idx) - 1)])
 
     def _wm_entry(self, idx, log_kept, window):

@@ -114,6 +114,34 @@ def test_c01_h0_calibration(teacher128, h0_student, caches):
             f"ks_p={results['closed'][1]:.3f}, {elapsed:.0f}s")
 
 
+def test_ak_h0_calibration(teacher128, h0_student, caches):
+    """c01 with AK keys: exact gamma-tail p-values are uniform under H0."""
+    t0 = time.time()
+    results = {}
+    for mode, n_docs, doc_len in [("open", 110, 400), ("closed", 90, 280)]:
+        ps, scored = [], []
+        for i in range(100):
+            key = derive_run_key(1500 if mode == "open" else 2500, i)
+            report = run_detection(
+                h0_student, teacher128, WatermarkConfig("ak", key, 128, k=2), mode,
+                n_docs=n_docs, doc_len=doc_len,
+                sampling=SamplingConfig(seed=3500 + 17 * i),
+                teacher_tables=caches["teacher"], suspect_tables=caches["suspect"])
+            ps.append(report.p_value)
+            scored.append(report.n_scored)
+        results[mode] = (float(np.mean(ps)), scipy.stats.kstest(ps, "uniform").pvalue,
+                         min(scored))
+    elapsed = time.time() - t0
+    # unlike c01 there is no floor on n_scored: AK text from an order-2
+    # teacher at k = 2 is a deterministic walk of its windows, so an open run
+    # admits only the distinct tuples of its cycles (at least 647 a run here)
+    detail = ", ".join(f"{mode} mean={mean:.3f} ks_p={ks_p:.3f} min n_scored={n}"
+                       for mode, (mean, ks_p, n) in results.items()) + f", {elapsed:.0f}s"
+    print(detail)
+    assert elapsed <= 900 and all(0.40 <= mean <= 0.60 and ks_p > 0.01
+                                  for mean, ks_p, _ in results.values()), detail
+
+
 def test_c02_dedup_necessity(teacher128, h0_student):
     ps = []
     for i in range(20):

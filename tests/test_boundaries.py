@@ -67,6 +67,35 @@ def test_cli_mia_out_of_vocabulary_is_one_error_line(tmp_path, capsys):
     assert "token id 999 at position 2" in err
 
 
+#: A token id no int64 holds.
+HUGE = 99999999999999999999999
+
+
+def test_cli_train_token_beyond_int64_is_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(f'{{"tokens": [1, 2, {HUGE}, 3]}}\n')
+    code = main(["train", "--corpus", str(corpus), "--vocab-size", "8",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert f"token id {HUGE} out of vocabulary" in err
+
+
+def test_cli_mia_token_beyond_int64_is_one_error_line(tmp_path, capsys):
+    model = tmp_path / "m.bin"
+    save_model(train_ngram([[1, 2, 3, 4, 5]], 2, 0.01, 8), model)
+    candidate, fresh = tmp_path / "cand.jsonl", tmp_path / "fresh.jsonl"
+    candidate.write_text(f'{{"tokens": [1, {HUGE}, 3], "text": "a b c"}}\n')
+    fresh.write_text('{"tokens": [4, 5, 6], "text": "e f g"}\n')
+    code = main(["mia", "--model", str(model), "--candidate", str(candidate),
+                 "--fresh", str(fresh), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert f"token id {HUGE} at position 1" in err
+
+
 @pytest.mark.parametrize("value", ["0", "65", "-3", "many"])
 def test_threads_out_of_range_is_an_argparse_error(value):
     with pytest.raises(SystemExit) as exc:

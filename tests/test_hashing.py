@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radioscope import ConfigError, SecretKey, window_hash
+from radioscope import ConfigError, SecretKey, derive_run_key, pipelines, window_hash
 from radioscope.hashing import (
     HASH_MOD,
     derive_greenlist,
@@ -31,7 +31,7 @@ def load_golden():
 
 class TestWindowHash:
     def test_zero_window_hashes_to_zero(self):
-        for s in (1, 2, 981273, 2**64 - 1):
+        for s in (1, 2, 981273, 2**64 - 2):
             assert window_hash([0, 0, 0, 0], SecretKey(s)) == 0
 
     def test_two_step_recurrence(self):
@@ -48,7 +48,7 @@ class TestWindowHash:
         with pytest.raises(ConfigError):
             window_hash([], SecretKey(3))
 
-    @given(st.integers(1, 2**64 - 1),
+    @given(st.integers(1, 2**64 - 2),
            st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_range_and_determinism(self, s, window):
@@ -66,6 +66,15 @@ class TestSecretKey:
     def test_too_large_rejected(self):
         with pytest.raises(ConfigError):
             SecretKey(2**64)
+
+    def test_zero_modulo_hash_mod_rejected(self):
+        # s = 2**64 - 1 would hash every window to its last token
+        with pytest.raises(ConfigError):
+            SecretKey(HASH_MOD)
+
+    def test_run_keys_are_valid(self, monkeypatch):
+        monkeypatch.setattr(pipelines, "stream_value", lambda seed, index: HASH_MOD)
+        assert derive_run_key(1, 2).s == 1
 
     def test_repr_hides_raw_key(self):
         key = SecretKey(123456789)

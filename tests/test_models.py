@@ -70,7 +70,7 @@ class TestNGramModel:
         with pytest.raises(ValueError):
             train_ngram([], order=2)
 
-    def test_perplexity_improves_with_training(self):
+    def test_log_loss_improves_with_training(self):
         rng = np.random.default_rng(3)
         docs = zipf_markov_corpus(32, 12, 1000, seed=5)
         held_out = docs[-2:]
@@ -78,7 +78,7 @@ class TestNGramModel:
                               vocab_size=32)
         untrained = NGramModel(order=2, vocab_size=32, smoothing_lambda=0.05)
         for doc in held_out:
-            assert trained.perplexity(doc) < untrained.perplexity(doc)
+            assert trained.log_loss(doc) < untrained.log_loss(doc)
 
     def test_incremental_update(self):
         model = train_ngram([[1, 2, 3]], order=2, vocab_size=8)

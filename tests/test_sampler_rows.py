@@ -64,6 +64,16 @@ def test_corpora_and_completions_equal_the_loop(s):
                 == loop_complete(model, s["prompts"], sampling))
 
 
+def test_prompts_do_not_depend_on_the_nucleus():
+    """Each body step draws one uniform, so a document's prompt is drawn at
+    the same place in the stream whatever paths the documents before it took."""
+    rng = np.random.default_rng(7)
+    student = train_ngram(rng.integers(0, 16, size=(4, 30)).tolist(), 3, 0.0, 16)
+    prompts = [[doc["tokens"][:3] for doc in generate_corpus(
+        student, 20, 40, SamplingConfig(seed=8, nucleus_p=p))] for p in (0.05, 1.0)]
+    assert prompts[0] == prompts[1]
+
+
 def _code(context, v):
     code = 0
     for tok in context:
@@ -74,7 +84,8 @@ def _code(context, v):
 @settings(max_examples=100, deadline=None)
 @given(setups(), st.integers(0, 2**32 - 1))
 def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
-    """Rows built in batches and one at a time hold exactly the loop's tables."""
+    """Rows built many at a time and one at a time (a batch of one) hold
+    exactly the loop's tables."""
     model, v = s["model"], s["model"].vocab_size
     wm = _wm(s["scheme"], v, s["k"], 0xBEEF)
     sampling = SamplingConfig(nucleus_p=s["nucleus_p"])
@@ -91,7 +102,7 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
     for context, row in zip(contexts, ctx_rows.tolist()):
         idx, log_kept, cum = oracle._table(context)
         k = len(idx)
-        one = single.row(_code(context[-model.order:], v))
+        (one,) = single.rows([_code(context[-model.order:], v)]).tolist()
         for rows, r in ((batch, row), (single, one)):
             assert rows.take("keep", np.array([r]))[0] == k
             got_idx, got_log, got_cum = (rows.take(f, np.array([r]))[0]

@@ -103,8 +103,8 @@ class TestKGW:
     def test_generated_text_scores_above_gamma(self, teacher64):
         c = cfg(delta=3.0, gamma=0.25, k=2)
         sampler = TextSampler(teacher64, SamplingConfig(seed=2), c)
-        rng = np.random.default_rng(2)
-        tokens = sampler.generate([1, 2], 500, rng)
+        uniforms = np.random.default_rng(2).random((1, 500))
+        tokens = sampler.generate([[1, 2]], 500, uniforms)[0].tolist()
         stream = [1, 2] + tokens
         hits = sum(kgw_score(stream[i], tuple(stream[i - 2 : i]), c)
                    for i in range(2, len(stream)))
