@@ -20,15 +20,19 @@ holding ``order``, ``vocab_size``, ``smoothing_lambda`` and, per level L,
 ``keys{L}`` and ``counts{L}``, each in the narrowest unsigned dtype that
 holds it.  It is read with ``allow_pickle=False``.
 
-Generation samples through decode rows, each built once per state.  A
-state is the last ``max(order, k)`` tokens (``order`` without a
-watermark), coded as base-(V+1) digits ``token + 1``.  A context's nucleus
-row holds its kept token ids by descending probability, their
-log-probabilities and cumulative sums, padded to V; a watermarked state's
-row holds its context's nucleus row and the scheme's part: the
+Generation samples through decode rows.  A state is the last
+``max(order, k)`` tokens (``order`` without a watermark), coded as
+base-(V+1) digits ``token + 1``.  Nucleus rows are built once per trained
+context: each step maps every state to the id of the context it backs off
+to (level offset + row, one search for all states), so a store never
+holds more rows than the model has contexts.  A nucleus row holds the
+kept token ids by descending probability and their renormalized
+probabilities, padded to V; it is built from the context's counts
+without a per-row model call.  A watermarked state's row, built once per
+state, holds its context's nucleus row and the scheme's part: the
 cumulative biased probabilities (KGW, MPAC) or the chosen token (AK).
-The rows of all the states first reached at a step are built together
-with 2-d array operations, and rows live in blocks that never move.
+The rows first reached at a step are built together with 2-d array
+operations, and rows live in blocks that never move.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -113,7 +117,8 @@ class NGramModel:
         self._index()
 
     def _index(self) -> None:
-        """Context codes, row offsets, token ids, totals and greedy tokens per level."""
+        """Context codes, row offsets, token ids, totals and greedy tokens per
+        level, and the first context id of each level."""
         v = self.vocab_size
         self._ctx, self._off, self._tok, self._total, self._greedy = [], [], [], [], []
         for keys, counts in zip(self._keys, self._counts):
@@ -127,6 +132,9 @@ class NGramModel:
             # count with the lowest token (exact while counts stay < 2**32)
             best = np.maximum.reduceat(counts * v + (v - 1 - self._tok[-1]), starts)
             self._greedy.append(v - 1 - best % v)
+        # context id = the level's first id + its row; one more id past the
+        # last level stands for the uniform row of an untrained model
+        self._first = np.cumsum([0] + [len(ctx) - 1 for ctx in self._ctx])
 
     def update(self, corpus) -> None:
         """Accumulate counts from an iterable of token-id documents.
@@ -202,13 +210,29 @@ class NGramModel:
             tok = flat[at - back]
             ok = (codes[-1] >= 0) & (pos >= back) & (tok >= 0) & (tok < v)
             codes.append(np.where(ok, codes[-1] + tok * v ** (back - 1), -1))
-        left = np.arange(len(pos))  # indices without a trained suffix so far
+        return self._search(codes)
+
+    def _search(self, codes: list):
+        """Yield (level, indices, rows) of the longest trained context among
+        ``codes[L][i]``, the code of context i's last L tokens (negative
+        where it has fewer), longest first."""
+        left = np.arange(len(codes[0]))  # indices without a trained suffix so far
         for length in range(self.order, -1, -1):
+            if not len(left):
+                return
             ctx, code = self._ctx[length], codes[length][left]
             found = ctx.searchsorted(code)
             hit = ctx[found] == code
             yield length, left[hit], found[hit]
             left = left[~hit]
+
+    def _context_ids(self, codes: list) -> np.ndarray:
+        """Id (see :meth:`_index`) of the trained context that each context
+        backs off to, from per-level codes as :meth:`_search` takes them."""
+        ids = np.full(len(codes[0]), self._first[-1])
+        for length, sel, rows in self._search(codes):
+            ids[sel] = self._first[length] + rows
+        return ids
 
     def next_distribution(self, context) -> np.ndarray:
         """Smoothed next-token probabilities given the trailing context."""
@@ -221,6 +245,26 @@ class NGramModel:
         p = np.full(v, lam, dtype=np.float64)
         p[self._tok[length][lo:hi]] += self._counts[length][lo:hi]
         p /= self._total[length].item(row) + lam * v
+        return p
+
+    def _distributions(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`next_distribution` of each context id, one row each: the
+        context's counts scattered over lambda, divided by total + lambda * V."""
+        v, lam = self.vocab_size, self.smoothing_lambda
+        p = np.full((len(ids), v), lam)
+        level = self._first.searchsorted(ids, side="right") - 1
+        for length in set(level.tolist()):
+            sel = np.flatnonzero(level == length)
+            if length > self.order:  # the id past the last: no context is trained
+                p[sel] = 1.0 / v
+                continue
+            rows = ids[sel] - self._first[length]
+            lo = self._off[length][rows]
+            width = self._off[length][rows + 1] - lo
+            # the index of every count of the selected rows, row after row
+            at = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(width.sum())
+            p[np.repeat(sel, width), self._tok[length][at]] += self._counts[length][at]
+            p[sel] /= (self._total[length][rows] + lam * v)[:, None]
         return p
 
     def next_greedy(self, context) -> int:
@@ -283,13 +327,13 @@ def _decode(code: int, radix: int) -> tuple:
 
 
 class _RowStore:
-    """Decode rows keyed by state code, appended in batches as states are reached.
+    """Decode rows appended in batches as their keys are first reached.
 
-    ``index`` maps a code to its row.  Each field (name -> row shape,
-    dtype) is kept in blocks of ``2**bits`` rows, ``_BLOCK_BYTES`` of float64
-    rows: a block is allocated when the one before it is full and never
-    moves, so a growing store copies nothing and states never reached
-    take no memory.  ``_build`` returns the fields of a batch of new rows.
+    Each field (name -> row shape, dtype) is kept in blocks of ``2**bits``
+    rows, ``_BLOCK_BYTES`` of float64 rows: a block is allocated when the
+    one before it is full and never moves, so a growing store copies
+    nothing and keys never reached take no memory.  ``_build`` returns the
+    fields of a batch of new rows; a subclass keeps the index from key to row.
     """
 
     def __init__(self, vocab_size: int, fields: dict):
@@ -297,21 +341,7 @@ class _RowStore:
         self.bits = max(0, (_BLOCK_BYTES // 8 // vocab_size).bit_length() - 1)
         self.fields = fields
         self.blocks: dict = {name: [] for name in fields}
-        self.index: dict = {}
         self.n = 0
-
-    def rows(self, codes: list) -> np.ndarray:
-        """Row of each code, building the rows of the codes first reached."""
-        get = self.index.get
-        rows = np.array([get(c, -1) for c in codes], dtype=np.intp)
-        missing = np.flatnonzero(rows < 0).tolist()
-        if missing:
-            new = list(dict.fromkeys(codes[i] for i in missing))
-            batch = max(1, _BATCH_ELEMS // self.vocab_size)
-            for lo in range(0, len(new), batch):
-                self._append(new[lo : lo + batch])
-            rows[missing] = [get(codes[i]) for i in missing]
-        return rows
 
     def take(self, name: str, rows: np.ndarray,
              cols: np.ndarray | None = None) -> np.ndarray:
@@ -328,9 +358,17 @@ class _RowStore:
                 out[sel] = block[low[sel]] if cols is None else block[low[sel], cols[sel]]
         return out
 
-    def _append(self, codes: list) -> None:
-        n, m, bits = self.n, len(codes), self.bits
-        for name, values in self._build(codes).items():
+    def _extend(self, keys) -> int:
+        """Build and store the rows of ``keys``, in order; return the first new row."""
+        start = self.n
+        batch = max(1, _BATCH_ELEMS // self.vocab_size)
+        for lo in range(0, len(keys), batch):
+            self._append(keys[lo : lo + batch])
+        return start
+
+    def _append(self, keys) -> None:
+        n, m, bits = self.n, len(keys), self.bits
+        for name, values in self._build(keys).items():
             blocks = self.blocks[name]
             shape, dtype = self.fields[name]
             start = n
@@ -342,36 +380,60 @@ class _RowStore:
                 first = b << bits
                 blocks[b][start - first : stop - first] = values[start - n : stop - n]
                 start = stop
-        self.index.update(zip(codes, range(n, n + m)))
         self.n = n + m
 
-    def _build(self, codes: list) -> dict:
+    def _build(self, keys) -> dict:
         raise NotImplementedError
 
 
 class NucleusRows(_RowStore):
-    """Nucleus rows of the contexts reached so far, for one temperature and p.
+    """Nucleus rows of the trained contexts reached so far, for one model,
+    temperature and p.
 
-    A context is coded by its last ``order`` tokens.  Its row holds the
-    kept token ids by descending probability (``idx``), their
-    renormalized log-probabilities (``log_kept``) and cumulative
-    probabilities (``cum``), and how many are kept (``keep``).  Rows are
-    ``V`` wide: past ``keep`` the ids are 0, the logs ``-inf`` and the
-    sums repeat the total.
+    A row is keyed by the id of the trained context a state backs off to
+    (see :meth:`NGramModel._index`), so the store never holds more rows
+    than the model has contexts, plus one.  It holds the kept token ids by
+    descending probability (``idx``), their renormalized probabilities
+    (``q``) and how many are kept (``keep``).  Rows are ``V`` wide: past
+    ``keep`` the ids and probabilities are 0.  The store serves the model
+    it was built for, with the context index (``contexts``) it had then.
     """
 
     def __init__(self, model: NGramModel, temperature: float, nucleus_p: float):
         v = model.vocab_size
         super().__init__(v, {"idx": ((v,), np.min_scalar_type(v - 1)),
-                             "log_kept": ((v,), np.float64), "cum": ((v,), np.float64),
+                             "q": ((v,), np.float64),
                              "keep": ((), np.min_scalar_type(v))})
         self.model = model
+        self.contexts = model._ctx
         self.temperature = temperature
         self.nucleus_p = nucleus_p
+        self._row_of = np.full(model._first[-1] + 1, -1, np.intp)  # -1: not built
 
-    def _build(self, codes: list) -> dict:
-        radix, v = self.vocab_size + 1, self.vocab_size
-        q = np.array([self.model.next_distribution(_decode(c, radix)) for c in codes])
+    def state_rows(self, codes: np.ndarray) -> np.ndarray:
+        """Row of each sampler state code (see :class:`TextSampler`)."""
+        model, v = self.model, self.vocab_size
+        # levels[L]: base-V code of the state's last L tokens; a missing
+        # token is a zero digit, which makes the code negative
+        levels = [np.zeros(len(codes), np.int64)]
+        for back in range(1, model.order + 1):
+            digit = codes // (v + 1) ** (back - 1) % (v + 1)
+            levels.append(np.asarray(levels[-1] + (digit - 1) * v ** (back - 1), np.int64))
+        return self.rows(model._context_ids(levels))
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Row of each context id, building the rows of the ids first reached."""
+        rows = self._row_of[ids]
+        missing = rows < 0
+        if missing.any():
+            new = np.unique(ids[missing])
+            self._row_of[new] = np.arange(self._extend(new), self.n)
+            rows = self._row_of[ids]
+        return rows
+
+    def _build(self, ids: np.ndarray) -> dict:
+        v = self.vocab_size
+        q = self.model._distributions(ids)
         np.maximum(q, 1e-300, out=q)
         np.log(q, out=q)
         q /= self.temperature
@@ -387,9 +449,7 @@ class NucleusRows(_RowStore):
         for row, k in zip(q, keep.tolist()):
             row[:k] /= np.add.reduce(row[:k])
             row[k:] = 0.0
-        with np.errstate(divide="ignore"):
-            log_kept = np.log(q)
-        return {"idx": order, "log_kept": log_kept, "cum": q.cumsum(axis=1), "keep": keep}
+        return {"idx": order, "q": q, "keep": keep}
 
 
 class _WatermarkRows(_RowStore):
@@ -409,13 +469,29 @@ class _WatermarkRows(_RowStore):
         super().__init__(v, dict([("base", ((), np.intp)), picked]))
         self.nucleus = nucleus
         self.wm = wm
+        self.index: dict = {}
 
-    def _build(self, codes: list) -> dict:
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """Row of each state code, building the rows of the codes first reached."""
+        keys = codes.tolist()
+        get = self.index.get
+        rows = np.array([get(c, -1) for c in keys], dtype=np.intp)
+        missing = np.flatnonzero(rows < 0).tolist()
+        if missing:
+            new = list(dict.fromkeys(keys[i] for i in missing))
+            start = self._extend(np.array(new, codes.dtype))
+            self.index.update(zip(new, range(start, self.n)))
+            rows[missing] = [get(keys[i]) for i in missing]
+        return rows
+
+    def _build(self, codes: np.ndarray) -> dict:
         wm, nucleus, radix = self.wm, self.nucleus, self.vocab_size + 1
-        ctx_mod, win_mod = radix**nucleus.model.order, radix**wm.k
-        base = nucleus.rows([c % ctx_mod for c in codes])
-        windows = [_decode(c % win_mod, radix) for c in codes]
-        idx, log_kept = nucleus.take("idx", base), nucleus.take("log_kept", base)
+        win_mod = radix**wm.k
+        base = nucleus.state_rows(codes)
+        windows = [_decode(c % win_mod, radix) for c in codes.tolist()]
+        idx = nucleus.take("idx", base)
+        with np.errstate(divide="ignore"):
+            log_kept = np.log(nucleus.take("q", base))
         keep = nucleus.take("keep", base).tolist()
         if wm.scheme == KGW:
             green = kgw_green_masks(np.array([wm.seed(w) for w in windows],
@@ -450,14 +526,15 @@ class _WatermarkRows(_RowStore):
 
 
 class TextSampler:
-    """Autoregressive sampler over decode rows built once per state.
+    """Autoregressive sampler over decode rows.
 
     A state is the last ``max(order, k)`` tokens (``order`` without a
     watermark), coded as base-(V+1) digits ``token + 1``, newest least
-    significant, so a shorter context has leading zeros.  Nucleus rows
-    live in ``tables``, keyed by (temperature, nucleus_p), and may be
-    shared by samplers of the same model; watermark rows belong to the
-    sampler.
+    significant, so a shorter context has leading zeros.  Nucleus rows are
+    built once per trained context and live in ``tables``, keyed by
+    (temperature, nucleus_p); a store built for another model, or for this
+    one before it was trained further, is replaced.  Watermark rows are
+    built once per state and belong to the sampler.
     """
 
     def __init__(self, model: NGramModel, sampling: SamplingConfig,
@@ -473,9 +550,10 @@ class TextSampler:
             self.temperature = sampling.temperature
         tables = {} if tables is None else tables
         key = (self.temperature, sampling.nucleus_p)
-        if key not in tables:
-            tables[key] = NucleusRows(model, *key)
-        self._nucleus = tables[key]
+        nucleus = tables.get(key)
+        if nucleus is None or nucleus.model is not model or nucleus.contexts is not model._ctx:
+            nucleus = tables[key] = NucleusRows(model, *key)
+        self._nucleus = nucleus
         self._marked = None if wm is None else _WatermarkRows(self._nucleus, wm)
         self._radix = radix = model.vocab_size + 1
         self._depth = depth = model.order if wm is None else max(model.order, wm.k)
@@ -504,7 +582,7 @@ class TextSampler:
         row, clipped to the kept ids.
         """
         nucleus, marked, radix = self._nucleus, self._marked, self._radix
-        dtype, ctx_mod = self._code_dtype, radix**self.model.order
+        dtype = self._code_dtype
         codes = np.array([self._encode(p) for p in prompts], dtype)
         out = np.empty((len(codes), steps), nucleus.fields["idx"][1])
         for t in range(steps):
@@ -513,10 +591,11 @@ class TextSampler:
                         else codes >= self._windowed)
             plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
             if len(plain):
-                base = nucleus.rows((codes[plain] % ctx_mod).tolist())
-                out[plain, t] = self._pick(base, nucleus.take("cum", base), u[plain])
+                base = nucleus.state_rows(codes[plain])
+                out[plain, t] = self._pick(base, nucleus.take("q", base).cumsum(axis=1),
+                                           u[plain])
             if len(wide):
-                rows = marked.rows(codes[wide].tolist())
+                rows = marked.rows(codes[wide])
                 if self.wm.scheme == AK:
                     out[wide, t] = marked.take("tok", rows)
                 else:

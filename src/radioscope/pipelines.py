@@ -75,6 +75,13 @@ def pvalue_for(score: float, n: int, cfg: WatermarkConfig) -> tuple[float, float
 
 def _check_vocab(tokens, vocab_size: int, what: str) -> None:
     """Refuse a token outside ``[0, vocab_size)``, naming ``what`` and the position."""
+    try:
+        ids = np.asarray(tokens)
+        if ids.ndim == 1 and ids.dtype.kind in "iu" and ((ids >= 0) & (ids < vocab_size)).all():
+            return
+    except ValueError:  # ragged; the scan below names the first bad token
+        pass
+    # a token out of range, or one that is not a 64-bit integer: find it
     for pos, tok in enumerate(tokens):
         if not 0 <= tok < vocab_size:
             raise ConfigError(f"{what}: token {tok} at position {pos} is "

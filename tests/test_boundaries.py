@@ -37,6 +37,17 @@ def test_closed_mode_refuses_token_equal_to_vocab_size(small_model, key):
                       completions=[[1, 2], [99]])
 
 
+@pytest.mark.parametrize("bad", [2**63, 99999999999999999999999, -(2**70)])
+def test_tokens_beyond_int64_are_named(small_model, kgw_cfg, key, bad):
+    """The array check falls back to a scan for tokens no int64 array holds."""
+    docs = [[1, 2, 3, 4], [5, 6, bad, 7]]
+    with pytest.raises(ConfigError, match=rf"document 1: token {bad} at position 2"):
+        detect_open(small_model, docs, kgw_cfg)
+    with pytest.raises(ConfigError, match=rf"completion 0: token {bad} at position 2"):
+        detect_closed(small_model, [[3, 4]], WatermarkConfig("kgw", key, 64, k=2),
+                      completions=[[1, 2, bad]])
+
+
 def test_cli_closed_detect_out_of_vocabulary_is_one_error_line(
         tmp_path, small_model, capsys, monkeypatch):
     monkeypatch.delenv("RADIOSCOPE_KEY", raising=False)

@@ -98,15 +98,18 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
     temperature = oracle.temperature
     batch = NucleusRows(model, temperature, sampling.nucleus_p)
     single = NucleusRows(model, temperature, sampling.nucleus_p)
-    ctx_rows = batch.rows([_code(c[-model.order:], v) for c in contexts])
+    ctx_rows = batch.state_rows(np.array([_code(c, v) for c in contexts]))
     for context, row in zip(contexts, ctx_rows.tolist()):
         idx, log_kept, cum = oracle._table(context)
         k = len(idx)
-        (one,) = single.rows([_code(context[-model.order:], v)]).tolist()
+        (one,) = single.state_rows(np.array([_code(context, v)])).tolist()
         for rows, r in ((batch, row), (single, one)):
             assert rows.take("keep", np.array([r]))[0] == k
-            got_idx, got_log, got_cum = (rows.take(f, np.array([r]))[0]
-                                         for f in ("idx", "log_kept", "cum"))
+            got_idx = rows.take("idx", np.array([r]))[0]
+            got_q = rows.take("q", np.array([r]))  # 2-d, as the sampler reads it
+            got_cum = got_q.cumsum(axis=1)[0]
+            with np.errstate(divide="ignore"):
+                got_log = np.log(got_q[0])
             assert np.array_equal(got_idx[:k], idx)
             assert np.array_equal(got_log[:k], log_kept)
             assert np.array_equal(got_cum[:k], cum)
@@ -115,7 +118,7 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
         return
     marked = _WatermarkRows(batch, wm)
     windowed = [c for c in contexts if len(c) >= wm.k]
-    rows = marked.rows([_code(c, v) for c in windowed])
+    rows = marked.rows(np.array([_code(c, v) for c in windowed]))
     for context, r in zip(windowed, rows.tolist()):
         idx, log_kept, _ = oracle._table(context)
         entry = oracle._wm_entry(idx, log_kept, tuple(context[-wm.k:]))
@@ -133,9 +136,10 @@ def test_teacher_rows_equal_the_loop_tables(teacher64):
     oracle = LoopTextSampler(teacher64, sampling)
     contexts = [(a, b) for a in range(64) for b in range(64)]
     rows = NucleusRows(teacher64, sampling.temperature, sampling.nucleus_p)
-    got = rows.rows([_code(c, 64) for c in contexts])
-    cum = rows.take("cum", got)
-    log_kept = rows.take("log_kept", got)
+    got = rows.state_rows(np.array([_code(c, 64) for c in contexts]))
+    cum = rows.take("q", got).cumsum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_kept = np.log(rows.take("q", got))
     for i, context in enumerate(contexts):
         _, want_log, want_cum = oracle._table(context)
         assert np.array_equal(cum[i, : len(want_cum)], want_cum)
@@ -165,7 +169,7 @@ def test_rows_spread_over_many_blocks(teacher64, scheme, monkeypatch):
     tables: dict = {}
     assert (generate_corpus(teacher64, 25, 90, sampling, wm, tables=tables)
             == loop_generate_corpus(teacher64, 25, 90, sampling, wm))
-    assert max(len(rows.blocks["cum"]) for rows in tables.values()) > 3
+    assert max(len(rows.blocks["q"]) for rows in tables.values()) > 3
     prompts = [[i, i + 1, i + 2] for i in range(20)]
     assert (_complete(teacher64, prompts, sampling, None, tables)
             == loop_complete(teacher64, prompts, sampling))
@@ -179,3 +183,86 @@ def test_state_codes_wider_than_int64():
     wm = _wm("kgw", v, k, 0xABBA)
     got = generate_corpus(model, 4, 12, sampling, wm, prompt_len=5)
     assert got == loop_generate_corpus(model, 4, 12, sampling, wm, prompt_len=5)
+
+
+@st.composite
+def models_and_contexts(draw):
+    v = draw(st.integers(2, 64))
+    order = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from([0.0, 0.05]))
+    # an empty corpus list leaves the model untrained
+    corpus = draw(st.lists(st.lists(st.integers(0, v - 1), max_size=40), max_size=6))
+    model = models.NGramModel(order, v, lam)
+    if corpus:
+        model.update(corpus)
+    contexts = draw(st.lists(st.lists(st.integers(0, v - 1), max_size=order + 1),
+                             min_size=1, max_size=30))
+    return model, [[]] + contexts  # the empty context always
+
+
+def _level_code(tokens, v):
+    """Base-V code of ``tokens``, the last least significant, as the model codes contexts."""
+    code = 0
+    for tok in tokens:
+        code = code * v + tok
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(models_and_contexts())
+def test_batched_rows_equal_next_distribution_bit_for_bit(mc):
+    model, contexts = mc
+    v = model.vocab_size
+    # levels[L][i]: code of context i's last L tokens, -1 where it has fewer
+    levels = [np.array([_level_code(c[len(c) - n:], v) if len(c) >= n else -1
+                        for c in contexts], np.int64)
+              for n in range(model.order + 1)]
+    got = model._distributions(model._context_ids(levels))
+    want = np.array([model.next_distribution(c) for c in contexts])
+    assert got.tobytes() == want.tobytes()
+    if len(model._keys[0]) == 0:  # never trained: every context is the uniform row
+        assert (got == 1.0 / v).all()
+
+
+def test_states_that_back_off_to_one_context_share_one_row():
+    model = train_ngram([[1, 2, 3]], 2, 0.05, 8)  # trained contexts (), (1,), (2,), (1, 2)
+    rows = NucleusRows(model, 0.8, 0.95)
+    # (5, 2), (7, 2) and (2,) all back off to (2,)
+    got = rows.state_rows(np.array([_code(c, 8) for c in ((5, 2), (7, 2), (2,))]))
+    assert got.tolist() == [0, 0, 0] and rows.n == 1
+    got = rows.state_rows(np.array([_code(c, 8) for c in ((1, 2), (6, 6), (4,), ())]))
+    assert len(set(got.tolist())) == 2 and rows.n == 3  # (1, 2) and ()
+
+
+def test_store_stays_within_the_model_contexts():
+    rng = np.random.default_rng(9)
+    model = train_ngram(rng.integers(0, 16, size=(5, 30)).tolist(), 3, 0.05, 16)
+    tables: dict = {}
+    for seed in range(12):
+        prompts = rng.integers(0, 16, size=(30, 3)).tolist()
+        _complete(model, prompts, SamplingConfig(seed=seed, max_tokens=40), None, tables)
+    (store,) = tables.values()
+    contexts = sum(len(ctx) - 1 for ctx in model._ctx)  # less each level's sentinel
+    assert store.n <= contexts + 1
+
+
+def test_tables_follow_further_training():
+    rng = np.random.default_rng(10)
+    model = train_ngram(rng.integers(0, 16, size=(4, 30)).tolist(), 2, 0.05, 16)
+    sampling = SamplingConfig(seed=12)
+    tables: dict = {}
+    generate_corpus(model, 10, 40, sampling, tables=tables)
+    model.update(rng.integers(0, 16, size=(6, 30)).tolist())
+    assert (generate_corpus(model, 10, 40, sampling, tables=tables)
+            == generate_corpus(model, 10, 40, sampling))
+
+
+def test_tables_follow_their_model():
+    rng = np.random.default_rng(11)
+    first, second = (train_ngram(rng.integers(0, 16, size=(4, 30)).tolist(), 2, 0.05, 16)
+                     for _ in range(2))
+    sampling = SamplingConfig(seed=13)
+    tables: dict = {}
+    generate_corpus(first, 10, 40, sampling, tables=tables)
+    assert (generate_corpus(second, 10, 40, sampling, tables=tables)
+            == generate_corpus(second, 10, 40, sampling))
