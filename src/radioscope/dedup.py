@@ -14,12 +14,16 @@ present in the suspect's training data.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import SecretKey, window_hash
+from .hashing import SecretKey, window_hashes
+
+# perfbench/spans.py patches this name here; nothing in this module calls it
+from .hashing import window_hash  # noqa: F401
 
 #: Fixed public key for filter fingerprints (key-independent k-gram identity).
 FILTER_KEY = SecretKey(0x100000001B3)
@@ -46,53 +50,67 @@ def _void_rows(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FilterSet:
-    """Set of k-gram fingerprints restricting closed-model scoring."""
+    """k-gram fingerprints restricting closed-model scoring: ``kgrams`` holds
+    the sorted distinct ``FILTER_KEY`` hashes as a uint64 array."""
 
-    kgrams: set
+    kgrams: np.ndarray
     k: int
     source: str = ""
 
+    def hits(self, windows: np.ndarray) -> np.ndarray:
+        """Whether each row of an ``(n, k)`` window array is in the filter;
+        each distinct window is hashed once."""
+        _, first, inverse = np.unique(_void_rows(windows), return_index=True,
+                                      return_inverse=True)
+        return np.isin(window_hashes(windows[first], FILTER_KEY), self.kgrams)[inverse]
+
     def __contains__(self, window) -> bool:
-        return window_hash(window, FILTER_KEY) in self.kgrams
+        return bool(self.hits(np.asarray([window], dtype=np.int64))[0])
 
     def __len__(self) -> int:
         return len(self.kgrams)
 
 
 def build_filter(corpus, k: int, source: str = "") -> FilterSet:
-    """All distinct k-grams across documents; windows never span documents."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """All distinct k-grams across documents; windows never span documents.
+    Token ids must be non-negative 64-bit integers (ConfigError otherwise)."""
+    if not 1 <= k <= 255:  # the file keeps k in one byte
+        raise ValueError(f"filter window k must be in 1..255, got {k}")
     windows = set()
     for tokens in corpus:
         windows.update(zip(*(tokens[i:] for i in range(k))))
+    grams = np.array(list(windows) or np.zeros((0, k), dtype=np.int64))
     # each distinct k-gram is hashed once, however often it occurs
-    return FilterSet(kgrams={window_hash(w, FILTER_KEY) for w in windows},
-                     k=k, source=source)
+    return FilterSet(kgrams=np.unique(window_hashes(grams, FILTER_KEY)), k=k, source=source)
 
 
 _FILTER_MAGIC = b"RSF1"
+_FILTER_HEADER = struct.Struct("<4sBQ")
 
 
 def save_filter(phi: FilterSet, path) -> None:
     """Filter file: magic, k (1 byte), count (8 LE), sorted u64 fingerprints."""
-    fps = sorted(phi.kgrams)
+    fps = np.sort(np.asarray(phi.kgrams, dtype=np.uint64)).astype("<u8")
     with open(path, "wb") as f:
-        f.write(_FILTER_MAGIC)
-        f.write(struct.pack("<B", phi.k))
-        f.write(struct.pack("<Q", len(fps)))
-        f.write(struct.pack(f"<{len(fps)}Q", *fps))
+        f.write(_FILTER_HEADER.pack(_FILTER_MAGIC, phi.k, len(fps)))
+        f.write(fps.tobytes())
 
 
 def load_filter(path) -> FilterSet:
+    """Read a filter file; ValueError naming ``path`` if it is not one, found
+    from the header and the file's length before any fingerprint is read."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _FILTER_MAGIC:
-            raise ValueError(f"not a filter file: bad magic {magic!r}")
-        (k,) = struct.unpack("<B", f.read(1))
-        (count,) = struct.unpack("<Q", f.read(8))
-        fps = struct.unpack(f"<{count}Q", f.read(8 * count))
-    return FilterSet(kgrams=set(fps), k=k, source=str(path))
+        head = f.read(_FILTER_HEADER.size)
+        if len(head) < _FILTER_HEADER.size or head[:4] != _FILTER_MAGIC:
+            raise ValueError(f"{path}: not a filter file (bad magic or short "
+                             f"header {head[:4]!r})")
+        _, k, count = _FILTER_HEADER.unpack(head)
+        size = _FILTER_HEADER.size + 8 * count
+        if k == 0 or os.fstat(f.fileno()).st_size != size:
+            raise ValueError(f"{path}: corrupt filter file (k = {k}; {count} "
+                             f"fingerprints need {size} bytes)")
+        fps = np.frombuffer(f.read(8 * count), dtype="<u8").astype(np.uint64)
+    return FilterSet(kgrams=fps, k=k, source=str(path))
 
 
 def canonical_dedup(cands: np.ndarray) -> np.ndarray:
@@ -116,11 +134,13 @@ def canonical_dedup(cands: np.ndarray) -> np.ndarray:
     return eligible[np.sort(first)]
 
 
-def candidate_table(docs, context_lens, k: int, seed, open_mode: bool) -> np.ndarray:
+def candidate_table(docs, context_lens, k: int, key: SecretKey,
+                    open_mode: bool) -> np.ndarray:
     """One ``CANDIDATE`` row per position of each document after a full window.
 
-    ``token`` is the document's own next token and ``seed`` is ``seed(window)``,
-    called once per distinct window of the run.  A row is blocked when its
+    ``token`` is the document's own next token and ``seed`` is the window's
+    hash under ``key``, computed once per distinct window of the run, for
+    all of them at once.  A row is blocked when its
     window occurs within the first ``context_lens[d]`` tokens of document
     ``d`` and, in open mode, also when it occurs at any earlier start.
     """
@@ -135,7 +155,7 @@ def candidate_table(docs, context_lens, k: int, seed, open_mode: bool) -> np.nda
     start = np.arange(len(doc)) - np.repeat(np.cumsum(counts) - counts, counts)
     _, first, window = np.unique(_void_rows(grams), return_index=True,
                                  return_inverse=True)
-    seeds = np.array([seed(w) for w in grams[first].tolist()], dtype=np.uint64)
+    seeds = window_hashes(grams[first], key)
     # starts ascend within a document, so the first index of each
     # (document, window) pair is the window's first start in that document
     _, first_in_doc, inverse = np.unique(doc * len(first) + window,

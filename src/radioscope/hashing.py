@@ -7,9 +7,12 @@ the expansion into uniform 64-bit values uses the splitmix64 output
 function applied to a counter stream, which gives random access to any
 stream position and vectorizes cleanly across seeds.
 
-All scalar entry points operate on plain Python ints; the ``*_batch``
-helpers operate on numpy uint64 arrays and are bit-compatible with the
-scalar definitions.
+The library runs the array functions: :func:`window_hashes` hashes a batch
+of windows, :func:`stream_block` and :func:`rvalue_batch` expand seeds, and
+:func:`rank_below` ranks each row of stream keys, which defines greenlists
+and MPAC partitions.  :func:`window_hash` and :func:`stream_value` are
+their scalar references on plain Python ints, and tests pin the arrays
+to them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
+MASK32 = 0xFFFFFFFF
 #: Modulus of the window-hash recurrence (2**64 - 1, not 2**64).
 HASH_MOD = 0xFFFFFFFFFFFFFFFF
 
@@ -78,6 +82,36 @@ def window_hash(window, key: SecretKey) -> int:
     return h
 
 
+def _add_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` modulo ``2**64 - 1``: the carry out of bit 63 is added back."""
+    s = a + b
+    return s + (s < a)
+
+
+def window_hashes(windows, key: SecretKey) -> np.ndarray:
+    """:func:`window_hash` of each row of an ``(n, k)`` array of token ids.
+
+    As ``2**64 = 1`` modulo ``2**64 - 1``, ``h * s`` in 32-bit limbs is
+    ``h1 s1 + h0 s0`` plus the two cross products times ``2**32``, which
+    rotates them by 32 bits.
+    """
+    windows = np.asarray(windows)
+    if windows.ndim != 2 or windows.shape[1] == 0:
+        raise ConfigError("windows must be an (n, k) array with k >= 1")
+    if windows.dtype.kind not in "iu" or (windows.size and windows.min() < 0):
+        raise ConfigError("window token ids must be non-negative integers")
+    s0, s1 = np.uint64(key.s & MASK32), np.uint64(key.s >> 32)
+    low, half = np.uint64(MASK32), np.uint64(32)
+    h = np.zeros(len(windows), dtype=np.uint64)
+    for x in windows.astype(np.uint64).T:
+        h0, h1 = h & low, h >> half
+        a, b = h1 * s0, h0 * s1
+        cross = _add_mod((a << half) | (a >> half), (b << half) | (b >> half))
+        h = _add_mod(_add_mod(_add_mod(h1 * s1, h0 * s0), cross), x)
+    h[h == np.uint64(HASH_MOD)] = 0  # the other form of 0
+    return h
+
+
 def stream_value(seed: int, index: int) -> int:
     """The ``index``-th 64-bit value of the splitmix64 stream for ``seed``."""
     z = (seed + (index + 1) * _GOLDEN) & MASK64
@@ -102,13 +136,6 @@ def stream_block(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     return _mix(seeds[:, None] + idx[None, :] * _U_GOLDEN)
 
 
-def stream_at(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Per-seed stream value at a per-seed index (both 1-d arrays)."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    idx = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
-    return _mix(seeds + idx * _U_GOLDEN)
-
-
 def derive_permutation(seed, vocab_size: int) -> np.ndarray:
     """Seed-determined permutation of ``0..vocab_size-1``.
 
@@ -124,59 +151,42 @@ def derive_permutation(seed, vocab_size: int) -> np.ndarray:
     return perm if seeds.ndim else perm[0]
 
 
-def derive_greenlist(seed: int, gamma: float, vocab_size: int) -> np.ndarray:
-    """First ``floor(gamma * vocab_size)`` tokens of the seed permutation."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
-    g = int(gamma * vocab_size)
-    if g == 0:
-        return np.empty(0, dtype=np.intp)
-    return derive_permutation(seed, vocab_size)[:g]
+def rank_below(keys: np.ndarray, g: int) -> np.ndarray:
+    """Whether each column of each row ranks below ``g`` by (key, column).
 
-
-def derive_rvector(seed: int, vocab_size: int) -> np.ndarray:
-    """Length-``vocab_size`` vector of uniform values in [0, 1)."""
-    if vocab_size < 1:
-        raise ConfigError("vocab_size must be >= 1")
-    keys = stream_block(np.array([seed], dtype=np.uint64), 0, vocab_size)[0]
-    return keys.astype(np.float64) / _TWO64
-
-
-def green_mask_batch(
-    seeds: np.ndarray,
-    tokens: np.ndarray,
-    gamma: float,
-    vocab_size: int,
-    chunk: int = 4096,
-) -> np.ndarray:
-    """Whether ``tokens[i]`` is in the greenlist of ``seeds[i]``, vectorized.
-
-    Membership is rank-based: token is green iff its stream key ranks among
-    the ``floor(gamma * V)`` smallest, matching :func:`derive_greenlist`.
+    This is the first ``g`` columns of a stable argsort of the row, found
+    from the row's ``g``-th smallest key with one ``np.partition``.  Keys
+    equal to that threshold are ranked by column: the lowest of them fill
+    the places left below ``g``.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    tokens = np.asarray(tokens, dtype=np.intp)
-    g = int(gamma * vocab_size)
-    n = len(seeds)
-    if g == 0:
-        return np.zeros(n, dtype=bool)
-    if g == vocab_size:
-        return np.ones(n, dtype=bool)
-    out = np.empty(n, dtype=bool)
-    vocab_idx = np.arange(vocab_size)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        keys = stream_block(seeds[lo:hi], 0, vocab_size)
-        tok = tokens[lo:hi]
-        kt = keys[np.arange(hi - lo), tok][:, None]
-        rank = (keys < kt).sum(axis=1)
-        rank += ((keys == kt) & (vocab_idx[None, :] < tok[:, None])).sum(axis=1)
-        out[lo:hi] = rank < g
-    return out
+    n, v = keys.shape
+    if g <= 0 or g >= v:
+        return np.full((n, v), g > 0)
+    threshold = np.partition(keys, g - 1, axis=1)[:, g - 1 : g]
+    mask = keys <= threshold
+    tied = np.flatnonzero(mask.sum(axis=1) > g)
+    if len(tied):
+        below = keys[tied] < threshold[tied]
+        at = keys[tied] == threshold[tied]
+        room = g - below.sum(axis=1, keepdims=True)
+        mask[tied] = below | (at & (at.cumsum(axis=1) <= room))
+    return mask
+
+
+def green_mask_batch(seeds: np.ndarray, gamma: float, vocab_size: int) -> np.ndarray:
+    """Greenlist membership of every token under each seed, ``(len(seeds), V)``.
+
+    A token is green iff it ranks below ``floor(gamma * V)`` by (stream
+    key, token id): the greenlist is the first ``floor(gamma * V)`` tokens
+    of :func:`derive_permutation`.
+    """
+    keys = stream_block(seeds, 0, vocab_size)
+    return rank_below(keys, int(gamma * vocab_size))
 
 
 def rvalue_batch(seeds: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """R-vector entry at each (seed, token), without building full vectors."""
+    """R-vector entry at each (seed, token): the token's stream value over
+    ``2**64``, without building full vectors (the arrays broadcast)."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    tokens = np.asarray(tokens, dtype=np.uint64)
-    return stream_at(seeds, tokens).astype(np.float64) / _TWO64
+    idx = np.asarray(tokens, dtype=np.uint64) + np.uint64(1)
+    return _mix(seeds + idx * _U_GOLDEN).astype(np.float64) / _TWO64

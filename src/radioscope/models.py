@@ -31,8 +31,11 @@ probabilities, padded to V; it is built from the context's counts
 without a per-row model call.  A watermarked state's row, built once per
 state, holds its context's nucleus row and the scheme's part: the
 cumulative biased probabilities (KGW, MPAC) or the chosen token (AK).
-The rows first reached at a step are built together with 2-d array
-operations, and rows live in blocks that never move.
+The windows of new states are read from their codes' digits, hashed in
+one call and embedded by the batched functions of
+:mod:`radioscope.schemes`.  The rows first reached at a step are built
+together with 2-d array operations, and rows live in blocks that never
+move.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -50,8 +53,8 @@ from itertools import chain
 
 import numpy as np
 
-from .hashing import ConfigError, rvalue_batch
-from .schemes import AK, KGW, MPAC, WatermarkConfig, kgw_green_masks, mpac_embed_bias
+from .hashing import ConfigError, window_hashes
+from .schemes import AK, WatermarkConfig, aaronson_pick, bias_logits
 
 
 @dataclass(frozen=True)
@@ -317,13 +320,16 @@ _BATCH_ELEMS = 1 << 18
 _BLOCK_BYTES = 1 << 24
 
 
-def _decode(code: int, radix: int) -> tuple:
-    """Tokens of a state code, oldest first; a zero digit marks no token."""
-    toks = []
-    while code:
-        code, digit = divmod(code, radix)
-        toks.append(digit - 1)
-    return tuple(reversed(toks))
+def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sum of the first ``keep[i]`` entries of each row ``i``, as
+    ``np.add.reduce`` adds that prefix alone: a pairwise sum over the
+    zero-padded row would round differently, so rows go in groups of equal
+    ``keep``."""
+    sums = np.empty(len(rows))
+    for k in np.unique(keep).tolist():
+        at = np.flatnonzero(keep == k)
+        sums[at] = np.add.reduce(rows[at, :k], axis=1)
+    return sums
 
 
 class _RowStore:
@@ -444,11 +450,8 @@ class NucleusRows(_RowStore):
         q = q[np.arange(len(q))[:, None], order]
         keep = np.add.reduce(q.cumsum(axis=1) < self.nucleus_p, axis=1) + 1
         np.minimum(keep, v, out=keep)
-        # each kept prefix is renormalized by its own sum: a pairwise sum
-        # over a zero-padded row would round differently
-        for row, k in zip(q, keep.tolist()):
-            row[:k] /= np.add.reduce(row[:k])
-            row[k:] = 0.0
+        q /= _kept_sums(q, keep)[:, None]
+        q[np.arange(v) >= keep[:, None]] = 0.0
         return {"idx": order, "q": q, "keep": keep}
 
 
@@ -486,43 +489,22 @@ class _WatermarkRows(_RowStore):
 
     def _build(self, codes: np.ndarray) -> dict:
         wm, nucleus, radix = self.wm, self.nucleus, self.vocab_size + 1
-        win_mod = radix**wm.k
         base = nucleus.state_rows(codes)
-        windows = [_decode(c % win_mod, radix) for c in codes.tolist()]
-        idx = nucleus.take("idx", base)
+        # a state's window is its last k digits, oldest first
+        windows = np.stack([codes // radix**j % radix - 1
+                            for j in range(wm.k - 1, -1, -1)], axis=1)
+        seeds = window_hashes(windows.astype(np.int64), wm.key)
+        idx = nucleus.take("idx", base).astype(np.intp)
         with np.errstate(divide="ignore"):
-            log_kept = np.log(nucleus.take("q", base))
-        keep = nucleus.take("keep", base).tolist()
-        if wm.scheme == KGW:
-            green = kgw_green_masks(np.array([wm.seed(w) for w in windows],
-                                             dtype=np.uint64), wm)
-            biased = log_kept + wm.delta * np.take_along_axis(
-                green, idx.astype(np.intp), axis=1)
-            biased -= np.maximum.reduce(biased, axis=1, keepdims=True)
-            return {"base": base, "bcum": np.exp(biased, out=biased).cumsum(axis=1)}
-        if wm.scheme == MPAC:
-            bcum = np.empty_like(log_kept)
-            for row, ids, lk, k, window in zip(bcum, idx, log_kept, keep, windows):
-                ids = ids[:k].astype(np.intp)
-                full = np.full(self.vocab_size, -np.inf)
-                full[ids] = lk[:k]
-                biased = mpac_embed_bias(np.where(np.isfinite(full), full, -1e30),
-                                         window, wm)
-                biased[~np.isfinite(full)] = -np.inf
-                sub = biased[ids]
-                row[:k] = np.cumsum(np.exp(sub - sub.max()))
-                row[k:] = row[k - 1]
-            return {"base": base, "bcum": bcum}
-        # AK: the argmax of R ** (1/p) over the kept ids
-        tok = np.empty(len(codes), idx.dtype)
-        for i, (ids, lk, k, window) in enumerate(zip(idx, log_kept, keep, windows)):
-            ids, lk = ids[:k], lk[:k]
-            r = rvalue_batch(np.full(k, wm.seed(window), dtype=np.uint64), ids)
-            p = np.exp(lk - lk.max())
-            p /= p.sum()
-            cost = -np.log(np.maximum(r, 1e-300)) / p
-            tok[i] = ids[np.argmin(cost)]
-        return {"base": base, "tok": tok}
+            log_q = np.log(nucleus.take("q", base))
+        if wm.scheme == AK:
+            p = np.exp(log_q - np.maximum.reduce(log_q, axis=1, keepdims=True))
+            p /= _kept_sums(p, nucleus.take("keep", base))[:, None]
+            pick = aaronson_pick(seeds, p, idx)
+            return {"base": base, "tok": idx[np.arange(len(idx)), pick]}
+        biased = bias_logits(seeds, log_q, idx, wm)
+        biased -= np.maximum.reduce(biased, axis=1, keepdims=True)
+        return {"base": base, "bcum": np.exp(biased, out=biased).cumsum(axis=1)}
 
 
 class TextSampler:

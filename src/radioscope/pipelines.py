@@ -10,7 +10,6 @@ rows and convert the cumulative score into an exact p-value.
 from __future__ import annotations
 
 import csv
-import functools
 import warnings
 import zlib
 from dataclasses import dataclass, field, replace
@@ -74,7 +73,8 @@ def pvalue_for(score: float, n: int, cfg: WatermarkConfig) -> tuple[float, float
 
 
 def _check_vocab(tokens, vocab_size: int, what: str) -> None:
-    """Refuse a token outside ``[0, vocab_size)``, naming ``what`` and the position."""
+    """Refuse a token that is not an integer in ``[0, vocab_size)``, naming
+    ``what`` and the position."""
     try:
         ids = np.asarray(tokens)
         if ids.ndim == 1 and ids.dtype.kind in "iu" and ((ids >= 0) & (ids < vocab_size)).all():
@@ -83,6 +83,9 @@ def _check_vocab(tokens, vocab_size: int, what: str) -> None:
         pass
     # a token out of range, or one that is not a 64-bit integer: find it
     for pos, tok in enumerate(tokens):
+        if not isinstance(tok, (int, np.integer)):
+            raise ConfigError(f"{what}: token {tok!r} at position {pos} is "
+                              f"not an integer token id")
         if not 0 <= tok < vocab_size:
             raise ConfigError(f"{what}: token {tok} at position {pos} is "
                               f"outside the vocabulary [0, {vocab_size})")
@@ -135,6 +138,9 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
     _check_run(key_cfg, budget)
     if not prompts:
         raise ValueError("prompts must be nonempty")
+    if phi is not None and phi.k != key_cfg.k:
+        raise ConfigError(f"the filter holds {phi.k}-grams, but the key's window "
+                          f"is k={key_cfg.k}")
     sampling = sampling or SamplingConfig()
     if not dedup:
         warnings.warn(
@@ -153,12 +159,13 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
         _check_vocab(completion, v, f"completion {doc_id}")
         streams.append(prompt + list(completion))
         prompt_lens.append(len(prompt))
-    cands = candidate_table(streams, prompt_lens, k, key_cfg.seed, open_mode=False)
+    cands = candidate_table(streams, prompt_lens, k, key_cfg.key, open_mode=False)
     phi_stats = None
     if phi is not None:
-        member = functools.cache(phi.__contains__)  # once per distinct window
-        hits = np.array([member(tuple(streams[d][p - k : p])) for d, p in
-                         zip(cands["doc"].tolist(), cands["pos"].tolist())], dtype=bool)
+        flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in streams])
+        offsets = np.cumsum([0] + [len(s) for s in streams[:-1]])
+        starts = offsets[cands["doc"]] + cands["pos"] - k
+        hits = phi.hits(flat[starts[:, None] + np.arange(k)])
         phi_stats = (len(phi), int(hits.sum()) / max(len(hits), 1))
         cands = cands[hits]
     return _finish_report(cands, dedup, budget, key_cfg, CLOSED, supervision,
@@ -201,7 +208,7 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
         texts.append(list(doc["tokens"] if is_dict else doc))
         prompt_lens.append(int(doc.get("prompt_len", 0)) if is_dict else 0)
         _check_vocab(texts[-1], key_cfg.vocab_size, f"document {doc_id}")
-    cands = candidate_table(texts, prompt_lens, key_cfg.k, key_cfg.seed,
+    cands = candidate_table(texts, prompt_lens, key_cfg.k, key_cfg.key,
                             open_mode=True)
     cands = cands[cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]]]
     cands["token"] = suspect.greedy_at(texts, cands["doc"], cands["pos"])

@@ -6,11 +6,16 @@ the argmax of R_v**(1/p_v) over a seed-determined uniform vector R;
 scoring accumulates -ln(1 - R_token).  MPAC: a multi-bit variant of KGW
 where the seed selects a message position and a vocabulary partition, and
 the bias goes to the set encoding the message digit at that position.
+
+Embedding and scoring work on arrays of window seeds (see
+:func:`~radioscope.hashing.window_hashes`): KGW and MPAC raise logits
+under a ``(seeds, V)`` mask (:func:`bias_logits`), and AK picks by a
+masked argmin (:func:`aaronson_pick`).  The functions on one window are
+one-row calls of these.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +24,15 @@ from . import stats
 from .hashing import (
     ConfigError,
     SecretKey,
-    derive_permutation,
     green_mask_batch,
+    rank_below,
     rvalue_batch,
-    stream_value,
-    window_hash,
+    stream_block,
+    window_hashes,
 )
+
+# perfbench/spans.py patches these names here; nothing in this module calls them
+from .hashing import derive_permutation, window_hash  # noqa: F401
 
 KGW = "kgw"
 AK = "ak"
@@ -33,9 +41,16 @@ MPAC = "mpac"
 #: Largest double strictly below 1; caps R before -ln(1-R).
 _R_CAP = 1.0 - 2.0**-53
 
+#: Radix of MPAC message digits (two bits each): the vocabulary is cut into this many sets.
+MPAC_RADIX = 4
+
 # stream positions 0..7 are reserved for MPAC position selection,
 # the vocabulary partition keys start at 8
 _MPAC_PARTITION_OFFSET = 8
+
+#: Elements of one (rows, V) mask read at one token per row while scoring:
+#: seeds are scored in chunks of this many elements (4096 rows at V = 128).
+_SCORE_ELEMS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -50,7 +65,6 @@ class WatermarkConfig:
     delta: float = 3.0
     temperature: float | None = None
     message: str | None = None
-    radix: int = 4
 
     def __post_init__(self):
         if self.scheme not in (KGW, AK, MPAC):
@@ -71,8 +85,6 @@ class WatermarkConfig:
                 raise ConfigError("MPAC message length must be even and > 0")
             if set(self.message) - {"0", "1"}:
                 raise ConfigError("MPAC message must be a bit string")
-            if self.radix != 4:
-                raise ConfigError("only radix 4 is supported")
 
     @property
     def n_positions(self) -> int:
@@ -85,55 +97,107 @@ class WatermarkConfig:
         return [int(bits[2 * i]) * 2 + int(bits[2 * i + 1]) for i in range(len(bits) // 2)]
 
     def seed(self, window) -> int:
+        """Seed of one window: a one-row call of :func:`~radioscope.hashing.window_hashes`."""
         if len(window) != self.k:
             raise ConfigError(f"window length {len(window)} != k={self.k}")
-        return window_hash(window, self.key)
+        return int(window_hashes([window], self.key)[0])
 
 
-def kgw_green_masks(seeds: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:
-    """Greenlist membership of every token under each seed, ``(len(seeds), V)``.
+def _at_tokens(rows_of, seeds, tokens, vocab_size: int) -> np.ndarray:
+    """``rows_of(seeds)[i, tokens[i]]`` for each i, built in chunks of seeds
+    so that the ``(rows, V)`` temporaries stay below ``_SCORE_ELEMS``."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    tokens = np.asarray(tokens, dtype=np.intp)
+    step = max(1, _SCORE_ELEMS // vocab_size)
+    out = []
+    for lo in range(0, len(seeds), step):
+        tok = tokens[lo : lo + step]
+        out.append(rows_of(seeds[lo : lo + step])[np.arange(len(tok)), tok])
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int8)
 
-    The green tokens of a seed are the first ``floor(gamma * V)`` of its
-    permutation, as in :func:`~radioscope.hashing.derive_greenlist`; all
-    permutations of the batch come from one stream block.
+
+def mpac_positions(seeds: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:
+    """Message position each seed selects.
+
+    The position is the first of the seed's 32-bit draws at stream slots
+    0..7 that rejection sampling accepts, modulo b; when all eight are
+    rejected (probability about ``(b / 2**32) ** 8``) it is the last draw.
     """
-    v = cfg.vocab_size
-    perm = derive_permutation(np.asarray(seeds, dtype=np.uint64), v)
-    masks = np.zeros((len(perm), v), dtype=bool)
-    np.put_along_axis(masks, perm[:, : int(cfg.gamma * v)], True, axis=1)
-    return masks
+    b = cfg.n_positions
+    draws = stream_block(seeds, 0, _MPAC_PARTITION_OFFSET) >> np.uint64(32)
+    accepted = draws < np.uint64((2**32 // b) * b)
+    accepted[:, -1] = True  # the last draw stands when all are rejected
+    return (draws[np.arange(len(draws)), accepted.argmax(axis=1)] % np.uint64(b)).astype(np.intp)
+
+
+def mpac_partitions(seeds: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Partition set of every token under each seed, ``(len(seeds), V)``.
+
+    Tokens are ranked by their stream keys from slot 8 on (ties by id), and
+    the ranks are cut into ``MPAC_RADIX`` near-equal runs, the longer ones
+    first.
+    """
+    keys = stream_block(seeds, _MPAC_PARTITION_OFFSET, vocab_size)
+    base, extra = divmod(vocab_size, MPAC_RADIX)
+    sets = np.zeros(keys.shape, dtype=np.int8)
+    for d in range(1, MPAC_RADIX):
+        sets += ~rank_below(keys, d * base + min(d, extra))
+    return sets
+
+
+def bias_logits(seeds: np.ndarray, logits: np.ndarray, ids: np.ndarray,
+                cfg: WatermarkConfig) -> np.ndarray:
+    """``logits[i, j]`` plus delta where token ``ids[i, j]`` is raised under
+    ``seeds[i]``: where it is in the greenlist (KGW) or in the partition set
+    of the selected message digit (MPAC)."""
+    if cfg.scheme == KGW:
+        raised = green_mask_batch(seeds, cfg.gamma, cfg.vocab_size)
+    elif cfg.scheme == MPAC:
+        digits = np.array(cfg.digits())[mpac_positions(seeds, cfg)]
+        raised = mpac_partitions(seeds, cfg.vocab_size) == digits[:, None]
+    else:
+        raise ConfigError(f"scheme {cfg.scheme!r} biases no logits")
+    return logits + cfg.delta * np.take_along_axis(raised, ids, axis=1)
+
+
+def aaronson_pick(seeds: np.ndarray, p: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Column of each row's AK choice among tokens ``ids`` with probabilities ``p``.
+
+    The choice is the argmax of ``R ** (1/p)``, i.e. the argmin of
+    ``-ln R / p`` over the columns with ``p > 0``; ties go to the lowest
+    column.
+    """
+    r = rvalue_batch(np.asarray(seeds, dtype=np.uint64)[:, None], ids)
+    with np.errstate(divide="ignore"):
+        cost = np.where(p > 0.0, -np.log(np.maximum(r, 1e-300)) / p, np.inf)
+    return np.argmin(cost, axis=1)
+
+
+def _bias_one(logits: np.ndarray, window, cfg: WatermarkConfig) -> np.ndarray:
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.shape != (cfg.vocab_size,):
+        raise ConfigError("logits length != vocab_size")
+    seeds = np.array([cfg.seed(window)], dtype=np.uint64)
+    return bias_logits(seeds, logits[None], np.arange(cfg.vocab_size)[None], cfg)[0]
 
 
 def kgw_bias_logits(logits: np.ndarray, window, cfg: WatermarkConfig) -> np.ndarray:
     """Return a copy of ``logits`` with the window's greenlist raised by delta."""
     if cfg.scheme != KGW:
         raise ConfigError("kgw_bias_logits needs a KGW config")
-    if len(logits) != cfg.vocab_size:
-        raise ConfigError("logits length != vocab_size")
-    out = np.array(logits, dtype=np.float64)
-    if cfg.delta == 0.0:
-        return out
-    from .hashing import derive_greenlist
-
-    out[derive_greenlist(cfg.seed(window), cfg.gamma, cfg.vocab_size)] += cfg.delta
-    return out
+    return _bias_one(logits, window, cfg)
 
 
 def kgw_score(token: int, window, cfg: WatermarkConfig) -> int:
     """1 iff ``token`` is in the greenlist of ``window``."""
-    seed = cfg.seed(window)
-    mask = green_mask_batch(
-        np.array([seed], dtype=np.uint64),
-        np.array([token]),
-        cfg.gamma,
-        cfg.vocab_size,
-    )
-    return int(mask[0])
+    seeds = np.array([cfg.seed(window)], dtype=np.uint64)
+    return int(kgw_score_batch(seeds, np.array([token]), cfg)[0])
 
 
 def kgw_score_batch(seeds: np.ndarray, tokens: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:
-    """Vectorized greenlist membership; 0/1 per (seed, token)."""
-    return green_mask_batch(seeds, tokens, cfg.gamma, cfg.vocab_size).astype(np.float64)
+    """Greenlist membership of each (seed, token) pair, 0/1."""
+    return _at_tokens(lambda chunk: green_mask_batch(chunk, cfg.gamma, cfg.vocab_size),
+                      seeds, tokens, cfg.vocab_size).astype(np.float64)
 
 
 def aaronson_sample(p: np.ndarray, window, cfg: WatermarkConfig) -> int:
@@ -149,19 +213,14 @@ def aaronson_sample(p: np.ndarray, window, cfg: WatermarkConfig) -> int:
         raise ConfigError("p must be a probability distribution")
     if not (p > 0).any():
         raise ConfigError("all-zero probability vector")
-    from .hashing import derive_rvector
-
-    r = derive_rvector(cfg.seed(window), cfg.vocab_size)
-    # argmax R**(1/p) == argmin (-ln R) / p, restricted to p > 0
-    with np.errstate(divide="ignore"):
-        cost = np.where(p > 0.0, -np.log(np.maximum(r, 1e-300)) / p, np.inf)
-    return int(np.argmin(cost))
+    seeds = np.array([cfg.seed(window)], dtype=np.uint64)
+    return int(aaronson_pick(seeds, p[None], np.arange(cfg.vocab_size)[None])[0])
 
 
 def aaronson_score(token: int, window, cfg: WatermarkConfig) -> float:
     """Score increment -ln(1 - R_token), capped away from infinity."""
-    r = stream_value(cfg.seed(window), token) / 2.0**64
-    return -math.log1p(-min(r, _R_CAP))
+    seeds = np.array([cfg.seed(window)], dtype=np.uint64)
+    return float(ak_score_batch(seeds, np.array([token]), cfg)[0])
 
 
 def ak_score_batch(seeds: np.ndarray, tokens: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:
@@ -170,50 +229,11 @@ def ak_score_batch(seeds: np.ndarray, tokens: np.ndarray, cfg: WatermarkConfig) 
     return -np.log1p(-r)
 
 
-def mpac_position(seed: int, cfg: WatermarkConfig) -> int:
-    """Message position selected by the seed (rejection-sampled 32-bit draws)."""
-    b = cfg.n_positions
-    limit = (2**32 // b) * b
-    for j in range(_MPAC_PARTITION_OFFSET):
-        draw = stream_value(seed, j) >> 32
-        if draw < limit:
-            return draw % b
-    # probability ~ (b / 2**32) ** 8; fall back to the last draw unrejected
-    return draw % b
-
-
-def mpac_partition(seed: int, cfg: WatermarkConfig) -> list[np.ndarray]:
-    """Partition of the vocabulary into ``radix`` near-equal disjoint sets."""
-    v = cfg.vocab_size
-    r = cfg.radix
-    keys_seed = np.array([seed], dtype=np.uint64)
-    from .hashing import stream_block
-
-    keys = stream_block(keys_seed, _MPAC_PARTITION_OFFSET, v)[0]
-    perm = np.argsort(keys, kind="stable")
-    base, extra = divmod(v, r)
-    sets = []
-    pos = 0
-    for i in range(r):
-        size = base + (1 if i < extra else 0)
-        sets.append(perm[pos : pos + size])
-        pos += size
-    return sets
-
-
 def mpac_embed_bias(logits: np.ndarray, window, cfg: WatermarkConfig) -> np.ndarray:
     """Raise the logits of the set encoding the selected message digit."""
     if cfg.scheme != MPAC:
         raise ConfigError("mpac_embed_bias needs an MPAC config")
-    if len(logits) != cfg.vocab_size:
-        raise ConfigError("logits length != vocab_size")
-    out = np.array(logits, dtype=np.float64)
-    if cfg.delta == 0.0:
-        return out
-    seed = cfg.seed(window)
-    digit = cfg.digits()[mpac_position(seed, cfg)]
-    out[mpac_partition(seed, cfg)[digit]] += cfg.delta
-    return out
+    return _bias_one(logits, window, cfg)
 
 
 def mpac_extract(stream, cfg: WatermarkConfig, reference: str | None = None):
@@ -224,41 +244,29 @@ def mpac_extract(stream, cfg: WatermarkConfig, reference: str | None = None):
     list with ``None`` for positions that received no vote, and
     ``bit_accuracy`` compares decided positions against ``reference``
     (default: the embedded message), or ``None`` when nothing was decided.
+    A token outside the vocabulary casts no vote.
     """
     if cfg.scheme != MPAC:
         raise ConfigError("mpac_extract needs an MPAC config")
-    b = cfg.n_positions
-    votes = np.zeros((b, cfg.radix), dtype=np.int64)
-    seen = set()
-    for window, token in stream:
-        seed = cfg.seed(window)
-        fp = (seed, token)
-        if fp in seen:
-            continue
-        seen.add(fp)
-        pos = mpac_position(seed, cfg)
-        for digit, members in enumerate(mpac_partition(seed, cfg)):
-            if token in members:
-                votes[pos, digit] += 1
-                break
-    digits: list[int | None] = []
-    for i in range(b):
-        if votes[i].sum() == 0:
-            digits.append(None)
-        else:
-            digits.append(int(np.argmax(votes[i])))  # ties: lowest digit wins
-    ref_bits = reference if reference is not None else cfg.message
-    ref_digits = [int(ref_bits[2 * i]) * 2 + int(ref_bits[2 * i + 1]) for i in range(b)]
-    total = correct = 0
-    for got, want in zip(digits, ref_digits):
-        if got is None:
-            continue
-        for shift in (1, 0):
-            total += 1
-            if (got >> shift) & 1 == (want >> shift) & 1:
-                correct += 1
-    accuracy = correct / total if total else None
-    return digits, accuracy
+    b, v = cfg.n_positions, cfg.vocab_size
+    pairs = list(stream)
+    windows = np.array([w for w, _ in pairs] or np.zeros((0, cfg.k)), dtype=np.int64)
+    if windows.ndim != 2 or windows.shape[1] != cfg.k:
+        raise ConfigError(f"every window must hold k={cfg.k} tokens")
+    seeds = window_hashes(windows, cfg.key)
+    tokens = np.array([t for _, t in pairs], dtype=np.int64)
+    # each distinct (seed, token) pair votes once, as canonical_dedup admits it
+    seeds, tokens = np.unique(np.column_stack((seeds, tokens.astype(np.uint64))), axis=0).T
+    inside = tokens < v
+    seeds, tokens = seeds[inside], tokens[inside]
+    votes = np.zeros((b, MPAC_RADIX), dtype=np.int64)
+    digit = _at_tokens(lambda chunk: mpac_partitions(chunk, v), seeds, tokens, v)
+    np.add.at(votes, (mpac_positions(seeds, cfg), digit), 1)
+    decided, got = votes.any(axis=1), votes.argmax(axis=1)  # ties: lowest digit wins
+    digits = [int(d) if ok else None for d, ok in zip(got, decided)]
+    ref = np.array(list(reference if reference is not None else cfg.message), dtype=int)
+    correct = (np.column_stack((got >> 1, got & 1)).ravel() == ref[: 2 * b])[decided.repeat(2)]
+    return digits, (float(correct.mean()) if len(correct) else None)
 
 
 def _kgw_log_tail(score: float, n: int, cfg: WatermarkConfig) -> float:

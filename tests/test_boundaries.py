@@ -6,8 +6,8 @@ an empty corpus."""
 import numpy as np
 import pytest
 
-from radioscope import (ConfigError, SamplingConfig, WatermarkConfig, save_model,
-                        train_ngram)
+from radioscope import (ConfigError, SamplingConfig, WatermarkConfig, build_filter,
+                        save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, pvalue_for
 from radioscope.schemes import score_batch
@@ -46,6 +46,46 @@ def test_tokens_beyond_int64_are_named(small_model, kgw_cfg, key, bad):
     with pytest.raises(ConfigError, match=rf"completion 0: token {bad} at position 2"):
         detect_closed(small_model, [[3, 4]], WatermarkConfig("kgw", key, 64, k=2),
                       completions=[[1, 2, bad]])
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", 2.0, None])
+def test_tokens_that_are_not_integers_are_named(small_model, kgw_cfg, key, bad):
+    docs = [[1, 2, 3, 4], [5, 6, bad, 7]]
+    with pytest.raises(ConfigError, match=rf"document 1: token {bad!r} at position 2 "
+                                          "is not an integer"):
+        detect_open(small_model, docs, kgw_cfg)
+    with pytest.raises(ConfigError, match=rf"prompt 0: token {bad!r} at position 1"):
+        detect_closed(small_model, [[3, bad]], kgw_cfg, completions=[[1, 2]])
+    with pytest.raises(ConfigError, match=rf"completion 0: token {bad!r} at position 2"):
+        detect_closed(small_model, [[3, 4]], kgw_cfg, completions=[[1, 2, bad]])
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "3", 2**64])
+def test_filter_refuses_ids_that_are_not_non_negative_integers(bad):
+    with pytest.raises(ValueError, match="token ids must be non-negative integers"):
+        build_filter([[1, 2, 3], [4, bad, 5]], 2)
+
+
+def test_closed_mode_refuses_a_filter_of_another_window_size(small_model, kgw_cfg):
+    phi = build_filter([[1, 2, 3, 4, 5]], 3)
+    with pytest.raises(ConfigError, match="3-grams, but the key's window is k=2"):
+        detect_closed(small_model, [[1, 2, 3]], kgw_cfg, phi=phi, completions=[[4, 5]])
+
+
+def test_cli_token_that_is_not_an_integer_is_one_error_line(
+        tmp_path, small_model, capsys, monkeypatch):
+    monkeypatch.delenv("RADIOSCOPE_KEY", raising=False)
+    model = tmp_path / "m.bin"
+    save_model(small_model, model)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"tokens": [1, 2, "3", 4]}\n')
+    code = main(["detect", "--mode", "open", "--model", str(model),
+                 "--corpus", str(corpus), "--key", KEY_HEX, "--vocab-size", "64",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "token '3' at position 2 is not an integer" in err
 
 
 def test_cli_closed_detect_out_of_vocabulary_is_one_error_line(

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radioscope import FilterSet, SecretKey, WatermarkConfig, build_filter, train_ngram
+from radioscope import SecretKey, WatermarkConfig, build_filter, dedup, train_ngram
+from radioscope.dedup import FILTER_KEY
 from radioscope.pipelines import derive_run_key, detect_closed, detect_open
 from dedup_oracle import loop_detect_closed, loop_detect_open
 
@@ -100,13 +101,18 @@ def test_weak_key_tuples_with_distinct_seeds_are_both_scored():
 
 
 def test_filter_checked_once_per_distinct_window(monkeypatch):
-    """Seven candidate rows over three distinct windows make three lookups."""
+    """Seven candidate rows over three distinct windows hash three windows."""
     cfg = WatermarkConfig("kgw", SecretKey(0xC0FFEE), 8, k=2)
     phi = build_filter([[1, 2, 3]], 2)  # holds (1, 2) and (2, 3)
     calls = []
-    contains = FilterSet.__contains__
-    monkeypatch.setattr(FilterSet, "__contains__",
-                        lambda self, window: calls.append(window) or contains(self, window))
+    hashes = dedup.window_hashes
+
+    def spy(windows, key):
+        if key == FILTER_KEY:
+            calls.extend(map(tuple, windows.tolist()))
+        return hashes(windows, key)
+
+    monkeypatch.setattr(dedup, "window_hashes", spy)
     report = detect_closed(None, [[1, 2]], cfg, phi=phi, completions=[[3, 1, 2, 3, 1, 2, 3]])
     assert sorted(calls) == [(1, 2), (2, 3), (3, 1)]
     assert report.filter_stats == (2, 5 / 7)

@@ -80,3 +80,42 @@ def test_rsm1_checkpoint_refused(tmp_path, corpus, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_ERROR
     assert "re-run `radioscope train`" in _one_error_line(capsys)
+
+
+def test_filter_k_beyond_one_byte_is_one_error_line(tmp_path, corpus, capsys):
+    code = main(["filter", "--corpus", str(corpus), "--k", "300",
+                 "--out", str(tmp_path / "phi.bin")])
+    assert code == EXIT_ERROR
+    assert "k must be in 1..255, got 300" in _one_error_line(capsys)
+
+
+@pytest.fixture
+def model(tmp_path):
+    from radioscope import save_model, train_ngram
+
+    path = tmp_path / "m.bin"
+    save_model(train_ngram([[1, 2, 3, 4, 5, 6, 7]], 2, 0.01, 8), path)
+    return path
+
+
+def detect_with_filter(tmp_path, model, corpus, phi):
+    return main(["detect", "--mode", "closed", "--model", str(model),
+                 "--corpus", str(corpus), "--key", KEY_HEX, "--vocab-size", "8",
+                 "--filter", str(phi), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("header", [b"RSF1\x02", struct.pack("<4sBQ", b"RSF1", 2, 2**40),
+                                    struct.pack("<4sBQ", b"RSF1", 0, 0)])
+def test_corrupt_filter_is_one_error_line(tmp_path, corpus, model, capsys, header):
+    phi = tmp_path / "phi.bin"
+    phi.write_bytes(header)
+    assert detect_with_filter(tmp_path, model, corpus, phi) == EXIT_ERROR
+    assert "phi.bin" in _one_error_line(capsys)
+
+
+def test_filter_of_another_window_size_is_one_error_line(tmp_path, corpus, model, capsys):
+    phi = tmp_path / "phi.bin"
+    assert main(["filter", "--corpus", str(corpus), "--k", "3", "--out", str(phi)]) == 0
+    capsys.readouterr()
+    assert detect_with_filter(tmp_path, model, corpus, phi) == EXIT_ERROR
+    assert "3-grams, but the key's window is k=2" in _one_error_line(capsys)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -40,14 +42,14 @@ class TestTapeAdmit:
 
     def test_window_in_prompt_rejected(self):
         # stream 9 5 6 2 | 5 6 7: the window (5, 6) before 7 is a prompt k-gram
-        cands = candidate_table([[9, 5, 6, 2, 5, 6, 7]], [4], CFG.k, CFG.seed,
+        cands = candidate_table([[9, 5, 6, 2, 5, 6, 7]], [4], CFG.k, CFG.key,
                                 open_mode=False)
         blocked = dict(zip(cands["pos"].tolist(), cands["blocked"].tolist()))
         assert blocked == {2: True, 3: True, 4: True, 5: False, 6: True}
         assert canonical_dedup(cands)["pos"].tolist() == [5]
 
     def test_first_occurrence_admitted(self):
-        cands = candidate_table([[1, 2, 3, 5, 6, 7, 5, 6, 8]], [0], CFG.k, CFG.seed,
+        cands = candidate_table([[1, 2, 3, 5, 6, 7, 5, 6, 8]], [0], CFG.k, CFG.key,
                                 open_mode=True)
         blocked = dict(zip(cands["pos"].tolist(), cands["blocked"].tolist()))
         assert blocked[5] is False  # (5, 6) first seen
@@ -95,7 +97,7 @@ class TestFilter:
         save_filter(phi, path)
         loaded = load_filter(path)
         assert loaded.k == 3
-        assert loaded.kgrams == phi.kgrams
+        assert np.array_equal(loaded.kgrams, phi.kgrams)
 
     def test_file_bit_exact(self, tmp_path):
         phi = build_filter([[9, 8, 7, 6]], 2)
@@ -110,10 +112,36 @@ class TestFilter:
         with pytest.raises(ValueError):
             load_filter(tmp_path / "junk.bin")
 
+    @pytest.mark.parametrize("k", [0, 256, 300])
+    def test_k_must_fit_the_file_byte(self, k):
+        with pytest.raises(ValueError, match=f"k must be in 1..255, got {k}"):
+            build_filter([list(range(400))], k)
+
+    def test_k_255_round_trips(self, tmp_path):
+        save_filter(build_filter([list(range(300))], 255), tmp_path / "phi.bin")
+        loaded = load_filter(tmp_path / "phi.bin")
+        assert (loaded.k, len(loaded)) == (255, 46)
+
+    @pytest.mark.parametrize("cut", [3, 10, 13 + 8 * 2 - 1, 13 + 8 * 2 + 1])
+    def test_truncated_or_padded_file_refused(self, tmp_path, cut):
+        path = tmp_path / "phi.bin"
+        save_filter(build_filter([[1, 2, 3, 4]], 3), path)
+        data = path.read_bytes()
+        path.write_bytes((data + b"\x00")[:cut])
+        with pytest.raises(ValueError, match="phi.bin"):
+            load_filter(path)
+
+    @pytest.mark.parametrize("k,count", [(2, 2**40), (0, 1)])
+    def test_header_against_the_file_length(self, tmp_path, k, count):
+        path = tmp_path / "phi.bin"
+        path.write_bytes(b"RSF1" + struct.pack("<BQ", k, count) + b"\x00" * 8)
+        with pytest.raises(ValueError, match="phi.bin: corrupt filter file"):
+            load_filter(path)
+
 
 def make_candidates(corpus, k=2):
     cfg = WatermarkConfig("kgw", KEY, 16, k=k)
-    return candidate_table(corpus, [0] * len(corpus), cfg.k, cfg.seed,
+    return candidate_table(corpus, [0] * len(corpus), cfg.k, cfg.key,
                            open_mode=False)
 
 
@@ -168,7 +196,7 @@ class TestCanonicalDedup:
 
 class TestFilterSet:
     def test_membership_is_fingerprint_based(self):
-        phi = FilterSet(kgrams=set(), k=2)
+        phi = FilterSet(kgrams=np.zeros(0, dtype=np.uint64), k=2)
         assert (1, 2) not in phi
         phi2 = build_filter([[1, 2]], 2)
         assert (1, 2) in phi2

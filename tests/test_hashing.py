@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radioscope import ConfigError, SecretKey, derive_run_key, pipelines, window_hash
+from radioscope.dedup import FILTER_KEY
 from radioscope.hashing import (
     HASH_MOD,
-    derive_greenlist,
     derive_permutation,
-    derive_rvector,
     green_mask_batch,
+    rank_below,
     rvalue_batch,
     stream_value,
+    window_hashes,
 )
+from scheme_oracle import derive_greenlist, derive_rvector
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/data/golden_hashes.txt"
 
@@ -56,6 +58,81 @@ class TestWindowHash:
         h = window_hash(window, key)
         assert 0 <= h < HASH_MOD
         assert window_hash(window, key) == h
+
+
+#: Keys with a special shape: the identity, small ones, -1 and -2**32
+#: modulo ``HASH_MOD``, and the filter key.
+SPECIAL_KEYS = [1, 2, 3, 2**64 - 2, 2**64 - 2**32, FILTER_KEY.s]
+
+
+class TestWindowHashes:
+    """The array hash is bit for bit the scalar recurrence."""
+
+    def test_golden_vectors_as_one_array(self):
+        groups = {}
+        for s, window, expected in load_golden():
+            groups.setdefault((s, len(window)), []).append((window, expected))
+        for (s, _), rows in groups.items():
+            got = window_hashes(np.array([w for w, _ in rows]), SecretKey(s))
+            assert got.tolist() == [expected for _, expected in rows]
+
+    @given(st.sampled_from(SPECIAL_KEYS) | st.integers(1, 2**64 - 2),
+           st.integers(1, 5).flatmap(lambda k: st.lists(
+               st.lists(st.sampled_from([0, 1, 255, 2**32 - 1, 2**63])
+                        | st.integers(0, 2**20), min_size=k, max_size=k),
+               min_size=1, max_size=20)))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_window_hash(self, s, windows):
+        key = SecretKey(s)
+        got = window_hashes(np.array(windows, dtype=np.uint64), key)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [window_hash(w, key) for w in windows]
+
+    @pytest.mark.parametrize("s", SPECIAL_KEYS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_all_zero_and_all_255_windows(self, s, k):
+        key = SecretKey(s)
+        windows = [[0] * k, [255] * k]
+        assert window_hashes(np.array(windows), key).tolist() == [
+            window_hash(w, key) for w in windows]
+
+    @pytest.mark.parametrize("bad", [np.zeros(3, np.int64), np.zeros((2, 0), np.int64),
+                                     np.array([[1, -1]]), np.array([[1.5, 2.0]])])
+    def test_needs_an_n_by_k_array_of_token_ids(self, bad):
+        with pytest.raises(ConfigError):
+            window_hashes(bad, SecretKey(3))
+
+
+class TestRankBelow:
+    """The greenlist rule: rank by (key, column) below g."""
+
+    def test_ties_at_the_threshold_go_to_the_lowest_columns(self):
+        keys = np.array([[5, 3, 3, 9, 3, 1],  # 1 below the threshold 3, three at it
+                         [7, 7, 7, 7, 7, 7],
+                         [2, 8, 2, 8, 2, 8]], dtype=np.uint64)
+        got = [np.flatnonzero(row).tolist() for row in rank_below(keys, 3)]
+        assert got == [[1, 2, 5], [0, 1, 2], [0, 2, 4]]
+
+    @given(st.integers(1, 12).flatmap(lambda v: st.tuples(
+        st.lists(st.lists(st.integers(0, 3), min_size=v, max_size=v), min_size=1, max_size=8),
+        st.integers(-1, v + 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_stable_argsort_prefix(self, case):
+        rows, g = case
+        keys = np.array(rows, dtype=np.uint64)
+        want = np.zeros(keys.shape, dtype=bool)
+        perm = np.argsort(keys, axis=1, kind="stable")
+        np.put_along_axis(want, perm[:, : max(g, 0)], True, axis=1)
+        assert np.array_equal(rank_below(keys, g), want)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+           st.floats(0.0, 1.0), st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_green_masks_are_the_oracle_greenlists(self, seeds, gamma, v):
+        masks = green_mask_batch(np.array(seeds, dtype=np.uint64), gamma, v)
+        for seed, mask in zip(seeds, masks):
+            assert np.flatnonzero(mask).tolist() == sorted(
+                derive_greenlist(seed, gamma, v).tolist())
 
 
 class TestSecretKey:
@@ -153,11 +230,10 @@ class TestBatchScalarAgreement:
     def test_green_mask_matches_greenlist(self):
         rng = np.random.default_rng(21)
         seeds = rng.integers(0, 2**63, size=300).astype(np.uint64)
-        tokens = rng.integers(0, 64, size=300)
-        mask = green_mask_batch(seeds, tokens, 0.25, 64)
-        for seed, tok, m in zip(seeds, tokens, mask):
-            expect = int(tok) in derive_greenlist(int(seed), 0.25, 64).tolist()
-            assert bool(m) == expect
+        masks = green_mask_batch(seeds, 0.25, 64)
+        for seed, mask in zip(seeds, masks):
+            assert np.flatnonzero(mask).tolist() == sorted(
+                derive_greenlist(int(seed), 0.25, 64).tolist())
 
     def test_rvalue_matches_rvector(self):
         rng = np.random.default_rng(22)

@@ -10,3 +10,25 @@ def test_all_names_resolve():
 
 def test_all_names_unique():
     assert len(radioscope.__all__) == len(set(radioscope.__all__))
+
+
+#: Every export, so that an added or dropped name shows in the diff.
+PUBLIC = [
+    "AK", "AuthError", "CANDIDATE", "CLOSED", "CapabilityError", "ConfigError",
+    "DetectionInterrupted", "DetectionReport", "FilterSet", "InputIntegrityError",
+    "KGW", "MPAC", "MixSpec", "NGramModel", "OPEN", "ProtocolError", "RemoteError",
+    "RemoteModel", "SamplingConfig", "SecretKey", "StatError", "TextSampler",
+    "TransportError", "WatermarkConfig", "aaronson_sample", "aaronson_score",
+    "binomial_pvalue", "build_filter", "canonical_dedup", "combine_distributions",
+    "contaminated_student", "derive_run_key", "detect_closed", "detect_open",
+    "fisher_combine", "gamma_pvalue", "generate", "generate_corpus",
+    "kgw_bias_logits", "kgw_score", "ks_two_sample", "load_corpus", "load_filter",
+    "load_model", "log_binomial_pvalue", "log_gamma_pvalue", "make_teacher",
+    "mia_detect", "mix_dataset", "mpac_embed_bias", "mpac_extract", "parse_scenario",
+    "run_detection", "run_scenario", "save_corpus", "save_filter", "save_model",
+    "score_batch", "train_ngram", "window_hash", "zipf_markov_corpus",
+]
+
+
+def test_all_is_pinned():
+    assert radioscope.__all__ == PUBLIC

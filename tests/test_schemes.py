@@ -16,10 +16,19 @@ from radioscope import (
     mpac_embed_bias,
     mpac_extract,
 )
-from radioscope.hashing import derive_greenlist, derive_rvector
+from radioscope import schemes
 from radioscope.schemes import (
+    aaronson_pick,
     ak_score_batch,
+    bias_logits,
     kgw_score_batch,
+    mpac_partitions,
+    mpac_positions,
+)
+from scheme_oracle import (
+    derive_greenlist,
+    derive_rvector,
+    loop_mpac_extract,
     mpac_partition,
     mpac_position,
 )
@@ -260,3 +269,107 @@ def test_scores_deterministic(s, token, window):
     ak = WatermarkConfig("ak", SecretKey(s), 64)
     assert kgw_score(token, window, kgw) == kgw_score(token, window, kgw)
     assert aaronson_score(token, window, ak) == aaronson_score(token, window, ak)
+
+
+SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12)
+MESSAGES = st.integers(1, 6).flatmap(
+    lambda b: st.text("01", min_size=2 * b, max_size=2 * b))
+
+
+class TestBatchAgainstOracle:
+    """The batched embed and score functions equal the scalar references."""
+
+    @given(SEEDS, MESSAGES)
+    @settings(max_examples=100, deadline=None)
+    def test_positions(self, seeds, message):
+        c = cfg("mpac", message=message)
+        got = mpac_positions(np.array(seeds, dtype=np.uint64), c)
+        assert got.tolist() == [mpac_position(seed, c) for seed in seeds]
+
+    def test_position_when_every_draw_is_rejected(self, monkeypatch):
+        # b = 6 rejects the 32-bit draws 2**32 - 4 .. 2**32 - 1, which are
+        # 0, 1, 2, 3 modulo 6; the last of the eight draws stands
+        import scheme_oracle
+
+        def draw(j):
+            return (2**32 - 4 + j % 4) << 32
+
+        monkeypatch.setattr(scheme_oracle, "stream_value", lambda seed, j: draw(j))
+        monkeypatch.setattr(schemes, "stream_block", lambda seeds, start, count: np.array(
+            [[draw(j) for j in range(start, start + count)]] * len(seeds), dtype=np.uint64))
+        c = cfg("mpac", message="01" * 6)
+        assert mpac_position(5, c) == 3
+        assert mpac_positions(np.array([5, 6], dtype=np.uint64), c).tolist() == [3, 3]
+
+    @given(SEEDS, st.integers(1, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_partitions(self, seeds, v):
+        c = cfg("mpac", vocab=v, message="01")
+        got = mpac_partitions(np.array(seeds, dtype=np.uint64), v)
+        for seed, row in zip(seeds, got):
+            for digit, members in enumerate(mpac_partition(seed, c)):
+                assert (row[members] == digit).all()
+
+    @given(SEEDS, st.sampled_from(["kgw", "mpac"]), st.integers(2, 100),
+           st.floats(0.0, 8.0), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bias_logits(self, seeds, scheme, v, delta, data):
+        c = cfg(scheme, vocab=v, delta=delta, message="0110" if scheme == "mpac" else None)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        width = data.draw(st.integers(1, v))
+        ids = np.array([rng.permutation(v)[:width] for _ in seeds])
+        logits = np.log(rng.random((len(seeds), width)))
+        got = bias_logits(np.array(seeds, dtype=np.uint64), logits, ids, c)
+        for seed, row, lg, out in zip(seeds, ids, logits, got):
+            if scheme == "kgw":
+                raised = derive_greenlist(seed, c.gamma, v)
+            else:
+                raised = mpac_partition(seed, c)[c.digits()[mpac_position(seed, c)]]
+            want = np.where(np.isin(row, raised), lg + delta, lg)
+            assert np.array_equal(out, want)
+
+    @given(SEEDS, st.integers(1, 64), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_aaronson_pick(self, seeds, v, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        width = data.draw(st.integers(1, v))
+        ids = np.array([rng.permutation(v)[:width] for _ in seeds])
+        p = rng.dirichlet(np.ones(width), size=len(seeds))
+        p[:, data.draw(st.integers(0, width - 1))] = 0.0  # never picked
+        p[:, 0] = np.maximum(p[:, 0], 0.1)
+        got = aaronson_pick(np.array(seeds, dtype=np.uint64), p, ids)
+        for seed, row, pr, col in zip(seeds, ids, p, got):
+            r = derive_rvector(seed, v)[row]
+            cost = [-np.log(max(x, 1e-300)) / q if q > 0 else np.inf for x, q in zip(r, pr)]
+            assert col == int(np.argmin(cost))
+
+    @given(st.lists(st.tuples(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                              st.integers(-2, 17)), max_size=200),
+           st.sampled_from([None, "0000", "1111", "0110"]))
+    @settings(max_examples=100, deadline=None)
+    def test_extract_casts_the_loop_votes(self, stream, reference):
+        c = cfg("mpac", vocab=16, message="0110", delta=5.0)
+        assert mpac_extract(stream, c, reference) == loop_mpac_extract(stream, c, reference)
+
+    def test_extract_refuses_a_window_of_another_length(self):
+        with pytest.raises(ConfigError, match="k=2"):
+            mpac_extract([((1, 2, 3), 4)], cfg("mpac", vocab=16, message="01"))
+
+    @pytest.mark.parametrize("elems", [1, 64, 1 << 19])
+    def test_scores_over_chunk_boundaries(self, monkeypatch, elems):
+        monkeypatch.setattr(schemes, "_SCORE_ELEMS", elems)
+        c = cfg(gamma=0.25, vocab=64)
+        rng = np.random.default_rng(23)
+        seeds = rng.integers(0, 2**63, size=300).astype(np.uint64)
+        tokens = rng.integers(0, 64, size=300)
+        want = [float(t in derive_greenlist(int(s), 0.25, 64)) for s, t in zip(seeds, tokens)]
+        assert kgw_score_batch(seeds, tokens, c).tolist() == want
+        assert kgw_score_batch(seeds[:0], tokens[:0], c).tolist() == []
+
+    def test_ak_scores_are_the_oracle_rvector(self):
+        c = cfg("ak", vocab=32)
+        rng = np.random.default_rng(24)
+        seeds = rng.integers(0, 2**63, size=100).astype(np.uint64)
+        tokens = rng.integers(0, 32, size=100)
+        want = [-np.log1p(-derive_rvector(int(s), 32)[t]) for s, t in zip(seeds, tokens)]
+        assert np.array_equal(ak_score_batch(seeds, tokens, c), want)
