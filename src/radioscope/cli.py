@@ -157,13 +157,16 @@ def cmd_generate(args, config, argv) -> int:
         key = _resolve_key(args, config)
         wm = _wm_config(args, config, key, vocab)
     sampling = _sampling(args, config)
+    n_docs = _resolve(args, config, "docs", int, 100)
+    doc_len = _resolve(args, config, "doc_len", int, 200)
+    if n_docs < 0:  # zero documents make an empty corpus
+        raise ConfigError(f"--docs must be >= 0, got {n_docs}")
+    if doc_len < 3:  # generate_corpus starts each document with 3 prompt tokens
+        raise ConfigError(f"--doc-len must be >= 3, the prompt length, got {doc_len}")
     teacher = make_teacher(vocab_size=vocab,
                            seed=_resolve(args, config, "teacher_seed", int, 7),
                            order=_resolve(args, config, "teacher_order", int, 2))
-    docs = generate_corpus(teacher,
-                           _resolve(args, config, "docs", int, 100),
-                           _resolve(args, config, "doc_len", int, 200),
-                           sampling, wm=wm)
+    docs = generate_corpus(teacher, n_docs, doc_len, sampling, wm=wm)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(docs, out)

@@ -10,10 +10,12 @@ to the unigram level.
 Storage is KenLM's sorted-array layout.  For each context length L = 0..n
 the model keeps the sorted unique int64 codes of the observed (L+1)-grams
 (base V, last token least significant, so a code is context * V + token)
-with their counts.  Derived from them are the sorted unique context codes,
-each context's CSR row offsets into the token-id and count arrays, row
-total and greedy token.  Lookups binary-search one level at a time, longest
-context first, for one context or for every position of a corpus at once.
+with their counts.  Derived from them are each level's sorted unique
+context codes and, indexed by one context id over all levels, each
+context's CSR row offsets into the token-id and count arrays, row total
+and greedy token.  Lookups binary-search one level at a time, longest
+context first, for one context or for every position of a corpus at
+once; what is read of the context found is read by its id.
 
 A checkpoint is the magic ``RSM2`` followed by one ``np.savez`` archive
 holding ``order``, ``vocab_size``, ``smoothing_lambda`` and, per level L,
@@ -34,8 +36,10 @@ cumulative biased probabilities (KGW, MPAC) or the chosen token (AK).
 The windows of new states are read from their codes' digits, hashed in
 one call and embedded by the batched functions of
 :mod:`radioscope.schemes`.  The rows first reached at a step are built
-together with 2-d array operations, and rows live in blocks that never
-move.
+together with 2-d array operations.  A store keeps one array per field,
+written in build order, so reading rows is one index: it reserves
+``_RESERVE_BYTES`` of rows, or its bound if fewer, and doubles, up to the
+bound, when a batch does not fit.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -47,6 +51,7 @@ documents one position per step.
 from __future__ import annotations
 
 import json
+import struct
 import zipfile
 from dataclasses import dataclass
 from itertools import chain
@@ -93,6 +98,30 @@ class MixSpec:
 _CHUNK_TOKENS = 1 << 18
 
 
+def _token_ids(docs, vocab_size: int, lead: int = 0, name: str = "token id",
+               where: bool = True) -> np.ndarray:
+    """The tokens of ``docs``, joined, after ``lead`` zeros, as int64.
+
+    ``struct`` packs only integers that fit in int64, which is as fast as
+    ``np.fromiter`` and, unlike it, refuses 2.5 or "2".  A token that is not
+    an integer id below ``vocab_size`` is refused as ``name``, and with
+    ``where`` by its position in the joined documents.
+    """
+    try:
+        ids = np.frombuffer(b"".join([bytes(8 * lead)] + [struct.pack(f"{len(doc)}q", *doc)
+                                                          for doc in docs]), np.int64)
+    except (struct.error, TypeError):  # a token that is not an int64: the scan names it
+        ids = None
+    if ids is None or ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size:
+        for pos, tok in enumerate(chain.from_iterable(docs)):
+            at = f" at position {pos}" if where else ""
+            if not isinstance(tok, (int, np.integer)):
+                raise ValueError(f"{name} {tok!r}{at} is not an integer")
+            if not 0 <= tok < vocab_size:
+                raise ValueError(f"{name} {tok}{at} out of vocabulary")
+    return ids
+
+
 class NGramModel:
     """Add-lambda n-gram model with stupid backoff.
 
@@ -120,24 +149,33 @@ class NGramModel:
         self._index()
 
     def _index(self) -> None:
-        """Context codes, row offsets, token ids, totals and greedy tokens per
-        level, and the first context id of each level."""
+        """Each level's sorted context codes and first context id, and the
+        CSR rows of all levels by context id: offsets into the token ids and
+        counts, row totals and greedy tokens.  The per-level counts become
+        views of the flat counts, so the model holds one copy."""
         v = self.vocab_size
-        self._ctx, self._off, self._tok, self._total, self._greedy = [], [], [], [], []
-        for keys, counts in zip(self._keys, self._counts):
-            starts = np.flatnonzero(np.diff(keys // v, prepend=-1))
+        self._ctx, starts, toks, lens = [], [], [], [len(keys) for keys in self._keys]
+        for keys, before in zip(self._keys, np.cumsum([0] + lens)):
+            ctx = keys // v
+            toks.append(keys - ctx * v)
+            first = np.flatnonzero(np.diff(ctx, prepend=-1))
             # a sentinel above every code keeps each search result in range
-            self._ctx.append(np.append(keys[starts] // v, np.iinfo(np.int64).max))
-            self._off.append(np.append(starts, len(keys)))
-            self._tok.append((keys % v).astype(np.intp))
-            self._total.append(np.add.reduceat(counts, starts))
-            # the row maximum of count * V + (V - 1 - token) is the highest
-            # count with the lowest token (exact while counts stay < 2**32)
-            best = np.maximum.reduceat(counts * v + (v - 1 - self._tok[-1]), starts)
-            self._greedy.append(v - 1 - best % v)
+            self._ctx.append(np.append(ctx[first], np.iinfo(np.int64).max))
+            starts.append(first + before)
         # context id = the level's first id + its row; one more id past the
         # last level stands for the uniform row of an untrained model
-        self._first = np.cumsum([0] + [len(ctx) - 1 for ctx in self._ctx])
+        self._first = np.cumsum([0] + [len(level) for level in starts])
+        self._cnt = counts = np.concatenate(self._counts)
+        self._counts = np.split(counts, np.cumsum(lens)[:-1])
+        self._tok = np.concatenate(toks)
+        # the uniform row is empty, with a total that divides harmlessly
+        self._off = np.concatenate(starts + [[len(counts)] * 2])
+        starts = self._off[:-2]
+        self._total = np.append(np.add.reduceat(counts, starts), 1)
+        # the row maximum of count * V + (V - 1 - token) is the highest
+        # count with the lowest token (exact while counts stay < 2**32)
+        best = np.maximum.reduceat(counts * v + (v - 1 - self._tok), starts)
+        self._greedy = np.append(v - 1 - best % v, 0)
 
     def update(self, corpus) -> None:
         """Accumulate counts from an iterable of token-id documents.
@@ -152,14 +190,7 @@ class NGramModel:
         lens = np.fromiter(map(len, docs), np.int64, len(docs))
         n = int(lens.sum())
         # ``order`` zeros in front give every token that many predecessors
-        flat = np.zeros(order + n, np.int64)
-        try:
-            flat[order:] = np.fromiter(chain.from_iterable(docs), np.int64, n)
-        except OverflowError:  # an id beyond int64 is beyond every vocabulary
-            flat[order:] = -1
-        if ((flat[order:] < 0) | (flat[order:] >= v)).any():
-            tok = next(t for t in chain.from_iterable(docs) if not 0 <= t < v)
-            raise ValueError(f"token id {tok} out of vocabulary")
+        flat = _token_ids(docs, v, lead=order, where=False)
         # predecessors of each token within its own document, capped at order
         depth = np.full(n, order, np.int32)
         for j in range(order):
@@ -184,8 +215,8 @@ class NGramModel:
         self._keys[length] = keys[first]
         self._counts[length] = np.add.reduceat(counts, first)
 
-    def _find(self, context):
-        """(length, row) of the longest trained suffix of ``context``, or None."""
+    def _find(self, context) -> int:
+        """Id (see :meth:`_index`) of the longest trained suffix of ``context``."""
         v = self.vocab_size
         code = length = 0  # code of the last ``length`` in-vocabulary tokens
         for tok in context[-self.order :]:
@@ -197,8 +228,8 @@ class NGramModel:
             code %= v**length
             row = int(self._ctx[length].searchsorted(code))
             if self._ctx[length].item(row) == code:
-                return length, row
-        return None
+                return int(self._first[length]) + row
+        return int(self._first[-1])
 
     def _locate(self, docs, doc: np.ndarray, pos: np.ndarray):
         """Yield (level, indices, rows) of the longest trained suffix of each
@@ -239,66 +270,44 @@ class NGramModel:
 
     def next_distribution(self, context) -> np.ndarray:
         """Smoothed next-token probabilities given the trailing context."""
-        found = self._find(context)
-        v, lam = self.vocab_size, self.smoothing_lambda
-        if found is None:
-            return np.full(v, 1.0 / v)
-        length, row = found
-        lo, hi = self._off[length].item(row), self._off[length].item(row + 1)
-        p = np.full(v, lam, dtype=np.float64)
-        p[self._tok[length][lo:hi]] += self._counts[length][lo:hi]
-        p /= self._total[length].item(row) + lam * v
-        return p
+        return self._distributions(np.array([self._find(context)]))[0]
 
     def _distributions(self, ids: np.ndarray) -> np.ndarray:
         """:meth:`next_distribution` of each context id, one row each: the
         context's counts scattered over lambda, divided by total + lambda * V."""
         v, lam = self.vocab_size, self.smoothing_lambda
+        lo = self._off[ids]
+        width = self._off[ids + 1] - lo
+        # the index of every count of the rows, row after row
+        at = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(width.sum())
         p = np.full((len(ids), v), lam)
-        level = self._first.searchsorted(ids, side="right") - 1
-        for length in set(level.tolist()):
-            sel = np.flatnonzero(level == length)
-            if length > self.order:  # the id past the last: no context is trained
-                p[sel] = 1.0 / v
-                continue
-            rows = ids[sel] - self._first[length]
-            lo = self._off[length][rows]
-            width = self._off[length][rows + 1] - lo
-            # the index of every count of the selected rows, row after row
-            at = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(width.sum())
-            p[np.repeat(sel, width), self._tok[length][at]] += self._counts[length][at]
-            p[sel] /= (self._total[length][rows] + lam * v)[:, None]
+        p[np.repeat(np.arange(len(ids)), width), self._tok[at]] += self._cnt[at]
+        p /= (self._total[ids] + lam * v)[:, None]
+        p[ids == self._first[-1]] = 1.0 / v  # no context is trained
         return p
 
     def next_greedy(self, context) -> int:
         """Most likely next token (ties toward the lowest id)."""
-        found = self._find(context)
-        return 0 if found is None else self._greedy[found[0]].item(found[1])
+        return self._greedy.item(self._find(context))
 
     def greedy_at(self, docs, doc: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """:meth:`next_greedy` of ``docs[d][:p]`` for each (d, p) of ``zip(doc, pos)``."""
         out = np.zeros(len(pos), np.int64)
         for length, sel, rows in self._locate(docs, doc, pos):
-            out[sel] = self._greedy[length][rows]
+            out[sel] = self._greedy[self._first[length] + rows]
         return out
 
     def log_loss(self, tokens) -> float:
         """Total negative log-probability of a document."""
-        tokens = list(tokens)
-        v, lam, n = self.vocab_size, self.smoothing_lambda, len(tokens)
-        try:
-            toks = np.fromiter(tokens, np.int64, n)
-        except OverflowError:  # an id beyond int64 is beyond every vocabulary
-            toks = np.full(n, -1)
-        if ((toks < 0) | (toks >= v)).any():
-            pos = next(i for i, t in enumerate(tokens) if not 0 <= t < v)
-            raise ValueError(f"token id {tokens[pos]} at position {pos} out of vocabulary")
+        v, lam = self.vocab_size, self.smoothing_lambda
+        toks = _token_ids([list(tokens)], v)
+        n = len(toks)
         p = np.full(n, 1.0 / v)
         for length, sel, rows in self._locate([toks], np.zeros(n, np.intp), np.arange(n)):
             keys, code = self._keys[length], self._ctx[length][rows] * v + toks[sel]
             found = np.minimum(keys.searchsorted(code), len(keys) - 1)
             count = np.where(keys[found] == code, self._counts[length][found], 0)
-            p[sel] = (lam + count) / (self._total[length][rows] + lam * v)
+            p[sel] = (lam + count) / (self._total[self._first[length] + rows] + lam * v)
         # summed in token order, as a per-token loop would
         return -float(np.log(np.maximum(p, 1e-300)).cumsum()[-1]) if n else 0.0
 
@@ -316,9 +325,6 @@ def train_ngram(corpus, order: int, smoothing_lambda: float = 0.01,
 #: many elements (2048 rows at V = 128).
 _BATCH_ELEMS = 1 << 18
 
-#: Bytes of float64 rows in one storage block of a row store.
-_BLOCK_BYTES = 1 << 24
-
 
 def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Sum of the first ``keep[i]`` entries of each row ``i``, as
@@ -332,61 +338,57 @@ def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return sums
 
 
+#: Bytes of rows a store reserves when it is made, or fewer at its bound.
+#: The system backs only the pages rows are written to, and a store this
+#: small never copies: the benchmark's largest, the closed-h0 suspect's
+#: nucleus rows (about 53,700 contexts, 59 MiB), fits.
+_RESERVE_BYTES = 64 << 20
+
+
 class _RowStore:
     """Decode rows appended in batches as their keys are first reached.
 
-    Each field (name -> row shape, dtype) is kept in blocks of ``2**bits``
-    rows, ``_BLOCK_BYTES`` of float64 rows: a block is allocated when the
-    one before it is full and never moves, so a growing store copies
-    nothing and keys never reached take no memory.  ``_build`` returns the
-    fields of a batch of new rows; a subclass keeps the index from key to row.
+    Each field (name -> row shape, dtype) is one array, filled in build
+    order, so reading rows is one index.  A store reserves
+    ``_RESERVE_BYTES`` of rows, or ``bound`` rows, the most it can hold, if
+    fewer, and doubles, up to ``bound``, when a batch does not fit, so a
+    larger store allocates at most twice the rows it has built.  ``_build``
+    returns the fields of a batch of new rows; a subclass keeps the index
+    from key to row.
     """
 
-    def __init__(self, vocab_size: int, fields: dict):
+    def __init__(self, vocab_size: int, fields: dict, bound: int):
         self.vocab_size = vocab_size
-        self.bits = max(0, (_BLOCK_BYTES // 8 // vocab_size).bit_length() - 1)
-        self.fields = fields
-        self.blocks: dict = {name: [] for name in fields}
+        self.bound = bound
+        row = sum(np.dtype(dtype).itemsize * int(np.prod(shape))
+                  for shape, dtype in fields.values())
+        size = min(bound, _RESERVE_BYTES // row)
+        self.fields = {name: np.empty((size,) + shape, dtype)
+                       for name, (shape, dtype) in fields.items()}
         self.n = 0
 
     def take(self, name: str, rows: np.ndarray,
              cols: np.ndarray | None = None) -> np.ndarray:
         """Field ``name`` of each of ``rows``, or its entry at ``cols`` in each."""
-        blocks = self.blocks[name]
-        if len(blocks) == 1:
-            return blocks[0][rows] if cols is None else blocks[0][rows, cols]
-        shape, dtype = self.fields[name]
-        high, low = rows >> self.bits, rows & ((1 << self.bits) - 1)
-        out = np.empty(rows.shape + (shape if cols is None else ()), dtype)
-        for b, block in enumerate(blocks):
-            sel = np.flatnonzero(high == b)
-            if len(sel):
-                out[sel] = block[low[sel]] if cols is None else block[low[sel], cols[sel]]
-        return out
+        field = self.fields[name]
+        return field[rows] if cols is None else field[rows, cols]
 
     def _extend(self, keys) -> int:
         """Build and store the rows of ``keys``, in order; return the first new row."""
-        start = self.n
+        start, end = self.n, self.n + len(keys)
+        for name, field in self.fields.items():
+            if end > len(field):
+                size = min(self.bound, max(end, 2 * len(field)))
+                grown = np.empty((size,) + field.shape[1:], field.dtype)
+                grown[:start] = field[:start]
+                self.fields[name] = grown
         batch = max(1, _BATCH_ELEMS // self.vocab_size)
         for lo in range(0, len(keys), batch):
-            self._append(keys[lo : lo + batch])
+            part = keys[lo : lo + batch]
+            for name, values in self._build(part).items():
+                self.fields[name][self.n : self.n + len(part)] = values
+            self.n += len(part)
         return start
-
-    def _append(self, keys) -> None:
-        n, m, bits = self.n, len(keys), self.bits
-        for name, values in self._build(keys).items():
-            blocks = self.blocks[name]
-            shape, dtype = self.fields[name]
-            start = n
-            while start < n + m:
-                b = start >> bits
-                if b == len(blocks):
-                    blocks.append(np.empty((1 << bits,) + shape, dtype))
-                stop = min(n + m, (b + 1) << bits)
-                first = b << bits
-                blocks[b][start - first : stop - first] = values[start - n : stop - n]
-                start = stop
-        self.n = n + m
 
     def _build(self, keys) -> dict:
         raise NotImplementedError
@@ -407,14 +409,15 @@ class NucleusRows(_RowStore):
 
     def __init__(self, model: NGramModel, temperature: float, nucleus_p: float):
         v = model.vocab_size
+        bound = model._first[-1] + 1
         super().__init__(v, {"idx": ((v,), np.min_scalar_type(v - 1)),
                              "q": ((v,), np.float64),
-                             "keep": ((), np.min_scalar_type(v))})
+                             "keep": ((), np.min_scalar_type(v))}, bound)
         self.model = model
         self.contexts = model._ctx
         self.temperature = temperature
         self.nucleus_p = nucleus_p
-        self._row_of = np.full(model._first[-1] + 1, -1, np.intp)  # -1: not built
+        self._row_of = np.full(bound, -1, np.intp)  # -1: not built
 
     def state_rows(self, codes: np.ndarray) -> np.ndarray:
         """Row of each sampler state code (see :class:`TextSampler`)."""
@@ -465,11 +468,11 @@ class _WatermarkRows(_RowStore):
     ``keep`` repeats the total).
     """
 
-    def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig):
+    def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig, bound: int):
         v = nucleus.vocab_size
-        picked = (("tok", ((), nucleus.fields["idx"][1])) if wm.scheme == AK
+        picked = (("tok", ((), nucleus.fields["idx"].dtype)) if wm.scheme == AK
                   else ("bcum", ((v,), np.float64)))
-        super().__init__(v, dict([("base", ((), np.intp)), picked]))
+        super().__init__(v, dict([("base", ((), np.intp)), picked]), bound)
         self.nucleus = nucleus
         self.wm = wm
         self.index: dict = {}
@@ -516,7 +519,7 @@ class TextSampler:
     built once per trained context and live in ``tables``, keyed by
     (temperature, nucleus_p); a store built for another model, or for this
     one before it was trained further, is replaced.  Watermark rows are
-    built once per state and belong to the sampler.
+    built once per state and belong to one :meth:`generate` call.
     """
 
     def __init__(self, model: NGramModel, sampling: SamplingConfig,
@@ -536,7 +539,6 @@ class TextSampler:
         if nucleus is None or nucleus.model is not model or nucleus.contexts is not model._ctx:
             nucleus = tables[key] = NucleusRows(model, *key)
         self._nucleus = nucleus
-        self._marked = None if wm is None else _WatermarkRows(self._nucleus, wm)
         self._radix = radix = model.vocab_size + 1
         self._depth = depth = model.order if wm is None else max(model.order, wm.k)
         # codes below this lack a full window; % _tail drops the oldest token
@@ -547,8 +549,6 @@ class TextSampler:
     def _encode(self, prompt) -> int:
         code = 0
         for tok in list(prompt)[-self._depth :]:
-            if not 0 <= tok < self.model.vocab_size:
-                raise ValueError(f"token id {tok} out of vocabulary")
             code = code * self._radix + int(tok) + 1
         return code
 
@@ -563,10 +563,16 @@ class TextSampler:
         below the uniform, which is ``searchsorted(side="right")`` row by
         row, clipped to the kept ids.
         """
-        nucleus, marked, radix = self._nucleus, self._marked, self._radix
+        nucleus, radix = self._nucleus, self._radix
         dtype = self._code_dtype
+        prompts = list(prompts)
+        _token_ids(prompts, self.model.vocab_size, where=False)  # refuses a bad token
         codes = np.array([self._encode(p) for p in prompts], dtype)
-        out = np.empty((len(codes), steps), nucleus.fields["idx"][1])
+        # the call reaches at most one state per step of each document,
+        # and only states with a full window have watermark rows
+        marked = None if self.wm is None else _WatermarkRows(
+            nucleus, self.wm, min(len(codes) * steps, radix**self._depth - self._windowed))
+        out = np.empty((len(codes), steps), nucleus.fields["idx"].dtype)
         for t in range(steps):
             u = uniforms[:, t]
             windowed = (np.zeros(len(codes), bool) if marked is None
@@ -701,12 +707,21 @@ def save_corpus(docs: list[dict], path) -> None:
 
 
 def load_corpus(path) -> list[dict]:
+    """The documents of a JSONL corpus; a line that is not a JSON object
+    with a ``tokens`` list is refused by path and line number."""
     docs = []
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
-            if line:
-                docs.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {number}: not JSON ({exc})") from exc
+            if not isinstance(doc, dict) or not isinstance(doc.get("tokens"), list):
+                raise ValueError(f"{path} line {number}: no \"tokens\" list")
+            docs.append(doc)
     return docs
 
 

@@ -25,6 +25,7 @@ from .models import (
     NGramModel,
     SamplingConfig,
     TextSampler,
+    _token_ids,
     generate_corpus,
     make_teacher,
     mix_dataset,
@@ -76,19 +77,9 @@ def _check_vocab(tokens, vocab_size: int, what: str) -> None:
     """Refuse a token that is not an integer in ``[0, vocab_size)``, naming
     ``what`` and the position."""
     try:
-        ids = np.asarray(tokens)
-        if ids.ndim == 1 and ids.dtype.kind in "iu" and ((ids >= 0) & (ids < vocab_size)).all():
-            return
-    except ValueError:  # ragged; the scan below names the first bad token
-        pass
-    # a token out of range, or one that is not a 64-bit integer: find it
-    for pos, tok in enumerate(tokens):
-        if not isinstance(tok, (int, np.integer)):
-            raise ConfigError(f"{what}: token {tok!r} at position {pos} is "
-                              f"not an integer token id")
-        if not 0 <= tok < vocab_size:
-            raise ConfigError(f"{what}: token {tok} at position {pos} is "
-                              f"outside the vocabulary [0, {vocab_size})")
+        _token_ids([tokens], vocab_size, name=f"{what}: token")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_run(cfg: WatermarkConfig, budget: int) -> None:

@@ -1,13 +1,17 @@
-"""Tokens are checked against the vocabulary at the detection boundary,
-``--threads`` is validated where it applies, and detection refuses a
-scheme without a test, a negative budget, fewer than one repetition and
-an empty corpus."""
+"""Tokens are checked against the vocabulary at the detection boundary and
+in the model, ``--threads`` is validated where it applies, detection
+refuses a scheme without a test, a negative budget, fewer than one
+repetition and an empty corpus, corpus files are refused line by line,
+and ``generate`` refuses a negative document count and documents
+shorter than their prompt."""
+
+import re
 
 import numpy as np
 import pytest
 
 from radioscope import (ConfigError, SamplingConfig, WatermarkConfig, build_filter,
-                        save_model, train_ngram)
+                        generate, save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, pvalue_for
 from radioscope.schemes import score_batch
@@ -240,3 +244,73 @@ def test_cli_empty_corpus_is_one_error_line(cli_files, capsys, mode):
     empty.write_text("")
     assert detect_cli(cli_files, mode=mode, corpus=empty) == EXIT_ERROR
     assert "no documents" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", 2.0, None, [2]])
+def test_model_refuses_token_ids_that_are_not_integers(bad):
+    with pytest.raises(ValueError, match=rf"token id {re.escape(repr(bad))} is not an integer"):
+        train_ngram([[1, 2, 3], [1, bad, 3, 1, 2, 3]], 2, 0.01, 8)
+    model = train_ngram([[1, 2, 3, 1, 2, 3]], 2, 0.01, 8)
+    with pytest.raises(ValueError, match=rf"token id {re.escape(repr(bad))} at position 1 "
+                                         "is not an integer"):
+        model.log_loss([1, bad, 3])
+    with pytest.raises(ValueError, match=rf"token id {re.escape(repr(bad))} is not an integer"):
+        generate(model, [1, bad, 3], SamplingConfig(max_tokens=4))
+
+
+def test_model_accepts_integer_ids_of_any_numpy_dtype():
+    docs = [[1, 2, 3, 1, 2, 3], [2, 3, 1]]
+    want = train_ngram(docs, 2, 0.01, 8)
+    for dtype in (np.uint8, np.int32, np.uint64):
+        got = train_ngram([np.array(d, dtype) for d in docs], 2, 0.01, 8)
+        assert all(np.array_equal(a, b) for a, b in zip(got._keys + got._counts,
+                                                         want._keys + want._counts))
+        assert got.log_loss(np.array([1, 2, 3], dtype)) == want.log_loss([1, 2, 3])
+
+
+@pytest.mark.parametrize("command", ["train", "mia"])
+def test_cli_token_id_that_is_not_an_integer_is_one_error_line(tmp_path, capsys, command):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"tokens": [1, 2, 3, 4], "text": "a b c d"}\n'
+                      '{"tokens": [1, 2.5, 3], "text": "a b c"}\n')
+    if command == "train":
+        argv = ["train", "--corpus", str(corpus), "--vocab-size", "8"]
+    else:
+        model = tmp_path / "m.bin"
+        save_model(train_ngram([[1, 2, 3, 4, 5]], 2, 0.01, 8), model)
+        argv = ["mia", "--model", str(model), "--candidate", str(corpus),
+                "--fresh", str(corpus)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert "token id 2.5" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("line", ['{"wm": true}', '{"tokens": 7}', "[1, 2, 3]", "not json"],
+                         ids=["no-tokens", "tokens-not-a-list", "not-an-object", "not-json"])
+@pytest.mark.parametrize("command", ["train", "detect"])
+def test_cli_corpus_line_without_tokens_is_one_error_line(cli_files, capsys, line, command):
+    corpus = cli_files[0] / "bad.jsonl"
+    corpus.write_text('{"tokens": [1, 2, 3, 4]}\n\n' + line + "\n")
+    if command == "train":
+        code = main(["train", "--corpus", str(corpus), "--out", str(cli_files[0] / "s.bin")])
+    else:
+        code = detect_cli(cli_files, corpus=corpus)
+    assert code == EXIT_ERROR
+    assert f"{corpus} line 3: " in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flags,config,named", [
+    (["--docs", "-1"], "", "--docs must be >= 0, got -1"),
+    ([], "docs = -2\n", "--docs must be >= 0, got -2"),
+    (["--doc-len", "0"], "", "--doc-len must be >= 3"),
+    (["--doc-len", "2"], "", "--doc-len must be >= 3"),
+    ([], "doc-len = 1\n", "--doc-len must be >= 3"),
+], ids=["docs-1", "docs-2-config", "doc-len0", "doc-len2", "doc-len1-config"])
+def test_cli_generate_sizes_that_hold_no_document_are_one_error_line(
+        tmp_path, capsys, flags, config, named):
+    out = tmp_path / "c.jsonl"
+    if config:
+        (tmp_path / "gen.cfg").write_text(config)
+        flags = flags + ["--config", str(tmp_path / "gen.cfg")]
+    assert main(["generate", "--no-watermark", "--out", str(out), *flags]) == EXIT_ERROR
+    assert named in one_error_line(capsys)
+    assert not out.exists()

@@ -116,8 +116,8 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
             assert (got_log[k:] == -np.inf).all() and (got_cum[k:] == cum[-1]).all()
     if wm is None:
         return
-    marked = _WatermarkRows(batch, wm)
     windowed = [c for c in contexts if len(c) >= wm.k]
+    marked = _WatermarkRows(batch, wm, len(windowed))
     rows = marked.rows(np.array([_code(c, v) for c in windowed]))
     for context, r in zip(windowed, rows.tolist()):
         idx, log_kept, _ = oracle._table(context)
@@ -161,18 +161,82 @@ def test_out_of_vocabulary_prompt_refused(teacher64):
         _complete(teacher64, [[3, 64]], SamplingConfig(max_tokens=4), None)
 
 
+def _size(store) -> int:
+    """Rows the store's fields have room for, the same for every field."""
+    (size,) = {len(field) for field in store.fields.values()}
+    return size
+
+
+def _row_bytes(store) -> int:
+    return sum(field.itemsize * int(np.prod(field.shape[1:])) for field in store.fields.values())
+
+
+def _fill(store, rows: np.ndarray) -> np.ndarray:
+    """``store.rows(rows)``, checking that the rows already built keep their
+    values and that the store holds its reservation or at most twice the
+    rows it built."""
+    before = {name: store.take(name, np.arange(store.n)) for name in store.fields}
+    got = store.rows(rows)
+    for name, built in before.items():
+        assert np.array_equal(store.take(name, np.arange(len(built))), built)
+    reserved = models._RESERVE_BYTES // _row_bytes(store)
+    assert 0 < store.n <= _size(store) <= min(store.bound, max(reserved, 2 * store.n))
+    return got
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_rows_spread_over_many_blocks(teacher64, scheme, monkeypatch):
-    monkeypatch.setattr(models, "_BLOCK_BYTES", 8 * 64 * 16)  # 16 rows a block
+def test_stores_filled_to_their_bound_keep_their_rows(teacher64, scheme, monkeypatch):
+    """A store grows past its reservation as rows are built, keeps them when
+    it grows, and stops at its bound; reaching rows already built adds none."""
+    monkeypatch.setattr(models, "_RESERVE_BYTES", 10_000)  # under 20 rows of V = 64
     sampling = SamplingConfig(seed=43, max_tokens=60)
     wm = _wm(scheme, 64, 2, 0xFACE)
     tables: dict = {}
     assert (generate_corpus(teacher64, 25, 90, sampling, wm, tables=tables)
             == loop_generate_corpus(teacher64, 25, 90, sampling, wm))
-    assert max(len(rows.blocks["q"]) for rows in tables.values()) > 3
     prompts = [[i, i + 1, i + 2] for i in range(20)]
     assert (_complete(teacher64, prompts, sampling, None, tables)
             == loop_complete(teacher64, prompts, sampling))
+    temperature = 0.5 if scheme == "ak-temp" else sampling.temperature  # as _wm sets it
+    nucleus = tables[(temperature, sampling.nucleus_p)]
+    bound = nucleus.bound
+    assert 0 < nucleus.n <= _size(nucleus) <= 2 * nucleus.n
+    assert _size(nucleus) > models._RESERVE_BYTES // _row_bytes(nucleus)
+    assert bound == sum(len(ctx) - 1 for ctx in teacher64._ctx) + 1
+    ids = np.random.default_rng(3).permutation(bound)
+    for part in np.array_split(ids, 4):
+        _fill(nucleus, part)
+    assert sorted(nucleus.rows(ids).tolist()) == list(range(bound))
+    assert nucleus.n == _size(nucleus) == bound
+    if wm is None:
+        return
+    # every order-2 state of the 64-token teacher holds a full window
+    codes = np.array([_code((a, b), 64) for a in range(64) for b in range(64)])
+    marked = _WatermarkRows(nucleus, wm, len(codes))
+    rows = np.concatenate([_fill(marked, part) for part in np.array_split(codes[::-1], 5)])
+    assert marked.n == _size(marked) == len(codes)
+    assert np.array_equal(marked.rows(codes[::7]), rows[::-1][::7])
+    assert marked.n == len(codes)
+
+
+def test_store_memory_follows_the_rows_built():
+    """Stores with bounds far beyond memory, a V = 4096 model's nucleus
+    rows and a V = 1024 watermark store bounded by 10^9 states, allocate
+    their reservation, not their bound."""
+    rng = np.random.default_rng(12)
+    model = train_ngram(rng.integers(0, 4096, size=(40, 500)).tolist(), 2, 0.05, 4096)
+    nucleus = NucleusRows(model, 0.8, 0.95)
+    assert nucleus.bound > 20_000  # over 700 MB of rows
+    _fill(nucleus, rng.permutation(nucleus.bound)[:300])
+    small = train_ngram(rng.integers(0, 1024, size=(20, 200)).tolist(), 1, 0.05, 1024)
+    wm = _wm("kgw", 1024, 2, 0xD1CE)
+    marked = _WatermarkRows(NucleusRows(small, 0.8, 0.95), wm, 10**9)  # 8 TB of rows
+    codes = np.unique([_code(pair, 1024) for pair in rng.integers(0, 1024, size=(500, 2))])
+    for part in np.array_split(codes, 3):
+        _fill(marked, part)
+    assert marked.n == len(codes)
+    for store in (nucleus, marked):
+        assert sum(field.nbytes for field in store.fields.values()) <= models._RESERVE_BYTES
 
 
 def test_state_codes_wider_than_int64():
