@@ -42,10 +42,17 @@ class InputIntegrityError(ValueError):
     """Duplicate ordering keys in a candidate table."""
 
 
-def _void_rows(a: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array as one opaque value, for ``np.unique``."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row of a 2-d integer array, in sorted
+    row order, and each row's label: the place of its row in that order.
+    The rows are sorted by a stable ``np.lexsort``, first column first."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    label = np.empty(len(a), np.intp)
+    label[order] = np.cumsum(new) - 1
+    return order[new], label
 
 
 @dataclass
@@ -60,9 +67,8 @@ class FilterSet:
     def hits(self, windows: np.ndarray) -> np.ndarray:
         """Whether each row of an ``(n, k)`` window array is in the filter;
         each distinct window is hashed once."""
-        _, first, inverse = np.unique(_void_rows(windows), return_index=True,
-                                      return_inverse=True)
-        return np.isin(window_hashes(windows[first], FILTER_KEY), self.kgrams)[inverse]
+        first, label = _unique_rows(windows)
+        return np.isin(window_hashes(windows[first], FILTER_KEY), self.kgrams)[label]
 
     def __contains__(self, window) -> bool:
         return bool(self.hits(np.asarray([window], dtype=np.int64))[0])
@@ -129,9 +135,12 @@ def canonical_dedup(cands: np.ndarray) -> np.ndarray:
         raise InputIntegrityError(
             f"duplicate ordering key {(int(row['doc']), int(row['pos']))}")
     eligible = ordered[~ordered["blocked"]]
-    pairs = np.column_stack((eligible["seed"], eligible["token"].astype(np.uint64)))
-    _, first = np.unique(_void_rows(pairs), return_index=True)
-    return eligible[np.sort(first)]
+    # a stable sort keeps each (seed, token) run in (doc, pos) order
+    by_pair = np.lexsort((eligible["token"], eligible["seed"]))
+    seed, token = eligible["seed"][by_pair], eligible["token"][by_pair]
+    first = np.ones(len(by_pair), bool)
+    first[1:] = (seed[1:] != seed[:-1]) | (token[1:] != token[:-1])
+    return eligible[np.sort(by_pair[first])]
 
 
 def candidate_table(docs, context_lens, k: int, key: SecretKey,
@@ -153,8 +162,7 @@ def candidate_table(docs, context_lens, k: int, key: SecretKey,
                             for a, n in zip(arrays, counts) if n])
     doc = np.repeat(np.arange(len(arrays)), counts)
     start = np.arange(len(doc)) - np.repeat(np.cumsum(counts) - counts, counts)
-    _, first, window = np.unique(_void_rows(grams), return_index=True,
-                                 return_inverse=True)
+    first, window = _unique_rows(grams)
     seeds = window_hashes(grams[first], key)
     # starts ascend within a document, so the first index of each
     # (document, window) pair is the window's first start in that document

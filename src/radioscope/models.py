@@ -27,19 +27,31 @@ Generation samples through decode rows.  A state is the last
 base-(V+1) digits ``token + 1``.  Nucleus rows are built once per trained
 context: each step maps every state to the id of the context it backs off
 to (level offset + row, one search for all states), so a store never
-holds more rows than the model has contexts.  A nucleus row holds the
-kept token ids by descending probability and their renormalized
-probabilities, padded to V; it is built from the context's counts
-without a per-row model call.  A watermarked state's row, built once per
-state, holds its context's nucleus row and the scheme's part: the
-cumulative biased probabilities (KGW, MPAC) or the chosen token (AK).
-The windows of new states are read from their codes' digits, hashed in
-one call and embedded by the batched functions of
-:mod:`radioscope.schemes`.  The rows first reached at a step are built
-together with 2-d array operations.  A store keeps one array per field,
-written in build order, so reading rows is one index: it reserves
-``_RESERVE_BYTES`` of rows, or its bound if fewer, and doubles, up to the
-bound, when a batch does not fit.
+holds more rows than the model has contexts.  A nucleus row is the kept
+token ids by descending probability and their renormalized
+probabilities, built from the context's counts without a per-row model
+call.  Only kept entries are stored: rows lie back to back in two flat
+arrays, in build order, and a context id finds its row by ``start`` and
+``keep``.  A walk reads V-wide rows through a sliding window over the
+flat array, one index for all states, so past ``keep`` a row read runs
+on into later rows' entries, or into zeros past the last.  Those entries
+are probabilities, never negative, so the cumulative sums past ``keep``
+never fall below the row total: the count of sums at or below a uniform,
+clipped to ``keep - 1``, is the one zero padding would give.  Once a
+store has built half its rows it builds all the others in one pass, so
+at most twice the work and memory of the rows reached, and its lookups
+never build again.
+
+A watermarked state's row, built once per state, holds its context id
+and the scheme's part: the cumulative biased probabilities (KGW, MPAC)
+or the chosen token (AK), made from the nucleus rows with zeros past
+``keep``.  A new state's window seed is summed from k digit tables of
+the key, one entry per window token, and the windows are embedded by the
+batched functions of :mod:`radioscope.schemes`.  The rows first reached
+at a step are built together with 2-d array operations.  The watermark
+store keeps one array per field, written in build order, so reading rows
+is one index: it reserves ``_RESERVE_BYTES`` of rows, or its bound if
+fewer, and doubles, up to the bound, when a batch does not fit.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -54,11 +66,11 @@ import json
 import struct
 import zipfile
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
-from .hashing import ConfigError, window_hashes
+from .hashing import HASH_MOD, ConfigError, _add_mod, window_hashes
 from .schemes import AK, WatermarkConfig, aaronson_pick, bias_logits
 
 
@@ -321,9 +333,10 @@ def train_ngram(corpus, order: int, smoothing_lambda: float = 0.01,
 
 
 #: Elements of one (rows, V) temporary while decode rows are built: the
-#: states first reached at a step are built in batches of at most this
-#: many elements (2048 rows at V = 128).
-_BATCH_ELEMS = 1 << 18
+#: rows of a batch of new keys are built at most this many elements at a
+#: time (512 rows at V = 128), so completing a nucleus store adds little
+#: to peak memory.
+_BATCH_ELEMS = 1 << 16
 
 
 def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -341,86 +354,61 @@ def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
 #: Bytes of rows a store reserves when it is made, or fewer at its bound.
 #: The system backs only the pages rows are written to, and a store this
 #: small never copies: the benchmark's largest, the closed-h0 suspect's
-#: nucleus rows (about 53,700 contexts, 59 MiB), fits.
+#: nucleus rows (53,703 contexts, 4.7 million kept entries, 40 MiB), fits.
 _RESERVE_BYTES = 64 << 20
 
 
-class _RowStore:
-    """Decode rows appended in batches as their keys are first reached.
-
-    Each field (name -> row shape, dtype) is one array, filled in build
-    order, so reading rows is one index.  A store reserves
-    ``_RESERVE_BYTES`` of rows, or ``bound`` rows, the most it can hold, if
-    fewer, and doubles, up to ``bound``, when a batch does not fit, so a
-    larger store allocates at most twice the rows it has built.  ``_build``
-    returns the fields of a batch of new rows; a subclass keeps the index
-    from key to row.
-    """
-
-    def __init__(self, vocab_size: int, fields: dict, bound: int):
-        self.vocab_size = vocab_size
-        self.bound = bound
-        row = sum(np.dtype(dtype).itemsize * int(np.prod(shape))
-                  for shape, dtype in fields.values())
-        size = min(bound, _RESERVE_BYTES // row)
-        self.fields = {name: np.empty((size,) + shape, dtype)
-                       for name, (shape, dtype) in fields.items()}
-        self.n = 0
-
-    def take(self, name: str, rows: np.ndarray,
-             cols: np.ndarray | None = None) -> np.ndarray:
-        """Field ``name`` of each of ``rows``, or its entry at ``cols`` in each."""
-        field = self.fields[name]
-        return field[rows] if cols is None else field[rows, cols]
-
-    def _extend(self, keys) -> int:
-        """Build and store the rows of ``keys``, in order; return the first new row."""
-        start, end = self.n, self.n + len(keys)
-        for name, field in self.fields.items():
-            if end > len(field):
-                size = min(self.bound, max(end, 2 * len(field)))
-                grown = np.empty((size,) + field.shape[1:], field.dtype)
-                grown[:start] = field[:start]
-                self.fields[name] = grown
-        batch = max(1, _BATCH_ELEMS // self.vocab_size)
-        for lo in range(0, len(keys), batch):
-            part = keys[lo : lo + batch]
-            for name, values in self._build(part).items():
-                self.fields[name][self.n : self.n + len(part)] = values
-            self.n += len(part)
-        return start
-
-    def _build(self, keys) -> dict:
-        raise NotImplementedError
-
-
-class NucleusRows(_RowStore):
+class NucleusRows:
     """Nucleus rows of the trained contexts reached so far, for one model,
     temperature and p.
 
     A row is keyed by the id of the trained context a state backs off to
     (see :meth:`NGramModel._index`), so the store never holds more rows
-    than the model has contexts, plus one.  It holds the kept token ids by
-    descending probability (``idx``), their renormalized probabilities
-    (``q``) and how many are kept (``keep``).  Rows are ``V`` wide: past
-    ``keep`` the ids and probabilities are 0.  The store serves the model
-    it was built for, with the context index (``contexts``) it had then.
+    than the model has contexts, plus one (``bound``).  A row is its kept
+    token ids by descending probability and their renormalized
+    probabilities.  Rows lie back to back in the flat arrays ``idx`` and
+    ``q``, in build order; context id ``c``'s row starts at ``start[c]``
+    and holds ``keep[c]`` entries (0 while it is not built).  Each flat
+    array is read through a sliding window of width V, so gathering
+    V-wide rows is one index; past ``keep`` such a row holds later rows'
+    entries or zeros.  Once half the rows are built, the rest are built
+    at once.  The store serves the model it was built for, with the
+    context index (``contexts``) it had then.
     """
 
     def __init__(self, model: NGramModel, temperature: float, nucleus_p: float):
-        v = model.vocab_size
-        bound = model._first[-1] + 1
-        super().__init__(v, {"idx": ((v,), np.min_scalar_type(v - 1)),
-                             "q": ((v,), np.float64),
-                             "keep": ((), np.min_scalar_type(v))}, bound)
+        v = self.vocab_size = model.vocab_size
         self.model = model
         self.contexts = model._ctx
         self.temperature = temperature
         self.nucleus_p = nucleus_p
-        self._row_of = np.full(bound, -1, np.intp)  # -1: not built
+        self.bound = bound = int(model._first[-1]) + 1
+        self.start = np.zeros(bound, np.intp)
+        self.keep = np.zeros(bound, np.min_scalar_type(v))
+        self.n = self.size = 0  # rows built, entries written
+        self.q, self.idx = np.zeros(0), np.zeros(0, np.min_scalar_type(v - 1))
+        entry = self.q.itemsize + self.idx.itemsize
+        self._fit(max(v, min((bound + 1) * v, _RESERVE_BYTES // entry)))
 
-    def state_rows(self, codes: np.ndarray) -> np.ndarray:
-        """Row of each sampler state code (see :class:`TextSampler`)."""
+    def _fit(self, entries: int) -> None:
+        """Room for ``entries`` entries in each flat array.  A short array
+        doubles, or grows to ``entries`` if that is more, up to every row
+        at full width plus the V entries the last row's window reads; it is
+        zero past the entries written."""
+        if entries <= len(self.q):
+            return
+        v = self.vocab_size
+        size = min((self.bound + 1) * v, max(entries, 2 * len(self.q)))
+        for name in ("q", "idx"):
+            grown = np.zeros(size, getattr(self, name).dtype)
+            grown[: self.size] = getattr(self, name)[: self.size]
+            setattr(self, name, grown)
+        window = np.lib.stride_tricks.sliding_window_view
+        self._q_rows, self._idx_rows = window(self.q, v), window(self.idx, v)
+
+    def state_ids(self, codes: np.ndarray) -> np.ndarray:
+        """Context id of each sampler state code (see :class:`TextSampler`),
+        its row built."""
         model, v = self.model, self.vocab_size
         # levels[L]: base-V code of the state's last L tokens; a missing
         # token is a zero digit, which makes the code negative
@@ -428,19 +416,38 @@ class NucleusRows(_RowStore):
         for back in range(1, model.order + 1):
             digit = codes // (v + 1) ** (back - 1) % (v + 1)
             levels.append(np.asarray(levels[-1] + (digit - 1) * v ** (back - 1), np.int64))
-        return self.rows(model._context_ids(levels))
+        return self.ready(model._context_ids(levels))
 
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Row of each context id, building the rows of the ids first reached."""
-        rows = self._row_of[ids]
-        missing = rows < 0
-        if missing.any():
-            new = np.unique(ids[missing])
-            self._row_of[new] = np.arange(self._extend(new), self.n)
-            rows = self._row_of[ids]
-        return rows
+    def ready(self, ids: np.ndarray) -> np.ndarray:
+        """``ids``, with the rows of the ids first reached built; once half
+        the store's rows are built, the rest are built too."""
+        if self.n < self.bound:
+            new = ids[self.keep[ids] == 0]
+            if len(new):
+                self._extend(np.unique(new))
+                if 2 * self.n >= self.bound:
+                    self._extend(np.flatnonzero(self.keep == 0))
+        return ids
 
-    def _build(self, ids: np.ndarray) -> dict:
+    def _extend(self, ids: np.ndarray) -> None:
+        """Build the rows of ``ids`` and append their kept entries."""
+        v = self.vocab_size
+        batch = max(1, _BATCH_ELEMS // v)
+        for lo in range(0, len(ids), batch):
+            part = ids[lo : lo + batch]
+            q, order, keep = self._build(part)
+            kept = np.arange(v) < keep[:, None]
+            end = self.size + int(keep.sum())
+            self._fit(end + v)
+            self.q[self.size : end] = q[kept]
+            self.idx[self.size : end] = order[kept]
+            self.start[part] = self.size + np.cumsum(keep) - keep
+            self.keep[part] = keep
+            self.size, self.n = end, self.n + len(part)
+
+    def _build(self, ids: np.ndarray) -> tuple:
+        """Probabilities by descending size, token ids and kept count of
+        each context id's row; entries past the kept ones are not part of it."""
         v = self.vocab_size
         q = self.model._distributions(ids)
         np.maximum(q, 1e-300, out=q)
@@ -454,55 +461,117 @@ class NucleusRows(_RowStore):
         keep = np.add.reduce(q.cumsum(axis=1) < self.nucleus_p, axis=1) + 1
         np.minimum(keep, v, out=keep)
         q /= _kept_sums(q, keep)[:, None]
-        q[np.arange(v) >= keep[:, None]] = 0.0
-        return {"idx": order, "q": q, "keep": keep}
+        return q, order, keep
+
+    def kept(self, ids: np.ndarray) -> tuple:
+        """V-wide rows of ``ids``: the probabilities, 0 past the kept ones,
+        the token ids, which past them are other rows', and the kept counts."""
+        at, keep = self.start[ids], self.keep[ids]
+        q = self._q_rows[at]
+        q[np.arange(self.vocab_size) >= keep[:, None]] = 0.0
+        return q, self._idx_rows[at], keep
+
+    def sample(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Kept id of each row ``ids`` at uniform ``u``."""
+        return self.pick(ids, self._q_rows[self.start[ids]].cumsum(axis=1), u)
+
+    def pick(self, ids: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Kept id of each row ``ids`` at the count of ``cum <= u``, clipped
+        to its kept ids.  ``cum`` may run on past a row's kept entries, so
+        long as it does not fall."""
+        j = np.minimum((cum <= u[:, None]).sum(axis=1), self.keep[ids] - 1)
+        return self.idx[self.start[ids] + j]
 
 
-class _WatermarkRows(_RowStore):
+class _WatermarkRows:
     """Decode rows of the states that hold a full watermark window.
 
     A state is coded by its last ``max(order, k)`` tokens.  Its row holds
-    the row of its context in the nucleus store (``base``) and either the
+    the id of its context in the nucleus store (``base``) and either the
     token the scheme picks (AK, ``tok``) or the cumulative biased
     probabilities over the kept ids (KGW and MPAC, ``bcum``, which past
-    ``keep`` repeats the total).
+    ``keep`` repeats the total).  Each field (name -> row shape, dtype) is
+    one array, filled in build order, so reading rows is one index.  The
+    store reserves ``_RESERVE_BYTES`` of rows, or ``bound`` rows, the most
+    it can hold, if fewer, and doubles, up to ``bound``, when a batch does
+    not fit.
+
+    A window's seed is read from k digit tables made with the store:
+    table j maps token x to the hash of x followed by j zeros, so the hash
+    of a window is the sum of its tokens' entries modulo ``2**64 - 1``.
     """
 
     def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig, bound: int):
-        v = nucleus.vocab_size
-        picked = (("tok", ((), nucleus.fields["idx"].dtype)) if wm.scheme == AK
-                  else ("bcum", ((v,), np.float64)))
-        super().__init__(v, dict([("base", ((), np.intp)), picked]), bound)
+        v = self.vocab_size = nucleus.vocab_size
         self.nucleus = nucleus
         self.wm = wm
+        self.bound = bound
         self.index: dict = {}
+        picked = (("tok", ((), nucleus.idx.dtype)) if wm.scheme == AK
+                  else ("bcum", ((v,), np.float64)))
+        fields = dict([("base", ((), np.intp)), picked])
+        row = sum(np.dtype(dtype).itemsize * int(np.prod(shape))
+                  for shape, dtype in fields.values())
+        size = min(bound, _RESERVE_BYTES // row)
+        self.fields = {name: np.empty((size,) + shape, dtype)
+                       for name, (shape, dtype) in fields.items()}
+        self.n = 0
+        x = np.arange(v)[:, None]
+        self._tables = [window_hashes(np.hstack([x, np.zeros((v, j), np.int64)]), wm.key)
+                        for j in range(wm.k)]
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """Row of each state code, building the rows of the codes first reached."""
         keys = codes.tolist()
         get = self.index.get
-        rows = np.array([get(c, -1) for c in keys], dtype=np.intp)
+        rows = np.fromiter(map(get, keys, repeat(-1)), np.intp, len(keys))
         missing = np.flatnonzero(rows < 0).tolist()
         if missing:
-            new = list(dict.fromkeys(keys[i] for i in missing))
+            new = list(dict.fromkeys([keys[i] for i in missing]))
             start = self._extend(np.array(new, codes.dtype))
             self.index.update(zip(new, range(start, self.n)))
             rows[missing] = [get(keys[i]) for i in missing]
         return rows
 
+    def _extend(self, codes: np.ndarray) -> int:
+        """Build and store the rows of ``codes``, in order; return the first new row."""
+        start, end = self.n, self.n + len(codes)
+        for name, field in self.fields.items():
+            if end > len(field):
+                size = min(self.bound, max(end, 2 * len(field)))
+                grown = np.empty((size,) + field.shape[1:], field.dtype)
+                grown[:start] = field[:start]
+                self.fields[name] = grown
+        batch = max(1, _BATCH_ELEMS // self.vocab_size)
+        for lo in range(0, len(codes), batch):
+            part = codes[lo : lo + batch]
+            for name, values in self._build(part).items():
+                self.fields[name][self.n : self.n + len(part)] = values
+            self.n += len(part)
+        return start
+
+    def _seeds(self, codes: np.ndarray) -> np.ndarray:
+        """Window seed of each state code: its digit j from the newest is
+        the token ``digit - 1`` with j window tokens after it, which adds
+        table j's entry."""
+        radix = self.vocab_size + 1
+        seeds = np.zeros(len(codes), np.uint64)
+        for j, table in enumerate(self._tables):
+            seeds = _add_mod(seeds, table[(codes // radix**j % radix - 1).astype(np.intp)])
+        seeds[seeds == np.uint64(HASH_MOD)] = 0  # the other form of 0
+        return seeds
+
     def _build(self, codes: np.ndarray) -> dict:
-        wm, nucleus, radix = self.wm, self.nucleus, self.vocab_size + 1
-        base = nucleus.state_rows(codes)
-        # a state's window is its last k digits, oldest first
-        windows = np.stack([codes // radix**j % radix - 1
-                            for j in range(wm.k - 1, -1, -1)], axis=1)
-        seeds = window_hashes(windows.astype(np.int64), wm.key)
-        idx = nucleus.take("idx", base).astype(np.intp)
+        wm, nucleus = self.wm, self.nucleus
+        base = nucleus.state_ids(codes)
+        seeds = self._seeds(codes)
+        q, idx, keep = nucleus.kept(base)
+        idx = idx.astype(np.intp)
         with np.errstate(divide="ignore"):
-            log_q = np.log(nucleus.take("q", base))
+            log_q = np.log(q)
         if wm.scheme == AK:
             p = np.exp(log_q - np.maximum.reduce(log_q, axis=1, keepdims=True))
-            p /= _kept_sums(p, nucleus.take("keep", base))[:, None]
+            p /= _kept_sums(p, keep)[:, None]
             pick = aaronson_pick(seeds, p, idx)
             return {"base": base, "tok": idx[np.arange(len(idx)), pick]}
         biased = bias_logits(seeds, log_q, idx, wm)
@@ -572,32 +641,24 @@ class TextSampler:
         # and only states with a full window have watermark rows
         marked = None if self.wm is None else _WatermarkRows(
             nucleus, self.wm, min(len(codes) * steps, radix**self._depth - self._windowed))
-        out = np.empty((len(codes), steps), nucleus.fields["idx"].dtype)
+        out = np.empty((len(codes), steps), nucleus.idx.dtype)
         for t in range(steps):
             u = uniforms[:, t]
             windowed = (np.zeros(len(codes), bool) if marked is None
                         else codes >= self._windowed)
             plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
             if len(plain):
-                base = nucleus.state_rows(codes[plain])
-                out[plain, t] = self._pick(base, nucleus.take("q", base).cumsum(axis=1),
-                                           u[plain])
+                out[plain, t] = nucleus.sample(nucleus.state_ids(codes[plain]), u[plain])
             if len(wide):
                 rows = marked.rows(codes[wide])
                 if self.wm.scheme == AK:
-                    out[wide, t] = marked.take("tok", rows)
+                    out[wide, t] = marked.fields["tok"][rows]
                 else:
-                    bcum = marked.take("bcum", rows)
-                    out[wide, t] = self._pick(marked.take("base", rows), bcum,
-                                              u[wide] * bcum[:, -1])
+                    bcum = marked.fields["bcum"][rows]
+                    out[wide, t] = nucleus.pick(marked.fields["base"][rows], bcum,
+                                                u[wide] * bcum[:, -1])
             codes = codes % self._tail * radix + out[:, t].astype(dtype) + 1
         return out
-
-    def _pick(self, base: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Kept id of each nucleus row ``base`` at the count of ``cum <= u``."""
-        keep = self._nucleus.take("keep", base)
-        j = np.minimum((cum <= u[:, None]).sum(axis=1), keep - 1)
-        return self._nucleus.take("idx", base, j)
 
 
 def generate(model: NGramModel, prompt, sampling: SamplingConfig,
@@ -658,6 +719,8 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
     The RNG is drawn in document order: the prompt, then one uniform per
     body step.
     """
+    if n_docs < 0:
+        raise ValueError(f"n_docs must be >= 0, got {n_docs}")
     sampler = TextSampler(model, sampling, wm, tables=tables)
     rng = np.random.default_rng(sampling.seed)
     flag = (wm is not None) if wm_flag is None else wm_flag

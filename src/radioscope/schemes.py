@@ -48,9 +48,9 @@ MPAC_RADIX = 4
 # the vocabulary partition keys start at 8
 _MPAC_PARTITION_OFFSET = 8
 
-#: Elements of one (rows, V) mask read at one token per row while scoring:
-#: seeds are scored in chunks of this many elements (4096 rows at V = 128).
-_SCORE_ELEMS = 1 << 19
+#: Elements of one (rows, V) mask read while scoring: distinct seeds are
+#: scored in chunks of this many elements (512 rows at V = 128).
+_SCORE_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,24 @@ class WatermarkConfig:
 
 
 def _at_tokens(rows_of, seeds, tokens, vocab_size: int) -> np.ndarray:
-    """``rows_of(seeds)[i, tokens[i]]`` for each i, built in chunks of seeds
-    so that the ``(rows, V)`` temporaries stay below ``_SCORE_ELEMS``."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    """``rows_of(seeds)[i, tokens[i]]`` for each i.  Each distinct seed's
+    row is built once, in chunks of seeds that keep the ``(rows, V)``
+    temporaries below ``_SCORE_ELEMS``, and read by the tuples of that seed."""
+    distinct, label, counts = np.unique(np.asarray(seeds, dtype=np.uint64),
+                                        return_inverse=True, return_counts=True)
     tokens = np.asarray(tokens, dtype=np.intp)
+    by_seed = label.argsort(kind="stable")  # tuples grouped by seed
+    starts = np.append(0, np.cumsum(counts))
     step = max(1, _SCORE_ELEMS // vocab_size)
-    out = []
-    for lo in range(0, len(seeds), step):
-        tok = tokens[lo : lo + step]
-        out.append(rows_of(seeds[lo : lo + step])[np.arange(len(tok)), tok])
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int8)
+    parts = []
+    for lo in range(0, len(distinct), step):
+        hi = min(lo + step, len(distinct))
+        at = by_seed[starts[lo] : starts[hi]]
+        parts.append(rows_of(distinct[lo:hi])[label[at] - lo, tokens[at]])
+    values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int8)
+    out = np.empty_like(values)
+    out[by_seed] = values
+    return out
 
 
 def mpac_positions(seeds: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:

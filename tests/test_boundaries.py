@@ -2,8 +2,8 @@
 in the model, ``--threads`` is validated where it applies, detection
 refuses a scheme without a test, a negative budget, fewer than one
 repetition and an empty corpus, corpus files are refused line by line,
-and ``generate`` refuses a negative document count and documents
-shorter than their prompt."""
+``generate`` refuses a negative document count and documents shorter
+than their prompt, and so does ``generate_corpus`` the negative count."""
 
 import re
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from radioscope import (ConfigError, SamplingConfig, WatermarkConfig, build_filter,
-                        generate, save_model, train_ngram)
+                        generate, generate_corpus, save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, pvalue_for
 from radioscope.schemes import score_batch
@@ -314,3 +314,8 @@ def test_cli_generate_sizes_that_hold_no_document_are_one_error_line(
     assert main(["generate", "--no-watermark", "--out", str(out), *flags]) == EXIT_ERROR
     assert named in one_error_line(capsys)
     assert not out.exists()
+
+
+def test_generate_corpus_refuses_a_negative_document_count(small_model):
+    with pytest.raises(ValueError, match="n_docs must be >= 0, got -1"):
+        generate_corpus(small_model, -1, 10, SamplingConfig())

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radioscope import (
     CANDIDATE,
@@ -14,7 +16,7 @@ from radioscope import (
     load_filter,
     save_filter,
 )
-from radioscope.dedup import candidate_table
+from radioscope.dedup import _unique_rows, candidate_table
 
 KEY = SecretKey(0xFACE)
 CFG = WatermarkConfig("kgw", KEY, 16, k=2)
@@ -200,3 +202,17 @@ class TestFilterSet:
         assert (1, 2) not in phi
         phi2 = build_filter([[1, 2]], 2)
         assert (1, 2) in phi2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_unique_rows_equal_np_unique(k, data):
+    """First index and label of each distinct row, as ``np.unique`` on rows
+    gives them, for empty input and one column too."""
+    value = st.integers(0, 3) | st.integers(0, 2**63 - 1)
+    rows = data.draw(st.lists(st.lists(value, min_size=k, max_size=k), max_size=60))
+    a = np.array(rows, np.int64).reshape(-1, k)
+    first, label = _unique_rows(a)
+    _, want_first, want_label = np.unique(a, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(label, want_label.ravel())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from radioscope import (SamplingConfig, SecretKey, WatermarkConfig, generate_corpus, models,
                         train_ngram)
+from radioscope.hashing import window_hash
 from radioscope.models import NucleusRows, _WatermarkRows
 from radioscope.pipelines import _complete
 from sampler_oracle import LoopTextSampler, loop_complete, loop_generate_corpus
@@ -98,19 +99,18 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
     temperature = oracle.temperature
     batch = NucleusRows(model, temperature, sampling.nucleus_p)
     single = NucleusRows(model, temperature, sampling.nucleus_p)
-    ctx_rows = batch.state_rows(np.array([_code(c, v) for c in contexts]))
-    for context, row in zip(contexts, ctx_rows.tolist()):
+    ctx_ids = batch.state_ids(np.array([_code(c, v) for c in contexts]))
+    for context, row in zip(contexts, ctx_ids.tolist()):
         idx, log_kept, cum = oracle._table(context)
         k = len(idx)
-        (one,) = single.state_rows(np.array([_code(context, v)])).tolist()
+        (one,) = single.state_ids(np.array([_code(context, v)])).tolist()
         for rows, r in ((batch, row), (single, one)):
-            assert rows.take("keep", np.array([r]))[0] == k
-            got_idx = rows.take("idx", np.array([r]))[0]
-            got_q = rows.take("q", np.array([r]))  # 2-d, as the sampler reads it
+            got_q, got_idx, keep = rows.kept(np.array([r]))  # 2-d, as rows are read
+            assert keep[0] == k
             got_cum = got_q.cumsum(axis=1)[0]
             with np.errstate(divide="ignore"):
                 got_log = np.log(got_q[0])
-            assert np.array_equal(got_idx[:k], idx)
+            assert np.array_equal(got_idx[0, :k], idx)
             assert np.array_equal(got_log[:k], log_kept)
             assert np.array_equal(got_cum[:k], cum)
             assert (got_log[k:] == -np.inf).all() and (got_cum[k:] == cum[-1]).all()
@@ -123,9 +123,9 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
         idx, log_kept, _ = oracle._table(context)
         entry = oracle._wm_entry(idx, log_kept, tuple(context[-wm.k:]))
         if wm.scheme == "ak":
-            assert marked.take("tok", np.array([r]))[0] == entry
+            assert marked.fields["tok"][r] == entry
         else:
-            bcum = marked.take("bcum", np.array([r]))[0]
+            bcum = marked.fields["bcum"][r]
             assert np.array_equal(bcum[: len(entry)], entry)
             assert (bcum[len(entry):] == entry[-1]).all()
 
@@ -136,10 +136,10 @@ def test_teacher_rows_equal_the_loop_tables(teacher64):
     oracle = LoopTextSampler(teacher64, sampling)
     contexts = [(a, b) for a in range(64) for b in range(64)]
     rows = NucleusRows(teacher64, sampling.temperature, sampling.nucleus_p)
-    got = rows.state_rows(np.array([_code(c, 64) for c in contexts]))
-    cum = rows.take("q", got).cumsum(axis=1)
+    q, _, _ = rows.kept(rows.state_ids(np.array([_code(c, 64) for c in contexts])))
+    cum = q.cumsum(axis=1)
     with np.errstate(divide="ignore"):
-        log_kept = np.log(rows.take("q", got))
+        log_kept = np.log(q)
     for i, context in enumerate(contexts):
         _, want_log, want_cum = oracle._table(context)
         assert np.array_equal(cum[i, : len(want_cum)], want_cum)
@@ -162,7 +162,7 @@ def test_out_of_vocabulary_prompt_refused(teacher64):
 
 
 def _size(store) -> int:
-    """Rows the store's fields have room for, the same for every field."""
+    """Rows the watermark store's fields have room for, the same for every field."""
     (size,) = {len(field) for field in store.fields.values()}
     return size
 
@@ -172,15 +172,43 @@ def _row_bytes(store) -> int:
 
 
 def _fill(store, rows: np.ndarray) -> np.ndarray:
-    """``store.rows(rows)``, checking that the rows already built keep their
-    values and that the store holds its reservation or at most twice the
-    rows it built."""
-    before = {name: store.take(name, np.arange(store.n)) for name in store.fields}
+    """``store.rows(rows)`` of a watermark store, checking that the rows
+    already built keep their values and that the store holds its
+    reservation or at most twice the rows it built."""
+    before = {name: field[: store.n].copy() for name, field in store.fields.items()}
     got = store.rows(rows)
     for name, built in before.items():
-        assert np.array_equal(store.take(name, np.arange(len(built))), built)
+        assert np.array_equal(store.fields[name][: len(built)], built)
     reserved = models._RESERVE_BYTES // _row_bytes(store)
     assert 0 < store.n <= _size(store) <= min(store.bound, max(reserved, 2 * store.n))
+    return got
+
+
+def _built(store) -> np.ndarray:
+    return np.flatnonzero(store.keep)
+
+
+def _rows(store, ids: np.ndarray) -> tuple:
+    """The kept entries of rows ``ids`` as V-wide rows padded with zeros."""
+    q, idx, keep = store.kept(ids)
+    return q, np.where(np.arange(store.vocab_size) < keep[:, None], idx, 0), keep
+
+
+def _ready(store, ids: np.ndarray) -> np.ndarray:
+    """``store.ready(ids)`` of a nucleus store, checking that the rows
+    already built keep their values and that its flat arrays hold their
+    reservation or at most twice the entries written, with the ``V``
+    entries the last row's window reads."""
+    done = _built(store)
+    before = _rows(store, done)
+    got = store.ready(ids)
+    for old, now in zip(before, _rows(store, done)):
+        assert np.array_equal(old, now)
+    v = store.vocab_size
+    reserved = models._RESERVE_BYTES // (store.q.itemsize + store.idx.itemsize)
+    assert store.n == len(_built(store)) and store.size == int(store.keep.sum())
+    assert store.size + v <= len(store.q) == len(store.idx)
+    assert len(store.q) <= min((store.bound + 1) * v, max(reserved, 2 * (store.size + v)))
     return got
 
 
@@ -200,14 +228,18 @@ def test_stores_filled_to_their_bound_keep_their_rows(teacher64, scheme, monkeyp
     temperature = 0.5 if scheme == "ak-temp" else sampling.temperature  # as _wm sets it
     nucleus = tables[(temperature, sampling.nucleus_p)]
     bound = nucleus.bound
-    assert 0 < nucleus.n <= _size(nucleus) <= 2 * nucleus.n
-    assert _size(nucleus) > models._RESERVE_BYTES // _row_bytes(nucleus)
+    assert 0 < nucleus.n < bound / 2  # below half: not completed
     assert bound == sum(len(ctx) - 1 for ctx in teacher64._ctx) + 1
     ids = np.random.default_rng(3).permutation(bound)
     for part in np.array_split(ids, 4):
-        _fill(nucleus, part)
-    assert sorted(nucleus.rows(ids).tolist()) == list(range(bound))
-    assert nucleus.n == _size(nucleus) == bound
+        assert np.array_equal(_ready(nucleus, part), part)
+    assert nucleus.n == bound and (nucleus.keep > 0).all()
+    assert len(nucleus.q) > models._RESERVE_BYTES // (nucleus.q.itemsize + nucleus.idx.itemsize)
+    # rows lie back to back: their starts and kept counts tile the entries
+    order = nucleus.start.argsort()
+    ends = np.cumsum(nucleus.keep[order].astype(np.intp))
+    assert np.array_equal(nucleus.start[order], ends - nucleus.keep[order])
+    assert ends[-1] == nucleus.size
     if wm is None:
         return
     # every order-2 state of the 64-token teacher holds a full window
@@ -226,8 +258,9 @@ def test_store_memory_follows_the_rows_built():
     rng = np.random.default_rng(12)
     model = train_ngram(rng.integers(0, 4096, size=(40, 500)).tolist(), 2, 0.05, 4096)
     nucleus = NucleusRows(model, 0.8, 0.95)
-    assert nucleus.bound > 20_000  # over 700 MB of rows
-    _fill(nucleus, rng.permutation(nucleus.bound)[:300])
+    assert nucleus.bound > 20_000  # over 700 MB of V-wide rows
+    _ready(nucleus, rng.permutation(nucleus.bound)[:300])
+    assert nucleus.n == 300
     small = train_ngram(rng.integers(0, 1024, size=(20, 200)).tolist(), 1, 0.05, 1024)
     wm = _wm("kgw", 1024, 2, 0xD1CE)
     marked = _WatermarkRows(NucleusRows(small, 0.8, 0.95), wm, 10**9)  # 8 TB of rows
@@ -235,8 +268,86 @@ def test_store_memory_follows_the_rows_built():
     for part in np.array_split(codes, 3):
         _fill(marked, part)
     assert marked.n == len(codes)
-    for store in (nucleus, marked):
-        assert sum(field.nbytes for field in store.fields.values()) <= models._RESERVE_BYTES
+    assert nucleus.q.nbytes + nucleus.idx.nbytes <= models._RESERVE_BYTES
+    assert sum(field.nbytes for field in marked.fields.values()) <= models._RESERVE_BYTES
+
+
+def test_picks_read_past_keep_equal_zero_padded_picks(teacher64):
+    """A walk reads V-wide rows that run on into later rows' entries; its
+    picks equal those from rows padded with zeros, at u = 0, at each
+    cumulative sum, just below it, and at the row total."""
+    rows = NucleusRows(teacher64, 0.8, 0.95)
+    ids = rows.ready(np.random.default_rng(6).permutation(rows.bound))
+    q, idx, keep = rows.kept(ids)
+    inside = np.arange(64) < keep[:, None]
+    assert (rows._q_rows[rows.start[ids]][~inside] > 0).any()  # later rows' entries
+    cum = q.cumsum(axis=1)  # past keep it repeats the row total
+    at = np.arange(len(ids))
+    kept = keep.astype(np.intp)
+    for j in range(64):
+        for u in (np.zeros(len(ids)), cum[:, j], np.nextafter(cum[:, j], 0)):
+            want = idx[at, np.minimum((cum <= u[:, None]).sum(axis=1), kept - 1)]
+            assert np.array_equal(rows.sample(ids, u), want)
+    total = cum[at, kept - 1]
+    assert np.array_equal(rows.sample(ids, total), idx[at, kept - 1])
+    below = np.nextafter(total, 0)
+    want = idx[at, np.minimum((cum <= below[:, None]).sum(axis=1), kept - 1)]
+    assert np.array_equal(rows.sample(ids, below), want)
+
+
+def test_a_half_built_store_builds_every_row_once(teacher64):
+    """The row that brings a store to half its bound builds all the rest,
+    each once; later lookups build nothing, and completed rows equal rows
+    built one batch at a time."""
+    store = NucleusRows(teacher64, 0.8, 0.95)
+    built = []
+    build = store._build
+
+    def counted(ids):
+        built.append(ids.copy())
+        return build(ids)
+
+    store._build = counted
+    ids = np.random.default_rng(7).permutation(store.bound)
+    half = (store.bound + 1) // 2
+    store.ready(ids[: half - 1])
+    assert store.n == half - 1
+    store.ready(ids[half - 1 : half])
+    assert store.n == store.bound
+    assert np.array_equal(np.sort(np.concatenate(built)), np.arange(store.bound))
+    calls = len(built)
+    store.ready(ids)
+    store.state_ids(np.array([_code((a, b), 64) for a in range(64) for b in range(64)]))
+    assert len(built) == calls
+    for part in np.array_split(ids, 3):  # each part under half: built lazily
+        lazy = NucleusRows(teacher64, 0.8, 0.95)
+        lazy.ready(part)
+        assert lazy.n == len(part)
+        for got, want in zip(_rows(store, part), _rows(lazy, part)):
+            assert np.array_equal(got, want)
+
+
+def test_an_untrained_model_has_one_row():
+    store = NucleusRows(models.NGramModel(2, 8), 0.8, 0.95)
+    assert store.bound == 1
+    ids = store.state_ids(np.array([0, _code((3,), 8), _code((1, 2), 8)]))
+    assert ids.tolist() == [0, 0, 0] and store.n == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 2**64 - 2]) | st.integers(1, 2**64 - 2),
+       st.integers(1, 5), st.data())
+def test_digit_table_seeds_equal_window_hash(key, k, data):
+    """A state's seed, summed from its digits' table entries, is the
+    hash of its window, also where the sum is the other form of 0."""
+    v = data.draw(st.integers(2, 300))
+    windows = data.draw(st.lists(st.lists(st.integers(0, v - 1), min_size=k, max_size=k + 2),
+                                 max_size=20))
+    windows += [[1] * k, [v - 1] * k]  # with key 2**64 - 2 and even k, (1, 1, ...) sums to 0
+    wm = WatermarkConfig("kgw", SecretKey(key), v, k=k)
+    marked = _WatermarkRows(NucleusRows(models.NGramModel(1, v), 0.8, 0.95), wm, 1)
+    got = marked._seeds(np.array([_code(w, v) for w in windows], np.int64))
+    assert got.tolist() == [window_hash(w[-k:], SecretKey(key)) for w in windows]
 
 
 def test_state_codes_wider_than_int64():
@@ -291,11 +402,13 @@ def test_batched_rows_equal_next_distribution_bit_for_bit(mc):
 def test_states_that_back_off_to_one_context_share_one_row():
     model = train_ngram([[1, 2, 3]], 2, 0.05, 8)  # trained contexts (), (1,), (2,), (1, 2)
     rows = NucleusRows(model, 0.8, 0.95)
+    assert rows.bound == 5
     # (5, 2), (7, 2) and (2,) all back off to (2,)
-    got = rows.state_rows(np.array([_code(c, 8) for c in ((5, 2), (7, 2), (2,))]))
-    assert got.tolist() == [0, 0, 0] and rows.n == 1
-    got = rows.state_rows(np.array([_code(c, 8) for c in ((1, 2), (6, 6), (4,), ())]))
-    assert len(set(got.tolist())) == 2 and rows.n == 3  # (1, 2) and ()
+    got = rows.state_ids(np.array([_code(c, 8) for c in ((5, 2), (7, 2), (2,))]))
+    assert len(set(got.tolist())) == 1 and rows.n == 1
+    got = rows.state_ids(np.array([_code(c, 8) for c in ((1, 2), (6, 6), (4,), ())]))
+    assert len(set(got.tolist())) == 2  # (1, 2) and ()
+    assert rows.n == rows.bound  # three of five rows built: the rest are too
 
 
 def test_store_stays_within_the_model_contexts():

@@ -17,6 +17,7 @@ from radioscope import (
     mpac_extract,
 )
 from radioscope import schemes
+from radioscope.hashing import green_mask_batch
 from radioscope.schemes import (
     aaronson_pick,
     ak_score_batch,
@@ -365,6 +366,24 @@ class TestBatchAgainstOracle:
         want = [float(t in derive_greenlist(int(s), 0.25, 64)) for s, t in zip(seeds, tokens)]
         assert kgw_score_batch(seeds, tokens, c).tolist() == want
         assert kgw_score_batch(seeds[:0], tokens[:0], c).tolist() == []
+
+    @pytest.mark.parametrize("elems", [1, 100, 1 << 16])
+    @pytest.mark.parametrize("scheme", ["kgw", "mpac"])
+    def test_repeated_seeds_score_as_one_call_per_tuple(self, monkeypatch, elems, scheme):
+        """Each distinct seed's row is built once and read by all its tuples."""
+        monkeypatch.setattr(schemes, "_SCORE_ELEMS", elems)
+        rng = np.random.default_rng(25)
+        pool = rng.integers(0, 2**64, size=40, dtype=np.uint64)
+        seeds, tokens = pool[rng.integers(0, 40, size=500)], rng.integers(0, 64, size=500)
+        if scheme == "kgw":
+            def rows_of(chunk):
+                return green_mask_batch(chunk, 0.25, 64)
+        else:
+            def rows_of(chunk):
+                return mpac_partitions(chunk, 64)
+        got = schemes._at_tokens(rows_of, seeds, tokens, 64)
+        want = np.array([rows_of(seeds[i : i + 1])[0, t] for i, t in enumerate(tokens)])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_ak_scores_are_the_oracle_rvector(self):
         c = cfg("ak", vocab=32)
