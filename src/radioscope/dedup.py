@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import SecretKey, window_hashes
+from .hashing import ConfigError, SecretKey, window_hashes
 
 # perfbench/spans.py patches this name here; nothing in this module calls it
 from .hashing import window_hash  # noqa: F401
@@ -82,10 +82,38 @@ def build_filter(corpus, k: int, source: str = "") -> FilterSet:
     Token ids must be non-negative 64-bit integers (ConfigError otherwise)."""
     if not 1 <= k <= 255:  # the file keeps k in one byte
         raise ValueError(f"filter window k must be in 1..255, got {k}")
-    windows = set()
-    for tokens in corpus:
-        windows.update(zip(*(tokens[i:] for i in range(k))))
-    grams = np.array(list(windows) or np.zeros((0, k), dtype=np.int64))
+    docs = list(corpus)
+    ends = np.cumsum([len(doc) for doc in docs], dtype=np.int64)
+    flat = np.zeros(int(ends[-1]) if len(docs) else 0, np.int64)
+    try:  # ``struct`` packs only integers that fit in int64
+        for doc, end in zip(docs, ends.tolist()):
+            struct.pack_into(f"{len(doc)}q", flat, 8 * (end - len(doc)), *doc)
+    except (struct.error, TypeError) as exc:
+        raise ConfigError("window token ids must be non-negative integers "
+                          "that fit in int64") from exc
+    starts = max(len(flat) - k + 1, 0)  # windows of the joined tokens
+    # those that start fewer than k tokens before a document's end span two
+    spans = (ends[:, None] - np.arange(1, k)).ravel()
+    spans = spans[(spans >= 0) & (spans < starts)]
+    lo = int(flat.min(initial=0))
+    radix = int(flat.max(initial=0)) - lo + 1
+    if radix**k <= np.iinfo(np.int64).max:
+        # a window as a base-radix number, -1 where it spans documents:
+        # the distinct numbers, sorted, are the distinct windows
+        code = flat[:starts] - lo
+        for j in range(1, k):
+            code *= radix
+            code += flat[j : j + starts]
+            code -= lo
+        code[spans] = -1
+        code.sort()
+        new = code >= 0
+        new[1:] &= code[1:] != code[:-1]
+        code = code[new]
+        grams = code[:, None] // radix ** np.arange(k - 1, -1, -1) % radix + lo
+    else:
+        grams = flat[np.delete(np.arange(starts), spans)[:, None] + np.arange(k)]
+        grams = grams[_unique_rows(grams)[0]]
     # each distinct k-gram is hashed once, however often it occurs
     return FilterSet(kgrams=np.unique(window_hashes(grams, FILTER_KEY)), k=k, source=source)
 

@@ -45,13 +45,22 @@ never build again.
 A watermarked state's row, built once per state, holds its context id
 and the scheme's part: the cumulative biased probabilities (KGW, MPAC)
 or the chosen token (AK), made from the nucleus rows with zeros past
-``keep``.  A new state's window seed is summed from k digit tables of
-the key, one entry per window token, and the windows are embedded by the
+``keep``.  A state's window seed is summed from k digit tables of the
+key, one entry per window token, and the windows are embedded by the
 batched functions of :mod:`radioscope.schemes`.  The rows first reached
 at a step are built together with 2-d array operations.  The watermark
 store keeps one array per field, written in build order, so reading rows
 is one index: it reserves ``_RESERVE_BYTES`` of rows, or its bound if
 fewer, and doubles, up to the bound, when a batch does not fit.
+
+How a state finds its watermark row depends on two sizes.  When the
+call's steps can reach every windowed state code, and a row id, a window
+seed and a context id for every state code fit ``_RESERVE_BYTES`` (V up
+to 1,671 at depth 2, 139 at depth 3), the store is dense: it makes those
+three tables when it is made, so a step's rows are one gather, and a
+build gathers its seeds and context ids.  Otherwise, in small runs and
+above those vocabularies, rows are found through a dict, and each build
+sums its seeds and searches its contexts.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -406,9 +415,9 @@ class NucleusRows:
         window = np.lib.stride_tricks.sliding_window_view
         self._q_rows, self._idx_rows = window(self.q, v), window(self.idx, v)
 
-    def state_ids(self, codes: np.ndarray) -> np.ndarray:
-        """Context id of each sampler state code (see :class:`TextSampler`),
-        its row built."""
+    def context_ids(self, codes: np.ndarray) -> np.ndarray:
+        """Id of the trained context each sampler state code (see
+        :class:`TextSampler`) backs off to; no row is built."""
         model, v = self.model, self.vocab_size
         # levels[L]: base-V code of the state's last L tokens; a missing
         # token is a zero digit, which makes the code negative
@@ -416,7 +425,11 @@ class NucleusRows:
         for back in range(1, model.order + 1):
             digit = codes // (v + 1) ** (back - 1) % (v + 1)
             levels.append(np.asarray(levels[-1] + (digit - 1) * v ** (back - 1), np.int64))
-        return self.ready(model._context_ids(levels))
+        return model._context_ids(levels)
+
+    def state_ids(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`context_ids` of sampler state codes, their rows built."""
+        return self.ready(self.context_ids(codes))
 
     def ready(self, ids: np.ndarray) -> np.ndarray:
         """``ids``, with the rows of the ids first reached built; once half
@@ -499,6 +512,14 @@ class _WatermarkRows:
     A window's seed is read from k digit tables made with the store:
     table j maps token x to the hash of x followed by j zeros, so the hash
     of a window is the sum of its tokens' entries modulo ``2**64 - 1``.
+
+    When ``bound`` is the vocabulary's count of windowed state codes, and
+    a row id, a seed and a context id for every state code fit
+    ``_RESERVE_BYTES``, the store is dense: it makes those three tables,
+    indexed by state code, when it is made (the context ids by a search
+    that builds no row), so finding rows is one gather.  Otherwise rows
+    are found through a dict, and each build sums its seeds and searches
+    its contexts.
     """
 
     def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig, bound: int):
@@ -506,7 +527,6 @@ class _WatermarkRows:
         self.nucleus = nucleus
         self.wm = wm
         self.bound = bound
-        self.index: dict = {}
         picked = (("tok", ((), nucleus.idx.dtype)) if wm.scheme == AK
                   else ("bcum", ((v,), np.float64)))
         fields = dict([("base", ((), np.intp)), picked])
@@ -519,9 +539,35 @@ class _WatermarkRows:
         x = np.arange(v)[:, None]
         self._tables = [window_hashes(np.hstack([x, np.zeros((v, j), np.int64)]), wm.key)
                         for j in range(wm.k)]
+        radix, k = v + 1, wm.k
+        n_codes = radix ** max(nucleus.model.order, k)
+        # a row id, a seed and a context id per state code, 8 bytes each
+        self.dense = bound == n_codes - radix ** (k - 1) and 24 * n_codes <= _RESERVE_BYTES
+        self.index = None if self.dense else {}
+        if self.dense:
+            self._row_of = np.full(n_codes, -1, np.intp)
+            self._seed_of = np.empty(n_codes, np.uint64)
+            self._context_of = np.empty(n_codes, np.int64)
+            # in slices, which keeps the temporaries small
+            for lo in range(0, n_codes, _BATCH_ELEMS):
+                part = np.arange(lo, min(lo + _BATCH_ELEMS, n_codes))
+                self._seed_of[part] = self._seeds(part)
+                self._context_of[part] = nucleus.context_ids(part)
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """Row of each state code, building the rows of the codes first reached."""
+        if not self.dense:
+            return self._dict_rows(codes)
+        rows = self._row_of[codes]
+        missing = rows < 0
+        if missing.any():
+            new = np.unique(codes[missing])
+            self._row_of[new] = np.arange(self._extend(new), self.n)
+            rows = self._row_of[codes]
+        return rows
+
+    def _dict_rows(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`rows` of a store that is not dense, through its dict."""
         keys = codes.tolist()
         get = self.index.get
         rows = np.fromiter(map(get, keys, repeat(-1)), np.intp, len(keys))
@@ -563,10 +609,11 @@ class _WatermarkRows:
 
     def _build(self, codes: np.ndarray) -> dict:
         wm, nucleus = self.wm, self.nucleus
-        base = nucleus.state_ids(codes)
-        seeds = self._seeds(codes)
+        if self.dense:
+            base, seeds = nucleus.ready(self._context_of[codes]), self._seed_of[codes]
+        else:
+            base, seeds = nucleus.state_ids(codes), self._seeds(codes)
         q, idx, keep = nucleus.kept(base)
-        idx = idx.astype(np.intp)
         with np.errstate(divide="ignore"):
             log_q = np.log(q)
         if wm.scheme == AK:
@@ -721,10 +768,12 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
     """
     if n_docs < 0:
         raise ValueError(f"n_docs must be >= 0, got {n_docs}")
+    if doc_len < prompt_len:
+        raise ValueError(f"doc_len {doc_len} is shorter than prompt_len {prompt_len}")
     sampler = TextSampler(model, sampling, wm, tables=tables)
     rng = np.random.default_rng(sampling.seed)
     flag = (wm is not None) if wm_flag is None else wm_flag
-    steps = max(doc_len - prompt_len, 0)
+    steps = doc_len - prompt_len
     prompts = np.empty((n_docs, prompt_len), np.int64)
     uniforms = np.empty((n_docs, steps))
     for d in range(n_docs):

@@ -165,7 +165,7 @@ def bias_logits(seeds: np.ndarray, logits: np.ndarray, ids: np.ndarray,
         raised = mpac_partitions(seeds, cfg.vocab_size) == digits[:, None]
     else:
         raise ConfigError(f"scheme {cfg.scheme!r} biases no logits")
-    return logits + cfg.delta * np.take_along_axis(raised, ids, axis=1)
+    return logits + cfg.delta * raised[np.arange(len(ids))[:, None], ids]
 
 
 def aaronson_pick(seeds: np.ndarray, p: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@
 that ``radioscope.dedup`` used before its candidate table, with the
 ``extend_hash`` fingerprint they relied on; ``loop_detect_closed`` and
 ``loop_detect_open`` are the per-position candidate loops of both
-detectors, with the scoring and tail dispatch they ended in.  They are
-kept verbatim so that property tests can require identical reports.
+detectors, with the scoring and tail dispatch they ended in.
+``set_filter_kgrams`` is the filter build that collected k-grams in a
+set of tuples.  They are kept verbatim so that property tests can
+require identical reports and fingerprints.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from radioscope import stats
-from radioscope.dedup import CLOSED, OPEN
-from radioscope.hashing import HASH_MOD, SecretKey, window_hash
+from radioscope.dedup import CLOSED, FILTER_KEY, OPEN
+from radioscope.hashing import HASH_MOD, SecretKey, window_hash, window_hashes
 from radioscope.pipelines import DetectionReport
 from radioscope.schemes import AK, score_batch
 
@@ -52,6 +54,15 @@ class Candidate:
     window: tuple
     token: int
     context_blocked: bool = False  # window occurs in prompt / earlier span
+
+
+def set_filter_kgrams(corpus, k: int) -> np.ndarray:
+    """Sorted distinct fingerprints of all k-grams within documents."""
+    windows = set()
+    for tokens in corpus:
+        windows.update(zip(*(tokens[i:] for i in range(k))))
+    grams = np.array(list(windows) or np.zeros((0, k), dtype=np.int64))
+    return np.unique(window_hashes(grams, FILTER_KEY))
 
 
 class InputIntegrityError(ValueError):

@@ -2,8 +2,9 @@
 in the model, ``--threads`` is validated where it applies, detection
 refuses a scheme without a test, a negative budget, fewer than one
 repetition and an empty corpus, corpus files are refused line by line,
-``generate`` refuses a negative document count and documents shorter
-than their prompt, and so does ``generate_corpus`` the negative count."""
+``generate`` and ``generate_corpus`` refuse a negative document count
+and documents shorter than their prompt, and the filter refuses token
+ids that are not int64 integers or are negative."""
 
 import re
 
@@ -67,6 +68,23 @@ def test_tokens_that_are_not_integers_are_named(small_model, kgw_cfg, key, bad):
 @pytest.mark.parametrize("bad", [-1, 1.5, "3", 2**64])
 def test_filter_refuses_ids_that_are_not_non_negative_integers(bad):
     with pytest.raises(ValueError, match="token ids must be non-negative integers"):
+        build_filter([[1, 2, 3], [4, bad, 5]], 2)
+
+
+@pytest.mark.parametrize("bad", [2.0, "7", None])
+def test_filter_refuses_a_token_that_is_not_an_integer(bad):
+    with pytest.raises(ConfigError, match="token ids must be non-negative integers"):
+        build_filter([[1, 2, 3], [4, bad, 5]], 2)
+
+
+def test_filter_refuses_a_negative_token():
+    with pytest.raises(ConfigError, match="token ids must be non-negative integers"):
+        build_filter([[1, 2, 3], [4, -1, 5]], 2)
+
+
+@pytest.mark.parametrize("bad", [2**63, 2**64 - 1, 2**70])
+def test_filter_refuses_a_token_beyond_int64(bad):
+    with pytest.raises(ConfigError, match="token ids must be non-negative integers"):
         build_filter([[1, 2, 3], [4, bad, 5]], 2)
 
 
@@ -319,3 +337,12 @@ def test_cli_generate_sizes_that_hold_no_document_are_one_error_line(
 def test_generate_corpus_refuses_a_negative_document_count(small_model):
     with pytest.raises(ValueError, match="n_docs must be >= 0, got -1"):
         generate_corpus(small_model, -1, 10, SamplingConfig())
+
+
+def test_generate_corpus_refuses_documents_shorter_than_their_prompt(small_model):
+    with pytest.raises(ValueError, match="doc_len 2 is shorter than prompt_len 3"):
+        generate_corpus(small_model, 2, 2, SamplingConfig())
+    with pytest.raises(ValueError, match="doc_len 4 is shorter than prompt_len 5"):
+        generate_corpus(small_model, 1, 4, SamplingConfig(), prompt_len=5)
+    assert [len(doc["tokens"]) for doc in generate_corpus(small_model, 2, 3, SamplingConfig())] \
+        == [3, 3]

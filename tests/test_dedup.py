@@ -17,6 +17,7 @@ from radioscope import (
     save_filter,
 )
 from radioscope.dedup import _unique_rows, candidate_table
+from dedup_oracle import set_filter_kgrams
 
 KEY = SecretKey(0xFACE)
 CFG = WatermarkConfig("kgw", KEY, 16, k=2)
@@ -118,6 +119,17 @@ class TestFilter:
     def test_k_must_fit_the_file_byte(self, k):
         with pytest.raises(ValueError, match=f"k must be in 1..255, got {k}"):
             build_filter([list(range(400))], k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_fingerprints_equal_the_set_of_tuples(self, k, data):
+        """Joined-array windows give the fingerprints of the k-gram set,
+        with token ids that pack into one int64 per window and ids that do not."""
+        top = data.draw(st.sampled_from([1, 3, 300, 2**40, 2**63 - 1]))
+        tokens = st.integers(0, top) | st.sampled_from([0, top])
+        corpus = data.draw(st.lists(st.lists(tokens, max_size=12), max_size=8))
+        got = build_filter(corpus, k)
+        assert got.kgrams.tolist() == set_filter_kgrams(corpus, k).tolist()
 
     def test_k_255_round_trips(self, tmp_path):
         save_filter(build_filter([list(range(300))], 255), tmp_path / "phi.bin")

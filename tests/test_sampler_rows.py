@@ -1,5 +1,8 @@
 """The decode-row sampler against the per-token loop it replaced."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,15 +36,17 @@ def setups(draw):
     doc = st.lists(st.integers(0, v - 1), max_size=40)
     corpus = draw(st.lists(doc, min_size=1, max_size=8))
     model = train_ngram(corpus, order, draw(st.sampled_from([0.0, 0.05])), v)
+    prompt_len = draw(st.integers(0, 4))
     return {
         "model": model,
         "scheme": draw(st.sampled_from(SCHEMES)),
         "k": draw(st.integers(1, 3)),
-        "prompt_len": draw(st.integers(0, 4)),
+        "prompt_len": prompt_len,
         # 1.0 keeps every token, 0.05 forces single-token rows
         "nucleus_p": draw(st.sampled_from([1.0, 0.05, 0.95])),
         "n_docs": draw(st.integers(0, 7)),
-        "doc_len": draw(st.integers(0, 30)),
+        # generate_corpus refuses documents shorter than their prompt
+        "doc_len": draw(st.integers(prompt_len, 30)),
         "seed": draw(st.integers(0, 2**32 - 1)),
         "prompts": draw(st.lists(st.lists(st.integers(0, v - 1), max_size=5),
                                  min_size=1, max_size=5)),
@@ -336,18 +341,111 @@ def test_an_untrained_model_has_one_row():
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([1, 2, 2**64 - 2]) | st.integers(1, 2**64 - 2),
-       st.integers(1, 5), st.data())
-def test_digit_table_seeds_equal_window_hash(key, k, data):
-    """A state's seed, summed from its digits' table entries, is the
-    hash of its window, also where the sum is the other form of 0."""
-    v = data.draw(st.integers(2, 300))
-    windows = data.draw(st.lists(st.lists(st.integers(0, v - 1), min_size=k, max_size=k + 2),
-                                 max_size=20))
-    windows += [[1] * k, [v - 1] * k]  # with key 2**64 - 2 and even k, (1, 1, ...) sums to 0
+       st.integers(1, 5), st.integers(1, 3), st.data())
+def test_digit_table_seeds_equal_window_hash(key, k, order, data):
+    """A state's seed, summed from its digits' table entries or read from
+    a dense store's seed table, is the hash of its window, also where the
+    sum is the other form of 0."""
+    depth = max(order, k)
+    # small vocabularies give dense stores with at most 2**16 state codes
+    v = data.draw(st.integers(2, 300) | st.integers(2, max(2, int(2 ** (16 / depth)) - 1)))
+    windows = data.draw(st.lists(st.lists(st.integers(0, v - 1), min_size=depth,
+                                          max_size=depth + 2), max_size=20))
+    windows += [[1] * depth, [v - 1] * depth]  # key 2**64 - 2, even k: (1, 1, ...) sums to 0
     wm = WatermarkConfig("kgw", SecretKey(key), v, k=k)
-    marked = _WatermarkRows(NucleusRows(models.NGramModel(1, v), 0.8, 0.95), wm, 1)
-    got = marked._seeds(np.array([_code(w, v) for w in windows], np.int64))
-    assert got.tolist() == [window_hash(w[-k:], SecretKey(key)) for w in windows]
+    nucleus = NucleusRows(models.NGramModel(order, v), 0.8, 0.95)
+    want = [window_hash(w[-k:], SecretKey(key)) for w in windows]
+    marked = _WatermarkRows(nucleus, wm, 1)
+    assert not marked.dense
+    assert marked._seeds(np.array([_code(w, v) for w in windows], np.int64)).tolist() == want
+    radix = v + 1
+    if radix**depth <= 1 << 16:
+        dense = _WatermarkRows(nucleus, wm, radix**depth - radix ** (k - 1))
+        assert dense.dense
+        codes = np.array([_code(w[-depth:], v) for w in windows], np.int64)
+        assert dense._seed_of[codes].tolist() == want
+
+
+class _Recorded(_WatermarkRows):
+    """A watermark store that records itself, to tell which path a call took."""
+
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+@st.composite
+def dense_setups(draw):
+    """A model, a scheme and corpus sizes whose steps reach the vocabulary's
+    count of windowed states, so the watermark store may be dense."""
+    order, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    depth = max(order, k)
+    v = draw(st.integers(2, 64 if depth <= 2 else 12))
+    doc = st.lists(st.integers(0, v - 1), max_size=40)
+    model = train_ngram(draw(st.lists(doc, min_size=1, max_size=8)), order,
+                        draw(st.sampled_from([0.0, 0.05])), v)
+    radix = v + 1
+    states = radix**depth - radix ** (k - 1)
+    n_docs = draw(st.integers(4, 16))
+    prompt_len = draw(st.integers(0, 4))
+    doc_len = prompt_len + -(-states // n_docs) + draw(st.integers(0, 3))
+    sampling = SamplingConfig(nucleus_p=draw(st.sampled_from([1.0, 0.05, 0.95])),
+                              seed=draw(st.integers(0, 2**32 - 1)))
+    wm = _wm(draw(st.sampled_from(SCHEMES[1:])), v, k, draw(st.integers(1, 2**64 - 2)))
+    return model, (n_docs, doc_len, sampling, wm, prompt_len), 24 * radix**depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_setups())
+def test_dense_and_dict_stores_give_the_same_corpus(setup):
+    """Forcing the dict path with a reservation just below the dense tables
+    changes no token, for every scheme, window and order."""
+    model, args, table_bytes = setup
+    _Recorded.made.clear()
+    with mock.patch.object(models, "_WatermarkRows", _Recorded):
+        dense = generate_corpus(model, *args)
+        with mock.patch.object(models, "_RESERVE_BYTES", table_bytes - 1):
+            sparse = generate_corpus(model, *args)
+    assert [store.dense for store in _Recorded.made] == [True, False]
+    assert dense == sparse
+
+
+def test_dense_tables_stay_within_the_reservation(monkeypatch):
+    """A dense store's tables fit ``_RESERVE_BYTES``; a vocabulary whose
+    state codes need more takes the dict path without allocating them."""
+    rng = np.random.default_rng(14)
+    model = train_ngram(rng.integers(0, 128, size=(20, 200)).tolist(), 1, 0.05, 128)
+    nucleus = NucleusRows(model, 0.8, 0.95)
+    wm = _wm("kgw", 128, 2, 0xD1CE)
+    states = 129**2 - 129
+    marked = _WatermarkRows(nucleus, wm, states)
+    assert marked.dense and marked.index is None
+    tables = (marked._row_of, marked._seed_of, marked._context_of)
+    assert [len(t) for t in tables] == [129**2] * 3
+    assert sum(t.nbytes for t in tables) <= models._RESERVE_BYTES
+    assert not _WatermarkRows(nucleus, wm, states - 1).dense  # a run that cannot reach all
+    monkeypatch.setattr(models, "_RESERVE_BYTES", 24 * 129**2)
+    assert _WatermarkRows(nucleus, wm, states).dense
+    monkeypatch.setattr(models, "_RESERVE_BYTES", 24 * 129**2 - 1)
+    assert not _WatermarkRows(nucleus, wm, states).dense
+    monkeypatch.undo()
+    # V = 1700 at depth 2: 2.9 million state codes, 69 MB of tables
+    big = train_ngram(rng.integers(0, 1700, size=(20, 200)).tolist(), 1, 0.05, 1700)
+    nucleus = NucleusRows(big, 0.8, 0.95)
+    wm = _wm("kgw", 1700, 2, 0xD1CE)
+    tracemalloc.start()
+    try:
+        marked = _WatermarkRows(nucleus, wm, 1701**2 - 1701)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not marked.dense and marked.index == {}
+    # the row reservation and the digit tables, not 69 MB more
+    assert peak <= models._RESERVE_BYTES + (1 << 20)
+    codes = np.unique([_code(pair, 1700) for pair in rng.integers(0, 1700, size=(50, 2))])
+    assert np.array_equal(marked.fields["base"][marked.rows(codes)], nucleus.state_ids(codes))
 
 
 def test_state_codes_wider_than_int64():
