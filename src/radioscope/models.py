@@ -53,14 +53,13 @@ store keeps one array per field, written in build order, so reading rows
 is one index: it reserves ``_RESERVE_BYTES`` of rows, or its bound if
 fewer, and doubles, up to the bound, when a batch does not fit.
 
-How a state finds its watermark row depends on two sizes.  When the
-call's steps can reach every windowed state code, and a row id, a window
-seed and a context id for every state code fit ``_RESERVE_BYTES`` (V up
-to 1,671 at depth 2, 139 at depth 3), the store is dense: it makes those
-three tables when it is made, so a step's rows are one gather, and a
-build gathers its seeds and context ids.  Otherwise, in small runs and
-above those vocabularies, rows are found through a dict, and each build
-sums its seeds and searches its contexts.
+How a state finds its watermark row depends on the vocabulary.  When a
+row id, a window seed and a context id for every state code fit
+``_RESERVE_BYTES`` (V up to 1,671 at depth 2, 139 at depth 3), the store
+is dense: it makes those three tables when it is made, so a step's rows
+are one gather, and a build gathers its seeds and context ids.  Above
+those vocabularies, rows are found through a dict, and each build sums
+its seeds and searches its contexts.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -128,9 +127,11 @@ def _token_ids(docs, vocab_size: int, lead: int = 0, name: str = "token id",
     an integer id below ``vocab_size`` is refused as ``name``, and with
     ``where`` by its position in the joined documents.
     """
-    try:
-        ids = np.frombuffer(b"".join([bytes(8 * lead)] + [struct.pack(f"{len(doc)}q", *doc)
-                                                          for doc in docs]), np.int64)
+    lens = [len(doc) for doc in docs]
+    ids = np.zeros(lead + sum(lens), np.int64)
+    try:  # packed in place: no copy of the tokens besides the array
+        for doc, end in zip(docs, np.cumsum(lens, dtype=np.int64).tolist()):
+            struct.pack_into(f"{len(doc)}q", ids, 8 * (lead + end - len(doc)), *doc)
     except (struct.error, TypeError):  # a token that is not an int64: the scan names it
         ids = None
     if ids is None or ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size:
@@ -504,17 +505,18 @@ class _WatermarkRows:
     token the scheme picks (AK, ``tok``) or the cumulative biased
     probabilities over the kept ids (KGW and MPAC, ``bcum``, which past
     ``keep`` repeats the total).  Each field (name -> row shape, dtype) is
-    one array, filled in build order, so reading rows is one index.  The
-    store reserves ``_RESERVE_BYTES`` of rows, or ``bound`` rows, the most
-    it can hold, if fewer, and doubles, up to ``bound``, when a batch does
-    not fit.
+    one array, filled in build order, so reading rows is one index.  A
+    call reaches at most ``reach`` states, and only states with a full
+    window have rows, so ``bound``, the most rows the store can hold, is
+    the fewer of ``reach`` and the windowed state codes.  The store
+    reserves ``_RESERVE_BYTES`` of rows, or ``bound`` rows if fewer, and
+    doubles, up to ``bound``, when a batch does not fit.
 
     A window's seed is read from k digit tables made with the store:
     table j maps token x to the hash of x followed by j zeros, so the hash
     of a window is the sum of its tokens' entries modulo ``2**64 - 1``.
 
-    When ``bound`` is the vocabulary's count of windowed state codes, and
-    a row id, a seed and a context id for every state code fit
+    When a row id, a seed and a context id for every state code fit
     ``_RESERVE_BYTES``, the store is dense: it makes those three tables,
     indexed by state code, when it is made (the context ids by a search
     that builds no row), so finding rows is one gather.  Otherwise rows
@@ -522,11 +524,14 @@ class _WatermarkRows:
     its contexts.
     """
 
-    def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig, bound: int):
+    def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig, reach: int):
         v = self.vocab_size = nucleus.vocab_size
         self.nucleus = nucleus
         self.wm = wm
-        self.bound = bound
+        radix, k = v + 1, wm.k
+        n_codes = radix ** max(nucleus.model.order, k)
+        # codes below radix**(k - 1) lack a full window
+        self.bound = bound = min(reach, n_codes - radix ** (k - 1))
         picked = (("tok", ((), nucleus.idx.dtype)) if wm.scheme == AK
                   else ("bcum", ((v,), np.float64)))
         fields = dict([("base", ((), np.intp)), picked])
@@ -539,10 +544,8 @@ class _WatermarkRows:
         x = np.arange(v)[:, None]
         self._tables = [window_hashes(np.hstack([x, np.zeros((v, j), np.int64)]), wm.key)
                         for j in range(wm.k)]
-        radix, k = v + 1, wm.k
-        n_codes = radix ** max(nucleus.model.order, k)
         # a row id, a seed and a context id per state code, 8 bytes each
-        self.dense = bound == n_codes - radix ** (k - 1) and 24 * n_codes <= _RESERVE_BYTES
+        self.dense = 24 * n_codes <= _RESERVE_BYTES
         self.index = None if self.dense else {}
         if self.dense:
             self._row_of = np.full(n_codes, -1, np.intp)
@@ -684,10 +687,8 @@ class TextSampler:
         prompts = list(prompts)
         _token_ids(prompts, self.model.vocab_size, where=False)  # refuses a bad token
         codes = np.array([self._encode(p) for p in prompts], dtype)
-        # the call reaches at most one state per step of each document,
-        # and only states with a full window have watermark rows
-        marked = None if self.wm is None else _WatermarkRows(
-            nucleus, self.wm, min(len(codes) * steps, radix**self._depth - self._windowed))
+        # the call reaches at most one state per step of each document
+        marked = None if self.wm is None else _WatermarkRows(nucleus, self.wm, len(codes) * steps)
         out = np.empty((len(codes), steps), nucleus.idx.dtype)
         for t in range(steps):
             u = uniforms[:, t]

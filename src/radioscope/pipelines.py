@@ -379,7 +379,9 @@ def parse_scenario(path) -> dict:
     """Parse a plain ``key = value`` scenario file with line-level errors."""
     spec = dict(_SCENARIO_DEFAULTS)
     seen_scenario = False
+    lines = {}
     for lineno, key, value in read_key_values(path):
+        lines[key] = lineno
         try:
             if key == "scenario":
                 if value not in _SCENARIOS:
@@ -409,6 +411,19 @@ def parse_scenario(path) -> dict:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not seen_scenario:
         raise ValueError(f"{path}: missing required key 'scenario'")
+    # generate_corpus starts every document with a 3-token prompt: the
+    # training corpora are doc_len long, open detection's documents
+    # detect_len, and closed detection's prompts prompt_len + 3
+    floors = {"doc_len": 3}
+    if OPEN in spec["modes"]:
+        floors["detect_len"] = 3
+    if CLOSED in spec["modes"]:
+        floors["prompt_len"] = 0
+    for key, floor in floors.items():
+        if spec[key] < floor:  # the defaults pass, so the file set it
+            raise ValueError(f"{path}:{lines[key]}: {key} must be >= {floor} "
+                             f"(generated documents start with a 3-token prompt), "
+                             f"got {spec[key]}")
     return spec
 
 

@@ -3,8 +3,9 @@ in the model, ``--threads`` is validated where it applies, detection
 refuses a scheme without a test, a negative budget, fewer than one
 repetition and an empty corpus, corpus files are refused line by line,
 ``generate`` and ``generate_corpus`` refuse a negative document count
-and documents shorter than their prompt, and the filter refuses token
-ids that are not int64 integers or are negative."""
+and documents shorter than their prompt, scenario files refuse such
+lengths by key and line, and the filter refuses token ids that are not
+int64 integers or are negative."""
 
 import re
 
@@ -14,7 +15,7 @@ import pytest
 from radioscope import (ConfigError, SamplingConfig, WatermarkConfig, build_filter,
                         generate, generate_corpus, save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, _build_parser, main
-from radioscope.pipelines import detect_closed, detect_open, pvalue_for
+from radioscope.pipelines import detect_closed, detect_open, parse_scenario, pvalue_for
 from radioscope.schemes import score_batch
 
 KEY_HEX = "0xDEADBEEFCAFE"
@@ -346,3 +347,27 @@ def test_generate_corpus_refuses_documents_shorter_than_their_prompt(small_model
         generate_corpus(small_model, 1, 4, SamplingConfig(), prompt_len=5)
     assert [len(doc["tokens"]) for doc in generate_corpus(small_model, 2, 3, SamplingConfig())] \
         == [3, 3]
+
+
+@pytest.mark.parametrize("lines", [
+    ["doc_len = 2"],
+    ["detect_len = 2"],
+    ["modes = open, closed", "detect_len = 2"],
+    ["modes = closed", "prompt_len = -1"],
+])
+def test_scenario_refuses_documents_shorter_than_their_prompt(tmp_path, lines):
+    path = tmp_path / "short.scn"
+    path.write_text("\n".join(["scenario = rho_sweep", *lines]) + "\n")
+    key, _, value = lines[-1].partition(" = ")
+    with pytest.raises(ValueError, match=rf"short\.scn:{len(lines) + 1}: {key} must be "
+                                         rf">= \d \(.*3-token prompt\), got {value}$"):
+        parse_scenario(path)
+
+
+def test_scenario_accepts_the_shortest_documents(tmp_path):
+    path = tmp_path / "short.scn"
+    path.write_text("scenario = rho_sweep\ndoc_len = 3\ndetect_len = 3\nprompt_len = 0\n")
+    assert parse_scenario(path)["doc_len"] == 3
+    # closed detection completes prompts, so its detect_len needs no prompt
+    path.write_text("scenario = rho_sweep\nmodes = closed\ndetect_len = 1\n")
+    assert parse_scenario(path)["detect_len"] == 1

@@ -258,8 +258,8 @@ def test_stores_filled_to_their_bound_keep_their_rows(teacher64, scheme, monkeyp
 
 def test_store_memory_follows_the_rows_built():
     """Stores with bounds far beyond memory, a V = 4096 model's nucleus
-    rows and a V = 1024 watermark store bounded by 10^9 states, allocate
-    their reservation, not their bound."""
+    rows and a V = 1024 watermark store bounded by its million windowed
+    states, allocate their reservation, not their bound."""
     rng = np.random.default_rng(12)
     model = train_ngram(rng.integers(0, 4096, size=(40, 500)).tolist(), 2, 0.05, 4096)
     nucleus = NucleusRows(model, 0.8, 0.95)
@@ -268,7 +268,8 @@ def test_store_memory_follows_the_rows_built():
     assert nucleus.n == 300
     small = train_ngram(rng.integers(0, 1024, size=(20, 200)).tolist(), 1, 0.05, 1024)
     wm = _wm("kgw", 1024, 2, 0xD1CE)
-    marked = _WatermarkRows(NucleusRows(small, 0.8, 0.95), wm, 10**9)  # 8 TB of rows
+    marked = _WatermarkRows(NucleusRows(small, 0.8, 0.95), wm, 10**9)
+    assert marked.bound == 1025**2 - 1025  # 8.6 GB of rows
     codes = np.unique([_code(pair, 1024) for pair in rng.integers(0, 1024, size=(500, 2))])
     for part in np.array_split(codes, 3):
         _fill(marked, part)
@@ -355,12 +356,12 @@ def test_digit_table_seeds_equal_window_hash(key, k, order, data):
     wm = WatermarkConfig("kgw", SecretKey(key), v, k=k)
     nucleus = NucleusRows(models.NGramModel(order, v), 0.8, 0.95)
     want = [window_hash(w[-k:], SecretKey(key)) for w in windows]
-    marked = _WatermarkRows(nucleus, wm, 1)
+    with mock.patch.object(models, "_RESERVE_BYTES", 0):  # no room for dense tables
+        marked = _WatermarkRows(nucleus, wm, 1)
     assert not marked.dense
     assert marked._seeds(np.array([_code(w, v) for w in windows], np.int64)).tolist() == want
-    radix = v + 1
-    if radix**depth <= 1 << 16:
-        dense = _WatermarkRows(nucleus, wm, radix**depth - radix ** (k - 1))
+    if (v + 1) ** depth <= 1 << 16:
+        dense = _WatermarkRows(nucleus, wm, 1)
         assert dense.dense
         codes = np.array([_code(w[-depth:], v) for w in windows], np.int64)
         assert dense._seed_of[codes].tolist() == want
@@ -378,8 +379,8 @@ class _Recorded(_WatermarkRows):
 
 @st.composite
 def dense_setups(draw):
-    """A model, a scheme and corpus sizes whose steps reach the vocabulary's
-    count of windowed states, so the watermark store may be dense."""
+    """A model, a scheme and corpus sizes, from no steps to enough to reach
+    every windowed state of the vocabulary, whose watermark store is dense."""
     order, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     depth = max(order, k)
     v = draw(st.integers(2, 64 if depth <= 2 else 12))
@@ -390,7 +391,7 @@ def dense_setups(draw):
     states = radix**depth - radix ** (k - 1)
     n_docs = draw(st.integers(4, 16))
     prompt_len = draw(st.integers(0, 4))
-    doc_len = prompt_len + -(-states // n_docs) + draw(st.integers(0, 3))
+    doc_len = prompt_len + draw(st.integers(0, -(-states // n_docs) + 3))
     sampling = SamplingConfig(nucleus_p=draw(st.sampled_from([1.0, 0.05, 0.95])),
                               seed=draw(st.integers(0, 2**32 - 1)))
     wm = _wm(draw(st.sampled_from(SCHEMES[1:])), v, k, draw(st.integers(1, 2**64 - 2)))
@@ -425,7 +426,7 @@ def test_dense_tables_stay_within_the_reservation(monkeypatch):
     tables = (marked._row_of, marked._seed_of, marked._context_of)
     assert [len(t) for t in tables] == [129**2] * 3
     assert sum(t.nbytes for t in tables) <= models._RESERVE_BYTES
-    assert not _WatermarkRows(nucleus, wm, states - 1).dense  # a run that cannot reach all
+    assert _WatermarkRows(nucleus, wm, 1).dense  # however few states a call reaches
     monkeypatch.setattr(models, "_RESERVE_BYTES", 24 * 129**2)
     assert _WatermarkRows(nucleus, wm, states).dense
     monkeypatch.setattr(models, "_RESERVE_BYTES", 24 * 129**2 - 1)
