@@ -25,9 +25,13 @@ holds it.  It is read with ``allow_pickle=False``.
 Generation samples through decode rows.  A state is the last
 ``max(order, k)`` tokens (``order`` without a watermark), coded as
 base-(V+1) digits ``token + 1``.  Nucleus rows are built once per trained
-context: each step maps every state to the id of the context it backs off
-to (level offset + row, one search for all states), so a store never
-holds more rows than the model has contexts.  A nucleus row is the kept
+context, so a store never holds more rows than the model has contexts.
+A store's table maps the code of a state's last ``order`` tokens to the
+id of the context it backs off to (level offset + row), so a step finds
+every state's context with one gather.  It is made with the store, one
+level at a time, in the narrowest dtype that holds an id: 4.3 MB in
+about 3 ms for an order-3 model at V = 128.  Levels whose table would
+exceed ``_RESERVE_BYTES`` are searched.  A nucleus row is the kept
 token ids by descending probability and their renormalized
 probabilities, built from the context's counts without a per-row model
 call.  Only kept entries are stored: rows lie back to back in two flat
@@ -54,12 +58,12 @@ is one index: it reserves ``_RESERVE_BYTES`` of rows, or its bound if
 fewer, and doubles, up to the bound, when a batch does not fit.
 
 How a state finds its watermark row depends on the vocabulary.  When a
-row id, a window seed and a context id for every state code fit
-``_RESERVE_BYTES`` (V up to 1,671 at depth 2, 139 at depth 3), the store
-is dense: it makes those three tables when it is made, so a step's rows
-are one gather, and a build gathers its seeds and context ids.  Above
-those vocabularies, rows are found through a dict, and each build sums
-its seeds and searches its contexts.
+row id and a window seed for every state code fit ``_RESERVE_BYTES``
+(V up to 2,047 at depth 2, 160 at depth 3), the store is dense: it makes
+those two tables when it is made, so a step's rows are one gather, and
+a build gathers its seeds.  Above those vocabularies, rows are found
+through a dict, and each build sums its seeds.  Either way a build finds
+its states' contexts through the nucleus store's table.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -268,12 +272,12 @@ class NGramModel:
             codes.append(np.where(ok, codes[-1] + tok * v ** (back - 1), -1))
         return self._search(codes)
 
-    def _search(self, codes: list):
+    def _search(self, codes: list, lowest: int = 0):
         """Yield (level, indices, rows) of the longest trained context among
         ``codes[L][i]``, the code of context i's last L tokens (negative
-        where it has fewer), longest first."""
+        where it has fewer), longest first, down to level ``lowest``."""
         left = np.arange(len(codes[0]))  # indices without a trained suffix so far
-        for length in range(self.order, -1, -1):
+        for length in range(self.order, lowest - 1, -1):
             if not len(left):
                 return
             ctx, code = self._ctx[length], codes[length][left]
@@ -281,14 +285,6 @@ class NGramModel:
             hit = ctx[found] == code
             yield length, left[hit], found[hit]
             left = left[~hit]
-
-    def _context_ids(self, codes: list) -> np.ndarray:
-        """Id (see :meth:`_index`) of the trained context that each context
-        backs off to, from per-level codes as :meth:`_search` takes them."""
-        ids = np.full(len(codes[0]), self._first[-1])
-        for length, sel, rows in self._search(codes):
-            ids[sel] = self._first[length] + rows
-        return ids
 
     def next_distribution(self, context) -> np.ndarray:
         """Smoothed next-token probabilities given the trailing context."""
@@ -384,6 +380,10 @@ class NucleusRows:
     entries or zeros.  Once half the rows are built, the rest are built
     at once.  The store serves the model it was built for, with the
     context index (``contexts``) it had then.
+
+    ``context_of[c]`` is the context id of a state whose last ``gathered``
+    tokens have code ``c``, and ``gathered`` is ``order`` unless that
+    table would exceed ``_RESERVE_BYTES``.
     """
 
     def __init__(self, model: NGramModel, temperature: float, nucleus_p: float):
@@ -399,6 +399,22 @@ class NucleusRows:
         self.q, self.idx = np.zeros(0), np.zeros(0, np.min_scalar_type(v - 1))
         entry = self.q.itemsize + self.idx.itemsize
         self._fit(max(v, min((bound + 1) * v, _RESERVE_BYTES // entry)))
+        # level by level: the table of one level fewer under each leading
+        # digit (0, a missing token, included), the level's contexts over it
+        radix = v + 1
+        table = np.full(1, bound - 1, np.min_scalar_type(bound))
+        for length in range(model.order + 1):
+            if length:
+                if radix**length * table.itemsize > _RESERVE_BYTES:
+                    break  # this level and those above it are searched
+                table = np.tile(table, radix)
+            ctx = model._ctx[length][:-1]
+            digits = np.zeros_like(ctx)
+            for j in range(length):
+                digits += (ctx // v**j % v + 1) * radix**j
+            table[digits] = model._first[length] + np.arange(len(ctx))
+            self.gathered = length
+        self.context_of = table
 
     def _fit(self, entries: int) -> None:
         """Room for ``entries`` entries in each flat array.  A short array
@@ -416,21 +432,23 @@ class NucleusRows:
         window = np.lib.stride_tricks.sliding_window_view
         self._q_rows, self._idx_rows = window(self.q, v), window(self.idx, v)
 
-    def context_ids(self, codes: np.ndarray) -> np.ndarray:
-        """Id of the trained context each sampler state code (see
-        :class:`TextSampler`) backs off to; no row is built."""
-        model, v = self.model, self.vocab_size
-        # levels[L]: base-V code of the state's last L tokens; a missing
-        # token is a zero digit, which makes the code negative
-        levels = [np.zeros(len(codes), np.int64)]
-        for back in range(1, model.order + 1):
-            digit = codes // (v + 1) ** (back - 1) % (v + 1)
-            levels.append(np.asarray(levels[-1] + (digit - 1) * v ** (back - 1), np.int64))
-        return model._context_ids(levels)
-
     def state_ids(self, codes: np.ndarray) -> np.ndarray:
-        """:meth:`context_ids` of sampler state codes, their rows built."""
-        return self.ready(self.context_ids(codes))
+        """Id of the trained context each sampler state code (see
+        :class:`TextSampler`) backs off to, its row built: one gather from
+        ``context_of``, and a search of the levels above it."""
+        model, v = self.model, self.vocab_size
+        radix = v + 1
+        ids = self.context_of[(codes % radix**self.gathered).astype(np.intp, copy=False)]
+        if self.gathered < model.order:
+            # levels[L]: base-V code of the state's last L tokens; a missing
+            # token is a zero digit, which makes the code negative
+            levels = [np.zeros(len(codes), np.int64)]
+            for back in range(1, model.order + 1):
+                digit = codes // radix ** (back - 1) % radix
+                levels.append(np.asarray(levels[-1] + (digit - 1) * v ** (back - 1), np.int64))
+            for length, sel, rows in model._search(levels, self.gathered + 1):
+                ids[sel] = model._first[length] + rows
+        return self.ready(ids)
 
     def ready(self, ids: np.ndarray) -> np.ndarray:
         """``ids``, with the rows of the ids first reached built; once half
@@ -516,12 +534,10 @@ class _WatermarkRows:
     table j maps token x to the hash of x followed by j zeros, so the hash
     of a window is the sum of its tokens' entries modulo ``2**64 - 1``.
 
-    When a row id, a seed and a context id for every state code fit
-    ``_RESERVE_BYTES``, the store is dense: it makes those three tables,
-    indexed by state code, when it is made (the context ids by a search
-    that builds no row), so finding rows is one gather.  Otherwise rows
-    are found through a dict, and each build sums its seeds and searches
-    its contexts.
+    When a row id and a seed for every state code fit ``_RESERVE_BYTES``,
+    the store is dense: it makes those two tables, indexed by state code,
+    when it is made, so finding rows is one gather.  Otherwise rows are
+    found through a dict, and each build sums its seeds.
     """
 
     def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig, reach: int):
@@ -544,18 +560,16 @@ class _WatermarkRows:
         x = np.arange(v)[:, None]
         self._tables = [window_hashes(np.hstack([x, np.zeros((v, j), np.int64)]), wm.key)
                         for j in range(wm.k)]
-        # a row id, a seed and a context id per state code, 8 bytes each
-        self.dense = 24 * n_codes <= _RESERVE_BYTES
+        # a row id and a seed per state code, 8 bytes each
+        self.dense = 16 * n_codes <= _RESERVE_BYTES
         self.index = None if self.dense else {}
         if self.dense:
             self._row_of = np.full(n_codes, -1, np.intp)
             self._seed_of = np.empty(n_codes, np.uint64)
-            self._context_of = np.empty(n_codes, np.int64)
             # in slices, which keeps the temporaries small
             for lo in range(0, n_codes, _BATCH_ELEMS):
                 part = np.arange(lo, min(lo + _BATCH_ELEMS, n_codes))
                 self._seed_of[part] = self._seeds(part)
-                self._context_of[part] = nucleus.context_ids(part)
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """Row of each state code, building the rows of the codes first reached."""
@@ -612,10 +626,8 @@ class _WatermarkRows:
 
     def _build(self, codes: np.ndarray) -> dict:
         wm, nucleus = self.wm, self.nucleus
-        if self.dense:
-            base, seeds = nucleus.ready(self._context_of[codes]), self._seed_of[codes]
-        else:
-            base, seeds = nucleus.state_ids(codes), self._seeds(codes)
+        base = nucleus.state_ids(codes)
+        seeds = self._seed_of[codes] if self.dense else self._seeds(codes)
         q, idx, keep = nucleus.kept(base)
         with np.errstate(divide="ignore"):
             log_q = np.log(q)
@@ -692,19 +704,21 @@ class TextSampler:
         out = np.empty((len(codes), steps), nucleus.idx.dtype)
         for t in range(steps):
             u = uniforms[:, t]
-            windowed = (np.zeros(len(codes), bool) if marked is None
-                        else codes >= self._windowed)
-            plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
-            if len(plain):
-                out[plain, t] = nucleus.sample(nucleus.state_ids(codes[plain]), u[plain])
-            if len(wide):
-                rows = marked.rows(codes[wide])
-                if self.wm.scheme == AK:
-                    out[wide, t] = marked.fields["tok"][rows]
-                else:
-                    bcum = marked.fields["bcum"][rows]
-                    out[wide, t] = nucleus.pick(marked.fields["base"][rows], bcum,
-                                                u[wide] * bcum[:, -1])
+            if marked is None:
+                out[:, t] = nucleus.sample(nucleus.state_ids(codes), u)
+            else:
+                windowed = codes >= self._windowed
+                plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
+                if len(plain):
+                    out[plain, t] = nucleus.sample(nucleus.state_ids(codes[plain]), u[plain])
+                if len(wide):
+                    rows = marked.rows(codes[wide])
+                    if self.wm.scheme == AK:
+                        out[wide, t] = marked.fields["tok"][rows]
+                    else:
+                        bcum = marked.fields["bcum"][rows]
+                        out[wide, t] = nucleus.pick(marked.fields["base"][rows], bcum,
+                                                    u[wide] * bcum[:, -1])
             codes = codes % self._tail * radix + out[:, t].astype(dtype) + 1
         return out
 

@@ -274,13 +274,14 @@ def contaminated_student(teacher: NGramModel, wm_cfg: WatermarkConfig | None,
     """
     n_wm = round(rho * n_docs)
     wm_docs: list[dict] = []
+    tables: dict = {}  # both corpora read the teacher's nucleus rows
     if n_wm > 0:
         n_total = round(n_wm / d) if d > 0 else n_wm
         wm_docs = generate_corpus(teacher, n_total, doc_len,
                                   replace(sampling, seed=sampling.seed + 1),
-                                  wm=wm_cfg)
+                                  wm=wm_cfg, tables=tables)
     clean_docs = generate_corpus(teacher, n_docs, doc_len,
-                                 replace(sampling, seed=sampling.seed + 2))
+                                 replace(sampling, seed=sampling.seed + 2), tables=tables)
     train_docs, supervised = mix_dataset(wm_docs, clean_docs, MixSpec(rho, d))
     student = train_ngram([doc["tokens"] for doc in train_docs], order,
                           smoothing_lambda, teacher.vocab_size)

@@ -25,6 +25,7 @@ from radioscope import (
     run_scenario,
     train_ngram,
 )
+from radioscope import models
 from radioscope.pipelines import DetectionReport, pvalue_for
 
 KEY = SecretKey(0xFEED)
@@ -41,6 +42,23 @@ def contaminated(teacher64):
         teacher64, cfg, 1.0, n_docs=60, doc_len=300, order=3,
         sampling=SamplingConfig(seed=21))
     return cfg, student, train_docs, supervised
+
+
+def test_contaminated_student_builds_each_teacher_row_once(teacher64, monkeypatch):
+    """Its watermarked and clean corpora read one store of teacher rows."""
+    built: dict = {}
+    build = models.NucleusRows._build
+
+    def counted(store, ids):
+        built.setdefault(store, []).append(ids.copy())
+        return build(store, ids)
+
+    monkeypatch.setattr(models.NucleusRows, "_build", counted)
+    contaminated_student(teacher64, wm_cfg(), 0.5, n_docs=40, doc_len=200, order=2,
+                         sampling=SamplingConfig(seed=25))
+    (rows,) = built.values()
+    rows = np.concatenate(rows)
+    assert len(np.unique(rows)) == len(rows)
 
 
 @pytest.fixture(scope="module")

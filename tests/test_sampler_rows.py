@@ -395,7 +395,7 @@ def dense_setups(draw):
     sampling = SamplingConfig(nucleus_p=draw(st.sampled_from([1.0, 0.05, 0.95])),
                               seed=draw(st.integers(0, 2**32 - 1)))
     wm = _wm(draw(st.sampled_from(SCHEMES[1:])), v, k, draw(st.integers(1, 2**64 - 2)))
-    return model, (n_docs, doc_len, sampling, wm, prompt_len), 24 * radix**depth
+    return model, (n_docs, doc_len, sampling, wm, prompt_len), 16 * radix**depth
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,29 +423,29 @@ def test_dense_tables_stay_within_the_reservation(monkeypatch):
     states = 129**2 - 129
     marked = _WatermarkRows(nucleus, wm, states)
     assert marked.dense and marked.index is None
-    tables = (marked._row_of, marked._seed_of, marked._context_of)
-    assert [len(t) for t in tables] == [129**2] * 3
+    tables = (marked._row_of, marked._seed_of)
+    assert [len(t) for t in tables] == [129**2] * 2
     assert sum(t.nbytes for t in tables) <= models._RESERVE_BYTES
     assert _WatermarkRows(nucleus, wm, 1).dense  # however few states a call reaches
-    monkeypatch.setattr(models, "_RESERVE_BYTES", 24 * 129**2)
+    monkeypatch.setattr(models, "_RESERVE_BYTES", 16 * 129**2)
     assert _WatermarkRows(nucleus, wm, states).dense
-    monkeypatch.setattr(models, "_RESERVE_BYTES", 24 * 129**2 - 1)
+    monkeypatch.setattr(models, "_RESERVE_BYTES", 16 * 129**2 - 1)
     assert not _WatermarkRows(nucleus, wm, states).dense
     monkeypatch.undo()
-    # V = 1700 at depth 2: 2.9 million state codes, 69 MB of tables
-    big = train_ngram(rng.integers(0, 1700, size=(20, 200)).tolist(), 1, 0.05, 1700)
+    # V = 2100 at depth 2: 4.4 million state codes, 71 MB of tables
+    big = train_ngram(rng.integers(0, 2100, size=(20, 200)).tolist(), 1, 0.05, 2100)
     nucleus = NucleusRows(big, 0.8, 0.95)
-    wm = _wm("kgw", 1700, 2, 0xD1CE)
+    wm = _wm("kgw", 2100, 2, 0xD1CE)
     tracemalloc.start()
     try:
-        marked = _WatermarkRows(nucleus, wm, 1701**2 - 1701)
+        marked = _WatermarkRows(nucleus, wm, 2101**2 - 2101)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert not marked.dense and marked.index == {}
-    # the row reservation and the digit tables, not 69 MB more
+    # the row reservation and the digit tables, not 71 MB more
     assert peak <= models._RESERVE_BYTES + (1 << 20)
-    codes = np.unique([_code(pair, 1700) for pair in rng.integers(0, 1700, size=(50, 2))])
+    codes = np.unique([_code(pair, 2100) for pair in rng.integers(0, 2100, size=(50, 2))])
     assert np.array_equal(marked.fields["base"][marked.rows(codes)], nucleus.state_ids(codes))
 
 
@@ -474,12 +474,42 @@ def models_and_contexts(draw):
     return model, [[]] + contexts  # the empty context always
 
 
-def _level_code(tokens, v):
-    """Base-V code of ``tokens``, the last least significant, as the model codes contexts."""
-    code = 0
-    for tok in tokens:
-        code = code * v + tok
-    return code
+def _reachable_codes(v: int, order: int) -> np.ndarray:
+    """Every state code of up to ``order`` tokens: missing digits lead."""
+    codes, level = [np.zeros(1, np.int64)], np.zeros(1, np.int64)
+    for _ in range(order):
+        level = (level[:, None] * (v + 1) + np.arange(1, v + 1)).ravel()
+        codes.append(level)
+    return np.concatenate(codes)
+
+
+def _searched_ids(model, codes: np.ndarray) -> np.ndarray:
+    """The context id of each state code by a search of every level."""
+    v, radix = model.vocab_size, model.vocab_size + 1
+    # levels[L]: base-V code of the state's last L tokens, negative where it has fewer
+    levels = [np.zeros(len(codes), np.int64)]
+    for back in range(1, model.order + 1):
+        digit = codes // radix ** (back - 1) % radix
+        levels.append(levels[-1] + (digit - 1) * v ** (back - 1))
+    ids = np.full(len(codes), model._first[-1])
+    for length, sel, rows in model._search(levels):
+        ids[sel] = model._first[length] + rows
+    return ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(models_and_contexts())
+def test_context_table_equals_the_search(mc):
+    """A store's state-to-context table gives, for every reachable state
+    code, the context a search of every level finds, untrained models too."""
+    model, contexts = mc
+    store = NucleusRows(model, 0.8, 0.95)
+    assert store.gathered == model.order
+    assert store.context_of.dtype == np.min_scalar_type(store.bound)
+    codes = _reachable_codes(model.vocab_size, model.order)
+    assert np.array_equal(store.context_of[codes], _searched_ids(model, codes))
+    some = [_code(c[-model.order:], model.vocab_size) for c in contexts]
+    assert store.context_of[some].tolist() == [model._find(c) for c in contexts]
 
 
 @settings(max_examples=150, deadline=None)
@@ -487,11 +517,9 @@ def _level_code(tokens, v):
 def test_batched_rows_equal_next_distribution_bit_for_bit(mc):
     model, contexts = mc
     v = model.vocab_size
-    # levels[L][i]: code of context i's last L tokens, -1 where it has fewer
-    levels = [np.array([_level_code(c[len(c) - n:], v) if len(c) >= n else -1
-                        for c in contexts], np.int64)
-              for n in range(model.order + 1)]
-    got = model._distributions(model._context_ids(levels))
+    store = NucleusRows(model, 0.8, 0.95)
+    codes = np.array([_code(c[-model.order:], v) for c in contexts])
+    got = model._distributions(store.state_ids(codes))
     want = np.array([model.next_distribution(c) for c in contexts])
     assert got.tobytes() == want.tobytes()
     if len(model._keys[0]) == 0:  # never trained: every context is the uniform row
@@ -542,3 +570,58 @@ def test_tables_follow_their_model():
     generate_corpus(first, 10, 40, sampling, tables=tables)
     assert (generate_corpus(second, 10, 40, sampling, tables=tables)
             == generate_corpus(second, 10, 40, sampling))
+
+
+@settings(max_examples=80, deadline=None)
+@given(setups(), st.data())
+def test_searched_upper_levels_equal_the_loop(s, data):
+    """With room for the state-to-context table of only the lowest levels,
+    the levels above it are searched, and corpora and completions still
+    equal the loop's."""
+    model, v = s["model"], s["model"].vocab_size
+    gathered = data.draw(st.integers(0, model.order - 1))
+    itemsize = np.min_scalar_type(int(model._first[-1]) + 1).itemsize
+    tables: dict = {}
+    sampling = SamplingConfig(nucleus_p=s["nucleus_p"], seed=s["seed"],
+                              max_tokens=s["max_tokens"])
+    wm = _wm(s["scheme"], v, s["k"], 0xBEEF)
+    args = (model, s["n_docs"], s["doc_len"], sampling, wm, s["prompt_len"])
+    with mock.patch.object(models, "_RESERVE_BYTES", (v + 1) ** gathered * itemsize):
+        assert generate_corpus(*args, tables=tables) == loop_generate_corpus(*args)
+        assert (_complete(model, s["prompts"], sampling, None, tables)
+                == loop_complete(model, s["prompts"], sampling))
+    assert {store.gathered for store in tables.values()} == {gathered}
+
+
+def test_an_over_budget_level_allocates_no_table():
+    """A V = 10,000, order-2 store's top level would take 200 MB of table:
+    it is searched, and the store allocates its row reservation only."""
+    rng = np.random.default_rng(15)
+    model = train_ngram(rng.integers(0, 10_000, size=(20, 200)).tolist(), 2, 0.05, 10_000)
+    tracemalloc.start()
+    try:
+        store = NucleusRows(model, 0.8, 0.95)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.gathered == 1 and len(store.context_of) == 10_001
+    assert peak <= models._RESERVE_BYTES + (1 << 20)
+    trained = model._keys[2][:20] // 10_000  # codes of some trained order-2 contexts
+    contexts = [divmod(int(c), 10_000) for c in trained] + [(7, 7), (5,), ()]
+    codes = np.array([_code(c, 10_000) for c in contexts])
+    assert store.state_ids(codes).tolist() == [model._find(c) for c in contexts]
+
+
+def test_completions_search_no_level_when_the_table_fits(monkeypatch):
+    """A V = 128, order-3 suspect's completions find every context by one
+    gather: no level is searched."""
+    rng = np.random.default_rng(16)
+    model = train_ngram(rng.integers(0, 128, size=(30, 200)).tolist(), 3, 0.05, 128)
+    prompts = rng.integers(0, 128, size=(20, 5)).tolist()
+    sampling = SamplingConfig(seed=17, max_tokens=30)
+
+    def searched(*args):
+        raise AssertionError("a level was searched")
+
+    monkeypatch.setattr(models.NGramModel, "_search", searched)
+    assert _complete(model, prompts, sampling, None) == loop_complete(model, prompts, sampling)
