@@ -26,6 +26,8 @@ Generation samples through decode rows.  A state is the last
 ``max(order, k)`` tokens (``order`` without a watermark), coded as
 base-(V+1) digits ``token + 1``.  Nucleus rows are built once per trained
 context, so a store never holds more rows than the model has contexts.
+The model keeps a store per temperature and nucleus p until it is
+trained further, and no store refers to its model.
 A store's table maps the code of a state's last ``order`` tokens to the
 id of the context it backs off to (level offset + row), so a step finds
 every state's context with one gather.  It is made with the store, one
@@ -180,6 +182,7 @@ class NGramModel:
         counts, row totals and greedy tokens.  The per-level counts become
         views of the flat counts, so the model holds one copy."""
         v = self.vocab_size
+        self._stores = {}  # nucleus stores (see _nucleus); none from earlier counts
         self._ctx, starts, toks, lens = [], [], [], [len(keys) for keys in self._keys]
         for keys, before in zip(self._keys, np.cumsum([0] + lens)):
             ctx = keys // v
@@ -304,6 +307,13 @@ class NGramModel:
         p[ids == self._first[-1]] = 1.0 / v  # no context is trained
         return p
 
+    def _nucleus(self, temperature: float, nucleus_p: float) -> NucleusRows:
+        """The model's nucleus store for these knobs, kept until :meth:`_index`."""
+        key = (temperature, nucleus_p)
+        if key not in self._stores:
+            self._stores[key] = NucleusRows(self, *key)
+        return self._stores[key]
+
     def next_greedy(self, context) -> int:
         """Most likely next token (ties toward the lowest id)."""
         return self._greedy.item(self._find(context))
@@ -378,8 +388,8 @@ class NucleusRows:
     array is read through a sliding window of width V, so gathering
     V-wide rows is one index; past ``keep`` such a row holds later rows'
     entries or zeros.  Once half the rows are built, the rest are built
-    at once.  The store serves the model it was built for, with the
-    context index (``contexts``) it had then.
+    at once.  The model keeps the store (:meth:`NGramModel._nucleus`), so
+    the store holds no reference back: the calls that build rows get it.
 
     ``context_of[c]`` is the context id of a state whose last ``gathered``
     tokens have code ``c``, and ``gathered`` is ``order`` unless that
@@ -388,8 +398,6 @@ class NucleusRows:
 
     def __init__(self, model: NGramModel, temperature: float, nucleus_p: float):
         v = self.vocab_size = model.vocab_size
-        self.model = model
-        self.contexts = model._ctx
         self.temperature = temperature
         self.nucleus_p = nucleus_p
         self.bound = bound = int(model._first[-1]) + 1
@@ -432,11 +440,11 @@ class NucleusRows:
         window = np.lib.stride_tricks.sliding_window_view
         self._q_rows, self._idx_rows = window(self.q, v), window(self.idx, v)
 
-    def state_ids(self, codes: np.ndarray) -> np.ndarray:
+    def state_ids(self, model: NGramModel, codes: np.ndarray) -> np.ndarray:
         """Id of the trained context each sampler state code (see
         :class:`TextSampler`) backs off to, its row built: one gather from
         ``context_of``, and a search of the levels above it."""
-        model, v = self.model, self.vocab_size
+        v = self.vocab_size
         radix = v + 1
         ids = self.context_of[(codes % radix**self.gathered).astype(np.intp, copy=False)]
         if self.gathered < model.order:
@@ -448,26 +456,26 @@ class NucleusRows:
                 levels.append(np.asarray(levels[-1] + (digit - 1) * v ** (back - 1), np.int64))
             for length, sel, rows in model._search(levels, self.gathered + 1):
                 ids[sel] = model._first[length] + rows
-        return self.ready(ids)
+        return self.ready(model, ids)
 
-    def ready(self, ids: np.ndarray) -> np.ndarray:
+    def ready(self, model: NGramModel, ids: np.ndarray) -> np.ndarray:
         """``ids``, with the rows of the ids first reached built; once half
         the store's rows are built, the rest are built too."""
         if self.n < self.bound:
             new = ids[self.keep[ids] == 0]
             if len(new):
-                self._extend(np.unique(new))
+                self._extend(model, np.unique(new))
                 if 2 * self.n >= self.bound:
-                    self._extend(np.flatnonzero(self.keep == 0))
+                    self._extend(model, np.flatnonzero(self.keep == 0))
         return ids
 
-    def _extend(self, ids: np.ndarray) -> None:
+    def _extend(self, model: NGramModel, ids: np.ndarray) -> None:
         """Build the rows of ``ids`` and append their kept entries."""
         v = self.vocab_size
         batch = max(1, _BATCH_ELEMS // v)
         for lo in range(0, len(ids), batch):
             part = ids[lo : lo + batch]
-            q, order, keep = self._build(part)
+            q, order, keep = self._build(model, part)
             kept = np.arange(v) < keep[:, None]
             end = self.size + int(keep.sum())
             self._fit(end + v)
@@ -477,11 +485,11 @@ class NucleusRows:
             self.keep[part] = keep
             self.size, self.n = end, self.n + len(part)
 
-    def _build(self, ids: np.ndarray) -> tuple:
+    def _build(self, model: NGramModel, ids: np.ndarray) -> tuple:
         """Probabilities by descending size, token ids and kept count of
         each context id's row; entries past the kept ones are not part of it."""
         v = self.vocab_size
-        q = self.model._distributions(ids)
+        q = model._distributions(ids)
         np.maximum(q, 1e-300, out=q)
         np.log(q, out=q)
         q /= self.temperature
@@ -540,12 +548,14 @@ class _WatermarkRows:
     found through a dict, and each build sums its seeds.
     """
 
-    def __init__(self, nucleus: NucleusRows, wm: WatermarkConfig, reach: int):
+    def __init__(self, model: NGramModel, nucleus: NucleusRows, wm: WatermarkConfig,
+                 reach: int):
         v = self.vocab_size = nucleus.vocab_size
+        self.model = model
         self.nucleus = nucleus
         self.wm = wm
         radix, k = v + 1, wm.k
-        n_codes = radix ** max(nucleus.model.order, k)
+        n_codes = radix ** max(model.order, k)
         # codes below radix**(k - 1) lack a full window
         self.bound = bound = min(reach, n_codes - radix ** (k - 1))
         picked = (("tok", ((), nucleus.idx.dtype)) if wm.scheme == AK
@@ -626,7 +636,7 @@ class _WatermarkRows:
 
     def _build(self, codes: np.ndarray) -> dict:
         wm, nucleus = self.wm, self.nucleus
-        base = nucleus.state_ids(codes)
+        base = nucleus.state_ids(self.model, codes)
         seeds = self._seed_of[codes] if self.dense else self._seeds(codes)
         q, idx, keep = nucleus.kept(base)
         with np.errstate(divide="ignore"):
@@ -641,35 +651,35 @@ class _WatermarkRows:
         return {"base": base, "bcum": np.exp(biased, out=biased).cumsum(axis=1)}
 
 
+def _check_key_vocab(wm: WatermarkConfig | None, model: NGramModel) -> None:
+    """Refuse a key of fewer tokens than the model: it could not mark or score the rest."""
+    if wm is not None and wm.vocab_size < model.vocab_size:
+        raise ConfigError(f"the key's vocabulary ({wm.vocab_size} tokens) is smaller "
+                          f"than the model's ({model.vocab_size} tokens)")
+
+
 class TextSampler:
     """Autoregressive sampler over decode rows.
 
     A state is the last ``max(order, k)`` tokens (``order`` without a
     watermark), coded as base-(V+1) digits ``token + 1``, newest least
     significant, so a shorter context has leading zeros.  Nucleus rows are
-    built once per trained context and live in ``tables``, keyed by
-    (temperature, nucleus_p); a store built for another model, or for this
-    one before it was trained further, is replaced.  Watermark rows are
-    built once per state and belong to one :meth:`generate` call.
+    built once per trained context, in the model's store for (temperature,
+    nucleus_p).  Watermark rows are built once per state and belong to one
+    :meth:`generate` call.  A key of fewer tokens than the model is refused.
     """
 
     def __init__(self, model: NGramModel, sampling: SamplingConfig,
-                 wm: WatermarkConfig | None = None,
-                 tables: dict | None = None):
+                 wm: WatermarkConfig | None = None):
         self.model = model
         self.sampling = sampling
         self.wm = wm
+        _check_key_vocab(wm, model)
         if wm is not None and wm.scheme == AK and wm.temperature is not None:
             # AK strength knob: temperature applied to logits before softmax
             self.temperature = wm.temperature
         else:
             self.temperature = sampling.temperature
-        tables = {} if tables is None else tables
-        key = (self.temperature, sampling.nucleus_p)
-        nucleus = tables.get(key)
-        if nucleus is None or nucleus.model is not model or nucleus.contexts is not model._ctx:
-            nucleus = tables[key] = NucleusRows(model, *key)
-        self._nucleus = nucleus
         self._radix = radix = model.vocab_size + 1
         self._depth = depth = model.order if wm is None else max(model.order, wm.k)
         # codes below this lack a full window; % _tail drops the oldest token
@@ -694,23 +704,25 @@ class TextSampler:
         below the uniform, which is ``searchsorted(side="right")`` row by
         row, clipped to the kept ids.
         """
-        nucleus, radix = self._nucleus, self._radix
-        dtype = self._code_dtype
+        model, radix, dtype = self.model, self._radix, self._code_dtype
+        nucleus = model._nucleus(self.temperature, self.sampling.nucleus_p)
         prompts = list(prompts)
-        _token_ids(prompts, self.model.vocab_size, where=False)  # refuses a bad token
+        _token_ids(prompts, model.vocab_size, where=False)  # refuses a bad token
         codes = np.array([self._encode(p) for p in prompts], dtype)
         # the call reaches at most one state per step of each document
-        marked = None if self.wm is None else _WatermarkRows(nucleus, self.wm, len(codes) * steps)
+        marked = (None if self.wm is None
+                  else _WatermarkRows(model, nucleus, self.wm, len(codes) * steps))
         out = np.empty((len(codes), steps), nucleus.idx.dtype)
         for t in range(steps):
             u = uniforms[:, t]
             if marked is None:
-                out[:, t] = nucleus.sample(nucleus.state_ids(codes), u)
+                out[:, t] = nucleus.sample(nucleus.state_ids(model, codes), u)
             else:
                 windowed = codes >= self._windowed
                 plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
                 if len(plain):
-                    out[plain, t] = nucleus.sample(nucleus.state_ids(codes[plain]), u[plain])
+                    ids = nucleus.state_ids(model, codes[plain])
+                    out[plain, t] = nucleus.sample(ids, u[plain])
                 if len(wide):
                     rows = marked.rows(codes[wide])
                     if self.wm.scheme == AK:
@@ -725,7 +737,7 @@ class TextSampler:
 
 def generate(model: NGramModel, prompt, sampling: SamplingConfig,
              wm: WatermarkConfig | None = None) -> list[int]:
-    """One-shot generation; reuse a :class:`TextSampler` for whole corpora."""
+    """One-shot generation; the model keeps the rows it builds for later calls."""
     if sampling.max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
     sampler = TextSampler(model, sampling, wm)
@@ -772,8 +784,7 @@ def make_teacher(vocab_size: int = 256, seed: int = 7, order: int = 2,
 
 def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
                     sampling: SamplingConfig, wm: WatermarkConfig | None = None,
-                    prompt_len: int = 3, wm_flag: bool | None = None,
-                    tables: dict | None = None) -> list[dict]:
+                    prompt_len: int = 3, wm_flag: bool | None = None) -> list[dict]:
     """Documents sampled from the model, each a dict with ``tokens``/``wm``.
 
     Every document starts from a short random prompt (included in the
@@ -785,7 +796,7 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
         raise ValueError(f"n_docs must be >= 0, got {n_docs}")
     if doc_len < prompt_len:
         raise ValueError(f"doc_len {doc_len} is shorter than prompt_len {prompt_len}")
-    sampler = TextSampler(model, sampling, wm, tables=tables)
+    sampler = TextSampler(model, sampling, wm)
     rng = np.random.default_rng(sampling.seed)
     flag = (wm is not None) if wm_flag is None else wm_flag
     steps = doc_len - prompt_len

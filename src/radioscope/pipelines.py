@@ -25,6 +25,7 @@ from .models import (
     NGramModel,
     SamplingConfig,
     TextSampler,
+    _check_key_vocab,
     _token_ids,
     generate_corpus,
     make_teacher,
@@ -115,8 +116,7 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
                   phi: FilterSet | None = None, budget: int = 1_000_000,
                   sampling: SamplingConfig | None = None, dedup: bool = True,
                   supervision: str = "supervised",
-                  completions: list | None = None,
-                  tables: dict | None = None) -> DetectionReport:
+                  completions: list | None = None) -> DetectionReport:
     """Prompt the suspect, score the resulting text with the watermark key.
 
     With de-duplication, a tuple is scored only if its window is not a
@@ -144,7 +144,7 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
     for doc_id, prompt in enumerate(prompts):
         _check_vocab(prompt, v, f"prompt {doc_id}")
     if completions is None:
-        completions = _complete(suspect, prompts, sampling, key_cfg, tables)
+        completions = _complete(suspect, prompts, sampling, key_cfg)
     streams, prompt_lens = [], []
     for doc_id, (prompt, completion) in enumerate(zip(prompts, completions)):
         _check_vocab(completion, v, f"completion {doc_id}")
@@ -163,8 +163,7 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
                           phi_stats)
 
 
-def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg,
-              tables: dict | None = None) -> list[list[int]]:
+def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg) -> list[list[int]]:
     if isinstance(suspect, RemoteModel):
         try:
             return suspect.complete_many(prompts, sampling.max_tokens)
@@ -173,7 +172,7 @@ def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg,
                                       1.0, 0.0, inconclusive=True,
                                       meta={"error": str(exc)})
             raise DetectionInterrupted(str(exc), partial) from exc
-    sampler = TextSampler(suspect, sampling, tables=tables)
+    sampler = TextSampler(suspect, sampling)
     uniforms = np.random.default_rng(sampling.seed).random((len(prompts), sampling.max_tokens))
     return sampler.generate(prompts, sampling.max_tokens, uniforms).tolist()
 
@@ -193,6 +192,7 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     if not isinstance(suspect, NGramModel):
         raise CapabilityError("open mode reads greedy predictions, which only an "
                               "NGramModel suspect gives; use detect_closed")
+    _check_key_vocab(key_cfg, suspect)
     texts, prompt_lens = [], []
     for doc_id, doc in enumerate(wm_texts):
         is_dict = isinstance(doc, dict)
@@ -274,14 +274,12 @@ def contaminated_student(teacher: NGramModel, wm_cfg: WatermarkConfig | None,
     """
     n_wm = round(rho * n_docs)
     wm_docs: list[dict] = []
-    tables: dict = {}  # both corpora read the teacher's nucleus rows
     if n_wm > 0:
         n_total = round(n_wm / d) if d > 0 else n_wm
         wm_docs = generate_corpus(teacher, n_total, doc_len,
-                                  replace(sampling, seed=sampling.seed + 1),
-                                  wm=wm_cfg, tables=tables)
+                                  replace(sampling, seed=sampling.seed + 1), wm=wm_cfg)
     clean_docs = generate_corpus(teacher, n_docs, doc_len,
-                                 replace(sampling, seed=sampling.seed + 2), tables=tables)
+                                 replace(sampling, seed=sampling.seed + 2))
     train_docs, supervised = mix_dataset(wm_docs, clean_docs, MixSpec(rho, d))
     student = train_ngram([doc["tokens"] for doc in train_docs], order,
                           smoothing_lambda, teacher.vocab_size)
@@ -300,21 +298,18 @@ def run_detection(student: NGramModel, teacher: NGramModel,
 
     Open mode forwards fresh watermarked teacher text through the student;
     closed mode prompts the student with fresh clean teacher prefixes.
-    ``teacher_tables`` and ``suspect_tables`` share decode rows across runs;
-    ``greedy_cache`` is ignored, as the open readout keeps no memo.
+    ``greedy_cache``, ``teacher_tables`` and ``suspect_tables`` are ignored:
+    the open readout keeps no memo, and each model keeps its own decode rows.
     """
     if mode == OPEN:
         docs = generate_corpus(teacher, n_docs, doc_len,
-                               replace(sampling, seed=sampling.seed + 3),
-                               wm=wm_cfg, tables=teacher_tables)
+                               replace(sampling, seed=sampling.seed + 3), wm=wm_cfg)
         return detect_open(student, docs, wm_cfg, budget=budget, dedup=dedup)
     prompt_docs = generate_corpus(teacher, n_docs, prompt_len + 3,
-                                  replace(sampling, seed=sampling.seed + 4),
-                                  tables=teacher_tables)
+                                  replace(sampling, seed=sampling.seed + 4))
     prompts = [doc["tokens"] for doc in prompt_docs]
     return detect_closed(student, prompts, wm_cfg, phi=phi, budget=budget,
-                         sampling=replace(sampling, max_tokens=doc_len),
-                         dedup=dedup, tables=suspect_tables)
+                         sampling=replace(sampling, max_tokens=doc_len), dedup=dedup)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
-import requests
+if TYPE_CHECKING:  # imported where it is used: only a remote suspect needs it
+    import requests
 
 
 class RemoteError(RuntimeError):
@@ -47,6 +49,7 @@ class RemoteModel:
                  max_retries: int = 5, backoff: float = 0.1,
                  timeout: float = 10.0, max_in_flight: int = 8,
                  session: requests.Session | None = None):
+        import requests  # not at module level: it adds 14 MB to every process
         self.endpoint = endpoint
         self.credentials = credentials
         self.max_retries = max_retries
@@ -64,6 +67,7 @@ class RemoteModel:
 
     def next_token(self, context) -> tuple[int, list[float] | None]:
         """One completion step: (token, logits or None)."""
+        import requests
         body = {"context": [int(t) for t in context], "n": 1}
         last_exc = None
         for attempt in range(self.max_retries):

@@ -20,6 +20,12 @@ def teacher64():
     return make_teacher(vocab_size=64, seed=7, source_tokens=120_000)
 
 
+@pytest.fixture
+def fresh_teacher64():
+    """``teacher64`` without the decode rows earlier tests built in it."""
+    return make_teacher(vocab_size=64, seed=7, source_tokens=120_000)
+
+
 @pytest.fixture(scope="session")
 def teacher128():
     return make_teacher(vocab_size=128, seed=7)

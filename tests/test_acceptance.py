@@ -53,11 +53,6 @@ def kgw(key, vocab=128, k=2):
 
 
 @pytest.fixture(scope="module")
-def caches():
-    return {"greedy": {}, "teacher": {}, "suspect": {}}
-
-
-@pytest.fixture(scope="module")
 def h0_student(teacher128):
     student, _, _ = contaminated_student(
         teacher128, None, 0.0, n_docs=300, doc_len=400, order=3,
@@ -87,7 +82,7 @@ def radioactive(teacher128):
     }
 
 
-def test_c01_h0_calibration(teacher128, h0_student, caches):
+def test_c01_h0_calibration(teacher128, h0_student):
     t0 = time.time()
     results = {}
     for mode, n_docs, doc_len in [("open", 110, 400), ("closed", 90, 280)]:
@@ -96,10 +91,7 @@ def test_c01_h0_calibration(teacher128, h0_student, caches):
             key = derive_run_key(1000 if mode == "open" else 2000, i)
             report = run_detection(
                 h0_student, teacher128, kgw(key), mode, n_docs=n_docs,
-                doc_len=doc_len, sampling=SamplingConfig(seed=3000 + 17 * i),
-                greedy_cache=caches["greedy"],
-                teacher_tables=caches["teacher"],
-                suspect_tables=caches["suspect"])
+                doc_len=doc_len, sampling=SamplingConfig(seed=3000 + 17 * i))
             assert report.n_scored >= 10_000, (mode, i, report.n_scored)
             ps.append(report.p_value)
         ks_p = scipy.stats.kstest(ps, "uniform").pvalue
@@ -114,7 +106,7 @@ def test_c01_h0_calibration(teacher128, h0_student, caches):
             f"ks_p={results['closed'][1]:.3f}, {elapsed:.0f}s")
 
 
-def test_ak_h0_calibration(teacher128, h0_student, caches):
+def test_ak_h0_calibration(teacher128, h0_student):
     """c01 with AK keys: exact gamma-tail p-values are uniform under H0."""
     t0 = time.time()
     results = {}
@@ -125,8 +117,7 @@ def test_ak_h0_calibration(teacher128, h0_student, caches):
             report = run_detection(
                 h0_student, teacher128, WatermarkConfig("ak", key, 128, k=2), mode,
                 n_docs=n_docs, doc_len=doc_len,
-                sampling=SamplingConfig(seed=3500 + 17 * i),
-                teacher_tables=caches["teacher"], suspect_tables=caches["suspect"])
+                sampling=SamplingConfig(seed=3500 + 17 * i))
             ps.append(report.p_value)
             scored.append(report.n_scored)
         results[mode] = (float(np.mean(ps)), scipy.stats.kstest(ps, "uniform").pvalue,
@@ -173,7 +164,7 @@ def test_c03_radioactivity_exists(radioactive):
             f"{radioactive['elapsed']:.0f}s")
 
 
-def test_c04_rho_monotonicity(teacher128, caches):
+def test_c04_rho_monotonicity(teacher128):
     rhos = [0.0, 0.1, 0.5, 1.0]
     means = {"open": [], "closed": []}
     rho0 = []
@@ -190,8 +181,7 @@ def test_c04_rho_monotonicity(teacher128, caches):
             for mode in ("open", "closed"):
                 report = run_detection(
                     student, teacher128, cfg, mode, n_docs=15, doc_len=300,
-                    sampling=SamplingConfig(seed=6200 + seed),
-                    teacher_tables=caches["teacher"])
+                    sampling=SamplingConfig(seed=6200 + seed))
                 logs[mode].append(report.log10_p)
                 if rho == 0.0:
                     rho0.append(report.log10_p)
@@ -210,7 +200,7 @@ def test_c04_rho_monotonicity(teacher128, caches):
             f"rho0 mean={rho0_mean:.2f}")
 
 
-def test_c05_k_trend(teacher128, caches):
+def test_c05_k_trend(teacher128):
     means = []
     for k in (1, 2, 4):
         logs = []
@@ -225,8 +215,7 @@ def test_c05_k_trend(teacher128, caches):
             # evidence of very different sizes
             report = run_detection(
                 student, teacher128, cfg, "open", n_docs=20, doc_len=300,
-                sampling=SamplingConfig(seed=7200 + seed), budget=400,
-                teacher_tables=caches["teacher"])
+                sampling=SamplingConfig(seed=7200 + seed), budget=400)
             assert report.n_scored == 400, (k, seed, report.n_scored)
             logs.append(report.log10_p)
         means.append(float(np.mean(logs)))
@@ -235,7 +224,7 @@ def test_c05_k_trend(teacher128, caches):
             f"mean log10 p for k=1,2,4: {[round(m, 1) for m in means]}")
 
 
-def test_c06_filter_benefit(teacher128, caches):
+def test_c06_filter_benefit(teacher128):
     key = SecretKey(0x60F11)
     cfg = kgw(key)
     student, _, supervised = contaminated_student(
@@ -245,8 +234,7 @@ def test_c06_filter_benefit(teacher128, caches):
     with_phi, without = [], []
     for run in range(10):
         common = dict(n_docs=30, doc_len=250,
-                      sampling=SamplingConfig(seed=8100 + run),
-                      teacher_tables=caches["teacher"])
+                      sampling=SamplingConfig(seed=8100 + run))
         with_phi.append(run_detection(student, teacher128, cfg, "closed",
                                       phi=phi, **common).log10_p)
         without.append(run_detection(student, teacher128, cfg, "closed",

@@ -4,8 +4,9 @@ refuses a scheme without a test, a negative budget, fewer than one
 repetition and an empty corpus, corpus files are refused line by line,
 ``generate`` and ``generate_corpus`` refuse a negative document count
 and documents shorter than their prompt, scenario files refuse such
-lengths by key and line, and the filter refuses token ids that are not
-int64 integers or are negative."""
+lengths by key and line, the filter refuses token ids that are not
+int64 integers or are negative, and sampling and open detection refuse a
+key whose vocabulary is smaller than the model's."""
 
 import re
 
@@ -371,3 +372,41 @@ def test_scenario_accepts_the_shortest_documents(tmp_path):
     # closed detection completes prompts, so its detect_len needs no prompt
     path.write_text("scenario = rho_sweep\nmodes = closed\ndetect_len = 1\n")
     assert parse_scenario(path)["detect_len"] == 1
+
+
+SMALLER_KEY = "the key's vocabulary (32 tokens) is smaller than the model's (64 tokens)"
+
+
+@pytest.mark.parametrize("scheme", ["kgw", "ak"])
+def test_sampling_refuses_a_key_of_a_smaller_vocabulary(small_model, key, scheme):
+    """AK would otherwise write tokens past the key's vocabulary, KGW fail
+    with an index error."""
+    wm = WatermarkConfig(scheme, key, 32, k=2)
+    with pytest.raises(ConfigError, match=re.escape(SMALLER_KEY)):
+        generate_corpus(small_model, 4, 30, SamplingConfig(seed=3), wm=wm)
+    with pytest.raises(ConfigError, match=re.escape(SMALLER_KEY)):
+        generate(small_model, [1, 2], SamplingConfig(seed=3, max_tokens=10), wm)
+
+
+def test_open_mode_refuses_a_key_of_a_smaller_vocabulary(small_model, key):
+    cfg = WatermarkConfig("kgw", key, 32, k=2, gamma=0.25, delta=3.0)
+    with pytest.raises(ConfigError, match=re.escape(SMALLER_KEY)):
+        detect_open(small_model, [[29, 30, 31, 30, 31]], cfg)
+
+
+def test_cli_key_of_a_smaller_vocabulary_is_one_error_line(cli_files, capsys):
+    # the model predicts 32 after 31, past the key's vocabulary
+    corpus = cli_files[0] / "high.jsonl"
+    corpus.write_text('{"tokens": [28, 29, 30, 31, 30, 31]}\n')
+    assert detect_cli(cli_files, "--vocab-size", "32", corpus=corpus) == EXIT_ERROR
+    assert SMALLER_KEY in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("scheme", ["kgw", "ak"])
+def test_a_key_of_a_larger_vocabulary_is_accepted(small_model, key, scheme):
+    """A larger key vocabulary still gives exact H0 green rates: the key's
+    lists are drawn over all its tokens, whichever the model can write."""
+    wm = WatermarkConfig(scheme, key, 128, k=2)
+    docs = generate_corpus(small_model, 4, 30, SamplingConfig(seed=3), wm=wm)
+    assert max(max(doc["tokens"]) for doc in docs) < 64
+    assert detect_open(small_model, docs, wm).n_scored > 0

@@ -239,3 +239,19 @@ class TestScenarioAndMIA:
                    "--fresh", str(with_text), "--out", str(out)) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["d"] == 0.0
+
+
+def test_importing_the_cli_leaves_requests_unimported():
+    """Only a remote suspect needs ``requests``; every other command runs
+    without importing it."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import radioscope
+
+    src = str(Path(radioscope.__file__).parents[1])
+    code = "import sys, radioscope.cli; print('requests' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert done.stdout == "False\n"

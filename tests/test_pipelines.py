@@ -44,21 +44,37 @@ def contaminated(teacher64):
     return cfg, student, train_docs, supervised
 
 
-def test_contaminated_student_builds_each_teacher_row_once(teacher64, monkeypatch):
-    """Its watermarked and clean corpora read one store of teacher rows."""
-    built: dict = {}
-    build = models.NucleusRows._build
+def _count_rows(monkeypatch) -> tuple[list, dict]:
+    """Record each nucleus store made, with its model, and each row id built,
+    by store.  Recording keeps them alive, so no id is reused."""
+    made, built = [], {}
+    init, build = models.NucleusRows.__init__, models.NucleusRows._build
 
-    def counted(store, ids):
+    def counted_init(store, model, *args):
+        made.append((model, store))
+        init(store, model, *args)
+
+    def counted_build(store, model, ids):
         built.setdefault(store, []).append(ids.copy())
-        return build(store, ids)
+        return build(store, model, ids)
 
-    monkeypatch.setattr(models.NucleusRows, "_build", counted)
-    contaminated_student(teacher64, wm_cfg(), 0.5, n_docs=40, doc_len=200, order=2,
+    monkeypatch.setattr(models.NucleusRows, "__init__", counted_init)
+    monkeypatch.setattr(models.NucleusRows, "_build", counted_build)
+    return made, built
+
+
+def _each_row_built_once(built: dict) -> bool:
+    return all(len(np.unique(rows)) == len(rows)
+               for rows in map(np.concatenate, built.values()))
+
+
+def test_contaminated_student_builds_each_teacher_row_once(fresh_teacher64, monkeypatch):
+    """Its watermarked and clean corpora read one store of teacher rows."""
+    made, built = _count_rows(monkeypatch)
+    contaminated_student(fresh_teacher64, wm_cfg(), 0.5, n_docs=40, doc_len=200, order=2,
                          sampling=SamplingConfig(seed=25))
-    (rows,) = built.values()
-    rows = np.concatenate(rows)
-    assert len(np.unique(rows)) == len(rows)
+    assert [model for model, _ in made] == [fresh_teacher64]
+    assert len(built) == 1 and _each_row_built_once(built)
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +386,18 @@ class TestScenario:
         assert (out / "results.csv").exists()
         assert (out / "summary.svg").exists()
         assert time.time() - t0 < 600
+
+    def test_shipped_demo_builds_each_row_once(self, tmp_path, monkeypatch):
+        """One nucleus store per model, the teacher's across every run, and
+        no row built twice in a store."""
+        from pathlib import Path
+
+        made, built = _count_rows(monkeypatch)
+        run_scenario(Path(__file__).parents[1] / "docs" / "examples" / "demo.scn", tmp_path)
+        # the teacher and two students at each of four rho values
+        assert len(made) == 9
+        assert len({id(model) for model, _ in made}) == len(made)
+        assert _each_row_built_once(built)
 
     def test_run_keys_are_independent(self):
         keys = {derive_run_key(5, i).s for i in range(50)}

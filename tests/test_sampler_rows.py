@@ -1,6 +1,8 @@
 """The decode-row sampler against the per-token loop it replaced."""
 
+import gc
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radioscope import (SamplingConfig, SecretKey, WatermarkConfig, generate_corpus, models,
-                        train_ngram)
+from radioscope import (SamplingConfig, SecretKey, TextSampler, WatermarkConfig, generate,
+                        generate_corpus, models, train_ngram)
 from radioscope.hashing import window_hash
 from radioscope.models import NucleusRows, _WatermarkRows
 from radioscope.pipelines import _complete
@@ -58,15 +60,15 @@ def setups(draw):
 @given(setups())
 def test_corpora_and_completions_equal_the_loop(s):
     model, v = s["model"], s["model"].vocab_size
-    tables: dict = {}  # one dict across both keys and both temperatures
+    # the model's stores serve both keys and both temperatures
     for temperature in (0.8, 1.3):
         sampling = SamplingConfig(temperature=temperature, nucleus_p=s["nucleus_p"],
                                   seed=s["seed"], max_tokens=s["max_tokens"])
         for key in (0xBEEF, 0x5EED):
             wm = _wm(s["scheme"], v, s["k"], key)
             args = (model, s["n_docs"], s["doc_len"], sampling, wm, s["prompt_len"])
-            assert generate_corpus(*args, tables=tables) == loop_generate_corpus(*args)
-        assert (_complete(model, s["prompts"], sampling, None, tables)
+            assert generate_corpus(*args) == loop_generate_corpus(*args)
+        assert (_complete(model, s["prompts"], sampling, None)
                 == loop_complete(model, s["prompts"], sampling))
 
 
@@ -104,11 +106,11 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
     temperature = oracle.temperature
     batch = NucleusRows(model, temperature, sampling.nucleus_p)
     single = NucleusRows(model, temperature, sampling.nucleus_p)
-    ctx_ids = batch.state_ids(np.array([_code(c, v) for c in contexts]))
+    ctx_ids = batch.state_ids(model, np.array([_code(c, v) for c in contexts]))
     for context, row in zip(contexts, ctx_ids.tolist()):
         idx, log_kept, cum = oracle._table(context)
         k = len(idx)
-        (one,) = single.state_ids(np.array([_code(context, v)])).tolist()
+        (one,) = single.state_ids(model, np.array([_code(context, v)])).tolist()
         for rows, r in ((batch, row), (single, one)):
             got_q, got_idx, keep = rows.kept(np.array([r]))  # 2-d, as rows are read
             assert keep[0] == k
@@ -122,7 +124,7 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
     if wm is None:
         return
     windowed = [c for c in contexts if len(c) >= wm.k]
-    marked = _WatermarkRows(batch, wm, len(windowed))
+    marked = _WatermarkRows(model, batch, wm, len(windowed))
     rows = marked.rows(np.array([_code(c, v) for c in windowed]))
     for context, r in zip(windowed, rows.tolist()):
         idx, log_kept, _ = oracle._table(context)
@@ -141,7 +143,7 @@ def test_teacher_rows_equal_the_loop_tables(teacher64):
     oracle = LoopTextSampler(teacher64, sampling)
     contexts = [(a, b) for a in range(64) for b in range(64)]
     rows = NucleusRows(teacher64, sampling.temperature, sampling.nucleus_p)
-    q, _, _ = rows.kept(rows.state_ids(np.array([_code(c, 64) for c in contexts])))
+    q, _, _ = rows.kept(rows.state_ids(teacher64, np.array([_code(c, 64) for c in contexts])))
     cum = q.cumsum(axis=1)
     with np.errstate(divide="ignore"):
         log_kept = np.log(q)
@@ -155,10 +157,9 @@ def test_teacher_rows_equal_the_loop_tables(teacher64):
 def test_teacher_corpus_equals_the_loop(teacher64, scheme):
     sampling = SamplingConfig(seed=41)
     wm = _wm(scheme, 64, 2, 0xC0FFEE)
-    tables: dict = {}
-    first = generate_corpus(teacher64, 30, 120, sampling, wm, tables=tables)
+    first = generate_corpus(teacher64, 30, 120, sampling, wm)
     assert first == loop_generate_corpus(teacher64, 30, 120, sampling, wm)
-    assert generate_corpus(teacher64, 30, 120, sampling, wm, tables=tables) == first
+    assert generate_corpus(teacher64, 30, 120, sampling, wm) == first  # rows reused
 
 
 def test_out_of_vocabulary_prompt_refused(teacher64):
@@ -199,14 +200,14 @@ def _rows(store, ids: np.ndarray) -> tuple:
     return q, np.where(np.arange(store.vocab_size) < keep[:, None], idx, 0), keep
 
 
-def _ready(store, ids: np.ndarray) -> np.ndarray:
-    """``store.ready(ids)`` of a nucleus store, checking that the rows
+def _ready(store, model, ids: np.ndarray) -> np.ndarray:
+    """``store.ready(model, ids)`` of a nucleus store, checking that the rows
     already built keep their values and that its flat arrays hold their
     reservation or at most twice the entries written, with the ``V``
     entries the last row's window reads."""
     done = _built(store)
     before = _rows(store, done)
-    got = store.ready(ids)
+    got = store.ready(model, ids)
     for old, now in zip(before, _rows(store, done)):
         assert np.array_equal(old, now)
     v = store.vocab_size
@@ -218,26 +219,26 @@ def _ready(store, ids: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_stores_filled_to_their_bound_keep_their_rows(teacher64, scheme, monkeypatch):
+def test_stores_filled_to_their_bound_keep_their_rows(fresh_teacher64, scheme, monkeypatch):
     """A store grows past its reservation as rows are built, keeps them when
     it grows, and stops at its bound; reaching rows already built adds none."""
+    teacher = fresh_teacher64
     monkeypatch.setattr(models, "_RESERVE_BYTES", 10_000)  # under 20 rows of V = 64
     sampling = SamplingConfig(seed=43, max_tokens=60)
     wm = _wm(scheme, 64, 2, 0xFACE)
-    tables: dict = {}
-    assert (generate_corpus(teacher64, 25, 90, sampling, wm, tables=tables)
-            == loop_generate_corpus(teacher64, 25, 90, sampling, wm))
+    assert (generate_corpus(teacher, 25, 90, sampling, wm)
+            == loop_generate_corpus(teacher, 25, 90, sampling, wm))
     prompts = [[i, i + 1, i + 2] for i in range(20)]
-    assert (_complete(teacher64, prompts, sampling, None, tables)
-            == loop_complete(teacher64, prompts, sampling))
+    assert (_complete(teacher, prompts, sampling, None)
+            == loop_complete(teacher, prompts, sampling))
     temperature = 0.5 if scheme == "ak-temp" else sampling.temperature  # as _wm sets it
-    nucleus = tables[(temperature, sampling.nucleus_p)]
+    nucleus = teacher._stores[(temperature, sampling.nucleus_p)]
     bound = nucleus.bound
     assert 0 < nucleus.n < bound / 2  # below half: not completed
-    assert bound == sum(len(ctx) - 1 for ctx in teacher64._ctx) + 1
+    assert bound == sum(len(ctx) - 1 for ctx in teacher._ctx) + 1
     ids = np.random.default_rng(3).permutation(bound)
     for part in np.array_split(ids, 4):
-        assert np.array_equal(_ready(nucleus, part), part)
+        assert np.array_equal(_ready(nucleus, teacher, part), part)
     assert nucleus.n == bound and (nucleus.keep > 0).all()
     assert len(nucleus.q) > models._RESERVE_BYTES // (nucleus.q.itemsize + nucleus.idx.itemsize)
     # rows lie back to back: their starts and kept counts tile the entries
@@ -249,7 +250,7 @@ def test_stores_filled_to_their_bound_keep_their_rows(teacher64, scheme, monkeyp
         return
     # every order-2 state of the 64-token teacher holds a full window
     codes = np.array([_code((a, b), 64) for a in range(64) for b in range(64)])
-    marked = _WatermarkRows(nucleus, wm, len(codes))
+    marked = _WatermarkRows(teacher, nucleus, wm, len(codes))
     rows = np.concatenate([_fill(marked, part) for part in np.array_split(codes[::-1], 5)])
     assert marked.n == _size(marked) == len(codes)
     assert np.array_equal(marked.rows(codes[::7]), rows[::-1][::7])
@@ -264,11 +265,11 @@ def test_store_memory_follows_the_rows_built():
     model = train_ngram(rng.integers(0, 4096, size=(40, 500)).tolist(), 2, 0.05, 4096)
     nucleus = NucleusRows(model, 0.8, 0.95)
     assert nucleus.bound > 20_000  # over 700 MB of V-wide rows
-    _ready(nucleus, rng.permutation(nucleus.bound)[:300])
+    _ready(nucleus, model, rng.permutation(nucleus.bound)[:300])
     assert nucleus.n == 300
     small = train_ngram(rng.integers(0, 1024, size=(20, 200)).tolist(), 1, 0.05, 1024)
     wm = _wm("kgw", 1024, 2, 0xD1CE)
-    marked = _WatermarkRows(NucleusRows(small, 0.8, 0.95), wm, 10**9)
+    marked = _WatermarkRows(small, NucleusRows(small, 0.8, 0.95), wm, 10**9)
     assert marked.bound == 1025**2 - 1025  # 8.6 GB of rows
     codes = np.unique([_code(pair, 1024) for pair in rng.integers(0, 1024, size=(500, 2))])
     for part in np.array_split(codes, 3):
@@ -283,7 +284,7 @@ def test_picks_read_past_keep_equal_zero_padded_picks(teacher64):
     picks equal those from rows padded with zeros, at u = 0, at each
     cumulative sum, just below it, and at the row total."""
     rows = NucleusRows(teacher64, 0.8, 0.95)
-    ids = rows.ready(np.random.default_rng(6).permutation(rows.bound))
+    ids = rows.ready(teacher64, np.random.default_rng(6).permutation(rows.bound))
     q, idx, keep = rows.kept(ids)
     inside = np.arange(64) < keep[:, None]
     assert (rows._q_rows[rows.start[ids]][~inside] > 0).any()  # later rows' entries
@@ -309,34 +310,36 @@ def test_a_half_built_store_builds_every_row_once(teacher64):
     built = []
     build = store._build
 
-    def counted(ids):
+    def counted(model, ids):
         built.append(ids.copy())
-        return build(ids)
+        return build(model, ids)
 
     store._build = counted
     ids = np.random.default_rng(7).permutation(store.bound)
     half = (store.bound + 1) // 2
-    store.ready(ids[: half - 1])
+    store.ready(teacher64, ids[: half - 1])
     assert store.n == half - 1
-    store.ready(ids[half - 1 : half])
+    store.ready(teacher64, ids[half - 1 : half])
     assert store.n == store.bound
     assert np.array_equal(np.sort(np.concatenate(built)), np.arange(store.bound))
     calls = len(built)
-    store.ready(ids)
-    store.state_ids(np.array([_code((a, b), 64) for a in range(64) for b in range(64)]))
+    store.ready(teacher64, ids)
+    store.state_ids(teacher64,
+                    np.array([_code((a, b), 64) for a in range(64) for b in range(64)]))
     assert len(built) == calls
     for part in np.array_split(ids, 3):  # each part under half: built lazily
         lazy = NucleusRows(teacher64, 0.8, 0.95)
-        lazy.ready(part)
+        lazy.ready(teacher64, part)
         assert lazy.n == len(part)
         for got, want in zip(_rows(store, part), _rows(lazy, part)):
             assert np.array_equal(got, want)
 
 
 def test_an_untrained_model_has_one_row():
-    store = NucleusRows(models.NGramModel(2, 8), 0.8, 0.95)
+    model = models.NGramModel(2, 8)
+    store = NucleusRows(model, 0.8, 0.95)
     assert store.bound == 1
-    ids = store.state_ids(np.array([0, _code((3,), 8), _code((1, 2), 8)]))
+    ids = store.state_ids(model, np.array([0, _code((3,), 8), _code((1, 2), 8)]))
     assert ids.tolist() == [0, 0, 0] and store.n == 1
 
 
@@ -354,14 +357,15 @@ def test_digit_table_seeds_equal_window_hash(key, k, order, data):
                                           max_size=depth + 2), max_size=20))
     windows += [[1] * depth, [v - 1] * depth]  # key 2**64 - 2, even k: (1, 1, ...) sums to 0
     wm = WatermarkConfig("kgw", SecretKey(key), v, k=k)
-    nucleus = NucleusRows(models.NGramModel(order, v), 0.8, 0.95)
+    model = models.NGramModel(order, v)
+    nucleus = NucleusRows(model, 0.8, 0.95)
     want = [window_hash(w[-k:], SecretKey(key)) for w in windows]
     with mock.patch.object(models, "_RESERVE_BYTES", 0):  # no room for dense tables
-        marked = _WatermarkRows(nucleus, wm, 1)
+        marked = _WatermarkRows(model, nucleus, wm, 1)
     assert not marked.dense
     assert marked._seeds(np.array([_code(w, v) for w in windows], np.int64)).tolist() == want
     if (v + 1) ** depth <= 1 << 16:
-        dense = _WatermarkRows(nucleus, wm, 1)
+        dense = _WatermarkRows(model, nucleus, wm, 1)
         assert dense.dense
         codes = np.array([_code(w[-depth:], v) for w in windows], np.int64)
         assert dense._seed_of[codes].tolist() == want
@@ -421,16 +425,16 @@ def test_dense_tables_stay_within_the_reservation(monkeypatch):
     nucleus = NucleusRows(model, 0.8, 0.95)
     wm = _wm("kgw", 128, 2, 0xD1CE)
     states = 129**2 - 129
-    marked = _WatermarkRows(nucleus, wm, states)
+    marked = _WatermarkRows(model, nucleus, wm, states)
     assert marked.dense and marked.index is None
     tables = (marked._row_of, marked._seed_of)
     assert [len(t) for t in tables] == [129**2] * 2
     assert sum(t.nbytes for t in tables) <= models._RESERVE_BYTES
-    assert _WatermarkRows(nucleus, wm, 1).dense  # however few states a call reaches
+    assert _WatermarkRows(model, nucleus, wm, 1).dense  # however few states a call reaches
     monkeypatch.setattr(models, "_RESERVE_BYTES", 16 * 129**2)
-    assert _WatermarkRows(nucleus, wm, states).dense
+    assert _WatermarkRows(model, nucleus, wm, states).dense
     monkeypatch.setattr(models, "_RESERVE_BYTES", 16 * 129**2 - 1)
-    assert not _WatermarkRows(nucleus, wm, states).dense
+    assert not _WatermarkRows(model, nucleus, wm, states).dense
     monkeypatch.undo()
     # V = 2100 at depth 2: 4.4 million state codes, 71 MB of tables
     big = train_ngram(rng.integers(0, 2100, size=(20, 200)).tolist(), 1, 0.05, 2100)
@@ -438,7 +442,7 @@ def test_dense_tables_stay_within_the_reservation(monkeypatch):
     wm = _wm("kgw", 2100, 2, 0xD1CE)
     tracemalloc.start()
     try:
-        marked = _WatermarkRows(nucleus, wm, 2101**2 - 2101)
+        marked = _WatermarkRows(big, nucleus, wm, 2101**2 - 2101)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -446,7 +450,8 @@ def test_dense_tables_stay_within_the_reservation(monkeypatch):
     # the row reservation and the digit tables, not 71 MB more
     assert peak <= models._RESERVE_BYTES + (1 << 20)
     codes = np.unique([_code(pair, 2100) for pair in rng.integers(0, 2100, size=(50, 2))])
-    assert np.array_equal(marked.fields["base"][marked.rows(codes)], nucleus.state_ids(codes))
+    assert np.array_equal(marked.fields["base"][marked.rows(codes)],
+                          nucleus.state_ids(big, codes))
 
 
 def test_state_codes_wider_than_int64():
@@ -519,7 +524,7 @@ def test_batched_rows_equal_next_distribution_bit_for_bit(mc):
     v = model.vocab_size
     store = NucleusRows(model, 0.8, 0.95)
     codes = np.array([_code(c[-model.order:], v) for c in contexts])
-    got = model._distributions(store.state_ids(codes))
+    got = model._distributions(store.state_ids(model, codes))
     want = np.array([model.next_distribution(c) for c in contexts])
     assert got.tobytes() == want.tobytes()
     if len(model._keys[0]) == 0:  # never trained: every context is the uniform row
@@ -531,9 +536,9 @@ def test_states_that_back_off_to_one_context_share_one_row():
     rows = NucleusRows(model, 0.8, 0.95)
     assert rows.bound == 5
     # (5, 2), (7, 2) and (2,) all back off to (2,)
-    got = rows.state_ids(np.array([_code(c, 8) for c in ((5, 2), (7, 2), (2,))]))
+    got = rows.state_ids(model, np.array([_code(c, 8) for c in ((5, 2), (7, 2), (2,))]))
     assert len(set(got.tolist())) == 1 and rows.n == 1
-    got = rows.state_ids(np.array([_code(c, 8) for c in ((1, 2), (6, 6), (4,), ())]))
+    got = rows.state_ids(model, np.array([_code(c, 8) for c in ((1, 2), (6, 6), (4,), ())]))
     assert len(set(got.tolist())) == 2  # (1, 2) and ()
     assert rows.n == rows.bound  # three of five rows built: the rest are too
 
@@ -541,35 +546,90 @@ def test_states_that_back_off_to_one_context_share_one_row():
 def test_store_stays_within_the_model_contexts():
     rng = np.random.default_rng(9)
     model = train_ngram(rng.integers(0, 16, size=(5, 30)).tolist(), 3, 0.05, 16)
-    tables: dict = {}
     for seed in range(12):
         prompts = rng.integers(0, 16, size=(30, 3)).tolist()
-        _complete(model, prompts, SamplingConfig(seed=seed, max_tokens=40), None, tables)
-    (store,) = tables.values()
+        _complete(model, prompts, SamplingConfig(seed=seed, max_tokens=40), None)
+    (store,) = model._stores.values()
     contexts = sum(len(ctx) - 1 for ctx in model._ctx)  # less each level's sentinel
     assert store.n <= contexts + 1
 
 
 def test_tables_follow_further_training():
+    """``update`` drops the model's stores, so rows built before it are not
+    read after it: a sampler made before samples as a model trained on
+    both corpora at once."""
     rng = np.random.default_rng(10)
-    model = train_ngram(rng.integers(0, 16, size=(4, 30)).tolist(), 2, 0.05, 16)
-    sampling = SamplingConfig(seed=12)
-    tables: dict = {}
-    generate_corpus(model, 10, 40, sampling, tables=tables)
-    model.update(rng.integers(0, 16, size=(6, 30)).tolist())
-    assert (generate_corpus(model, 10, 40, sampling, tables=tables)
-            == generate_corpus(model, 10, 40, sampling))
+    first, more = (rng.integers(0, 16, size=(n, 30)).tolist() for n in (4, 6))
+    model = train_ngram(first, 2, 0.05, 16)
+    sampling = SamplingConfig(seed=12, max_tokens=37)
+    sampler = TextSampler(model, sampling)
+    generate_corpus(model, 10, 40, sampling)
+    (before,) = model._stores.values()
+    model.update(more)
+    assert model._stores == {}
+    at_once = train_ngram(first + more, 2, 0.05, 16)
+    assert generate_corpus(model, 10, 40, sampling) == generate_corpus(at_once, 10, 40, sampling)
+    prompts, uniforms = [[1, 2]] * 10, np.random.default_rng(12).random((10, 37))
+    assert np.array_equal(sampler.generate(prompts, 37, uniforms),
+                          TextSampler(at_once, sampling).generate(prompts, 37, uniforms))
+    (after,) = model._stores.values()
+    assert after is not before and after.bound > before.bound
 
 
 def test_tables_follow_their_model():
+    """Two models of one vocabulary each sample through their own rows."""
     rng = np.random.default_rng(11)
     first, second = (train_ngram(rng.integers(0, 16, size=(4, 30)).tolist(), 2, 0.05, 16)
                      for _ in range(2))
     sampling = SamplingConfig(seed=13)
-    tables: dict = {}
-    generate_corpus(first, 10, 40, sampling, tables=tables)
-    assert (generate_corpus(second, 10, 40, sampling, tables=tables)
-            == generate_corpus(second, 10, 40, sampling))
+    generate_corpus(first, 10, 40, sampling)
+    assert (generate_corpus(second, 10, 40, sampling)
+            == loop_generate_corpus(second, 10, 40, sampling))
+    assert first._stores[(0.8, 0.95)] is not second._stores[(0.8, 0.95)]
+
+
+def test_generate_calls_share_one_store(monkeypatch):
+    """Two one-shot ``generate`` calls on a model make one nucleus store,
+    and the second builds no row."""
+    model = train_ngram(np.random.default_rng(17).integers(0, 16, size=(4, 30)).tolist(),
+                        2, 0.05, 16)
+    made, built = [], []
+    init, build = NucleusRows.__init__, NucleusRows._build
+
+    def counted_init(store, *args):
+        made.append(store)
+        init(store, *args)
+
+    def counted_build(store, model, ids):
+        built.append(ids)
+        return build(store, model, ids)
+
+    monkeypatch.setattr(NucleusRows, "__init__", counted_init)
+    monkeypatch.setattr(NucleusRows, "_build", counted_build)
+    sampling = SamplingConfig(seed=18, max_tokens=25)
+    first = generate(model, [3, 4], sampling)
+    calls = len(built)
+    assert generate(model, [3, 4], sampling) == first
+    assert len(made) == 1 and list(model._stores.values()) == made
+    assert len(built) == calls
+
+
+def test_a_dropped_model_frees_its_stores():
+    """A store holds no reference to its model, so dropping the model frees
+    its stores without a garbage collection pass."""
+    model = train_ngram(np.random.default_rng(19).integers(0, 16, size=(4, 30)).tolist(),
+                        2, 0.05, 16)
+    wm = _wm("kgw", 16, 2, 0xF00D)
+    gc.disable()
+    try:
+        generate(model, [1, 2], SamplingConfig(seed=20, max_tokens=10), wm)
+        generate_corpus(model, 3, 20, SamplingConfig(seed=21, temperature=1.1))
+        stores = [weakref.ref(store) for store in model._stores.values()]
+        assert len(stores) == 2
+        del model
+        assert [store() for store in stores] == [None, None]
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=80, deadline=None)
@@ -581,16 +641,15 @@ def test_searched_upper_levels_equal_the_loop(s, data):
     model, v = s["model"], s["model"].vocab_size
     gathered = data.draw(st.integers(0, model.order - 1))
     itemsize = np.min_scalar_type(int(model._first[-1]) + 1).itemsize
-    tables: dict = {}
     sampling = SamplingConfig(nucleus_p=s["nucleus_p"], seed=s["seed"],
                               max_tokens=s["max_tokens"])
     wm = _wm(s["scheme"], v, s["k"], 0xBEEF)
     args = (model, s["n_docs"], s["doc_len"], sampling, wm, s["prompt_len"])
     with mock.patch.object(models, "_RESERVE_BYTES", (v + 1) ** gathered * itemsize):
-        assert generate_corpus(*args, tables=tables) == loop_generate_corpus(*args)
-        assert (_complete(model, s["prompts"], sampling, None, tables)
+        assert generate_corpus(*args) == loop_generate_corpus(*args)
+        assert (_complete(model, s["prompts"], sampling, None)
                 == loop_complete(model, s["prompts"], sampling))
-    assert {store.gathered for store in tables.values()} == {gathered}
+    assert {store.gathered for store in model._stores.values()} == {gathered}
 
 
 def test_an_over_budget_level_allocates_no_table():
@@ -609,7 +668,7 @@ def test_an_over_budget_level_allocates_no_table():
     trained = model._keys[2][:20] // 10_000  # codes of some trained order-2 contexts
     contexts = [divmod(int(c), 10_000) for c in trained] + [(7, 7), (5,), ()]
     codes = np.array([_code(c, 10_000) for c in contexts])
-    assert store.state_ids(codes).tolist() == [model._find(c) for c in contexts]
+    assert store.state_ids(model, codes).tolist() == [model._find(c) for c in contexts]
 
 
 def test_completions_search_no_level_when_the_table_fits(monkeypatch):
