@@ -38,15 +38,20 @@ token ids by descending probability and their renormalized
 probabilities, built from the context's counts without a per-row model
 call.  Only kept entries are stored: rows lie back to back in two flat
 arrays, in build order, and a context id finds its row by ``start`` and
-``keep``.  A walk reads V-wide rows through a sliding window over the
-flat array, one index for all states, so past ``keep`` a row read runs
-on into later rows' entries, or into zeros past the last.  Those entries
+``keep``.  A walk reads rows through sliding windows over the flat
+array, one index for all states, so past ``keep`` a row read runs on
+into later rows' entries, or into zeros past the last.  Those entries
 are probabilities, never negative, so the cumulative sums past ``keep``
 never fall below the row total: the count of sums at or below a uniform,
-clipped to ``keep - 1``, is the one zero padding would give.  Once a
-store has built half its rows it builds all the others in one pass, so
-at most twice the work and memory of the rows reached, and its lookups
-never build again.
+clipped to ``keep - 1``, is the one zero padding would give.  Because
+the sums never fall, a draw first counts over the row's head, its first
+``_HEAD`` entries, and reads the V-wide row only when the head's last
+sum is still at or below the uniform; ``np.add.accumulate`` adds in
+order, so the head's sums are the row's first sums bit for bit.  Nucleus
+rows keep most of their mass in their first entries, so few draws read
+past the head.  Once a store has built half its rows it builds all the
+others in one pass, so at most twice the work and memory of the rows
+reached, and its lookups never build again.
 
 A watermarked state's row, built once per state, holds its context id
 and the scheme's part: the cumulative biased probabilities (KGW, MPAC)
@@ -102,6 +107,8 @@ class SamplingConfig:
             raise ValueError("temperature must be > 0")
         if not 0.0 < self.nucleus_p <= 1.0:
             raise ValueError("nucleus_p must be in (0, 1]")
+        if self.max_tokens < 0:
+            raise ValueError(f"max_tokens must be >= 0, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)
@@ -373,6 +380,11 @@ def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
 #: nucleus rows (53,703 contexts, 4.7 million kept entries, 40 MiB), fits.
 _RESERVE_BYTES = 64 << 20
 
+#: Cumulative sums a draw counts before it reads a whole row.  A draw
+#: reads past them in about 1 of 20 closed-h0 completion steps and 1 of 6
+#: KGW walk steps at V = 128.
+_HEAD = 16
+
 
 class NucleusRows:
     """Nucleus rows of the trained contexts reached so far, for one model,
@@ -387,9 +399,11 @@ class NucleusRows:
     and holds ``keep[c]`` entries (0 while it is not built).  Each flat
     array is read through a sliding window of width V, so gathering
     V-wide rows is one index; past ``keep`` such a row holds later rows'
-    entries or zeros.  Once half the rows are built, the rest are built
-    at once.  The model keeps the store (:meth:`NGramModel._nucleus`), so
-    the store holds no reference back: the calls that build rows get it.
+    entries or zeros.  ``q`` is also read through a window of ``_HEAD``
+    entries, which is all most draws need (:meth:`draw`).  Once half the
+    rows are built, the rest are built at once.  The model keeps the
+    store (:meth:`NGramModel._nucleus`), so the store holds no reference
+    back: the calls that build rows get it.
 
     ``context_of[c]`` is the context id of a state whose last ``gathered``
     tokens have code ``c``, and ``gathered`` is ``order`` unless that
@@ -439,6 +453,7 @@ class NucleusRows:
             setattr(self, name, grown)
         window = np.lib.stride_tricks.sliding_window_view
         self._q_rows, self._idx_rows = window(self.q, v), window(self.idx, v)
+        self._q_head = window(self.q, min(_HEAD, v))
 
     def state_ids(self, model: NGramModel, codes: np.ndarray) -> np.ndarray:
         """Id of the trained context each sampler state code (see
@@ -513,14 +528,22 @@ class NucleusRows:
 
     def sample(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Kept id of each row ``ids`` at uniform ``u``."""
-        return self.pick(ids, self._q_rows[self.start[ids]].cumsum(axis=1), u)
+        at = self.start[ids]
+        return self.draw(ids, self._q_head[at].cumsum(axis=1), u,
+                         lambda past: self._q_rows[at[past]].cumsum(axis=1))
 
-    def pick(self, ids: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Kept id of each row ``ids`` at the count of ``cum <= u``, clipped
-        to its kept ids.  ``cum`` may run on past a row's kept entries, so
-        long as it does not fall."""
-        j = np.minimum((cum <= u[:, None]).sum(axis=1), self.keep[ids] - 1)
-        return self.idx[self.start[ids] + j]
+    def draw(self, ids: np.ndarray, head: np.ndarray, u: np.ndarray, full) -> np.ndarray:
+        """Kept id of each row ``ids`` at the count of its cumulative sums
+        at or below ``u``, clipped to its kept ids.  ``head`` holds each
+        row's first sums and ``full(sel)`` the V-wide sums of rows ``sel``,
+        which may run on past the kept entries so long as they do not fall.
+        So no sum after a head's last is at or below ``u`` when that one is
+        above it, and only the other rows are read in full."""
+        j = (head <= u[:, None]).sum(axis=1)
+        past = np.flatnonzero(head[:, -1] <= u)
+        if len(past):
+            j[past] = (full(past) <= u[past, None]).sum(axis=1)
+        return self.idx[self.start[ids] + np.minimum(j, self.keep[ids] - 1)]
 
 
 class _WatermarkRows:
@@ -623,6 +646,15 @@ class _WatermarkRows:
             self.n += len(part)
         return start
 
+    def sample(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Token of each row at uniform ``u``: the AK pick, or the kept id at
+        ``u`` times the row total, drawn head first like a nucleus row."""
+        if self.wm.scheme == AK:
+            return self.fields["tok"][rows]
+        bcum = self.fields["bcum"]
+        return self.nucleus.draw(self.fields["base"][rows], bcum[:, :_HEAD][rows],
+                                 u * bcum[:, -1][rows], lambda past: bcum[rows[past]])
+
     def _seeds(self, codes: np.ndarray) -> np.ndarray:
         """Window seed of each state code: its digit j from the newest is
         the token ``digit - 1`` with j window tokens after it, which adds
@@ -702,7 +734,10 @@ class TextSampler:
         the row total.  Every other state reads its context's nucleus row.
         The token is the kept id at the count of cumulative sums at or
         below the uniform, which is ``searchsorted(side="right")`` row by
-        row, clipped to the kept ids.
+        row, clipped to the kept ids.  The count is taken over the first
+        ``_HEAD`` sums of each row, and over the whole row only where the
+        last of those is at or below the uniform: the sums never fall, so
+        the count is the whole row's either way.
         """
         model, radix, dtype = self.model, self._radix, self._code_dtype
         nucleus = model._nucleus(self.temperature, self.sampling.nucleus_p)
@@ -724,13 +759,7 @@ class TextSampler:
                     ids = nucleus.state_ids(model, codes[plain])
                     out[plain, t] = nucleus.sample(ids, u[plain])
                 if len(wide):
-                    rows = marked.rows(codes[wide])
-                    if self.wm.scheme == AK:
-                        out[wide, t] = marked.fields["tok"][rows]
-                    else:
-                        bcum = marked.fields["bcum"][rows]
-                        out[wide, t] = nucleus.pick(marked.fields["base"][rows], bcum,
-                                                    u[wide] * bcum[:, -1])
+                    out[wide, t] = marked.sample(marked.rows(codes[wide]), u[wide])
             codes = codes % self._tail * radix + out[:, t].astype(dtype) + 1
         return out
 

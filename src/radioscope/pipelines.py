@@ -127,6 +127,8 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
     demonstrate the false-alarm collapse.
     """
     _check_run(key_cfg, budget)
+    if isinstance(suspect, NGramModel):  # refused before any completion is sampled
+        _check_key_vocab(key_cfg, suspect)
     if not prompts:
         raise ValueError("prompts must be nonempty")
     if phi is not None and phi.k != key_cfg.k:

@@ -5,8 +5,9 @@ repetition and an empty corpus, corpus files are refused line by line,
 ``generate`` and ``generate_corpus`` refuse a negative document count
 and documents shorter than their prompt, scenario files refuse such
 lengths by key and line, the filter refuses token ids that are not
-int64 integers or are negative, and sampling and open detection refuse a
-key whose vocabulary is smaller than the model's."""
+int64 integers or are negative, sampling refuses a negative
+``max_tokens``, and sampling and both detection modes refuse a key whose
+vocabulary is smaller than the model's."""
 
 import re
 
@@ -394,12 +395,38 @@ def test_open_mode_refuses_a_key_of_a_smaller_vocabulary(small_model, key):
         detect_open(small_model, [[29, 30, 31, 30, 31]], cfg)
 
 
+def test_closed_mode_refuses_a_key_of_a_smaller_vocabulary_before_sampling(key):
+    """The refusal names both sizes; sampling first would fail on the
+    first completion token past the key's vocabulary instead."""
+    model = train_ngram([[(7 * i + j) % 64 for j in range(40)] for i in range(20)], 2, 0.01, 64)
+    cfg = WatermarkConfig("kgw", key, 32, k=2, gamma=0.25, delta=3.0)
+    with pytest.raises(ConfigError, match=re.escape(SMALLER_KEY)):
+        detect_closed(model, [[28, 29, 30, 31]], cfg, sampling=SamplingConfig(max_tokens=20))
+    assert not model._stores  # no nucleus store: nothing was sampled
+
+
 def test_cli_key_of_a_smaller_vocabulary_is_one_error_line(cli_files, capsys):
     # the model predicts 32 after 31, past the key's vocabulary
     corpus = cli_files[0] / "high.jsonl"
     corpus.write_text('{"tokens": [28, 29, 30, 31, 30, 31]}\n')
-    assert detect_cli(cli_files, "--vocab-size", "32", corpus=corpus) == EXIT_ERROR
-    assert SMALLER_KEY in one_error_line(capsys)
+    for mode in ("open", "closed"):
+        assert detect_cli(cli_files, "--vocab-size", "32", mode=mode,
+                          corpus=corpus) == EXIT_ERROR
+        assert SMALLER_KEY in one_error_line(capsys)
+
+
+def test_negative_max_tokens_refused(small_model, kgw_cfg, cli_files, capsys):
+    """``max_tokens = 0`` stays allowed: closed detection then scores no
+    completion token."""
+    with pytest.raises(ValueError, match=r"^max_tokens must be >= 0, got -1$"):
+        SamplingConfig(max_tokens=-1)
+    report = detect_closed(small_model, [[1, 2, 3]], kgw_cfg,
+                           sampling=SamplingConfig(max_tokens=0))
+    assert report.n_scored == 0
+    config = cli_files[0] / "closed.cfg"
+    config.write_text("max_tokens = -1\n")
+    assert detect_cli(cli_files, "--config", str(config), mode="closed") == EXIT_ERROR
+    assert "max_tokens must be >= 0, got -1" in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("scheme", ["kgw", "ak"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radioscope import (SamplingConfig, SecretKey, TextSampler, WatermarkConfig, generate,
-                        generate_corpus, models, train_ngram)
+                        generate_corpus, make_teacher, models, train_ngram)
 from radioscope.hashing import window_hash
 from radioscope.models import NucleusRows, _WatermarkRows
 from radioscope.pipelines import _complete
@@ -300,6 +300,51 @@ def test_picks_read_past_keep_equal_zero_padded_picks(teacher64):
     below = np.nextafter(total, 0)
     want = idx[at, np.minimum((cum <= below[:, None]).sum(axis=1), kept - 1)]
     assert np.array_equal(rows.sample(ids, below), want)
+
+
+def _uniforms_at(x: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Uniforms u with ``u * total == x`` where some double gives that
+    product, else within a few ulps of it."""
+    u = x / total
+    for _ in range(3):
+        y = u * total
+        u = np.where(y > x, np.nextafter(u, 0), np.where(y < x, np.nextafter(u, 1), u))
+    return u
+
+
+@pytest.mark.parametrize("scheme", ["kgw", "mpac"])
+@pytest.mark.parametrize("v", [64, 8])
+def test_watermark_draws_at_the_head_boundary_equal_full_row_draws(teacher64, scheme, v):
+    """A KGW or MPAC draw counts the first ``_HEAD`` cumulative sums of its
+    row and reads the whole row only where the last of them is at or below
+    u times the row total.  At u * total = 0, at each sum, just below it
+    and at the total it takes the whole row's count, clipped to keep - 1,
+    in rows that keep fewer entries than the head and more, and in the
+    V = 8 model's rows, which are narrower than the head."""
+    model = teacher64 if v == 64 else make_teacher(vocab_size=8, seed=7, source_tokens=20_000)
+    nucleus = NucleusRows(model, 0.8, 0.95)
+    marked = _WatermarkRows(model, nucleus, _wm(scheme, v, 2, 0xBEEF), v * v)
+    rows = marked.rows(np.array([_code((a, b), v) for a in range(v) for b in range(v)]))
+    bcum = marked.fields["bcum"][rows]
+    base = marked.fields["base"][rows]
+    keep = nucleus.keep[base].astype(np.intp)
+    idx = nucleus._idx_rows[nucleus.start[base]]
+    total, at = bcum[:, -1], np.arange(len(rows))
+    head = models._HEAD
+    edges = (head - 1, head) if v > head else (v - 1,)
+    # rows that keep fewer entries than the head, and more
+    kinds = (keep < head, keep > head) if v > head else (keep < head,)
+    assert all(kind.any() for kind in kinds)
+    points = [(None, np.zeros(len(rows))), (None, total)]
+    points += [(j, x) for j in range(v) for x in (bcum[:, j], np.nextafter(bcum[:, j], 0))]
+    for j, x in points:
+        u = _uniforms_at(x, total)
+        y = u * total  # the draw's point, as the store computes it
+        want = idx[at, np.minimum((bcum <= y[:, None]).sum(axis=1), keep - 1)]
+        assert np.array_equal(marked.sample(rows, u), want)
+        if j in edges:  # the draws hit the boundary itself
+            hit = y == x
+            assert hit.mean() > 0.9 and all(hit[kind].any() for kind in kinds)
 
 
 def test_a_half_built_store_builds_every_row_once(teacher64):
