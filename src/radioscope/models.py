@@ -253,23 +253,16 @@ class NGramModel:
 
     def _find(self, context) -> int:
         """Id (see :meth:`_index`) of the longest trained suffix of ``context``."""
-        v = self.vocab_size
-        code = length = 0  # code of the last ``length`` in-vocabulary tokens
-        for tok in context[-self.order :]:
-            if 0 <= tok < v:
-                code, length = code * v + tok, length + 1
-            else:  # no trained context holds this token
-                code = length = 0
-        for length in range(length, -1, -1):
-            code %= v**length
-            row = int(self._ctx[length].searchsorted(code))
-            if self._ctx[length].item(row) == code:
-                return int(self._first[length]) + row
+        tail = context[-self.order :]
+        for length, sel, rows in self._locate([tail], np.zeros(1, np.intp), np.array([len(tail)])):
+            if len(sel):
+                return int(self._first[length] + rows[0])
         return int(self._first[-1])
 
     def _locate(self, docs, doc: np.ndarray, pos: np.ndarray):
         """Yield (level, indices, rows) of the longest trained suffix of each
-        ``docs[d][:p]`` of ``zip(doc, pos)``, cut as :meth:`_find` cuts it."""
+        ``docs[d][:p]`` of ``zip(doc, pos)``: a suffix holds at most ``order``
+        tokens, and none at or before an out-of-vocabulary one."""
         v = self.vocab_size
         # ``order`` zeros in front keep every look-back index in range
         flat = np.fromiter(chain([0] * self.order, *docs), np.int64)
@@ -910,6 +903,14 @@ def save_model(model: NGramModel, path) -> None:
 
 
 def load_model(path) -> NGramModel:
+    """The model a :func:`save_model` checkpoint holds.
+
+    A ``ValueError`` refuses a file that does not start with ``RSM2`` (an
+    RSM1 checkpoint too), a damaged archive or one that lacks a field, and
+    a level unless its keys and counts are unsigned arrays of one length,
+    the keys strictly increasing and below ``V ** (level + 1)`` and the
+    counts positive.
+    """
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MODEL_MAGIC:  # RSM1, the per-record format, is no longer read

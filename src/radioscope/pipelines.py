@@ -187,8 +187,9 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     For every position with a full k-window, the suspect's most likely
     next token, read out for all positions at once, is scored against the
     input-derived window.  A window that already occurred earlier in the
-    document is skipped.  Documents may carry a ``prompt_len`` field marking
-    a leading region that is never scored but still counts as earlier context.
+    document is skipped.  Documents may carry a ``prompt_len`` field, a
+    non-negative integer marking a leading region that is never scored but
+    still counts as earlier context.
     """
     _check_run(key_cfg, budget)
     if not isinstance(suspect, NGramModel):
@@ -199,8 +200,12 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     for doc_id, doc in enumerate(wm_texts):
         is_dict = isinstance(doc, dict)
         texts.append(list(doc["tokens"] if is_dict else doc))
-        prompt_lens.append(int(doc.get("prompt_len", 0)) if is_dict else 0)
         _check_vocab(texts[-1], key_cfg.vocab_size, f"document {doc_id}")
+        n = doc.get("prompt_len", 0) if is_dict else 0
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ConfigError(f"document {doc_id}: prompt_len {n!r} is not a "
+                              "non-negative integer")
+        prompt_lens.append(min(n, len(texts[-1])))  # a prompt past the end blocks no more
     cands = candidate_table(texts, prompt_lens, key_cfg.k, key_cfg.key,
                             open_mode=True)
     cands = cands[cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]]]
@@ -394,6 +399,8 @@ def parse_scenario(path) -> dict:
                 spec[key] = float(value)
             elif key in _LIST_KEYS:
                 items = [v.strip() for v in value.split(",") if v.strip()]
+                if not items:
+                    raise ValueError(f"{key} must hold at least one value")
                 if key == "modes":
                     bad = set(items) - {OPEN, CLOSED}
                     if bad:
@@ -417,11 +424,20 @@ def parse_scenario(path) -> dict:
         floors["detect_len"] = 3
     if CLOSED in spec["modes"]:
         floors["prompt_len"] = 0
-    for key, floor in floors.items():
-        if spec[key] < floor:  # the defaults pass, so the file set it
-            raise ValueError(f"{path}:{lines[key]}: {key} must be >= {floor} "
-                             f"(generated documents start with a 3-token prompt), "
-                             f"got {spec[key]}")
+    rules = [(key, spec[key] >= floor, f"be >= {floor} (generated documents "
+              "start with a 3-token prompt)") for key, floor in floors.items()]
+    rules += [
+        ("repetitions", spec["repetitions"] >= 1, "be >= 1"),
+        ("rho", all(0 <= r <= 1 for r in spec["rho"]), "lie in [0, 1]"),
+        ("rho_value", 0 <= spec["rho_value"] <= 1, "lie in [0, 1]"),
+        ("d_values", all(0 < d <= 1 for d in spec["d_values"]), "lie in (0, 1]"),
+        ("k_values", all(k >= 1 for k in spec["k_values"]), "be >= 1"),
+    ]
+    if spec["scenario"] == "d_sweep":  # its MIA needs watermarked training documents
+        rules.append(("rho_value", spec["rho_value"] > 0, "be > 0 for d_sweep"))
+    for key, ok, rule in rules:
+        if not ok:  # the defaults pass, so the file set it
+            raise ValueError(f"{path}:{lines[key]}: {key} must {rule}, got {spec[key]}")
     return spec
 
 

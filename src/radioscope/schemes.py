@@ -10,8 +10,7 @@ the bias goes to the set encoding the message digit at that position.
 Embedding and scoring work on arrays of window seeds (see
 :func:`~radioscope.hashing.window_hashes`): KGW and MPAC raise logits
 under a ``(seeds, V)`` mask (:func:`bias_logits`), and AK picks by a
-masked argmin (:func:`aaronson_pick`).  The functions on one window are
-one-row calls of these.
+masked argmin (:func:`aaronson_pick`).
 """
 
 from __future__ import annotations
@@ -181,67 +180,16 @@ def aaronson_pick(seeds: np.ndarray, p: np.ndarray, ids: np.ndarray) -> np.ndarr
     return np.argmin(cost, axis=1)
 
 
-def _bias_one(logits: np.ndarray, window, cfg: WatermarkConfig) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (cfg.vocab_size,):
-        raise ConfigError("logits length != vocab_size")
-    seeds = np.array([cfg.seed(window)], dtype=np.uint64)
-    return bias_logits(seeds, logits[None], np.arange(cfg.vocab_size)[None], cfg)[0]
-
-
-def kgw_bias_logits(logits: np.ndarray, window, cfg: WatermarkConfig) -> np.ndarray:
-    """Return a copy of ``logits`` with the window's greenlist raised by delta."""
-    if cfg.scheme != KGW:
-        raise ConfigError("kgw_bias_logits needs a KGW config")
-    return _bias_one(logits, window, cfg)
-
-
-def kgw_score(token: int, window, cfg: WatermarkConfig) -> int:
-    """1 iff ``token`` is in the greenlist of ``window``."""
-    seeds = np.array([cfg.seed(window)], dtype=np.uint64)
-    return int(kgw_score_batch(seeds, np.array([token]), cfg)[0])
-
-
 def kgw_score_batch(seeds: np.ndarray, tokens: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:
     """Greenlist membership of each (seed, token) pair, 0/1."""
     return _at_tokens(lambda chunk: green_mask_batch(chunk, cfg.gamma, cfg.vocab_size),
                       seeds, tokens, cfg.vocab_size).astype(np.float64)
 
 
-def aaronson_sample(p: np.ndarray, window, cfg: WatermarkConfig) -> int:
-    """Deterministic AK choice: argmax over v of R_v ** (1 / p_v).
-
-    Tokens with zero probability are never selected; ties break toward the
-    lowest token id.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if len(p) != cfg.vocab_size:
-        raise ConfigError("probability vector length != vocab_size")
-    if abs(p.sum() - 1.0) > 1e-9 or (p < 0).any():
-        raise ConfigError("p must be a probability distribution")
-    if not (p > 0).any():
-        raise ConfigError("all-zero probability vector")
-    seeds = np.array([cfg.seed(window)], dtype=np.uint64)
-    return int(aaronson_pick(seeds, p[None], np.arange(cfg.vocab_size)[None])[0])
-
-
-def aaronson_score(token: int, window, cfg: WatermarkConfig) -> float:
-    """Score increment -ln(1 - R_token), capped away from infinity."""
-    seeds = np.array([cfg.seed(window)], dtype=np.uint64)
-    return float(ak_score_batch(seeds, np.array([token]), cfg)[0])
-
-
 def ak_score_batch(seeds: np.ndarray, tokens: np.ndarray, cfg: WatermarkConfig) -> np.ndarray:
     """Vectorized AK increments for (seed, token) pairs."""
     r = np.minimum(rvalue_batch(seeds, tokens), _R_CAP)
     return -np.log1p(-r)
-
-
-def mpac_embed_bias(logits: np.ndarray, window, cfg: WatermarkConfig) -> np.ndarray:
-    """Raise the logits of the set encoding the selected message digit."""
-    if cfg.scheme != MPAC:
-        raise ConfigError("mpac_embed_bias needs an MPAC config")
-    return _bias_one(logits, window, cfg)
 
 
 def mpac_extract(stream, cfg: WatermarkConfig, reference: str | None = None):

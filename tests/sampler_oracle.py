@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from radioscope.hashing import derive_permutation, rvalue_batch
-from radioscope.schemes import AK, KGW, MPAC, WatermarkConfig, mpac_embed_bias
+from radioscope.schemes import AK, KGW, MPAC, WatermarkConfig, bias_logits
 
 
 class GreenlistCache:
@@ -115,8 +115,9 @@ class LoopTextSampler:
         if wm.scheme == MPAC:
             full = np.full(self.model.vocab_size, -np.inf)
             full[idx] = log_kept
-            biased = mpac_embed_bias(np.where(np.isfinite(full), full, -1e30),
-                                     window, wm)
+            seeds = np.array([wm.seed(window)], dtype=np.uint64)
+            biased = bias_logits(seeds, np.where(np.isfinite(full), full, -1e30)[None],
+                                 np.arange(wm.vocab_size)[None], wm)[0]
             biased[~np.isfinite(full)] = -np.inf
             sub = biased[idx]
             return np.cumsum(np.exp(sub - sub.max()))

@@ -34,7 +34,7 @@ from radioscope import (
     train_ngram,
 )
 from radioscope.pipelines import _attach_text, contaminated_student, run_detection
-from radioscope.schemes import aaronson_sample
+from radioscope.schemes import aaronson_pick
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -282,10 +282,11 @@ def test_c07_exact_statistics():
 def test_c08_ak_distribution_preserved():
     vocab = 8
     base = np.array([0.30, 0.22, 0.15, 0.12, 0.09, 0.06, 0.04, 0.02])
-    counts = np.zeros(vocab)
-    for i in range(10_000):
-        cfg = WatermarkConfig("ak", SecretKey(i + 1), vocab, k=2)
-        counts[aaronson_sample(base, (3, 5), cfg)] += 1
+    seeds = np.array([WatermarkConfig("ak", SecretKey(i + 1), vocab, k=2).seed((3, 5))
+                      for i in range(10_000)], dtype=np.uint64)
+    picked = aaronson_pick(seeds, np.tile(base, (len(seeds), 1)),
+                           np.tile(np.arange(vocab), (len(seeds), 1)))
+    counts = np.bincount(picked, minlength=vocab)
     tv = 0.5 * np.abs(counts / counts.sum() - base).sum()
     verdict(8, "deterministic sampling preserves the base distribution",
             tv <= 0.02, f"total variation {tv:.4f} over 10^4 keys")

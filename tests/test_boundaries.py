@@ -4,11 +4,13 @@ refuses a scheme without a test, a negative budget, fewer than one
 repetition and an empty corpus, corpus files are refused line by line,
 ``generate`` and ``generate_corpus`` refuse a negative document count
 and documents shorter than their prompt, scenario files refuse such
-lengths by key and line, the filter refuses token ids that are not
-int64 integers or are negative, sampling refuses a negative
-``max_tokens``, and sampling and both detection modes refuse a key whose
-vocabulary is smaller than the model's."""
+lengths and out-of-range values by key and line, open detection refuses
+a ``prompt_len`` that is not a non-negative integer, the filter refuses
+token ids that are not int64 integers or are negative, sampling refuses
+a negative ``max_tokens``, and sampling and both detection modes refuse
+a key whose vocabulary is smaller than the model's."""
 
+import json
 import re
 
 import numpy as np
@@ -267,6 +269,24 @@ def test_cli_empty_corpus_is_one_error_line(cli_files, capsys, mode):
     assert "no documents" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("prompt_len", ["null", '"x"', "2.7", "-5", "true"])
+def test_cli_prompt_len_that_is_not_a_non_negative_integer_is_one_error_line(
+        cli_files, capsys, prompt_len):
+    corpus = cli_files[0] / "prompted.jsonl"
+    corpus.write_text('{"tokens": [1, 2, 3, 4], "prompt_len": 2}\n'
+                      f'{{"tokens": [5, 6, 7, 8], "prompt_len": {prompt_len}}}\n')
+    assert detect_cli(cli_files, corpus=corpus) == EXIT_ERROR
+    assert f"document 1: prompt_len {json.loads(prompt_len)!r} is not a non-negative " \
+        "integer" in one_error_line(capsys)
+
+
+def test_prompt_len_past_the_document_scores_nothing(small_model, kgw_cfg):
+    doc = [1, 2, 3, 4, 5, 6]
+    for prompt_len in (len(doc), 2**70):
+        report = detect_open(small_model, [{"tokens": doc, "prompt_len": prompt_len}], kgw_cfg)
+        assert report.n_scored == 0 and report.dedup_stats == (0, 0)
+
+
 @pytest.mark.parametrize("bad", [2.5, "2", 2.0, None, [2]])
 def test_model_refuses_token_ids_that_are_not_integers(bad):
     with pytest.raises(ValueError, match=rf"token id {re.escape(repr(bad))} is not an integer"):
@@ -363,6 +383,24 @@ def test_scenario_refuses_documents_shorter_than_their_prompt(tmp_path, lines):
     key, _, value = lines[-1].partition(" = ")
     with pytest.raises(ValueError, match=rf"short\.scn:{len(lines) + 1}: {key} must be "
                                          rf">= \d \(.*3-token prompt\), got {value}$"):
+        parse_scenario(path)
+
+
+@pytest.mark.parametrize("lines,error", [
+    (["scenario = purification", "modes ="], "modes must hold at least one value"),
+    (["scenario = rho_sweep", "rho ="], "rho must hold at least one value"),
+    (["scenario = rho_sweep", "repetitions = 0"], "repetitions must be >= 1, got 0"),
+    (["scenario = rho_sweep", "rho = 0.5, 1.5"], "rho must lie in [0, 1], got [0.5, 1.5]"),
+    (["scenario = k_sweep", "rho_value = -0.5"], "rho_value must lie in [0, 1], got -0.5"),
+    (["scenario = d_sweep", "d_values = 1, 0"], "d_values must lie in (0, 1], got [1.0, 0.0]"),
+    (["scenario = d_sweep", "rho_value = 0"], "rho_value must be > 0 for d_sweep, got 0.0"),
+    (["scenario = k_sweep", "k_values = 2, 0"], "k_values must be >= 1, got [2, 0]"),
+], ids=["no_modes", "no_rho", "no_repetition", "rho", "rho_value", "d_values",
+        "d_sweep_rho_value", "k_values"])
+def test_scenario_refuses_values_out_of_range(tmp_path, lines, error):
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{len(lines)}: {error}')}$"):
         parse_scenario(path)
 
 

@@ -18,7 +18,7 @@ from radioscope import (
     train_ngram,
     zipf_markov_corpus,
 )
-from radioscope.schemes import ak_score_batch
+from radioscope.schemes import ak_score_batch, score_batch
 
 KEY = SecretKey(0xBEE)
 
@@ -105,13 +105,12 @@ class TestGeneration:
             generate(teacher64, [1], SamplingConfig(max_tokens=0))
 
     def test_kgw_green_fraction_embedded(self, teacher64):
-        from radioscope import kgw_score
-
         wm = WatermarkConfig("kgw", KEY, 64, k=2, gamma=0.25, delta=3.0)
         tokens = [1, 2] + generate(teacher64, [1, 2],
                                    SamplingConfig(seed=4, max_tokens=500), wm)
-        hits = sum(kgw_score(tokens[i], tuple(tokens[i - 2 : i]), wm)
-                   for i in range(2, len(tokens)))
+        seeds = np.array([wm.seed(tuple(tokens[i - 2 : i]))
+                          for i in range(2, len(tokens))], dtype=np.uint64)
+        hits = score_batch(seeds, np.array(tokens[2:]), wm).sum()
         assert hits / 500 > 0.25
 
     def test_ak_scores_above_null_mean(self, teacher64):

@@ -1,4 +1,7 @@
-"""Every name the package exports resolves, and none is listed twice."""
+"""Every name the package exports resolves, none is listed twice, and
+every exported function and class has a docstring."""
+
+import inspect
 
 import radioscope
 
@@ -18,17 +21,23 @@ PUBLIC = [
     "DetectionInterrupted", "DetectionReport", "FilterSet", "InputIntegrityError",
     "KGW", "MPAC", "MixSpec", "NGramModel", "OPEN", "ProtocolError", "RemoteError",
     "RemoteModel", "SamplingConfig", "SecretKey", "StatError", "TextSampler",
-    "TransportError", "WatermarkConfig", "aaronson_sample", "aaronson_score",
-    "binomial_pvalue", "build_filter", "canonical_dedup", "combine_distributions",
-    "contaminated_student", "derive_run_key", "detect_closed", "detect_open",
-    "fisher_combine", "gamma_pvalue", "generate", "generate_corpus",
-    "kgw_bias_logits", "kgw_score", "ks_two_sample", "load_corpus", "load_filter",
+    "TransportError", "WatermarkConfig", "binomial_pvalue", "build_filter",
+    "canonical_dedup", "combine_distributions", "contaminated_student",
+    "derive_run_key", "detect_closed", "detect_open", "fisher_combine", "gamma_pvalue",
+    "generate", "generate_corpus", "ks_two_sample", "load_corpus", "load_filter",
     "load_model", "log_binomial_pvalue", "log_gamma_pvalue", "make_teacher",
-    "mia_detect", "mix_dataset", "mpac_embed_bias", "mpac_extract", "parse_scenario",
-    "run_detection", "run_scenario", "save_corpus", "save_filter", "save_model",
-    "score_batch", "train_ngram", "window_hash", "zipf_markov_corpus",
+    "mia_detect", "mix_dataset", "mpac_extract", "parse_scenario", "run_detection",
+    "run_scenario", "save_corpus", "save_filter", "save_model", "score_batch",
+    "train_ngram", "window_hash", "zipf_markov_corpus",
 ]
 
 
 def test_all_is_pinned():
     assert radioscope.__all__ == PUBLIC
+
+
+def test_every_export_has_a_docstring():
+    exported = [getattr(radioscope, name) for name in radioscope.__all__]
+    bare = [obj.__name__ for obj in exported
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and not inspect.getdoc(obj)]
+    assert bare == []

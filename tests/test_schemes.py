@@ -9,15 +9,11 @@ from radioscope import (
     SecretKey,
     TextSampler,
     WatermarkConfig,
-    aaronson_sample,
-    aaronson_score,
-    kgw_bias_logits,
-    kgw_score,
-    mpac_embed_bias,
     mpac_extract,
+    score_batch,
 )
 from radioscope import schemes
-from radioscope.hashing import green_mask_batch
+from radioscope.hashing import green_mask_batch, window_hashes
 from radioscope.schemes import (
     aaronson_pick,
     ak_score_batch,
@@ -39,6 +35,11 @@ KEY = SecretKey(0x5EED)
 
 def cfg(scheme="kgw", vocab=64, **kw):
     return WatermarkConfig(scheme, KEY, vocab, **kw)
+
+
+def seeds_of(c, windows):
+    """The seed of each window, one :meth:`WatermarkConfig.seed` call each."""
+    return np.array([c.seed(tuple(w)) for w in windows], dtype=np.uint64)
 
 
 class TestConfigValidation:
@@ -79,33 +80,27 @@ class TestKGW:
     def test_zero_delta_identity(self):
         c = cfg(delta=0.0)
         logits = np.arange(64, dtype=float)
-        assert np.array_equal(kgw_bias_logits(logits, (1, 2), c), logits)
+        out = bias_logits(seeds_of(c, [(1, 2)]), logits[None], np.arange(64)[None], c)
+        assert np.array_equal(out[0], logits)
 
     def test_bias_raises_exactly_greenlist(self):
         c = cfg(delta=3.0, gamma=0.25)
-        logits = np.zeros(64)
-        out = kgw_bias_logits(logits, (5, 9), c)
+        out = bias_logits(seeds_of(c, [(5, 9)]), np.zeros((1, 64)), np.arange(64)[None], c)[0]
         raised = np.nonzero(out == 3.0)[0]
         green = derive_greenlist(c.seed((5, 9)), 0.25, 64)
         assert sorted(raised.tolist()) == sorted(green.tolist())
         assert (out[np.setdiff1d(np.arange(64), green)] == 0.0).all()
 
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            kgw_bias_logits(np.zeros(10), (1, 2), cfg())
-
     def test_score_is_membership(self):
         c = cfg(gamma=0.25)
         green = set(derive_greenlist(c.seed((3, 4)), 0.25, 64).tolist())
-        for tok in range(64):
-            assert kgw_score(tok, (3, 4), c) == (1 if tok in green else 0)
+        got = kgw_score_batch(seeds_of(c, [(3, 4)] * 64), np.arange(64), c)
+        assert got.tolist() == [1.0 if tok in green else 0.0 for tok in range(64)]
 
     def test_empirical_green_rate(self):
         c = cfg(gamma=0.25, vocab=256)
         rng = np.random.default_rng(4)
-        seeds = np.array([c.seed(tuple(w))
-                          for w in rng.integers(0, 256, size=(100_000, 2))],
-                         dtype=np.uint64)
+        seeds = seeds_of(c, rng.integers(0, 256, size=(100_000, 2)))
         tokens = rng.integers(0, 256, size=100_000)
         rate = kgw_score_batch(seeds, tokens, c).mean()
         assert abs(rate - 0.25) <= 0.01
@@ -116,9 +111,8 @@ class TestKGW:
         uniforms = np.random.default_rng(2).random((1, 500))
         tokens = sampler.generate([[1, 2]], 500, uniforms)[0].tolist()
         stream = [1, 2] + tokens
-        hits = sum(kgw_score(stream[i], tuple(stream[i - 2 : i]), c)
-                   for i in range(2, len(stream)))
-        assert hits / 500 > 0.25
+        seeds = seeds_of(c, [stream[i - 2 : i] for i in range(2, len(stream))])
+        assert score_batch(seeds, np.array(tokens), c).sum() / 500 > 0.25
 
 
 class TestAK:
@@ -126,49 +120,45 @@ class TestAK:
         c = cfg("ak", vocab=8)
         p = np.zeros(8)
         p[5] = 1.0
-        for w in [(0, 1), (3, 3), (7, 2)]:
-            assert aaronson_sample(p, w, c) == 5
+        picked = aaronson_pick(seeds_of(c, [(0, 1), (3, 3), (7, 2)]), np.tile(p, (3, 1)),
+                               np.tile(np.arange(8), (3, 1)))
+        assert picked.tolist() == [5, 5, 5]
 
     def test_uniform_p_is_argmax_r(self):
         c = cfg("ak", vocab=8)
         p = np.full(8, 1 / 8)
         r = derive_rvector(c.seed((2, 6)), 8)
-        assert aaronson_sample(p, (2, 6), c) == int(np.argmax(r))
+        picked = aaronson_pick(seeds_of(c, [(2, 6)]), p[None], np.arange(8)[None])
+        assert picked[0] == int(np.argmax(r))
 
     def test_never_selects_zero_probability(self):
         c = cfg("ak", vocab=8)
         rng = np.random.default_rng(13)
-        for _ in range(200):
-            p = rng.dirichlet(np.ones(8))
-            dead = rng.integers(0, 8)
-            p[dead] = 0.0
-            p /= p.sum()
-            w = tuple(rng.integers(0, 8, size=2))
-            assert aaronson_sample(p, w, c) != dead
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ConfigError):
-            aaronson_sample(np.zeros(8), (1, 2), cfg("ak", vocab=8))
+        p = rng.dirichlet(np.ones(8), size=200)
+        dead = rng.integers(0, 8, size=200)
+        p[np.arange(200), dead] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        seeds = seeds_of(c, rng.integers(0, 8, size=(200, 2)))
+        picked = aaronson_pick(seeds, p, np.tile(np.arange(8), (200, 1)))
+        assert (picked != dead).all()
 
     def test_distribution_preserved(self):
         # selection frequency over random keys matches the base distribution
-        c0 = cfg("ak", vocab=8)
         p = np.array([0.3, 0.05, 0.2, 0.1, 0.05, 0.15, 0.1, 0.05])
         rng = np.random.default_rng(14)
-        counts = np.zeros(8)
         n = 10_000
-        for s in rng.integers(1, 2**63, size=n):
-            c = WatermarkConfig("ak", SecretKey(int(s)), 8)
-            counts[aaronson_sample(p, (1, 2), c)] += 1
+        seeds = np.array([WatermarkConfig("ak", SecretKey(int(s)), 8).seed((1, 2))
+                          for s in rng.integers(1, 2**63, size=n)], dtype=np.uint64)
+        picked = aaronson_pick(seeds, np.tile(p, (n, 1)), np.tile(np.arange(8), (n, 1)))
+        counts = np.bincount(picked, minlength=8)
         tv = 0.5 * np.abs(counts / n - p).sum()
         assert tv <= 0.02
 
     def test_score_closed_form(self):
         c = cfg("ak", vocab=32)
         r = derive_rvector(c.seed((4, 4)), 32)
-        for tok in range(32):
-            assert aaronson_score(tok, (4, 4), c) == pytest.approx(
-                -np.log1p(-r[tok]), rel=1e-12)
+        got = ak_score_batch(seeds_of(c, [(4, 4)] * 32), np.arange(32), c)
+        assert got == pytest.approx(-np.log1p(-r), rel=1e-12)
 
     def test_score_mean_near_one(self):
         rng = np.random.default_rng(15)
@@ -179,14 +169,14 @@ class TestAK:
         assert abs(scores.mean() - 1.0) <= 0.02
 
     def test_batch_matches_scalar(self):
+        """Scores of all windows at once equal one-row calls, one per window."""
         c = cfg("ak", vocab=16)
         rng = np.random.default_rng(16)
         windows = rng.integers(0, 16, size=(50, 2))
         tokens = rng.integers(0, 16, size=50)
-        seeds = np.array([c.seed(tuple(w)) for w in windows], dtype=np.uint64)
-        batch = ak_score_batch(seeds, tokens, c)
+        batch = ak_score_batch(window_hashes(windows, c.key), tokens, c)
         for w, t, b in zip(windows, tokens, batch):
-            assert b == pytest.approx(aaronson_score(int(t), tuple(w), c))
+            assert b == pytest.approx(ak_score_batch(seeds_of(c, [w]), np.array([t]), c)[0])
 
 
 class TestMPAC:
@@ -219,11 +209,12 @@ class TestMPAC:
     def test_zero_delta_identity(self):
         c = cfg("mpac", vocab=16, message=self.MSG, delta=0.0)
         logits = np.arange(16, dtype=float)
-        assert np.array_equal(mpac_embed_bias(logits, (3, 1), c), logits)
+        out = bias_logits(seeds_of(c, [(3, 1)]), logits[None], np.arange(16)[None], c)
+        assert np.array_equal(out[0], logits)
 
     def test_bias_targets_message_set(self):
         c = cfg("mpac", vocab=16, message=self.MSG, delta=5.0)
-        out = mpac_embed_bias(np.zeros(16), (2, 9), c)
+        out = bias_logits(seeds_of(c, [(2, 9)]), np.zeros((1, 16)), np.arange(16)[None], c)[0]
         seed = c.seed((2, 9))
         digit = c.digits()[mpac_position(seed, c)]
         expected = set(mpac_partition(seed, c)[digit].tolist())
@@ -266,10 +257,10 @@ class TestMPAC:
        st.tuples(st.integers(0, 63), st.integers(0, 63)))
 @settings(max_examples=100, deadline=None)
 def test_scores_deterministic(s, token, window):
-    kgw = WatermarkConfig("kgw", SecretKey(s), 64)
-    ak = WatermarkConfig("ak", SecretKey(s), 64)
-    assert kgw_score(token, window, kgw) == kgw_score(token, window, kgw)
-    assert aaronson_score(token, window, ak) == aaronson_score(token, window, ak)
+    for scheme in ("kgw", "ak"):
+        first, again = (WatermarkConfig(scheme, SecretKey(s), 64) for _ in range(2))
+        assert (score_batch(seeds_of(first, [window]), np.array([token]), first)
+                == score_batch(seeds_of(again, [window]), np.array([token]), again))
 
 
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12)
