@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import warnings
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -255,8 +256,7 @@ def combine_distributions(reports: list[DetectionReport]):
         warnings.warn("reports share a corpus; Fisher independence is violated",
                       stacklevel=2)
     # work from log10_p so underflowed p-values keep their mass
-    x = -2.0 * sum(r.log10_p * _LN10 for r in reports)
-    lp = stats.log_gamma_pvalue(x / 2.0, len(reports))
+    lp = stats.log_fisher_combine_logs([r.log10_p * _LN10 for r in reports])
     p = float(np.exp(lp)) if lp > -745.0 else 0.0
     return p, lp / _LN10
 
@@ -322,7 +322,13 @@ def run_detection(student: NGramModel, teacher: NGramModel,
 # ---------------------------------------------------------------------------
 # scenario files
 
-_SCENARIOS = ("rho_sweep", "d_sweep", "k_sweep", "purification")
+# scenario type -> (its CSV sweep label, the spec list it runs over)
+_SWEEPS = {
+    "rho_sweep": ("rho", "rho"),
+    "d_sweep": ("d", "d_values"),
+    "k_sweep": ("k", "k_values"),
+    "purification": ("phase", None),
+}
 
 _SCENARIO_DEFAULTS: dict = {
     "scheme": KGW,
@@ -387,7 +393,7 @@ def parse_scenario(path) -> dict:
         lines[key] = lineno
         try:
             if key == "scenario":
-                if value not in _SCENARIOS:
+                if value not in _SWEEPS:
                     raise ValueError(f"unknown scenario {value!r}")
                 spec[key] = value
                 seen_scenario = True
@@ -427,6 +433,7 @@ def parse_scenario(path) -> dict:
     rules = [(key, spec[key] >= floor, f"be >= {floor} (generated documents "
               "start with a 3-token prompt)") for key, floor in floors.items()]
     rules += [
+        ("n_docs", spec["n_docs"] >= 1, "be >= 1"),
         ("repetitions", spec["repetitions"] >= 1, "be >= 1"),
         ("rho", all(0 <= r <= 1 for r in spec["rho"]), "lie in [0, 1]"),
         ("rho_value", 0 <= spec["rho_value"] <= 1, "lie in [0, 1]"),
@@ -434,24 +441,16 @@ def parse_scenario(path) -> dict:
         ("k_values", all(k >= 1 for k in spec["k_values"]), "be >= 1"),
     ]
     if spec["scenario"] == "d_sweep":  # its MIA needs watermarked training documents
-        rules.append(("rho_value", spec["rho_value"] > 0, "be > 0 for d_sweep"))
+        rules += [
+            ("rho_value", spec["rho_value"] > 0, "be > 0 for d_sweep"),
+            ("rho_value", round(spec["rho_value"] * spec["n_docs"]) >= 1,
+             "leave round(rho_value * n_docs) >= 1 watermarked documents "
+             f"for d_sweep at n_docs = {spec['n_docs']}"),
+        ]
     for key, ok, rule in rules:
         if not ok:  # the defaults pass, so the file set it
             raise ValueError(f"{path}:{lines[key]}: {key} must {rule}, got {spec[key]}")
     return spec
-
-
-def _scenario_wm(spec: dict, key: SecretKey, k: int | None = None) -> WatermarkConfig:
-    return WatermarkConfig(
-        scheme=spec["scheme"],
-        key=key,
-        vocab_size=spec["vocab_size"],
-        k=k if k is not None else spec["k"],
-        gamma=spec["gamma"],
-        delta=spec["delta"],
-        temperature=spec["temperature"],
-        message=spec["message"],
-    )
 
 
 def _attach_text(docs: list[dict]) -> list[dict]:
@@ -460,7 +459,15 @@ def _attach_text(docs: list[dict]) -> list[dict]:
 
 
 def run_scenario(spec_path, out_dir=None) -> Path:
-    """Run a scenario end to end; writes results.csv and summary.svg."""
+    """Run a scenario end to end; writes results.csv and summary.svg.
+
+    Each run, one per swept value and repetition, gets its own key,
+    sampling seed, watermark config and contaminated student.  Only the
+    measurement differs by type: rho and k sweeps detect in each mode,
+    ``d_sweep`` runs MIA on the watermarked documents the detector holds,
+    and purification detects in each mode before and after clean
+    retraining.
+    """
     spec = parse_scenario(spec_path)
     out = Path(out_dir) if out_dir is not None else Path(str(spec_path) + ".out")
     out.mkdir(parents=True, exist_ok=True)
@@ -469,109 +476,49 @@ def run_scenario(spec_path, out_dir=None) -> Path:
                            order=spec["teacher_order"])
     sampling = SamplingConfig(temperature=spec["sampling_temperature"],
                               nucleus_p=spec["nucleus_p"])
-    rows: list[dict] = []
     name = spec["scenario"]
-    if name == "rho_sweep":
-        _run_value_sweep(spec, teacher, sampling, rows, "rho", spec["rho"])
-    elif name == "k_sweep":
-        _run_value_sweep(spec, teacher, sampling, rows, "k", spec["k_values"])
-    elif name == "purification":
-        _run_purification(spec, teacher, sampling, rows)
-    else:
-        _run_mia_sweep(spec, teacher, sampling, rows)
-    write_results_csv(rows, out / "results.csv")
-    series = _summarize(rows)
-    xlabel = {"rho_sweep": "rho", "k_sweep": "k", "d_sweep": "d",
-              "purification": "phase"}[name]
-    svg_summary(series, out / "summary.svg", xlabel=xlabel,
-                ylabel="log10 p", title=name)
-    return out
-
-
-def _run_value_sweep(spec, teacher, sampling, rows, sweep, values):
-    run = 0
-    for value in values:
-        for rep in range(spec["repetitions"]):
-            key = derive_run_key(spec["seed"], run)
-            base = replace(sampling, seed=spec["seed"] + 101 * run)
-            run += 1
-            if sweep == "rho":
-                wm = _scenario_wm(spec, key)
-                rho = value
-            else:
-                wm = _scenario_wm(spec, key, k=int(value))
-                rho = spec["rho_value"]
-            student, _, _ = contaminated_student(
-                teacher, wm, rho, n_docs=spec["n_docs"],
-                doc_len=spec["doc_len"], order=spec["student_order"],
-                smoothing_lambda=spec["smoothing_lambda"], sampling=base)
-            for mode in spec["modes"]:
-                report = run_detection(
-                    student, teacher, wm, mode, n_docs=spec["detect_docs"],
-                    doc_len=spec["detect_len"], sampling=base,
-                    budget=spec["budget"], prompt_len=spec["prompt_len"])
-                rows.append(_row(spec, sweep, value, rep, mode, report, key))
-
-
-def _run_purification(spec, teacher, sampling, rows):
-    for rep in range(spec["repetitions"]):
-        key = derive_run_key(spec["seed"], rep)
-        base = replace(sampling, seed=spec["seed"] + 101 * rep)
-        wm = _scenario_wm(spec, key)
-        student, train_docs, _ = contaminated_student(
-            teacher, wm, spec["rho_value"], n_docs=spec["n_docs"],
-            doc_len=spec["doc_len"], order=spec["student_order"],
-            smoothing_lambda=spec["smoothing_lambda"], sampling=base)
-        mode = spec["modes"][0]
-        detect = dict(n_docs=spec["detect_docs"], doc_len=spec["detect_len"],
-                      sampling=base, budget=spec["budget"],
-                      prompt_len=spec["prompt_len"])
-        pre = run_detection(student, teacher, wm, mode, **detect)
-        rows.append(_row(spec, "phase", 0, rep, mode, pre, key, phase="pre"))
-        clean = generate_corpus(teacher, len(train_docs), spec["doc_len"],
-                                replace(base, seed=base.seed + 9))
-        student.update([doc["tokens"] for doc in clean])
-        post = run_detection(student, teacher, wm, mode, **detect)
-        rows.append(_row(spec, "phase", 1, rep, mode, post, key, phase="post"))
-
-
-def _run_mia_sweep(spec, teacher, sampling, rows):
-    run = 0
-    for d in spec["d_values"]:
-        for rep in range(spec["repetitions"]):
-            key = derive_run_key(spec["seed"], run)
-            base = replace(sampling, seed=spec["seed"] + 101 * run)
-            run += 1
-            wm = _scenario_wm(spec, key)
-            student, _, supervised = contaminated_student(
-                teacher, wm, spec["rho_value"], n_docs=spec["n_docs"],
-                doc_len=spec["doc_len"], order=spec["student_order"],
-                smoothing_lambda=spec["smoothing_lambda"], sampling=base, d=d)
+    sweep, values = _SWEEPS[name]
+    wm_fields = {f.name: spec[f.name] for f in fields(WatermarkConfig) if f.name in spec}
+    detect = dict(n_docs=spec["detect_docs"], doc_len=spec["detect_len"],
+                  budget=spec["budget"], prompt_len=spec["prompt_len"])
+    rows: list[dict] = []
+    runs = product(spec[values] if values else [None], range(spec["repetitions"]))
+    for run, (value, rep) in enumerate(runs):
+        key = derive_run_key(spec["seed"], run)
+        base = replace(sampling, seed=spec["seed"] + 101 * run)
+        wm = WatermarkConfig(**{**wm_fields, "key": key,
+                                "k": value if sweep == "k" else spec["k"]})
+        student, train_docs, supervised = contaminated_student(
+            teacher, wm, value if sweep == "rho" else spec["rho_value"],
+            n_docs=spec["n_docs"], doc_len=spec["doc_len"],
+            order=spec["student_order"], smoothing_lambda=spec["smoothing_lambda"],
+            sampling=base, d=value if sweep == "d" else 1.0)
+        row = dict(scenario=name, scheme=spec["scheme"], sweep=sweep, rep=rep,
+                   key_fingerprint=key.fingerprint())
+        if sweep == "d":  # MIA on the watermarked documents the detector holds
             fresh = generate_corpus(teacher, len(supervised), spec["doc_len"],
                                     replace(base, seed=base.seed + 5), wm=wm)
             stat, p, _ = mia_detect(student, _attach_text(supervised),
                                     _attach_text(fresh))
-            fake = DetectionReport("mia", CLOSED, "supervised",
-                                   len(supervised), stat, p,
-                                   float(np.log10(max(p, 1e-300))))
-            rows.append(_row(spec, "d", d, rep, CLOSED, fake, key))
-
-
-def _row(spec, sweep, value, rep, mode, report: DetectionReport,
-         key: SecretKey, phase: str = "") -> dict:
-    return {
-        "scenario": spec["scenario"],
-        "scheme": spec["scheme"],
-        "sweep": sweep,
-        "value": value,
-        "rep": rep,
-        "mode": mode,
-        "phase": phase,
-        "n_scored": report.n_scored,
-        "score": report.score,
-        "log10_p": report.log10_p,
-        "key_fingerprint": key.fingerprint(),
-    }
+            rows.append({**row, "value": value, "mode": CLOSED, "phase": "",
+                         "n_scored": len(supervised), "score": stat,
+                         "log10_p": float(np.log10(max(p, 1e-300)))})
+            continue
+        phases = [(0, "pre"), (1, "post")] if sweep == "phase" else [(value, "")]
+        for x, phase in phases:
+            if phase == "post":
+                clean = generate_corpus(teacher, len(train_docs), spec["doc_len"],
+                                        replace(base, seed=base.seed + 9))
+                student.update([doc["tokens"] for doc in clean])
+            for mode in spec["modes"]:
+                r = run_detection(student, teacher, wm, mode, sampling=base, **detect)
+                rows.append({**row, "value": x, "mode": mode, "phase": phase,
+                             "n_scored": r.n_scored, "score": r.score,
+                             "log10_p": r.log10_p})
+    write_results_csv(rows, out / "results.csv")
+    svg_summary(_summarize(rows), out / "summary.svg", xlabel=sweep,
+                ylabel="log10 p", title=name)
+    return out
 
 
 _CSV_FIELDS = ["scenario", "scheme", "sweep", "value", "rep", "mode", "phase",

@@ -171,17 +171,25 @@ def fisher_combine(p_values) -> float:
 def log_fisher_combine(p_values) -> float:
     """Natural log of the Fisher-combined p-value."""
     ps = list(p_values)
-    if not ps:
-        raise StatError("fisher_combine needs at least one p-value")
     for p in ps:
         if not 0.0 < p <= 1.0:
             raise StatError(
                 f"p-values must lie in (0, 1]; got {p} "
                 "(clamp zero p-values to the smallest representable value first)"
             )
-    x = -2.0 * sum(math.log(p) for p in ps)
-    # chi-square survival with 2m dof equals Q(m, x/2)
-    return log_gamma_pvalue(x / 2.0, len(ps))
+    return log_fisher_combine_logs([math.log(p) for p in ps])
+
+
+def log_fisher_combine_logs(log_ps) -> float:
+    """Natural log of the Fisher-combined p-value of natural-log p-values.
+
+    A p-value given by its log keeps its mass where p itself underflows.
+    """
+    log_ps = list(log_ps)
+    if not log_ps:
+        raise StatError("fisher_combine needs at least one p-value")
+    # -2 * sum(ln p) is chi-square with 2m dof, whose survival at x is Q(m, x/2)
+    return log_gamma_pvalue(-sum(log_ps), len(log_ps))
 
 
 def _kolmogorov_sf(lam: float) -> float:

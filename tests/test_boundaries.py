@@ -395,8 +395,12 @@ def test_scenario_refuses_documents_shorter_than_their_prompt(tmp_path, lines):
     (["scenario = d_sweep", "d_values = 1, 0"], "d_values must lie in (0, 1], got [1.0, 0.0]"),
     (["scenario = d_sweep", "rho_value = 0"], "rho_value must be > 0 for d_sweep, got 0.0"),
     (["scenario = k_sweep", "k_values = 2, 0"], "k_values must be >= 1, got [2, 0]"),
+    (["scenario = purification", "n_docs = 0"], "n_docs must be >= 1, got 0"),
+    (["scenario = d_sweep", "n_docs = 40", "rho_value = 0.01"],
+     "rho_value must leave round(rho_value * n_docs) >= 1 watermarked documents "
+     "for d_sweep at n_docs = 40, got 0.01"),
 ], ids=["no_modes", "no_rho", "no_repetition", "rho", "rho_value", "d_values",
-        "d_sweep_rho_value", "k_values"])
+        "d_sweep_rho_value", "k_values", "no_docs", "d_sweep_no_watermarked_document"])
 def test_scenario_refuses_values_out_of_range(tmp_path, lines, error):
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")

@@ -376,6 +376,25 @@ class TestScenario:
             data = {r["phase"]: float(r["log10_p"]) for r in csv.DictReader(f)}
         assert data["post"] > data["pre"]
 
+    def test_purification_runs_every_mode(self, tmp_path):
+        path = self.write(tmp_path, "\n".join([
+            "scenario = purification",
+            "repetitions = 1",
+            "n_docs = 40",
+            "doc_len = 120",
+            "detect_docs = 8",
+            "detect_len = 120",
+            "vocab_size = 32",
+            "modes = open, closed",
+        ]) + "\n")
+        out = run_scenario(path, tmp_path / "out")
+        import csv
+
+        with open(out / "results.csv") as f:
+            rows = [(r["mode"], r["phase"], r["value"]) for r in csv.DictReader(f)]
+        assert rows == [("open", "pre", "0"), ("closed", "pre", "0"),
+                        ("open", "post", "1"), ("closed", "post", "1")]
+
     def test_shipped_demo_runs_quickly(self, tmp_path):
         import time
         from pathlib import Path
