@@ -10,6 +10,14 @@ one candidate table (``CANDIDATE`` rows) with :func:`candidate_table`,
 which marks the blocked rows, and :func:`canonical_dedup` drops them and
 the repeats.  The filter restricts closed-mode scoring to windows likely
 present in the suspect's training data.
+
+Both functions sort one int64 key per row rather than structured fields.
+:func:`_row_ids` gives each row of a few integer columns (a window's
+tokens; a (seed, token) pair; a (doc, pos) pair) one int64 id that is equal
+for equal rows and ascends as the rows do.  Its ids stay below ``2**63 / n``
+for ``n`` rows, so ``id * n + row`` is a distinct int64 per row and one
+unstable ``np.sort`` of it orders the rows by id and, within an id, by row.
+Admission therefore does not depend on the order of the input rows.
 """
 
 from __future__ import annotations
@@ -46,17 +54,72 @@ class InputIntegrityError(ValueError):
     """Duplicate ordering keys in a candidate table."""
 
 
+_I64_MAX = np.iinfo(np.int64).max
+
+
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense rank of each value of a 1-d integer array, and the number of
+    distinct values."""
+    order = np.argsort(x)
+    ordered = x[order]
+    new = np.ones(len(x), bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    ranks = np.empty(len(x), np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks, int(np.count_nonzero(new))
+
+
+def _row_ids(columns) -> np.ndarray:
+    """One int64 id per row of equally long integer columns: equal rows
+    get equal ids, and ids ascend as the rows do, first column first.
+
+    Each column is a digit of radix ``max - min + 1`` of a base-radix code.
+    Where the code could pass ``2**63 - 1``, the code so far is replaced by
+    its dense rank and, if the column's radix exceeds the row count ``n``,
+    the column by its dense rank too.  Ranks are below ``n``, so the code
+    stays below ``n * n``; one last rank where needed keeps every id below
+    ``2**63 / n``, so ``id * n + row`` never overflows int64 for ``n`` up
+    to 3.0e9 rows (whose ids alone would take 24 GB).
+    """
+    n = len(columns[0])
+    ids, bound = np.zeros(n, np.int64), 1
+    if not n:
+        return ids
+    for col in columns:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if bound * span > _I64_MAX and span > n:
+            col, span = _ranks(col)
+        else:
+            col = (col - col.dtype.type(lo)).astype(np.int64)
+        if bound * span > _I64_MAX:
+            ids, bound = _ranks(ids)
+        ids = ids * span + col
+        bound *= span
+    if bound * n > _I64_MAX:
+        ids, _ = _ranks(ids)
+    return ids
+
+
+def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows in (id, row) order, and whether each starts a run of equal ids,
+    from one sort of the distinct keys ``id * n + row``."""
+    n = len(ids)
+    keys = np.sort(ids * n + np.arange(n))
+    order = keys % n
+    ordered = ids[order]
+    head = np.ones(n, bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    return order, head
+
+
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct row of a 2-d integer array, in sorted
-    row order, and each row's label: the place of its row in that order.
-    The rows are sorted by a stable ``np.lexsort``, first column first."""
-    order = np.lexsort(a.T[::-1])
-    ordered = a[order]
-    new = np.ones(len(a), bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    row order, and each row's label: the place of its row in that order."""
+    order, head = _runs(_row_ids(a.T))
     label = np.empty(len(a), np.intp)
-    label[order] = np.cumsum(new) - 1
-    return order[new], label
+    label[order] = np.cumsum(head) - 1
+    return order[head], label
 
 
 @dataclass
@@ -171,52 +234,64 @@ def canonical_dedup(cands: np.ndarray) -> np.ndarray:
     happens in (doc, pos) order, so the admitted set does not depend on
     how the collection was split.  Blocked rows are dropped, and of the
     rest the first row of each distinct (seed, token) pair is admitted.
+    A repeated (doc, pos) raises :class:`InputIntegrityError`.
+
+    Rows are put in (doc, pos) order by a stable argsort of one int64 id
+    per (doc, pos), which takes one linear pass over a table that is in
+    that order already, as detection builds them.  The pairs are found by
+    one sort of ``pair_id * m + row`` over the ``m`` eligible rows, where
+    ``pair_id`` is the (seed, token) pair's :func:`_row_ids` id: the seeds,
+    which span up to ``2**64`` values, enter it by their dense rank, so no
+    key can overflow.
     """
-    ordered = cands[np.lexsort((cands["pos"], cands["doc"]))]
-    repeated = np.flatnonzero((ordered["doc"][1:] == ordered["doc"][:-1])
-                              & (ordered["pos"][1:] == ordered["pos"][:-1]))
+    ids = _row_ids([cands["doc"], cands["pos"]])
+    ordered = np.argsort(ids, kind="stable")
+    ids = ids[ordered]
+    repeated = np.flatnonzero(ids[1:] == ids[:-1])
     if len(repeated):
-        row = ordered[repeated[0]]
+        row = cands[ordered[repeated[0]]]
         raise InputIntegrityError(
             f"duplicate ordering key {(int(row['doc']), int(row['pos']))}")
-    eligible = ordered[~ordered["blocked"]]
-    # a stable sort keeps each (seed, token) run in (doc, pos) order
-    by_pair = np.lexsort((eligible["token"], eligible["seed"]))
-    seed, token = eligible["seed"][by_pair], eligible["token"][by_pair]
-    first = np.ones(len(by_pair), bool)
-    first[1:] = (seed[1:] != seed[:-1]) | (token[1:] != token[:-1])
-    return eligible[np.sort(by_pair[first])]
+    eligible = ordered[~cands["blocked"][ordered]]
+    order, head = _runs(_row_ids([cands["seed"][eligible], cands["token"][eligible]]))
+    return cands[eligible[np.sort(order[head])]]
 
 
-def candidate_table(docs, context_lens, k: int, key: SecretKey,
+def candidate_table(tokens, lens, context_lens, k: int, key: SecretKey,
                     open_mode: bool) -> np.ndarray:
     """One ``CANDIDATE`` row per position of each document after a full window.
 
-    ``token`` is the document's own next token and ``seed`` is the window's
-    hash under ``key``, computed once per distinct window of the run, for
-    all of them at once.  A row is blocked when its
-    window occurs within the first ``context_lens[d]`` tokens of document
-    ``d`` and, in open mode, also when it occurs at any earlier start.
+    ``tokens`` are the documents joined into one int64 array and ``lens``
+    their lengths.  ``token`` is the document's own next token and ``seed``
+    is the window's hash under ``key``, computed once per distinct window
+    of the run, for all of them at once.  A row is blocked when its window
+    occurs within the first ``context_lens[d]`` tokens of document ``d``
+    and, in open mode, also when it occurs at any earlier start.
     """
-    arrays = [np.asarray(doc, dtype=np.int64) for doc in docs]
-    counts = np.array([max(len(a) - k, 0) for a in arrays], dtype=np.int64)
-    cands = np.zeros(int(counts.sum()), dtype=CANDIDATE)
-    if not len(cands):
+    tokens = np.asarray(tokens, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    counts = np.maximum(lens - k, 0)
+    n = int(counts.sum())
+    cands = np.zeros(n, dtype=CANDIDATE)
+    if not n:
         return cands
-    grams = np.concatenate([np.lib.stride_tricks.sliding_window_view(a[:-1], k)
-                            for a, n in zip(arrays, counts) if n])
-    doc = np.repeat(np.arange(len(arrays)), counts)
-    start = np.arange(len(doc)) - np.repeat(np.cumsum(counts) - counts, counts)
-    first, window = _unique_rows(grams)
-    seeds = window_hashes(grams[first], key)
-    # starts ascend within a document, so the first index of each
-    # (document, window) pair is the window's first start in that document
-    _, first_in_doc, inverse = np.unique(doc * len(first) + window,
-                                         return_index=True, return_inverse=True)
+    doc = np.repeat(np.arange(len(lens)), counts)
+    start = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    at = start + np.repeat(np.cumsum(lens) - lens, counts)  # in the joined tokens
+    order, head = _runs(_row_ids([tokens[at + j] for j in range(k)]))
+    # rows ascend by document and then by start, so in (window, row) order a
+    # window's first row is the one hashed, and the first row of each
+    # document in the window's run is the window's first start there
+    first = order[head]
+    seeds = window_hashes(tokens[at[first, None] + np.arange(k)], key)
+    in_doc = doc[order]
+    pair_head = head.copy()
+    pair_head[1:] |= in_doc[1:] != in_doc[:-1]
+    first_start = start[order[pair_head]][np.cumsum(pair_head) - 1]
     limit = np.repeat(np.asarray(context_lens, dtype=np.int64) - k + 1, counts)
     if open_mode:
         limit = np.maximum(limit, start)
-    cands["doc"], cands["pos"], cands["seed"] = doc, start + k, seeds[window]
-    cands["token"] = np.concatenate([a[k:] for a in arrays])
-    cands["blocked"] = start[first_in_doc][inverse] < limit
+    cands["doc"], cands["pos"], cands["token"] = doc, start + k, tokens[at + k]
+    cands["seed"][order] = seeds[np.cumsum(head) - 1]
+    cands["blocked"][order] = first_start < limit[order]
     return cands

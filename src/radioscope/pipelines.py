@@ -84,6 +84,16 @@ def _check_vocab(tokens, vocab_size: int, what: str) -> None:
         raise ConfigError(str(exc)) from None
 
 
+def _joined_ids(docs, vocab_size: int):
+    """The tokens of ``docs`` joined as int64, checked in one pass, or None
+    when a token is not an integer in ``[0, vocab_size)``: the caller then
+    checks each document with :func:`_check_vocab`, whose error names it."""
+    try:
+        return _token_ids(docs, vocab_size)
+    except ValueError:
+        return None
+
+
 def _check_run(cfg: WatermarkConfig, budget: int) -> None:
     """Refuse a scheme without a radioactivity test and a negative budget."""
     detector(cfg)
@@ -144,22 +154,25 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
         )
     k, v = key_cfg.k, key_cfg.vocab_size
     prompts = [list(prompt) for prompt in prompts]
-    for doc_id, prompt in enumerate(prompts):
-        _check_vocab(prompt, v, f"prompt {doc_id}")
+    if _joined_ids(prompts, v) is None:
+        for doc_id, prompt in enumerate(prompts):
+            _check_vocab(prompt, v, f"prompt {doc_id}")
     if completions is None:
         completions = _complete(suspect, prompts, sampling, key_cfg)
-    streams, prompt_lens = [], []
-    for doc_id, (prompt, completion) in enumerate(zip(prompts, completions)):
-        _check_vocab(completion, v, f"completion {doc_id}")
-        streams.append(prompt + list(completion))
-        prompt_lens.append(len(prompt))
-    cands = candidate_table(streams, prompt_lens, k, key_cfg.key, open_mode=False)
+    pairs = list(zip(prompts, completions))
+    # each document is its prompt followed by its completion
+    tokens = _joined_ids([part for pair in pairs for part in pair], v)
+    if tokens is None:
+        for doc_id, (_, completion) in enumerate(pairs):
+            _check_vocab(completion, v, f"completion {doc_id}")
+    prompt_lens = [len(prompt) for prompt, _ in pairs]
+    lens = [len(prompt) + len(completion) for prompt, completion in pairs]
+    cands = candidate_table(tokens, lens, prompt_lens, k, key_cfg.key, open_mode=False)
     phi_stats = None
     if phi is not None:
-        flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in streams])
-        offsets = np.cumsum([0] + [len(s) for s in streams[:-1]])
+        offsets = np.cumsum(lens, dtype=np.int64) - lens
         starts = offsets[cands["doc"]] + cands["pos"] - k
-        hits = phi.hits(flat[starts[:, None] + np.arange(k)])
+        hits = phi.hits(tokens[starts[:, None] + np.arange(k)])
         phi_stats = (len(phi), int(hits.sum()) / max(len(hits), 1))
         cands = cands[hits]
     return _finish_report(cands, dedup, budget, key_cfg, CLOSED, supervision,
@@ -197,18 +210,20 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
         raise CapabilityError("open mode reads greedy predictions, which only an "
                               "NGramModel suspect gives; use detect_closed")
     _check_key_vocab(key_cfg, suspect)
-    texts, prompt_lens = [], []
-    for doc_id, doc in enumerate(wm_texts):
-        is_dict = isinstance(doc, dict)
-        texts.append(list(doc["tokens"] if is_dict else doc))
-        _check_vocab(texts[-1], key_cfg.vocab_size, f"document {doc_id}")
-        n = doc.get("prompt_len", 0) if is_dict else 0
+    wm_texts = list(wm_texts)
+    texts = [list(doc["tokens"] if isinstance(doc, dict) else doc) for doc in wm_texts]
+    tokens = _joined_ids(texts, key_cfg.vocab_size)
+    prompt_lens = []
+    for doc_id, (doc, text) in enumerate(zip(wm_texts, texts)):
+        if tokens is None:
+            _check_vocab(text, key_cfg.vocab_size, f"document {doc_id}")
+        n = doc.get("prompt_len", 0) if isinstance(doc, dict) else 0
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise ConfigError(f"document {doc_id}: prompt_len {n!r} is not a "
                               "non-negative integer")
-        prompt_lens.append(min(n, len(texts[-1])))  # a prompt past the end blocks no more
-    cands = candidate_table(texts, prompt_lens, key_cfg.k, key_cfg.key,
-                            open_mode=True)
+        prompt_lens.append(min(n, len(text)))  # a prompt past the end blocks no more
+    cands = candidate_table(tokens, [len(text) for text in texts], prompt_lens,
+                            key_cfg.k, key_cfg.key, open_mode=True)
     cands = cands[cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]]]
     cands["token"] = suspect.greedy_at(texts, cands["doc"], cands["pos"])
     return _finish_report(cands, dedup, budget, key_cfg, OPEN, supervision, None)
@@ -440,7 +455,9 @@ def parse_scenario(path) -> dict:
         ("d_values", all(0 < d <= 1 for d in spec["d_values"]), "lie in (0, 1]"),
         ("k_values", all(k >= 1 for k in spec["k_values"]), "be >= 1"),
     ]
-    if spec["scenario"] == "d_sweep":  # its MIA needs watermarked training documents
+    if spec["scenario"] != "d_sweep":  # every other type detects on detect_docs
+        rules.append(("detect_docs", spec["detect_docs"] >= 1, "be >= 1"))
+    else:  # d_sweep's MIA needs watermarked training documents
         rules += [
             ("rho_value", spec["rho_value"] > 0, "be > 0 for d_sweep"),
             ("rho_value", round(spec["rho_value"] * spec["n_docs"]) >= 1,

@@ -106,17 +106,21 @@ def _at_tokens(rows_of, seeds, tokens, vocab_size: int) -> np.ndarray:
     """``rows_of(seeds)[i, tokens[i]]`` for each i.  Each distinct seed's
     row is built once, in chunks of seeds that keep the ``(rows, V)``
     temporaries below ``_SCORE_ELEMS``, and read by the tuples of that seed."""
-    distinct, label, counts = np.unique(np.asarray(seeds, dtype=np.uint64),
-                                        return_inverse=True, return_counts=True)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     tokens = np.asarray(tokens, dtype=np.intp)
-    by_seed = label.argsort(kind="stable")  # tuples grouped by seed
-    starts = np.append(0, np.cumsum(counts))
+    # tuples grouped by seed; each value is put back at its own tuple, so
+    # the order within a group does not matter and no stable sort is needed
+    by_seed = np.argsort(seeds)
+    grouped = seeds[by_seed]
+    head = np.ones(len(seeds), bool)
+    head[1:] = grouped[1:] != grouped[:-1]
+    distinct, starts = grouped[head], np.append(np.flatnonzero(head), len(seeds))
+    label = np.cumsum(head) - 1  # distinct seed of each grouped tuple
     step = max(1, _SCORE_ELEMS // vocab_size)
     parts = []
     for lo in range(0, len(distinct), step):
-        hi = min(lo + step, len(distinct))
-        at = by_seed[starts[lo] : starts[hi]]
-        parts.append(rows_of(distinct[lo:hi])[label[at] - lo, tokens[at]])
+        a, b = starts[lo], starts[min(lo + step, len(distinct))]
+        parts.append(rows_of(distinct[lo : lo + step])[label[a:b] - lo, tokens[by_seed[a:b]]])
     values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int8)
     out = np.empty_like(values)
     out[by_seed] = values

@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dedup_oracle
 from radioscope import (
     CANDIDATE,
     FilterSet,
     InputIntegrityError,
+    SamplingConfig,
     SecretKey,
     WatermarkConfig,
     build_filter,
     canonical_dedup,
+    generate_corpus,
     load_filter,
     save_filter,
 )
-from radioscope.dedup import _unique_rows, candidate_table
-from dedup_oracle import set_filter_kgrams
+from radioscope.dedup import _row_ids, _unique_rows, candidate_table
+from radioscope.hashing import window_hash
+from radioscope.pipelines import derive_run_key
 
 KEY = SecretKey(0xFACE)
 CFG = WatermarkConfig("kgw", KEY, 16, k=2)
@@ -36,6 +40,13 @@ def pairs(cands):
     return {(int(c["seed"]), int(c["token"])) for c in cands}
 
 
+def docs_table(docs, context_lens, k, key, open_mode):
+    """:func:`candidate_table` of a list of documents."""
+    tokens = np.array([t for doc in docs for t in doc], dtype=np.int64)
+    return candidate_table(tokens, [len(doc) for doc in docs], context_lens, k, key,
+                           open_mode)
+
+
 class TestTapeAdmit:
     """Admission of single tuples: repeats, context blocking, new tokens."""
 
@@ -45,15 +56,15 @@ class TestTapeAdmit:
 
     def test_window_in_prompt_rejected(self):
         # stream 9 5 6 2 | 5 6 7: the window (5, 6) before 7 is a prompt k-gram
-        cands = candidate_table([[9, 5, 6, 2, 5, 6, 7]], [4], CFG.k, CFG.key,
-                                open_mode=False)
+        cands = docs_table([[9, 5, 6, 2, 5, 6, 7]], [4], CFG.k, CFG.key,
+                           open_mode=False)
         blocked = dict(zip(cands["pos"].tolist(), cands["blocked"].tolist()))
         assert blocked == {2: True, 3: True, 4: True, 5: False, 6: True}
         assert canonical_dedup(cands)["pos"].tolist() == [5]
 
     def test_first_occurrence_admitted(self):
-        cands = candidate_table([[1, 2, 3, 5, 6, 7, 5, 6, 8]], [0], CFG.k, CFG.key,
-                                open_mode=True)
+        cands = docs_table([[1, 2, 3, 5, 6, 7, 5, 6, 8]], [0], CFG.k, CFG.key,
+                           open_mode=True)
         blocked = dict(zip(cands["pos"].tolist(), cands["blocked"].tolist()))
         assert blocked[5] is False  # (5, 6) first seen
         assert blocked[8] is True  # (5, 6) again, at a later start
@@ -129,7 +140,7 @@ class TestFilter:
         tokens = st.integers(0, top) | st.sampled_from([0, top])
         corpus = data.draw(st.lists(st.lists(tokens, max_size=12), max_size=8))
         got = build_filter(corpus, k)
-        assert got.kgrams.tolist() == set_filter_kgrams(corpus, k).tolist()
+        assert got.kgrams.tolist() == dedup_oracle.set_filter_kgrams(corpus, k).tolist()
 
     def test_k_255_round_trips(self, tmp_path):
         save_filter(build_filter([list(range(300))], 255), tmp_path / "phi.bin")
@@ -155,8 +166,7 @@ class TestFilter:
 
 def make_candidates(corpus, k=2):
     cfg = WatermarkConfig("kgw", KEY, 16, k=k)
-    return candidate_table(corpus, [0] * len(corpus), cfg.k, cfg.key,
-                           open_mode=False)
+    return docs_table(corpus, [0] * len(corpus), cfg.k, cfg.key, open_mode=False)
 
 
 class TestCanonicalDedup:
@@ -228,3 +238,135 @@ def test_unique_rows_equal_np_unique(k, data):
     _, want_first, want_label = np.unique(a, axis=0, return_index=True, return_inverse=True)
     assert np.array_equal(first, want_first)
     assert np.array_equal(label, want_label.ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_ids_order_rows_and_keep_the_key_in_int64(data):
+    """Over full-range int64 and uint64 columns: equal ids for equal rows,
+    ids ascending as the rows do, and ``id * n + row`` below ``2**63``."""
+    n = data.draw(st.integers(1, 40))
+    columns = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        lo, hi, dtype = data.draw(st.sampled_from(
+            [(-(2**63), 2**63 - 1, np.int64), (0, 2**64 - 1, np.uint64), (0, 2**16, np.int64)]))
+        values = st.integers(lo, hi) | st.sampled_from([lo, hi])
+        columns.append(np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype))
+    ids = _row_ids(columns)
+    assert ids.dtype == np.int64 and ids.min() >= 0
+    assert int(ids.max()) * n + n - 1 < 2**63
+    rows = list(zip(*(c.tolist() for c in columns)))
+    assert sorted(range(n), key=lambda i: (rows[i], i)) == sorted(range(n), key=lambda i: (ids[i], i))
+    assert len(set(rows)) == len(set(ids.tolist()))
+
+
+def loop_candidates(docs, context_lens, k, open_mode):
+    """One oracle ``Candidate`` per position after a full window: blocked
+    when its window lies within the document's first ``context_lens[d]``
+    tokens or, in open mode, starts earlier in the document too."""
+    out = []
+    for d, (doc, n) in enumerate(zip(docs, context_lens)):
+        context = {tuple(doc[i : i + k]) for i in range(n - k + 1)}
+        earlier = set()
+        for pos in range(k, len(doc)):
+            window = tuple(doc[pos - k : pos])
+            blocked = window in context or (open_mode and window in earlier)
+            earlier.add(window)
+            out.append(dedup_oracle.Candidate(d, pos, window, doc[pos], blocked))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wide_window_codes_equal_the_oracle(data):
+    """Vocabularies up to 2**16 and windows up to 5 tokens, where a window's
+    base-V code needs up to 80 bits and the ids fall back to ranks: the
+    table and the admitted rows equal the per-position oracle's."""
+    v = data.draw(st.integers(2, 2**16) | st.just(2**16))
+    k = data.draw(st.integers(1, 5))
+    # splitmix keys: the oracle's (k+1)-tuple fingerprints do not collide
+    key = derive_run_key(data.draw(st.integers(0, 2**32 - 1)), 0)
+    near_top = st.integers(max(0, v - 3), v - 1) | st.just(0)
+    docs = data.draw(st.lists(st.lists(near_top, max_size=14), max_size=6))
+    # windows of all zeros and of all V - 1 give every column the radix V
+    docs.append([0] * k + [v - 1] * k + [0])
+    context_lens = data.draw(st.lists(st.integers(0, 8), min_size=len(docs),
+                                      max_size=len(docs)))
+    open_mode = data.draw(st.booleans())
+    cands = docs_table(docs, context_lens, k, key, open_mode)
+    want = loop_candidates(docs, context_lens, k, open_mode)
+    assert [(int(c["doc"]), int(c["pos"]), int(c["seed"]), int(c["token"]),
+             bool(c["blocked"])) for c in cands] == [
+        (c.doc_id, c.pos, window_hash(c.window, key), c.token, c.context_blocked)
+        for c in want]
+    admitted = canonical_dedup(cands[::-1])
+    oracle = dedup_oracle.canonical_dedup(want, dedup_oracle.Tape(), key)
+    assert list(zip(admitted["doc"].tolist(), admitted["pos"].tolist())) == [
+        (c.doc_id, c.pos) for c in oracle]
+
+
+@pytest.mark.parametrize("open_mode", [False, True])
+def test_weak_key_admission_is_keyed_on_the_seed(open_mode):
+    """``SecretKey(1)`` hashes a window to the sum of its tokens, so (1, 2)
+    and (2, 1) share a seed, and so do many windows of a small vocabulary:
+    of the tuples with one (seed, token) pair only the first is admitted,
+    whatever their windows."""
+    key, k = SecretKey(1), 2
+    rng = np.random.default_rng(5)
+    # (1, 2) -> 5 at pos 2 and (2, 1) -> 5 at pos 5: one pair
+    docs = [[1, 2, 5, 2, 1, 5]] + [rng.integers(0, 6, size=30).tolist() for _ in range(5)]
+    context_lens = [0, 4, 0, 3, 0, 6]
+    want, seen = [], set()
+    for d, doc in enumerate(docs):  # per-row reference, in (doc, pos) order
+        context = {tuple(doc[i : i + k]) for i in range(context_lens[d] - k + 1)}
+        for pos in range(k, len(doc)):
+            window = tuple(doc[pos - k : pos])
+            earlier = any(tuple(doc[i : i + k]) == window for i in range(pos - k))
+            pair = (window_hash(window, key), doc[pos])
+            if window in context or (open_mode and earlier) or pair in seen:
+                continue
+            seen.add(pair)
+            want.append((d, pos))
+    cands = docs_table(docs, context_lens, k, key, open_mode)
+    got = canonical_dedup(cands[np.random.default_rng(6).permutation(len(cands))])
+    assert list(zip(got["doc"].tolist(), got["pos"].tolist())) == want
+    assert (0, 2) in want and (0, 5) not in want
+
+
+@pytest.fixture(scope="module")
+def h0_tables(teacher128):
+    """Candidate tables of the H0 criterion's sizes (V = 128, k = 2): closed,
+    90 documents of a 13-token prompt and 280 completion tokens; open, 110
+    watermarked documents of 400 tokens scored by greedy readout."""
+    cfg = WatermarkConfig("kgw", derive_run_key(3, 0), 128, k=2)
+    closed = [doc["tokens"] for doc in generate_corpus(
+        teacher128, 90, 293, SamplingConfig(seed=4))]
+    docs = [doc["tokens"] for doc in generate_corpus(
+        teacher128, 110, 400, SamplingConfig(seed=5), wm=cfg)]
+    tables = {"closed": docs_table(closed, [13] * 90, 2, cfg.key, open_mode=False)}
+    cands = docs_table(docs, [0] * 110, 2, cfg.key, open_mode=True)
+    cands["token"] = teacher128.greedy_at(docs, cands["doc"], cands["pos"])
+    tables["open"] = cands
+    return tables
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_admission_does_not_depend_on_row_order(h0_tables, mode):
+    cands = h0_tables[mode]
+    ordered = canonical_dedup(cands)
+    assert 0 < len(ordered) < len(cands)
+    for seed in range(3):
+        shuffled = cands[np.random.default_rng(seed).permutation(len(cands))]
+        assert canonical_dedup(shuffled).tobytes() == ordered.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_shuffled_table_with_a_repeated_key_refused(h0_tables, mode):
+    cands = h0_tables[mode].copy()
+    rng = np.random.default_rng(1)
+    i, j = rng.choice(len(cands), size=2, replace=False)
+    cands[["doc", "pos"]][j] = cands[["doc", "pos"]][i]
+    shuffled = cands[rng.permutation(len(cands))]
+    at = (int(cands["doc"][i]), int(cands["pos"][i]))
+    with pytest.raises(InputIntegrityError, match=rf"duplicate ordering key \({at[0]}, {at[1]}\)"):
+        canonical_dedup(shuffled)
