@@ -45,9 +45,13 @@ OPEN = "open"
 
 #: One row per scorable position: its document and position, the seed of
 #: the window before it, the token scored against that window, and whether
-#: the window already sits in the scoring context.
+#: the window already sits in the scoring context.  Aligned (40 bytes a
+#: row), so each field is read through an aligned view.  Rows are selected
+#: with ``take`` and ``compress``, which copy whole rows: indexing copies a
+#: structured array field by field (0.95 ms against 0.10 ms for ``take`` of
+#: 90 % of a 26,190-row table) and leaves the padding bytes unset.
 CANDIDATE = np.dtype([("doc", np.int64), ("pos", np.int64), ("seed", np.uint64),
-                      ("token", np.int64), ("blocked", np.bool_)])
+                      ("token", np.int64), ("blocked", np.bool_)], align=True)
 
 
 class InputIntegrityError(ValueError):
@@ -254,7 +258,7 @@ def canonical_dedup(cands: np.ndarray) -> np.ndarray:
             f"duplicate ordering key {(int(row['doc']), int(row['pos']))}")
     eligible = ordered[~cands["blocked"][ordered]]
     order, head = _runs(_row_ids([cands["seed"][eligible], cands["token"][eligible]]))
-    return cands[eligible[np.sort(order[head])]]
+    return cands.take(eligible[np.sort(order[head])])
 
 
 def candidate_table(tokens, lens, context_lens, k: int, key: SecretKey,

@@ -36,22 +36,27 @@ about 3 ms for an order-3 model at V = 128.  Levels whose table would
 exceed ``_RESERVE_BYTES`` are searched.  A nucleus row is the kept
 token ids by descending probability and their renormalized
 probabilities, built from the context's counts without a per-row model
-call.  Only kept entries are stored: rows lie back to back in two flat
-arrays, in build order, and a context id finds its row by ``start`` and
-``keep``.  A walk reads rows through sliding windows over the flat
-array, one index for all states, so past ``keep`` a row read runs on
-into later rows' entries, or into zeros past the last.  Those entries
-are probabilities, never negative, so the cumulative sums past ``keep``
-never fall below the row total: the count of sums at or below a uniform,
-clipped to ``keep - 1``, is the one zero padding would give.  Because
-the sums never fall, a draw first counts over the row's head, its first
-``_HEAD`` entries, and reads the V-wide row only when the head's last
-sum is still at or below the uniform; ``np.add.accumulate`` adds in
-order, so the head's sums are the row's first sums bit for bit.  Nucleus
-rows keep most of their mass in their first entries, so few draws read
-past the head.  Once a store has built half its rows it builds all the
-others in one pass, so at most twice the work and memory of the rows
-reached, and its lookups never build again.
+call.  Rows lie back to back in two flat arrays, in build order: ``idx``
+holds every kept id, and ``q`` a row's first ``stored`` probabilities,
+its head of ``_HEAD`` entries (all of them if it keeps fewer) or, if
+more, up to its last kept value, which every later kept entry equals bit
+for bit.  At V = 128 about 90 % of kept entries are such copies of the
+smoothed tail value.  A context id finds its row by ``istart``,
+``qstart``, ``keep`` and ``stored``.  A walk reads rows' heads through a
+sliding window over ``q``, one index for all states, so past ``keep`` a
+head runs on into later rows' entries, or into zeros past the last.
+Those entries are probabilities, never negative, so the cumulative sums
+past ``keep`` never fall below the row total: the count of sums at or
+below a uniform, clipped to ``keep - 1``, is the one zero padding would
+give.  Because the sums never fall, a draw first counts over the head,
+and reads the V-wide row, its stored entries and then the last one
+repeated, only when the head's last sum is still at or below the
+uniform; ``np.add.accumulate`` adds in order, so the head's sums are the
+row's first sums bit for bit.  Nucleus rows keep most of their mass in
+their first entries, so few draws read past the head.  Once a store has
+built half its rows it builds all the others in one pass, so at most
+twice the work and memory of the rows reached, and its lookups never
+build again.
 
 A watermarked state's row, built once per state, holds its context id
 and the scheme's part: the cumulative biased probabilities (KGW, MPAC)
@@ -254,19 +259,23 @@ class NGramModel:
     def _find(self, context) -> int:
         """Id (see :meth:`_index`) of the longest trained suffix of ``context``."""
         tail = context[-self.order :]
-        for length, sel, rows in self._locate([tail], np.zeros(1, np.intp), np.array([len(tail)])):
+        tokens = np.fromiter(tail, np.int64, len(tail))
+        for length, sel, rows in self._locate(tokens, [len(tail)], np.zeros(1, np.intp),
+                                              np.array([len(tail)])):
             if len(sel):
                 return int(self._first[length] + rows[0])
         return int(self._first[-1])
 
-    def _locate(self, docs, doc: np.ndarray, pos: np.ndarray):
-        """Yield (level, indices, rows) of the longest trained suffix of each
-        ``docs[d][:p]`` of ``zip(doc, pos)``: a suffix holds at most ``order``
+    def _locate(self, tokens: np.ndarray, lens, doc: np.ndarray, pos: np.ndarray):
+        """Yield (level, indices, rows) of the longest trained suffix of
+        each document ``d``'s first ``p`` tokens, for each (d, p) of
+        ``zip(doc, pos)``, where ``tokens`` are the documents joined as
+        int64 and ``lens`` their lengths: a suffix holds at most ``order``
         tokens, and none at or before an out-of-vocabulary one."""
         v = self.vocab_size
         # ``order`` zeros in front keep every look-back index in range
-        flat = np.fromiter(chain([0] * self.order, *docs), np.int64)
-        at = np.cumsum([self.order] + [len(d) for d in docs])[doc] + pos
+        flat = np.concatenate([np.zeros(self.order, np.int64), tokens])
+        at = np.cumsum(np.append(self.order, np.asarray(lens, np.int64)))[doc] + pos
         # codes[L]: the last L tokens, -1 where one is missing or out of vocabulary
         codes = [np.zeros(len(pos), np.int64)]
         for back in range(1, self.order + 1):
@@ -318,10 +327,13 @@ class NGramModel:
         """Most likely next token (ties toward the lowest id)."""
         return self._greedy.item(self._find(context))
 
-    def greedy_at(self, docs, doc: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """:meth:`next_greedy` of ``docs[d][:p]`` for each (d, p) of ``zip(doc, pos)``."""
+    def greedy_at(self, tokens: np.ndarray, lens, doc: np.ndarray,
+                  pos: np.ndarray) -> np.ndarray:
+        """:meth:`next_greedy` of document ``d``'s first ``p`` tokens for each
+        (d, p) of ``zip(doc, pos)``, where ``tokens`` are the documents
+        joined as int64 and ``lens`` their lengths."""
         out = np.zeros(len(pos), np.int64)
-        for length, sel, rows in self._locate(docs, doc, pos):
+        for length, sel, rows in self._locate(tokens, lens, doc, pos):
             out[sel] = self._greedy[self._first[length] + rows]
         return out
 
@@ -331,7 +343,7 @@ class NGramModel:
         toks = _token_ids([list(tokens)], v)
         n = len(toks)
         p = np.full(n, 1.0 / v)
-        for length, sel, rows in self._locate([toks], np.zeros(n, np.intp), np.arange(n)):
+        for length, sel, rows in self._locate(toks, [n], np.zeros(n, np.intp), np.arange(n)):
             keys, code = self._keys[length], self._ctx[length][rows] * v + toks[sel]
             found = np.minimum(keys.searchsorted(code), len(keys) - 1)
             count = np.where(keys[found] == code, self._counts[length][found], 0)
@@ -367,10 +379,12 @@ def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return sums
 
 
-#: Bytes of rows a store reserves when it is made, or fewer at its bound.
-#: The system backs only the pages rows are written to, and a store this
-#: small never copies: the benchmark's largest, the closed-h0 suspect's
-#: nucleus rows (53,703 contexts, 4.7 million kept entries, 40 MiB), fits.
+#: Bytes of rows a store reserves when it is made, or fewer at its bound; a
+#: nucleus store reserves as many entries in each flat array as fit at one
+#: probability and one id each.  The system backs only the pages rows are
+#: written to, and a store this small never copies: the benchmark's
+#: largest, the closed-h0 suspect's nucleus rows (53,703 contexts, 4.7
+#: million kept ids and 0.82 million stored probabilities, 11 MB), fits.
 _RESERVE_BYTES = 64 << 20
 
 #: Cumulative sums a draw counts before it reads a whole row.  A draw
@@ -388,15 +402,20 @@ class NucleusRows:
     than the model has contexts, plus one (``bound``).  A row is its kept
     token ids by descending probability and their renormalized
     probabilities.  Rows lie back to back in the flat arrays ``idx`` and
-    ``q``, in build order; context id ``c``'s row starts at ``start[c]``
-    and holds ``keep[c]`` entries (0 while it is not built).  Each flat
-    array is read through a sliding window of width V, so gathering
-    V-wide rows is one index; past ``keep`` such a row holds later rows'
-    entries or zeros.  ``q`` is also read through a window of ``_HEAD``
-    entries, which is all most draws need (:meth:`draw`).  Once half the
-    rows are built, the rest are built at once.  The model keeps the
-    store (:meth:`NGramModel._nucleus`), so the store holds no reference
-    back: the calls that build rows get it.
+    ``q``, in build order.  Context id ``c``'s ids start at ``istart[c]``
+    and its ``keep[c]`` kept ones are all stored (0 while it is not
+    built).  Its probabilities start at ``qstart[c]``, and only its first
+    ``stored[c]`` are stored: ``max(min(keep, _HEAD), m + 1)``, where
+    ``m`` counts its kept values above its last, so each kept entry past
+    them equals the last stored one.  ``idx`` is read through a sliding
+    window of width V, so gathering V-wide rows is one index; past
+    ``keep`` such a row holds later rows' ids.  ``q`` is read through a
+    window of ``_HEAD`` entries, which is all most draws need
+    (:meth:`draw`), and V-wide by a gather that repeats the last stored
+    entry (:meth:`_q_wide`).  ``nbytes`` counts the entries written to
+    both arrays.  Once half the rows are built, the rest are built at
+    once.  The model keeps the store (:meth:`NGramModel._nucleus`), so the
+    store holds no reference back: the calls that build rows get it.
 
     ``context_of[c]`` is the context id of a state whose last ``gathered``
     tokens have code ``c``, and ``gathered`` is ``order`` unless that
@@ -408,12 +427,19 @@ class NucleusRows:
         self.temperature = temperature
         self.nucleus_p = nucleus_p
         self.bound = bound = int(model._first[-1]) + 1
-        self.start = np.zeros(bound, np.intp)
+        # offsets into the flat arrays, 4 bytes each where every one fits
+        offset = np.uint32 if (bound + 1) * v <= np.iinfo(np.uint32).max else np.intp
+        self.istart, self.qstart = np.zeros(bound, offset), np.zeros(bound, offset)
         self.keep = np.zeros(bound, np.min_scalar_type(v))
-        self.n = self.size = 0  # rows built, entries written
+        self.stored = np.zeros_like(self.keep)
+        # row V - s is max(s - 1 - j, 0) for each j < V: how far entry j of a
+        # row that stores s probabilities lies before its last stored one
+        back = np.concatenate([np.arange(v - 1, 0, -1), np.zeros(v, np.intp)])
+        self._back = np.lib.stride_tricks.sliding_window_view(back, v)
+        self.n = self.size = self.qsize = 0  # rows built, ids and probabilities written
         self.q, self.idx = np.zeros(0), np.zeros(0, np.min_scalar_type(v - 1))
-        entry = self.q.itemsize + self.idx.itemsize
-        self._fit(max(v, min((bound + 1) * v, _RESERVE_BYTES // entry)))
+        reserve = max(v, _RESERVE_BYTES // (self.q.itemsize + self.idx.itemsize))
+        self._fit(reserve, reserve)
         # level by level: the table of one level fewer under each leading
         # digit (0, a missing token, included), the level's contexts over it
         radix = v + 1
@@ -431,22 +457,26 @@ class NucleusRows:
             self.gathered = length
         self.context_of = table
 
-    def _fit(self, entries: int) -> None:
-        """Room for ``entries`` entries in each flat array.  A short array
-        doubles, or grows to ``entries`` if that is more, up to every row
-        at full width plus the V entries the last row's window reads; it is
-        zero past the entries written."""
-        if entries <= len(self.q):
+    def _fit(self, q_entries: int, idx_entries: int) -> None:
+        """Room for ``q_entries`` probabilities and ``idx_entries`` token
+        ids.  A short array doubles, or grows to the entries asked if that
+        is more, up to every row at full width plus the entries the last
+        row's window reads (``_HEAD`` probabilities, V ids); it is zero
+        past the entries written."""
+        if q_entries <= len(self.q) and idx_entries <= len(self.idx):
             return
         v = self.vocab_size
-        size = min((self.bound + 1) * v, max(entries, 2 * len(self.q)))
-        for name in ("q", "idx"):
-            grown = np.zeros(size, getattr(self, name).dtype)
-            grown[: self.size] = getattr(self, name)[: self.size]
-            setattr(self, name, grown)
+        head = min(_HEAD, v)
+        for name, entries, written, pad in (("q", q_entries, self.qsize, head),
+                                            ("idx", idx_entries, self.size, v)):
+            old = getattr(self, name)
+            if entries > len(old):
+                grown = np.zeros(min(self.bound * v + pad, max(entries, 2 * len(old))),
+                                 old.dtype)
+                grown[:written] = old[:written]
+                setattr(self, name, grown)
         window = np.lib.stride_tricks.sliding_window_view
-        self._q_rows, self._idx_rows = window(self.q, v), window(self.idx, v)
-        self._q_head = window(self.q, min(_HEAD, v))
+        self._q_head, self._idx_rows = window(self.q, head), window(self.idx, v)
 
     def state_ids(self, model: NGramModel, codes: np.ndarray) -> np.ndarray:
         """Id of the trained context each sampler state code (see
@@ -478,24 +508,27 @@ class NucleusRows:
         return ids
 
     def _extend(self, model: NGramModel, ids: np.ndarray) -> None:
-        """Build the rows of ``ids`` and append their kept entries."""
+        """Build the rows of ``ids`` and append their stored probabilities
+        and kept ids."""
         v = self.vocab_size
         batch = max(1, _BATCH_ELEMS // v)
         for lo in range(0, len(ids), batch):
             part = ids[lo : lo + batch]
-            q, order, keep = self._build(model, part)
-            kept = np.arange(v) < keep[:, None]
-            end = self.size + int(keep.sum())
-            self._fit(end + v)
-            self.q[self.size : end] = q[kept]
-            self.idx[self.size : end] = order[kept]
-            self.start[part] = self.size + np.cumsum(keep) - keep
-            self.keep[part] = keep
-            self.size, self.n = end, self.n + len(part)
+            q, order, keep, stored = self._build(model, part)
+            end, qend = self.size + int(keep.sum()), self.qsize + int(stored.sum())
+            self._fit(qend + min(_HEAD, v), end + v)
+            self.q[self.qsize : qend] = q[np.arange(v) < stored[:, None]]
+            self.idx[self.size : end] = order[np.arange(v) < keep[:, None]]
+            self.istart[part] = self.size + np.cumsum(keep) - keep
+            self.qstart[part] = self.qsize + np.cumsum(stored) - stored
+            self.keep[part], self.stored[part] = keep, stored
+            self.size, self.qsize, self.n = end, qend, self.n + len(part)
 
     def _build(self, model: NGramModel, ids: np.ndarray) -> tuple:
-        """Probabilities by descending size, token ids and kept count of
-        each context id's row; entries past the kept ones are not part of it."""
+        """Probabilities by descending size, token ids, kept count and
+        stored count of each context id's row; entries past the kept ones
+        are not part of it, and those from the stored count on equal the
+        last stored one."""
         v = self.vocab_size
         q = model._distributions(ids)
         np.maximum(q, 1e-300, out=q)
@@ -509,21 +542,35 @@ class NucleusRows:
         keep = np.add.reduce(q.cumsum(axis=1) < self.nucleus_p, axis=1) + 1
         np.minimum(keep, v, out=keep)
         q /= _kept_sums(q, keep)[:, None]
-        return q, order, keep
+        # the row descends, so its first entry at or below its last kept one
+        # follows every entry above it
+        above = (q <= q[np.arange(len(q)), keep - 1][:, None]).argmax(axis=1)
+        return q, order, keep, np.maximum(np.minimum(keep, _HEAD), above + 1)
+
+    def _q_wide(self, ids: np.ndarray) -> np.ndarray:
+        """V-wide probability rows of ``ids``: each stored entry, then the
+        last one repeated, which up to ``keep`` is the row's own value."""
+        stored = self.stored[ids]
+        last = self.qstart[ids].astype(np.intp) + stored - 1
+        return self.q[last[:, None] - self._back[self.vocab_size - stored]]
 
     def kept(self, ids: np.ndarray) -> tuple:
         """V-wide rows of ``ids``: the probabilities, 0 past the kept ones,
         the token ids, which past them are other rows', and the kept counts."""
-        at, keep = self.start[ids], self.keep[ids]
-        q = self._q_rows[at]
-        q[np.arange(self.vocab_size) >= keep[:, None]] = 0.0
-        return q, self._idx_rows[at], keep
+        keep = self.keep[ids]
+        q = self._q_wide(ids)
+        q *= np.arange(self.vocab_size) < keep[:, None]  # finite, so exactly 0 past keep
+        return q, self._idx_rows[self.istart[ids]], keep
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the probabilities and token ids written to ``q`` and ``idx``."""
+        return self.qsize * self.q.itemsize + self.size * self.idx.itemsize
 
     def sample(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Kept id of each row ``ids`` at uniform ``u``."""
-        at = self.start[ids]
-        return self.draw(ids, self._q_head[at].cumsum(axis=1), u,
-                         lambda past: self._q_rows[at[past]].cumsum(axis=1))
+        return self.draw(ids, self._q_head[self.qstart[ids]].cumsum(axis=1), u,
+                         lambda past: self._q_wide(ids[past]).cumsum(axis=1))
 
     def draw(self, ids: np.ndarray, head: np.ndarray, u: np.ndarray, full) -> np.ndarray:
         """Kept id of each row ``ids`` at the count of its cumulative sums
@@ -531,12 +578,14 @@ class NucleusRows:
         row's first sums and ``full(sel)`` the V-wide sums of rows ``sel``,
         which may run on past the kept entries so long as they do not fall.
         So no sum after a head's last is at or below ``u`` when that one is
-        above it, and only the other rows are read in full."""
-        j = (head <= u[:, None]).sum(axis=1)
+        above it, and only the other rows are read in full.  Within a head
+        the count is the place of the first sum above ``u``; a head with
+        none is a row read in full."""
+        j = (head <= u[:, None]).argmin(axis=1)
         past = np.flatnonzero(head[:, -1] <= u)
         if len(past):
             j[past] = (full(past) <= u[past, None]).sum(axis=1)
-        return self.idx[self.start[ids] + np.minimum(j, self.keep[ids] - 1)]
+        return self.idx[self.istart[ids] + np.minimum(j, self.keep[ids] - 1)]
 
 
 class _WatermarkRows:

@@ -174,7 +174,7 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
         starts = offsets[cands["doc"]] + cands["pos"] - k
         hits = phi.hits(tokens[starts[:, None] + np.arange(k)])
         phi_stats = (len(phi), int(hits.sum()) / max(len(hits), 1))
-        cands = cands[hits]
+        cands = cands.compress(hits)
     return _finish_report(cands, dedup, budget, key_cfg, CLOSED, supervision,
                           phi_stats)
 
@@ -222,10 +222,10 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
             raise ConfigError(f"document {doc_id}: prompt_len {n!r} is not a "
                               "non-negative integer")
         prompt_lens.append(min(n, len(text)))  # a prompt past the end blocks no more
-    cands = candidate_table(tokens, [len(text) for text in texts], prompt_lens,
-                            key_cfg.k, key_cfg.key, open_mode=True)
-    cands = cands[cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]]]
-    cands["token"] = suspect.greedy_at(texts, cands["doc"], cands["pos"])
+    lens = [len(text) for text in texts]
+    cands = candidate_table(tokens, lens, prompt_lens, key_cfg.k, key_cfg.key, open_mode=True)
+    cands = cands.compress(cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]])
+    cands["token"] = suspect.greedy_at(tokens, lens, cands["doc"], cands["pos"])
     return _finish_report(cands, dedup, budget, key_cfg, OPEN, supervision, None)
 
 

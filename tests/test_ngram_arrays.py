@@ -48,6 +48,12 @@ def _contexts(v, order, docs, unseen):
     return known + [tuple(ctx) for ctx in unseen]
 
 
+def _greedy_at(model, docs, doc, pos):
+    """``model.greedy_at`` of a list of documents, joined as int64."""
+    tokens = np.fromiter(itertools.chain(*docs), np.int64)
+    return model.greedy_at(tokens, [len(d) for d in docs], doc, pos)
+
+
 def _assert_same(model, oracle, contexts, docs):
     for ctx in contexts:
         assert np.array_equal(model.next_distribution(ctx),
@@ -55,7 +61,7 @@ def _assert_same(model, oracle, contexts, docs):
         assert model.next_greedy(ctx) == oracle.next_greedy(ctx), ctx
     # every context at once, as the whole-corpus readout sees them
     ends = np.array([len(ctx) for ctx in contexts], dtype=np.intp)
-    got = model.greedy_at(contexts, np.arange(len(contexts)), ends)
+    got = _greedy_at(model, contexts, np.arange(len(contexts)), ends)
     assert got.tolist() == [oracle.next_greedy(ctx) for ctx in contexts]
     for doc in docs:
         assert model.log_loss(doc) == oracle.log_loss(doc)
@@ -108,7 +114,7 @@ class TestWholeCorpus:
         for batch in (first, second):
             model.update(batch)
             oracle.update(batch)
-            got = model.greedy_at(docs, doc, pos)
+            got = _greedy_at(model, docs, doc, pos)
             assert got.tolist() == [oracle.next_greedy(docs[d][:p]) for d, p in pairs]
             for tokens in docs:
                 if all(0 <= t < v for t in tokens):  # log_loss refuses the others

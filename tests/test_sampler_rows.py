@@ -202,19 +202,24 @@ def _rows(store, ids: np.ndarray) -> tuple:
 
 def _ready(store, model, ids: np.ndarray) -> np.ndarray:
     """``store.ready(model, ids)`` of a nucleus store, checking that the rows
-    already built keep their values and that its flat arrays hold their
-    reservation or at most twice the entries written, with the ``V``
-    entries the last row's window reads."""
+    already built keep their values and that each flat array holds its
+    reservation or at most twice the entries written, with the entries
+    the last row's window reads: ``_HEAD`` probabilities, ``V`` ids."""
     done = _built(store)
     before = _rows(store, done)
     got = store.ready(model, ids)
     for old, now in zip(before, _rows(store, done)):
         assert np.array_equal(old, now)
     v = store.vocab_size
+    head = min(models._HEAD, v)
     reserved = models._RESERVE_BYTES // (store.q.itemsize + store.idx.itemsize)
     assert store.n == len(_built(store)) and store.size == int(store.keep.sum())
-    assert store.size + v <= len(store.q) == len(store.idx)
-    assert len(store.q) <= min((store.bound + 1) * v, max(reserved, 2 * (store.size + v)))
+    assert store.qsize == int(store.stored.sum()) <= store.size
+    assert store.nbytes == store.qsize * store.q.itemsize + store.size * store.idx.itemsize
+    assert store.qsize + head <= len(store.q)
+    assert len(store.q) <= min(store.bound * v + head, max(reserved, 2 * (store.qsize + head)))
+    assert store.size + v <= len(store.idx)
+    assert len(store.idx) <= min((store.bound + 1) * v, max(reserved, 2 * (store.size + v)))
     return got
 
 
@@ -240,12 +245,18 @@ def test_stores_filled_to_their_bound_keep_their_rows(fresh_teacher64, scheme, m
     for part in np.array_split(ids, 4):
         assert np.array_equal(_ready(nucleus, teacher, part), part)
     assert nucleus.n == bound and (nucleus.keep > 0).all()
-    assert len(nucleus.q) > models._RESERVE_BYTES // (nucleus.q.itemsize + nucleus.idx.itemsize)
-    # rows lie back to back: their starts and kept counts tile the entries
-    order = nucleus.start.argsort()
-    ends = np.cumsum(nucleus.keep[order].astype(np.intp))
-    assert np.array_equal(nucleus.start[order], ends - nucleus.keep[order])
-    assert ends[-1] == nucleus.size
+    reserved = models._RESERVE_BYTES // (nucleus.q.itemsize + nucleus.idx.itemsize)
+    assert len(nucleus.q) > reserved and len(nucleus.idx) > reserved
+    # rows lie back to back, in one build order in both arrays: the id
+    # starts and kept counts tile the ids, the probability starts and
+    # stored counts the probabilities
+    order = nucleus.istart.argsort()
+    assert np.array_equal(nucleus.qstart.argsort(), order)
+    for start, count, written in ((nucleus.istart, nucleus.keep, nucleus.size),
+                                  (nucleus.qstart, nucleus.stored, nucleus.qsize)):
+        ends = np.cumsum(count[order].astype(np.intp))
+        assert np.array_equal(start[order], ends - count[order])
+        assert ends[-1] == written
     if wm is None:
         return
     # every order-2 state of the 64-token teacher holds a full window
@@ -276,18 +287,22 @@ def test_store_memory_follows_the_rows_built():
         _fill(marked, part)
     assert marked.n == len(codes)
     assert nucleus.q.nbytes + nucleus.idx.nbytes <= models._RESERVE_BYTES
+    assert 0 < nucleus.nbytes <= nucleus.q.nbytes + nucleus.idx.nbytes
     assert sum(field.nbytes for field in marked.fields.values()) <= models._RESERVE_BYTES
 
 
 def test_picks_read_past_keep_equal_zero_padded_picks(teacher64):
-    """A walk reads V-wide rows that run on into later rows' entries; its
+    """A walk reads rows that run on past ``keep``: the head into later
+    rows' entries, a V-wide read into the last stored entry repeated; its
     picks equal those from rows padded with zeros, at u = 0, at each
     cumulative sum, just below it, and at the row total."""
     rows = NucleusRows(teacher64, 0.8, 0.95)
     ids = rows.ready(teacher64, np.random.default_rng(6).permutation(rows.bound))
     q, idx, keep = rows.kept(ids)
     inside = np.arange(64) < keep[:, None]
-    assert (rows._q_rows[rows.start[ids]][~inside] > 0).any()  # later rows' entries
+    head = rows._q_head[rows.qstart[ids]]
+    assert (head[~inside[:, : models._HEAD]] > 0).any()  # later rows' entries
+    assert (rows._q_wide(ids)[~inside] > 0).any()  # the tail value repeated
     cum = q.cumsum(axis=1)  # past keep it repeats the row total
     at = np.arange(len(ids))
     kept = keep.astype(np.intp)
@@ -300,6 +315,110 @@ def test_picks_read_past_keep_equal_zero_padded_picks(teacher64):
     below = np.nextafter(total, 0)
     want = idx[at, np.minimum((cum <= below[:, None]).sum(axis=1), kept - 1)]
     assert np.array_equal(rows.sample(ids, below), want)
+
+
+def _loop_rows(oracle, contexts, v: int) -> tuple:
+    """The loop's tables of ``contexts`` as V-wide rows: cumulative sums,
+    which past ``keep`` repeat the total, ids padded with zeros, kept counts."""
+    cum, idx = np.zeros((len(contexts), v)), np.zeros((len(contexts), v), np.intp)
+    keep = np.zeros(len(contexts), np.intp)
+    for i, context in enumerate(contexts):
+        t_idx, _, t_cum = oracle._table(context)
+        keep[i] = k = len(t_idx)
+        idx[i, :k], cum[i, :k], cum[i, k:] = t_idx, t_cum, t_cum[-1]
+    return cum, idx, keep
+
+
+def _stored(q: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Entries a row stores: its head, or more to reach its last kept value."""
+    above = (q > q[np.arange(len(q)), keep - 1][:, None]).sum(axis=1)
+    return np.maximum(np.minimum(keep, models._HEAD), above + 1)
+
+
+def _assert_draws_equal_the_loop(store, ids, cum, idx, keep) -> np.ndarray:
+    """Draws of rows ``ids`` at 0, the total, each cumulative sum of the
+    loop's rows and just below it equal the loop's zero-padded picks;
+    returns the positions the draws took."""
+    at, taken = np.arange(len(ids)), []
+    points = [np.zeros(len(ids)), cum[:, -1]]
+    points += [x for j in range(cum.shape[1]) for x in (cum[:, j], np.nextafter(cum[:, j], 0))]
+    for u in points:
+        pos = np.minimum((cum <= u[:, None]).sum(axis=1), keep - 1)
+        assert np.array_equal(store.sample(ids, u), idx[at, pos])
+        taken.append(pos)
+    return np.array(taken)
+
+
+# (smoothing lambda, temperature, nucleus p): lambda 0 floors unseen values
+# at 1e-300, lambda 50 flattens every row, and p = 1 or temperature 3 keep
+# long rows with long runs of equal values
+EDGE_SAMPLING = [(0.05, 0.8, 0.95), (0.05, 0.8, 1.0), (0.05, 3.0, 0.95),
+                 (0.0, 0.8, 0.95), (0.0, 3.0, 1.0), (50.0, 0.8, 0.95)]
+
+
+@pytest.mark.parametrize("lam, temperature, nucleus_p", EDGE_SAMPLING)
+def test_stored_rows_equal_the_loop_tables_and_draws(lam, temperature, nucleus_p):
+    """Every order-2 row of a V = 64 teacher stores its head, or up to its
+    last kept value, reads back as the loop's table, and draws the loop's
+    zero-padded picks, also where a draw passes the head and lands in the
+    run of equal entries past the stored ones."""
+    model = make_teacher(vocab_size=64, seed=7, source_tokens=120_000, smoothing_lambda=lam)
+    sampling = SamplingConfig(temperature=temperature, nucleus_p=nucleus_p, seed=5)
+    contexts = [(a, b) for a in range(64) for b in range(64)]
+    cum, idx, keep = _loop_rows(LoopTextSampler(model, sampling), contexts, 64)
+    store = NucleusRows(model, temperature, nucleus_p)
+    ids = store.state_ids(model, np.array([_code(c, 64) for c in contexts]))
+    q, got_idx, got_keep = store.kept(ids)
+    assert np.array_equal(got_keep, keep)
+    assert np.array_equal(q.cumsum(axis=1), cum)
+    assert np.array_equal(np.where(np.arange(64) < keep[:, None], got_idx, 0), idx)
+    stored = store.stored[ids].astype(np.intp)
+    assert np.array_equal(stored, _stored(q, keep))
+    taken = _assert_draws_equal_the_loop(store, ids, cum, idx, keep)
+    # past the head and into the run of equal values, short of the clip
+    assert ((taken >= np.maximum(stored, models._HEAD)) & (taken < keep - 1)).any()
+    assert (generate_corpus(model, 12, 60, sampling)
+            == loop_generate_corpus(model, 12, 60, sampling))
+
+
+def test_a_nucleus_cut_among_tied_values():
+    """A row whose nucleus cut falls inside a run of tied observed values
+    keeps part of the run, stores its head only, and reads and draws as
+    the loop's table."""
+    # after token 1: token 0 five times, tokens 2..41 twice each
+    doc = [1, 0] * 5 + [tok for t in range(2, 42) for tok in (1, t)] * 2
+    model = train_ngram([doc], 1, 0.0, 64)
+    sampling = SamplingConfig(temperature=1.0, nucleus_p=0.7, seed=9, max_tokens=30)
+    cum, idx, keep = _loop_rows(LoopTextSampler(model, sampling), [(1,)], 64)
+    assert 2 < keep[0] < 41  # tied values on both sides of the cut
+    store = NucleusRows(model, 1.0, 0.7)
+    ids = store.state_ids(model, np.array([_code((1,), 64)]))
+    q, got_idx, got_keep = store.kept(ids)
+    assert got_keep[0] == keep[0] > models._HEAD == store.stored[ids[0]]
+    assert np.array_equal(q.cumsum(axis=1), cum) and (q[0, keep[0]:] == 0).all()
+    assert np.array_equal(got_idx[0, : keep[0]], idx[0, : keep[0]])
+    taken = _assert_draws_equal_the_loop(store, ids, cum, idx, keep)
+    assert ((taken > models._HEAD) & (taken < keep[0] - 1)).any()
+    prompts = [[1]] * 20
+    assert _complete(model, prompts, sampling, None) == loop_complete(model, prompts, sampling)
+
+
+def test_a_completed_store_holds_the_stored_entries(teacher128):
+    """A completed store's ``q`` holds exactly the stored entries of its
+    rows, each row's first max(min(keep, _HEAD), m + 1), where m counts
+    its kept values above its last; for the default V = 128 teacher that
+    is at most 2.4 MB, against 12.1 MB for every kept entry."""
+    store = NucleusRows(teacher128, 0.8, 0.95)
+    ids = store.ready(teacher128, np.arange(store.bound))
+    assert store.n == store.bound
+    q, _, keep, _ = store._build(teacher128, ids)  # V-wide rows, built afresh
+    stored = _stored(q, keep)
+    assert np.array_equal(store.stored, stored) and np.array_equal(store.keep, keep)
+    assert store.qsize == stored.sum() and store.size == keep.sum()
+    assert store.nbytes == 8 * stored.sum() + keep.sum()  # 1-byte ids at V = 128
+    assert 8 * store.qsize <= 2.4e6
+    got, _, _ = store.kept(ids)
+    assert np.array_equal(got, np.where(np.arange(128) < keep[:, None], q, 0.0))
 
 
 def _uniforms_at(x: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -328,7 +447,7 @@ def test_watermark_draws_at_the_head_boundary_equal_full_row_draws(teacher64, sc
     bcum = marked.fields["bcum"][rows]
     base = marked.fields["base"][rows]
     keep = nucleus.keep[base].astype(np.intp)
-    idx = nucleus._idx_rows[nucleus.start[base]]
+    idx = nucleus._idx_rows[nucleus.istart[base]]
     total, at = bcum[:, -1], np.arange(len(rows))
     head = models._HEAD
     edges = (head - 1, head) if v > head else (v - 1,)
