@@ -13,9 +13,14 @@ the model keeps the sorted unique int64 codes of the observed (L+1)-grams
 with their counts.  Derived from them are each level's sorted unique
 context codes and, indexed by one context id over all levels, each
 context's CSR row offsets into the token-id and count arrays, row total
-and greedy token.  Lookups binary-search one level at a time, longest
-context first, for one context or for every position of a corpus at
-once; what is read of the context found is read by its id.
+and greedy token.  Every lookup, for one context or every position of a
+corpus at once, codes a context as base-(V+1) digits ``token + 1``, 0
+where a token is missing, and gathers its context id from one table of
+the model (:meth:`NGramModel._context_ids`), made at the first lookup
+after training in the narrowest dtype that holds an id: 4.3 MB in about
+3 ms for an order-3 model at V = 128.  Levels whose table would exceed
+``_RESERVE_BYTES`` are binary-searched.  What is read of the context
+found is read by its id.
 
 A checkpoint is the magic ``RSM2`` followed by one ``np.savez`` archive
 holding ``order``, ``vocab_size``, ``smoothing_lambda`` and, per level L,
@@ -27,13 +32,8 @@ Generation samples through decode rows.  A state is the last
 base-(V+1) digits ``token + 1``.  Nucleus rows are built once per trained
 context, so a store never holds more rows than the model has contexts.
 The model keeps a store per temperature and nucleus p until it is
-trained further, and no store refers to its model.
-A store's table maps the code of a state's last ``order`` tokens to the
-id of the context it backs off to (level offset + row), so a step finds
-every state's context with one gather.  It is made with the store, one
-level at a time, in the narrowest dtype that holds an id: 4.3 MB in
-about 3 ms for an order-3 model at V = 128.  Levels whose table would
-exceed ``_RESERVE_BYTES`` are searched.  A nucleus row is the kept
+trained further, and no store refers to its model.  A step finds every
+state's context with one lookup of the model.  A nucleus row is the kept
 token ids by descending probability and their renormalized
 probabilities, built from the context's counts without a per-row model
 call.  Rows lie back to back in two flat arrays, in build order: ``idx``
@@ -75,7 +75,7 @@ row id and a window seed for every state code fit ``_RESERVE_BYTES``
 those two tables when it is made, so a step's rows are one gather, and
 a build gathers its seeds.  Above those vocabularies, rows are found
 through a dict, and each build sums its seeds.  Either way a build finds
-its states' contexts through the nucleus store's table.
+its states' contexts through the model's table.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -169,7 +169,9 @@ class NGramModel:
     previous tokens.  Counts are kept for every context length from 0 to
     ``order`` so that unseen long contexts back off gracefully.  A
     (context, token) code is an int64, so
-    ``(order + 1) * ceil(log2(vocab_size))`` may not exceed 63.
+    ``(order + 1) * ceil(log2(vocab_size))`` may not exceed 63.  Every
+    context is found through one table, made at the first lookup
+    (:meth:`_context_ids`); training drops it with the nucleus stores.
     """
 
     def __init__(self, order: int, vocab_size: int, smoothing_lambda: float = 0.01):
@@ -194,7 +196,9 @@ class NGramModel:
         counts, row totals and greedy tokens.  The per-level counts become
         views of the flat counts, so the model holds one copy."""
         v = self.vocab_size
-        self._stores = {}  # nucleus stores (see _nucleus); none from earlier counts
+        # nucleus stores (see _nucleus) and context table (see _context_ids)
+        # of earlier counts are dropped
+        self._stores, self._context_of = {}, None
         self._ctx, starts, toks, lens = [], [], [], [len(keys) for keys in self._keys]
         for keys, before in zip(self._keys, np.cumsum([0] + lens)):
             ctx = keys // v
@@ -260,43 +264,67 @@ class NGramModel:
         """Id (see :meth:`_index`) of the longest trained suffix of ``context``."""
         tail = context[-self.order :]
         tokens = np.fromiter(tail, np.int64, len(tail))
-        for length, sel, rows in self._locate(tokens, [len(tail)], np.zeros(1, np.intp),
-                                              np.array([len(tail)])):
-            if len(sel):
-                return int(self._first[length] + rows[0])
-        return int(self._first[-1])
+        codes = self._locate(tokens, [len(tail)], np.zeros(1, np.intp), np.array([len(tail)]))
+        return int(self._context_ids(codes)[0])
 
     def _locate(self, tokens: np.ndarray, lens, doc: np.ndarray, pos: np.ndarray):
-        """Yield (level, indices, rows) of the longest trained suffix of
-        each document ``d``'s first ``p`` tokens, for each (d, p) of
-        ``zip(doc, pos)``, where ``tokens`` are the documents joined as
-        int64 and ``lens`` their lengths: a suffix holds at most ``order``
-        tokens, and none at or before an out-of-vocabulary one."""
-        v = self.vocab_size
+        """Code (see :meth:`_context_ids`) of the last ``order`` of document
+        ``d``'s first ``p`` tokens, for each (d, p) of ``zip(doc, pos)``,
+        where ``tokens`` are the documents joined as int64 and ``lens``
+        their lengths: digit 0 where a token is missing or out of vocabulary."""
+        v, radix = self.vocab_size, self.vocab_size + 1
+        dtype = np.int64 if radix**self.order <= np.iinfo(np.int64).max else object
         # ``order`` zeros in front keep every look-back index in range
         flat = np.concatenate([np.zeros(self.order, np.int64), tokens])
         at = np.cumsum(np.append(self.order, np.asarray(lens, np.int64)))[doc] + pos
-        # codes[L]: the last L tokens, -1 where one is missing or out of vocabulary
-        codes = [np.zeros(len(pos), np.int64)]
+        codes = np.zeros(len(pos), dtype)
         for back in range(1, self.order + 1):
-            tok = flat[at - back]
-            ok = (codes[-1] >= 0) & (pos >= back) & (tok >= 0) & (tok < v)
-            codes.append(np.where(ok, codes[-1] + tok * v ** (back - 1), -1))
-        return self._search(codes)
+            digit = flat[at - back] + 1
+            digit[(pos < back) | (digit <= 0) | (digit > v)] = 0
+            codes += digit.astype(dtype, copy=False) * radix ** (back - 1)
+        return codes
 
-    def _search(self, codes: list, lowest: int = 0):
-        """Yield (level, indices, rows) of the longest trained context among
-        ``codes[L][i]``, the code of context i's last L tokens (negative
-        where it has fewer), longest first, down to level ``lowest``."""
-        left = np.arange(len(codes[0]))  # indices without a trained suffix so far
-        for length in range(self.order, lowest - 1, -1):
-            if not len(left):
-                return
-            ctx, code = self._ctx[length], codes[length][left]
-            found = ctx.searchsorted(code)
-            hit = ctx[found] == code
-            yield length, left[hit], found[hit]
-            left = left[~hit]
+    def _context_ids(self, codes: np.ndarray) -> np.ndarray:
+        """Id of the trained context each code backs off to.  A code holds
+        a context's tokens as base-(V+1) digits ``token + 1``, newest least
+        significant, and only its digits before the newest 0 (a missing
+        token) count.  The first lookup after :meth:`_index` makes the
+        table from the code of the last ``gathered`` tokens to the context
+        id, level by level: one level fewer repeated under each leading
+        digit, the level's contexts written over it.  A level whose table
+        would exceed ``_RESERVE_BYTES`` is not gathered, and the levels
+        from it up are searched, longest first."""
+        v, radix, order = self.vocab_size, self.vocab_size + 1, self.order
+        if self._context_of is None:
+            table = np.full(1, self._first[-1], np.min_scalar_type(self._first[-1]))
+            for length in range(order + 1):
+                if length:
+                    if radix**length * table.itemsize > _RESERVE_BYTES:
+                        break
+                    table = np.tile(table, radix)
+                ctx = self._ctx[length][:-1]
+                digits = np.zeros_like(ctx)
+                for j in range(length):
+                    digits += (ctx // v**j % v + 1) * radix**j
+                table[digits] = self._first[length] + np.arange(len(ctx))
+                self._gathered = length
+            self._context_of = table
+        ids = self._context_of[(codes % radix**self._gathered).astype(np.intp, copy=False)]
+        if self._gathered < order:
+            # levels[L]: base-V code of the last L tokens, -1 from the newest 0 digit on
+            levels = [np.zeros(len(codes), np.int64)]
+            for back in range(1, order + 1):
+                digit = np.asarray(codes // radix ** (back - 1) % radix, np.int64)
+                levels.append(np.where((levels[-1] >= 0) & (digit > 0),
+                                       levels[-1] + (digit - 1) * v ** (back - 1), -1))
+            left = np.arange(len(codes))  # codes without a searched context so far
+            for length in range(order, self._gathered, -1):
+                ctx, code = self._ctx[length], levels[length][left]
+                found = ctx.searchsorted(code)
+                hit = ctx[found] == code
+                ids[left[hit]] = self._first[length] + found[hit]
+                left = left[~hit]
+        return ids
 
     def next_distribution(self, context) -> np.ndarray:
         """Smoothed next-token probabilities given the trailing context."""
@@ -332,22 +360,24 @@ class NGramModel:
         """:meth:`next_greedy` of document ``d``'s first ``p`` tokens for each
         (d, p) of ``zip(doc, pos)``, where ``tokens`` are the documents
         joined as int64 and ``lens`` their lengths."""
-        out = np.zeros(len(pos), np.int64)
-        for length, sel, rows in self._locate(tokens, lens, doc, pos):
-            out[sel] = self._greedy[self._first[length] + rows]
-        return out
+        return self._greedy[self._context_ids(self._locate(tokens, lens, doc, pos))]
 
     def log_loss(self, tokens) -> float:
         """Total negative log-probability of a document."""
         v, lam = self.vocab_size, self.smoothing_lambda
         toks = _token_ids([list(tokens)], v)
         n = len(toks)
+        ids = self._context_ids(self._locate(toks, [n], np.zeros(n, np.intp), np.arange(n)))
+        # the untrained model's id lies past every level, so its p stays 1 / V
+        level = self._first.searchsorted(ids, side="right") - 1
         p = np.full(n, 1.0 / v)
-        for length, sel, rows in self._locate(toks, [n], np.zeros(n, np.intp), np.arange(n)):
+        for length in range(self.order + 1):
+            sel = np.flatnonzero(level == length)
+            rows = ids[sel] - self._first[length]
             keys, code = self._keys[length], self._ctx[length][rows] * v + toks[sel]
             found = np.minimum(keys.searchsorted(code), len(keys) - 1)
             count = np.where(keys[found] == code, self._counts[length][found], 0)
-            p[sel] = (lam + count) / (self._total[self._first[length] + rows] + lam * v)
+            p[sel] = (lam + count) / (self._total[ids[sel]] + lam * v)
         # summed in token order, as a per-token loop would
         return -float(np.log(np.maximum(p, 1e-300)).cumsum()[-1]) if n else 0.0
 
@@ -416,10 +446,8 @@ class NucleusRows:
     both arrays.  Once half the rows are built, the rest are built at
     once.  The model keeps the store (:meth:`NGramModel._nucleus`), so the
     store holds no reference back: the calls that build rows get it.
-
-    ``context_of[c]`` is the context id of a state whose last ``gathered``
-    tokens have code ``c``, and ``gathered`` is ``order`` unless that
-    table would exceed ``_RESERVE_BYTES``.
+    A state finds its row's id through the model
+    (:meth:`NGramModel._context_ids`), which :meth:`ready` builds.
     """
 
     def __init__(self, model: NGramModel, temperature: float, nucleus_p: float):
@@ -440,22 +468,6 @@ class NucleusRows:
         self.q, self.idx = np.zeros(0), np.zeros(0, np.min_scalar_type(v - 1))
         reserve = max(v, _RESERVE_BYTES // (self.q.itemsize + self.idx.itemsize))
         self._fit(reserve, reserve)
-        # level by level: the table of one level fewer under each leading
-        # digit (0, a missing token, included), the level's contexts over it
-        radix = v + 1
-        table = np.full(1, bound - 1, np.min_scalar_type(bound))
-        for length in range(model.order + 1):
-            if length:
-                if radix**length * table.itemsize > _RESERVE_BYTES:
-                    break  # this level and those above it are searched
-                table = np.tile(table, radix)
-            ctx = model._ctx[length][:-1]
-            digits = np.zeros_like(ctx)
-            for j in range(length):
-                digits += (ctx // v**j % v + 1) * radix**j
-            table[digits] = model._first[length] + np.arange(len(ctx))
-            self.gathered = length
-        self.context_of = table
 
     def _fit(self, q_entries: int, idx_entries: int) -> None:
         """Room for ``q_entries`` probabilities and ``idx_entries`` token
@@ -477,24 +489,6 @@ class NucleusRows:
                 setattr(self, name, grown)
         window = np.lib.stride_tricks.sliding_window_view
         self._q_head, self._idx_rows = window(self.q, head), window(self.idx, v)
-
-    def state_ids(self, model: NGramModel, codes: np.ndarray) -> np.ndarray:
-        """Id of the trained context each sampler state code (see
-        :class:`TextSampler`) backs off to, its row built: one gather from
-        ``context_of``, and a search of the levels above it."""
-        v = self.vocab_size
-        radix = v + 1
-        ids = self.context_of[(codes % radix**self.gathered).astype(np.intp, copy=False)]
-        if self.gathered < model.order:
-            # levels[L]: base-V code of the state's last L tokens; a missing
-            # token is a zero digit, which makes the code negative
-            levels = [np.zeros(len(codes), np.int64)]
-            for back in range(1, model.order + 1):
-                digit = codes // radix ** (back - 1) % radix
-                levels.append(np.asarray(levels[-1] + (digit - 1) * v ** (back - 1), np.int64))
-            for length, sel, rows in model._search(levels, self.gathered + 1):
-                ids[sel] = model._first[length] + rows
-        return self.ready(model, ids)
 
     def ready(self, model: NGramModel, ids: np.ndarray) -> np.ndarray:
         """``ids``, with the rows of the ids first reached built; once half
@@ -710,7 +704,7 @@ class _WatermarkRows:
 
     def _build(self, codes: np.ndarray) -> dict:
         wm, nucleus = self.wm, self.nucleus
-        base = nucleus.state_ids(self.model, codes)
+        base = nucleus.ready(self.model, self.model._context_ids(codes))
         seeds = self._seed_of[codes] if self.dense else self._seeds(codes)
         q, idx, keep = nucleus.kept(base)
         with np.errstate(divide="ignore"):
@@ -793,12 +787,12 @@ class TextSampler:
         for t in range(steps):
             u = uniforms[:, t]
             if marked is None:
-                out[:, t] = nucleus.sample(nucleus.state_ids(model, codes), u)
+                out[:, t] = nucleus.sample(nucleus.ready(model, model._context_ids(codes)), u)
             else:
                 windowed = codes >= self._windowed
                 plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
                 if len(plain):
-                    ids = nucleus.state_ids(model, codes[plain])
+                    ids = nucleus.ready(model, model._context_ids(codes[plain]))
                     out[plain, t] = nucleus.sample(ids, u[plain])
                 if len(wide):
                     out[wide, t] = marked.sample(marked.rows(codes[wide]), u[wide])
@@ -855,7 +849,7 @@ def make_teacher(vocab_size: int = 256, seed: int = 7, order: int = 2,
 
 def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
                     sampling: SamplingConfig, wm: WatermarkConfig | None = None,
-                    prompt_len: int = 3, wm_flag: bool | None = None) -> list[dict]:
+                    prompt_len: int = 3) -> list[dict]:
     """Documents sampled from the model, each a dict with ``tokens``/``wm``.
 
     Every document starts from a short random prompt (included in the
@@ -869,7 +863,6 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
         raise ValueError(f"doc_len {doc_len} is shorter than prompt_len {prompt_len}")
     sampler = TextSampler(model, sampling, wm)
     rng = np.random.default_rng(sampling.seed)
-    flag = (wm is not None) if wm_flag is None else wm_flag
     steps = doc_len - prompt_len
     prompts = np.empty((n_docs, prompt_len), np.int64)
     uniforms = np.empty((n_docs, steps))
@@ -877,7 +870,7 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
         prompts[d] = rng.integers(model.vocab_size, size=prompt_len)
         uniforms[d] = rng.random(steps)
     bodies = sampler.generate(prompts, steps, uniforms)
-    return [{"tokens": prompt + body, "wm": flag}
+    return [{"tokens": prompt + body, "wm": wm is not None}
             for prompt, body in zip(prompts.tolist(), bodies.tolist())]
 
 

@@ -75,23 +75,20 @@ def pvalue_for(score: float, n: int, cfg: WatermarkConfig) -> tuple[float, float
     return p, lp / _LN10
 
 
-def _check_vocab(tokens, vocab_size: int, what: str) -> None:
-    """Refuse a token that is not an integer in ``[0, vocab_size)``, naming
-    ``what`` and the position."""
-    try:
-        _token_ids([tokens], vocab_size, name=f"{what}: token")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _joined_ids(docs, vocab_size: int):
-    """The tokens of ``docs`` joined as int64, checked in one pass, or None
-    when a token is not an integer in ``[0, vocab_size)``: the caller then
-    checks each document with :func:`_check_vocab`, whose error names it."""
+def _joined_ids(docs, vocab_size: int, name) -> np.ndarray:
+    """The tokens of ``docs`` joined as int64, checked in one pass.  A token
+    that is not an integer in ``[0, vocab_size)`` is refused with a
+    ``ConfigError`` naming its document (``name(d)`` for document d) and
+    its position there."""
     try:
         return _token_ids(docs, vocab_size)
     except ValueError:
-        return None
+        for doc_id, doc in enumerate(docs):
+            try:
+                _token_ids([doc], vocab_size, name=f"{name(doc_id)}: token")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        raise
 
 
 def _check_run(cfg: WatermarkConfig, budget: int) -> None:
@@ -154,17 +151,13 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
         )
     k, v = key_cfg.k, key_cfg.vocab_size
     prompts = [list(prompt) for prompt in prompts]
-    if _joined_ids(prompts, v) is None:
-        for doc_id, prompt in enumerate(prompts):
-            _check_vocab(prompt, v, f"prompt {doc_id}")
+    _joined_ids(prompts, v, "prompt {}".format)
     if completions is None:
         completions = _complete(suspect, prompts, sampling, key_cfg)
     pairs = list(zip(prompts, completions))
     # each document is its prompt followed by its completion
-    tokens = _joined_ids([part for pair in pairs for part in pair], v)
-    if tokens is None:
-        for doc_id, (_, completion) in enumerate(pairs):
-            _check_vocab(completion, v, f"completion {doc_id}")
+    tokens = _joined_ids([part for pair in pairs for part in pair], v,
+                         lambda i: f"{('prompt', 'completion')[i % 2]} {i // 2}")
     prompt_lens = [len(prompt) for prompt, _ in pairs]
     lens = [len(prompt) + len(completion) for prompt, completion in pairs]
     cands = candidate_table(tokens, lens, prompt_lens, k, key_cfg.key, open_mode=False)
@@ -212,11 +205,9 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     _check_key_vocab(key_cfg, suspect)
     wm_texts = list(wm_texts)
     texts = [list(doc["tokens"] if isinstance(doc, dict) else doc) for doc in wm_texts]
-    tokens = _joined_ids(texts, key_cfg.vocab_size)
+    tokens = _joined_ids(texts, key_cfg.vocab_size, "document {}".format)
     prompt_lens = []
     for doc_id, (doc, text) in enumerate(zip(wm_texts, texts)):
-        if tokens is None:
-            _check_vocab(text, key_cfg.vocab_size, f"document {doc_id}")
         n = doc.get("prompt_len", 0) if isinstance(doc, dict) else 0
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise ConfigError(f"document {doc_id}: prompt_len {n!r} is not a "

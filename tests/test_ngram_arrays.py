@@ -1,7 +1,9 @@
 """The array-backed n-gram model and source against their loop oracles."""
 
+import contextlib
 import itertools
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,7 +56,24 @@ def _greedy_at(model, docs, doc, pos):
     return model.greedy_at(tokens, [len(d) for d in docs], doc, pos)
 
 
-def _assert_same(model, oracle, contexts, docs):
+def _gathering(model, gathered):
+    """A patch of ``_RESERVE_BYTES`` under which the model's context table
+    gathers only levels 0 .. ``gathered`` and the levels above are
+    searched; no patch for None, which gathers every level here."""
+    if gathered is None:
+        return contextlib.nullcontext()
+    itemsize = np.min_scalar_type(model._first[-1]).itemsize
+    return mock.patch.object(models, "_RESERVE_BYTES",
+                             (model.vocab_size + 1) ** gathered * itemsize)
+
+
+def _assert_same(model, oracle, contexts, docs, gathered=None):
+    with _gathering(model, gathered):
+        _compare(model, oracle, contexts, docs)
+    assert model._gathered == (model.order if gathered is None else gathered)
+
+
+def _compare(model, oracle, contexts, docs):
     for ctx in contexts:
         assert np.array_equal(model.next_distribution(ctx),
                               oracle.next_distribution(ctx)), ctx
@@ -69,24 +88,43 @@ def _assert_same(model, oracle, contexts, docs):
 
 class TestAgainstDictModel:
     @settings(max_examples=150, deadline=None)
-    @given(training_runs())
-    def test_distributions_greedy_and_loss_identical(self, run):
+    @given(training_runs(), st.data())
+    def test_distributions_greedy_and_loss_identical(self, run, data):
         v, order, lam, first, second, unseen = run
+        gathered = data.draw(st.none() | st.integers(0, order - 1))
         model = NGramModel(order, v, lam)
         oracle = DictNGramModel(order, v, lam)
         for batch, docs in ((first, first), (second, first + second)):
             model.update(batch)
             oracle.update(batch)
-            _assert_same(model, oracle, _contexts(v, order, docs, unseen), docs)
+            _assert_same(model, oracle, _contexts(v, order, docs, unseen), docs, gathered)
 
     def test_out_of_vocabulary_context_backs_off(self):
         # (1, -3) and (2, 4) would encode as the trained contexts (0, 1)
-        # and (3, 0) if out-of-vocabulary tokens were not cut off
-        docs = [[0, 1, 2, 3, 0, 1, 3, 0, 2]]
-        model, oracle = NGramModel(2, 4), DictNGramModel(2, 4)
+        # and (3, 0) if out-of-vocabulary tokens were not cut off, and
+        # (2, -1, 1) as (1, 3, 1) if a missing digit let the base-4 code
+        # of the tokens before it go positive again
+        docs = [[0, 1, 2, 3, 0, 1, 3, 0, 2, 0, 1, 3, 1, 2]]
+        oracle = DictNGramModel(3, 4)
+        oracle.update(docs)
+        contexts = [(9, 2), (-1, 1), (4,), (2, 4), (1, -3), (2, -1, 1), (2, 5, 1), (3, -2, 0, 2)]
+        for gathered in (None, 0, 1, 2):
+            model = NGramModel(3, 4)
+            model.update(docs)
+            _assert_same(model, oracle, contexts, [], gathered)
+
+    def test_context_codes_wider_than_int64(self):
+        """An order-30 model at V = 4 codes contexts as 5**30 > 2**63: its
+        lookups take Python ints, gather 10 levels and search the rest."""
+        rng = np.random.default_rng(3)
+        docs = rng.integers(0, 4, size=(5, 80)).tolist()
+        model, oracle = NGramModel(30, 4), DictNGramModel(30, 4)
         model.update(docs)
         oracle.update(docs)
-        _assert_same(model, oracle, [(9, 2), (-1, 1), (4,), (2, 4), (1, -3)], [])
+        contexts = [tuple(doc[:n]) for doc in docs for n in (0, 5, 31, 60)]
+        contexts += [tuple(rng.integers(-1, 5, size=32).tolist()) for _ in range(20)]
+        _compare(model, oracle, contexts, docs)
+        assert model._gathered == 10
 
     def test_chunks_merge_into_the_same_counts(self, monkeypatch):
         monkeypatch.setattr(models, "_CHUNK_TOKENS", 97)
@@ -101,9 +139,10 @@ class TestAgainstDictModel:
 
 class TestWholeCorpus:
     @settings(max_examples=150, deadline=None)
-    @given(training_runs(), st.booleans())
-    def test_readout_and_loss_equal_the_dict_model(self, run, only_empty):
+    @given(training_runs(), st.booleans(), st.data())
+    def test_readout_and_loss_equal_the_dict_model(self, run, only_empty, data):
         v, order, lam, first, second, short = run
+        gathered = data.draw(st.none() | st.integers(0, order - 1))
         if only_empty:  # a model that has seen no token at all
             first = [[] for _ in first]
         model, oracle = NGramModel(order, v, lam), DictNGramModel(order, v, lam)
@@ -114,11 +153,13 @@ class TestWholeCorpus:
         for batch in (first, second):
             model.update(batch)
             oracle.update(batch)
-            got = _greedy_at(model, docs, doc, pos)
-            assert got.tolist() == [oracle.next_greedy(docs[d][:p]) for d, p in pairs]
-            for tokens in docs:
-                if all(0 <= t < v for t in tokens):  # log_loss refuses the others
-                    assert model.log_loss(tokens) == oracle.log_loss(tokens)
+            with _gathering(model, gathered):
+                got = _greedy_at(model, docs, doc, pos)
+                assert got.tolist() == [oracle.next_greedy(docs[d][:p]) for d, p in pairs]
+                for tokens in docs:
+                    if all(0 <= t < v for t in tokens):  # log_loss refuses the others
+                        assert model.log_loss(tokens) == oracle.log_loss(tokens)
+            assert model._gathered == (order if gathered is None else gathered)
 
     @pytest.mark.parametrize("bad", [-1, 8])
     def test_log_loss_refuses_out_of_vocabulary_token(self, bad):

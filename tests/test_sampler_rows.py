@@ -89,6 +89,11 @@ def _code(context, v):
     return code
 
 
+def _ids(store, model, codes):
+    """Context id of each state code, its row built in ``store``."""
+    return store.ready(model, model._context_ids(codes))
+
+
 @settings(max_examples=100, deadline=None)
 @given(setups(), st.integers(0, 2**32 - 1))
 def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
@@ -106,11 +111,11 @@ def test_rows_equal_the_loop_tables_bit_for_bit(s, seed):
     temperature = oracle.temperature
     batch = NucleusRows(model, temperature, sampling.nucleus_p)
     single = NucleusRows(model, temperature, sampling.nucleus_p)
-    ctx_ids = batch.state_ids(model, np.array([_code(c, v) for c in contexts]))
+    ctx_ids = _ids(batch, model, np.array([_code(c, v) for c in contexts]))
     for context, row in zip(contexts, ctx_ids.tolist()):
         idx, log_kept, cum = oracle._table(context)
         k = len(idx)
-        (one,) = single.state_ids(model, np.array([_code(context, v)])).tolist()
+        (one,) = _ids(single, model, np.array([_code(context, v)])).tolist()
         for rows, r in ((batch, row), (single, one)):
             got_q, got_idx, keep = rows.kept(np.array([r]))  # 2-d, as rows are read
             assert keep[0] == k
@@ -143,7 +148,7 @@ def test_teacher_rows_equal_the_loop_tables(teacher64):
     oracle = LoopTextSampler(teacher64, sampling)
     contexts = [(a, b) for a in range(64) for b in range(64)]
     rows = NucleusRows(teacher64, sampling.temperature, sampling.nucleus_p)
-    q, _, _ = rows.kept(rows.state_ids(teacher64, np.array([_code(c, 64) for c in contexts])))
+    q, _, _ = rows.kept(_ids(rows, teacher64, np.array([_code(c, 64) for c in contexts])))
     cum = q.cumsum(axis=1)
     with np.errstate(divide="ignore"):
         log_kept = np.log(q)
@@ -367,7 +372,7 @@ def test_stored_rows_equal_the_loop_tables_and_draws(lam, temperature, nucleus_p
     contexts = [(a, b) for a in range(64) for b in range(64)]
     cum, idx, keep = _loop_rows(LoopTextSampler(model, sampling), contexts, 64)
     store = NucleusRows(model, temperature, nucleus_p)
-    ids = store.state_ids(model, np.array([_code(c, 64) for c in contexts]))
+    ids = _ids(store, model, np.array([_code(c, 64) for c in contexts]))
     q, got_idx, got_keep = store.kept(ids)
     assert np.array_equal(got_keep, keep)
     assert np.array_equal(q.cumsum(axis=1), cum)
@@ -392,7 +397,7 @@ def test_a_nucleus_cut_among_tied_values():
     cum, idx, keep = _loop_rows(LoopTextSampler(model, sampling), [(1,)], 64)
     assert 2 < keep[0] < 41  # tied values on both sides of the cut
     store = NucleusRows(model, 1.0, 0.7)
-    ids = store.state_ids(model, np.array([_code((1,), 64)]))
+    ids = _ids(store, model, np.array([_code((1,), 64)]))
     q, got_idx, got_keep = store.kept(ids)
     assert got_keep[0] == keep[0] > models._HEAD == store.stored[ids[0]]
     assert np.array_equal(q.cumsum(axis=1), cum) and (q[0, keep[0]:] == 0).all()
@@ -488,8 +493,7 @@ def test_a_half_built_store_builds_every_row_once(teacher64):
     assert np.array_equal(np.sort(np.concatenate(built)), np.arange(store.bound))
     calls = len(built)
     store.ready(teacher64, ids)
-    store.state_ids(teacher64,
-                    np.array([_code((a, b), 64) for a in range(64) for b in range(64)]))
+    _ids(store, teacher64, np.array([_code((a, b), 64) for a in range(64) for b in range(64)]))
     assert len(built) == calls
     for part in np.array_split(ids, 3):  # each part under half: built lazily
         lazy = NucleusRows(teacher64, 0.8, 0.95)
@@ -503,7 +507,7 @@ def test_an_untrained_model_has_one_row():
     model = models.NGramModel(2, 8)
     store = NucleusRows(model, 0.8, 0.95)
     assert store.bound == 1
-    ids = store.state_ids(model, np.array([0, _code((3,), 8), _code((1, 2), 8)]))
+    ids = _ids(store, model, np.array([0, _code((3,), 8), _code((1, 2), 8)]))
     assert ids.tolist() == [0, 0, 0] and store.n == 1
 
 
@@ -615,7 +619,7 @@ def test_dense_tables_stay_within_the_reservation(monkeypatch):
     assert peak <= models._RESERVE_BYTES + (1 << 20)
     codes = np.unique([_code(pair, 2100) for pair in rng.integers(0, 2100, size=(50, 2))])
     assert np.array_equal(marked.fields["base"][marked.rows(codes)],
-                          nucleus.state_ids(big, codes))
+                          _ids(nucleus, big, codes))
 
 
 def test_state_codes_wider_than_int64():
@@ -643,42 +647,43 @@ def models_and_contexts(draw):
     return model, [[]] + contexts  # the empty context always
 
 
-def _reachable_codes(v: int, order: int) -> np.ndarray:
-    """Every state code of up to ``order`` tokens: missing digits lead."""
-    codes, level = [np.zeros(1, np.int64)], np.zeros(1, np.int64)
-    for _ in range(order):
-        level = (level[:, None] * (v + 1) + np.arange(1, v + 1)).ravel()
-        codes.append(level)
-    return np.concatenate(codes)
-
-
 def _searched_ids(model, codes: np.ndarray) -> np.ndarray:
-    """The context id of each state code by a search of every level."""
+    """The context id of each state code by a search of every level: the
+    longest trained context among the state's tokens after its newest
+    missing one (a 0 digit)."""
     v, radix = model.vocab_size, model.vocab_size + 1
-    # levels[L]: base-V code of the state's last L tokens, negative where it has fewer
-    levels = [np.zeros(len(codes), np.int64)]
-    for back in range(1, model.order + 1):
-        digit = codes // radix ** (back - 1) % radix
-        levels.append(levels[-1] + (digit - 1) * v ** (back - 1))
     ids = np.full(len(codes), model._first[-1])
-    for length, sel, rows in model._search(levels):
-        ids[sel] = model._first[length] + rows
+    # shortest first, so that a longer context found overwrites a shorter one
+    whole, code = np.ones(len(codes), bool), np.zeros(len(codes), np.int64)
+    for length in range(model.order + 1):
+        if length:
+            digit = codes // radix ** (length - 1) % radix
+            whole &= digit > 0
+            code = code + (digit - 1) * v ** (length - 1)
+        ctx = model._ctx[length][:-1]  # less the sentinel
+        at = np.minimum(np.searchsorted(ctx, code), max(len(ctx) - 1, 0))
+        hit = whole & (ctx[at] == code) if len(ctx) else np.zeros(len(codes), bool)
+        ids[hit] = model._first[length] + at[hit]
     return ids
 
 
 @settings(max_examples=100, deadline=None)
 @given(models_and_contexts())
 def test_context_table_equals_the_search(mc):
-    """A store's state-to-context table gives, for every reachable state
-    code, the context a search of every level finds, untrained models too."""
+    """The model's context table gives, for every state code of ``order``
+    digits, missing tokens in the middle too, the context a search of
+    every level finds, untrained models too."""
     model, contexts = mc
-    store = NucleusRows(model, 0.8, 0.95)
-    assert store.gathered == model.order
-    assert store.context_of.dtype == np.min_scalar_type(store.bound)
-    codes = _reachable_codes(model.vocab_size, model.order)
-    assert np.array_equal(store.context_of[codes], _searched_ids(model, codes))
-    some = [_code(c[-model.order:], model.vocab_size) for c in contexts]
-    assert store.context_of[some].tolist() == [model._find(c) for c in contexts]
+    v, order = model.vocab_size, model.order
+    codes = np.arange((v + 1) ** order)
+    got = model._context_ids(codes)
+    assert model._gathered == order
+    assert model._context_of.dtype == np.min_scalar_type(model._first[-1])
+    assert np.array_equal(model._context_of, got)  # the whole table
+    assert np.array_equal(got, _searched_ids(model, codes))
+    some = np.array([_code(c[-order:], v) for c in contexts])
+    assert ([model._find(c) for c in contexts] == model._context_of[some].tolist()
+            == _searched_ids(model, some).tolist())
 
 
 @settings(max_examples=150, deadline=None)
@@ -688,7 +693,7 @@ def test_batched_rows_equal_next_distribution_bit_for_bit(mc):
     v = model.vocab_size
     store = NucleusRows(model, 0.8, 0.95)
     codes = np.array([_code(c[-model.order:], v) for c in contexts])
-    got = model._distributions(store.state_ids(model, codes))
+    got = model._distributions(_ids(store, model, codes))
     want = np.array([model.next_distribution(c) for c in contexts])
     assert got.tobytes() == want.tobytes()
     if len(model._keys[0]) == 0:  # never trained: every context is the uniform row
@@ -700,9 +705,9 @@ def test_states_that_back_off_to_one_context_share_one_row():
     rows = NucleusRows(model, 0.8, 0.95)
     assert rows.bound == 5
     # (5, 2), (7, 2) and (2,) all back off to (2,)
-    got = rows.state_ids(model, np.array([_code(c, 8) for c in ((5, 2), (7, 2), (2,))]))
+    got = _ids(rows, model, np.array([_code(c, 8) for c in ((5, 2), (7, 2), (2,))]))
     assert len(set(got.tolist())) == 1 and rows.n == 1
-    got = rows.state_ids(model, np.array([_code(c, 8) for c in ((1, 2), (6, 6), (4,), ())]))
+    got = _ids(rows, model, np.array([_code(c, 8) for c in ((1, 2), (6, 6), (4,), ())]))
     assert len(set(got.tolist())) == 2  # (1, 2) and ()
     assert rows.n == rows.bound  # three of five rows built: the rest are too
 
@@ -738,6 +743,31 @@ def test_tables_follow_further_training():
                           TextSampler(at_once, sampling).generate(prompts, 37, uniforms))
     (after,) = model._stores.values()
     assert after is not before and after.bound > before.bound
+
+
+def test_one_context_table_per_training(monkeypatch):
+    """Sampling at two temperatures, then the greedy readout, make one
+    context table between them; ``update`` drops it with the stores, and
+    the next lookup makes the table of the new counts."""
+    rng = np.random.default_rng(22)
+    model = train_ngram(rng.integers(0, 16, size=(4, 30)).tolist(), 3, 0.05, 16)
+    tiles = []
+    tile = np.tile
+    monkeypatch.setattr(np, "tile", lambda *args: tiles.append(1) or tile(*args))
+    assert model._context_of is None
+    for temperature in (0.8, 1.3):
+        generate_corpus(model, 5, 30, SamplingConfig(seed=23, temperature=temperature))
+    table = model._context_of
+    docs = rng.integers(0, 16, size=(3, 20))
+    model.greedy_at(docs.ravel(), [20] * 3, np.arange(63) // 21, np.arange(63) % 21)
+    assert len(model._stores) == 2 and model._context_of is table
+    assert len(tiles) == model.order  # a table tiles once per level above 0
+    model.update(docs.tolist())
+    assert model._stores == {} and model._context_of is None
+    model.next_greedy([1, 2, 3])
+    assert model._context_of is not table and len(model._context_of) == len(table)
+    assert np.array_equal(model._context_ids(np.arange(17**3)),
+                          _searched_ids(model, np.arange(17**3)))
 
 
 def test_tables_follow_their_model():
@@ -813,39 +843,51 @@ def test_searched_upper_levels_equal_the_loop(s, data):
         assert generate_corpus(*args) == loop_generate_corpus(*args)
         assert (_complete(model, s["prompts"], sampling, None)
                 == loop_complete(model, s["prompts"], sampling))
-    assert {store.gathered for store in model._stores.values()} == {gathered}
+        model._context_ids(np.zeros(1, np.int64))  # makes the table if no step did
+    assert model._gathered == gathered
 
 
 def test_an_over_budget_level_allocates_no_table():
-    """A V = 10,000, order-2 store's top level would take 200 MB of table:
-    it is searched, and the store allocates its row reservation only."""
+    """A V = 10,000, order-2 model's top level would take 200 MB of table:
+    it is searched, the first lookup allocates the lower levels' table
+    only, and a store its row reservation only."""
     rng = np.random.default_rng(15)
     model = train_ngram(rng.integers(0, 10_000, size=(20, 200)).tolist(), 2, 0.05, 10_000)
-    tracemalloc.start()
-    try:
-        store = NucleusRows(model, 0.8, 0.95)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert store.gathered == 1 and len(store.context_of) == 10_001
-    assert peak <= models._RESERVE_BYTES + (1 << 20)
     trained = model._keys[2][:20] // 10_000  # codes of some trained order-2 contexts
     contexts = [divmod(int(c), 10_000) for c in trained] + [(7, 7), (5,), ()]
     codes = np.array([_code(c, 10_000) for c in contexts])
-    assert store.state_ids(model, codes).tolist() == [model._find(c) for c in contexts]
+    tracemalloc.start()
+    try:
+        ids = model._context_ids(codes)
+        _, table_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        store = NucleusRows(model, 0.8, 0.95)
+        _, store_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model._gathered == 1 and len(model._context_of) == 10_001
+    assert table_peak <= 1 << 20
+    assert store_peak <= models._RESERVE_BYTES + (1 << 20)
+    assert np.array_equal(ids, _searched_ids(model, codes))
+    assert ids.tolist() == [model._find(c) for c in contexts]
+    assert _ids(store, model, codes).tolist() == ids.tolist()
 
 
-def test_completions_search_no_level_when_the_table_fits(monkeypatch):
+class _Unsearched(list):
+    """A model's levels of contexts that refuse to be read."""
+
+    def __getitem__(self, length):
+        raise AssertionError("a level was searched")
+
+
+def test_completions_search_no_level_when_the_table_fits():
     """A V = 128, order-3 suspect's completions find every context by one
     gather: no level is searched."""
     rng = np.random.default_rng(16)
     model = train_ngram(rng.integers(0, 128, size=(30, 200)).tolist(), 3, 0.05, 128)
     prompts = rng.integers(0, 128, size=(20, 5)).tolist()
     sampling = SamplingConfig(seed=17, max_tokens=30)
-    want = loop_complete(model, prompts, sampling)  # the oracle searches levels
-
-    def searched(*args):
-        raise AssertionError("a level was searched")
-
-    monkeypatch.setattr(models.NGramModel, "_search", searched)
+    want = loop_complete(model, prompts, sampling)
+    assert model._gathered == model.order  # the loop's lookups made the table
+    model._ctx = _Unsearched(model._ctx)
     assert _complete(model, prompts, sampling, None) == want
