@@ -195,6 +195,11 @@ def cmd_train(args, config, argv) -> int:
 
 
 def cmd_detect(args, config, argv) -> int:
+    if args.filter and args.mode == OPEN:
+        raise ConfigError("--filter applies to closed mode only")
+    if args.threads is not None and not args.endpoint:
+        raise ConfigError("--threads sets the requests in flight to --endpoint; "
+                          "it needs --endpoint")
     key = _resolve_key(args, config)
     vocab = _resolve(args, config, "vocab_size", int, 128)
     wm = _wm_config(args, config, key, vocab)
@@ -208,7 +213,7 @@ def cmd_detect(args, config, argv) -> int:
     phi = load_filter(args.filter) if args.filter else None
     if args.endpoint:
         suspect = RemoteModel(args.endpoint, credentials=args.credentials,
-                              max_in_flight=args.threads)
+                              max_in_flight=8 if args.threads is None else args.threads)
     else:
         suspect = load_model(args.model)
     sampling = _sampling(args, config)
@@ -220,7 +225,8 @@ def cmd_detect(args, config, argv) -> int:
             if not chunk:
                 continue
             if args.mode == OPEN:
-                report = pipelines.detect_open(suspect, chunk, wm, budget=budget)
+                report = pipelines.detect_open(suspect, chunk, wm, budget=budget,
+                                               dedup=not args.no_dedup)
             else:
                 prompts = [doc["tokens"] for doc in chunk]
                 report = pipelines.detect_closed(
@@ -348,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="suspect checkpoint path")
     p.add_argument("--endpoint", help="remote suspect URL (closed mode)")
     p.add_argument("--credentials", help="bearer token for --endpoint")
-    p.add_argument("--threads", type=_thread_count, default=8,
+    p.add_argument("--threads", type=_thread_count, default=None,
                    help="requests in flight to --endpoint (1-64, default 8)")
     p.add_argument("--corpus", required=True,
                    help="watermarked documents (open) or prompt sources (closed)")

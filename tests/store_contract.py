@@ -1,0 +1,236 @@
+"""The sampler's storage contract: the only test code that reads the private
+storage of ``NucleusRows``, ``_WatermarkRows`` and the model's context
+table.  It states each storage invariant once and gives the hooks tests
+need (forcing the dict store or searched levels, counting row builds,
+reading watermark rows, searching every level).  Every other test compares
+behaviour, so a change of layout edits this module, not the tests."""
+
+import contextlib
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+
+from radioscope import models
+
+#: Cumulative sums a draw counts before it reads a whole row.
+HEAD = models._HEAD
+
+
+def rows_of(store, model, codes: np.ndarray) -> np.ndarray:
+    """Context id of each state code, its row built in the nucleus ``store``."""
+    return store.ready(model, model._context_ids(codes))
+
+
+def context_ids(model, codes: np.ndarray) -> np.ndarray:
+    """The model's context id of each state code, by its one lookup."""
+    return model._context_ids(codes)
+
+
+def distributions(model, ids: np.ndarray) -> np.ndarray:
+    """The model's next-token distribution of each context id, one row each."""
+    return model._distributions(ids)
+
+
+def context_table(model):
+    """The model's table from state code to context id, None until a lookup."""
+    return model._context_of
+
+
+def stores(model) -> dict:
+    """The model's nucleus stores by (temperature, nucleus p)."""
+    return model._stores
+
+
+def padded(store, ids: np.ndarray) -> tuple:
+    """Nucleus rows ``ids`` as V-wide rows of kept entries padded with zeros."""
+    q, idx, keep = store.kept(ids)
+    return q, np.where(np.arange(store.vocab_size) < keep[:, None], idx, 0), keep
+
+
+def assert_layout(store, grown: bool | None = None) -> None:
+    """A nucleus store's built rows tile both flat arrays in one build order:
+    id starts and kept counts the ids written, probability starts and
+    stored counts the probabilities.  Each array holds its reservation or
+    at most twice the entries written, plus what the last row's window
+    reads (``_HEAD`` probabilities, V ids), and at most every row at full
+    width; more than the reservation if ``grown``, no more if False."""
+    built = np.flatnonzero(store.keep)
+    v = store.vocab_size
+    reserved = models._RESERVE_BYTES // (store.q.itemsize + store.idx.itemsize)
+    assert store.n == len(built) and store.size == int(store.keep.sum())
+    assert store.qsize == int(store.stored.sum()) <= store.size
+    assert store.nbytes == store.qsize * store.q.itemsize + store.size * store.idx.itemsize
+    order = store.istart[built].argsort()
+    assert np.array_equal(store.qstart[built].argsort(), order)
+    for start, count, array, written, pad, full in (
+            (store.istart, store.keep, store.idx, store.size, v, (store.bound + 1) * v),
+            (store.qstart, store.stored, store.q, store.qsize, min(HEAD, v),
+             store.bound * v + min(HEAD, v))):
+        count = count[built][order].astype(np.intp)
+        assert np.array_equal(start[built][order], np.cumsum(count) - count)
+        assert count.sum() == written
+        assert written + pad <= len(array) <= min(full, max(reserved, 2 * (written + pad)))
+        assert grown is None or (len(array) > reserved) == grown
+
+
+def ready(store, model, ids: np.ndarray) -> np.ndarray:
+    """``store.ready(model, ids)``, checking that rows already built keep
+    their values, and the layout after it."""
+    done = np.flatnonzero(store.keep)
+    before = padded(store, done)
+    got = store.ready(model, ids)
+    for old, now in zip(before, padded(store, done)):
+        assert np.array_equal(old, now)
+    assert_layout(store)
+    return got
+
+
+def fill(marked, codes: np.ndarray, grown: bool | None = None) -> np.ndarray:
+    """``marked.rows(codes)`` of a watermark store, checking that rows built
+    keep their values and that each field has room for the reservation or
+    at most twice the rows built, at most the bound, ``grown`` as above."""
+    before = {name: field[: marked.n].copy() for name, field in marked.fields.items()}
+    got = marked.rows(codes)
+    for name, built in before.items():
+        assert np.array_equal(marked.fields[name][: len(built)], built)
+    (size,) = {len(field) for field in marked.fields.values()}
+    row = sum(f.itemsize * int(np.prod(f.shape[1:])) for f in marked.fields.values())
+    reserved = models._RESERVE_BYTES // row
+    assert 0 < marked.n <= size <= min(marked.bound, max(reserved, 2 * marked.n))
+    assert grown is None or (size > reserved) == grown
+    return got
+
+
+def within(make, limit: int | None = None):
+    """``make()``, checking that its traced allocations peak within
+    ``limit``, by default ``_RESERVE_BYTES`` and 1 MiB: a reservation."""
+    tracemalloc.start()
+    try:
+        made = make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (models._RESERVE_BYTES + (1 << 20) if limit is None else limit)
+    return made
+
+
+def stored_counts(store, ids: np.ndarray) -> np.ndarray:
+    """Probabilities each nucleus row ``ids`` stores, checked against the
+    rule ``max(min(keep, _HEAD), m + 1)``, m counting its kept values above
+    its last: its head, or up to its last kept value, which the rest equal."""
+    q, _, keep = store.kept(ids)
+    above = (q > q[np.arange(len(q)), keep - 1][:, None]).sum(axis=1)
+    count = store.stored[ids].astype(np.intp)
+    assert np.array_equal(count, np.maximum(np.minimum(keep, HEAD), above + 1))
+    return count
+
+
+def assert_reads_run_past_keep(store, ids: np.ndarray) -> None:
+    """Some of rows ``ids`` are read past ``keep``: a head window into later
+    rows' entries, a V-wide read into the last stored entry repeated."""
+    outside = np.arange(store.vocab_size) >= store.keep[ids][:, None]
+    assert (store._q_head[store.qstart[ids]][outside[:, :HEAD]] > 0).any()
+    assert (store._q_wide(ids)[outside] > 0).any()
+
+
+def assert_bound(store, model) -> None:
+    """A nucleus store has room for a row per trained context, plus one."""
+    assert store.bound == sum(len(ctx) - 1 for ctx in model._ctx) + 1
+
+
+def is_dense(marked) -> bool:
+    """Whether a watermark store is dense: its tables, a row id and a seed
+    per state code, then fit ``_RESERVE_BYTES``; otherwise its dict
+    indexes each row built and it made no tables."""
+    if not marked.dense:
+        assert not hasattr(marked, "_row_of") and len(marked.index) == marked.n
+        return False
+    n_codes = (marked.vocab_size + 1) ** max(marked.model.order, marked.wm.k)
+    tables = (marked._row_of, marked._seed_of)
+    assert marked.index is None and [len(t) for t in tables] == [n_codes] * 2
+    assert sum(t.nbytes for t in tables) <= models._RESERVE_BYTES
+    assert (marked._row_of >= 0).sum() == marked.n
+    return True
+
+
+def window_seeds(marked, codes: np.ndarray) -> np.ndarray:
+    """Each state code's window seed, from the dense table or summed."""
+    return marked._seed_of[codes] if marked.dense else marked._seeds(codes)
+
+
+def watermark_row(marked, rows: np.ndarray) -> dict:
+    """Fields of watermark rows ``rows``: ``base`` and ``tok`` or ``bcum``."""
+    return {name: field[rows] for name, field in marked.fields.items()}
+
+
+def searched_ids(model, codes: np.ndarray) -> np.ndarray:
+    """The context id of each state code by a search of every level: the
+    longest trained context among the state's tokens after its newest
+    missing one (a 0 digit)."""
+    v, radix = model.vocab_size, model.vocab_size + 1
+    ids = np.full(len(codes), model._first[-1])
+    # shortest first, so that a longer context found overwrites a shorter one
+    whole, code = np.ones(len(codes), bool), np.zeros(len(codes), np.int64)
+    for length in range(model.order + 1):
+        if length:
+            digit = codes // radix ** (length - 1) % radix
+            whole &= digit > 0
+            code = code + (digit - 1) * v ** (length - 1)
+        ctx = model._ctx[length][:-1]  # less the sentinel
+        at = np.minimum(np.searchsorted(ctx, code), max(len(ctx) - 1, 0))
+        hit = whole & (ctx[at] == code) if len(ctx) else np.zeros(len(codes), bool)
+        ids[hit] = model._first[length] + at[hit]
+    return ids
+
+
+def assert_gathers(model, levels: int) -> None:
+    """The model's context table gathers levels 0 .. ``levels``: an id per
+    code of that many digits, in the narrowest dtype that holds every id."""
+    assert model._gathered == levels
+    assert model._context_of.dtype == np.min_scalar_type(model._first[-1])
+    assert len(model._context_of) == (model.vocab_size + 1) ** levels
+
+
+def reserving(nbytes: int):
+    """A patch of the bytes a store or context table may reserve."""
+    return mock.patch.object(models, "_RESERVE_BYTES", nbytes)
+
+
+def gathering(model, levels):
+    """A reservation under which the context table gathers levels 0 ..
+    ``levels`` and the levels above are searched; None gathers every level."""
+    if levels is None:
+        return contextlib.nullcontext()
+    itemsize = np.min_scalar_type(model._first[-1]).itemsize  # as the model makes it
+    return reserving((model.vocab_size + 1) ** levels * itemsize)
+
+
+def reserving_dense_tables(model, wm, spare: int):
+    """A reservation of a watermark store's dense tables plus ``spare`` (-1
+    forces the dict store); the context table still gathers every level."""
+    return reserving(16 * (model.vocab_size + 1) ** max(model.order, wm.k) + spare)
+
+
+def no_search(model):
+    """A patch under which reading any level of the model's contexts fails."""
+    return mock.patch.object(model, "_ctx", None)
+
+
+def count_builds(monkeypatch) -> tuple[list, dict]:
+    """Record each nucleus store made, with its model, and each batch of row
+    ids built, by store.  Recording keeps them alive, so no id is reused."""
+    made, built = [], {}
+    init, build = models.NucleusRows.__init__, models.NucleusRows._build
+
+    def counted_init(store, model, *args):
+        made.append((model, store))
+        init(store, model, *args)
+
+    def counted_build(store, model, ids):
+        built.setdefault(store, []).append(ids.copy())
+        return build(store, model, ids)
+
+    monkeypatch.setattr(models.NucleusRows, "__init__", counted_init)
+    monkeypatch.setattr(models.NucleusRows, "_build", counted_build)
+    return made, built

@@ -1,5 +1,6 @@
 """Tokens are checked against the vocabulary at the detection boundary and
-in the model, ``--threads`` is validated where it applies, detection
+in the model, ``--threads`` is validated and refused without
+``--endpoint``, open mode refuses ``--filter``, detection
 refuses a scheme without a test, a negative budget, fewer than one
 repetition and an empty corpus, corpus files are refused line by line,
 ``generate`` and ``generate_corpus`` refuse a negative document count
@@ -18,9 +19,10 @@ import pytest
 
 from radioscope import (ConfigError, SamplingConfig, WatermarkConfig, build_filter,
                         generate, generate_corpus, save_model, train_ngram)
-from radioscope.cli import EXIT_ERROR, _build_parser, main
+from radioscope.cli import EXIT_ERROR, EXIT_OK, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, parse_scenario, pvalue_for
 from radioscope.schemes import score_batch
+import store_contract as contract
 
 KEY_HEX = "0xDEADBEEFCAFE"
 
@@ -213,6 +215,23 @@ def one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
     return err
+
+
+def test_cli_open_mode_refuses_a_filter(cli_files, capsys):
+    """Open mode scores no filter, so one is refused before anything is loaded."""
+    tmp_path, _, corpus = cli_files
+    phi = tmp_path / "phi.bin"
+    assert main(["filter", "--corpus", str(corpus), "--out", str(phi)]) == EXIT_OK
+    capsys.readouterr()
+    assert detect_cli(cli_files, "--filter", str(phi)) == EXIT_ERROR
+    assert "--filter applies to closed mode only" in one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_threads_without_an_endpoint_is_one_error_line(cli_files, capsys):
+    assert detect_cli(cli_files, "--threads", "4", mode="closed") == EXIT_ERROR
+    assert "it needs --endpoint" in one_error_line(capsys)
+    assert not (cli_files[0] / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["open", "closed"])
@@ -456,7 +475,7 @@ def test_closed_mode_refuses_a_key_of_a_smaller_vocabulary_before_sampling(key):
     cfg = WatermarkConfig("kgw", key, 32, k=2, gamma=0.25, delta=3.0)
     with pytest.raises(ConfigError, match=re.escape(SMALLER_KEY)):
         detect_closed(model, [[28, 29, 30, 31]], cfg, sampling=SamplingConfig(max_tokens=20))
-    assert not model._stores  # no nucleus store: nothing was sampled
+    assert not contract.stores(model)  # no nucleus store: nothing was sampled
 
 
 def test_cli_key_of_a_smaller_vocabulary_is_one_error_line(cli_files, capsys):

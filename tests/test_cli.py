@@ -128,14 +128,17 @@ class TestDetect:
                    "--corpus", str(short), "--key", KEY_HEX,
                    "--vocab-size", "64", "--out", str(out)) == EXIT_INCONCLUSIVE
 
-    def test_no_dedup_warns_on_stderr(self, workdir, capsys):
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_no_dedup_warns_on_stderr(self, workdir, capsys, mode):
         corpus, model = self.make_student(workdir)
         out = workdir / "nd"
-        assert run("detect", "--mode", "closed", "--model", str(model),
+        assert run("detect", "--mode", mode, "--model", str(model),
                    "--corpus", str(corpus), "--key", KEY_HEX,
                    "--vocab-size", "64", "--no-dedup", "--budget", "500",
                    "--out", str(out)) == EXIT_OK
         assert "INVALID" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert not report["runs"][0]["dedup_applied"]
 
     def test_needs_model_or_endpoint(self, workdir, capsys):
         code = run("detect", "--mode", "open", "--corpus", "x.jsonl",

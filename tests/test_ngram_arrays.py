@@ -1,9 +1,7 @@
 """The array-backed n-gram model and source against their loop oracles."""
 
-import contextlib
 import itertools
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from radioscope import (
 from radioscope import dedup, models
 from radioscope.dedup import FILTER_KEY, build_filter
 from radioscope.hashing import window_hash, window_hashes
+import store_contract as contract
 
 
 @st.composite
@@ -35,6 +34,20 @@ def training_runs(draw):
     # unseen contexts may hold negative and out-of-vocabulary tokens
     unseen = draw(st.lists(st.lists(st.integers(-2, v + 1), max_size=order + 1),
                            max_size=20))
+    # trained contexts of ``order`` tokens (each followed by a token) with a
+    # middle token missing (-1) or out of vocabulary (V): a few drawn, and
+    # all those where that token was V - 1 after a lower one, which is then
+    # raised by one, so that a code letting the missing digit borrow from
+    # the older digits would read the trained context
+    holes = [(doc[i : i + order], j) for doc in first for i in range(len(doc) - order)
+             for j in range(1, order - 1)]
+    borrows = [(ctx, j) for ctx, j in holes if ctx[j] == v - 1 and ctx[j - 1] < v - 1]
+    for ctx, j in (draw(st.lists(st.sampled_from(holes), max_size=3)) if holes else []) + borrows:
+        holed = list(ctx)
+        if (ctx, j) in borrows:
+            holed[j - 1] += 1
+        holed[j] = draw(st.sampled_from([-1, v]))
+        unseen.append(holed)
     return v, order, lam, first, second, unseen
 
 
@@ -56,21 +69,10 @@ def _greedy_at(model, docs, doc, pos):
     return model.greedy_at(tokens, [len(d) for d in docs], doc, pos)
 
 
-def _gathering(model, gathered):
-    """A patch of ``_RESERVE_BYTES`` under which the model's context table
-    gathers only levels 0 .. ``gathered`` and the levels above are
-    searched; no patch for None, which gathers every level here."""
-    if gathered is None:
-        return contextlib.nullcontext()
-    itemsize = np.min_scalar_type(model._first[-1]).itemsize
-    return mock.patch.object(models, "_RESERVE_BYTES",
-                             (model.vocab_size + 1) ** gathered * itemsize)
-
-
 def _assert_same(model, oracle, contexts, docs, gathered=None):
-    with _gathering(model, gathered):
+    with contract.gathering(model, gathered):
         _compare(model, oracle, contexts, docs)
-    assert model._gathered == (model.order if gathered is None else gathered)
+    contract.assert_gathers(model, model.order if gathered is None else gathered)
 
 
 def _compare(model, oracle, contexts, docs):
@@ -124,7 +126,7 @@ class TestAgainstDictModel:
         contexts = [tuple(doc[:n]) for doc in docs for n in (0, 5, 31, 60)]
         contexts += [tuple(rng.integers(-1, 5, size=32).tolist()) for _ in range(20)]
         _compare(model, oracle, contexts, docs)
-        assert model._gathered == 10
+        contract.assert_gathers(model, 10)
 
     def test_chunks_merge_into_the_same_counts(self, monkeypatch):
         monkeypatch.setattr(models, "_CHUNK_TOKENS", 97)
@@ -153,13 +155,13 @@ class TestWholeCorpus:
         for batch in (first, second):
             model.update(batch)
             oracle.update(batch)
-            with _gathering(model, gathered):
+            with contract.gathering(model, gathered):
                 got = _greedy_at(model, docs, doc, pos)
                 assert got.tolist() == [oracle.next_greedy(docs[d][:p]) for d, p in pairs]
                 for tokens in docs:
                     if all(0 <= t < v for t in tokens):  # log_loss refuses the others
                         assert model.log_loss(tokens) == oracle.log_loss(tokens)
-            assert model._gathered == (order if gathered is None else gathered)
+            contract.assert_gathers(model, order if gathered is None else gathered)
 
     @pytest.mark.parametrize("bad", [-1, 8])
     def test_log_loss_refuses_out_of_vocabulary_token(self, bad):

@@ -25,8 +25,8 @@ from radioscope import (
     run_scenario,
     train_ngram,
 )
-from radioscope import models
 from radioscope.pipelines import DetectionReport, pvalue_for
+import store_contract as contract
 
 KEY = SecretKey(0xFEED)
 
@@ -44,25 +44,6 @@ def contaminated(teacher64):
     return cfg, student, train_docs, supervised
 
 
-def _count_rows(monkeypatch) -> tuple[list, dict]:
-    """Record each nucleus store made, with its model, and each row id built,
-    by store.  Recording keeps them alive, so no id is reused."""
-    made, built = [], {}
-    init, build = models.NucleusRows.__init__, models.NucleusRows._build
-
-    def counted_init(store, model, *args):
-        made.append((model, store))
-        init(store, model, *args)
-
-    def counted_build(store, model, ids):
-        built.setdefault(store, []).append(ids.copy())
-        return build(store, model, ids)
-
-    monkeypatch.setattr(models.NucleusRows, "__init__", counted_init)
-    monkeypatch.setattr(models.NucleusRows, "_build", counted_build)
-    return made, built
-
-
 def _each_row_built_once(built: dict) -> bool:
     return all(len(np.unique(rows)) == len(rows)
                for rows in map(np.concatenate, built.values()))
@@ -70,7 +51,7 @@ def _each_row_built_once(built: dict) -> bool:
 
 def test_contaminated_student_builds_each_teacher_row_once(fresh_teacher64, monkeypatch):
     """Its watermarked and clean corpora read one store of teacher rows."""
-    made, built = _count_rows(monkeypatch)
+    made, built = contract.count_builds(monkeypatch)
     contaminated_student(fresh_teacher64, wm_cfg(), 0.5, n_docs=40, doc_len=200, order=2,
                          sampling=SamplingConfig(seed=25))
     assert [model for model, _ in made] == [fresh_teacher64]
@@ -411,7 +392,7 @@ class TestScenario:
         no row built twice in a store."""
         from pathlib import Path
 
-        made, built = _count_rows(monkeypatch)
+        made, built = contract.count_builds(monkeypatch)
         run_scenario(Path(__file__).parents[1] / "docs" / "examples" / "demo.scn", tmp_path)
         # the teacher and two students at each of four rho values
         assert len(made) == 9
