@@ -398,15 +398,11 @@ _BATCH_ELEMS = 1 << 16
 
 
 def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Sum of the first ``keep[i]`` entries of each row ``i``, as
-    ``np.add.reduce`` adds that prefix alone: a pairwise sum over the
-    zero-padded row would round differently, so rows go in groups of equal
-    ``keep``."""
-    sums = np.empty(len(rows))
-    for k in np.unique(keep).tolist():
-        at = np.flatnonzero(keep == k)
-        sums[at] = np.add.reduce(rows[at, :k], axis=1)
-    return sums
+    """Sum of the first ``keep[i]`` entries of each C-contiguous row ``i``,
+    bit for bit ``np.add.reduce(rows[i, :keep[i]])``: the masked reduction
+    hands each row's kept prefix, one contiguous run, to the pairwise loop
+    that sums that prefix alone."""
+    return np.add.reduce(rows, axis=1, where=np.arange(rows.shape[1]) < keep[:, None])
 
 
 #: Bytes of rows a store reserves when it is made, or fewer at its bound; a

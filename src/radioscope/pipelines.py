@@ -100,6 +100,9 @@ def _check_run(cfg: WatermarkConfig, budget: int) -> None:
 
 def _finish_report(cands, dedup, budget, cfg, mode, supervision,
                    phi_stats) -> DetectionReport:
+    if not dedup:
+        warnings.warn("de-duplication disabled: p-values are NOT valid and will "
+                      "collapse on watermarked text", stacklevel=3)
     admitted = (canonical_dedup(cands) if dedup else cands)[:budget]
     score = float(score_batch(admitted["seed"], admitted["token"], cfg).sum())
     n = len(admitted)
@@ -143,12 +146,6 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
         raise ConfigError(f"the filter holds {phi.k}-grams, but the key's window "
                           f"is k={key_cfg.k}")
     sampling = sampling or SamplingConfig()
-    if not dedup:
-        warnings.warn(
-            "de-duplication disabled: p-values are NOT valid and will "
-            "collapse on watermarked prompts",
-            stacklevel=2,
-        )
     k, v = key_cfg.k, key_cfg.vocab_size
     prompts = [list(prompt) for prompt in prompts]
     _joined_ids(prompts, v, "prompt {}".format)
@@ -196,7 +193,9 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     input-derived window.  A window that already occurred earlier in the
     document is skipped.  Documents may carry a ``prompt_len`` field, a
     non-negative integer marking a leading region that is never scored but
-    still counts as earlier context.
+    still counts as earlier context.  ``dedup=False`` scores repeated
+    (window, token) pairs too, which makes the p-value invalid; it warns,
+    as in :func:`detect_closed`.
     """
     _check_run(key_cfg, budget)
     if not isinstance(suspect, NGramModel):

@@ -5,7 +5,8 @@ used before its decode-row store, with the per-seed greenlist cache it
 relied on, and ``loop_generate_corpus`` / ``loop_complete`` are the
 corpus and completion loops built on it.  They are kept verbatim, except
 that every step draws one uniform before anything else, so that property
-tests can require identical outputs.
+tests can require identical outputs, and that the log of a kept 0 and the
+division by it run under ``np.errstate``, as the library's do.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class LoopTextSampler:
             idx = order_desc[:keep]
             kept = q_desc[:keep]
             kept = kept / kept.sum()
-            entry = (idx, np.log(kept), np.cumsum(kept))
+            with np.errstate(divide="ignore"):  # a kept 0 has log -inf
+                entry = (idx, np.log(kept), np.cumsum(kept))
             self._tables[ctx] = entry
         return entry
 
@@ -125,7 +127,8 @@ class LoopTextSampler:
         r = rvalue_batch(np.full(len(idx), seed, dtype=np.uint64), idx)
         p = np.exp(log_kept - log_kept.max())
         p /= p.sum()
-        cost = -np.log(np.maximum(r, 1e-300)) / p
+        with np.errstate(divide="ignore"):  # a kept 0 costs inf
+            cost = -np.log(np.maximum(r, 1e-300)) / p
         return int(idx[np.argmin(cost)])
 
     def generate(self, prompt, max_tokens: int, rng: np.random.Generator) -> list[int]:

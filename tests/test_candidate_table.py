@@ -51,7 +51,9 @@ def test_open_mode_equals_the_loop(s, as_dicts):
     if as_dicts:
         docs = [{"tokens": d, "prompt_len": p} for d, p in zip(docs, s["prompt_lens"])]
     kwargs = dict(budget=s["budget"], dedup=s["dedup"])
-    got = detect_open(suspect, docs, cfg, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # dedup=False warns
+        got = detect_open(suspect, docs, cfg, **kwargs)
     want = loop_detect_open(suspect, docs, cfg, **kwargs)
     assert_same_report(got, want)
 

@@ -102,6 +102,13 @@ class TestDetectOpen:
         with pytest.raises(CapabilityError):
             detect_open(remote, [[1, 2, 3]], wm_cfg())
 
+    def test_no_dedup_warns(self, clean_student):
+        doc = [1, 2, 3, 1, 2, 3, 1, 2, 3]
+        with pytest.warns(UserWarning, match="NOT valid"):
+            report = detect_open(clean_student, [doc], wm_cfg(), dedup=False)
+        assert not report.dedup_applied
+        assert report.n_scored > detect_open(clean_student, [doc], wm_cfg()).n_scored
+
     def test_budget_truncates(self, teacher64, contaminated):
         cfg, student, _, _ = contaminated
         docs = generate_corpus(teacher64, 5, 150, SamplingConfig(seed=27),

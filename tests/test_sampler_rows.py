@@ -7,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radioscope import (SamplingConfig, SecretKey, TextSampler, WatermarkConfig, generate,
                         generate_corpus, make_teacher, models, train_ngram)
 from radioscope.hashing import window_hash
-from radioscope.models import NucleusRows, _WatermarkRows
+from radioscope.models import NucleusRows, _WatermarkRows, _kept_sums
 from radioscope.pipelines import _complete
 from sampler_oracle import LoopTextSampler, loop_complete, loop_generate_corpus
 import store_contract as contract
@@ -184,6 +184,41 @@ def test_teacher_rows_equal_the_loop_tables(teacher64):
     contexts = list(itertools.product(range(64), repeat=2))
     store = NucleusRows(teacher64, oracle.temperature, sampling.nucleus_p)
     _rows_as_the_loop(store, teacher64, oracle, contexts)
+
+
+def test_rows_keeping_more_than_128_ids_equal_the_loop():
+    """At V = 256 a smoothed model's rows keep more than 128 ids, where
+    numpy's pairwise sum splits a kept prefix in two: stored rows, an AK
+    corpus and completions still equal the loop's bit for bit."""
+    rng = np.random.default_rng(5)
+    docs = rng.integers(0, 256, size=(6, 80)).tolist()
+    model = train_ngram(docs, 2, 0.05, 256)
+    sampling = SamplingConfig(seed=9, max_tokens=40)
+    oracle = LoopTextSampler(model, sampling)
+    contexts = [()] + [tuple(doc[i : i + n]) for doc in docs[:2] for i in range(0, 60, 3)
+                       for n in (1, 2)]
+    store = NucleusRows(model, oracle.temperature, sampling.nucleus_p)
+    _, (_, _, keep) = _rows_as_the_loop(store, model, oracle, contexts)
+    assert ((keep > 128) & (keep < 256)).any()  # a split prefix, not a whole row
+    wm = _wm("ak", 256, 2, 0xBEEF)
+    assert (generate_corpus(model, 6, 60, sampling, wm)
+            == loop_generate_corpus(model, 6, 60, sampling, wm))
+    prompts = [doc[:5] for doc in docs]
+    assert _complete(model, prompts, sampling, None) == loop_complete(model, prompts, sampling)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1100), st.lists(st.floats(0, 1), max_size=6), st.integers(0, 2**32 - 1))
+@example(7, [], 0)  # no rows
+def test_kept_sums_equal_the_prefix_sums(v, cuts, seed):
+    """Each row's kept sum is ``np.add.reduce`` of its kept prefix alone,
+    bit for bit, over rows whose entries span many magnitudes, for every
+    kept count from 1 to V."""
+    keep = np.array([1 + round(cut * (v - 1)) for cut in cuts], np.min_scalar_type(v))
+    rng = np.random.default_rng(seed)
+    rows = rng.random((len(keep), v)) * 10.0 ** rng.integers(-8, 8, size=(len(keep), v))
+    want = np.array([np.add.reduce(row[:k]) for row, k in zip(rows, keep)])
+    assert np.array_equal(_kept_sums(rows, keep), want.reshape(len(keep)))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
