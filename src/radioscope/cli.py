@@ -22,6 +22,7 @@ from . import pipelines
 from .dedup import CLOSED, OPEN, build_filter, load_filter, save_filter
 from .hashing import ConfigError, SecretKey
 from .models import (
+    PROMPT_TOKENS,
     SamplingConfig,
     generate_corpus,
     load_corpus,
@@ -161,8 +162,9 @@ def cmd_generate(args, config, argv) -> int:
     doc_len = _resolve(args, config, "doc_len", int, 200)
     if n_docs < 0:  # zero documents make an empty corpus
         raise ConfigError(f"--docs must be >= 0, got {n_docs}")
-    if doc_len < 3:  # generate_corpus starts each document with 3 prompt tokens
-        raise ConfigError(f"--doc-len must be >= 3, the prompt length, got {doc_len}")
+    if doc_len < PROMPT_TOKENS:  # generate_corpus starts each document with a prompt
+        raise ConfigError(f"--doc-len must be >= {PROMPT_TOKENS}, the prompt length, "
+                          f"got {doc_len}")
     teacher = make_teacher(vocab_size=vocab,
                            seed=_resolve(args, config, "teacher_seed", int, 7),
                            order=_resolve(args, config, "teacher_order", int, 2))

@@ -364,20 +364,10 @@ class NGramModel:
 
     def log_loss(self, tokens) -> float:
         """Total negative log-probability of a document."""
-        v, lam = self.vocab_size, self.smoothing_lambda
-        toks = _token_ids([list(tokens)], v)
+        toks = _token_ids([list(tokens)], self.vocab_size)
         n = len(toks)
         ids = self._context_ids(self._locate(toks, [n], np.zeros(n, np.intp), np.arange(n)))
-        # the untrained model's id lies past every level, so its p stays 1 / V
-        level = self._first.searchsorted(ids, side="right") - 1
-        p = np.full(n, 1.0 / v)
-        for length in range(self.order + 1):
-            sel = np.flatnonzero(level == length)
-            rows = ids[sel] - self._first[length]
-            keys, code = self._keys[length], self._ctx[length][rows] * v + toks[sel]
-            found = np.minimum(keys.searchsorted(code), len(keys) - 1)
-            count = np.where(keys[found] == code, self._counts[length][found], 0)
-            p[sel] = (lam + count) / (self._total[ids[sel]] + lam * v)
+        p = self._distributions(ids)[np.arange(n), toks]
         # summed in token order, as a per-token loop would
         return -float(np.log(np.maximum(p, 1e-300)).cumsum()[-1]) if n else 0.0
 
@@ -843,9 +833,13 @@ def make_teacher(vocab_size: int = 256, seed: int = 7, order: int = 2,
     return train_ngram(corpus, order, smoothing_lambda, vocab_size)
 
 
+#: Tokens of the random prompt that starts each :func:`generate_corpus` document.
+PROMPT_TOKENS = 3
+
+
 def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
                     sampling: SamplingConfig, wm: WatermarkConfig | None = None,
-                    prompt_len: int = 3) -> list[dict]:
+                    prompt_len: int = PROMPT_TOKENS) -> list[dict]:
     """Documents sampled from the model, each a dict with ``tokens``/``wm``.
 
     Every document starts from a short random prompt (included in the

@@ -22,6 +22,7 @@ from . import stats
 from .dedup import CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
 from .hashing import HASH_MOD, ConfigError, SecretKey, stream_value
 from .models import (
+    PROMPT_TOKENS,
     MixSpec,
     NGramModel,
     SamplingConfig,
@@ -34,7 +35,7 @@ from .models import (
     train_ngram,
 )
 from .remote import CapabilityError, RemoteModel
-from .schemes import KGW, WatermarkConfig, detector, score_batch
+from .schemes import AK, KGW, MPAC, WatermarkConfig, detector, score_batch
 
 _LN10 = float(np.log(10.0))
 
@@ -317,7 +318,7 @@ def run_detection(student: NGramModel, teacher: NGramModel,
         docs = generate_corpus(teacher, n_docs, doc_len,
                                replace(sampling, seed=sampling.seed + 3), wm=wm_cfg)
         return detect_open(student, docs, wm_cfg, budget=budget, dedup=dedup)
-    prompt_docs = generate_corpus(teacher, n_docs, prompt_len + 3,
+    prompt_docs = generate_corpus(teacher, n_docs, prompt_len + PROMPT_TOKENS,
                                   replace(sampling, seed=sampling.seed + 4))
     prompts = [doc["tokens"] for doc in prompt_docs]
     return detect_closed(student, prompts, wm_cfg, phi=phi, budget=budget,
@@ -327,49 +328,82 @@ def run_detection(student: NGramModel, teacher: NGramModel,
 # ---------------------------------------------------------------------------
 # scenario files
 
-# scenario type -> (its CSV sweep label, the spec list it runs over)
+# scenario type -> (its CSV sweep label, the spec list it runs over, the spec
+# key each listed value replaces in its runs; d is no spec key)
 _SWEEPS = {
-    "rho_sweep": ("rho", "rho"),
-    "d_sweep": ("d", "d_values"),
-    "k_sweep": ("k", "k_values"),
-    "purification": ("phase", None),
+    "rho_sweep": ("rho", "rho", "rho_value"),
+    "d_sweep": ("d", "d_values", None),
+    "k_sweep": ("k", "k_values", "k"),
+    "purification": ("phase", None, None),
 }
+# generate_corpus starts every document with a prompt: training documents are doc_len
+# long, open detection's detect_len and closed detection's prompt_len + PROMPT_TOKENS
+_PROMPTED = f" (generated documents start with a {PROMPT_TOKENS}-token prompt)"
 
-_SCENARIO_DEFAULTS: dict = {
-    "scheme": KGW,
-    "k": 2,
-    "gamma": 0.25,
-    "delta": 3.0,
-    "temperature": None,
-    "message": None,
-    "vocab_size": 128,
-    "teacher_order": 2,
-    "teacher_seed": 7,
-    "student_order": 3,
-    "smoothing_lambda": 0.01,
-    "n_docs": 200,
-    "doc_len": 200,
-    "detect_docs": 40,
-    "detect_len": 200,
-    "prompt_len": 10,
-    "repetitions": 3,
-    "seed": 0,
-    "budget": 1_000_000,
-    "modes": ["open"],
-    "rho": [0.0, 0.5, 1.0],
-    "rho_value": 1.0,
-    "d_values": [1.0, 0.1, 0.01],
-    "k_values": [1, 2, 4],
-    "nucleus_p": 0.95,
-    "sampling_temperature": 0.8,
+
+def _at_least(floor, why=""):
+    return lambda v, spec: v >= floor or f"be >= {floor}{why}"
+
+
+def _detect_len(v, spec):
+    if OPEN in spec["modes"]:
+        return v >= PROMPT_TOKENS or f"be >= {PROMPT_TOKENS}{_PROMPTED}"
+    # closed mode's completions are detect_len long; d_sweep detects on none
+    return spec["scenario"] == "d_sweep" or v >= 0 or "be >= 0"
+
+
+def _rho_value(v, spec):
+    if not 0 <= v <= 1 or spec["scenario"] != "d_sweep":
+        return 0 <= v <= 1 or "lie in [0, 1]"
+    # d_sweep's MIA needs watermarked training documents
+    if v == 0:
+        return "be > 0 for d_sweep"
+    return round(v * spec["n_docs"]) >= 1 or (
+        "leave round(rho_value * n_docs) >= 1 watermarked documents "
+        f"for d_sweep at n_docs = {spec['n_docs']}")
+
+
+#: Every scenario key -> (default, reader, rule).  A key whose default is a
+#: list takes comma-separated values, each read and checked on its own.  A
+#: rule gives True for a value it accepts, else what the value must do; the
+#: rules run once the file is read, so a rule may read other keys.
+_SCENARIO_KEYS = {
+    "scenario": (None, str, lambda v, spec: v in _SWEEPS
+                 or f"be one of {', '.join(_SWEEPS)}"),
+    "scheme": (KGW, str, lambda v, spec: v in (KGW, AK)
+               or v == MPAC and spec["scenario"] == "d_sweep"
+               or "be kgw or ak (mpac has no radioactivity test: d_sweep only)"),
+    "k": (2, int, _at_least(1)),
+    "gamma": (0.25, float, lambda v, spec: spec["scheme"] != KGW or 0 < v < 1
+              or "lie in (0, 1) for kgw"),
+    "delta": (3.0, float, lambda v, spec: spec["scheme"] == AK or v >= 0
+              or "be >= 0 for kgw and mpac"),
+    "temperature": (None, float, lambda v, spec: True),  # AK's, applied to the logits
+    "message": (None, str, lambda v, spec: spec["scheme"] != MPAC or bool(v) and len(v) % 2 == 0
+                and set(v) <= {"0", "1"} or "be an even number of bits for mpac"),
+    "vocab_size": (128, int, _at_least(1)),
+    "teacher_order": (2, int, _at_least(1)),
+    "teacher_seed": (7, int, _at_least(0)),
+    "student_order": (3, int, _at_least(1)),
+    "smoothing_lambda": (0.01, float, _at_least(0)),
+    "n_docs": (200, int, _at_least(1)),
+    "doc_len": (200, int, _at_least(PROMPT_TOKENS, _PROMPTED)),
+    "detect_docs": (40, int, lambda v, spec: spec["scenario"] == "d_sweep" or v >= 1
+                    or "be >= 1"),
+    "detect_len": (200, int, _detect_len),
+    "prompt_len": (10, int, lambda v, spec: CLOSED not in spec["modes"] or v >= 0
+                   or f"be >= 0{_PROMPTED}"),
+    "repetitions": (3, int, _at_least(1)),
+    "seed": (0, int, lambda v, spec: True),
+    "budget": (1_000_000, int, _at_least(0)),
+    "modes": ([OPEN], str, lambda v, spec: v in (OPEN, CLOSED) or "be open or closed"),
+    "rho": ([0.0, 0.5, 1.0], float, lambda v, spec: 0 <= v <= 1 or "lie in [0, 1]"),
+    "rho_value": (1.0, float, _rho_value),
+    "d_values": ([1.0, 0.1, 0.01], float, lambda v, spec: 0 < v <= 1 or "lie in (0, 1]"),
+    "k_values": ([1, 2, 4], int, _at_least(1)),
+    "nucleus_p": (0.95, float, lambda v, spec: 0 < v <= 1 or "lie in (0, 1]"),
+    "sampling_temperature": (0.8, float, lambda v, spec: v > 0 or "be > 0"),
 }
-
-_INT_KEYS = {"k", "vocab_size", "teacher_order", "teacher_seed", "student_order",
-             "n_docs", "doc_len", "detect_docs", "detect_len", "prompt_len",
-             "repetitions", "seed", "budget"}
-_FLOAT_KEYS = {"gamma", "delta", "temperature", "smoothing_lambda", "rho_value",
-               "nucleus_p", "sampling_temperature"}
-_LIST_KEYS = {"modes", "rho", "d_values", "k_values"}
 
 
 def read_key_values(path):
@@ -390,73 +424,33 @@ def read_key_values(path):
 
 
 def parse_scenario(path) -> dict:
-    """Parse a plain ``key = value`` scenario file with line-level errors."""
-    spec = dict(_SCENARIO_DEFAULTS)
-    seen_scenario = False
+    """Parse a plain ``key = value`` scenario file: each value is read and
+    checked by its key's entry in ``_SCENARIO_KEYS``, with line-level errors."""
+    spec = {key: default for key, (default, _, _) in _SCENARIO_KEYS.items()}
     lines = {}
     for lineno, key, value in read_key_values(path):
-        lines[key] = lineno
         try:
-            if key == "scenario":
-                if value not in _SWEEPS:
-                    raise ValueError(f"unknown scenario {value!r}")
-                spec[key] = value
-                seen_scenario = True
-            elif key in ("scheme", "message"):
-                spec[key] = value
-            elif key in _INT_KEYS:
-                spec[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                spec[key] = float(value)
-            elif key in _LIST_KEYS:
-                items = [v.strip() for v in value.split(",") if v.strip()]
-                if not items:
-                    raise ValueError(f"{key} must hold at least one value")
-                if key == "modes":
-                    bad = set(items) - {OPEN, CLOSED}
-                    if bad:
-                        raise ValueError(f"unknown mode(s) {sorted(bad)}")
-                    spec[key] = items
-                elif key == "k_values":
-                    spec[key] = [int(v) for v in items]
-                else:
-                    spec[key] = [float(v) for v in items]
-            else:
+            if key not in _SCENARIO_KEYS:
                 raise ValueError(f"unknown key {key!r}")
+            default, read, _ = _SCENARIO_KEYS[key]
+            if isinstance(default, list):
+                spec[key] = [read(v.strip()) for v in value.split(",") if v.strip()]
+                if not spec[key]:
+                    raise ValueError(f"{key} must hold at least one value")
+            else:
+                spec[key] = read(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not seen_scenario:
+        lines[key] = lineno
+    if "scenario" not in lines:
         raise ValueError(f"{path}: missing required key 'scenario'")
-    # generate_corpus starts every document with a 3-token prompt: the
-    # training corpora are doc_len long, open detection's documents
-    # detect_len, and closed detection's prompts prompt_len + 3
-    floors = {"doc_len": 3}
-    if OPEN in spec["modes"]:
-        floors["detect_len"] = 3
-    if CLOSED in spec["modes"]:
-        floors["prompt_len"] = 0
-    rules = [(key, spec[key] >= floor, f"be >= {floor} (generated documents "
-              "start with a 3-token prompt)") for key, floor in floors.items()]
-    rules += [
-        ("n_docs", spec["n_docs"] >= 1, "be >= 1"),
-        ("repetitions", spec["repetitions"] >= 1, "be >= 1"),
-        ("rho", all(0 <= r <= 1 for r in spec["rho"]), "lie in [0, 1]"),
-        ("rho_value", 0 <= spec["rho_value"] <= 1, "lie in [0, 1]"),
-        ("d_values", all(0 < d <= 1 for d in spec["d_values"]), "lie in (0, 1]"),
-        ("k_values", all(k >= 1 for k in spec["k_values"]), "be >= 1"),
-    ]
-    if spec["scenario"] != "d_sweep":  # every other type detects on detect_docs
-        rules.append(("detect_docs", spec["detect_docs"] >= 1, "be >= 1"))
-    else:  # d_sweep's MIA needs watermarked training documents
-        rules += [
-            ("rho_value", spec["rho_value"] > 0, "be > 0 for d_sweep"),
-            ("rho_value", round(spec["rho_value"] * spec["n_docs"]) >= 1,
-             "leave round(rho_value * n_docs) >= 1 watermarked documents "
-             f"for d_sweep at n_docs = {spec['n_docs']}"),
-        ]
-    for key, ok, rule in rules:
-        if not ok:  # the defaults pass, so the file set it
-            raise ValueError(f"{path}:{lines[key]}: {key} must {rule}, got {spec[key]}")
+    for key, (_, _, rule) in _SCENARIO_KEYS.items():
+        value = spec[key]
+        for item in value if isinstance(value, list) else [value]:
+            must = rule(item, spec)
+            if must is not True:  # a default the file left has no line
+                at = f":{lines[key]}" if key in lines else ""
+                raise ValueError(f"{path}{at}: {key} must {must}, got {value}")
     return spec
 
 
@@ -468,8 +462,9 @@ def _attach_text(docs: list[dict]) -> list[dict]:
 def run_scenario(spec_path, out_dir=None) -> Path:
     """Run a scenario end to end; writes results.csv and summary.svg.
 
-    Each run, one per swept value and repetition, gets its own key,
-    sampling seed, watermark config and contaminated student.  Only the
+    Each run, one per swept value and repetition, is the spec with its
+    swept value in place of the key ``_SWEEPS`` names, and gets its own
+    key, sampling seed, watermark config and contaminated student.  Only the
     measurement differs by type: rho and k sweeps detect in each mode,
     ``d_sweep`` runs MIA on the watermarked documents the detector holds,
     and purification detects in each mode before and after clean
@@ -484,19 +479,19 @@ def run_scenario(spec_path, out_dir=None) -> Path:
     sampling = SamplingConfig(temperature=spec["sampling_temperature"],
                               nucleus_p=spec["nucleus_p"])
     name = spec["scenario"]
-    sweep, values = _SWEEPS[name]
-    wm_fields = {f.name: spec[f.name] for f in fields(WatermarkConfig) if f.name in spec}
+    sweep, values, swept = _SWEEPS[name]
     detect = dict(n_docs=spec["detect_docs"], doc_len=spec["detect_len"],
                   budget=spec["budget"], prompt_len=spec["prompt_len"])
     rows: list[dict] = []
     runs = product(spec[values] if values else [None], range(spec["repetitions"]))
     for run, (value, rep) in enumerate(runs):
+        setting = {**spec, swept: value} if swept else spec
         key = derive_run_key(spec["seed"], run)
         base = replace(sampling, seed=spec["seed"] + 101 * run)
-        wm = WatermarkConfig(**{**wm_fields, "key": key,
-                                "k": value if sweep == "k" else spec["k"]})
+        wm = WatermarkConfig(key=key, **{f.name: setting[f.name]
+                                         for f in fields(WatermarkConfig) if f.name != "key"})
         student, train_docs, supervised = contaminated_student(
-            teacher, wm, value if sweep == "rho" else spec["rho_value"],
+            teacher, wm, setting["rho_value"],
             n_docs=spec["n_docs"], doc_len=spec["doc_len"],
             order=spec["student_order"], smoothing_lambda=spec["smoothing_lambda"],
             sampling=base, d=value if sweep == "d" else 1.0)

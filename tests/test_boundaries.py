@@ -405,6 +405,9 @@ def test_scenario_refuses_documents_shorter_than_their_prompt(tmp_path, lines):
         parse_scenario(path)
 
 
+NO_MPAC = "be kgw or ak (mpac has no radioactivity test: d_sweep only)"
+
+
 @pytest.mark.parametrize("lines,error", [
     (["scenario = purification", "modes ="], "modes must hold at least one value"),
     (["scenario = rho_sweep", "rho ="], "rho must hold at least one value"),
@@ -421,15 +424,60 @@ def test_scenario_refuses_documents_shorter_than_their_prompt(tmp_path, lines):
     (["scenario = d_sweep", "n_docs = 40", "rho_value = 0.01"],
      "rho_value must leave round(rho_value * n_docs) >= 1 watermarked documents "
      "for d_sweep at n_docs = 40, got 0.01"),
+    # each of these used to parse, and the run failed after the teacher was built
+    (["scenario = rho_sweep", "scheme = kgx"], f"scheme must {NO_MPAC}, got kgx"),
+    (["scenario = k_sweep", "scheme = mpac"], f"scheme must {NO_MPAC}, got mpac"),
+    (["scenario = rho_sweep", "gamma = 1.5"], "gamma must lie in (0, 1) for kgw, got 1.5"),
+    (["scenario = rho_sweep", "delta = -1"], "delta must be >= 0 for kgw and mpac, got -1.0"),
+    (["scenario = rho_sweep", "k = 0"], "k must be >= 1, got 0"),
+    (["scenario = rho_sweep", "vocab_size = 0"], "vocab_size must be >= 1, got 0"),
+    (["scenario = rho_sweep", "teacher_order = 0"], "teacher_order must be >= 1, got 0"),
+    (["scenario = rho_sweep", "student_order = 0"], "student_order must be >= 1, got 0"),
+    (["scenario = rho_sweep", "teacher_seed = -1"], "teacher_seed must be >= 0, got -1"),
+    (["scenario = rho_sweep", "smoothing_lambda = -1"],
+     "smoothing_lambda must be >= 0, got -1.0"),
+    (["scenario = rho_sweep", "nucleus_p = 0"], "nucleus_p must lie in (0, 1], got 0.0"),
+    (["scenario = rho_sweep", "sampling_temperature = 0"],
+     "sampling_temperature must be > 0, got 0.0"),
+    (["scenario = rho_sweep", "budget = -1"], "budget must be >= 0, got -1"),
+    (["scenario = d_sweep", "scheme = mpac", "message = 012"],
+     "message must be an even number of bits for mpac, got 012"),
+    (["scenario = purification", "modes = closed", "detect_len = -1"],
+     "detect_len must be >= 0, got -1"),
 ], ids=["no_modes", "no_rho", "no_repetition", "rho", "rho_value", "d_values",
         "d_sweep_rho_value", "k_values", "no_docs", "rho_sweep_no_detect_docs",
         "k_sweep_detect_docs", "purification_no_detect_docs",
-        "d_sweep_no_watermarked_document"])
+        "d_sweep_no_watermarked_document", "unknown_scheme", "mpac_detecting",
+        "kgw_gamma", "kgw_delta", "k", "vocab_size", "teacher_order", "student_order",
+        "teacher_seed", "smoothing_lambda", "nucleus_p", "sampling_temperature", "budget",
+        "mpac_message", "closed_detect_len"])
 def test_scenario_refuses_values_out_of_range(tmp_path, lines, error):
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{len(lines)}: {error}')}$"):
         parse_scenario(path)
+
+
+def test_scenario_refuses_mpac_without_a_message(tmp_path):
+    """The default the rule refuses has no line: the error names the file."""
+    path = tmp_path / "bad.scn"
+    path.write_text("scenario = d_sweep\nscheme = mpac\n")
+    error = f"{path}: message must be an even number of bits for mpac, got None"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        parse_scenario(path)
+
+
+@pytest.mark.parametrize("lines", [
+    ["scenario = rho_sweep", "seed = -1"],
+    ["scenario = d_sweep", "scheme = mpac", "message = 0110"],
+    ["scenario = rho_sweep", "scheme = ak", "temperature = 0", "gamma = 1.5", "delta = -1"],
+    ["scenario = d_sweep", "modes = closed", "detect_len = -1"],
+], ids=["negative_seed", "mpac_d_sweep", "ak_ignores_kgw_knobs", "d_sweep_detect_len"])
+def test_scenario_accepts_values_that_run(tmp_path, lines):
+    """Values a run never reads, or reads without failing, stay accepted."""
+    path = tmp_path / "ok.scn"
+    path.write_text("\n".join(lines) + "\n")
+    parse_scenario(path)
 
 
 def test_d_sweep_ignores_detect_docs(tmp_path):

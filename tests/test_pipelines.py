@@ -1,6 +1,8 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from radioscope import (
     run_scenario,
     train_ngram,
 )
-from radioscope.pipelines import DetectionReport, pvalue_for
+from radioscope.pipelines import _SCENARIO_KEYS, DetectionReport, pvalue_for
 import store_contract as contract
 
 KEY = SecretKey(0xFEED)
@@ -320,6 +322,22 @@ class TestScenario:
         spec = parse_scenario(path)
         assert spec["k_values"] == [1, 2]
         assert spec["gamma"] == 0.25
+
+    def test_readme_lists_every_key_with_its_default(self):
+        """README "Scenarios" holds one row per key of the table, in its
+        order, with the default as a file would write it."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Scenarios\n", 1)[1].split("\n## ", 1)[0]
+        table = section.split("| Key | Default | Rule |\n|---|---|---|\n", 1)[1]
+        rows = [re.match(r"\| `(\w+)` \| ([^|]+?) \|", line).groups()
+                for line in table.split("\n\n", 1)[0].splitlines()]
+
+        def written(default):
+            if default is None:
+                return "unset"
+            return f"`{', '.join(map(str, default)) if isinstance(default, list) else default}`"
+
+        assert rows == [(key, written(default)) for key, (default, _, _) in _SCENARIO_KEYS.items()]
 
     def test_rho_sweep_end_to_end(self, tmp_path):
         path = self.write(tmp_path, "\n".join([
