@@ -18,6 +18,7 @@ to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,9 +122,21 @@ def stream_value(seed: int, index: int) -> int:
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 output function of each value, computed in place in ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+@lru_cache(maxsize=64)
+def _golden_row(start: int, count: int) -> np.ndarray:
+    """``(start+1 .. start+count) * GOLDEN`` modulo ``2**64``, read-only."""
+    row = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _U_GOLDEN
+    row.flags.writeable = False
+    return row
 
 
 def stream_block(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -132,8 +145,7 @@ def stream_block(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     Returns a ``(len(seeds), count)`` uint64 array.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return _mix(seeds[:, None] + idx[None, :] * _U_GOLDEN)
+    return _mix(seeds[:, None] + _golden_row(start, count))
 
 
 def derive_permutation(seed, vocab_size: int) -> np.ndarray:
@@ -164,8 +176,9 @@ def rank_below(keys: np.ndarray, g: int) -> np.ndarray:
         return np.full((n, v), g > 0)
     threshold = np.partition(keys, g - 1, axis=1)[:, g - 1 : g]
     mask = keys <= threshold
-    tied = np.flatnonzero(mask.sum(axis=1) > g)
-    if len(tied):
+    # each row has at least g keys at or below its threshold; more is a tie
+    if np.count_nonzero(mask) > n * g:
+        tied = np.flatnonzero(mask.sum(axis=1) > g)
         below = keys[tied] < threshold[tied]
         at = keys[tied] == threshold[tied]
         room = g - below.sum(axis=1, keepdims=True)

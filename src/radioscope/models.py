@@ -73,15 +73,19 @@ How a state finds its watermark row depends on the vocabulary.  When a
 row id and a window seed for every state code fit ``_RESERVE_BYTES``
 (V up to 2,047 at depth 2, 160 at depth 3), the store is dense: it makes
 those two tables when it is made, so a step's rows are one gather, and
-a build gathers its seeds.  Above those vocabularies, rows are found
-through a dict, and each build sums its seeds.  Either way a build finds
-its states' contexts through the model's table.
+a build gathers its seeds.  A step finds its new states by one
+``flatnonzero`` and deduplicates them in the row-id table: each
+occurrence writes a placeholder below -1, and those that survive build
+the rows.  Above those vocabularies, rows are found through a dict, and
+each build sums its seeds.  Either way a build finds its states'
+contexts through the model's table.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
 draws its prompt, then its uniforms, in document order, so one document's
 draws never depend on another's path, and one walk advances all
-documents one position per step.
+documents one position per step.  A state never loses its window, so
+once all have one the walk stops splitting states into two groups.
 """
 
 from __future__ import annotations
@@ -450,6 +454,7 @@ class NucleusRows:
         # row that stores s probabilities lies before its last stored one
         back = np.concatenate([np.arange(v - 1, 0, -1), np.zeros(v, np.intp)])
         self._back = np.lib.stride_tricks.sliding_window_view(back, v)
+        self._columns = np.arange(v)
         self.n = self.size = self.qsize = 0  # rows built, ids and probabilities written
         self.q, self.idx = np.zeros(0), np.zeros(0, np.min_scalar_type(v - 1))
         reserve = max(v, _RESERVE_BYTES // (self.q.itemsize + self.idx.itemsize))
@@ -497,8 +502,8 @@ class NucleusRows:
             q, order, keep, stored = self._build(model, part)
             end, qend = self.size + int(keep.sum()), self.qsize + int(stored.sum())
             self._fit(qend + min(_HEAD, v), end + v)
-            self.q[self.qsize : qend] = q[np.arange(v) < stored[:, None]]
-            self.idx[self.size : end] = order[np.arange(v) < keep[:, None]]
+            self.q[self.qsize : qend] = q[self._columns < stored[:, None]]
+            self.idx[self.size : end] = order[self._columns < keep[:, None]]
             self.istart[part] = self.size + np.cumsum(keep) - keep
             self.qstart[part] = self.qsize + np.cumsum(stored) - stored
             self.keep[part], self.stored[part] = keep, stored
@@ -539,7 +544,7 @@ class NucleusRows:
         the token ids, which past them are other rows', and the kept counts."""
         keep = self.keep[ids]
         q = self._q_wide(ids)
-        q *= np.arange(self.vocab_size) < keep[:, None]  # finite, so exactly 0 past keep
+        q *= self._columns < keep[:, None]  # finite, so exactly 0 past keep
         return q, self._idx_rows[self.istart[ids]], keep
 
     @property
@@ -631,11 +636,15 @@ class _WatermarkRows:
         if not self.dense:
             return self._dict_rows(codes)
         rows = self._row_of[codes]
-        missing = rows < 0
-        if missing.any():
-            new = np.unique(codes[missing])
+        missing = np.flatnonzero(rows < 0)
+        if len(missing):
+            # a placeholder below -1 per occurrence; one survives per code
+            reached = codes[missing]
+            mark = np.arange(-2, -2 - len(reached), -1)
+            self._row_of[reached] = mark
+            new = reached[self._row_of[reached] == mark]
             self._row_of[new] = np.arange(self._extend(new), self.n)
-            rows = self._row_of[codes]
+            rows[missing] = self._row_of[reached]
         return rows
 
     def _dict_rows(self, codes: np.ndarray) -> np.ndarray:
@@ -694,7 +703,7 @@ class _WatermarkRows:
         seeds = self._seed_of[codes] if self.dense else self._seeds(codes)
         q, idx, keep = nucleus.kept(base)
         with np.errstate(divide="ignore"):
-            log_q = np.log(q)
+            log_q = np.log(q, out=q)
         if wm.scheme == AK:
             p = np.exp(log_q - np.maximum.reduce(log_q, axis=1, keepdims=True))
             p /= _kept_sums(p, keep)[:, None]
@@ -770,19 +779,25 @@ class TextSampler:
         marked = (None if self.wm is None
                   else _WatermarkRows(model, nucleus, self.wm, len(codes) * steps))
         out = np.empty((len(codes), steps), nucleus.idx.dtype)
+        whole = False  # every state has its window
         for t in range(steps):
             u = uniforms[:, t]
             if marked is None:
                 out[:, t] = nucleus.sample(nucleus.ready(model, model._context_ids(codes)), u)
             else:
-                windowed = codes >= self._windowed
-                plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
-                if len(plain):
+                if not whole:
+                    windowed = codes >= self._windowed
+                    whole = bool(windowed.all())
+                if whole:
+                    out[:, t] = marked.sample(marked.rows(codes), u)
+                else:
+                    plain, wide = np.flatnonzero(~windowed), np.flatnonzero(windowed)
                     ids = nucleus.ready(model, model._context_ids(codes[plain]))
                     out[plain, t] = nucleus.sample(ids, u[plain])
-                if len(wide):
                     out[wide, t] = marked.sample(marked.rows(codes[wide]), u[wide])
-            codes = codes % self._tail * radix + out[:, t].astype(dtype) + 1
+            codes %= self._tail
+            codes *= radix
+            codes += out[:, t].astype(dtype) + 1
         return out
 
 

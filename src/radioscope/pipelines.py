@@ -345,6 +345,15 @@ def _at_least(floor, why=""):
     return lambda v, spec: v >= floor or f"be >= {floor}{why}"
 
 
+def _order(v, spec):
+    if v < 1:
+        return "be >= 1"
+    # NGramModel codes a (context, token) pair in one int64
+    bits = (spec["vocab_size"] - 1).bit_length()
+    return (v + 1) * bits <= 63 or (
+        f"keep (order + 1) * bits(vocab_size - 1) <= 63 at vocab_size = {spec['vocab_size']}")
+
+
 def _detect_len(v, spec):
     if OPEN in spec["modes"]:
         return v >= PROMPT_TOKENS or f"be >= {PROMPT_TOKENS}{_PROMPTED}"
@@ -382,9 +391,9 @@ _SCENARIO_KEYS = {
     "message": (None, str, lambda v, spec: spec["scheme"] != MPAC or bool(v) and len(v) % 2 == 0
                 and set(v) <= {"0", "1"} or "be an even number of bits for mpac"),
     "vocab_size": (128, int, _at_least(1)),
-    "teacher_order": (2, int, _at_least(1)),
+    "teacher_order": (2, int, _order),
     "teacher_seed": (7, int, _at_least(0)),
-    "student_order": (3, int, _at_least(1)),
+    "student_order": (3, int, _order),
     "smoothing_lambda": (0.01, float, _at_least(0)),
     "n_docs": (200, int, _at_least(1)),
     "doc_len": (200, int, _at_least(PROMPT_TOKENS, _PROMPTED)),

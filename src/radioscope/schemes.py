@@ -168,7 +168,9 @@ def bias_logits(seeds: np.ndarray, logits: np.ndarray, ids: np.ndarray,
         raised = mpac_partitions(seeds, cfg.vocab_size) == digits[:, None]
     else:
         raise ConfigError(f"scheme {cfg.scheme!r} biases no logits")
-    return logits + cfg.delta * raised[np.arange(len(ids))[:, None], ids]
+    # one flat gather: row i's flags start at i * V
+    rows = np.arange(0, raised.size, raised.shape[1])[:, None]
+    return logits + cfg.delta * raised.reshape(-1).take(ids + rows)
 
 
 def aaronson_pick(seeds: np.ndarray, p: np.ndarray, ids: np.ndarray) -> np.ndarray:

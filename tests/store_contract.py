@@ -234,3 +234,25 @@ def count_builds(monkeypatch) -> tuple[list, dict]:
     monkeypatch.setattr(models.NucleusRows, "__init__", counted_init)
     monkeypatch.setattr(models.NucleusRows, "_build", counted_build)
     return made, built
+
+
+def count_watermark_builds(monkeypatch) -> dict:
+    """Record each batch of state codes a watermark store builds, by store."""
+    built = {}
+    build = models._WatermarkRows._build
+
+    def counted_build(marked, codes):
+        built.setdefault(marked, []).append(codes.copy())
+        return build(marked, codes)
+
+    monkeypatch.setattr(models._WatermarkRows, "_build", counted_build)
+    return built
+
+
+def assert_row_index(marked) -> None:
+    """A dense watermark store maps each state code to no row (-1) or to
+    a row built, and each row built to one code."""
+    assert is_dense(marked)
+    row_of = marked._row_of
+    assert ((row_of == -1) | ((row_of >= 0) & (row_of < marked.n))).all()
+    assert np.array_equal(np.sort(row_of[row_of >= 0]), np.arange(marked.n))

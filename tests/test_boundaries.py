@@ -406,6 +406,7 @@ def test_scenario_refuses_documents_shorter_than_their_prompt(tmp_path, lines):
 
 
 NO_MPAC = "be kgw or ak (mpac has no radioactivity test: d_sweep only)"
+WIDE_CODES = "keep (order + 1) * bits(vocab_size - 1) <= 63"
 
 
 @pytest.mark.parametrize("lines,error", [
@@ -444,13 +445,21 @@ NO_MPAC = "be kgw or ak (mpac has no radioactivity test: d_sweep only)"
      "message must be an even number of bits for mpac, got 012"),
     (["scenario = purification", "modes = closed", "detect_len = -1"],
      "detect_len must be >= 0, got -1"),
+    # (order + 1) * bits(V - 1) > 63: train_ngram refused it after the teacher was built
+    (["scenario = rho_sweep", "teacher_order = 9"],
+     f"teacher_order must {WIDE_CODES} at vocab_size = 128, got 9"),
+    (["scenario = rho_sweep", "student_order = 9"],
+     f"student_order must {WIDE_CODES} at vocab_size = 128, got 9"),
+    (["scenario = rho_sweep", "vocab_size = 2", "student_order = 63"],
+     f"student_order must {WIDE_CODES} at vocab_size = 2, got 63"),
 ], ids=["no_modes", "no_rho", "no_repetition", "rho", "rho_value", "d_values",
         "d_sweep_rho_value", "k_values", "no_docs", "rho_sweep_no_detect_docs",
         "k_sweep_detect_docs", "purification_no_detect_docs",
         "d_sweep_no_watermarked_document", "unknown_scheme", "mpac_detecting",
         "kgw_gamma", "kgw_delta", "k", "vocab_size", "teacher_order", "student_order",
         "teacher_seed", "smoothing_lambda", "nucleus_p", "sampling_temperature", "budget",
-        "mpac_message", "closed_detect_len"])
+        "mpac_message", "closed_detect_len", "wide_teacher_order", "wide_student_order",
+        "wide_order_at_vocab_2"])
 def test_scenario_refuses_values_out_of_range(tmp_path, lines, error):
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
@@ -472,7 +481,9 @@ def test_scenario_refuses_mpac_without_a_message(tmp_path):
     ["scenario = d_sweep", "scheme = mpac", "message = 0110"],
     ["scenario = rho_sweep", "scheme = ak", "temperature = 0", "gamma = 1.5", "delta = -1"],
     ["scenario = d_sweep", "modes = closed", "detect_len = -1"],
-], ids=["negative_seed", "mpac_d_sweep", "ak_ignores_kgw_knobs", "d_sweep_detect_len"])
+    ["scenario = rho_sweep", "teacher_order = 8", "student_order = 8"],  # 63 bits at V = 128
+], ids=["negative_seed", "mpac_d_sweep", "ak_ignores_kgw_knobs", "d_sweep_detect_len",
+        "widest_orders"])
 def test_scenario_accepts_values_that_run(tmp_path, lines):
     """Values a run never reads, or reads without failing, stay accepted."""
     path = tmp_path / "ok.scn"

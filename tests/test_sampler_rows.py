@@ -2,7 +2,9 @@
 
 import gc
 import itertools
+import warnings
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -409,6 +411,68 @@ def test_watermark_draws_at_the_head_boundary_equal_full_row_draws(teacher64, sc
         if j in edges:  # the draws hit the boundary itself
             hit = y == x
             assert hit.mean() > 0.9 and all(hit[kind].any() for kind in kinds)
+
+
+@pytest.mark.parametrize("scheme", ["kgw", "ak", "mpac"])
+def test_states_windowed_on_different_steps_equal_the_loop(teacher64, scheme):
+    """Prompts of 0 to 5 tokens give their states a full k = 3 window on
+    steps 3 to 0, so the walk splits states into plain and windowed until
+    the last has its window, then reads watermark rows alone; each
+    document equals the loop's, fed the same uniforms."""
+    steps = 30
+    wm = _wm(scheme, 64, 3, 0xFACE)
+    sampling = SamplingConfig(seed=5)
+    rng = np.random.default_rng(5)
+    prompts = [rng.integers(64, size=n).tolist() for n in [0, 1, 2, 3, 4, 5] * 4]
+    uniforms = rng.random((len(prompts), steps))
+    got = TextSampler(teacher64, sampling, wm).generate(prompts, steps, uniforms)
+    loop = LoopTextSampler(teacher64, sampling, wm)
+    for prompt, doc, u in zip(prompts, got.tolist(), uniforms):
+        assert doc == loop.generate(prompt, steps, SimpleNamespace(random=iter(u).__next__))
+
+
+def test_a_state_reached_by_many_documents_is_built_once(teacher64, monkeypatch):
+    """A step that first reaches one state from many documents builds its
+    row once, and leaves every state code of the dense store mapped to no
+    row or to a row built: no placeholder of the step is left behind."""
+    built = contract.count_watermark_builds(monkeypatch)
+    wm = _wm("kgw", 64, 2, 0xD0C)
+    marked = _WatermarkRows(teacher64, NucleusRows(teacher64, 0.8, 0.95), wm, 1000)
+    codes = _codes([(1, 2)] * 20 + [(3, 4), (1, 2), (5, 6), (3, 4)], 64)
+    rows = contract.fill(marked, codes)
+    assert sorted(built[marked][0].tolist()) == sorted(set(codes.tolist()))
+    assert np.array_equal(rows[:, None] == rows, codes[:, None] == codes)
+    contract.assert_row_index(marked)
+    # one step of many documents from two prompts reaches two states
+    prompts = [[7, 8, 9]] * 40 + [[10, 11, 12]] * 10
+    uniforms = np.random.default_rng(3).random((len(prompts), 20))
+    TextSampler(teacher64, SamplingConfig(seed=3), wm).generate(prompts, 20, uniforms)
+    ((walked, batches),) = [(m, b) for m, b in built.items() if m is not marked]
+    assert len(batches[0]) == 2
+    every = np.concatenate(batches)
+    assert len(np.unique(every)) == len(every) == walked.n
+    contract.assert_row_index(walked)
+
+
+@pytest.mark.parametrize("scheme", ["kgw", "ak", "mpac"])
+def test_no_warning_escapes_rows_that_keep_zeros(scheme):
+    """A model with lambda = 0 keeps zero probabilities when nucleus p is 1,
+    whose log each build takes under its own np.errstate: no warning
+    escapes a watermarked corpus, a completion or a direct row build."""
+    v = 16
+    corpus = np.random.default_rng(1).integers(0, v, size=(6, 40)).tolist()
+    model = train_ngram(corpus, 2, 0.0, v)
+    sampling = SamplingConfig(seed=2, nucleus_p=1.0, max_tokens=20)
+    wm = _wm(scheme, v, 2, 0xABC)
+    nucleus = NucleusRows(model, sampling.temperature, sampling.nucleus_p)
+    marked = _WatermarkRows(model, nucleus, wm, v * v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_corpus(model, 10, 30, sampling, wm)
+        _complete(model, [[1, 2, 3], [4]], sampling, None)
+        rows = marked.rows(_codes(itertools.product(range(v), repeat=2), v))
+    q, _, keep = contract.padded(nucleus, contract.watermark_row(marked, rows)["base"])
+    assert ((q == 0) & (np.arange(v) < keep[:, None])).any()  # kept zeros
 
 
 def test_a_half_built_store_builds_every_row_once(teacher64, monkeypatch):
