@@ -32,8 +32,9 @@ from .models import (
     save_model,
     train_ngram,
 )
+from .pipelines import _SCENARIO_KEYS
 from .remote import RemoteError, RemoteModel
-from .schemes import AK, WatermarkConfig
+from .schemes import AK, KGW, MPAC, WatermarkConfig
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -48,33 +49,57 @@ EXIT_INCONCLUSIVE = 2
 
 
 # ---------------------------------------------------------------------------
-# config file and key plumbing
+# settings, config file and key plumbing
 
-def _load_config(path: str | None) -> dict:
-    """Plain key=value config; flag values take precedence over these."""
-    if not path:
-        return {}
-    return {key.replace("-", "_"): value
-            for _, key, value in pipelines.read_key_values(path)}
+#: Every setting a command reads -> (default, reader).  Those shared with
+#: scenario files take both from their ``_SCENARIO_KEYS`` entry; ``temp`` is
+#: the scenario's ``temperature`` and ``order`` its ``student_order``.
+_SETTINGS = {
+    name: _SCENARIO_KEYS[{"temp": "temperature", "order": "student_order"}.get(name, name)][:2]
+    for name in ("scheme", "k", "gamma", "delta", "temp", "message", "vocab_size",
+                 "teacher_seed", "teacher_order", "order", "smoothing_lambda", "seed",
+                 "nucleus_p", "sampling_temperature", "doc_len", "budget")
+} | {"max_tokens": (SamplingConfig.max_tokens, int), "docs": (100, int), "reps": (1, int)}
+
+# argparse keywords of a setting's flag besides its reader
+_FLAG_KEYWORDS = {"scheme": {"choices": [KGW, AK, MPAC]},
+                  "reps": {"help": "split the corpus into this many disjoint runs"}}
 
 
-def _resolve(args: argparse.Namespace, config: dict, name: str, cast, default):
-    """Flag > config file > default."""
+def _load_config(path: str | None) -> tuple[dict, str]:
+    """Plain key=value config; flag values take precedence over these.  Each
+    value is read by its setting's reader as the file is read, and a key no
+    command reads is refused.  Returns the values and the SHA-256 of the
+    strings as read, which manifests record."""
+    config, raw = {}, {}
+    for lineno, key, value in pipelines.read_key_values(path) if path else ():
+        name = key.replace("-", "_")
+        if name == "key":
+            config[name] = value
+        elif name not in _SETTINGS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        else:
+            try:
+                config[name] = _SETTINGS[name][1](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {name}: {exc}") from None
+        raw[name] = value
+    return config, hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+
+
+def _resolve(args: argparse.Namespace, config: dict, name: str):
+    """Flag > config file > the setting's default."""
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
-    if name in config:
-        return cast(config[name])
-    return default
+    return config.get(name, _SETTINGS[name][0])
 
 
 def _resolve_key(args: argparse.Namespace, config: dict) -> SecretKey:
-    raw = getattr(args, "key", None) or config.get("key") or os.environ.get(
-        "RADIOSCOPE_KEY")
+    raw = getattr(args, "key", None) or config.get("key") or os.environ.get("RADIOSCOPE_KEY")
     if raw is None:
-        raise ConfigError(
-            "no secret key: pass --key, set it in --config, or export "
-            "RADIOSCOPE_KEY")
+        raise ConfigError("no secret key: pass --key, set it in --config, or export "
+                          "RADIOSCOPE_KEY")
     return SecretKey(int(str(raw), 0))
 
 
@@ -86,13 +111,10 @@ def _hash_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, argv: list[str], config: dict,
-                    corpus_paths: list, key: SecretKey | None) -> None:
-    safe_argv = _redact_key(argv)
+def _write_manifest(out_dir: Path, manifest: dict, corpus_paths: list,
+                    key: SecretKey | None) -> None:
     manifest = {
-        "command": safe_argv,
-        "config_hash": hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        **manifest,
         "corpus_hashes": {str(p): _hash_file(p) for p in corpus_paths},
         "key_fingerprint": key.fingerprint() if key is not None else None,
         "version": __version__,
@@ -104,25 +126,17 @@ def _write_manifest(out_dir: Path, argv: list[str], config: dict,
 
 
 def _redact_key(argv: list[str]) -> list[str]:
-    out = []
-    skip = False
+    out, value = [], False  # whether arg is the value of a bare --key
     for arg in argv:
-        if skip:
-            out.append("<redacted>")
-            skip = False
-        elif arg == "--key":
-            out.append(arg)
-            skip = True
-        elif arg.startswith("--key="):
-            out.append("--key=<redacted>")
-        else:
-            out.append(arg)
+        out.append("<redacted>" if value else
+                   "--key=<redacted>" if arg.startswith("--key=") else arg)
+        value = not value and arg == "--key"
     return out
 
 
 def _wm_config(args, config, key: SecretKey, vocab_size: int) -> WatermarkConfig:
-    scheme = _resolve(args, config, "scheme", str, "kgw")
-    delta = _resolve(args, config, "delta", float, 3.0)
+    scheme = _resolve(args, config, "scheme")
+    delta = _resolve(args, config, "delta")
     if scheme == AK and getattr(args, "delta", None) is not None:
         raise ConfigError("--delta does not apply to the ak scheme "
                           "(use --temp to control strength)")
@@ -130,83 +144,83 @@ def _wm_config(args, config, key: SecretKey, vocab_size: int) -> WatermarkConfig
         scheme=scheme,
         key=key,
         vocab_size=vocab_size,
-        k=_resolve(args, config, "k", int, 2),
-        gamma=_resolve(args, config, "gamma", float, 0.25),
+        k=_resolve(args, config, "k"),
+        gamma=_resolve(args, config, "gamma"),
         delta=delta,
-        temperature=_resolve(args, config, "temp", float, None),
-        message=_resolve(args, config, "message", str, None),
+        temperature=_resolve(args, config, "temp"),
+        message=_resolve(args, config, "message"),
     )
 
 
 def _sampling(args, config) -> SamplingConfig:
     return SamplingConfig(
-        temperature=_resolve(args, config, "sampling_temperature", float, 0.8),
-        nucleus_p=_resolve(args, config, "nucleus_p", float, 0.95),
-        max_tokens=_resolve(args, config, "max_tokens", int, 256),
-        seed=_resolve(args, config, "seed", int, 0),
+        temperature=_resolve(args, config, "sampling_temperature"),
+        nucleus_p=_resolve(args, config, "nucleus_p"),
+        max_tokens=_resolve(args, config, "max_tokens"),
+        seed=_resolve(args, config, "seed"),
     )
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_generate(args, config, argv) -> int:
+def cmd_generate(args, config, manifest) -> int:
     key = None
     wm = None
-    vocab = _resolve(args, config, "vocab_size", int, 128)
+    vocab = _resolve(args, config, "vocab_size")
     if not args.no_watermark:
         key = _resolve_key(args, config)
         wm = _wm_config(args, config, key, vocab)
     sampling = _sampling(args, config)
-    n_docs = _resolve(args, config, "docs", int, 100)
-    doc_len = _resolve(args, config, "doc_len", int, 200)
+    n_docs = _resolve(args, config, "docs")
+    doc_len = _resolve(args, config, "doc_len")
     if n_docs < 0:  # zero documents make an empty corpus
         raise ConfigError(f"--docs must be >= 0, got {n_docs}")
     if doc_len < PROMPT_TOKENS:  # generate_corpus starts each document with a prompt
         raise ConfigError(f"--doc-len must be >= {PROMPT_TOKENS}, the prompt length, "
                           f"got {doc_len}")
     teacher = make_teacher(vocab_size=vocab,
-                           seed=_resolve(args, config, "teacher_seed", int, 7),
-                           order=_resolve(args, config, "teacher_order", int, 2))
+                           seed=_resolve(args, config, "teacher_seed"),
+                           order=_resolve(args, config, "teacher_order"))
     docs = generate_corpus(teacher, n_docs, doc_len, sampling, wm=wm)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(docs, out)
-    _write_manifest(out.parent, argv, config, [out], key)
+    _write_manifest(out.parent, manifest, [out], key)
     print(f"wrote {len(docs)} documents to {out}")
     return EXIT_OK
 
 
-def cmd_train(args, config, argv) -> int:
+def cmd_train(args, config, manifest) -> int:
     corpus = load_corpus(args.corpus)
-    order = _resolve(args, config, "order", int, 3)
-    k = _resolve(args, config, "k", int, 2)
+    order = _resolve(args, config, "order")
+    k = _resolve(args, config, "k")
     if order < k + 1:
         warnings.warn(
             f"student order {order} < k+1 = {k + 1}: the model cannot "
             "memorize full watermark windows", stacklevel=2)
     model = train_ngram([doc["tokens"] for doc in corpus], order,
-                        _resolve(args, config, "smoothing_lambda", float, 0.01),
-                        _resolve(args, config, "vocab_size", int, 128))
+                        _resolve(args, config, "smoothing_lambda"),
+                        _resolve(args, config, "vocab_size"))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
-    _write_manifest(out.parent, argv, config, [Path(args.corpus), out], None)
+    _write_manifest(out.parent, manifest, [Path(args.corpus), out], None)
     print(f"trained order-{order} model on {len(corpus)} documents -> {out}")
     return EXIT_OK
 
 
-def cmd_detect(args, config, argv) -> int:
+def cmd_detect(args, config, manifest) -> int:
     if args.filter and args.mode == OPEN:
         raise ConfigError("--filter applies to closed mode only")
     if args.threads is not None and not args.endpoint:
         raise ConfigError("--threads sets the requests in flight to --endpoint; "
                           "it needs --endpoint")
     key = _resolve_key(args, config)
-    vocab = _resolve(args, config, "vocab_size", int, 128)
+    vocab = _resolve(args, config, "vocab_size")
     wm = _wm_config(args, config, key, vocab)
-    budget = _resolve(args, config, "budget", int, 1_000_000)
-    reps = _resolve(args, config, "reps", int, 1)
+    budget = _resolve(args, config, "budget")
+    reps = _resolve(args, config, "reps")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     docs = load_corpus(args.corpus)
@@ -242,7 +256,7 @@ def cmd_detect(args, config, argv) -> int:
         print("WARNING: de-duplication disabled; the reported p-values are "
               "statistically INVALID", file=sys.stderr)
     _write_report(out_dir, key, reports)
-    _write_manifest(out_dir, argv, config, [Path(args.corpus)], key)
+    _write_manifest(out_dir, manifest, [Path(args.corpus)], key)
     for report in reports:
         print(f"{report.mode} n_scored={report.n_scored} "
               f"score={report.score:.3f} log10_p={report.log10_p:.3f}")
@@ -264,14 +278,14 @@ def _write_report(out_dir: Path, key: SecretKey, reports: list) -> None:
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_scenario(args, config, argv) -> int:
+def cmd_scenario(args, config, manifest) -> int:
     out = pipelines.run_scenario(args.spec, args.out)
-    _write_manifest(out, argv, config, [Path(args.spec)], None)
+    _write_manifest(out, manifest, [Path(args.spec)], None)
     print(f"scenario artifacts in {out}")
     return EXIT_OK
 
 
-def cmd_mia(args, config, argv) -> int:
+def cmd_mia(args, config, manifest) -> int:
     suspect = load_model(args.model)
     candidate = load_corpus(args.candidate)
     fresh = load_corpus(args.fresh)
@@ -280,22 +294,21 @@ def cmd_mia(args, config, argv) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, argv, config,
-                    [Path(args.candidate), Path(args.fresh)], None)
+    _write_manifest(out_dir, manifest, [Path(args.candidate), Path(args.fresh)], None)
     print(f"mia d={d:.4f} p={p:.6g} "
           f"(skipped {report['skipped']} documents without text)")
     return EXIT_OK
 
 
-def cmd_filter(args, config, argv) -> int:
+def cmd_filter(args, config, manifest) -> int:
     corpus = load_corpus(args.corpus)
-    k = _resolve(args, config, "k", int, 2)
+    k = _resolve(args, config, "k")
     phi = build_filter([doc["tokens"] for doc in corpus], k,
                        source=str(args.corpus))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_filter(phi, out)
-    _write_manifest(out.parent, argv, config, [Path(args.corpus), out], None)
+    _write_manifest(out.parent, manifest, [Path(args.corpus), out], None)
     print(f"filter with {len(phi)} {k}-grams -> {out}")
     return EXIT_OK
 
@@ -322,19 +335,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file; flags win")
         p.add_argument("--key", help="secret watermark key (int, 0x hex ok)")
 
+    def flags(p, *names):
+        """A flag per named setting, read by the setting's reader."""
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), type=_SETTINGS[name][1],
+                           **_FLAG_KEYWORDS.get(name, {}))
+
     p = sub.add_parser("generate", help="sample a corpus from the teacher")
     common(p)
-    p.add_argument("--scheme", choices=["kgw", "ak", "mpac"], default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--temp", type=float, default=None)
-    p.add_argument("--message", default=None)
-    p.add_argument("--nucleus-p", type=float, default=None, dest="nucleus_p")
-    p.add_argument("--docs", type=int, default=None)
-    p.add_argument("--doc-len", type=int, default=None, dest="doc_len")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--vocab-size", type=int, default=None, dest="vocab_size")
+    flags(p, "scheme", "k", "gamma", "delta", "temp", "message", "nucleus_p", "docs",
+          "doc_len", "seed", "vocab_size")
     p.add_argument("--no-watermark", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -342,11 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an n-gram student on a corpus")
     common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--smoothing-lambda", type=float, default=None,
-                   dest="smoothing_lambda")
-    p.add_argument("--vocab-size", type=int, default=None, dest="vocab_size")
+    flags(p, "order", "k", "smoothing_lambda", "vocab_size")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -361,16 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True,
                    help="watermarked documents (open) or prompt sources (closed)")
     p.add_argument("--filter", help="k-gram filter file (closed mode)")
-    p.add_argument("--scheme", choices=["kgw", "ak", "mpac"], default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--temp", type=float, default=None)
-    p.add_argument("--vocab-size", type=int, default=None, dest="vocab_size")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None,
-                   help="split the corpus into this many disjoint runs")
-    p.add_argument("--seed", type=int, default=None)
+    flags(p, "scheme", "k", "gamma", "delta", "temp", "vocab_size", "budget", "reps",
+          "seed")
     p.add_argument("--no-dedup", action="store_true",
                    help="score every tuple (INVALID p-values; demo only)")
     p.add_argument("--out", required=True)
@@ -393,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="build a k-gram filter from a corpus")
     common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--k", type=int, default=None)
+    flags(p, "k")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_filter)
 
@@ -408,8 +406,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: detect needs --model or --endpoint", file=sys.stderr)
         return EXIT_ERROR
     try:
-        config = _load_config(getattr(args, "config", None))
-        return args.func(args, config, argv)
+        config, config_hash = _load_config(args.config)
+        return args.func(args, config, {"command": _redact_key(argv),
+                                        "config_hash": config_hash})
     except (ConfigError, ValueError, OSError, RemoteError,
             pipelines.DetectionInterrupted) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -117,15 +117,6 @@ def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, head
 
 
-def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each distinct row of a 2-d integer array, in sorted
-    row order, and each row's label: the place of its row in that order."""
-    order, head = _runs(_row_ids(a.T))
-    label = np.empty(len(a), np.intp)
-    label[order] = np.cumsum(head) - 1
-    return order[head], label
-
-
 @dataclass
 class FilterSet:
     """k-gram fingerprints restricting closed-model scoring: ``kgrams`` holds
@@ -136,10 +127,8 @@ class FilterSet:
     source: str = ""
 
     def hits(self, windows: np.ndarray) -> np.ndarray:
-        """Whether each row of an ``(n, k)`` window array is in the filter;
-        each distinct window is hashed once."""
-        first, label = _unique_rows(windows)
-        return np.isin(window_hashes(windows[first], FILTER_KEY), self.kgrams)[label]
+        """Whether each row of an ``(n, k)`` window array is in the filter."""
+        return np.isin(window_hashes(windows, FILTER_KEY), self.kgrams)
 
     def __contains__(self, window) -> bool:
         return bool(self.hits(np.asarray([window], dtype=np.int64))[0])

@@ -387,7 +387,7 @@ _SCENARIO_KEYS = {
               or "lie in (0, 1) for kgw"),
     "delta": (3.0, float, lambda v, spec: spec["scheme"] == AK or v >= 0
               or "be >= 0 for kgw and mpac"),
-    "temperature": (None, float, lambda v, spec: True),  # AK's, applied to the logits
+    "temperature": (None, float, lambda v, spec: v is None or v > 0 or "be > 0"),  # AK's
     "message": (None, str, lambda v, spec: spec["scheme"] != MPAC or bool(v) and len(v) % 2 == 0
                 and set(v) <= {"0", "1"} or "be an even number of bits for mpac"),
     "vocab_size": (128, int, _at_least(1)),

@@ -72,6 +72,8 @@ class WatermarkConfig:
             raise ConfigError("window size k must be >= 1")
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be >= 1")
+        if self.temperature is not None and self.temperature <= 0:
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.scheme in (KGW, MPAC):
             if self.delta < 0:
                 raise ConfigError("delta must be >= 0")

@@ -452,6 +452,11 @@ WIDE_CODES = "keep (order + 1) * bits(vocab_size - 1) <= 63"
      f"student_order must {WIDE_CODES} at vocab_size = 128, got 9"),
     (["scenario = rho_sweep", "vocab_size = 2", "student_order = 63"],
      f"student_order must {WIDE_CODES} at vocab_size = 2, got 63"),
+    # AK divided its logits by the temperature: every token after the prompt was 0
+    (["scenario = rho_sweep", "scheme = ak", "temperature = 0"],
+     "temperature must be > 0, got 0.0"),
+    (["scenario = rho_sweep", "scheme = ak", "temperature = -1"],
+     "temperature must be > 0, got -1.0"),
 ], ids=["no_modes", "no_rho", "no_repetition", "rho", "rho_value", "d_values",
         "d_sweep_rho_value", "k_values", "no_docs", "rho_sweep_no_detect_docs",
         "k_sweep_detect_docs", "purification_no_detect_docs",
@@ -459,7 +464,7 @@ WIDE_CODES = "keep (order + 1) * bits(vocab_size - 1) <= 63"
         "kgw_gamma", "kgw_delta", "k", "vocab_size", "teacher_order", "student_order",
         "teacher_seed", "smoothing_lambda", "nucleus_p", "sampling_temperature", "budget",
         "mpac_message", "closed_detect_len", "wide_teacher_order", "wide_student_order",
-        "wide_order_at_vocab_2"])
+        "wide_order_at_vocab_2", "ak_zero_temperature", "ak_negative_temperature"])
 def test_scenario_refuses_values_out_of_range(tmp_path, lines, error):
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
@@ -479,7 +484,7 @@ def test_scenario_refuses_mpac_without_a_message(tmp_path):
 @pytest.mark.parametrize("lines", [
     ["scenario = rho_sweep", "seed = -1"],
     ["scenario = d_sweep", "scheme = mpac", "message = 0110"],
-    ["scenario = rho_sweep", "scheme = ak", "temperature = 0", "gamma = 1.5", "delta = -1"],
+    ["scenario = rho_sweep", "scheme = ak", "temperature = 0.5", "gamma = 1.5", "delta = -1"],
     ["scenario = d_sweep", "modes = closed", "detect_len = -1"],
     ["scenario = rho_sweep", "teacher_order = 8", "student_order = 8"],  # 63 bits at V = 128
 ], ids=["negative_seed", "mpac_d_sweep", "ak_ignores_kgw_knobs", "d_sweep_detect_len",

@@ -102,8 +102,9 @@ def test_weak_key_tuples_with_distinct_seeds_are_both_scored():
     assert loop_detect_closed([[0]], [[1, 3, 2, 2]], cfg).n_scored == 2
 
 
-def test_filter_checked_once_per_distinct_window(monkeypatch):
-    """Seven candidate rows over three distinct windows hash three windows."""
+def test_filter_hashes_each_candidate_window(monkeypatch):
+    """Seven candidate rows over three distinct windows hash seven windows,
+    in row order: a repeated window is hashed again, not looked up."""
     cfg = WatermarkConfig("kgw", SecretKey(0xC0FFEE), 8, k=2)
     phi = build_filter([[1, 2, 3]], 2)  # holds (1, 2) and (2, 3)
     calls = []
@@ -116,5 +117,5 @@ def test_filter_checked_once_per_distinct_window(monkeypatch):
 
     monkeypatch.setattr(dedup, "window_hashes", spy)
     report = detect_closed(None, [[1, 2]], cfg, phi=phi, completions=[[3, 1, 2, 3, 1, 2, 3]])
-    assert sorted(calls) == [(1, 2), (2, 3), (3, 1)]
+    assert calls == [(1, 2), (2, 3), (3, 1)] * 2 + [(1, 2)]
     assert report.filter_stats == (2, 5 / 7)

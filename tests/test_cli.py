@@ -46,6 +46,15 @@ class TestGenerate:
         assert code == EXIT_ERROR
         assert "--temp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("temp", ["0", "-1"])
+    def test_ak_temperature_must_be_positive(self, workdir, capsys, temp):
+        # AK divided its logits by it: every token after the prompt was 0
+        code = run("generate", "--key", KEY_HEX, "--scheme", "ak", "--temp", temp,
+                   "--docs", "3", "--doc-len", "20", "--vocab-size", "16",
+                   "--out", str(workdir / "x.jsonl"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: temperature must be > 0, got {float(temp)}\n"
+
     def test_no_watermark_needs_no_key(self, workdir):
         out = workdir / "clean.jsonl"
         assert run("generate", "--no-watermark", "--docs", "3",
@@ -196,6 +205,42 @@ class TestConfigFile:
                    "--out", str(workdir / "x.jsonl"))
         assert code == EXIT_ERROR
         assert ":1:" in capsys.readouterr().err
+
+    def config_run(self, workdir, text, *flags):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(text)
+        out = workdir / "cfg" / "c.jsonl"
+        return cfg, out, run("generate", "--config", str(cfg), "--key", KEY_HEX,
+                             "--docs", "2", "--doc-len", "20", "--vocab-size", "16",
+                             "--out", str(out), *flags)
+
+    def test_unknown_key_refused_at_its_line(self, workdir, capsys):
+        cfg, _, code = self.config_run(workdir, "seed = 1\ngama = 0.9\n")
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'gama'\n"
+
+    def test_unreadable_value_named_with_its_line_and_key(self, workdir, capsys):
+        cfg, _, code = self.config_run(workdir, "# seed\n\nseed = abc\n")
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: seed: invalid literal for int() with base 10: 'abc'\n")
+
+    def test_key_read_by_another_command_accepted(self, workdir):
+        """One file can serve every command: ``order`` and ``budget`` are
+        read by train and detect, and generate leaves them."""
+        _, out, code = self.config_run(workdir, "order = 2\nbudget = 50\nreps = 2\n")
+        assert code == EXIT_OK
+        assert len(load_corpus(out)) == 2
+
+    def test_config_hash_is_of_the_strings_as_read(self, workdir):
+        # the hash this config had before values were read at load time
+        _, out, code = self.config_run(
+            workdir, "key = 0xDEADBEEFCAFE\ndocs = 3\ndoc-len = 20  # dashed\n"
+            "vocab_size = 16\norder = 2\nbudget = 50\n")
+        assert code == EXIT_OK
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["config_hash"] == (
+            "294a2e48a47fa74270c82523363476e194aac2f399f8c8d36d774228fcd391e9")
 
 
 class TestScenarioAndMIA:

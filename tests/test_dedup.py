@@ -19,7 +19,7 @@ from radioscope import (
     load_filter,
     save_filter,
 )
-from radioscope.dedup import _row_ids, _unique_rows, candidate_table
+from radioscope.dedup import _row_ids, candidate_table
 from radioscope.hashing import window_hash
 from radioscope.pipelines import derive_run_key
 
@@ -228,16 +228,17 @@ class TestFilterSet:
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4), st.data())
-def test_unique_rows_equal_np_unique(k, data):
-    """First index and label of each distinct row, as ``np.unique`` on rows
-    gives them, for empty input and one column too."""
+def test_filter_hits_equal_window_set_membership(k, data):
+    """``FilterSet.hits`` is membership of each window's tuple among the
+    corpus's k-grams, for repeated windows and ids up to ``2**63 - 1``."""
     value = st.integers(0, 3) | st.integers(0, 2**63 - 1)
-    rows = data.draw(st.lists(st.lists(value, min_size=k, max_size=k), max_size=60))
-    a = np.array(rows, np.int64).reshape(-1, k)
-    first, label = _unique_rows(a)
-    _, want_first, want_label = np.unique(a, axis=0, return_index=True, return_inverse=True)
-    assert np.array_equal(first, want_first)
-    assert np.array_equal(label, want_label.ravel())
+    docs = data.draw(st.lists(st.lists(value, max_size=12), max_size=5))
+    grams = {tuple(doc[i : i + k]) for doc in docs for i in range(len(doc) - k + 1)}
+    pool = [*grams, *map(tuple, data.draw(st.lists(st.lists(value, min_size=k, max_size=k),
+                                                    max_size=6)))]
+    windows = data.draw(st.lists(st.sampled_from(pool), max_size=40)) if pool else []
+    hits = build_filter(docs, k).hits(np.array(windows, np.int64).reshape(-1, k))
+    assert hits.tolist() == [window in grams for window in windows]
 
 
 @settings(max_examples=200, deadline=None)

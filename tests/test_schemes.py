@@ -57,6 +57,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg(delta=-1.0)
 
+    @pytest.mark.parametrize("scheme", ["kgw", "ak", "mpac"])
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_temperature_must_be_positive(self, scheme, temperature):
+        with pytest.raises(ConfigError, match=f"temperature must be > 0, got {temperature}"):
+            cfg(scheme, message="01", temperature=temperature)
+
     def test_mpac_needs_message(self):
         with pytest.raises(ConfigError):
             cfg("mpac")
