@@ -20,9 +20,9 @@ from pathlib import Path
 
 from . import pipelines
 from .dedup import CLOSED, OPEN, build_filter, load_filter, save_filter
-from .hashing import ConfigError, SecretKey
+from .hashing import ConfigError, SecretKey, at_least, check_value
 from .models import (
-    PROMPT_TOKENS,
+    CORPUS_RULES,
     SamplingConfig,
     generate_corpus,
     load_corpus,
@@ -51,56 +51,95 @@ EXIT_INCONCLUSIVE = 2
 # ---------------------------------------------------------------------------
 # settings, config file and key plumbing
 
-#: Every setting a command reads -> (default, reader).  Those shared with
-#: scenario files take both from their ``_SCENARIO_KEYS`` entry; ``temp`` is
-#: the scenario's ``temperature`` and ``order`` its ``student_order``.
+#: Every setting a command reads -> (default, reader, rule or None).  Those
+#: shared with scenario files take all three from their ``_SCENARIO_KEYS``
+#: entry (``temp`` is the scenario's ``temperature``, ``order`` its
+#: ``student_order``), but for the scenario rules that read scenario-only
+#: keys: ``scheme`` takes the library's rule, and ``seed`` none.
 _SETTINGS = {
-    name: _SCENARIO_KEYS[{"temp": "temperature", "order": "student_order"}.get(name, name)][:2]
+    name: _SCENARIO_KEYS[{"temp": "temperature", "order": "student_order"}.get(name, name)]
     for name in ("scheme", "k", "gamma", "delta", "temp", "message", "vocab_size",
                  "teacher_seed", "teacher_order", "order", "smoothing_lambda", "seed",
                  "nucleus_p", "sampling_temperature", "doc_len", "budget")
-} | {"max_tokens": (SamplingConfig.max_tokens, int), "docs": (100, int), "reps": (1, int)}
+} | {
+    "scheme": (*_SCENARIO_KEYS["scheme"][:2], WatermarkConfig.rules["scheme"]),
+    "seed": (*_SCENARIO_KEYS["seed"][:2], None),
+    "max_tokens": (SamplingConfig.max_tokens, int, SamplingConfig.rules["max_tokens"]),
+    "docs": (100, int, CORPUS_RULES["n_docs"]),
+    "reps": (1, int, at_least(1)),
+}
 
 # argparse keywords of a setting's flag besides its reader
 _FLAG_KEYWORDS = {"scheme": {"choices": [KGW, AK, MPAC]},
                   "reps": {"help": "split the corpus into this many disjoint runs"}}
 
 
+def _read_key(text: str, source: str) -> SecretKey:
+    """A secret key as written, decimal or 0x hex; a refusal names its source, not the key."""
+    try:
+        return SecretKey(int(text, 0))
+    except ValueError:
+        raise ConfigError(f"{source}: must be an integer in [1, 2**64-2], decimal or 0x "
+                          "hex") from None
+
+
 def _load_config(path: str | None) -> tuple[dict, str]:
     """Plain key=value config; flag values take precedence over these.  Each
-    value is read by its setting's reader as the file is read, and a key no
-    command reads is refused.  Returns the values and the SHA-256 of the
-    strings as read, which manifests record."""
+    value is read by its setting's reader (the key by :func:`_read_key`) as
+    the file is read, and a key no command reads is refused.  Returns each
+    setting's value with the file and line that name it, and the SHA-256 of
+    the strings as read, which manifests record."""
     config, raw = {}, {}
     for lineno, key, value in pipelines.read_key_values(path) if path else ():
         name = key.replace("-", "_")
+        at = f"{path}:{lineno}: {name}"
         if name == "key":
-            config[name] = value
+            config[name] = _read_key(value, at), at
         elif name not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         else:
             try:
-                config[name] = _SETTINGS[name][1](value)
+                config[name] = _SETTINGS[name][1](value), at
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {name}: {exc}") from None
+                raise ValueError(f"{at}: {exc}") from None
         raw[name] = value
     return config, hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
 
 
+class _Resolved:
+    """The other settings a setting's rule reads, each resolved when read."""
+
+    def __init__(self, args: argparse.Namespace, config: dict):
+        self.args, self.config = args, config
+
+    def __getitem__(self, name: str):
+        return _resolve(self.args, self.config, name)
+
+
 def _resolve(args: argparse.Namespace, config: dict, name: str):
-    """Flag > config file > the setting's default."""
+    """Flag > config file > the setting's default, checked by the setting's
+    rule.  A refusal names the flag, or the file and line, that gave the value."""
+    default, _, rule = _SETTINGS[name]
     flag = getattr(args, name, None)
     if flag is not None:
-        return flag
-    return config.get(name, _SETTINGS[name][0])
+        value, source = flag, "--" + name.replace("_", "-")
+    else:
+        value, source = config.get(name, (default, name))
+    if rule is not None:
+        check_value(source, value, rule, _Resolved(args, config))
+    return value
 
 
 def _resolve_key(args: argparse.Namespace, config: dict) -> SecretKey:
-    raw = getattr(args, "key", None) or config.get("key") or os.environ.get("RADIOSCOPE_KEY")
-    if raw is None:
-        raise ConfigError("no secret key: pass --key, set it in --config, or export "
-                          "RADIOSCOPE_KEY")
-    return SecretKey(int(str(raw), 0))
+    """--key > the config file's key > RADIOSCOPE_KEY."""
+    if getattr(args, "key", None):
+        return _read_key(args.key, "--key")
+    if "key" in config:
+        return config["key"][0]
+    if "RADIOSCOPE_KEY" in os.environ:
+        return _read_key(os.environ["RADIOSCOPE_KEY"], "RADIOSCOPE_KEY")
+    raise ConfigError("no secret key: pass --key, set it in --config, or export "
+                      "RADIOSCOPE_KEY")
 
 
 def _hash_file(path) -> str:
@@ -125,12 +164,19 @@ def _write_manifest(out_dir: Path, manifest: dict, corpus_paths: list,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _redact_key(argv: list[str]) -> list[str]:
-    out, value = [], False  # whether arg is the value of a bare --key
+def _redact(argv: list[str], options: dict) -> list[str]:
+    """``argv`` with each value of a flag whose destination is ``key`` or
+    ``credentials`` redacted, as the flag or a prefix argparse takes for it
+    was given; ``options`` maps the command's flags to their actions."""
+    out, value = [], False  # whether arg is the value of a secret flag
     for arg in argv:
-        out.append("<redacted>" if value else
-                   "--key=<redacted>" if arg.startswith("--key=") else arg)
-        value = not value and arg == "--key"
+        flag, eq, _ = arg.partition("=")
+        # argparse takes a flag in full, or by a prefix that starts no other flag
+        named = [flag] if flag in options else [o for o in options if o.startswith(flag)]
+        secret = (not value and flag.startswith("--") and len(named) == 1
+                  and options[named[0]].dest in ("key", "credentials"))
+        out.append("<redacted>" if value else f"{flag}=<redacted>" if secret and eq else arg)
+        value = secret and not eq
     return out
 
 
@@ -174,11 +220,6 @@ def cmd_generate(args, config, manifest) -> int:
     sampling = _sampling(args, config)
     n_docs = _resolve(args, config, "docs")
     doc_len = _resolve(args, config, "doc_len")
-    if n_docs < 0:  # zero documents make an empty corpus
-        raise ConfigError(f"--docs must be >= 0, got {n_docs}")
-    if doc_len < PROMPT_TOKENS:  # generate_corpus starts each document with a prompt
-        raise ConfigError(f"--doc-len must be >= {PROMPT_TOKENS}, the prompt length, "
-                          f"got {doc_len}")
     teacher = make_teacher(vocab_size=vocab,
                            seed=_resolve(args, config, "teacher_seed"),
                            order=_resolve(args, config, "teacher_order"))
@@ -211,8 +252,9 @@ def cmd_train(args, config, manifest) -> int:
 
 
 def cmd_detect(args, config, manifest) -> int:
-    if args.filter and args.mode == OPEN:
-        raise ConfigError("--filter applies to closed mode only")
+    if args.mode == OPEN and (args.filter or args.seed is not None):
+        raise ConfigError(f"{'--filter' if args.filter else '--seed'} applies to closed "
+                          "mode only")
     if args.threads is not None and not args.endpoint:
         raise ConfigError("--threads sets the requests in flight to --endpoint; "
                           "it needs --endpoint")
@@ -221,8 +263,6 @@ def cmd_detect(args, config, manifest) -> int:
     wm = _wm_config(args, config, key, vocab)
     budget = _resolve(args, config, "budget")
     reps = _resolve(args, config, "reps")
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
     docs = load_corpus(args.corpus)
     if not docs:
         raise ValueError(f"{args.corpus}: the corpus has no documents")
@@ -407,7 +447,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         config, config_hash = _load_config(args.config)
-        return args.func(args, config, {"command": _redact_key(argv),
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        options = commands.choices[args.command]._option_string_actions
+        return args.func(args, config, {"command": _redact(argv, options),
                                         "config_hash": config_hash})
     except (ConfigError, ValueError, OSError, RemoteError,
             pipelines.DetectionInterrupted) as exc:

@@ -40,6 +40,28 @@ class ConfigError(ValueError):
     """Invalid watermark configuration (key, window, or parameter)."""
 
 
+def at_least(floor, why: str = ""):
+    """The rule of a value that must be ``>= floor``; ``why`` follows the bound."""
+    return lambda v, others: v >= floor or f"be >= {floor}{why}"
+
+
+def check_value(name: str, value, rule, others) -> None:
+    """Raise ``ConfigError("<name> must <what>, got <value>")`` unless
+    ``rule(value, others)`` is True.  A rule gives True for a value it
+    accepts, else what the value must do ("be >= 1"); ``others`` maps the
+    other fields of the same object, or keys of the same file, to their
+    values.  A list is checked item by item and shown whole."""
+    for item in value if isinstance(value, list) else [value]:
+        if (must := rule(item, others)) is not True:
+            raise ConfigError(f"{name} must {must}, got {value}")
+
+
+def check_rules(rules: dict, values) -> None:
+    """:func:`check_value` for each value of ``values`` that ``rules`` names, in table order."""
+    for name, rule in rules.items():
+        check_value(name, values[name], rule, values)
+
+
 @dataclass(frozen=True)
 class SecretKey:
     """Multiplier of the window-hash recurrence.

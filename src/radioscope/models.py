@@ -98,7 +98,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .hashing import HASH_MOD, ConfigError, _add_mod, window_hashes
+from .hashing import HASH_MOD, ConfigError, _add_mod, at_least, check_rules, window_hashes
 from .schemes import AK, WatermarkConfig, aaronson_pick, bias_logits
 
 
@@ -111,13 +111,15 @@ class SamplingConfig:
     max_tokens: int = 256
     seed: int = 0
 
+    #: Each field's rule (see :func:`~radioscope.hashing.check_value`)
+    rules = {
+        "temperature": lambda v, o: v > 0 or "be > 0",
+        "nucleus_p": lambda v, o: 0 < v <= 1 or "lie in (0, 1]",
+        "max_tokens": at_least(0),
+    }
+
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if not 0.0 < self.nucleus_p <= 1.0:
-            raise ValueError("nucleus_p must be in (0, 1]")
-        if self.max_tokens < 0:
-            raise ValueError(f"max_tokens must be >= 0, got {self.max_tokens}")
+        check_rules(self.rules, vars(self))
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,14 @@ class MixSpec:
     rho: float
     d: float = 1.0
 
+    #: Each field's rule (see :func:`~radioscope.hashing.check_value`)
+    rules = {
+        "rho": lambda v, o: 0 <= v <= 1 or "lie in [0, 1]",
+        "d": lambda v, o: 0 <= v <= 1 or "lie in [0, 1]",
+    }
+
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must be in [0, 1]")
-        if not 0.0 <= self.d <= 1.0:
-            raise ValueError("d must be in [0, 1]")
+        check_rules(self.rules, vars(self))
 
 
 #: Tokens per ``np.unique`` pass in :meth:`NGramModel.update`.  Chunks bound
@@ -166,6 +171,14 @@ def _token_ids(docs, vocab_size: int, lead: int = 0, name: str = "token id",
     return ids
 
 
+def _order(v, others):
+    if v < 1:
+        return "be >= 1"
+    bits = (others["vocab_size"] - 1).bit_length()
+    return (v + 1) * bits <= 63 or (
+        f"keep (order + 1) * bits(vocab_size - 1) <= 63 at vocab_size = {others['vocab_size']}")
+
+
 class NGramModel:
     """Add-lambda n-gram model with stupid backoff.
 
@@ -178,14 +191,12 @@ class NGramModel:
     (:meth:`_context_ids`); training drops it with the nucleus stores.
     """
 
+    #: Rules of ``order`` and ``smoothing_lambda`` (see :func:`~radioscope.hashing.check_value`)
+    rules = {"order": _order, "smoothing_lambda": at_least(0)}
+
     def __init__(self, order: int, vocab_size: int, smoothing_lambda: float = 0.01):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if smoothing_lambda < 0:
-            raise ValueError("smoothing lambda must be >= 0")
-        if (order + 1) * (vocab_size - 1).bit_length() > 63:
-            raise ConfigError(f"order {order} with vocab_size {vocab_size} needs "
-                              "(context, token) codes wider than 63 bits")
+        check_rules(self.rules, {"order": order, "vocab_size": vocab_size,
+                                 "smoothing_lambda": smoothing_lambda})
         self.order = order
         self.vocab_size = vocab_size
         self.smoothing_lambda = smoothing_lambda
@@ -851,6 +862,14 @@ def make_teacher(vocab_size: int = 256, seed: int = 7, order: int = 2,
 #: Tokens of the random prompt that starts each :func:`generate_corpus` document.
 PROMPT_TOKENS = 3
 
+#: :func:`generate_corpus`'s rules: a document holds its prompt
+CORPUS_RULES = {
+    "n_docs": at_least(0),
+    "doc_len": lambda v, o: v >= o["prompt_len"] or (
+        f"be >= {o['prompt_len']} (generated documents start with a "
+        f"{o['prompt_len']}-token prompt)"),
+}
+
 
 def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
                     sampling: SamplingConfig, wm: WatermarkConfig | None = None,
@@ -862,10 +881,7 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
     The RNG is drawn in document order: the prompt, then one uniform per
     body step.
     """
-    if n_docs < 0:
-        raise ValueError(f"n_docs must be >= 0, got {n_docs}")
-    if doc_len < prompt_len:
-        raise ValueError(f"doc_len {doc_len} is shorter than prompt_len {prompt_len}")
+    check_rules(CORPUS_RULES, {"n_docs": n_docs, "doc_len": doc_len, "prompt_len": prompt_len})
     sampler = TextSampler(model, sampling, wm)
     rng = np.random.default_rng(sampling.seed)
     steps = doc_len - prompt_len

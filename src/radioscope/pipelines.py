@@ -20,7 +20,8 @@ import numpy as np
 
 from . import stats
 from .dedup import CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
-from .hashing import HASH_MOD, ConfigError, SecretKey, stream_value
+from .hashing import (HASH_MOD, ConfigError, SecretKey, at_least, check_rules, check_value,
+                      stream_value)
 from .models import (
     PROMPT_TOKENS,
     MixSpec,
@@ -92,11 +93,14 @@ def _joined_ids(docs, vocab_size: int, name) -> np.ndarray:
         raise
 
 
+#: The rule of detection's ``budget`` (see :func:`~radioscope.hashing.check_value`)
+DETECTION_RULES = {"budget": at_least(0)}
+
+
 def _check_run(cfg: WatermarkConfig, budget: int) -> None:
-    """Refuse a scheme without a radioactivity test and a negative budget."""
+    """Refuse a scheme without a radioactivity test and a budget its rule refuses."""
     detector(cfg)
-    if budget < 0:
-        raise ConfigError(f"budget must be >= 0, got {budget}")
+    check_rules(DETECTION_RULES, {"budget": budget})
 
 
 def _finish_report(cands, dedup, budget, cfg, mode, supervision,
@@ -341,19 +345,6 @@ _SWEEPS = {
 _PROMPTED = f" (generated documents start with a {PROMPT_TOKENS}-token prompt)"
 
 
-def _at_least(floor, why=""):
-    return lambda v, spec: v >= floor or f"be >= {floor}{why}"
-
-
-def _order(v, spec):
-    if v < 1:
-        return "be >= 1"
-    # NGramModel codes a (context, token) pair in one int64
-    bits = (spec["vocab_size"] - 1).bit_length()
-    return (v + 1) * bits <= 63 or (
-        f"keep (order + 1) * bits(vocab_size - 1) <= 63 at vocab_size = {spec['vocab_size']}")
-
-
 def _detect_len(v, spec):
     if OPEN in spec["modes"]:
         return v >= PROMPT_TOKENS or f"be >= {PROMPT_TOKENS}{_PROMPTED}"
@@ -362,8 +353,9 @@ def _detect_len(v, spec):
 
 
 def _rho_value(v, spec):
-    if not 0 <= v <= 1 or spec["scenario"] != "d_sweep":
-        return 0 <= v <= 1 or "lie in [0, 1]"
+    within = MixSpec.rules["rho"](v, spec)
+    if within is not True or spec["scenario"] != "d_sweep":
+        return within
     # d_sweep's MIA needs watermarked training documents
     if v == 0:
         return "be > 0 for d_sweep"
@@ -372,46 +364,55 @@ def _rho_value(v, spec):
         f"for d_sweep at n_docs = {spec['n_docs']}")
 
 
+def _seed(v, spec):
+    # run 0 samples closed completions from seed, watermarked training text
+    # from seed + 1 and clean training text from seed + 2; later runs add
+    # 101 per run, and numpy takes no negative seed
+    rho = spec["rho"][0] if spec["scenario"] == "rho_sweep" else spec["rho_value"]
+    lowest = (0 if CLOSED in spec["modes"] and spec["scenario"] != "d_sweep"
+              else 1 if round(rho * spec["n_docs"]) >= 1 else 2)
+    return v + lowest >= 0 or f"be >= {-lowest} (run 0 samples from seed + {lowest})"
+
+
 #: Every scenario key -> (default, reader, rule).  A key whose default is a
 #: list takes comma-separated values, each read and checked on its own.  A
-#: rule gives True for a value it accepts, else what the value must do; the
-#: rules run once the file is read, so a rule may read other keys.
+#: key the library reads takes the library's rule; the rules written here
+#: are those of scenario-only keys and those that read one.  The rules run
+#: once the file is read, in this order, so a rule may read other keys;
+#: ``seed``'s reads the most, so it runs last.
 _SCENARIO_KEYS = {
     "scenario": (None, str, lambda v, spec: v in _SWEEPS
                  or f"be one of {', '.join(_SWEEPS)}"),
     "scheme": (KGW, str, lambda v, spec: v in (KGW, AK)
                or v == MPAC and spec["scenario"] == "d_sweep"
                or "be kgw or ak (mpac has no radioactivity test: d_sweep only)"),
-    "k": (2, int, _at_least(1)),
-    "gamma": (0.25, float, lambda v, spec: spec["scheme"] != KGW or 0 < v < 1
-              or "lie in (0, 1) for kgw"),
-    "delta": (3.0, float, lambda v, spec: spec["scheme"] == AK or v >= 0
-              or "be >= 0 for kgw and mpac"),
-    "temperature": (None, float, lambda v, spec: v is None or v > 0 or "be > 0"),  # AK's
-    "message": (None, str, lambda v, spec: spec["scheme"] != MPAC or bool(v) and len(v) % 2 == 0
-                and set(v) <= {"0", "1"} or "be an even number of bits for mpac"),
-    "vocab_size": (128, int, _at_least(1)),
-    "teacher_order": (2, int, _order),
-    "teacher_seed": (7, int, _at_least(0)),
-    "student_order": (3, int, _order),
-    "smoothing_lambda": (0.01, float, _at_least(0)),
-    "n_docs": (200, int, _at_least(1)),
-    "doc_len": (200, int, _at_least(PROMPT_TOKENS, _PROMPTED)),
+    "k": (2, int, WatermarkConfig.rules["k"]),
+    "gamma": (0.25, float, WatermarkConfig.rules["gamma"]),
+    "delta": (3.0, float, WatermarkConfig.rules["delta"]),
+    "temperature": (None, float, WatermarkConfig.rules["temperature"]),
+    "message": (None, str, WatermarkConfig.rules["message"]),
+    "vocab_size": (128, int, WatermarkConfig.rules["vocab_size"]),
+    "teacher_order": (2, int, NGramModel.rules["order"]),
+    "teacher_seed": (7, int, at_least(0)),
+    "student_order": (3, int, NGramModel.rules["order"]),
+    "smoothing_lambda": (0.01, float, NGramModel.rules["smoothing_lambda"]),
+    "n_docs": (200, int, at_least(1)),
+    "doc_len": (200, int, at_least(PROMPT_TOKENS, _PROMPTED)),
     "detect_docs": (40, int, lambda v, spec: spec["scenario"] == "d_sweep" or v >= 1
                     or "be >= 1"),
     "detect_len": (200, int, _detect_len),
     "prompt_len": (10, int, lambda v, spec: CLOSED not in spec["modes"] or v >= 0
                    or f"be >= 0{_PROMPTED}"),
-    "repetitions": (3, int, _at_least(1)),
-    "seed": (0, int, lambda v, spec: True),
-    "budget": (1_000_000, int, _at_least(0)),
+    "repetitions": (3, int, at_least(1)),
+    "budget": (1_000_000, int, DETECTION_RULES["budget"]),
     "modes": ([OPEN], str, lambda v, spec: v in (OPEN, CLOSED) or "be open or closed"),
-    "rho": ([0.0, 0.5, 1.0], float, lambda v, spec: 0 <= v <= 1 or "lie in [0, 1]"),
+    "rho": ([0.0, 0.5, 1.0], float, MixSpec.rules["rho"]),
     "rho_value": (1.0, float, _rho_value),
     "d_values": ([1.0, 0.1, 0.01], float, lambda v, spec: 0 < v <= 1 or "lie in (0, 1]"),
-    "k_values": ([1, 2, 4], int, _at_least(1)),
-    "nucleus_p": (0.95, float, lambda v, spec: 0 < v <= 1 or "lie in (0, 1]"),
-    "sampling_temperature": (0.8, float, lambda v, spec: v > 0 or "be > 0"),
+    "k_values": ([1, 2, 4], int, WatermarkConfig.rules["k"]),
+    "nucleus_p": (0.95, float, SamplingConfig.rules["nucleus_p"]),
+    "sampling_temperature": (0.8, float, SamplingConfig.rules["temperature"]),
+    "seed": (0, int, _seed),
 }
 
 
@@ -454,12 +455,8 @@ def parse_scenario(path) -> dict:
     if "scenario" not in lines:
         raise ValueError(f"{path}: missing required key 'scenario'")
     for key, (_, _, rule) in _SCENARIO_KEYS.items():
-        value = spec[key]
-        for item in value if isinstance(value, list) else [value]:
-            must = rule(item, spec)
-            if must is not True:  # a default the file left has no line
-                at = f":{lines[key]}" if key in lines else ""
-                raise ValueError(f"{path}{at}: {key} must {must}, got {value}")
+        at = f":{lines[key]}" if key in lines else ""  # a default the file left has no line
+        check_value(f"{path}{at}: {key}", spec[key], rule, spec)
     return spec
 
 

@@ -23,6 +23,8 @@ from . import stats
 from .hashing import (
     ConfigError,
     SecretKey,
+    at_least,
+    check_rules,
     green_mask_batch,
     rank_below,
     rvalue_batch,
@@ -65,27 +67,20 @@ class WatermarkConfig:
     temperature: float | None = None
     message: str | None = None
 
+    #: Each field's rule (see :func:`~radioscope.hashing.check_value`); the key checks itself.
+    rules = {
+        "scheme": lambda v, o: v in (KGW, AK, MPAC) or "be kgw, ak or mpac",
+        "vocab_size": at_least(1),
+        "k": at_least(1),
+        "gamma": lambda v, o: o["scheme"] != KGW or 0 < v < 1 or "lie in (0, 1) for kgw",
+        "delta": lambda v, o: o["scheme"] == AK or v >= 0 or "be >= 0 for kgw and mpac",
+        "temperature": lambda v, o: v is None or v > 0 or "be > 0",  # AK's
+        "message": lambda v, o: o["scheme"] != MPAC or bool(v) and len(v) % 2 == 0
+        and set(v) <= {"0", "1"} or "be an even number of bits for mpac",
+    }
+
     def __post_init__(self):
-        if self.scheme not in (KGW, AK, MPAC):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.k < 1:
-            raise ConfigError("window size k must be >= 1")
-        if self.vocab_size < 1:
-            raise ConfigError("vocab_size must be >= 1")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.scheme in (KGW, MPAC):
-            if self.delta < 0:
-                raise ConfigError("delta must be >= 0")
-        if self.scheme == KGW and not 0.0 < self.gamma < 1.0:
-            raise ConfigError("KGW needs 0 < gamma < 1")
-        if self.scheme == MPAC:
-            if self.message is None:
-                raise ConfigError("MPAC needs a message")
-            if len(self.message) % 2 != 0 or not self.message:
-                raise ConfigError("MPAC message length must be even and > 0")
-            if set(self.message) - {"0", "1"}:
-                raise ConfigError("MPAC message must be a bit string")
+        check_rules(self.rules, vars(self))
 
     @property
     def n_positions(self) -> int:

@@ -17,8 +17,8 @@ import re
 import numpy as np
 import pytest
 
-from radioscope import (ConfigError, SamplingConfig, WatermarkConfig, build_filter,
-                        generate, generate_corpus, save_model, train_ngram)
+from radioscope import (ConfigError, MixSpec, NGramModel, SamplingConfig, WatermarkConfig,
+                        build_filter, generate, generate_corpus, save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, EXIT_OK, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, parse_scenario, pvalue_for
 from radioscope.schemes import score_batch
@@ -228,6 +228,25 @@ def test_cli_open_mode_refuses_a_filter(cli_files, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_open_mode_refuses_a_seed_flag(cli_files, capsys):
+    """Open mode samples nothing, so ``--seed`` is refused; a ``seed`` in a
+    config file that other commands share stays accepted."""
+    assert detect_cli(cli_files, "--seed", "3") == EXIT_ERROR
+    assert "--seed applies to closed mode only" in one_error_line(capsys)
+    assert not (cli_files[0] / "out").exists()
+    config = cli_files[0] / "shared.cfg"
+    config.write_text("seed = 3\n")
+    assert detect_cli(cli_files, "--config", str(config)) == EXIT_OK
+
+
+def test_cli_train_order_below_one_is_one_error_line(cli_files, capsys):
+    """The order is refused as it is read, before the student-order warning."""
+    tmp_path, _, corpus = cli_files
+    assert main(["train", "--corpus", str(corpus), "--order", "0",
+                 "--out", str(tmp_path / "s.bin")]) == EXIT_ERROR
+    assert one_error_line(capsys) == "error: --order must be >= 1, got 0\n"
+
+
 def test_cli_threads_without_an_endpoint_is_one_error_line(cli_files, capsys):
     assert detect_cli(cli_files, "--threads", "4", mode="closed") == EXIT_ERROR
     assert "it needs --endpoint" in one_error_line(capsys)
@@ -360,10 +379,10 @@ def test_cli_corpus_line_without_tokens_is_one_error_line(cli_files, capsys, lin
 
 @pytest.mark.parametrize("flags,config,named", [
     (["--docs", "-1"], "", "--docs must be >= 0, got -1"),
-    ([], "docs = -2\n", "--docs must be >= 0, got -2"),
+    ([], "docs = -2\n", "gen.cfg:1: docs must be >= 0, got -2"),
     (["--doc-len", "0"], "", "--doc-len must be >= 3"),
     (["--doc-len", "2"], "", "--doc-len must be >= 3"),
-    ([], "doc-len = 1\n", "--doc-len must be >= 3"),
+    ([], "doc-len = 1\n", "gen.cfg:1: doc_len must be >= 3"),
 ], ids=["docs-1", "docs-2-config", "doc-len0", "doc-len2", "doc-len1-config"])
 def test_cli_generate_sizes_that_hold_no_document_are_one_error_line(
         tmp_path, capsys, flags, config, named):
@@ -382,9 +401,10 @@ def test_generate_corpus_refuses_a_negative_document_count(small_model):
 
 
 def test_generate_corpus_refuses_documents_shorter_than_their_prompt(small_model):
-    with pytest.raises(ValueError, match="doc_len 2 is shorter than prompt_len 3"):
+    with pytest.raises(ConfigError, match=r"^doc_len must be >= 3 \(generated documents start "
+                                          r"with a 3-token prompt\), got 2$"):
         generate_corpus(small_model, 2, 2, SamplingConfig())
-    with pytest.raises(ValueError, match="doc_len 4 is shorter than prompt_len 5"):
+    with pytest.raises(ConfigError, match=r"^doc_len must be >= 5 \(.* 5-token prompt\), got 4$"):
         generate_corpus(small_model, 1, 4, SamplingConfig(), prompt_len=5)
     assert [len(doc["tokens"]) for doc in generate_corpus(small_model, 2, 3, SamplingConfig())] \
         == [3, 3]
@@ -407,69 +427,210 @@ def test_scenario_refuses_documents_shorter_than_their_prompt(tmp_path, lines):
 
 NO_MPAC = "be kgw or ak (mpac has no radioactivity test: d_sweep only)"
 WIDE_CODES = "keep (order + 1) * bits(vocab_size - 1) <= 63"
+PROMPTED = "(generated documents start with a 3-token prompt)"
 
 
-@pytest.mark.parametrize("lines,error", [
-    (["scenario = purification", "modes ="], "modes must hold at least one value"),
-    (["scenario = rho_sweep", "rho ="], "rho must hold at least one value"),
-    (["scenario = rho_sweep", "repetitions = 0"], "repetitions must be >= 1, got 0"),
-    (["scenario = rho_sweep", "rho = 0.5, 1.5"], "rho must lie in [0, 1], got [0.5, 1.5]"),
-    (["scenario = k_sweep", "rho_value = -0.5"], "rho_value must lie in [0, 1], got -0.5"),
-    (["scenario = d_sweep", "d_values = 1, 0"], "d_values must lie in (0, 1], got [1.0, 0.0]"),
-    (["scenario = d_sweep", "rho_value = 0"], "rho_value must be > 0 for d_sweep, got 0.0"),
-    (["scenario = k_sweep", "k_values = 2, 0"], "k_values must be >= 1, got [2, 0]"),
-    (["scenario = purification", "n_docs = 0"], "n_docs must be >= 1, got 0"),
-    (["scenario = rho_sweep", "detect_docs = 0"], "detect_docs must be >= 1, got 0"),
-    (["scenario = k_sweep", "detect_docs = -2"], "detect_docs must be >= 1, got -2"),
-    (["scenario = purification", "detect_docs = 0"], "detect_docs must be >= 1, got 0"),
-    (["scenario = d_sweep", "n_docs = 40", "rho_value = 0.01"],
-     "rho_value must leave round(rho_value * n_docs) >= 1 watermarked documents "
-     "for d_sweep at n_docs = 40, got 0.01"),
+#: id -> (the lines of a scenario file, the refusal after its file and line)
+SCENARIO_REFUSALS = {
+    "no_modes": (["scenario = purification", "modes ="], "modes must hold at least one value"),
+    "no_rho": (["scenario = rho_sweep", "rho ="], "rho must hold at least one value"),
+    "no_repetition": (["scenario = rho_sweep", "repetitions = 0"],
+                      "repetitions must be >= 1, got 0"),
+    "rho": (["scenario = rho_sweep", "rho = 0.5, 1.5"], "rho must lie in [0, 1], got [0.5, 1.5]"),
+    "rho_value": (["scenario = k_sweep", "rho_value = -0.5"],
+                  "rho_value must lie in [0, 1], got -0.5"),
+    "d_values": (["scenario = d_sweep", "d_values = 1, 0"],
+                 "d_values must lie in (0, 1], got [1.0, 0.0]"),
+    "d_sweep_rho_value": (["scenario = d_sweep", "rho_value = 0"],
+                          "rho_value must be > 0 for d_sweep, got 0.0"),
+    "k_values": (["scenario = k_sweep", "k_values = 2, 0"], "k_values must be >= 1, got [2, 0]"),
+    "no_docs": (["scenario = purification", "n_docs = 0"], "n_docs must be >= 1, got 0"),
+    "rho_sweep_no_detect_docs": (["scenario = rho_sweep", "detect_docs = 0"],
+                                 "detect_docs must be >= 1, got 0"),
+    "k_sweep_detect_docs": (["scenario = k_sweep", "detect_docs = -2"],
+                            "detect_docs must be >= 1, got -2"),
+    "purification_no_detect_docs": (["scenario = purification", "detect_docs = 0"],
+                                    "detect_docs must be >= 1, got 0"),
+    "d_sweep_no_watermarked_document": (
+        ["scenario = d_sweep", "n_docs = 40", "rho_value = 0.01"],
+        "rho_value must leave round(rho_value * n_docs) >= 1 watermarked documents "
+        "for d_sweep at n_docs = 40, got 0.01"),
     # each of these used to parse, and the run failed after the teacher was built
-    (["scenario = rho_sweep", "scheme = kgx"], f"scheme must {NO_MPAC}, got kgx"),
-    (["scenario = k_sweep", "scheme = mpac"], f"scheme must {NO_MPAC}, got mpac"),
-    (["scenario = rho_sweep", "gamma = 1.5"], "gamma must lie in (0, 1) for kgw, got 1.5"),
-    (["scenario = rho_sweep", "delta = -1"], "delta must be >= 0 for kgw and mpac, got -1.0"),
-    (["scenario = rho_sweep", "k = 0"], "k must be >= 1, got 0"),
-    (["scenario = rho_sweep", "vocab_size = 0"], "vocab_size must be >= 1, got 0"),
-    (["scenario = rho_sweep", "teacher_order = 0"], "teacher_order must be >= 1, got 0"),
-    (["scenario = rho_sweep", "student_order = 0"], "student_order must be >= 1, got 0"),
-    (["scenario = rho_sweep", "teacher_seed = -1"], "teacher_seed must be >= 0, got -1"),
-    (["scenario = rho_sweep", "smoothing_lambda = -1"],
-     "smoothing_lambda must be >= 0, got -1.0"),
-    (["scenario = rho_sweep", "nucleus_p = 0"], "nucleus_p must lie in (0, 1], got 0.0"),
-    (["scenario = rho_sweep", "sampling_temperature = 0"],
-     "sampling_temperature must be > 0, got 0.0"),
-    (["scenario = rho_sweep", "budget = -1"], "budget must be >= 0, got -1"),
-    (["scenario = d_sweep", "scheme = mpac", "message = 012"],
-     "message must be an even number of bits for mpac, got 012"),
-    (["scenario = purification", "modes = closed", "detect_len = -1"],
-     "detect_len must be >= 0, got -1"),
+    "unknown_scheme": (["scenario = rho_sweep", "scheme = kgx"],
+                       f"scheme must {NO_MPAC}, got kgx"),
+    "mpac_detecting": (["scenario = k_sweep", "scheme = mpac"],
+                       f"scheme must {NO_MPAC}, got mpac"),
+    "kgw_gamma": (["scenario = rho_sweep", "gamma = 1.5"],
+                  "gamma must lie in (0, 1) for kgw, got 1.5"),
+    "kgw_delta": (["scenario = rho_sweep", "delta = -1"],
+                  "delta must be >= 0 for kgw and mpac, got -1.0"),
+    "k": (["scenario = rho_sweep", "k = 0"], "k must be >= 1, got 0"),
+    "vocab_size": (["scenario = rho_sweep", "vocab_size = 0"], "vocab_size must be >= 1, got 0"),
+    "teacher_order": (["scenario = rho_sweep", "teacher_order = 0"],
+                      "teacher_order must be >= 1, got 0"),
+    "student_order": (["scenario = rho_sweep", "student_order = 0"],
+                      "student_order must be >= 1, got 0"),
+    "teacher_seed": (["scenario = rho_sweep", "teacher_seed = -1"],
+                     "teacher_seed must be >= 0, got -1"),
+    "smoothing_lambda": (["scenario = rho_sweep", "smoothing_lambda = -1"],
+                         "smoothing_lambda must be >= 0, got -1.0"),
+    "nucleus_p": (["scenario = rho_sweep", "nucleus_p = 0"],
+                  "nucleus_p must lie in (0, 1], got 0.0"),
+    "sampling_temperature": (["scenario = rho_sweep", "sampling_temperature = 0"],
+                             "sampling_temperature must be > 0, got 0.0"),
+    "budget": (["scenario = rho_sweep", "budget = -1"], "budget must be >= 0, got -1"),
+    "mpac_message": (["scenario = d_sweep", "scheme = mpac", "message = 012"],
+                     "message must be an even number of bits for mpac, got 012"),
+    "closed_detect_len": (["scenario = purification", "modes = closed", "detect_len = -1"],
+                          "detect_len must be >= 0, got -1"),
     # (order + 1) * bits(V - 1) > 63: train_ngram refused it after the teacher was built
-    (["scenario = rho_sweep", "teacher_order = 9"],
-     f"teacher_order must {WIDE_CODES} at vocab_size = 128, got 9"),
-    (["scenario = rho_sweep", "student_order = 9"],
-     f"student_order must {WIDE_CODES} at vocab_size = 128, got 9"),
-    (["scenario = rho_sweep", "vocab_size = 2", "student_order = 63"],
-     f"student_order must {WIDE_CODES} at vocab_size = 2, got 63"),
+    "wide_teacher_order": (["scenario = rho_sweep", "teacher_order = 9"],
+                           f"teacher_order must {WIDE_CODES} at vocab_size = 128, got 9"),
+    "wide_student_order": (["scenario = rho_sweep", "student_order = 9"],
+                           f"student_order must {WIDE_CODES} at vocab_size = 128, got 9"),
+    "wide_order_at_vocab_2": (["scenario = rho_sweep", "vocab_size = 2", "student_order = 63"],
+                              f"student_order must {WIDE_CODES} at vocab_size = 2, got 63"),
     # AK divided its logits by the temperature: every token after the prompt was 0
-    (["scenario = rho_sweep", "scheme = ak", "temperature = 0"],
-     "temperature must be > 0, got 0.0"),
-    (["scenario = rho_sweep", "scheme = ak", "temperature = -1"],
-     "temperature must be > 0, got -1.0"),
-], ids=["no_modes", "no_rho", "no_repetition", "rho", "rho_value", "d_values",
-        "d_sweep_rho_value", "k_values", "no_docs", "rho_sweep_no_detect_docs",
-        "k_sweep_detect_docs", "purification_no_detect_docs",
-        "d_sweep_no_watermarked_document", "unknown_scheme", "mpac_detecting",
-        "kgw_gamma", "kgw_delta", "k", "vocab_size", "teacher_order", "student_order",
-        "teacher_seed", "smoothing_lambda", "nucleus_p", "sampling_temperature", "budget",
-        "mpac_message", "closed_detect_len", "wide_teacher_order", "wide_student_order",
-        "wide_order_at_vocab_2", "ak_zero_temperature", "ak_negative_temperature"])
+    "ak_zero_temperature": (["scenario = rho_sweep", "scheme = ak", "temperature = 0"],
+                            "temperature must be > 0, got 0.0"),
+    "ak_negative_temperature": (["scenario = rho_sweep", "scheme = ak", "temperature = -1"],
+                                "temperature must be > 0, got -1.0"),
+    # numpy refused the negative seed mid-run; closed detection samples from seed
+    # itself, run 0's watermarked text from seed + 1 and its clean text from seed + 2
+    "closed_negative_seed": (["scenario = rho_sweep", "modes = closed", "seed = -1"],
+                             "seed must be >= 0 (run 0 samples from seed + 0), got -1"),
+    "watermarked_negative_seed": (["scenario = k_sweep", "seed = -2"],
+                                  "seed must be >= -1 (run 0 samples from seed + 1), got -2"),
+    "clean_negative_seed": (["scenario = rho_sweep", "rho = 0.0, 0.5", "seed = -3"],
+                            "seed must be >= -2 (run 0 samples from seed + 2), got -3"),
+    "short_doc_len": (["scenario = rho_sweep", "doc_len = 2"],
+                      f"doc_len must be >= 3 {PROMPTED}, got 2"),
+}
+
+
+@pytest.mark.parametrize("lines,error", SCENARIO_REFUSALS.values(),
+                         ids=list(SCENARIO_REFUSALS))
 def test_scenario_refuses_values_out_of_range(tmp_path, lines, error):
     path = tmp_path / "bad.scn"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{len(lines)}: {error}')}$"):
         parse_scenario(path)
+
+
+#: One refused value per value rule, through every door it has.  Each row is
+#: the text every door gives after its prefix; the library's name for the
+#: value and a call that refuses it; the command, setting and value a CLI
+#: flag and a ``--config`` line give, whether the command has the flag, and
+#: any flags the value needs; and the row of SCENARIO_REFUSALS that refuses
+#: it in a scenario file.
+DOORS = {
+    "scheme": ("must be kgw, ak or mpac, got kgx",
+               ("scheme", lambda key, model: WatermarkConfig("kgx", key, 64)),
+               ("detect", "scheme", "kgx", False), None),  # argparse refuses the flag
+    "k": ("must be >= 1, got 0", ("k", lambda key, model: WatermarkConfig("kgw", key, 64, k=0)),
+          ("generate", "k", "0", True), "k"),
+    "gamma": ("must lie in (0, 1) for kgw, got 1.5",
+              ("gamma", lambda key, model: WatermarkConfig("kgw", key, 64, gamma=1.5)),
+              ("generate", "gamma", "1.5", True), "kgw_gamma"),
+    "delta": ("must be >= 0 for kgw and mpac, got -1.0",
+              ("delta", lambda key, model: WatermarkConfig("kgw", key, 64, delta=-1.0)),
+              ("detect", "delta", "-1", True), "kgw_delta"),
+    "temperature": ("must be > 0, got 0.0",
+                    ("temperature", lambda key, model: WatermarkConfig("ak", key, 64,
+                                                                       temperature=0.0)),
+                    ("generate", "temp", "0", True), "ak_zero_temperature"),
+    "message": ("must be an even number of bits for mpac, got 012",
+                ("message", lambda key, model: WatermarkConfig("mpac", key, 64, message="012")),
+                ("generate", "message", "012", True, "--scheme", "mpac"), "mpac_message"),
+    "vocab_size": ("must be >= 1, got 0",
+                   ("vocab_size", lambda key, model: WatermarkConfig("kgw", key, 0)),
+                   ("generate", "vocab_size", "0", True), "vocab_size"),
+    "order": ("must be >= 1, got 0", ("order", lambda key, model: NGramModel(0, 64)),
+              ("train", "order", "0", True), "student_order"),
+    "wide_order": (f"must {WIDE_CODES} at vocab_size = 128, got 9",
+                   ("order", lambda key, model: NGramModel(9, 128)),
+                   ("train", "order", "9", True, "--vocab-size", "128"), "wide_student_order"),
+    "teacher_order": ("must be >= 1, got 0", None,
+                      ("generate", "teacher_order", "0", False), "teacher_order"),
+    "smoothing_lambda": ("must be >= 0, got -1.0",
+                         ("smoothing_lambda", lambda key, model: NGramModel(2, 64, -1.0)),
+                         ("train", "smoothing_lambda", "-1", True), "smoothing_lambda"),
+    "nucleus_p": ("must lie in (0, 1], got 0.0",
+                  ("nucleus_p", lambda key, model: SamplingConfig(nucleus_p=0.0)),
+                  ("generate", "nucleus_p", "0", True), "nucleus_p"),
+    "sampling_temperature": ("must be > 0, got 0.0",
+                             ("temperature", lambda key, model: SamplingConfig(temperature=0.0)),
+                             ("generate", "sampling_temperature", "0", False),
+                             "sampling_temperature"),
+    "max_tokens": ("must be >= 0, got -1",
+                   ("max_tokens", lambda key, model: SamplingConfig(max_tokens=-1)),
+                   ("detect", "max_tokens", "-1", False), None),
+    "rho": ("must lie in [0, 1], got -0.5", ("rho", lambda key, model: MixSpec(-0.5)), None,
+            "rho_value"),
+    "d": ("must lie in [0, 1], got 1.5", ("d", lambda key, model: MixSpec(0.5, d=1.5)),
+          None, None),
+    "n_docs": ("must be >= 0, got -1",
+               ("n_docs", lambda key, model: generate_corpus(model, -1, 10, SamplingConfig())),
+               ("generate", "docs", "-1", True), None),
+    "doc_len": (f"must be >= 3 {PROMPTED}, got 2",
+                ("doc_len", lambda key, model: generate_corpus(model, 1, 2, SamplingConfig())),
+                ("generate", "doc_len", "2", True), "short_doc_len"),
+    "budget": ("must be >= 0, got -1",
+               ("budget", lambda key, model: detect_open(
+                   model, [[1, 2, 3, 4]], WatermarkConfig("kgw", key, 64), budget=-1)),
+               ("detect", "budget", "-1", True), "budget"),
+    "reps": ("must be >= 1, got 0", None, ("detect", "reps", "0", True), None),
+    "teacher_seed": ("must be >= 0, got -1", None, ("generate", "teacher_seed", "-1", False),
+                     "teacher_seed"),
+}
+
+
+def command_argv(cli_files, command, setting) -> list[str]:
+    """A run of ``command`` that ends well, without ``setting``'s flag."""
+    tmp_path, model, corpus = cli_files
+    argv = {"generate": ["generate", "--key", KEY_HEX, "--docs", "2", "--doc-len", "10",
+                         "--out", str(tmp_path / "gen" / "c.jsonl")],
+            "train": ["train", "--corpus", str(corpus), "--out", str(tmp_path / "s.bin")],
+            "detect": ["detect", "--mode", "open", "--model", str(model), "--corpus",
+                       str(corpus), "--key", KEY_HEX, "--out", str(tmp_path / "out")]}[command]
+    argv += ["--vocab-size", "64"]
+    flag = "--" + setting.replace("_", "-")
+    # drop the flag and the value after it, so that a config line can set it
+    return [arg for i, arg in enumerate(argv) if flag not in argv[max(i - 1, 0) : i + 1]]
+
+
+@pytest.mark.parametrize("text,library,cli,scenario", DOORS.values(), ids=list(DOORS))
+def test_each_rule_reads_the_same_at_every_door(cli_files, small_model, key, capsys,
+                                                text, library, cli, scenario):
+    """The library names the value, a flag names itself, a config file its
+    file, line and key, and a scenario file its file, line and key; the text
+    after that is the rule's at each door."""
+    tmp_path = cli_files[0]
+    if library:
+        name, call = library
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} {text}')}$"):
+            call(key, small_model)
+    if cli:
+        command, setting, value, has_flag, *extra = cli
+        plain = command_argv(cli_files, command, setting)
+        argv = plain + extra
+        flag = "--" + setting.replace("_", "-")
+        if has_flag:
+            assert main(argv + [flag, value]) == EXIT_ERROR
+            assert one_error_line(capsys) == f"error: {flag} {text}\n"
+        config = tmp_path / "door.cfg"
+        config.write_text(f"{setting} = {value}\n")
+        assert main(argv + ["--config", str(config)]) == EXIT_ERROR
+        assert one_error_line(capsys) == f"error: {config}:1: {setting} {text}\n"
+        assert main(plain) == EXIT_OK  # without the value the run ends well
+        capsys.readouterr()
+    if scenario:
+        lines, _ = SCENARIO_REFUSALS[scenario]
+        path = tmp_path / "door.scn"
+        path.write_text("\n".join(lines) + "\n")
+        error = f"{path}:{len(lines)}: {lines[-1].partition(' = ')[0]} {text}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            parse_scenario(path)
 
 
 def test_scenario_refuses_mpac_without_a_message(tmp_path):
@@ -483,12 +644,16 @@ def test_scenario_refuses_mpac_without_a_message(tmp_path):
 
 @pytest.mark.parametrize("lines", [
     ["scenario = rho_sweep", "seed = -1"],
+    ["scenario = rho_sweep", "rho = 0.5", "seed = -1"],  # open mode samples from seed + 3
+    ["scenario = rho_sweep", "rho = 0.0, 0.5", "seed = -2"],
+    ["scenario = d_sweep", "modes = closed", "seed = -1"],  # d_sweep detects on none
     ["scenario = d_sweep", "scheme = mpac", "message = 0110"],
     ["scenario = rho_sweep", "scheme = ak", "temperature = 0.5", "gamma = 1.5", "delta = -1"],
     ["scenario = d_sweep", "modes = closed", "detect_len = -1"],
     ["scenario = rho_sweep", "teacher_order = 8", "student_order = 8"],  # 63 bits at V = 128
-], ids=["negative_seed", "mpac_d_sweep", "ak_ignores_kgw_knobs", "d_sweep_detect_len",
-        "widest_orders"])
+], ids=["negative_seed", "open_negative_seed", "clean_run_0_negative_seed",
+        "d_sweep_closed_negative_seed", "mpac_d_sweep", "ak_ignores_kgw_knobs",
+        "d_sweep_detect_len", "widest_orders"])
 def test_scenario_accepts_values_that_run(tmp_path, lines):
     """Values a run never reads, or reads without failing, stay accepted."""
     path = tmp_path / "ok.scn"

@@ -53,7 +53,7 @@ class TestGenerate:
                    "--docs", "3", "--doc-len", "20", "--vocab-size", "16",
                    "--out", str(workdir / "x.jsonl"))
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: temperature must be > 0, got {float(temp)}\n"
+        assert capsys.readouterr().err == f"error: --temp must be > 0, got {float(temp)}\n"
 
     def test_no_watermark_needs_no_key(self, workdir):
         out = workdir / "clean.jsonl"
@@ -141,10 +141,11 @@ class TestDetect:
     def test_no_dedup_warns_on_stderr(self, workdir, capsys, mode):
         corpus, model = self.make_student(workdir)
         out = workdir / "nd"
-        assert run("detect", "--mode", mode, "--model", str(model),
-                   "--corpus", str(corpus), "--key", KEY_HEX,
-                   "--vocab-size", "64", "--no-dedup", "--budget", "500",
-                   "--out", str(out)) == EXIT_OK
+        with pytest.warns(UserWarning, match="NOT valid"):
+            assert run("detect", "--mode", mode, "--model", str(model),
+                       "--corpus", str(corpus), "--key", KEY_HEX,
+                       "--vocab-size", "64", "--no-dedup", "--budget", "500",
+                       "--out", str(out)) == EXIT_OK
         assert "INVALID" in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert not report["runs"][0]["dedup_applied"]

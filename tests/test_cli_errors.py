@@ -1,5 +1,8 @@
-"""Library errors reach the CLI user as one line on stderr and exit 1."""
+"""Library errors reach the CLI user as one line on stderr and exit 1, and
+the secret key and endpoint credentials reach no file or stream, however
+they are given."""
 
+import contextlib
 import json
 import struct
 import threading
@@ -23,16 +26,41 @@ class RejectingHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def endpoint():
-    httpd = HTTPServer(("127.0.0.1", 0), RejectingHandler)
+class AnsweringHandler(BaseHTTPRequestHandler):
+    """Suspect endpoint that answers every request with token 1."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = b'{"token": 1}'
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def serving(handler):
+    """A loopback endpoint served by ``handler`` for the duration of the block."""
+    httpd = HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{httpd.server_port}/"
-    httpd.shutdown()
-    httpd.server_close()
-    thread.join(timeout=10)
+    try:
+        yield f"http://127.0.0.1:{httpd.server_port}/"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def endpoint():
+    with serving(RejectingHandler) as url:
+        yield url
 
 
 @pytest.fixture
@@ -119,3 +147,82 @@ def test_filter_of_another_window_size_is_one_error_line(tmp_path, corpus, model
     capsys.readouterr()
     assert detect_with_filter(tmp_path, model, corpus, phi) == EXIT_ERROR
     assert "3-grams, but the key's window is k=2" in _one_error_line(capsys)
+
+
+SECRET_KEY = 0xDEADBEEF
+TOKEN = "TOPSECRET-TOKEN"
+
+
+def assert_secrets_absent(out_dir, capsys):
+    """Neither the key, as given, in decimal or in hex of either case, nor
+    the credentials appear in a file written or on stdout or stderr."""
+    captured = capsys.readouterr()
+    texts = [captured.out, captured.err] + [p.read_text() for p in out_dir.rglob("*")
+                                            if p.is_file()]
+    for text in texts:
+        for secret in (hex(SECRET_KEY), str(SECRET_KEY), TOKEN):
+            assert secret.lower() not in text.lower(), text
+
+
+@pytest.mark.parametrize("given", [["--key", hex(SECRET_KEY)], [f"--key={SECRET_KEY}"],
+                                   ["--ke", hex(SECRET_KEY)], [f"--ke={hex(SECRET_KEY)}"]],
+                         ids=["flag", "flag=", "prefix", "prefix="])
+def test_manifest_redacts_the_key_however_spelled(tmp_path, corpus, capsys, given):
+    """argparse takes any unambiguous prefix of a flag, so the manifest
+    redacts by the flag argparse matched, not by its spelling."""
+    out = tmp_path / "a"
+    assert main(["generate", *given, "--docs", "2", "--doc-len", "10", "--vocab-size", "16",
+                 "--out", str(out / "c.jsonl")]) == 0
+    assert_secrets_absent(out, capsys)
+    assert "<redacted>" in " ".join(json.loads((out / "manifest.json").read_text())["command"])
+
+
+@pytest.mark.parametrize("given", [["--credentials", TOKEN], [f"--credentials={TOKEN}"],
+                                   ["--cred", TOKEN], [f"--cr={TOKEN}"]],
+                         ids=["flag", "flag=", "prefix", "prefix="])
+def test_manifest_redacts_the_credentials_however_spelled(tmp_path, corpus, capsys, given):
+    out = tmp_path / "out"
+    max_tokens = tmp_path / "short.cfg"
+    max_tokens.write_text("max_tokens = 3\n")
+    with serving(AnsweringHandler) as url:
+        assert main(["detect", "--mode", "closed", "--endpoint", url, *given,
+                     "--corpus", str(corpus), "--key", hex(SECRET_KEY), "--vocab-size", "8",
+                     "--config", str(max_tokens), "--out", str(out)]) == 0
+    assert_secrets_absent(out, capsys)
+    command = json.loads((out / "manifest.json").read_text())["command"]
+    assert "<redacted>" in " ".join(command)
+
+
+@pytest.mark.parametrize("bad", ["0xDEADBEEG", "-12345", str(2**64)])
+@pytest.mark.parametrize("source", ["config", "flag", "env"])
+def test_a_bad_key_is_named_by_its_source_not_its_value(tmp_path, corpus, capsys, monkeypatch,
+                                                        source, bad):
+    """A config file's key is read at its line, as every other setting is,
+    so a command that needs no key refuses it too."""
+    config = tmp_path / "k.cfg"
+    config.write_text(f"key = {bad}\n")
+    given = {"config": ["--config", str(config)], "flag": ["--key", bad], "env": []}[source]
+    if source == "env":
+        monkeypatch.setenv("RADIOSCOPE_KEY", bad)
+    named = {"config": f"{config}:1: key: ", "flag": "--key: ", "env": "RADIOSCOPE_KEY: "}[source]
+    out = tmp_path / "c.jsonl"
+    assert main(["generate", *given, "--docs", "2", "--doc-len", "10",
+                 "--out", str(out)]) == EXIT_ERROR
+    err = _one_error_line(capsys)
+    assert err == f"error: {named}must be an integer in [1, 2**64-2], decimal or 0x hex\n"
+    assert bad not in err.replace(str(config), "")
+    if source == "config":
+        assert main(["train", "--corpus", str(corpus), *given,
+                     "--out", str(tmp_path / "s.bin")]) == EXIT_ERROR
+        assert _one_error_line(capsys) == err
+
+
+def test_an_interrupted_run_writes_no_credentials(tmp_path, corpus, endpoint, capsys):
+    """The partial report and the error line of a refused endpoint carry
+    neither the credentials nor the key."""
+    out = tmp_path / "out"
+    assert main(["detect", "--mode", "closed", "--endpoint", endpoint, "--cred", TOKEN,
+                 "--corpus", str(corpus), "--key", hex(SECRET_KEY), "--vocab-size", "8",
+                 "--out", str(out)]) == EXIT_ERROR
+    assert (out / "report.json").exists()
+    assert_secrets_absent(out, capsys)
