@@ -180,22 +180,20 @@ def _redact(argv: list[str], options: dict) -> list[str]:
     return out
 
 
-def _wm_config(args, config, key: SecretKey, vocab_size: int) -> WatermarkConfig:
+def _wm_config(args, config, key: SecretKey, vocab_size: int, embeds: bool) -> WatermarkConfig:
+    """The watermark settings; the strength (``delta``, ``temp``) only for a
+    command that ``embeds``, since scoring and its tails read neither."""
     scheme = _resolve(args, config, "scheme")
-    delta = _resolve(args, config, "delta")
-    if scheme == AK and getattr(args, "delta", None) is not None:
-        raise ConfigError("--delta does not apply to the ak scheme "
-                          "(use --temp to control strength)")
-    return WatermarkConfig(
-        scheme=scheme,
-        key=key,
-        vocab_size=vocab_size,
-        k=_resolve(args, config, "k"),
-        gamma=_resolve(args, config, "gamma"),
-        delta=delta,
-        temperature=_resolve(args, config, "temp"),
-        message=_resolve(args, config, "message"),
-    )
+    strength = {}
+    if embeds:
+        if scheme == AK and args.delta is not None:
+            raise ConfigError("--delta does not apply to the ak scheme "
+                              "(use --temp to control strength)")
+        strength = {"delta": _resolve(args, config, "delta"),
+                    "temperature": _resolve(args, config, "temp")}
+    return WatermarkConfig(scheme=scheme, key=key, vocab_size=vocab_size,
+                           k=_resolve(args, config, "k"), gamma=_resolve(args, config, "gamma"),
+                           message=_resolve(args, config, "message"), **strength)
 
 
 def _sampling(args, config) -> SamplingConfig:
@@ -216,7 +214,7 @@ def cmd_generate(args, config, manifest) -> int:
     vocab = _resolve(args, config, "vocab_size")
     if not args.no_watermark:
         key = _resolve_key(args, config)
-        wm = _wm_config(args, config, key, vocab)
+        wm = _wm_config(args, config, key, vocab, embeds=True)
     sampling = _sampling(args, config)
     n_docs = _resolve(args, config, "docs")
     doc_len = _resolve(args, config, "doc_len")
@@ -260,7 +258,7 @@ def cmd_detect(args, config, manifest) -> int:
                           "it needs --endpoint")
     key = _resolve_key(args, config)
     vocab = _resolve(args, config, "vocab_size")
-    wm = _wm_config(args, config, key, vocab)
+    wm = _wm_config(args, config, key, vocab, embeds=False)
     budget = _resolve(args, config, "budget")
     reps = _resolve(args, config, "reps")
     docs = load_corpus(args.corpus)
@@ -407,8 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True,
                    help="watermarked documents (open) or prompt sources (closed)")
     p.add_argument("--filter", help="k-gram filter file (closed mode)")
-    flags(p, "scheme", "k", "gamma", "delta", "temp", "vocab_size", "budget", "reps",
-          "seed")
+    flags(p, "scheme", "k", "gamma", "vocab_size", "budget", "reps", "seed")
     p.add_argument("--no-dedup", action="store_true",
                    help="score every tuple (INVALID p-values; demo only)")
     p.add_argument("--out", required=True)

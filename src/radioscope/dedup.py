@@ -28,17 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import ConfigError, SecretKey, window_hashes
-from .models import _token_ids
+from .hashing import TEMP_ELEMS, SecretKey, check_value, token_ids, window_hashes
+from .schemes import WatermarkConfig
 
 # perfbench/spans.py patches this name here; nothing in this module calls it
 from .hashing import window_hash  # noqa: F401
 
 #: Fixed public key for filter fingerprints (key-independent k-gram identity).
 FILTER_KEY = SecretKey(0x100000001B3)
-
-#: Window elements hashed at once by :func:`build_filter`.
-_SLICE_ELEMS = 1 << 16
 
 CLOSED = "closed"
 OPEN = "open"
@@ -139,15 +136,11 @@ class FilterSet:
 
 def build_filter(corpus, k: int, source: str = "") -> FilterSet:
     """All distinct k-grams across documents; windows never span documents.
-    Token ids must be non-negative 64-bit integers (ConfigError otherwise)."""
-    if not 1 <= k <= 255:  # the file keeps k in one byte
-        raise ValueError(f"filter window k must be in 1..255, got {k}")
+    ``k`` follows the key's rule, and token ids must be non-negative 64-bit
+    integers (ConfigError otherwise)."""
+    check_value("k", k, WatermarkConfig.rules["k"], {})
     docs = list(corpus)
-    try:
-        flat = _token_ids(docs, 2**63)  # every non-negative int64 is below 2**63
-    except ValueError as exc:
-        raise ConfigError("window token ids must be non-negative integers "
-                          f"that fit in int64 ({exc})") from None
+    flat = token_ids(docs, 2**63)  # every non-negative int64 is below 2**63
     ends = np.cumsum([len(doc) for doc in docs], dtype=np.int64)
     starts = max(len(flat) - k + 1, 0)  # windows of the joined tokens
     # those that start fewer than k tokens before a document's end span two
@@ -180,7 +173,7 @@ def build_filter(corpus, k: int, source: str = "") -> FilterSet:
 
         def windows(part):
             return flat[part[:, None] + np.arange(k)]
-    step = _SLICE_ELEMS // k + 1  # a slice at a time keeps the temporaries small
+    step = TEMP_ELEMS // k + 1  # a slice at a time keeps the temporaries small
     fps = np.sort(np.concatenate([np.zeros(0, np.uint64)] + [
         window_hashes(windows(at[i : i + step]), FILTER_KEY) for i in range(0, len(at), step)]))
     # distinct by comparing neighbours: a plain np.unique, which hashes its

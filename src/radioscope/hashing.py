@@ -17,6 +17,7 @@ to them.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,9 +36,14 @@ _MIX2 = 0x94D049BB133111EB
 _U_GOLDEN = np.uint64(_GOLDEN)
 _TWO64 = float(2**64)
 
+#: Elements of one ``(rows, V)`` or ``(rows, k)`` temporary: batched code
+#: builds its rows this many elements at a time (512 rows at V = 128), so
+#: the temporaries add little to peak memory.
+TEMP_ELEMS = 1 << 16
+
 
 class ConfigError(ValueError):
-    """Invalid watermark configuration (key, window, or parameter)."""
+    """Invalid watermark configuration (key, window, parameter or token)."""
 
 
 def at_least(floor, why: str = ""):
@@ -62,6 +68,33 @@ def check_rules(rules: dict, values) -> None:
         check_value(name, values[name], rule, values)
 
 
+def token_ids(docs, vocab_size: int, name="document {}".format, lead: int = 0) -> np.ndarray:
+    """The tokens of ``docs``, joined, after ``lead`` zeros, as int64.
+
+    ``struct`` packs only integers that fit in int64, which is as fast as
+    ``np.fromiter`` and, unlike it, refuses 2.5 or "2".  A token that is not
+    an integer id below ``vocab_size`` is refused with a ``ConfigError``
+    naming its document d as ``name(d)`` and its position in it.
+    """
+    lens = [len(doc) for doc in docs]
+    ids = np.zeros(lead + sum(lens), np.int64)
+    try:  # packed in place: no copy of the tokens besides the array
+        for doc, end in zip(docs, np.cumsum(lens, dtype=np.int64).tolist()):
+            struct.pack_into(f"{len(doc)}q", ids, 8 * (lead + end - len(doc)), *doc)
+    except (struct.error, TypeError):  # a token that is not an int64: the scan names it
+        ids = None
+    if ids is None or ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size:
+        for d, doc in enumerate(docs):
+            for pos, tok in enumerate(doc):
+                if not isinstance(tok, (int, np.integer)):
+                    raise ConfigError(f"{name(d)}: token {tok!r} at position {pos} "
+                                      "is not an integer")
+                if not 0 <= tok < vocab_size:
+                    raise ConfigError(f"{name(d)}: token {tok} at position {pos} "
+                                      "out of vocabulary")
+    return ids
+
+
 @dataclass(frozen=True)
 class SecretKey:
     """Multiplier of the window-hash recurrence.
@@ -78,7 +111,8 @@ class SecretKey:
 
     def __post_init__(self):
         if not 1 <= self.s < HASH_MOD:
-            raise ConfigError(f"secret key must be in [1, 2**64-2], got {self.s}")
+            # the value is left out: it would carry a mistyped key into logs
+            raise ConfigError("secret key must be in [1, 2**64-2]")
 
     def fingerprint(self) -> str:
         """Truncated digest safe for logs and manifests; never the raw key."""

@@ -91,14 +91,14 @@ once all have one the walk stops splitting states into two groups.
 from __future__ import annotations
 
 import json
-import struct
 import zipfile
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
-from .hashing import HASH_MOD, ConfigError, _add_mod, at_least, check_rules, window_hashes
+from .hashing import (HASH_MOD, TEMP_ELEMS, ConfigError, _add_mod, at_least, check_rules,
+                      token_ids, window_hashes)
 from .schemes import AK, WatermarkConfig, aaronson_pick, bias_logits
 
 
@@ -143,32 +143,6 @@ class MixSpec:
 #: the temporaries: order-3 training on 1M tokens peaks at 60 MB (traced
 #: allocations) in chunks of this size and at 74 MB in a single pass.
 _CHUNK_TOKENS = 1 << 18
-
-
-def _token_ids(docs, vocab_size: int, lead: int = 0, name: str = "token id",
-               where: bool = True) -> np.ndarray:
-    """The tokens of ``docs``, joined, after ``lead`` zeros, as int64.
-
-    ``struct`` packs only integers that fit in int64, which is as fast as
-    ``np.fromiter`` and, unlike it, refuses 2.5 or "2".  A token that is not
-    an integer id below ``vocab_size`` is refused as ``name``, and with
-    ``where`` by its position in the joined documents.
-    """
-    lens = [len(doc) for doc in docs]
-    ids = np.zeros(lead + sum(lens), np.int64)
-    try:  # packed in place: no copy of the tokens besides the array
-        for doc, end in zip(docs, np.cumsum(lens, dtype=np.int64).tolist()):
-            struct.pack_into(f"{len(doc)}q", ids, 8 * (lead + end - len(doc)), *doc)
-    except (struct.error, TypeError):  # a token that is not an int64: the scan names it
-        ids = None
-    if ids is None or ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size:
-        for pos, tok in enumerate(chain.from_iterable(docs)):
-            at = f" at position {pos}" if where else ""
-            if not isinstance(tok, (int, np.integer)):
-                raise ValueError(f"{name} {tok!r}{at} is not an integer")
-            if not 0 <= tok < vocab_size:
-                raise ValueError(f"{name} {tok}{at} out of vocabulary")
-    return ids
 
 
 def _order(v, others):
@@ -250,7 +224,7 @@ class NGramModel:
         lens = np.fromiter(map(len, docs), np.int64, len(docs))
         n = int(lens.sum())
         # ``order`` zeros in front give every token that many predecessors
-        flat = _token_ids(docs, v, lead=order, where=False)
+        flat = token_ids(docs, v, lead=order)
         # predecessors of each token within its own document, capped at order
         depth = np.full(n, order, np.int32)
         for j in range(order):
@@ -379,7 +353,7 @@ class NGramModel:
 
     def log_loss(self, tokens) -> float:
         """Total negative log-probability of a document."""
-        toks = _token_ids([list(tokens)], self.vocab_size)
+        toks = token_ids([list(tokens)], self.vocab_size)
         n = len(toks)
         ids = self._context_ids(self._locate(toks, [n], np.zeros(n, np.intp), np.arange(n)))
         p = self._distributions(ids)[np.arange(n), toks]
@@ -393,13 +367,6 @@ def train_ngram(corpus, order: int, smoothing_lambda: float = 0.01,
     model = NGramModel(order, vocab_size, smoothing_lambda)
     model.update(corpus)
     return model
-
-
-#: Elements of one (rows, V) temporary while decode rows are built: the
-#: rows of a batch of new keys are built at most this many elements at a
-#: time (512 rows at V = 128), so completing a nucleus store adds little
-#: to peak memory.
-_BATCH_ELEMS = 1 << 16
 
 
 def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -507,7 +474,7 @@ class NucleusRows:
         """Build the rows of ``ids`` and append their stored probabilities
         and kept ids."""
         v = self.vocab_size
-        batch = max(1, _BATCH_ELEMS // v)
+        batch = max(1, TEMP_ELEMS // v)
         for lo in range(0, len(ids), batch):
             part = ids[lo : lo + batch]
             q, order, keep, stored = self._build(model, part)
@@ -638,8 +605,8 @@ class _WatermarkRows:
             self._row_of = np.full(n_codes, -1, np.intp)
             self._seed_of = np.empty(n_codes, np.uint64)
             # in slices, which keeps the temporaries small
-            for lo in range(0, n_codes, _BATCH_ELEMS):
-                part = np.arange(lo, min(lo + _BATCH_ELEMS, n_codes))
+            for lo in range(0, n_codes, TEMP_ELEMS):
+                part = np.arange(lo, min(lo + TEMP_ELEMS, n_codes))
                 self._seed_of[part] = self._seeds(part)
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
@@ -680,7 +647,7 @@ class _WatermarkRows:
                 grown = np.empty((size,) + field.shape[1:], field.dtype)
                 grown[:start] = field[:start]
                 self.fields[name] = grown
-        batch = max(1, _BATCH_ELEMS // self.vocab_size)
+        batch = max(1, TEMP_ELEMS // self.vocab_size)
         for lo in range(0, len(codes), batch):
             part = codes[lo : lo + batch]
             for name, values in self._build(part).items():
@@ -784,7 +751,7 @@ class TextSampler:
         model, radix, dtype = self.model, self._radix, self._code_dtype
         nucleus = model._nucleus(self.temperature, self.sampling.nucleus_p)
         prompts = list(prompts)
-        _token_ids(prompts, model.vocab_size, where=False)  # refuses a bad token
+        token_ids(prompts, model.vocab_size, "prompt {}".format)  # refuses a bad token
         codes = np.array([self._encode(p) for p in prompts], dtype)
         # the call reaches at most one state per step of each document
         marked = (None if self.wm is None

@@ -21,7 +21,7 @@ import numpy as np
 from . import stats
 from .dedup import CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
 from .hashing import (HASH_MOD, ConfigError, SecretKey, at_least, check_rules, check_value,
-                      stream_value)
+                      stream_value, token_ids)
 from .models import (
     PROMPT_TOKENS,
     MixSpec,
@@ -29,7 +29,6 @@ from .models import (
     SamplingConfig,
     TextSampler,
     _check_key_vocab,
-    _token_ids,
     generate_corpus,
     make_teacher,
     mix_dataset,
@@ -75,22 +74,6 @@ def pvalue_for(score: float, n: int, cfg: WatermarkConfig) -> tuple[float, float
     lp = log_tail(score, n, cfg)
     p = float(np.exp(lp)) if lp > -745.0 else 0.0
     return p, lp / _LN10
-
-
-def _joined_ids(docs, vocab_size: int, name) -> np.ndarray:
-    """The tokens of ``docs`` joined as int64, checked in one pass.  A token
-    that is not an integer in ``[0, vocab_size)`` is refused with a
-    ``ConfigError`` naming its document (``name(d)`` for document d) and
-    its position there."""
-    try:
-        return _token_ids(docs, vocab_size)
-    except ValueError:
-        for doc_id, doc in enumerate(docs):
-            try:
-                _token_ids([doc], vocab_size, name=f"{name(doc_id)}: token")
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        raise
 
 
 #: The rule of detection's ``budget`` (see :func:`~radioscope.hashing.check_value`)
@@ -153,13 +136,13 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
     sampling = sampling or SamplingConfig()
     k, v = key_cfg.k, key_cfg.vocab_size
     prompts = [list(prompt) for prompt in prompts]
-    _joined_ids(prompts, v, "prompt {}".format)
+    token_ids(prompts, v, "prompt {}".format)
     if completions is None:
         completions = _complete(suspect, prompts, sampling, key_cfg)
     pairs = list(zip(prompts, completions))
     # each document is its prompt followed by its completion
-    tokens = _joined_ids([part for pair in pairs for part in pair], v,
-                         lambda i: f"{('prompt', 'completion')[i % 2]} {i // 2}")
+    tokens = token_ids([part for pair in pairs for part in pair], v,
+                       lambda i: f"{('prompt', 'completion')[i % 2]} {i // 2}")
     prompt_lens = [len(prompt) for prompt, _ in pairs]
     lens = [len(prompt) + len(completion) for prompt, completion in pairs]
     cands = candidate_table(tokens, lens, prompt_lens, k, key_cfg.key, open_mode=False)
@@ -209,7 +192,7 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     _check_key_vocab(key_cfg, suspect)
     wm_texts = list(wm_texts)
     texts = [list(doc["tokens"] if isinstance(doc, dict) else doc) for doc in wm_texts]
-    tokens = _joined_ids(texts, key_cfg.vocab_size, "document {}".format)
+    tokens = token_ids(texts, key_cfg.vocab_size)
     prompt_lens = []
     for doc_id, (doc, text) in enumerate(zip(wm_texts, texts)):
         n = doc.get("prompt_len", 0) if isinstance(doc, dict) else 0
@@ -229,21 +212,21 @@ def mia_detect(suspect: NGramModel, candidate_set, fresh_set):
 
     Per-document loss is the model's total log-loss divided by the zlib
     compressed length of the document's text payload; the two samples are
-    compared with a two-sample K-S test.
+    compared with a two-sample K-S test.  A document without text is
+    skipped; a bad token of a scored one is refused as ``candidate d`` or
+    ``fresh d``, d counting the set's documents.
     """
-    def calibrated(docs):
-        values, skipped = [], 0
-        for doc in docs:
-            text = doc.get("text")
-            if not text:
-                skipped += 1
-                continue
-            denom = len(zlib.compress(text.encode()))
-            values.append(suspect.log_loss(doc["tokens"]) / denom)
-        return values, skipped
+    def calibrated(docs, name):
+        docs = list(docs)
+        scored = [d for d, doc in enumerate(docs) if doc.get("text")]
+        token_ids([docs[d]["tokens"] for d in scored], suspect.vocab_size,
+                  lambda i: name(scored[i]))
+        values = [suspect.log_loss(docs[d]["tokens"]) / len(zlib.compress(docs[d]["text"].encode()))
+                  for d in scored]
+        return values, len(docs) - len(scored)
 
-    cand, cand_skipped = calibrated(candidate_set)
-    fresh, fresh_skipped = calibrated(fresh_set)
+    cand, cand_skipped = calibrated(candidate_set, "candidate {}".format)
+    fresh, fresh_skipped = calibrated(fresh_set, "fresh {}".format)
     if not cand or not fresh:
         raise ValueError("both document sets need at least one text payload")
     d, p = stats.ks_two_sample(cand, fresh)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import stats
 from .hashing import (
+    TEMP_ELEMS,
     ConfigError,
     SecretKey,
     at_least,
@@ -29,6 +30,7 @@ from .hashing import (
     rank_below,
     rvalue_batch,
     stream_block,
+    token_ids,
     window_hashes,
 )
 
@@ -49,10 +51,6 @@ MPAC_RADIX = 4
 # the vocabulary partition keys start at 8
 _MPAC_PARTITION_OFFSET = 8
 
-#: Elements of one (rows, V) mask read while scoring: distinct seeds are
-#: scored in chunks of this many elements (512 rows at V = 128).
-_SCORE_ELEMS = 1 << 16
-
 
 @dataclass(frozen=True)
 class WatermarkConfig:
@@ -71,7 +69,8 @@ class WatermarkConfig:
     rules = {
         "scheme": lambda v, o: v in (KGW, AK, MPAC) or "be kgw, ak or mpac",
         "vocab_size": at_least(1),
-        "k": at_least(1),
+        "k": lambda v, o: "be >= 1" if v < 1
+        else v <= 255 or "be <= 255 (a filter file keeps k in one byte)",
         "gamma": lambda v, o: o["scheme"] != KGW or 0 < v < 1 or "lie in (0, 1) for kgw",
         "delta": lambda v, o: o["scheme"] == AK or v >= 0 or "be >= 0 for kgw and mpac",
         "temperature": lambda v, o: v is None or v > 0 or "be > 0",  # AK's
@@ -102,7 +101,7 @@ class WatermarkConfig:
 def _at_tokens(rows_of, seeds, tokens, vocab_size: int) -> np.ndarray:
     """``rows_of(seeds)[i, tokens[i]]`` for each i.  Each distinct seed's
     row is built once, in chunks of seeds that keep the ``(rows, V)``
-    temporaries below ``_SCORE_ELEMS``, and read by the tuples of that seed."""
+    temporaries below ``TEMP_ELEMS``, and read by the tuples of that seed."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     tokens = np.asarray(tokens, dtype=np.intp)
     # tuples grouped by seed; each value is put back at its own tuple, so
@@ -113,7 +112,7 @@ def _at_tokens(rows_of, seeds, tokens, vocab_size: int) -> np.ndarray:
     head[1:] = grouped[1:] != grouped[:-1]
     distinct, starts = grouped[head], np.append(np.flatnonzero(head), len(seeds))
     label = np.cumsum(head) - 1  # distinct seed of each grouped tuple
-    step = max(1, _SCORE_ELEMS // vocab_size)
+    step = max(1, TEMP_ELEMS // vocab_size)
     parts = []
     for lo in range(0, len(distinct), step):
         a, b = starts[lo], starts[min(lo + step, len(distinct))]
@@ -203,19 +202,20 @@ def mpac_extract(stream, cfg: WatermarkConfig, reference: str | None = None):
     list with ``None`` for positions that received no vote, and
     ``bit_accuracy`` compares decided positions against ``reference``
     (default: the embedded message), or ``None`` when nothing was decided.
-    A token outside the vocabulary casts no vote.
+    Each pair's window and token are non-negative int64 ids (ConfigError
+    otherwise, naming pair d and the position in it); a token outside the
+    vocabulary casts no vote.
     """
     if cfg.scheme != MPAC:
         raise ConfigError("mpac_extract needs an MPAC config")
-    b, v = cfg.n_positions, cfg.vocab_size
-    pairs = list(stream)
-    windows = np.array([w for w, _ in pairs] or np.zeros((0, cfg.k)), dtype=np.int64)
-    if windows.ndim != 2 or windows.shape[1] != cfg.k:
-        raise ConfigError(f"every window must hold k={cfg.k} tokens")
-    seeds = window_hashes(windows, cfg.key)
-    tokens = np.array([t for _, t in pairs], dtype=np.int64)
+    b, v, k = cfg.n_positions, cfg.vocab_size, cfg.k
+    pairs = [[*window, token] for window, token in stream]
+    if any(len(pair) != k + 1 for pair in pairs):
+        raise ConfigError(f"every window must hold k={k} tokens")
+    ids = token_ids(pairs, 2**63, "pair {}".format).reshape(-1, k + 1)
+    seeds = window_hashes(ids[:, :k], cfg.key)
     # each distinct (seed, token) pair votes once, as canonical_dedup admits it
-    seeds, tokens = np.unique(np.column_stack((seeds, tokens.astype(np.uint64))), axis=0).T
+    seeds, tokens = np.unique(np.column_stack((seeds, ids[:, k].astype(np.uint64))), axis=0).T
     inside = tokens < v
     seeds, tokens = seeds[inside], tokens[inside]
     votes = np.zeros((b, MPAC_RADIX), dtype=np.int64)

@@ -1,5 +1,6 @@
-"""Tokens are checked against the vocabulary at the detection boundary and
-in the model, ``--threads`` is validated and refused without
+"""Tokens are checked against the vocabulary at every door, library and
+CLI, and a bad one is named by its document and its position in it,
+``--threads`` is validated and refused without
 ``--endpoint``, open mode refuses ``--filter``, detection
 refuses a scheme without a test, a negative budget, fewer than one
 repetition and an empty corpus, corpus files are refused line by line,
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from radioscope import (ConfigError, MixSpec, NGramModel, SamplingConfig, WatermarkConfig,
-                        build_filter, generate, generate_corpus, save_model, train_ngram)
+                        build_filter, generate, generate_corpus, mia_detect, mpac_extract,
+                        save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, EXIT_OK, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, parse_scenario, pvalue_for
 from radioscope.schemes import score_batch
@@ -72,26 +74,104 @@ def test_tokens_that_are_not_integers_are_named(small_model, kgw_cfg, key, bad):
         detect_closed(small_model, [[3, 4]], kgw_cfg, completions=[[1, 2, bad]])
 
 
+def two_docs(bad) -> list:
+    """Two documents, ``bad`` at position 2 of the second."""
+    return [[1, 2, 3, 4], [5, 6, bad, 7]]
+
+
+def with_text(docs) -> list:
+    return [{"tokens": doc, "text": f"document {d}"} for d, doc in enumerate(docs)]
+
+
+#: Every door a token list enters by -> the name of the document that holds
+#: the bad token, the id just outside the door's range, and the door: a call
+#: of (model, key, bad), or the argv of a command, in which ``{corpus}``
+#: holds ``two_docs(bad)``, ``{fresh}`` ``two_docs(7)`` and ``{model}`` the
+#: model (V = 64).
+TOKEN_DOORS = {
+    "train_ngram": ("document 1", 64,
+                    lambda model, key, bad: train_ngram(two_docs(bad), 2, 0.01, 64)),
+    "log_loss": ("document 0", 64, lambda model, key, bad: model.log_loss([5, 6, bad, 7])),
+    "generate": ("prompt 0", 64, lambda model, key, bad: generate(
+        model, [5, 6, bad, 7], SamplingConfig(max_tokens=4))),
+    "detect_open": ("document 1", 64, lambda model, key, bad: detect_open(
+        model, two_docs(bad), WatermarkConfig("kgw", key, 64))),
+    "detect_closed_prompt": ("prompt 1", 64, lambda model, key, bad: detect_closed(
+        model, two_docs(bad), WatermarkConfig("kgw", key, 64), completions=[[1, 2], [3, 4]])),
+    "detect_closed_completion": ("completion 1", 64, lambda model, key, bad: detect_closed(
+        model, [[1, 2], [3, 4]], WatermarkConfig("kgw", key, 64), completions=two_docs(bad))),
+    "build_filter": ("document 1", -1, lambda model, key, bad: build_filter(two_docs(bad), 2)),
+    "mia_detect_candidate": ("candidate 1", 64, lambda model, key, bad: mia_detect(
+        model, with_text(two_docs(bad)), with_text(two_docs(7)))),
+    "mia_detect_fresh": ("fresh 1", 64, lambda model, key, bad: mia_detect(
+        model, with_text(two_docs(7)), with_text(two_docs(bad)))),
+    # each pair is its window and its voted token: position 2 is the token
+    "mpac_extract": ("pair 1", -1, lambda model, key, bad: mpac_extract(
+        [((1, 2), 3), ((5, 6), bad)], WatermarkConfig("mpac", key, 64, message="01"))),
+    "cli_train": ("document 1", 64, ["train", "--corpus", "{corpus}", "--vocab-size", "64"]),
+    "cli_detect_open": ("document 1", 64, ["detect", "--mode", "open", "--model", "{model}",
+                                           "--corpus", "{corpus}", "--key", KEY_HEX,
+                                           "--vocab-size", "64"]),
+    "cli_detect_closed": ("prompt 1", 64, ["detect", "--mode", "closed", "--model", "{model}",
+                                           "--corpus", "{corpus}", "--key", KEY_HEX,
+                                           "--vocab-size", "64"]),
+    "cli_filter": ("document 1", -1, ["filter", "--corpus", "{corpus}"]),
+    "cli_mia": ("candidate 1", 64, ["mia", "--model", "{model}", "--candidate", "{corpus}",
+                                    "--fresh", "{fresh}"]),
+}
+
+
+@pytest.mark.parametrize("bad", ["outside", 2.5, 2**70])
+@pytest.mark.parametrize("name,outside,door", TOKEN_DOORS.values(), ids=list(TOKEN_DOORS))
+def test_every_door_names_a_bad_token_by_its_document_and_position(
+        tmp_path, small_model, key, capsys, monkeypatch, name, outside, door, bad):
+    """An id past the door's range, a float and an integer no int64 holds,
+    at position 2: the library raises one ConfigError, and the CLI prints
+    it as one error line and exits 1."""
+    bad = outside if bad == "outside" else bad
+    problem = "is not an integer" if isinstance(bad, float) else "out of vocabulary"
+    refusal = f"{name}: token {bad} at position 2 {problem}"
+    if callable(door):
+        with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+            door(small_model, key, bad)
+        return
+    monkeypatch.delenv("RADIOSCOPE_KEY", raising=False)
+    files = {"model": tmp_path / "m.bin", "corpus": tmp_path / "c.jsonl",
+             "fresh": tmp_path / "fresh.jsonl"}
+    save_model(small_model, files["model"])
+    for path, docs in ((files["corpus"], two_docs(bad)), (files["fresh"], two_docs(7))):
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in with_text(docs)))
+    argv = [arg.format(**files) for arg in door]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert one_error_line(capsys) == f"error: {refusal}\n"
+
+
+def refused_in_filter(bad) -> str:
+    """The refusal of ``bad`` at position 1 of the filter's document 1."""
+    problem = "is not an integer" if not isinstance(bad, int) else "out of vocabulary"
+    return f"^document 1: token {re.escape(repr(bad))} at position 1 {problem}$"
+
+
 @pytest.mark.parametrize("bad", [-1, 1.5, "3", 2**64])
 def test_filter_refuses_ids_that_are_not_non_negative_integers(bad):
-    with pytest.raises(ValueError, match="token ids must be non-negative integers"):
+    with pytest.raises(ConfigError, match=refused_in_filter(bad)):
         build_filter([[1, 2, 3], [4, bad, 5]], 2)
 
 
 @pytest.mark.parametrize("bad", [2.0, "7", None])
 def test_filter_refuses_a_token_that_is_not_an_integer(bad):
-    with pytest.raises(ConfigError, match="token ids must be non-negative integers"):
+    with pytest.raises(ConfigError, match=refused_in_filter(bad)):
         build_filter([[1, 2, 3], [4, bad, 5]], 2)
 
 
 def test_filter_refuses_a_negative_token():
-    with pytest.raises(ConfigError, match="token ids must be non-negative integers"):
+    with pytest.raises(ConfigError, match=refused_in_filter(-1)):
         build_filter([[1, 2, 3], [4, -1, 5]], 2)
 
 
 @pytest.mark.parametrize("bad", [2**63, 2**64 - 1, 2**70])
 def test_filter_refuses_a_token_beyond_int64(bad):
-    with pytest.raises(ConfigError, match="token ids must be non-negative integers"):
+    with pytest.raises(ConfigError, match=refused_in_filter(bad)):
         build_filter([[1, 2, 3], [4, bad, 5]], 2)
 
 
@@ -144,7 +224,7 @@ def test_cli_mia_out_of_vocabulary_is_one_error_line(tmp_path, capsys):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
-    assert "token id 999 at position 2" in err
+    assert "candidate 0: token 999 at position 2 out of vocabulary" in err
 
 
 #: A token id no int64 holds.
@@ -159,7 +239,7 @@ def test_cli_train_token_beyond_int64_is_one_error_line(tmp_path, capsys):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
-    assert f"token id {HUGE} out of vocabulary" in err
+    assert f"document 0: token {HUGE} at position 2 out of vocabulary" in err
 
 
 def test_cli_mia_token_beyond_int64_is_one_error_line(tmp_path, capsys):
@@ -173,7 +253,7 @@ def test_cli_mia_token_beyond_int64_is_one_error_line(tmp_path, capsys):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
-    assert f"token id {HUGE} at position 1" in err
+    assert f"candidate 0: token {HUGE} at position 1" in err
 
 
 @pytest.mark.parametrize("value", ["0", "65", "-3", "many"])
@@ -327,13 +407,13 @@ def test_prompt_len_past_the_document_scores_nothing(small_model, kgw_cfg):
 
 @pytest.mark.parametrize("bad", [2.5, "2", 2.0, None, [2]])
 def test_model_refuses_token_ids_that_are_not_integers(bad):
-    with pytest.raises(ValueError, match=rf"token id {re.escape(repr(bad))} is not an integer"):
+    refused = f"token {re.escape(repr(bad))} at position 1 is not an integer$"
+    with pytest.raises(ConfigError, match=f"^document 1: {refused}"):
         train_ngram([[1, 2, 3], [1, bad, 3, 1, 2, 3]], 2, 0.01, 8)
     model = train_ngram([[1, 2, 3, 1, 2, 3]], 2, 0.01, 8)
-    with pytest.raises(ValueError, match=rf"token id {re.escape(repr(bad))} at position 1 "
-                                         "is not an integer"):
+    with pytest.raises(ConfigError, match=f"^document 0: {refused}"):
         model.log_loss([1, bad, 3])
-    with pytest.raises(ValueError, match=rf"token id {re.escape(repr(bad))} is not an integer"):
+    with pytest.raises(ConfigError, match=f"^prompt 0: {refused}"):
         generate(model, [1, bad, 3], SamplingConfig(max_tokens=4))
 
 
@@ -360,7 +440,8 @@ def test_cli_token_id_that_is_not_an_integer_is_one_error_line(tmp_path, capsys,
         argv = ["mia", "--model", str(model), "--candidate", str(corpus),
                 "--fresh", str(corpus)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ERROR
-    assert "token id 2.5" in one_error_line(capsys)
+    name = {"train": "document", "mia": "candidate"}[command]
+    assert f"{name} 1: token 2.5 at position 1 is not an integer" in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("line", ['{"wm": true}', '{"tokens": 7}', "[1, 2, 3]", "not json"],
@@ -465,6 +546,8 @@ SCENARIO_REFUSALS = {
     "kgw_delta": (["scenario = rho_sweep", "delta = -1"],
                   "delta must be >= 0 for kgw and mpac, got -1.0"),
     "k": (["scenario = rho_sweep", "k = 0"], "k must be >= 1, got 0"),
+    "k_one_byte": (["scenario = rho_sweep", "k = 300"],
+                   "k must be <= 255 (a filter file keeps k in one byte), got 300"),
     "vocab_size": (["scenario = rho_sweep", "vocab_size = 0"], "vocab_size must be >= 1, got 0"),
     "teacher_order": (["scenario = rho_sweep", "teacher_order = 0"],
                       "teacher_order must be >= 1, got 0"),
@@ -529,12 +612,16 @@ DOORS = {
                ("detect", "scheme", "kgx", False), None),  # argparse refuses the flag
     "k": ("must be >= 1, got 0", ("k", lambda key, model: WatermarkConfig("kgw", key, 64, k=0)),
           ("generate", "k", "0", True), "k"),
+    # every window is one a filter file can hold, so --k 300 is refused where it is read
+    "k_one_byte": ("must be <= 255 (a filter file keeps k in one byte), got 300",
+                   ("k", lambda key, model: WatermarkConfig("kgw", key, 64, k=300)),
+                   ("filter", "k", "300", True), "k_one_byte"),
     "gamma": ("must lie in (0, 1) for kgw, got 1.5",
               ("gamma", lambda key, model: WatermarkConfig("kgw", key, 64, gamma=1.5)),
               ("generate", "gamma", "1.5", True), "kgw_gamma"),
     "delta": ("must be >= 0 for kgw and mpac, got -1.0",
               ("delta", lambda key, model: WatermarkConfig("kgw", key, 64, delta=-1.0)),
-              ("detect", "delta", "-1", True), "kgw_delta"),
+              ("generate", "delta", "-1", True), "kgw_delta"),
     "temperature": ("must be > 0, got 0.0",
                     ("temperature", lambda key, model: WatermarkConfig("ak", key, 64,
                                                                        temperature=0.0)),
@@ -592,8 +679,10 @@ def command_argv(cli_files, command, setting) -> list[str]:
                          "--out", str(tmp_path / "gen" / "c.jsonl")],
             "train": ["train", "--corpus", str(corpus), "--out", str(tmp_path / "s.bin")],
             "detect": ["detect", "--mode", "open", "--model", str(model), "--corpus",
-                       str(corpus), "--key", KEY_HEX, "--out", str(tmp_path / "out")]}[command]
-    argv += ["--vocab-size", "64"]
+                       str(corpus), "--key", KEY_HEX, "--out", str(tmp_path / "out")],
+            "filter": ["filter", "--corpus", str(corpus), "--out", str(tmp_path / "phi.bin")]
+            }[command]
+    argv += ["--vocab-size", "64"] if command != "filter" else []
     flag = "--" + setting.replace("_", "-")
     # drop the flag and the value after it, so that a config line can set it
     return [arg for i, arg in enumerate(argv) if flag not in argv[max(i - 1, 0) : i + 1]]

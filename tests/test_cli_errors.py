@@ -111,10 +111,13 @@ def test_rsm1_checkpoint_refused(tmp_path, corpus, capsys):
 
 
 def test_filter_k_beyond_one_byte_is_one_error_line(tmp_path, corpus, capsys):
+    """The filter file's one-byte bound is part of the key's ``k`` rule, so
+    the refusal names the flag that gave the value."""
     code = main(["filter", "--corpus", str(corpus), "--k", "300",
                  "--out", str(tmp_path / "phi.bin")])
     assert code == EXIT_ERROR
-    assert "k must be in 1..255, got 300" in _one_error_line(capsys)
+    assert _one_error_line(capsys) == ("error: --k must be <= 255 (a filter file keeps k in "
+                                       "one byte), got 300\n")
 
 
 @pytest.fixture
@@ -226,3 +229,76 @@ def test_an_interrupted_run_writes_no_credentials(tmp_path, corpus, endpoint, ca
                  "--out", str(out)]) == EXIT_ERROR
     assert (out / "report.json").exists()
     assert_secrets_absent(out, capsys)
+
+
+#: Every way a command takes the secret key: the flag, the flag with ``=``,
+#: a prefix argparse takes for it, a ``--config`` line and the environment
+KEY_SOURCES = {"flag": ["--key", hex(SECRET_KEY)], "flag=": [f"--key={SECRET_KEY}"],
+               "prefix": ["--ke", hex(SECRET_KEY).upper()], "config": [], "env": []}
+
+#: Every command that writes something, as run on the inputs below: ``{in}``
+#: is the inputs' directory, ``{out}`` the run's own, and ``{url}`` a
+#: loopback endpoint that answers every request.
+SECRECY_RUNS = {
+    "generate": ["generate", "--docs", "2", "--doc-len", "10", "--vocab-size", "16",
+                 "--out", "{out}/c.jsonl"],
+    "train": ["train", "--corpus", "{in}/c.jsonl", "--vocab-size", "16", "--out", "{out}/m.bin"],
+    "detect_open": ["detect", "--mode", "open", "--model", "{in}/m.bin", "--corpus",
+                    "{in}/c.jsonl", "--vocab-size", "16", "--out", "{out}"],
+    "detect_closed": ["detect", "--mode", "closed", "--model", "{in}/m.bin", "--corpus",
+                      "{in}/c.jsonl", "--vocab-size", "16", "--out", "{out}"],
+    "detect_endpoint": ["detect", "--mode", "closed", "--endpoint", "{url}", "--credentials",
+                        TOKEN, "--corpus", "{in}/c.jsonl", "--vocab-size", "16",
+                        "--out", "{out}"],
+    "filter": ["filter", "--corpus", "{in}/c.jsonl", "--out", "{out}/phi.bin"],
+    "mia": ["mia", "--model", "{in}/m.bin", "--candidate", "{in}/c.jsonl", "--fresh",
+            "{in}/c.jsonl", "--out", "{out}"],
+    "scenario": ["scenario", "--spec", "{in}/s.scn", "--out", "{out}"],
+}
+
+
+@pytest.fixture(scope="module")
+def secrecy_inputs(tmp_path_factory):
+    """A V = 16 corpus with text, a model trained on it and a small scenario."""
+    from radioscope import save_model, train_ngram
+
+    inputs = tmp_path_factory.mktemp("inputs")
+    docs = [[(5 * d + 3 * i) % 16 for i in range(12)] for d in range(3)]
+    (inputs / "c.jsonl").write_text("".join(
+        json.dumps({"tokens": doc, "text": f"document {d}"}) + "\n" for d, doc in enumerate(docs)))
+    save_model(train_ngram(docs, 2, 0.01, 16), inputs / "m.bin")
+    (inputs / "s.scn").write_text("scenario = rho_sweep\nvocab_size = 16\nrho = 0.5\n"
+                                  "repetitions = 1\nn_docs = 4\ndoc_len = 10\ndetect_docs = 2\n"
+                                  "detect_len = 10\n")
+    return inputs
+
+
+@pytest.fixture(scope="module")
+def answering_url():
+    with serving(AnsweringHandler) as url:
+        yield url
+
+
+@pytest.mark.parametrize("source", KEY_SOURCES)
+@pytest.mark.parametrize("command", SECRECY_RUNS)
+def test_no_command_writes_the_key_or_the_credentials(tmp_path, secrecy_inputs, answering_url,
+                                                      capsys, monkeypatch, command, source):
+    """Whichever command runs and however the key is given, neither the key
+    (as given, in decimal, in hex of either case) nor the endpoint's
+    credentials reach a file the run writes, stdout or stderr."""
+    monkeypatch.delenv("RADIOSCOPE_KEY", raising=False)
+    if source == "env":
+        monkeypatch.setenv("RADIOSCOPE_KEY", hex(SECRET_KEY))
+    # the config file, read by every command, keeps closed completions short
+    config = tmp_path / "run.cfg"
+    config.write_text("max_tokens = 3\n" + (f"key = {SECRET_KEY}\n" if source == "config" else ""))
+    out = tmp_path / "out"
+    argv = [arg.format(**{"in": secrecy_inputs, "out": out, "url": answering_url})
+            for arg in SECRECY_RUNS[command]]
+    assert main(argv + KEY_SOURCES[source] + ["--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    written = [p.read_bytes() for p in out.rglob("*") if p.is_file()]
+    assert written
+    for text in [captured.out.encode(), captured.err.encode()] + written:
+        for secret in (hex(SECRET_KEY)[2:], str(SECRET_KEY), TOKEN):
+            assert secret.lower().encode() not in text.lower()

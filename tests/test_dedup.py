@@ -20,7 +20,7 @@ from radioscope import (
     save_filter,
 )
 from radioscope.dedup import _row_ids, candidate_table
-from radioscope.hashing import window_hash
+from radioscope.hashing import ConfigError, window_hash
 from radioscope.pipelines import derive_run_key
 
 KEY = SecretKey(0xFACE)
@@ -128,7 +128,8 @@ class TestFilter:
 
     @pytest.mark.parametrize("k", [0, 256, 300])
     def test_k_must_fit_the_file_byte(self, k):
-        with pytest.raises(ValueError, match=f"k must be in 1..255, got {k}"):
+        must = "be >= 1" if k < 1 else r"be <= 255 \(a filter file keeps k in one byte\)"
+        with pytest.raises(ConfigError, match=f"^k must {must}, got {k}$"):
             build_filter([list(range(400))], k)
 
     @settings(max_examples=150, deadline=None)

@@ -144,6 +144,15 @@ class TestSecretKey:
         with pytest.raises(ConfigError):
             SecretKey(2**64)
 
+    @pytest.mark.parametrize("s", [2**64, HASH_MOD, 0xDEADBEEFCAFE << 40])
+    def test_refusal_names_the_rule_not_the_key(self, s):
+        """A mistyped key would otherwise reach tracebacks and logs."""
+        with pytest.raises(ConfigError) as exc:
+            SecretKey(s)
+        assert str(exc.value) == "secret key must be in [1, 2**64-2]"
+        for shown in (str(s), hex(s), hex(s).upper()[2:]):
+            assert shown not in str(exc.value)
+
     def test_zero_modulo_hash_mod_rejected(self):
         # s = 2**64 - 1 would hash every window to its last token
         with pytest.raises(ConfigError):

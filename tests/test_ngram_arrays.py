@@ -176,7 +176,8 @@ class TestWholeCorpus:
     @pytest.mark.parametrize("bad", [-1, 8])
     def test_log_loss_refuses_out_of_vocabulary_token(self, bad):
         model = train_ngram([[1, 2, 3, 4]], order=2, vocab_size=8)
-        with pytest.raises(ValueError, match=f"token id {bad} at position 2 out of vocabulary"):
+        with pytest.raises(ConfigError,
+                           match=f"^document 0: token {bad} at position 2 out of vocabulary$"):
             model.log_loss([1, 2, bad, 3])
 
     def test_next_distribution_belongs_to_the_caller(self):
@@ -216,7 +217,8 @@ class TestKeyWidth:
     @pytest.mark.parametrize("bad", [-1, 16])
     def test_out_of_vocabulary_token_named(self, bad):
         model = NGramModel(2, 16)
-        with pytest.raises(ValueError, match=f"token id {bad} out of vocabulary"):
+        with pytest.raises(ConfigError,
+                           match=f"^document 1: token {bad} at position 1 out of vocabulary$"):
             model.update([[1, 2, 3], [4, bad, 5]])
 
 

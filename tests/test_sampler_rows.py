@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from radioscope import (SamplingConfig, SecretKey, TextSampler, WatermarkConfig, generate,
                         generate_corpus, make_teacher, models, train_ngram)
-from radioscope.hashing import window_hash
+from radioscope.hashing import ConfigError, window_hash
 from radioscope.models import NucleusRows, _WatermarkRows, _kept_sums
 from radioscope.pipelines import _complete
 from sampler_oracle import LoopTextSampler, loop_complete, loop_generate_corpus
@@ -233,7 +233,7 @@ def test_teacher_corpus_equals_the_loop(teacher64, scheme):
 
 
 def test_out_of_vocabulary_prompt_refused(teacher64):
-    with pytest.raises(ValueError, match="out of vocabulary"):
+    with pytest.raises(ConfigError, match="^prompt 0: token 64 at position 1 out of vocabulary$"):
         _complete(teacher64, [[3, 64]], SamplingConfig(max_tokens=4), None)
 
 

@@ -342,7 +342,7 @@ class TestBatchAgainstOracle:
             assert col == int(np.argmin(cost))
 
     @given(st.lists(st.tuples(st.tuples(st.integers(0, 15), st.integers(0, 15)),
-                              st.integers(-2, 17)), max_size=200),
+                              st.integers(0, 17)), max_size=200),
            st.sampled_from([None, "0000", "1111", "0110"]))
     @settings(max_examples=100, deadline=None)
     def test_extract_casts_the_loop_votes(self, stream, reference):
@@ -355,7 +355,7 @@ class TestBatchAgainstOracle:
 
     @pytest.mark.parametrize("elems", [1, 64, 1 << 19])
     def test_scores_over_chunk_boundaries(self, monkeypatch, elems):
-        monkeypatch.setattr(schemes, "_SCORE_ELEMS", elems)
+        monkeypatch.setattr(schemes, "TEMP_ELEMS", elems)
         c = cfg(gamma=0.25, vocab=64)
         rng = np.random.default_rng(23)
         seeds = rng.integers(0, 2**63, size=300).astype(np.uint64)
@@ -368,7 +368,7 @@ class TestBatchAgainstOracle:
     @pytest.mark.parametrize("scheme", ["kgw", "mpac"])
     def test_repeated_seeds_score_as_one_call_per_tuple(self, monkeypatch, elems, scheme):
         """Each distinct seed's row is built once and read by all its tuples."""
-        monkeypatch.setattr(schemes, "_SCORE_ELEMS", elems)
+        monkeypatch.setattr(schemes, "TEMP_ELEMS", elems)
         rng = np.random.default_rng(25)
         pool = rng.integers(0, 2**64, size=40, dtype=np.uint64)
         seeds, tokens = pool[rng.integers(0, 40, size=500)], rng.integers(0, 64, size=500)
