@@ -72,9 +72,9 @@ def token_ids(docs, vocab_size: int, name="document {}".format, lead: int = 0) -
     """The tokens of ``docs``, joined, after ``lead`` zeros, as int64.
 
     ``struct`` packs only integers that fit in int64, which is as fast as
-    ``np.fromiter`` and, unlike it, refuses 2.5 or "2".  A token that is not
-    an integer id below ``vocab_size`` is refused with a ``ConfigError``
-    naming its document d as ``name(d)`` and its position in it.
+    ``np.fromiter`` and, unlike it, refuses 2.5 or "2" (but not a bool).  A
+    token that is not an integer id below ``vocab_size`` is refused with a
+    ``ConfigError`` naming its document d as ``name(d)`` and its position.
     """
     lens = [len(doc) for doc in docs]
     ids = np.zeros(lead + sum(lens), np.int64)
@@ -83,10 +83,11 @@ def token_ids(docs, vocab_size: int, name="document {}".format, lead: int = 0) -
             struct.pack_into(f"{len(doc)}q", ids, 8 * (lead + end - len(doc)), *doc)
     except (struct.error, TypeError):  # a token that is not an int64: the scan names it
         ids = None
-    if ids is None or ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size:
+    if (ids is None or ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size
+            or any(bool in set(map(type, doc)) for doc in docs)):
         for d, doc in enumerate(docs):
             for pos, tok in enumerate(doc):
-                if not isinstance(tok, (int, np.integer)):
+                if type(tok) is bool or not isinstance(tok, (int, np.integer)):
                     raise ConfigError(f"{name(d)}: token {tok!r} at position {pos} "
                                       "is not an integer")
                 if not 0 <= tok < vocab_size:
@@ -124,6 +125,11 @@ class SecretKey:
         return f"SecretKey(fingerprint={self.fingerprint()})"
 
 
+def derive_run_key(master_seed: int, run_index: int) -> SecretKey:
+    """Independent per-run secret key from a master seed."""
+    return SecretKey(stream_value(master_seed, run_index) % HASH_MOD or 1)
+
+
 def window_hash(window, key: SecretKey) -> int:
     """Hash a window of token ids into a 64-bit seed.
 
@@ -145,26 +151,44 @@ def _add_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s + (s < a)
 
 
+def _mul_mod(h: np.ndarray, s: int) -> np.ndarray:
+    """``h * s`` modulo ``2**64 - 1``: in 32-bit limbs, ``h1 s1 + h0 s0`` plus the
+    cross products times ``2**32``, which rotates them by 32 bits (``2**64 = 1``)."""
+    s0, s1 = np.uint64(s & MASK32), np.uint64(s >> 32)
+    low, half = np.uint64(MASK32), np.uint64(32)
+    h0, h1 = h & low, h >> half
+    a, b = h1 * s0, h0 * s1
+    cross = _add_mod((a << half) | (a >> half), (b << half) | (b >> half))
+    return _add_mod(_add_mod(h1 * s1, h0 * s0), cross)
+
+
 def window_hashes(windows, key: SecretKey) -> np.ndarray:
     """:func:`window_hash` of each row of an ``(n, k)`` array of token ids.
 
-    As ``2**64 = 1`` modulo ``2**64 - 1``, ``h * s`` in 32-bit limbs is
-    ``h1 s1 + h0 s0`` plus the two cross products times ``2**32``, which
-    rotates them by 32 bits.
+    The hash is linear: a window's seed is the sum, modulo ``2**64 - 1``, of
+    its tokens' seeds, each followed by the j zeros after it in the window.
+    When ``k * (largest token + 1)`` entries fit ``TEMP_ELEMS``, table j
+    maps token x to that seed, ``x * s**j``, and a window sums one entry
+    per table; wider tokens run the recurrence.  A sum of ``2**64 - 1``, the
+    other form of 0, is mapped to 0: both give :func:`window_hash`'s seeds.
     """
     windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] == 0:
         raise ConfigError("windows must be an (n, k) array with k >= 1")
     if windows.dtype.kind not in "iu" or (windows.size and windows.min() < 0):
         raise ConfigError("window token ids must be non-negative integers")
-    s0, s1 = np.uint64(key.s & MASK32), np.uint64(key.s >> 32)
-    low, half = np.uint64(MASK32), np.uint64(32)
-    h = np.zeros(len(windows), dtype=np.uint64)
-    for x in windows.astype(np.uint64).T:
-        h0, h1 = h & low, h >> half
-        a, b = h1 * s0, h0 * s1
-        cross = _add_mod((a << half) | (a >> half), (b << half) | (b >> half))
-        h = _add_mod(_add_mod(_add_mod(h1 * s1, h0 * s0), cross), x)
+    n, k = windows.shape
+    top = int(windows.max(initial=0)) + 1
+    if k * top <= TEMP_ELEMS:
+        table = np.arange(top, dtype=np.uint64)  # table 0: no zeros after x
+        h = table[windows[:, k - 1]]
+        for j in range(k - 2, -1, -1):
+            table = _mul_mod(table, key.s)
+            h = _add_mod(h, table[windows[:, j]])
+    else:
+        h = np.zeros(n, dtype=np.uint64)
+        for x in windows.astype(np.uint64).T:
+            h = _add_mod(_mul_mod(h, key.s), x)
     h[h == np.uint64(HASH_MOD)] = 0  # the other form of 0
     return h
 

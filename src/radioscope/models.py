@@ -61,24 +61,17 @@ build again.
 A watermarked state's row, built once per state, holds its context id
 and the scheme's part: the cumulative biased probabilities (KGW, MPAC)
 or the chosen token (AK), made from the nucleus rows with zeros past
-``keep``.  A state's window seed is summed from k digit tables of the
-key, one entry per window token, and the windows are embedded by the
-batched functions of :mod:`radioscope.schemes`.  The rows first reached
-at a step are built together with 2-d array operations.  The watermark
-store keeps one array per field, written in build order, so reading rows
-is one index: it reserves ``_RESERVE_BYTES`` of rows, or its bound if
-fewer, and doubles, up to the bound, when a batch does not fit.
-
-How a state finds its watermark row depends on the vocabulary.  When a
-row id and a window seed for every state code fit ``_RESERVE_BYTES``
-(V up to 2,047 at depth 2, 160 at depth 3), the store is dense: it makes
-those two tables when it is made, so a step's rows are one gather, and
-a build gathers its seeds.  A step finds its new states by one
-``flatnonzero`` and deduplicates them in the row-id table: each
-occurrence writes a placeholder below -1, and those that survive build
-the rows.  Above those vocabularies, rows are found through a dict, and
-each build sums its seeds.  Either way a build finds its states'
-contexts through the model's table.
+``keep``.  A state's window seed is
+:func:`~radioscope.hashing.window_hashes` of its last k tokens, and the
+windows are embedded by the batched functions of
+:mod:`radioscope.schemes`.  The rows first reached at a step are built
+together, into two arrays in build order (see :class:`_WatermarkRows`).
+When a row id and a seed for every state code fit ``_RESERVE_BYTES`` (V
+up to 2,047 at depth 2, 160 at depth 3), the store is dense: a step's
+rows are one gather, and its new states are found by one ``flatnonzero``
+and deduplicated in the row-id table, where each occurrence writes a
+placeholder below -1 and those that survive build the rows.  Above those
+vocabularies, rows are found through a dict.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -97,8 +90,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .hashing import (HASH_MOD, TEMP_ELEMS, ConfigError, _add_mod, at_least, check_rules,
-                      token_ids, window_hashes)
+from .hashing import TEMP_ELEMS, ConfigError, at_least, check_rules, token_ids, window_hashes
 from .schemes import AK, WatermarkConfig, aaronson_pick, bias_logits
 
 
@@ -555,59 +547,46 @@ class _WatermarkRows:
     """Decode rows of the states that hold a full watermark window.
 
     A state is coded by its last ``max(order, k)`` tokens.  Its row holds
-    the id of its context in the nucleus store (``base``) and either the
-    token the scheme picks (AK, ``tok``) or the cumulative biased
-    probabilities over the kept ids (KGW and MPAC, ``bcum``, which past
-    ``keep`` repeats the total).  Each field (name -> row shape, dtype) is
-    one array, filled in build order, so reading rows is one index.  A
-    call reaches at most ``reach`` states, and only states with a full
-    window have rows, so ``bound``, the most rows the store can hold, is
-    the fewer of ``reach`` and the windowed state codes.  The store
-    reserves ``_RESERVE_BYTES`` of rows, or ``bound`` rows if fewer, and
-    doubles, up to ``bound``, when a batch does not fit.
+    the id of its context in the nucleus store (``base``) and the scheme's
+    ``part``: the token it picks (AK) or the cumulative biased
+    probabilities over the kept ids (KGW and MPAC, which past ``keep``
+    repeats the total).  Each is one array, filled in build order, so
+    reading rows is one index.  A call reaches at most ``reach`` states,
+    and only states with a full window have rows, so ``bound``, the most
+    rows the store can hold, is the fewer of ``reach`` and the windowed
+    state codes.  The store reserves ``_RESERVE_BYTES`` of rows, or
+    ``bound`` rows if fewer, and doubles, up to ``bound``, when a batch
+    does not fit.
 
-    A window's seed is read from k digit tables made with the store:
-    table j maps token x to the hash of x followed by j zeros, so the hash
-    of a window is the sum of its tokens' entries modulo ``2**64 - 1``.
-
-    When a row id and a seed for every state code fit ``_RESERVE_BYTES``,
-    the store is dense: it makes those two tables, indexed by state code,
-    when it is made, so finding rows is one gather.  Otherwise rows are
-    found through a dict, and each build sums its seeds.
+    When a row id and a window seed for every state code fit
+    ``_RESERVE_BYTES``, the store is dense: it makes those two tables,
+    indexed by state code, with the store.  Otherwise rows are found
+    through a dict, and each build hashes its windows.
     """
 
     def __init__(self, model: NGramModel, nucleus: NucleusRows, wm: WatermarkConfig,
                  reach: int):
         v = self.vocab_size = nucleus.vocab_size
-        self.model = model
-        self.nucleus = nucleus
-        self.wm = wm
+        self.model, self.nucleus, self.wm = model, nucleus, wm
         radix, k = v + 1, wm.k
         n_codes = radix ** max(model.order, k)
         # codes below radix**(k - 1) lack a full window
         self.bound = bound = min(reach, n_codes - radix ** (k - 1))
-        picked = (("tok", ((), nucleus.idx.dtype)) if wm.scheme == AK
-                  else ("bcum", ((v,), np.float64)))
-        fields = dict([("base", ((), np.intp)), picked])
-        row = sum(np.dtype(dtype).itemsize * int(np.prod(shape))
-                  for shape, dtype in fields.values())
-        size = min(bound, _RESERVE_BYTES // row)
-        self.fields = {name: np.empty((size,) + shape, dtype)
-                       for name, (shape, dtype) in fields.items()}
         self.n = 0
-        x = np.arange(v)[:, None]
-        self._tables = [window_hashes(np.hstack([x, np.zeros((v, j), np.int64)]), wm.key)
-                        for j in range(wm.k)]
+        shape, dtype = ((), nucleus.idx.dtype) if wm.scheme == AK else ((v,), np.float64)
+        # a row is its base, an intp, and its part
+        size = min(bound, _RESERVE_BYTES // (np.intp(0).nbytes + np.empty(shape, dtype).nbytes))
+        self.base, self.part = np.empty(size, np.intp), np.empty((size,) + shape, dtype)
         # a row id and a seed per state code, 8 bytes each
         self.dense = 16 * n_codes <= _RESERVE_BYTES
         self.index = None if self.dense else {}
         if self.dense:
             self._row_of = np.full(n_codes, -1, np.intp)
             self._seed_of = np.empty(n_codes, np.uint64)
-            # in slices, which keeps the temporaries small
+            # in slices, to keep temporaries small, of int32 codes: they divide faster
             for lo in range(0, n_codes, TEMP_ELEMS):
-                part = np.arange(lo, min(lo + TEMP_ELEMS, n_codes))
-                self._seed_of[part] = self._seeds(part)
+                hi = min(lo + TEMP_ELEMS, n_codes)
+                self._seed_of[lo:hi] = self._seeds(np.arange(lo, hi, dtype=np.int32))
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """Row of each state code, building the rows of the codes first reached."""
@@ -641,41 +620,40 @@ class _WatermarkRows:
     def _extend(self, codes: np.ndarray) -> int:
         """Build and store the rows of ``codes``, in order; return the first new row."""
         start, end = self.n, self.n + len(codes)
-        for name, field in self.fields.items():
-            if end > len(field):
-                size = min(self.bound, max(end, 2 * len(field)))
-                grown = np.empty((size,) + field.shape[1:], field.dtype)
-                grown[:start] = field[:start]
-                self.fields[name] = grown
+        if end > len(self.base):
+            size = min(self.bound, max(end, 2 * len(self.base)))
+            grown = [np.empty((size,) + old.shape[1:], old.dtype) for old in (self.base, self.part)]
+            grown[0][:start], grown[1][:start] = self.base[:start], self.part[:start]
+            self.base, self.part = grown
         batch = max(1, TEMP_ELEMS // self.vocab_size)
         for lo in range(0, len(codes), batch):
-            part = codes[lo : lo + batch]
-            for name, values in self._build(part).items():
-                self.fields[name][self.n : self.n + len(part)] = values
-            self.n += len(part)
+            some = codes[lo : lo + batch]
+            rows = slice(self.n, self.n + len(some))
+            self.base[rows], self.part[rows] = self._build(some)
+            self.n += len(some)
         return start
 
     def sample(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Token of each row at uniform ``u``: the AK pick, or the kept id at
         ``u`` times the row total, drawn head first like a nucleus row."""
         if self.wm.scheme == AK:
-            return self.fields["tok"][rows]
-        bcum = self.fields["bcum"]
-        return self.nucleus.draw(self.fields["base"][rows], bcum[:, :_HEAD][rows],
+            return self.part[rows]
+        bcum = self.part
+        return self.nucleus.draw(self.base[rows], bcum[:, :_HEAD][rows],
                                  u * bcum[:, -1][rows], lambda past: bcum[rows[past]])
 
     def _seeds(self, codes: np.ndarray) -> np.ndarray:
-        """Window seed of each state code: its digit j from the newest is
-        the token ``digit - 1`` with j window tokens after it, which adds
-        table j's entry."""
-        radix = self.vocab_size + 1
-        seeds = np.zeros(len(codes), np.uint64)
-        for j, table in enumerate(self._tables):
-            seeds = _add_mod(seeds, table[(codes // radix**j % radix - 1).astype(np.intp)])
-        seeds[seeds == np.uint64(HASH_MOD)] = 0  # the other form of 0
-        return seeds
+        """Window seed of each state code: the hash of its k newest digits
+        less 1, a missing token (digit 0, which no state holds) read as 0."""
+        radix, k = self.vocab_size + 1, self.wm.k
+        windows = np.empty((len(codes), k), np.int64)
+        for j in range(k):
+            windows[:, k - 1 - j] = codes // radix**j % radix
+        windows -= 1
+        return window_hashes(np.maximum(windows, 0, out=windows), self.wm.key)
 
-    def _build(self, codes: np.ndarray) -> dict:
+    def _build(self, codes: np.ndarray) -> tuple:
+        """The base and the part of each state code's row."""
         wm, nucleus = self.wm, self.nucleus
         base = nucleus.ready(self.model, self.model._context_ids(codes))
         seeds = self._seed_of[codes] if self.dense else self._seeds(codes)
@@ -686,10 +664,10 @@ class _WatermarkRows:
             p = np.exp(log_q - np.maximum.reduce(log_q, axis=1, keepdims=True))
             p /= _kept_sums(p, keep)[:, None]
             pick = aaronson_pick(seeds, p, idx)
-            return {"base": base, "tok": idx[np.arange(len(idx)), pick]}
+            return base, idx[np.arange(len(idx)), pick]
         biased = bias_logits(seeds, log_q, idx, wm)
         biased -= np.maximum.reduce(biased, axis=1, keepdims=True)
-        return {"base": base, "bcum": np.exp(biased, out=biased).cumsum(axis=1)}
+        return base, np.exp(biased, out=biased).cumsum(axis=1)
 
 
 def _check_key_vocab(wm: WatermarkConfig | None, model: NGramModel) -> None:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import stats
 from .dedup import CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
-from .hashing import (HASH_MOD, ConfigError, SecretKey, at_least, check_rules, check_value,
-                      stream_value, token_ids)
+from .hashing import (ConfigError, SecretKey, at_least, check_rules, check_value,
+                      derive_run_key, token_ids)
 from .models import (
     PROMPT_TOKENS,
     MixSpec,
@@ -256,11 +256,6 @@ def combine_distributions(reports: list[DetectionReport]):
 
 # ---------------------------------------------------------------------------
 # experiment building blocks (shared by run_scenario and direct callers)
-
-def derive_run_key(master_seed: int, run_index: int) -> SecretKey:
-    """Independent per-run secret key from a master seed."""
-    return SecretKey(stream_value(master_seed, run_index) % HASH_MOD or 1)
-
 
 def contaminated_student(teacher: NGramModel, wm_cfg: WatermarkConfig | None,
                          rho: float, *, n_docs: int, doc_len: int, order: int,

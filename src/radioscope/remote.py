@@ -89,9 +89,11 @@ class RemoteModel:
                 raise ProtocolError(f"unexpected status {resp.status_code}")
             try:
                 payload = resp.json()
-                token = int(payload["token"])
+                token = payload["token"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ProtocolError(f"malformed response: {exc}") from exc
+            if type(token) is not int:  # neither coerced nor a bool
+                raise ProtocolError(f"malformed response: token {token!r} is not an integer")
             logits = payload.get("logits")
             self.provides_logits = logits is not None
             return token, logits

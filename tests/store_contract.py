@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 
 from radioscope import models
+from radioscope.hashing import window_hashes
 
 #: Cumulative sums a draw counts before it reads a whole row.
 HEAD = models._HEAD
@@ -88,15 +89,16 @@ def ready(store, model, ids: np.ndarray) -> np.ndarray:
 
 def fill(marked, codes: np.ndarray, grown: bool | None = None) -> np.ndarray:
     """``marked.rows(codes)`` of a watermark store, checking that rows built
-    keep their values and that each field has room for the reservation or
-    at most twice the rows built, at most the bound, ``grown`` as above."""
-    before = {name: field[: marked.n].copy() for name, field in marked.fields.items()}
+    keep their values and that ``base`` and ``part`` have room for the
+    reservation or at most twice the rows built, at most the bound,
+    ``grown`` as above."""
+    before = [field[: marked.n].copy() for field in (marked.base, marked.part)]
     got = marked.rows(codes)
-    for name, built in before.items():
-        assert np.array_equal(marked.fields[name][: len(built)], built)
-    (size,) = {len(field) for field in marked.fields.values()}
-    row = sum(f.itemsize * int(np.prod(f.shape[1:])) for f in marked.fields.values())
-    reserved = models._RESERVE_BYTES // row
+    for built, field in zip(before, (marked.base, marked.part)):
+        assert np.array_equal(field[: len(built)], built)
+    (size,) = {len(marked.base), len(marked.part)}
+    part = marked.part.itemsize * (1 if marked.wm.scheme == models.AK else marked.vocab_size)
+    reserved = models._RESERVE_BYTES // (marked.base.itemsize + part)
     assert 0 < marked.n <= size <= min(marked.bound, max(reserved, 2 * marked.n))
     assert grown is None or (size > reserved) == grown
     return got
@@ -155,13 +157,29 @@ def is_dense(marked) -> bool:
 
 
 def window_seeds(marked, codes: np.ndarray) -> np.ndarray:
-    """Each state code's window seed, from the dense table or summed."""
+    """Each state code's window seed, from the dense table or hashed."""
     return marked._seed_of[codes] if marked.dense else marked._seeds(codes)
 
 
+def assert_state_seeds(marked) -> None:
+    """Every state code with a full window, read from the dense table or
+    hashed by the dict path, has the seed ``window_hashes`` gives its last
+    k tokens.  A state's code has no 0 digit below its highest nonzero
+    one (no token is missing after the first)."""
+    radix, k = marked.vocab_size + 1, marked.wm.k
+    depth = max(marked.model.order, k)
+    codes = np.arange(radix ** (k - 1), radix**depth)
+    held = np.stack([codes // radix**j % radix > 0 for j in range(depth)], axis=1)
+    codes = codes[held.cumprod(axis=1).sum(axis=1) == held.sum(axis=1)]
+    windows = np.stack([codes // radix**j % radix - 1 for j in range(k - 1, -1, -1)], axis=1)
+    assert (windows >= 0).all()
+    assert np.array_equal(window_seeds(marked, codes), window_hashes(windows, marked.wm.key))
+
+
 def watermark_row(marked, rows: np.ndarray) -> dict:
-    """Fields of watermark rows ``rows``: ``base`` and ``tok`` or ``bcum``."""
-    return {name: field[rows] for name, field in marked.fields.items()}
+    """Watermark rows ``rows``: ``base`` and ``tok`` (AK) or ``bcum``."""
+    return {"base": marked.base[rows],
+            "tok" if marked.wm.scheme == models.AK else "bcum": marked.part[rows]}
 
 
 def searched_ids(model, codes: np.ndarray) -> np.ndarray:

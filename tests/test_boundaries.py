@@ -121,15 +121,15 @@ TOKEN_DOORS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["outside", 2.5, 2**70])
+@pytest.mark.parametrize("bad", ["outside", 2.5, 2**70, True])
 @pytest.mark.parametrize("name,outside,door", TOKEN_DOORS.values(), ids=list(TOKEN_DOORS))
 def test_every_door_names_a_bad_token_by_its_document_and_position(
         tmp_path, small_model, key, capsys, monkeypatch, name, outside, door, bad):
-    """An id past the door's range, a float and an integer no int64 holds,
-    at position 2: the library raises one ConfigError, and the CLI prints
-    it as one error line and exits 1."""
+    """An id past the door's range, a float, an integer no int64 holds and
+    a bool (JSON ``true``), at position 2: the library raises one
+    ConfigError, and the CLI prints it as one error line and exits 1."""
     bad = outside if bad == "outside" else bad
-    problem = "is not an integer" if isinstance(bad, float) else "out of vocabulary"
+    problem = "is not an integer" if isinstance(bad, (float, bool)) else "out of vocabulary"
     refusal = f"{name}: token {bad} at position 2 {problem}"
     if callable(door):
         with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):

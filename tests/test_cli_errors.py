@@ -27,11 +27,13 @@ class RejectingHandler(BaseHTTPRequestHandler):
 
 
 class AnsweringHandler(BaseHTTPRequestHandler):
-    """Suspect endpoint that answers every request with token 1."""
+    """Suspect endpoint that answers every request with ``body``, token 1."""
+
+    body = b'{"token": 1}'
 
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        body = b'{"token": 1}'
+        body = self.body
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -158,13 +160,15 @@ TOKEN = "TOPSECRET-TOKEN"
 
 def assert_secrets_absent(out_dir, capsys):
     """Neither the key, as given, in decimal or in hex of either case, nor
-    the credentials appear in a file written or on stdout or stderr."""
+    the credentials appear in a file written or on stdout or stderr; the
+    streams are returned."""
     captured = capsys.readouterr()
     texts = [captured.out, captured.err] + [p.read_text() for p in out_dir.rglob("*")
                                             if p.is_file()]
     for text in texts:
         for secret in (hex(SECRET_KEY), str(SECRET_KEY), TOKEN):
             assert secret.lower() not in text.lower(), text
+    return captured
 
 
 @pytest.mark.parametrize("given", [["--key", hex(SECRET_KEY)], [f"--key={SECRET_KEY}"],
@@ -229,6 +233,22 @@ def test_an_interrupted_run_writes_no_credentials(tmp_path, corpus, endpoint, ca
                  "--out", str(out)]) == EXIT_ERROR
     assert (out / "report.json").exists()
     assert_secrets_absent(out, capsys)
+
+
+@pytest.mark.parametrize("answer,token", [("2.7", 2.7), ('"7"', "7"), ("true", True)])
+def test_an_endpoint_token_that_is_not_an_integer_is_one_error_line(tmp_path, corpus, capsys,
+                                                                    answer, token):
+    """The endpoint's answer is refused, not coerced, and the error line
+    and the partial report carry neither the credentials nor the key."""
+    handler = type("Answering", (AnsweringHandler,), {"body": b'{"token": %s}' % answer.encode()})
+    out = tmp_path / "out"
+    with serving(handler) as url:
+        assert main(["detect", "--mode", "closed", "--endpoint", url, "--cred", TOKEN,
+                     "--corpus", str(corpus), "--key", hex(SECRET_KEY), "--vocab-size", "8",
+                     "--out", str(out)]) == EXIT_ERROR
+    assert (out / "report.json").exists()
+    err = assert_secrets_absent(out, capsys).err
+    assert err == f"error: malformed response: token {token!r} is not an integer\n"
 
 
 #: Every way a command takes the secret key: the flag, the flag with ``=``,

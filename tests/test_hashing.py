@@ -1,12 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radioscope import ConfigError, SecretKey, derive_run_key, pipelines, window_hash
+from radioscope import ConfigError, SecretKey, derive_run_key, hashing, window_hash
 from radioscope.dedup import FILTER_KEY
 from radioscope.hashing import (
     HASH_MOD,
+    TEMP_ELEMS,
     derive_permutation,
     green_mask_batch,
     rank_below,
@@ -91,16 +95,52 @@ class TestWindowHashes:
     @pytest.mark.parametrize("s", SPECIAL_KEYS)
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_all_zero_and_all_255_windows(self, s, k):
+        """Also with a repeated token too wide for the tables: under s = -1
+        and an even k, both paths sum to the other form of 0."""
         key = SecretKey(s)
-        windows = [[0] * k, [255] * k]
-        assert window_hashes(np.array(windows), key).tolist() == [
-            window_hash(w, key) for w in windows]
+        for wide in (255, TEMP_ELEMS // k):
+            windows = [[0] * k, [wide] * k]
+            assert window_hashes(np.array(windows), key).tolist() == [
+                window_hash(w, key) for w in windows]
+
+    @given(st.sampled_from([1, 2**64 - 2]) | st.integers(1, 2**64 - 2), st.integers(1, 8),
+           st.booleans(), st.sampled_from([1, 2, 50]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_and_recurrence_equal_window_hash(self, s, k, fits, n, data):
+        """Tokens whose k tables fit ``TEMP_ELEMS`` are summed from the
+        tables, wider ones run the recurrence: both are the scalar hash, for
+        one window and many."""
+        top = TEMP_ELEMS // k + (0 if fits else 1)  # largest token + 1
+        assert (k * top <= TEMP_ELEMS) == fits
+        windows = data.draw(st.lists(st.lists(st.integers(0, top - 1), min_size=k, max_size=k),
+                                     min_size=n, max_size=n))
+        windows[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, k - 1))] = top - 1
+        key = SecretKey(s)
+        got = window_hashes(np.array(windows), key)
+        assert got.tolist() == [window_hash(w, key) for w in windows]
 
     @pytest.mark.parametrize("bad", [np.zeros(3, np.int64), np.zeros((2, 0), np.int64),
                                      np.array([[1, -1]]), np.array([[1.5, 2.0]])])
     def test_needs_an_n_by_k_array_of_token_ids(self, bad):
         with pytest.raises(ConfigError):
             window_hashes(bad, SecretKey(3))
+
+
+def test_only_hashing_holds_the_hash_arithmetic():
+    """Window seeds have one owner: no other module of the package imports
+    or reads the hash's modulus or its modular sum and product, so every
+    seed is made by ``window_hash`` or ``window_hashes``."""
+    owned = {"HASH_MOD", "_add_mod", "_mul_mod"}
+    package = Path(hashing.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "hashing.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        used = {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+        used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        used |= {node.id for node in nodes if isinstance(node, ast.Name)}
+        assert not used & owned, path.name
 
 
 class TestRankBelow:
@@ -159,7 +199,7 @@ class TestSecretKey:
             SecretKey(HASH_MOD)
 
     def test_run_keys_are_valid(self, monkeypatch):
-        monkeypatch.setattr(pipelines, "stream_value", lambda seed, index: HASH_MOD)
+        monkeypatch.setattr(hashing, "stream_value", lambda seed, index: HASH_MOD)
         assert derive_run_key(1, 2).s == 1
 
     def test_repr_hides_raw_key(self):

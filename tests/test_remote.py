@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -18,6 +19,7 @@ class StubHandler(BaseHTTPRequestHandler):
     behavior = "echo"
     fail_remaining = 0
     fixed_token = 42
+    answer = "42"
     with_logits = True
 
     def do_POST(self):
@@ -39,6 +41,9 @@ class StubHandler(BaseHTTPRequestHandler):
             self._reply(503, b"{}")
             return
         payload = {"token": cls.fixed_token}
+        if cls.behavior == "answer":  # the raw JSON of the token
+            self._reply(200, b'{"token": ' + cls.answer.encode() + b"}")
+            return
         if cls.behavior == "sum":
             payload["token"] = sum(body["context"]) % 97
         if cls.with_logits:
@@ -114,6 +119,16 @@ class TestRemoteModel:
         model = RemoteModel(url)
         with pytest.raises(ProtocolError):
             model.next_token([0])
+
+    @pytest.mark.parametrize("answer,token", [("2.7", 2.7), ('"7"', "7"), ("true", True),
+                                              ("null", None), ("[7]", [7])])
+    def test_a_token_that_is_not_an_integer_is_refused(self, server, answer, token):
+        handler, url = server
+        handler.behavior, handler.answer = "answer", answer
+        model = RemoteModel(url)
+        with pytest.raises(ProtocolError, match=rf"^malformed response: token "
+                                                rf"{re.escape(repr(token))} is not an integer$"):
+            model.complete([1, 2], 3)
 
     def test_unreachable_endpoint(self):
         model = RemoteModel("http://127.0.0.1:9/", max_retries=2, backoff=0.01)

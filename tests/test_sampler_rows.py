@@ -512,8 +512,8 @@ def test_an_untrained_model_has_one_row():
 @given(st.sampled_from([1, 2, 2**64 - 2]) | st.integers(1, 2**64 - 2),
        st.integers(1, 5), st.integers(1, 3), st.data())
 def test_digit_table_seeds_equal_window_hash(key, k, order, data):
-    """A state's seed, summed from its digits' table entries or read from
-    a dense store's seed table, is the hash of its window, also where the
+    """A state's seed, hashed from its decoded window or read from a dense
+    store's seed table, is the scalar hash of its window, also where the
     sum is the other form of 0."""
     depth = max(order, k)
     # small vocabularies give dense stores with at most 2**16 state codes
@@ -534,6 +534,23 @@ def test_digit_table_seeds_equal_window_hash(key, k, order, data):
         assert contract.is_dense(dense)
         codes = _codes([w[-depth:] for w in windows], v)
         assert contract.window_seeds(dense, codes).tolist() == want
+
+
+@pytest.mark.parametrize("key", [1, 2**64 - 2, 0x9E3779B97F4A7C15])
+@pytest.mark.parametrize("v,order,k", [(2, 1, 1), (5, 3, 2), (12, 2, 3), (3, 1, 4), (9, 3, 3)])
+def test_every_state_seed_is_the_hash_of_its_window(key, v, order, k):
+    """On the dense and on the dict path, each full-window state code's
+    seed is ``window_hashes`` of its last k tokens."""
+    wm = WatermarkConfig("kgw", SecretKey(key), v, k=k)
+    model = models.NGramModel(order, v)
+    nucleus = NucleusRows(model, 0.8, 0.95)
+    dense = _WatermarkRows(model, nucleus, wm, 1)
+    assert contract.is_dense(dense)
+    contract.assert_state_seeds(dense)
+    with contract.reserving_dense_tables(model, wm, -1):
+        sparse = _WatermarkRows(model, nucleus, wm, 1)
+    assert not contract.is_dense(sparse)
+    contract.assert_state_seeds(sparse)
 
 
 @st.composite
