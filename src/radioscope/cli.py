@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import pipelines
 from .dedup import CLOSED, OPEN, build_filter, load_filter, save_filter
-from .hashing import ConfigError, SecretKey, at_least, check_value
+from .hashing import ConfigError, SecretKey, check_value
 from .models import (
     CORPUS_RULES,
     SamplingConfig,
@@ -66,12 +66,10 @@ _SETTINGS = {
     "seed": (*_SCENARIO_KEYS["seed"][:2], None),
     "max_tokens": (SamplingConfig.max_tokens, int, SamplingConfig.rules["max_tokens"]),
     "docs": (100, int, CORPUS_RULES["n_docs"]),
-    "reps": (1, int, at_least(1)),
 }
 
 # argparse keywords of a setting's flag besides its reader
-_FLAG_KEYWORDS = {"scheme": {"choices": [KGW, AK, MPAC]},
-                  "reps": {"help": "split the corpus into this many disjoint runs"}}
+_FLAG_KEYWORDS = {"scheme": {"choices": [KGW, AK, MPAC]}}
 
 
 def _read_key(text: str, source: str) -> SecretKey:
@@ -212,7 +210,12 @@ def cmd_generate(args, config, manifest) -> int:
     key = None
     wm = None
     vocab = _resolve(args, config, "vocab_size")
-    if not args.no_watermark:
+    if args.no_watermark:
+        given = [name for name in ("scheme", "k", "gamma", "delta", "temp", "message")
+                 if getattr(args, name) is not None]  # the watermark's flags
+        if given:
+            raise ConfigError(f"--{given[0]} does not apply with --no-watermark")
+    else:
         key = _resolve_key(args, config)
         wm = _wm_config(args, config, key, vocab, embeds=True)
     sampling = _sampling(args, config)
@@ -256,11 +259,13 @@ def cmd_detect(args, config, manifest) -> int:
     if args.threads is not None and not args.endpoint:
         raise ConfigError("--threads sets the requests in flight to --endpoint; "
                           "it needs --endpoint")
+    if args.credentials is not None and not args.endpoint:
+        raise ConfigError("--credentials is the bearer token for --endpoint; "
+                          "it needs --endpoint")
     key = _resolve_key(args, config)
     vocab = _resolve(args, config, "vocab_size")
     wm = _wm_config(args, config, key, vocab, embeds=False)
     budget = _resolve(args, config, "budget")
-    reps = _resolve(args, config, "reps")
     docs = load_corpus(args.corpus)
     if not docs:
         raise ValueError(f"{args.corpus}: the corpus has no documents")
@@ -271,46 +276,38 @@ def cmd_detect(args, config, manifest) -> int:
     else:
         suspect = load_model(args.model)
     sampling = _sampling(args, config)
-    reports = []
     out_dir = Path(args.out)
-    chunks = [docs[i::reps] for i in range(reps)]
     try:
-        for chunk in chunks:
-            if not chunk:
-                continue
-            if args.mode == OPEN:
-                report = pipelines.detect_open(suspect, chunk, wm, budget=budget,
-                                               dedup=not args.no_dedup)
-            else:
-                prompts = [doc["tokens"] for doc in chunk]
-                report = pipelines.detect_closed(
-                    suspect, prompts, wm, phi=phi, budget=budget,
-                    sampling=sampling, dedup=not args.no_dedup)
-            reports.append(report)
+        if args.mode == OPEN:
+            report = pipelines.detect_open(suspect, docs, wm, budget=budget,
+                                           dedup=not args.no_dedup)
+        else:
+            report = pipelines.detect_closed(
+                suspect, [doc["tokens"] for doc in docs], wm, phi=phi, budget=budget,
+                sampling=sampling, dedup=not args.no_dedup)
     except pipelines.DetectionInterrupted as exc:
-        _write_report(out_dir, key, reports + [exc.partial])
+        _write_report(out_dir, key, exc.partial)
         raise
     if args.no_dedup:
         print("WARNING: de-duplication disabled; the reported p-values are "
               "statistically INVALID", file=sys.stderr)
-    _write_report(out_dir, key, reports)
+    _write_report(out_dir, key, report)
     _write_manifest(out_dir, manifest, [Path(args.corpus)], key)
-    for report in reports:
-        print(f"{report.mode} n_scored={report.n_scored} "
-              f"score={report.score:.3f} log10_p={report.log10_p:.3f}")
-    if all(r.inconclusive for r in reports):
+    print(f"{report.mode} n_scored={report.n_scored} "
+          f"score={report.score:.3f} log10_p={report.log10_p:.3f}")
+    if report.inconclusive:
         print("inconclusive: no eligible tuples were scored", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
-def _write_report(out_dir: Path, key: SecretKey, reports: list) -> None:
+def _write_report(out_dir: Path, key: SecretKey, report) -> None:
+    """``report.json``: the key's fingerprint and the run, as the one entry
+    of ``runs``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "key_fingerprint": key.fingerprint(),
-        "mean_p": sum(r.p_value for r in reports) / len(reports),
-        "mean_log10_p": sum(r.log10_p for r in reports) / len(reports),
-        "runs": [dataclasses.asdict(r) for r in reports],
+        "runs": [dataclasses.asdict(report)],
     }
     (out_dir / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -405,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True,
                    help="watermarked documents (open) or prompt sources (closed)")
     p.add_argument("--filter", help="k-gram filter file (closed mode)")
-    flags(p, "scheme", "k", "gamma", "vocab_size", "budget", "reps", "seed")
+    flags(p, "scheme", "k", "gamma", "vocab_size", "budget", "seed")
     p.add_argument("--no-dedup", action="store_true",
                    help="score every tuple (INVALID p-values; demo only)")
     p.add_argument("--out", required=True)
@@ -439,8 +436,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "detect" and not args.model and not args.endpoint:
-        print("error: detect needs --model or --endpoint", file=sys.stderr)
+    if args.command == "detect" and bool(args.model) == bool(args.endpoint):
+        print("error: detect takes one suspect: --model or --endpoint", file=sys.stderr)
         return EXIT_ERROR
     try:
         config, config_hash = _load_config(args.config)

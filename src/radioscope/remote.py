@@ -1,10 +1,9 @@
 """HTTP client for a remote suspect model.
 
 Wire protocol is deliberately minimal: POST a JSON body
-``{"context": [ids], "n": 1}`` and receive ``{"token": id}`` with an
-optional ``"logits"`` array.  Providers that omit logits are treated as
-closed-model-only.  Adapters to real inference APIs belong outside the
-core.
+``{"context": [ids], "n": 1}`` and receive ``{"token": id}``.  An endpoint
+gives completions only, so it serves closed-mode detection.  Adapters to
+real inference APIs belong outside the core.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ class ProtocolError(RemoteError):
 
 
 class CapabilityError(RemoteError):
-    """Operation needs logits the provider does not expose."""
+    """Operation needs the suspect's greedy readout, which an endpoint does not give."""
 
 
 class RemoteModel:
@@ -57,16 +56,14 @@ class RemoteModel:
         self.timeout = timeout
         self.max_in_flight = max_in_flight
         self._session = session or requests.Session()
-        #: None until the first response reveals whether logits are exposed.
-        self.provides_logits: bool | None = None
 
     def _headers(self) -> dict:
         if self.credentials:
             return {"Authorization": f"Bearer {self.credentials}"}
         return {}
 
-    def next_token(self, context) -> tuple[int, list[float] | None]:
-        """One completion step: (token, logits or None)."""
+    def next_token(self, context) -> int:
+        """One completion step: the endpoint's next token."""
         import requests
         body = {"context": [int(t) for t in context], "n": 1}
         last_exc = None
@@ -94,9 +91,7 @@ class RemoteModel:
                 raise ProtocolError(f"malformed response: {exc}") from exc
             if type(token) is not int:  # neither coerced nor a bool
                 raise ProtocolError(f"malformed response: token {token!r} is not an integer")
-            logits = payload.get("logits")
-            self.provides_logits = logits is not None
-            return token, logits
+            return token
         raise TransportError(f"giving up after {self.max_retries} attempts: {last_exc}")
 
     def complete(self, context, max_tokens: int) -> list[int]:
@@ -104,7 +99,7 @@ class RemoteModel:
         ctx = list(context)
         out = []
         for _ in range(max_tokens):
-            token, _ = self.next_token(ctx)
+            token = self.next_token(ctx)
             ctx.append(token)
             out.append(token)
         return out

@@ -1,4 +1,4 @@
-"""Exact p-values for watermark scores, Fisher combination, and K-S test.
+"""Exact log p-values for watermark scores, Fisher combination, and K-S test.
 
 The binomial tail (greenlist scheme) goes through the regularized
 incomplete beta function, the exponential-score tail through the
@@ -99,12 +99,6 @@ def log_binomial_pvalue(s: int, n: int, gamma: float) -> float:
     return log_betainc(float(s), float(n - s + 1), gamma)
 
 
-def binomial_pvalue(s: int, n: int, gamma: float) -> float:
-    """P(S >= s) for S ~ Binomial(n, gamma); underflows to 0.0 when tiny."""
-    lp = log_binomial_pvalue(s, n, gamma)
-    return math.exp(lp) if lp > -745.0 else 0.0
-
-
 def _gamma_series_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by series; x < a + 1."""
     ap = a
@@ -157,29 +151,6 @@ def log_gamma_pvalue(score: float, n: int) -> float:
     return _gamma_cf_log_q(a, score)
 
 
-def gamma_pvalue(score: float, n: int) -> float:
-    """Regularized upper incomplete gamma Q(n, score) = P(S >= score)."""
-    lp = log_gamma_pvalue(score, n)
-    return math.exp(lp) if lp > -745.0 else 0.0
-
-
-def fisher_combine(p_values) -> float:
-    """Fisher's method: chi-square survival of -2 * sum(ln p) at 2m dof."""
-    return math.exp(min(log_fisher_combine(p_values), 0.0))
-
-
-def log_fisher_combine(p_values) -> float:
-    """Natural log of the Fisher-combined p-value."""
-    ps = list(p_values)
-    for p in ps:
-        if not 0.0 < p <= 1.0:
-            raise StatError(
-                f"p-values must lie in (0, 1]; got {p} "
-                "(clamp zero p-values to the smallest representable value first)"
-            )
-    return log_fisher_combine_logs([math.log(p) for p in ps])
-
-
 def log_fisher_combine_logs(log_ps) -> float:
     """Natural log of the Fisher-combined p-value of natural-log p-values.
 
@@ -187,7 +158,7 @@ def log_fisher_combine_logs(log_ps) -> float:
     """
     log_ps = list(log_ps)
     if not log_ps:
-        raise StatError("fisher_combine needs at least one p-value")
+        raise StatError("Fisher's method needs at least one p-value")
     # -2 * sum(ln p) is chi-square with 2m dof, whose survival at x is Q(m, x/2)
     return log_gamma_pvalue(-sum(log_ps), len(log_ps))
 

@@ -4,14 +4,19 @@ Each test prints one PASS/FAIL line (straight to the terminal, bypassing
 capture) so a full run gives a one-line verdict per criterion.  Oracles are
 computed independently of the library: exact rational arithmetic for the
 binomial tail, the closed-form Erlang sum for the gamma tail, and scipy
-only as a cross-check oracle.
+only as a cross-check oracle.  Each criterion's detail, wall times
+stripped, must equal its pin in ``data/verdicts.json``: a change that moves
+one on purpose updates the pin.
 """
 
+import json
 import math
+import re
 import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,20 +26,24 @@ from radioscope import (
     SamplingConfig,
     SecretKey,
     WatermarkConfig,
-    binomial_pvalue,
     build_filter,
     derive_run_key,
     detect_closed,
-    fisher_combine,
-    gamma_pvalue,
     generate_corpus,
     ks_two_sample,
+    log_binomial_pvalue,
+    log_gamma_pvalue,
     mia_detect,
     mpac_extract,
     train_ngram,
 )
 from radioscope.pipelines import _attach_text, contaminated_student, run_detection
 from radioscope.schemes import aaronson_pick
+from radioscope.stats import log_fisher_combine_logs
+
+
+#: Each criterion's detail as printed, without its wall time
+PINNED = json.loads((Path(__file__).parent / "data" / "verdicts.json").read_text())
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -46,6 +55,9 @@ def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     conftest.acceptance_lines.append(line)
     print(line, file=sys.__stdout__, flush=True)
     assert ok, line
+    detail = re.sub(r", \d+s$", "", detail)  # a wall time such as c01's ", 14s"
+    assert detail == PINNED[str(num)], (f"criterion {num}'s detail moved:\n"
+                                        f"  pinned: {PINNED[str(num)]}\n  now:    {detail}")
 
 
 def kgw(key, vocab=128, k=2):
@@ -255,7 +267,7 @@ def test_c07_exact_statistics():
             exact = Fraction(0)
             for i in range(s, n + 1):
                 exact += math.comb(n, i) * g**i * (1 - g) ** (n - i)
-            got = binomial_pvalue(s, n, float(g))
+            got = math.exp(log_binomial_pvalue(s, n, float(g)))
             if not math.isclose(got, float(exact), rel_tol=1e-10):
                 ok = False
                 details.append(f"binom({s},{n})")
@@ -264,11 +276,11 @@ def test_c07_exact_statistics():
         for s in (0.5, float(n), 2.5 * n):
             exact = math.exp(-s) * math.fsum(s**i / math.factorial(i)
                                              for i in range(n))
-            got = gamma_pvalue(s, n)
+            got = math.exp(log_gamma_pvalue(s, n))
             if not math.isclose(got, exact, rel_tol=1e-10):
                 ok = False
                 details.append(f"gamma({s},{n})")
-    if abs(fisher_combine([0.1, 0.1]) - 0.0560517) > 1e-6:
+    if abs(math.exp(log_fisher_combine_logs([math.log(0.1)] * 2)) - 0.0560517) > 1e-6:
         ok = False
         details.append("fisher")
     d, _ = ks_two_sample([1, 3], [2, 4])

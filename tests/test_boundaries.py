@@ -333,6 +333,45 @@ def test_cli_threads_without_an_endpoint_is_one_error_line(cli_files, capsys):
     assert not (cli_files[0] / "out").exists()
 
 
+def test_cli_credentials_without_an_endpoint_is_one_error_line(cli_files, capsys):
+    assert detect_cli(cli_files, "--credentials", "X", mode="closed") == EXIT_ERROR
+    assert one_error_line(capsys) == ("error: --credentials is the bearer token for "
+                                      "--endpoint; it needs --endpoint\n")
+    assert not (cli_files[0] / "out").exists()
+
+
+@pytest.mark.parametrize("suspects", [["--model", "{tmp}/nonexistent.bin", "--endpoint",
+                                       "http://127.0.0.1:9/"], []], ids=["both", "neither"])
+def test_cli_detect_takes_one_suspect(cli_files, capsys, suspects):
+    """A checkpoint beside an endpoint is refused before either is read."""
+    tmp_path, _, corpus = cli_files
+    argv = ["detect", "--mode", "closed", "--corpus", str(corpus), "--key", KEY_HEX,
+            "--out", str(tmp_path / "out"), *[arg.format(tmp=tmp_path) for arg in suspects]]
+    assert main(argv) == EXIT_ERROR
+    assert one_error_line(capsys) == "error: detect takes one suspect: --model or --endpoint\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--scheme", "ak"], "--scheme"), (["--k", "3"], "--k"), (["--gamma", "0.5"], "--gamma"),
+    (["--delta", "2"], "--delta"), (["--temp", "1.5"], "--temp"),
+    (["--message", "0110"], "--message"),
+    (["--gamma", "5", "--delta", "-3", "--k", "0", "--message", "xyz"], "--k"),
+], ids=["scheme", "k", "gamma", "delta", "temp", "message", "refused_values"])
+def test_cli_watermark_flags_without_a_watermark_are_one_error_line(tmp_path, capsys, flags,
+                                                                    named):
+    """A run without a watermark reads none of the watermark's flags, so each
+    is refused; the same keys in a shared ``--config`` file stay accepted."""
+    out = tmp_path / "c.jsonl"
+    argv = ["generate", "--no-watermark", "--docs", "2", "--doc-len", "10", "--out", str(out)]
+    assert main(argv + flags) == EXIT_ERROR
+    assert one_error_line(capsys) == f"error: {named} does not apply with --no-watermark\n"
+    assert not out.exists()
+    config = tmp_path / "shared.cfg"
+    config.write_text("scheme = ak\nk = 3\ngamma = 0.5\ndelta = 2\ntemp = 1.5\nmessage = 0110\n")
+    assert main(argv + ["--config", str(config)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("mode", ["open", "closed"])
 def test_detection_refuses_a_scheme_without_a_test(small_model, key, mode):
     cfg = WatermarkConfig("mpac", key, 64, k=2, message="01")
@@ -367,16 +406,6 @@ def test_negative_budget_refused(small_model, kgw_cfg, mode):
 def test_cli_negative_budget_is_one_error_line(cli_files, capsys):
     assert detect_cli(cli_files, "--budget", "-5") == EXIT_ERROR
     assert "budget must be >= 0" in one_error_line(capsys)
-
-
-@pytest.mark.parametrize("reps", ["0", "-1"])
-def test_cli_reps_below_one_is_one_error_line(cli_files, capsys, reps):
-    assert detect_cli(cli_files, "--reps", reps) == EXIT_ERROR
-    assert f"reps must be >= 1, got {reps}" in one_error_line(capsys)
-    config = cli_files[0] / "detect.cfg"
-    config.write_text(f"reps = {reps}\n")
-    assert detect_cli(cli_files, "--config", str(config)) == EXIT_ERROR
-    assert f"reps must be >= 1, got {reps}" in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("mode", ["open", "closed"])
@@ -666,7 +695,6 @@ DOORS = {
                ("budget", lambda key, model: detect_open(
                    model, [[1, 2, 3, 4]], WatermarkConfig("kgw", key, 64), budget=-1)),
                ("detect", "budget", "-1", True), "budget"),
-    "reps": ("must be >= 1, got 0", None, ("detect", "reps", "0", True), None),
     "teacher_seed": ("must be >= 0, got -1", None, ("generate", "teacher_seed", "-1", False),
                      "teacher_seed"),
 }

@@ -114,18 +114,10 @@ class TestDetect:
                    "--corpus", str(corpus), "--key", KEY_HEX,
                    "--vocab-size", "64", "--out", str(out)) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
-        assert report["mean_log10_p"] < -10
-        assert report["runs"][0]["n_scored"] > 0
-
-    def test_reps_split_into_disjoint_runs(self, workdir):
-        corpus, model = self.make_student(workdir)
-        out = workdir / "reps"
-        assert run("detect", "--mode", "open", "--model", str(model),
-                   "--corpus", str(corpus), "--key", KEY_HEX,
-                   "--vocab-size", "64", "--reps", "4",
-                   "--out", str(out)) == EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        assert len(report["runs"]) == 4
+        assert sorted(report) == ["key_fingerprint", "runs"]
+        (only,) = report["runs"]
+        assert only["log10_p"] < -10
+        assert only["n_scored"] > 0
 
     def test_inconclusive_exit_code(self, workdir):
         _, model = self.make_student(workdir)
@@ -220,6 +212,13 @@ class TestConfigFile:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'gama'\n"
 
+    def test_reps_is_an_unknown_key(self, workdir, capsys):
+        """``detect`` runs one detection over the whole corpus; the key that
+        split it into runs is gone."""
+        cfg, _, code = self.config_run(workdir, "reps = 2\n")
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'reps'\n"
+
     def test_unreadable_value_named_with_its_line_and_key(self, workdir, capsys):
         cfg, _, code = self.config_run(workdir, "# seed\n\nseed = abc\n")
         assert code == EXIT_ERROR
@@ -229,7 +228,7 @@ class TestConfigFile:
     def test_key_read_by_another_command_accepted(self, workdir):
         """One file can serve every command: ``order`` and ``budget`` are
         read by train and detect, and generate leaves them."""
-        _, out, code = self.config_run(workdir, "order = 2\nbudget = 50\nreps = 2\n")
+        _, out, code = self.config_run(workdir, "order = 2\nbudget = 50\n")
         assert code == EXIT_OK
         assert len(load_corpus(out)) == 2
 

@@ -15,7 +15,7 @@ COMMANDS = ("generate", "train", "detect", "filter")
 #: A value other than the default for each setting a flag sets
 VALUES = {"scheme": "ak", "k": 1, "gamma": 0.5, "delta": 2.0, "temp": 1.5,
           "message": "0110", "vocab_size": 32, "order": 4, "smoothing_lambda": 0.1,
-          "seed": 5, "nucleus_p": 0.9, "budget": 50, "docs": 4, "doc_len": 25, "reps": 2}
+          "seed": 5, "nucleus_p": 0.9, "budget": 50, "docs": 4, "doc_len": 25}
 #: What every run sets unless it tests that setting: the corpus and model are V = 32
 BASE = {"docs": 3, "doc_len": 20, "vocab_size": 32}
 

@@ -1,7 +1,6 @@
 import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from radioscope import (
 )
 from radioscope.pipelines import _SCENARIO_KEYS, DetectionReport, pvalue_for
 import store_contract as contract
+from test_cli_errors import serving
 
 KEY = SecretKey(0xFEED)
 
@@ -193,17 +193,12 @@ class TestRemoteClosed:
             def log_message(self, *args):
                 pass
 
-        httpd = HTTPServer(("127.0.0.1", 0), FailingHandler)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        try:
-            remote = RemoteModel(f"http://127.0.0.1:{httpd.server_port}/",
-                                 max_retries=1, backoff=0.01)
+        with serving(FailingHandler) as url:
+            remote = RemoteModel(url, max_retries=1, backoff=0.01)
             with pytest.raises(DetectionInterrupted) as excinfo:
                 detect_closed(remote, [[1, 2, 3]], wm_cfg(),
                               sampling=SamplingConfig(max_tokens=5))
-            assert excinfo.value.partial.inconclusive
-        finally:
-            httpd.shutdown()
+        assert excinfo.value.partial.inconclusive
 
     def test_remote_happy_path(self):
         class EchoHandler(BaseHTTPRequestHandler):
@@ -217,15 +212,10 @@ class TestRemoteClosed:
             def log_message(self, *args):
                 pass
 
-        httpd = HTTPServer(("127.0.0.1", 0), EchoHandler)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        try:
-            remote = RemoteModel(f"http://127.0.0.1:{httpd.server_port}/")
-            report = detect_closed(remote, [[1, 2, 3]], wm_cfg(),
+        with serving(EchoHandler) as url:
+            report = detect_closed(RemoteModel(url), [[1, 2, 3]], wm_cfg(),
                                    sampling=SamplingConfig(max_tokens=10))
-            assert report.n_scored > 0
-        finally:
-            httpd.shutdown()
+        assert report.n_scored > 0
 
 
 class TestMIA:

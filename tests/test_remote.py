@@ -1,7 +1,6 @@
 import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -11,6 +10,7 @@ from radioscope import (
     RemoteModel,
     TransportError,
 )
+from test_cli_errors import serving
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -20,7 +20,6 @@ class StubHandler(BaseHTTPRequestHandler):
     fail_remaining = 0
     fixed_token = 42
     answer = "42"
-    with_logits = True
 
     def do_POST(self):
         cls = type(self)
@@ -46,8 +45,6 @@ class StubHandler(BaseHTTPRequestHandler):
             return
         if cls.behavior == "sum":
             payload["token"] = sum(body["context"]) % 97
-        if cls.with_logits:
-            payload["logits"] = [0.0] * 8
         self._reply(200, json.dumps(payload).encode())
 
     def _reply(self, status, body):
@@ -66,12 +63,8 @@ def server():
     class Handler(StubHandler):
         pass
 
-    httpd = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    url = f"http://127.0.0.1:{httpd.server_port}/"
-    yield Handler, url
-    httpd.shutdown()
+    with serving(Handler) as url:
+        yield Handler, url
 
 
 class TestRemoteModel:
@@ -79,25 +72,13 @@ class TestRemoteModel:
         handler, url = server
         handler.fixed_token = 42
         model = RemoteModel(url)
-        token, logits = model.next_token([1, 2, 3])
-        assert token == 42
-        assert logits == [0.0] * 8
-        assert model.provides_logits is True
-
-    def test_missing_logits_flags_closed(self, server):
-        handler, url = server
-        handler.with_logits = False
-        model = RemoteModel(url)
-        token, logits = model.next_token([1])
-        assert logits is None
-        assert model.provides_logits is False
+        assert model.next_token([1, 2, 3]) == 42
 
     def test_retries_through_transient_failures(self, server):
         handler, url = server
         handler.fail_remaining = 3
         model = RemoteModel(url, max_retries=5, backoff=0.01)
-        token, _ = model.next_token([0])
-        assert token == handler.fixed_token
+        assert model.next_token([0]) == handler.fixed_token
 
     def test_gives_up_after_max_retries(self, server):
         handler, url = server
