@@ -358,8 +358,16 @@ def _thread_count(text: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses a command line as :func:`main` refuses other
+    input: one ``error:`` line and exit code 1 (2 means inconclusive)."""
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radioscope",
         description="Watermark radioactivity toolkit: generate, train, "
                     "detect, and report.")

@@ -77,14 +77,15 @@ def token_ids(docs, vocab_size: int, name="document {}".format, lead: int = 0) -
     ``ConfigError`` naming its document d as ``name(d)`` and its position.
     """
     lens = [len(doc) for doc in docs]
+    ends = np.cumsum(lens, dtype=np.int64)
     ids = np.zeros(lead + sum(lens), np.int64)
     try:  # packed in place: no copy of the tokens besides the array
-        for doc, end in zip(docs, np.cumsum(lens, dtype=np.int64).tolist()):
+        for doc, end in zip(docs, ends.tolist()):
             struct.pack_into(f"{len(doc)}q", ids, 8 * (lead + end - len(doc)), *doc)
     except (struct.error, TypeError):  # a token that is not an int64: the scan names it
         ids = None
     if (ids is None or ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size
-            or any(bool in set(map(type, doc)) for doc in docs)):
+            or _holds_bool(docs, ids[lead:], ends)):
         for d, doc in enumerate(docs):
             for pos, tok in enumerate(doc):
                 if type(tok) is bool or not isinstance(tok, (int, np.integer)):
@@ -94,6 +95,16 @@ def token_ids(docs, vocab_size: int, name="document {}".format, lead: int = 0) -
                     raise ConfigError(f"{name(d)}: token {tok} at position {pos} "
                                       "out of vocabulary")
     return ids
+
+
+def _holds_bool(docs, ids: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether a token of ``docs``, packed as ``ids`` with each document's
+    end in ``ends``, is a bool.  A bool packs as 0 or 1, so only the tokens
+    packed as those are read, each found in its document by the ends."""
+    at = np.flatnonzero(ids <= 1)
+    doc = ends.searchsorted(at, side="right")
+    pos = at - np.append(0, ends)[doc]
+    return any(type(docs[d][p]) is bool for d, p in zip(doc.tolist(), pos.tolist()))
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,7 @@ once all have one the walk stops splitting states into two groups.
 from __future__ import annotations
 
 import json
+import mmap
 import zipfile
 from dataclasses import dataclass
 from itertools import repeat
@@ -132,8 +133,10 @@ class MixSpec:
 
 
 #: Tokens per ``np.unique`` pass in :meth:`NGramModel.update`.  Chunks bound
-#: the temporaries: order-3 training on 1M tokens peaks at 60 MB (traced
-#: allocations) in chunks of this size and at 74 MB in a single pass.
+#: the temporaries: order-3 training on 2000 x 500 tokens of
+#: :func:`zipf_markov_corpus` at V = 128 peaks at 39 MB (traced
+#: allocations, 27 MB of them the model) in chunks of this size and at
+#: 63 MB in a single pass.
 _CHUNK_TOKENS = 1 << 18
 
 
@@ -180,27 +183,33 @@ class NGramModel:
         # nucleus stores (see _nucleus) and context table (see _context_ids)
         # of earlier counts are dropped
         self._stores, self._context_of = {}, None
-        self._ctx, starts, toks, lens = [], [], [], [len(keys) for keys in self._keys]
+        lens = [len(keys) for keys in self._keys]
+        self._cnt = counts = np.concatenate(self._counts)
+        self._counts = np.split(counts, np.cumsum(lens)[:-1])
+        # token ids in the narrowest dtype that holds V - 1
+        self._tok = np.empty(len(counts), np.min_scalar_type(v - 1))
+        self._ctx, starts = [], []
         for keys, before in zip(self._keys, np.cumsum([0] + lens)):
+            np.remainder(keys, v, out=self._tok[before : before + len(keys)], casting="unsafe")
             ctx = keys // v
-            toks.append(keys - ctx * v)
             first = np.flatnonzero(np.diff(ctx, prepend=-1))
             # a sentinel above every code keeps each search result in range
             self._ctx.append(np.append(ctx[first], np.iinfo(np.int64).max))
             starts.append(first + before)
+            del ctx
         # context id = the level's first id + its row; one more id past the
         # last level stands for the uniform row of an untrained model
         self._first = np.cumsum([0] + [len(level) for level in starts])
-        self._cnt = counts = np.concatenate(self._counts)
-        self._counts = np.split(counts, np.cumsum(lens)[:-1])
-        self._tok = np.concatenate(toks)
         # the uniform row is empty, with a total that divides harmlessly
         self._off = np.concatenate(starts + [[len(counts)] * 2])
         starts = self._off[:-2]
         self._total = np.append(np.add.reduceat(counts, starts), 1)
         # the row maximum of count * V + (V - 1 - token) is the highest
         # count with the lowest token (exact while counts stay < 2**32)
-        best = np.maximum.reduceat(counts * v + (v - 1 - self._tok), starts)
+        best = counts * v
+        best += v - 1
+        best -= self._tok
+        best = np.maximum.reduceat(best, starts)
         self._greedy = np.append(v - 1 - best % v, 0)
 
     def update(self, corpus) -> None:
@@ -215,31 +224,43 @@ class NGramModel:
         order, v = self.order, self.vocab_size
         lens = np.fromiter(map(len, docs), np.int64, len(docs))
         n = int(lens.sum())
-        # ``order`` zeros in front give every token that many predecessors
-        flat = token_ids(docs, v, lead=order)
-        # predecessors of each token within its own document, capped at order
-        depth = np.full(n, order, np.int32)
+        # ``order`` zeros in front give every token that many predecessors;
+        # kept in the narrowest dtype that holds a token
+        flat = token_ids(docs, v, lead=order).astype(np.min_scalar_type(v - 1))
+        # predecessors of each token within its own document, capped at
+        # order, in the narrowest dtype that holds order
+        depth = np.full(n, order, np.min_scalar_type(order))
         for j in range(order):
             depth[(np.cumsum(lens) - lens)[lens > j] + j] = j
         for lo in range(0, n, _CHUNK_TOKENS):
             hi = min(lo + _CHUNK_TOKENS, n)
             code = np.zeros(hi - lo, np.int64)
             for length in range(order + 1):
-                code += flat[order + lo - length : order + hi - length] * v**length
+                code += flat[order + lo - length : order + hi - length] * np.int64(v**length)
                 self._add(length, code[depth[lo:hi] >= length])
         del flat, depth
         self._index()
 
     def _add(self, length: int, codes: np.ndarray) -> None:
-        """Count ``codes`` into the sorted table of context length ``length``."""
+        """Count ``codes`` into the sorted table of context length ``length``.
+        A code the table holds adds to its count; the others are written
+        between the table's codes, into one new array per field, so no
+        temporary outgrows the table."""
         new, cnt = np.unique(codes, return_counts=True)
-        keys = np.concatenate([self._keys[length], new])
-        order = keys.argsort(kind="stable")  # merges the two sorted runs
-        keys = keys[order]
-        counts = np.concatenate([self._counts[length], cnt])[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        self._keys[length] = keys[first]
-        self._counts[length] = np.add.reduceat(counts, first)
+        at = self._keys[length].searchsorted(new)
+        miss = at == len(self._keys[length])
+        miss[~miss] = self._keys[length][at[~miss]] != new[~miss]
+        if miss.any():
+            at += np.cumsum(miss) - miss  # each code's place among the merged ones
+            old = np.ones(len(self._keys[length]) + np.count_nonzero(miss), bool)
+            old[at[miss]] = False
+            for table, fill in ((self._keys, new[miss]), (self._counts, 0)):
+                merged = np.empty(len(old), np.int64)
+                merged[old], merged[at[miss]] = table[length], fill
+                table[length] = merged
+        elif self._counts[length].base is not None:  # a view of _cnt, which lookups read
+            self._counts[length] = self._counts[length].copy()
+        self._counts[length][at] += cnt
 
     def _find(self, context) -> int:
         """Id (see :meth:`_index`) of the longest trained suffix of ``context``."""
@@ -372,15 +393,26 @@ def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
 #: Bytes of rows a store reserves when it is made, or fewer at its bound; a
 #: nucleus store reserves as many entries in each flat array as fit at one
 #: probability and one id each.  The system backs only the pages rows are
-#: written to, and a store this small never copies: the benchmark's
-#: largest, the closed-h0 suspect's nucleus rows (53,703 contexts, 4.7
-#: million kept ids and 0.82 million stored probabilities, 11 MB), fits.
+#: written to (see :func:`_zeros`), and a store this small never copies:
+#: the benchmark's largest, the closed-h0 suspect's nucleus rows (53,703
+#: contexts, 4.7 million kept ids and 0.82 million stored probabilities,
+#: 11 MB), fits.
 _RESERVE_BYTES = 64 << 20
 
 #: Cumulative sums a draw counts before it reads a whole row.  A draw
 #: reads past them in about 1 of 20 closed-h0 completion steps and 1 of 6
 #: KGW walk steps at V = 128.
 _HEAD = 16
+
+
+def _zeros(n: int, dtype) -> np.ndarray:
+    """``np.zeros(n, dtype)`` in a private anonymous map of its own, whose
+    pages the system backs only once written.  ``np.zeros`` takes blocks
+    below malloc's mmap threshold from the heap, and that threshold rises
+    to the size of each mapped block freed: a second store's zeros then
+    reuse heap pages that are already resident."""
+    size = n * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size, access=mmap.ACCESS_COPY), dtype)
 
 
 class NucleusRows:
@@ -444,8 +476,8 @@ class NucleusRows:
                                             ("idx", idx_entries, self.size, v)):
             old = getattr(self, name)
             if entries > len(old):
-                grown = np.zeros(min(self.bound * v + pad, max(entries, 2 * len(old))),
-                                 old.dtype)
+                grown = _zeros(min(self.bound * v + pad, max(entries, 2 * len(old))),
+                               old.dtype)
                 grown[:written] = old[:written]
                 setattr(self, name, grown)
         window = np.lib.stride_tricks.sliding_window_view
@@ -582,11 +614,7 @@ class _WatermarkRows:
         self.index = None if self.dense else {}
         if self.dense:
             self._row_of = np.full(n_codes, -1, np.intp)
-            self._seed_of = np.empty(n_codes, np.uint64)
-            # in slices, to keep temporaries small, of int32 codes: they divide faster
-            for lo in range(0, n_codes, TEMP_ELEMS):
-                hi = min(lo + TEMP_ELEMS, n_codes)
-                self._seed_of[lo:hi] = self._seeds(np.arange(lo, hi, dtype=np.int32))
+            self._seed_of = self._dense_seeds(n_codes)
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """Row of each state code, building the rows of the codes first reached."""
@@ -652,6 +680,30 @@ class _WatermarkRows:
         windows -= 1
         return window_hashes(np.maximum(windows, 0, out=windows), self.wm.key)
 
+    def _dense_seeds(self, n_codes: int) -> np.ndarray:
+        """:meth:`_seeds` of every state code below ``n_codes``, with no
+        division.  A seed reads only a code's k newest digits, so the table
+        repeats the seeds of the codes below radix**k.  In code order, those
+        codes' windows are the Cartesian product of the digits, built by
+        broadcasting: each block of rows of the older digits over every
+        window of the ``new`` newest, about ``TEMP_ELEMS`` entries a call."""
+        radix, k = self.vocab_size + 1, self.wm.k
+        # digit d is token d - 1; a missing token (digit 0) reads as 0
+        tok = np.maximum(np.arange(radix) - 1, 0)
+        new = 1
+        while new < k and radix ** (new + 1) * k <= TEMP_ELEMS:
+            new += 1
+        head, tail = _product(tok, k - new), _product(tok, new)
+        rows = max(1, TEMP_ELEMS // (k * len(tail)))
+        seeds = np.empty(radix**k, np.uint64)
+        for lo in range(0, len(head), rows):
+            older = head[lo : lo + rows]
+            windows = np.concatenate([np.repeat(older, len(tail), axis=0),
+                                      np.tile(tail, (len(older), 1))], axis=1)
+            at = lo * len(tail)
+            seeds[at : at + len(windows)] = window_hashes(windows, self.wm.key)
+        return np.tile(seeds, n_codes // radix**k)
+
     def _build(self, codes: np.ndarray) -> tuple:
         """The base and the part of each state code's row."""
         wm, nucleus = self.wm, self.nucleus
@@ -668,6 +720,12 @@ class _WatermarkRows:
         biased = bias_logits(seeds, log_q, idx, wm)
         biased -= np.maximum.reduce(biased, axis=1, keepdims=True)
         return base, np.exp(biased, out=biased).cumsum(axis=1)
+
+
+def _product(tok: np.ndarray, width: int) -> np.ndarray:
+    """Every row of ``width`` entries of ``tok``, the first entry most
+    significant: ``(len(tok) ** width, width)``, one empty row at width 0."""
+    return tok[np.indices((len(tok),) * width).reshape(width, len(tok) ** width).T]
 
 
 def _check_key_vocab(wm: WatermarkConfig | None, model: NGramModel) -> None:

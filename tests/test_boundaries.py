@@ -257,11 +257,33 @@ def test_cli_mia_token_beyond_int64_is_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "65", "-3", "many"])
-def test_threads_out_of_range_is_an_argparse_error(value):
+def test_threads_out_of_range_is_an_argparse_error(value, capsys):
+    """argparse refuses it in one error line with exit code 1, not 2,
+    which means inconclusive."""
     with pytest.raises(SystemExit) as exc:
-        _build_parser().parse_args(["detect", "--mode", "closed", "--corpus", "c",
-                                    "--out", "o", "--threads", value])
-    assert exc.value.code == 2
+        main(["detect", "--mode", "closed", "--corpus", "c", "--out", "o", "--threads", value])
+    assert exc.value.code == EXIT_ERROR
+    assert one_error_line(capsys).startswith("error: argument --threads: ")
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["generate", "--docs", "abc", "--out", "o"], "argument --docs: invalid int value: 'abc'"),
+    (["train", "--corpus", "c"], "the following arguments are required: --out"),
+    (["filter", "--corpus", "c", "--out", "o", "--nope"], "unrecognized arguments: --nope"),
+])
+def test_a_refused_command_line_is_one_error_line(argv, refusal, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert one_error_line(capsys) == f"error: {refusal}\n"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_threads_accepted_on_detect_only():

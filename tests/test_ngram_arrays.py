@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,82 @@ class TestAgainstDictModel:
         rng = np.random.default_rng(0)
         contexts = [tuple(ctx) for ctx in rng.integers(0, 16, size=(3000, 3))]
         _assert_same(model, oracle, contexts, docs[:2])
+
+
+def _oracle_tables(oracle):
+    """The oracle's counts as the model's sorted tables: per context length
+    L, the (L+1)-gram codes (base V, last token least significant) and
+    their counts."""
+    v, tables = oracle.vocab_size, []
+    for level in oracle.counts:
+        grams = sorted((sum(t * v**i for i, t in enumerate(reversed(ctx + (tok,)))), n)
+                       for ctx, bucket in level.items() for tok, n in bucket.items())
+        tables.append([np.array([g[j] for g in grams], np.int64) for j in (0, 1)])
+    return tables
+
+
+def _merged_in_chunks(model, oracle, batches, chunk, monkeypatch):
+    """Train both on ``batches``, one update each, in chunks of ``chunk``
+    tokens, and require the model's tables to equal the oracle's."""
+    monkeypatch.setattr(models, "_CHUNK_TOKENS", chunk)
+    for batch in batches:
+        model.update(batch)
+        oracle.update(batch)
+    for (keys, counts), (want_keys, want_counts) in zip(
+            zip(model._keys, model._counts), _oracle_tables(oracle)):
+        assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
+
+
+class TestMerge:
+    """Counts merged chunk by chunk into the sorted tables (``_add``)."""
+
+    DOCS = [[0, 1, 2, 3, 0, 1, 2], [3, 2, 1], [1, 1, 1, 1]]
+
+    @pytest.mark.parametrize("case", ["empty table", "only hits", "only misses", "both"])
+    def test_tables_equal_the_dict_model(self, monkeypatch, case):
+        model, oracle = NGramModel(3, 8), DictNGramModel(3, 8)
+        docs = self.DOCS
+        batches = {
+            # a short document fills level 0 only: the longer contexts'
+            # tables stay empty until the second update
+            "empty table": [[[5]], docs],
+            # the same documents again: every code is already counted
+            "only hits": [docs, docs, docs[:1]],
+            # tokens 4..7 make every code of the second update new
+            "only misses": [docs, [[t + 4 for t in doc] for doc in docs]],
+            "both": [docs, [[0, 1, 2, 7, 6, 1, 2, 3]]],
+        }[case]
+        for chunk in (1, 3, 1 << 18):
+            _merged_in_chunks(model, oracle, batches, chunk, monkeypatch)
+
+    @pytest.mark.parametrize("more", [DOCS, [[7, 6, 5, 0, 1, 2, 3]]], ids=["hits", "misses"])
+    def test_update_of_a_loaded_model(self, tmp_path, monkeypatch, more):
+        """A loaded model's counts are views of its flat counts, which its
+        lookups read: an update merges into new arrays, and the model
+        answers as one trained on both batches."""
+        save_model(train_ngram(self.DOCS, order=3, vocab_size=8), tmp_path / "m.bin")
+        model = load_model(tmp_path / "m.bin")
+        assert all(level.base is model._cnt for level in model._counts)
+        flat, before = model._cnt, model._cnt.copy()
+        oracle = DictNGramModel(3, 8)
+        oracle.update(self.DOCS)
+        _merged_in_chunks(model, oracle, [more], 2, monkeypatch)
+        assert np.array_equal(flat, before)
+        _assert_same(model, oracle, _contexts(8, 3, self.DOCS + more, []), more)
+
+    def test_training_peak_memory(self):
+        """Traced peak of order-3 training on 2000 x 500 tokens at V = 128
+        (39 MB; the merge by a stable argsort of the table and the chunk
+        peaked at 65 MB): the temporaries scale with the model plus one
+        chunk."""
+        docs = zipf_markov_corpus(128, 2000, 500, seed=3)
+        tracemalloc.start()
+        try:
+            train_ngram(docs, order=3, vocab_size=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestWholeCorpus:
