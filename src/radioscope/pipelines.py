@@ -35,7 +35,7 @@ from .models import (
     train_ngram,
 )
 from .remote import CapabilityError, RemoteModel
-from .schemes import AK, KGW, MPAC, WatermarkConfig, detector, score_batch
+from .schemes import AK, KGW, MPAC, WatermarkConfig, detector, mpac_vote, score_batch
 
 _LN10 = float(np.log(10.0))
 
@@ -190,21 +190,41 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
         raise CapabilityError("open mode reads greedy predictions, which only an "
                               "NGramModel suspect gives; use detect_closed")
     _check_key_vocab(key_cfg, suspect)
-    wm_texts = list(wm_texts)
-    texts = [list(doc["tokens"] if isinstance(doc, dict) else doc) for doc in wm_texts]
-    tokens = token_ids(texts, key_cfg.vocab_size)
+    tokens, lens, cands = _read_open(wm_texts, key_cfg)
+    cands["token"] = suspect.greedy_at(tokens, lens, cands["doc"], cands["pos"])
+    return _finish_report(cands, dedup, budget, key_cfg, OPEN, supervision, None)
+
+
+def _read_open(docs, cfg: WatermarkConfig):
+    """Joined tokens, lengths and ``candidate_table`` rows past each prompt of
+    documents given as token lists, or dicts with ``tokens`` and an optional
+    ``prompt_len``; a bad token is refused as ``document d``."""
+    docs = list(docs)
+    texts = [list(doc["tokens"] if isinstance(doc, dict) else doc) for doc in docs]
+    tokens = token_ids(texts, cfg.vocab_size)
     prompt_lens = []
-    for doc_id, (doc, text) in enumerate(zip(wm_texts, texts)):
+    for doc_id, (doc, text) in enumerate(zip(docs, texts)):
         n = doc.get("prompt_len", 0) if isinstance(doc, dict) else 0
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise ConfigError(f"document {doc_id}: prompt_len {n!r} is not a "
                               "non-negative integer")
         prompt_lens.append(min(n, len(text)))  # a prompt past the end blocks no more
     lens = [len(text) for text in texts]
-    cands = candidate_table(tokens, lens, prompt_lens, key_cfg.k, key_cfg.key, open_mode=True)
-    cands = cands.compress(cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]])
-    cands["token"] = suspect.greedy_at(tokens, lens, cands["doc"], cands["pos"])
-    return _finish_report(cands, dedup, budget, key_cfg, OPEN, supervision, None)
+    cands = candidate_table(tokens, lens, prompt_lens, cfg.k, cfg.key, open_mode=True)
+    return tokens, lens, cands.compress(
+        cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]])
+
+
+def mpac_extract(docs, cfg: WatermarkConfig, reference: str | None = None):
+    """Majority-vote message extraction from documents, read and admitted
+    as :func:`detect_open` reads and admits them; each admitted row votes
+    with its own next token.  Returns ``(digits, bit_accuracy)``: a digit is
+    ``None`` where no row voted, and the accuracy is the share of decided
+    bits equal to ``reference`` (default: the embedded message), or ``None``."""
+    if cfg.scheme != MPAC:
+        raise ConfigError("mpac_extract needs an MPAC config")
+    admitted = canonical_dedup(_read_open(docs, cfg)[2])
+    return mpac_vote(admitted["seed"], admitted["token"], cfg, reference)
 
 
 def mia_detect(suspect: NGramModel, candidate_set, fresh_set):

@@ -30,7 +30,6 @@ from .hashing import (
     rank_below,
     rvalue_batch,
     stream_block,
-    token_ids,
     window_hashes,
 )
 
@@ -194,30 +193,11 @@ def ak_score_batch(seeds: np.ndarray, tokens: np.ndarray, cfg: WatermarkConfig) 
     return -np.log1p(-r)
 
 
-def mpac_extract(stream, cfg: WatermarkConfig, reference: str | None = None):
-    """Majority-vote message extraction from (window, token) pairs.
-
-    ``stream`` yields (window, token) tuples; duplicated (k+1)-tuples are
-    counted once.  Returns ``(digits, bit_accuracy)`` where ``digits`` is a
-    list with ``None`` for positions that received no vote, and
-    ``bit_accuracy`` compares decided positions against ``reference``
-    (default: the embedded message), or ``None`` when nothing was decided.
-    Each pair's window and token are non-negative int64 ids (ConfigError
-    otherwise, naming pair d and the position in it); a token outside the
-    vocabulary casts no vote.
-    """
-    if cfg.scheme != MPAC:
-        raise ConfigError("mpac_extract needs an MPAC config")
-    b, v, k = cfg.n_positions, cfg.vocab_size, cfg.k
-    pairs = [[*window, token] for window, token in stream]
-    if any(len(pair) != k + 1 for pair in pairs):
-        raise ConfigError(f"every window must hold k={k} tokens")
-    ids = token_ids(pairs, 2**63, "pair {}".format).reshape(-1, k + 1)
-    seeds = window_hashes(ids[:, :k], cfg.key)
-    # each distinct (seed, token) pair votes once, as canonical_dedup admits it
-    seeds, tokens = np.unique(np.column_stack((seeds, ids[:, k].astype(np.uint64))), axis=0).T
-    inside = tokens < v
-    seeds, tokens = seeds[inside], tokens[inside]
+def mpac_vote(seeds: np.ndarray, tokens: np.ndarray, cfg: WatermarkConfig,
+              reference: str | None = None):
+    """:func:`~radioscope.pipelines.mpac_extract`'s vote: each (seed, token) row
+    votes at its seed's message position for its token's partition set."""
+    b, v = cfg.n_positions, cfg.vocab_size
     votes = np.zeros((b, MPAC_RADIX), dtype=np.int64)
     digit = _at_tokens(lambda chunk: mpac_partitions(chunk, v), seeds, tokens, v)
     np.add.at(votes, (mpac_positions(seeds, cfg), digit), 1)

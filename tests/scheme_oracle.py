@@ -2,10 +2,10 @@
 
 ``derive_greenlist``, ``derive_rvector``, ``mpac_position`` and
 ``mpac_partition`` are the per-seed definitions ``radioscope`` used before
-its scheme layer worked on arrays of seeds, and ``loop_mpac_extract`` is
-the per-pair vote loop of ``mpac_extract``.  They are kept verbatim,
+its scheme layer worked on arrays of seeds.  They are kept verbatim,
 except that the radix is the module constant ``MPAC_RADIX`` and seeds come
-from the scalar ``window_hash``.
+from the scalar ``window_hash``.  ``loop_mpac_extract`` is ``mpac_extract``
+as a vote loop over each document's positions.
 """
 
 from __future__ import annotations
@@ -71,24 +71,32 @@ def mpac_partition(seed: int, cfg: WatermarkConfig) -> list[np.ndarray]:
     return sets
 
 
-def loop_mpac_extract(stream, cfg: WatermarkConfig, reference: str | None = None):
-    """``mpac_extract`` as one vote per distinct (seed, token) pair, in a loop."""
+def loop_mpac_extract(docs, cfg: WatermarkConfig, reference: str | None = None):
+    """``mpac_extract`` as a loop over each document's positions: a window
+    that lies inside the document's prompt or occurred at an earlier start
+    casts no vote, and each distinct (seed, token) pair votes once."""
     if cfg.scheme != MPAC:
         raise ConfigError("mpac_extract needs an MPAC config")
-    b = cfg.n_positions
+    k, b = cfg.k, cfg.n_positions
     votes = np.zeros((b, MPAC_RADIX), dtype=np.int64)
     seen = set()
-    for window, token in stream:
-        seed = window_hash(window, cfg.key)
-        fp = (seed, token)
-        if fp in seen:
-            continue
-        seen.add(fp)
-        pos = mpac_position(seed, cfg)
-        for digit, members in enumerate(mpac_partition(seed, cfg)):
-            if token in members:
-                votes[pos, digit] += 1
-                break
+    for doc in docs:
+        tokens = list(doc["tokens"] if isinstance(doc, dict) else doc)
+        prompt_len = doc.get("prompt_len", 0) if isinstance(doc, dict) else 0
+        earlier = set()
+        for pos in range(k, len(tokens)):
+            window, token = tuple(tokens[pos - k : pos]), tokens[pos]
+            blocked = pos <= prompt_len or window in earlier
+            earlier.add(window)
+            seed = window_hash(window, cfg.key)
+            if blocked or (seed, token) in seen:
+                continue
+            seen.add((seed, token))
+            slot = mpac_position(seed, cfg)
+            for digit, members in enumerate(mpac_partition(seed, cfg)):
+                if token in members:
+                    votes[slot, digit] += 1
+                    break
     digits: list[int | None] = []
     for i in range(b):
         if votes[i].sum() == 0:

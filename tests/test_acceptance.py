@@ -333,23 +333,16 @@ def test_c10_multibit_message(teacher128):
     key = SecretKey(0xA11CE)
     cfg = WatermarkConfig("mpac", key, 128, k=2, delta=12.0, message=message)
     sampling = SamplingConfig(seed=10_000, nucleus_p=1.0)
-
-    def stream(docs):
-        for doc in docs:
-            toks = doc["tokens"]
-            for i in range(cfg.k, len(toks)):
-                yield tuple(toks[i - cfg.k : i]), toks[i]
-
     wm_docs = generate_corpus(teacher128, 10, 250, sampling, wm=cfg)
     n_tokens = sum(len(d["tokens"]) - cfg.k for d in wm_docs)
     assert n_tokens >= 2000
-    _, wm_acc = mpac_extract(stream(wm_docs), cfg)
+    _, wm_acc = mpac_extract(wm_docs, cfg)
 
     clean_accs = []
     for seed in range(20):
         clean = generate_corpus(teacher128, 2, 250,
                                 SamplingConfig(seed=10_100 + seed))
-        _, acc = mpac_extract(stream(clean), cfg)
+        _, acc = mpac_extract(clean, cfg)
         clean_accs.append(acc)
     clean_mean = float(np.mean(clean_accs))
     ok = wm_acc == 1.0 and 0.35 <= clean_mean <= 0.65

@@ -105,9 +105,8 @@ TOKEN_DOORS = {
         model, with_text(two_docs(bad)), with_text(two_docs(7)))),
     "mia_detect_fresh": ("fresh 1", 64, lambda model, key, bad: mia_detect(
         model, with_text(two_docs(7)), with_text(two_docs(bad)))),
-    # each pair is its window and its voted token: position 2 is the token
-    "mpac_extract": ("pair 1", -1, lambda model, key, bad: mpac_extract(
-        [((1, 2), 3), ((5, 6), bad)], WatermarkConfig("mpac", key, 64, message="01"))),
+    "mpac_extract": ("document 1", 64, lambda model, key, bad: mpac_extract(
+        two_docs(bad), WatermarkConfig("mpac", key, 64, message="01"))),
     "cli_train": ("document 1", 64, ["train", "--corpus", "{corpus}", "--vocab-size", "64"]),
     "cli_detect_open": ("document 1", 64, ["detect", "--mode", "open", "--model", "{model}",
                                            "--corpus", "{corpus}", "--key", KEY_HEX,

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from http.server import BaseHTTPRequestHandler
@@ -14,6 +15,7 @@ from radioscope import (
     SecretKey,
     WatermarkConfig,
     build_filter,
+    canonical_dedup,
     combine_distributions,
     contaminated_student,
     derive_run_key,
@@ -21,12 +23,16 @@ from radioscope import (
     detect_open,
     generate_corpus,
     mia_detect,
+    mpac_extract,
     parse_scenario,
     run_detection,
     run_scenario,
     train_ngram,
 )
+from radioscope import pipelines
+from radioscope.dedup import candidate_table
 from radioscope.pipelines import _SCENARIO_KEYS, DetectionReport, pvalue_for
+from radioscope.schemes import mpac_partitions
 import store_contract as contract
 from test_cli_errors import serving
 
@@ -117,6 +123,62 @@ class TestDetectOpen:
                                wm=cfg)
         small = detect_open(student, docs, cfg, budget=50)
         assert small.n_scored == 50
+
+
+def spy(monkeypatch, name: str) -> list:
+    """Each call of ``pipelines.<name>``, as its arguments and a copy of
+    its result, so a caller that writes into the result leaves no trace."""
+    calls = []
+    real = getattr(pipelines, name)
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args, copy.deepcopy(out)))
+        return out
+
+    monkeypatch.setattr(pipelines, name, recorded)
+    return calls
+
+
+class TestMpacExtract:
+    """Extraction reads documents through open detection's reader, and the
+    rows ``canonical_dedup`` admits vote."""
+
+    def test_a_recurring_window_casts_no_second_vote(self, monkeypatch):
+        cfg = WatermarkConfig("mpac", KEY, 16, k=2, message="01")
+        seed = cfg.seed((1, 2))
+        sets = mpac_partitions(np.array([seed], np.uint64), 16)[0]
+        a, b = (int(np.flatnonzero(sets == digit)[0]) for digit in (0, 1))
+        voted = spy(monkeypatch, "mpac_vote")
+        # (1, 2) recurs, the second time before a token of another digit's set
+        assert mpac_extract([[1, 2, a, 1, 2, b]], cfg) == mpac_extract([[1, 2, a, 1, 2]], cfg)
+        (seeds, tokens, _, _), _ = voted[0]
+        pairs = set(zip(seeds.tolist(), tokens.tolist()))
+        assert (seed, a) in pairs and (seed, b) not in pairs
+
+    def test_c10_votes_with_the_rows_detection_admits(self, teacher128, monkeypatch):
+        """c10's watermarked corpus: extraction votes with exactly the rows
+        ``canonical_dedup`` admits from the open candidate table, which
+        detection reads through the same reader."""
+        cfg = WatermarkConfig("mpac", SecretKey(0xA11CE), 128, k=2, delta=12.0,
+                              message="10110010")
+        docs = generate_corpus(teacher128, 10, 250,
+                               SamplingConfig(seed=10_000, nucleus_p=1.0), wm=cfg)
+        read, voted = spy(monkeypatch, "_read_open"), spy(monkeypatch, "mpac_vote")
+        mpac_extract(docs, cfg)
+        detect_open(teacher128, docs, WatermarkConfig("kgw", cfg.key, 128, k=2))
+        tokens = np.concatenate([doc["tokens"] for doc in docs])
+        table = candidate_table(tokens, [250] * 10, [0] * 10, 2, cfg.key, open_mode=True)
+        admitted = canonical_dedup(table)
+        assert (len(table), len(admitted)) == (2480, 2147)
+        (seeds, voted_tokens, _, _), _ = voted[0]
+        assert np.array_equal(seeds, admitted["seed"])
+        assert np.array_equal(voted_tokens, admitted["token"])
+        (_, (_, _, extracted)), (_, (_, _, detected)) = read
+        assert np.array_equal(extracted, table)
+        # detection then replaces each row's token with the suspect's greedy one
+        for name in ("doc", "pos", "seed", "blocked"):
+            assert np.array_equal(detected[name], table[name])
 
 
 class TestDetectClosed:
