@@ -51,11 +51,11 @@ EXIT_INCONCLUSIVE = 2
 # ---------------------------------------------------------------------------
 # settings, config file and key plumbing
 
-#: Every setting a command reads -> (default, reader, rule or None).  Those
-#: shared with scenario files take all three from their ``_SCENARIO_KEYS``
-#: entry (``temp`` is the scenario's ``temperature``, ``order`` its
-#: ``student_order``), but for the scenario rules that read scenario-only
-#: keys: ``scheme`` takes the library's rule, and ``seed`` none.
+#: Every setting a command reads -> (default, reader, rule).  Those shared
+#: with scenario files take all three from their ``_SCENARIO_KEYS`` entry
+#: (``temp`` is the scenario's ``temperature``, ``order`` its
+#: ``student_order``), but for ``scheme``, whose scenario rule reads
+#: scenario-only keys: it takes the library's rule.
 _SETTINGS = {
     name: _SCENARIO_KEYS[{"temp": "temperature", "order": "student_order"}.get(name, name)]
     for name in ("scheme", "k", "gamma", "delta", "temp", "message", "vocab_size",
@@ -63,7 +63,6 @@ _SETTINGS = {
                  "nucleus_p", "sampling_temperature", "doc_len", "budget")
 } | {
     "scheme": (*_SCENARIO_KEYS["scheme"][:2], WatermarkConfig.rules["scheme"]),
-    "seed": (*_SCENARIO_KEYS["seed"][:2], None),
     "max_tokens": (SamplingConfig.max_tokens, int, SamplingConfig.rules["max_tokens"]),
     "docs": (100, int, CORPUS_RULES["n_docs"]),
 }
@@ -123,8 +122,7 @@ def _resolve(args: argparse.Namespace, config: dict, name: str):
         value, source = flag, "--" + name.replace("_", "-")
     else:
         value, source = config.get(name, (default, name))
-    if rule is not None:
-        check_value(source, value, rule, _Resolved(args, config))
+    check_value(source, value, rule, _Resolved(args, config))
     return value
 
 

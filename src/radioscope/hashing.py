@@ -8,7 +8,8 @@ function applied to a counter stream, which gives random access to any
 stream position and vectorizes cleanly across seeds.
 
 The library runs the array functions: :func:`window_hashes` hashes a batch
-of windows, :func:`stream_block` and :func:`rvalue_batch` expand seeds, and
+of windows, :func:`window_table` every window over a set of tokens,
+:func:`stream_block` and :func:`rvalue_batch` expand seeds, and
 :func:`rank_below` ranks each row of stream keys, which defines greenlists
 and MPAC partitions.  :func:`window_hash` and :func:`stream_value` are
 their scalar references on plain Python ints, and tests pin the arrays
@@ -159,7 +160,8 @@ def window_hash(window, key: SecretKey) -> int:
 def _add_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a + b`` modulo ``2**64 - 1``: the carry out of bit 63 is added back."""
     s = a + b
-    return s + (s < a)
+    s += s < a
+    return s
 
 
 def _mul_mod(h: np.ndarray, s: int) -> np.ndarray:
@@ -200,6 +202,23 @@ def window_hashes(windows, key: SecretKey) -> np.ndarray:
         h = np.zeros(n, dtype=np.uint64)
         for x in windows.astype(np.uint64).T:
             h = _add_mod(_mul_mod(h, key.s), x)
+    h[h == np.uint64(HASH_MOD)] = 0  # the other form of 0
+    return h
+
+
+def window_table(tokens, k: int, key: SecretKey) -> np.ndarray:
+    """:func:`window_hash` of every k-window whose entries are drawn from
+    ``tokens``, in lexicographic order, the first position most
+    significant: ``len(tokens) ** k`` seeds.  The recurrence runs over all
+    prefixes at once, each step one outer sum of the prefixes' seeds times
+    ``s`` and the tokens; a seed of ``2**64 - 1`` is mapped to 0, as in
+    :func:`window_hashes`."""
+    if k < 1:
+        raise ConfigError("window must contain at least one token")
+    tokens = np.array(tokens, dtype=np.uint64)
+    h = tokens
+    for _ in range(k - 1):
+        h = _add_mod(_mul_mod(h, key.s)[:, None], tokens).ravel()
     h[h == np.uint64(HASH_MOD)] = 0  # the other form of 0
     return h
 

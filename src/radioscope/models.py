@@ -29,8 +29,10 @@ holds it.  It is read with ``allow_pickle=False``.
 
 Generation samples through decode rows.  A state is the last
 ``max(order, k)`` tokens (``order`` without a watermark), coded as
-base-(V+1) digits ``token + 1``.  Nucleus rows are built once per trained
-context, so a store never holds more rows than the model has contexts.
+base-(V+1) digits ``token + 1`` by the lookups' coder
+(:meth:`NGramModel._locate`), which codes every prompt at once.  Nucleus
+rows are built once per trained context, so a store never holds more
+rows than the model has contexts.
 The model keeps a store per temperature and nucleus p until it is
 trained further, and no store refers to its model.  A step finds every
 state's context with one lookup of the model.  A nucleus row is the kept
@@ -66,12 +68,15 @@ or the chosen token (AK), made from the nucleus rows with zeros past
 windows are embedded by the batched functions of
 :mod:`radioscope.schemes`.  The rows first reached at a step are built
 together, into two arrays in build order (see :class:`_WatermarkRows`).
-When a row id and a seed for every state code fit ``_RESERVE_BYTES`` (V
-up to 2,047 at depth 2, 160 at depth 3), the store is dense: a step's
-rows are one gather, and its new states are found by one ``flatnonzero``
-and deduplicated in the row-id table, where each occurrence writes a
-placeholder below -1 and those that survive build the rows.  Above those
-vocabularies, rows are found through a dict.
+When a row id for every state code and a seed for every k-window fit
+``_RESERVE_BYTES``, 8 bytes each (V up to 2,047 at depth 2 and k = 2,
+201 at depth 3 and k = 2, 160 at depth 3 and k = 3), the store is dense:
+a step's rows are one gather, and its new states are found by one
+``flatnonzero`` and deduplicated in the row-id table, where each
+occurrence writes a placeholder below -1 and those that survive build
+the rows.  The seed table is :func:`~radioscope.hashing.window_table` of
+the digits, made in about 0.1 ms at V = 128 and k = 2, 13 ms at k = 3.
+Above those vocabularies, rows are found through a dict.
 
 Every body step of every document draws exactly one uniform, used or
 not: AK rows and single-token nucleus rows ignore theirs.  Each document
@@ -91,7 +96,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .hashing import TEMP_ELEMS, ConfigError, at_least, check_rules, token_ids, window_hashes
+from .hashing import (TEMP_ELEMS, ConfigError, at_least, check_rules, token_ids, window_hashes,
+                      window_table)
 from .schemes import AK, WatermarkConfig, aaronson_pick, bias_logits
 
 
@@ -109,6 +115,7 @@ class SamplingConfig:
         "temperature": lambda v, o: v > 0 or "be > 0",
         "nucleus_p": lambda v, o: 0 < v <= 1 or "lie in (0, 1]",
         "max_tokens": at_least(0),
+        "seed": at_least(0),
     }
 
     def __post_init__(self):
@@ -134,7 +141,7 @@ class MixSpec:
 
 #: Tokens per ``np.unique`` pass in :meth:`NGramModel.update`.  Chunks bound
 #: the temporaries: order-3 training on 2000 x 500 tokens of
-#: :func:`zipf_markov_corpus` at V = 128 peaks at 39 MB (traced
+#: :func:`zipf_markov_corpus` at V = 128 peaks at 36 MB (traced
 #: allocations, 27 MB of them the model) in chunks of this size and at
 #: 63 MB in a single pass.
 _CHUNK_TOKENS = 1 << 18
@@ -188,15 +195,24 @@ class NGramModel:
         self._counts = np.split(counts, np.cumsum(lens)[:-1])
         # token ids in the narrowest dtype that holds V - 1
         self._tok = np.empty(len(counts), np.min_scalar_type(v - 1))
-        self._ctx, starts = [], []
-        for keys, before in zip(self._keys, np.cumsum([0] + lens)):
-            np.remainder(keys, v, out=self._tok[before : before + len(keys)], casting="unsafe")
+        self._ctx, starts, greedy = [], [], []
+        for keys, level, before in zip(self._keys, self._counts, np.cumsum([0] + lens)):
+            tok = self._tok[before : before + len(keys)]
+            np.remainder(keys, v, out=tok, casting="unsafe")
             ctx = keys // v
             first = np.flatnonzero(np.diff(ctx, prepend=-1))
             # a sentinel above every code keeps each search result in range
             self._ctx.append(np.append(ctx[first], np.iinfo(np.int64).max))
             starts.append(first + before)
             del ctx
+            # the row maximum of count * V + (V - 1 - token) is the highest
+            # count with the lowest token (exact while counts stay < 2**32);
+            # one level at a time, so no key array outgrows its level
+            best = level * v
+            best += v - 1
+            best -= tok
+            greedy.append(v - 1 - np.maximum.reduceat(best, first) % v)
+            del best
         # context id = the level's first id + its row; one more id past the
         # last level stands for the uniform row of an untrained model
         self._first = np.cumsum([0] + [len(level) for level in starts])
@@ -204,13 +220,7 @@ class NGramModel:
         self._off = np.concatenate(starts + [[len(counts)] * 2])
         starts = self._off[:-2]
         self._total = np.append(np.add.reduceat(counts, starts), 1)
-        # the row maximum of count * V + (V - 1 - token) is the highest
-        # count with the lowest token (exact while counts stay < 2**32)
-        best = counts * v
-        best += v - 1
-        best -= self._tok
-        best = np.maximum.reduceat(best, starts)
-        self._greedy = np.append(v - 1 - best % v, 0)
+        self._greedy = np.concatenate(greedy + [[0]])
 
     def update(self, corpus) -> None:
         """Accumulate counts from an iterable of token-id documents.
@@ -269,18 +279,22 @@ class NGramModel:
         codes = self._locate(tokens, [len(tail)], np.zeros(1, np.intp), np.array([len(tail)]))
         return int(self._context_ids(codes)[0])
 
-    def _locate(self, tokens: np.ndarray, lens, doc: np.ndarray, pos: np.ndarray):
-        """Code (see :meth:`_context_ids`) of the last ``order`` of document
-        ``d``'s first ``p`` tokens, for each (d, p) of ``zip(doc, pos)``,
-        where ``tokens`` are the documents joined as int64 and ``lens``
-        their lengths: digit 0 where a token is missing or out of vocabulary."""
+    def _locate(self, tokens: np.ndarray, lens, doc: np.ndarray, pos: np.ndarray,
+                depth: int | None = None):
+        """Code (see :meth:`_context_ids`) of the last ``depth`` (by default
+        ``order``) of document ``d``'s first ``p`` tokens, for each (d, p) of
+        ``zip(doc, pos)``, where ``tokens`` are the documents joined as int64
+        and ``lens`` their lengths: digit 0 where a token is missing or out
+        of vocabulary.  The sampler codes its states, ``max(order, k)``
+        tokens deep, the same way."""
         v, radix = self.vocab_size, self.vocab_size + 1
-        dtype = np.int64 if radix**self.order <= np.iinfo(np.int64).max else object
-        # ``order`` zeros in front keep every look-back index in range
-        flat = np.concatenate([np.zeros(self.order, np.int64), tokens])
-        at = np.cumsum(np.append(self.order, np.asarray(lens, np.int64)))[doc] + pos
+        depth = self.order if depth is None else depth
+        dtype = np.int64 if radix**depth <= np.iinfo(np.int64).max else object
+        # ``depth`` zeros in front keep every look-back index in range
+        flat = np.concatenate([np.zeros(depth, np.int64), tokens])
+        at = np.cumsum(np.append(depth, np.asarray(lens, np.int64)))[doc] + pos
         codes = np.zeros(len(pos), dtype)
-        for back in range(1, self.order + 1):
+        for back in range(1, depth + 1):
             digit = flat[at - back] + 1
             digit[(pos < back) | (digit <= 0) | (digit > v)] = 0
             codes += digit.astype(dtype, copy=False) * radix ** (back - 1)
@@ -590,10 +604,12 @@ class _WatermarkRows:
     ``bound`` rows if fewer, and doubles, up to ``bound``, when a batch
     does not fit.
 
-    When a row id and a window seed for every state code fit
-    ``_RESERVE_BYTES``, the store is dense: it makes those two tables,
-    indexed by state code, with the store.  Otherwise rows are found
-    through a dict, and each build hashes its windows.
+    When a row id for every state code and a window seed for every
+    k-window, ``8 * ((V + 1) ** depth + (V + 1) ** k)`` bytes, fit
+    ``_RESERVE_BYTES``, the store is dense: it makes those two tables with
+    the store, the row ids indexed by state code and the seeds by its k
+    newest digits.  Otherwise rows are found through a dict, and each
+    build hashes its windows.
     """
 
     def __init__(self, model: NGramModel, nucleus: NucleusRows, wm: WatermarkConfig,
@@ -609,12 +625,13 @@ class _WatermarkRows:
         # a row is its base, an intp, and its part
         size = min(bound, _RESERVE_BYTES // (np.intp(0).nbytes + np.empty(shape, dtype).nbytes))
         self.base, self.part = np.empty(size, np.intp), np.empty((size,) + shape, dtype)
-        # a row id and a seed per state code, 8 bytes each
-        self.dense = 16 * n_codes <= _RESERVE_BYTES
+        # a row id per state code and a seed per window, 8 bytes each
+        self.dense = 8 * (n_codes + radix**k) <= _RESERVE_BYTES
         self.index = None if self.dense else {}
         if self.dense:
             self._row_of = np.full(n_codes, -1, np.intp)
-            self._seed_of = self._dense_seeds(n_codes)
+            # digit d is token d - 1; a missing token (digit 0) reads as 0
+            self._seed_of = window_table(np.maximum(np.arange(radix) - 1, 0), k, wm.key)
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """Row of each state code, building the rows of the codes first reached."""
@@ -680,35 +697,12 @@ class _WatermarkRows:
         windows -= 1
         return window_hashes(np.maximum(windows, 0, out=windows), self.wm.key)
 
-    def _dense_seeds(self, n_codes: int) -> np.ndarray:
-        """:meth:`_seeds` of every state code below ``n_codes``, with no
-        division.  A seed reads only a code's k newest digits, so the table
-        repeats the seeds of the codes below radix**k.  In code order, those
-        codes' windows are the Cartesian product of the digits, built by
-        broadcasting: each block of rows of the older digits over every
-        window of the ``new`` newest, about ``TEMP_ELEMS`` entries a call."""
-        radix, k = self.vocab_size + 1, self.wm.k
-        # digit d is token d - 1; a missing token (digit 0) reads as 0
-        tok = np.maximum(np.arange(radix) - 1, 0)
-        new = 1
-        while new < k and radix ** (new + 1) * k <= TEMP_ELEMS:
-            new += 1
-        head, tail = _product(tok, k - new), _product(tok, new)
-        rows = max(1, TEMP_ELEMS // (k * len(tail)))
-        seeds = np.empty(radix**k, np.uint64)
-        for lo in range(0, len(head), rows):
-            older = head[lo : lo + rows]
-            windows = np.concatenate([np.repeat(older, len(tail), axis=0),
-                                      np.tile(tail, (len(older), 1))], axis=1)
-            at = lo * len(tail)
-            seeds[at : at + len(windows)] = window_hashes(windows, self.wm.key)
-        return np.tile(seeds, n_codes // radix**k)
-
     def _build(self, codes: np.ndarray) -> tuple:
         """The base and the part of each state code's row."""
         wm, nucleus = self.wm, self.nucleus
         base = nucleus.ready(self.model, self.model._context_ids(codes))
-        seeds = self._seed_of[codes] if self.dense else self._seeds(codes)
+        # a dense store's seed reads the code's k newest digits
+        seeds = self._seed_of[codes % len(self._seed_of)] if self.dense else self._seeds(codes)
         q, idx, keep = nucleus.kept(base)
         with np.errstate(divide="ignore"):
             log_q = np.log(q, out=q)
@@ -720,12 +714,6 @@ class _WatermarkRows:
         biased = bias_logits(seeds, log_q, idx, wm)
         biased -= np.maximum.reduce(biased, axis=1, keepdims=True)
         return base, np.exp(biased, out=biased).cumsum(axis=1)
-
-
-def _product(tok: np.ndarray, width: int) -> np.ndarray:
-    """Every row of ``width`` entries of ``tok``, the first entry most
-    significant: ``(len(tok) ** width, width)``, one empty row at width 0."""
-    return tok[np.indices((len(tok),) * width).reshape(width, len(tok) ** width).T]
 
 
 def _check_key_vocab(wm: WatermarkConfig | None, model: NGramModel) -> None:
@@ -762,13 +750,6 @@ class TextSampler:
         # codes below this lack a full window; % _tail drops the oldest token
         self._windowed = None if wm is None else radix ** (wm.k - 1)
         self._tail = radix ** (depth - 1)
-        self._code_dtype = np.int64 if radix**depth <= np.iinfo(np.int64).max else object
-
-    def _encode(self, prompt) -> int:
-        code = 0
-        for tok in list(prompt)[-self._depth :]:
-            code = code * self._radix + int(tok) + 1
-        return code
 
     def generate(self, prompts, steps: int, uniforms: np.ndarray) -> np.ndarray:
         """``steps`` tokens after each prompt, every document at once.
@@ -784,11 +765,12 @@ class TextSampler:
         last of those is at or below the uniform: the sums never fall, so
         the count is the whole row's either way.
         """
-        model, radix, dtype = self.model, self._radix, self._code_dtype
+        model, radix = self.model, self._radix
         nucleus = model._nucleus(self.temperature, self.sampling.nucleus_p)
         prompts = list(prompts)
-        token_ids(prompts, model.vocab_size, "prompt {}".format)  # refuses a bad token
-        codes = np.array([self._encode(p) for p in prompts], dtype)
+        lens = np.array([len(p) for p in prompts], np.int64)
+        tokens = token_ids(prompts, model.vocab_size, "prompt {}".format)
+        codes = model._locate(tokens, lens, np.arange(len(lens)), lens, self._depth)
         # the call reaches at most one state per step of each document
         marked = (None if self.wm is None
                   else _WatermarkRows(model, nucleus, self.wm, len(codes) * steps))
@@ -811,7 +793,7 @@ class TextSampler:
                     out[wide, t] = marked.sample(marked.rows(codes[wide]), u[wide])
             codes %= self._tail
             codes *= radix
-            codes += out[:, t].astype(dtype) + 1
+            codes += out[:, t].astype(codes.dtype) + 1
         return out
 
 

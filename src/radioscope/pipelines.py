@@ -220,9 +220,13 @@ def mpac_extract(docs, cfg: WatermarkConfig, reference: str | None = None):
     as :func:`detect_open` reads and admits them; each admitted row votes
     with its own next token.  Returns ``(digits, bit_accuracy)``: a digit is
     ``None`` where no row voted, and the accuracy is the share of decided
-    bits equal to ``reference`` (default: the embedded message), or ``None``."""
+    bits equal to ``reference`` (default: the embedded message), or ``None``.
+    A reference is as many bits, each 0 or 1, as the message."""
     if cfg.scheme != MPAC:
         raise ConfigError("mpac_extract needs an MPAC config")
+    check_value("reference", reference, lambda v, message: v is None or (
+        isinstance(v, str) and len(v) == len(message) and set(v) <= {"0", "1"})
+        or f"be {len(message)} bits, each 0 or 1, as the message is", cfg.message)
     admitted = canonical_dedup(_read_open(docs, cfg)[2])
     return mpac_vote(admitted["seed"], admitted["token"], cfg, reference)
 
@@ -362,22 +366,11 @@ def _rho_value(v, spec):
         f"for d_sweep at n_docs = {spec['n_docs']}")
 
 
-def _seed(v, spec):
-    # run 0 samples closed completions from seed, watermarked training text
-    # from seed + 1 and clean training text from seed + 2; later runs add
-    # 101 per run, and numpy takes no negative seed
-    rho = spec["rho"][0] if spec["scenario"] == "rho_sweep" else spec["rho_value"]
-    lowest = (0 if CLOSED in spec["modes"] and spec["scenario"] != "d_sweep"
-              else 1 if round(rho * spec["n_docs"]) >= 1 else 2)
-    return v + lowest >= 0 or f"be >= {-lowest} (run 0 samples from seed + {lowest})"
-
-
 #: Every scenario key -> (default, reader, rule).  A key whose default is a
 #: list takes comma-separated values, each read and checked on its own.  A
 #: key the library reads takes the library's rule; the rules written here
 #: are those of scenario-only keys and those that read one.  The rules run
-#: once the file is read, in this order, so a rule may read other keys;
-#: ``seed``'s reads the most, so it runs last.
+#: once the file is read, in this order, so a rule may read other keys.
 _SCENARIO_KEYS = {
     "scenario": (None, str, lambda v, spec: v in _SWEEPS
                  or f"be one of {', '.join(_SWEEPS)}"),
@@ -410,7 +403,7 @@ _SCENARIO_KEYS = {
     "k_values": ([1, 2, 4], int, WatermarkConfig.rules["k"]),
     "nucleus_p": (0.95, float, SamplingConfig.rules["nucleus_p"]),
     "sampling_temperature": (0.8, float, SamplingConfig.rules["temperature"]),
-    "seed": (0, int, _seed),
+    "seed": (0, int, SamplingConfig.rules["seed"]),
 }
 
 

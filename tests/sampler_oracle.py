@@ -3,7 +3,8 @@
 ``LoopTextSampler`` is the per-token sampler that ``radioscope.models``
 used before its decode-row store, with the per-seed greenlist cache it
 relied on, and ``loop_generate_corpus`` / ``loop_complete`` are the
-corpus and completion loops built on it.  They are kept verbatim, except
+corpus and completion loops built on it.  ``loop_state_code`` is the
+per-prompt rule the decode-row walk first coded its prompts by.  They are kept verbatim, except
 that every step draws one uniform before anything else, so that property
 tests can require identical outputs, and that the log of a kept 0 and the
 division by it run under ``np.errstate``, as the library's do.
@@ -17,6 +18,15 @@ import numpy as np
 
 from radioscope.hashing import derive_permutation, rvalue_batch
 from radioscope.schemes import AK, KGW, MPAC, WatermarkConfig, bias_logits
+
+
+def loop_state_code(prompt, depth: int, radix: int) -> int:
+    """The state code of a prompt: its last ``depth`` tokens as base-``radix``
+    digits ``token + 1``, newest least significant."""
+    code = 0
+    for tok in list(prompt)[-depth:]:
+        code = code * radix + int(tok) + 1
+    return code
 
 
 class GreenlistCache:

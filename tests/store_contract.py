@@ -142,23 +142,27 @@ def assert_bound(store, model) -> None:
 
 
 def is_dense(marked) -> bool:
-    """Whether a watermark store is dense: its tables, a row id and a seed
-    per state code, then fit ``_RESERVE_BYTES``; otherwise its dict
-    indexes each row built and it made no tables."""
+    """Whether a watermark store is dense: its tables, a row id per state
+    code and a seed per window, then fit ``_RESERVE_BYTES``; otherwise its
+    dict indexes each row built and it made no tables."""
     if not marked.dense:
         assert not hasattr(marked, "_row_of") and len(marked.index) == marked.n
         return False
-    n_codes = (marked.vocab_size + 1) ** max(marked.model.order, marked.wm.k)
+    radix = marked.vocab_size + 1
+    n_codes = radix ** max(marked.model.order, marked.wm.k)
     tables = (marked._row_of, marked._seed_of)
-    assert marked.index is None and [len(t) for t in tables] == [n_codes] * 2
+    assert marked.index is None and [len(t) for t in tables] == [n_codes, radix**marked.wm.k]
     assert sum(t.nbytes for t in tables) <= models._RESERVE_BYTES
     assert (marked._row_of >= 0).sum() == marked.n
     return True
 
 
 def window_seeds(marked, codes: np.ndarray) -> np.ndarray:
-    """Each state code's window seed, from the dense table or hashed."""
-    return marked._seed_of[codes] if marked.dense else marked._seeds(codes)
+    """Each state code's window seed, from the dense table by the code's
+    k newest digits, or hashed."""
+    if not marked.dense:
+        return marked._seeds(codes)
+    return marked._seed_of[codes % (marked.vocab_size + 1) ** marked.wm.k]
 
 
 def assert_state_seeds(marked) -> None:
@@ -227,7 +231,8 @@ def gathering(model, levels):
 def reserving_dense_tables(model, wm, spare: int):
     """A reservation of a watermark store's dense tables plus ``spare`` (-1
     forces the dict store); the context table still gathers every level."""
-    return reserving(16 * (model.vocab_size + 1) ** max(model.order, wm.k) + spare)
+    radix = model.vocab_size + 1
+    return reserving(8 * (radix ** max(model.order, wm.k) + radix**wm.k) + spare)
 
 
 def no_search(model):

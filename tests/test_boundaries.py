@@ -628,14 +628,15 @@ SCENARIO_REFUSALS = {
                             "temperature must be > 0, got 0.0"),
     "ak_negative_temperature": (["scenario = rho_sweep", "scheme = ak", "temperature = -1"],
                                 "temperature must be > 0, got -1.0"),
-    # numpy refused the negative seed mid-run; closed detection samples from seed
-    # itself, run 0's watermarked text from seed + 1 and its clean text from seed + 2
+    # the sampling seed's rule, whatever seed + j a run samples from
     "closed_negative_seed": (["scenario = rho_sweep", "modes = closed", "seed = -1"],
-                             "seed must be >= 0 (run 0 samples from seed + 0), got -1"),
+                             "seed must be >= 0, got -1"),
     "watermarked_negative_seed": (["scenario = k_sweep", "seed = -2"],
-                                  "seed must be >= -1 (run 0 samples from seed + 1), got -2"),
+                                  "seed must be >= 0, got -2"),
     "clean_negative_seed": (["scenario = rho_sweep", "rho = 0.0, 0.5", "seed = -3"],
-                            "seed must be >= -2 (run 0 samples from seed + 2), got -3"),
+                            "seed must be >= 0, got -3"),
+    "d_sweep_negative_seed": (["scenario = d_sweep", "modes = closed", "seed = -1"],
+                              "seed must be >= 0, got -1"),
     "short_doc_len": (["scenario = rho_sweep", "doc_len = 2"],
                       f"doc_len must be >= 3 {PROMPTED}, got 2"),
 }
@@ -718,6 +719,8 @@ DOORS = {
                ("detect", "budget", "-1", True), "budget"),
     "teacher_seed": ("must be >= 0, got -1", None, ("generate", "teacher_seed", "-1", False),
                      "teacher_seed"),
+    "seed": ("must be >= 0, got -1", ("seed", lambda key, model: SamplingConfig(seed=-1)),
+             ("generate", "seed", "-1", True), "closed_negative_seed"),
 }
 
 
@@ -781,17 +784,11 @@ def test_scenario_refuses_mpac_without_a_message(tmp_path):
 
 
 @pytest.mark.parametrize("lines", [
-    ["scenario = rho_sweep", "seed = -1"],
-    ["scenario = rho_sweep", "rho = 0.5", "seed = -1"],  # open mode samples from seed + 3
-    ["scenario = rho_sweep", "rho = 0.0, 0.5", "seed = -2"],
-    ["scenario = d_sweep", "modes = closed", "seed = -1"],  # d_sweep detects on none
     ["scenario = d_sweep", "scheme = mpac", "message = 0110"],
     ["scenario = rho_sweep", "scheme = ak", "temperature = 0.5", "gamma = 1.5", "delta = -1"],
     ["scenario = d_sweep", "modes = closed", "detect_len = -1"],
     ["scenario = rho_sweep", "teacher_order = 8", "student_order = 8"],  # 63 bits at V = 128
-], ids=["negative_seed", "open_negative_seed", "clean_run_0_negative_seed",
-        "d_sweep_closed_negative_seed", "mpac_d_sweep", "ak_ignores_kgw_knobs",
-        "d_sweep_detect_len", "widest_orders"])
+], ids=["mpac_d_sweep", "ak_ignores_kgw_knobs", "d_sweep_detect_len", "widest_orders"])
 def test_scenario_accepts_values_that_run(tmp_path, lines):
     """Values a run never reads, or reads without failing, stay accepted."""
     path = tmp_path / "ok.scn"

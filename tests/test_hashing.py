@@ -1,9 +1,10 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radioscope import ConfigError, SecretKey, derive_run_key, hashing, window_hash
@@ -17,6 +18,7 @@ from radioscope.hashing import (
     rvalue_batch,
     stream_value,
     window_hashes,
+    window_table,
 )
 from scheme_oracle import derive_greenlist, derive_rvector
 
@@ -124,6 +126,33 @@ class TestWindowHashes:
     def test_needs_an_n_by_k_array_of_token_ids(self, bad):
         with pytest.raises(ConfigError):
             window_hashes(bad, SecretKey(3))
+
+
+class TestWindowTable:
+    """Every k-window over a token list, first position most significant,
+    is ``window_hashes`` of that window."""
+
+    # the sampler's digits: digit d is token d - 1 and digit 0 reads as 0,
+    # so token 0 repeats; under s = 2**64 - 2 and an even k, (1, 1, ...)
+    # sums to the other form of 0
+    @example(s=2**64 - 2, k=2, tokens=[0, 0, 1, 2, 3])
+    @example(s=2**64 - 2, k=4, tokens=[0, 0, 1, 2, 3])
+    @example(s=1, k=3, tokens=[0, 0, 1, 2, 3])
+    @given(st.sampled_from([1, 2**64 - 2]) | st.integers(1, 2**64 - 2), st.integers(1, 4),
+           st.integers(1, 5).map(lambda n: [0, *range(n)])
+           | st.lists(st.sampled_from([0, 1, 255, 2**32 - 1, 2**63]) | st.integers(0, 2**20),
+                      min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_window_hashes_of_the_product(self, s, k, tokens):
+        key = SecretKey(s)
+        windows = np.array(list(itertools.product(tokens, repeat=k)), np.uint64)
+        got = window_table(tokens, k, key)
+        assert got.dtype == np.uint64
+        assert got.tolist() == window_hashes(windows, key).tolist()
+
+    def test_needs_a_window_of_at_least_one_token(self):
+        with pytest.raises(ConfigError, match="at least one token"):
+            window_table([1, 2], 0, SecretKey(3))
 
 
 def test_only_hashing_holds_the_hash_arithmetic():

@@ -9,6 +9,7 @@ import pytest
 
 from radioscope import (
     CapabilityError,
+    ConfigError,
     DetectionInterrupted,
     RemoteModel,
     SamplingConfig,
@@ -179,6 +180,17 @@ class TestMpacExtract:
         # detection then replaces each row's token with the suspect's greedy one
         for name in ("doc", "pos", "seed", "blocked"):
             assert np.array_equal(detected[name], table[name])
+
+    @pytest.mark.parametrize("reference", ["1", "011", "0120"])
+    def test_a_reference_is_a_bit_per_message_bit(self, reference):
+        """Unless refused, "1" would be broadcast over the message's bits,
+        "011" fail in numpy's broadcast, and "0120" be scored."""
+        cfg = WatermarkConfig("mpac", SecretKey(5), 16, message="0110")
+        error = (f"reference must be 4 bits, each 0 or 1, as the message is, "
+                 f"got {reference}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+            mpac_extract([list(range(1, 11))], cfg, reference)
+        assert mpac_extract([list(range(1, 11))], cfg, "0110")[1] == 0.25
 
 
 class TestDetectClosed:

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from radioscope import (SamplingConfig, SecretKey, TextSampler, WatermarkConfig, generate,
                         generate_corpus, make_teacher, models, train_ngram)
-from radioscope.hashing import ConfigError, window_hash
+from radioscope.hashing import ConfigError, token_ids, window_hash
 from radioscope.models import NucleusRows, _WatermarkRows, _kept_sums
 from radioscope.pipelines import _complete
-from sampler_oracle import LoopTextSampler, loop_complete, loop_generate_corpus
+from sampler_oracle import LoopTextSampler, loop_complete, loop_generate_corpus, loop_state_code
 import store_contract as contract
 
 SCHEMES = (None, "kgw", "ak", "ak-temp", "mpac")
@@ -624,6 +624,23 @@ def test_state_codes_wider_than_int64():
     wm = _wm("kgw", v, k, 0xABBA)
     got = generate_corpus(model, 4, 12, sampling, wm, prompt_len=5)
     assert got == loop_generate_corpus(model, 4, 12, sampling, wm, prompt_len=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.sampled_from([2, 7, 64, 1 << 20]), st.data())
+def test_prompt_codes_are_the_per_prompt_rule(order, extra, v, data):
+    """The model's coder at the sampler's depth codes each prompt as the
+    per-prompt rule did: empty prompts, prompts shorter than the depth and
+    longer, also where codes outgrow int64 (V = 2**20 from depth 4)."""
+    depth = order + extra
+    model = models.NGramModel(1 if v > 64 else order, v)
+    prompts = data.draw(st.lists(st.lists(st.integers(0, v - 1), max_size=2 * depth + 1),
+                                 max_size=8))
+    prompts += [[], [v - 1] * (depth - 1), [0] * depth, list(range(min(v, depth + 2)))]
+    lens = np.array([len(p) for p in prompts])
+    tokens = token_ids(prompts, v)
+    got = model._locate(tokens, lens, np.arange(len(prompts)), lens, depth)
+    assert got.tolist() == [loop_state_code(p, depth, v + 1) for p in prompts]
 
 
 @st.composite
