@@ -39,26 +39,25 @@ state's context with one lookup of the model.  A nucleus row is the kept
 token ids by descending probability and their renormalized
 probabilities, built from the context's counts without a per-row model
 call.  Rows lie back to back in two flat arrays, in build order: ``idx``
-holds every kept id, and ``q`` a row's first ``stored`` probabilities,
-its head of ``_HEAD`` entries (all of them if it keeps fewer) or, if
-more, up to its last kept value, which every later kept entry equals bit
-for bit.  At V = 128 about 90 % of kept entries are such copies of the
-smoothed tail value.  A context id finds its row by ``istart``,
-``qstart``, ``keep`` and ``stored``.  A walk reads rows' heads through a
-sliding window over ``q``, one index for all states, so past ``keep`` a
-head runs on into later rows' entries, or into zeros past the last.
-Those entries are probabilities, never negative, so the cumulative sums
+holds every kept id, and ``q`` a row's kept values above its last kept
+one, then that one, which every later kept entry equals bit for bit.  At
+V = 128 about 90 % of the teacher's kept entries and 97 % of the
+closed-h0 suspect's are such copies of the smoothed tail value.  A
+context id finds its row by ``istart``, ``keep``, ``qlast`` (the place
+of its last stored probability) and ``stored``.  Every read of ``q``, a
+draw's head of ``_HEAD`` entries or a V-wide row, is one gather that
+repeats the last stored entry, so past ``keep`` a row reads its last
+value.  That is a probability, never negative, so the cumulative sums
 past ``keep`` never fall below the row total: the count of sums at or
 below a uniform, clipped to ``keep - 1``, is the one zero padding would
 give.  Because the sums never fall, a draw first counts over the head,
-and reads the V-wide row, its stored entries and then the last one
-repeated, only when the head's last sum is still at or below the
-uniform; ``np.add.accumulate`` adds in order, so the head's sums are the
-row's first sums bit for bit.  Nucleus rows keep most of their mass in
-their first entries, so few draws read past the head.  Once a store has
-built half its rows it builds all the others in one pass, so at most
-twice the work and memory of the rows reached, and its lookups never
-build again.
+and reads the V-wide row only when the head's last sum is still at or
+below the uniform; ``np.add.accumulate`` adds in order, so the head's
+sums are the row's first sums bit for bit.  Nucleus rows keep most of
+their mass in their first entries, so few draws read past the head.
+Once a store has built half its rows it builds all the others in one
+pass, so at most twice the work and memory of the rows reached, and its
+lookups never build again.
 
 A watermarked state's row, built once per state, holds its context id
 and the scheme's part: the cumulative biased probabilities (KGW, MPAC)
@@ -273,10 +272,11 @@ class NGramModel:
         self._counts[length][at] += cnt
 
     def _find(self, context) -> int:
-        """Id (see :meth:`_index`) of the longest trained suffix of ``context``."""
-        tail = context[-self.order :]
-        tokens = np.fromiter(tail, np.int64, len(tail))
-        codes = self._locate(tokens, [len(tail)], np.zeros(1, np.intp), np.array([len(tail)]))
+        """Id (see :meth:`_index`) of the longest trained suffix of ``context``,
+        whose tokens :func:`~radioscope.hashing.token_ids` checks as ``context``."""
+        tokens = token_ids([context], self.vocab_size, "context".format)[-self.order :]
+        n = len(tokens)
+        codes = self._locate(tokens, [n], np.zeros(1, np.intp), np.array([n]))
         return int(self._context_ids(codes)[0])
 
     def _locate(self, tokens: np.ndarray, lens, doc: np.ndarray, pos: np.ndarray,
@@ -408,9 +408,9 @@ def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
 #: nucleus store reserves as many entries in each flat array as fit at one
 #: probability and one id each.  The system backs only the pages rows are
 #: written to (see :func:`_zeros`), and a store this small never copies:
-#: the benchmark's largest, the closed-h0 suspect's nucleus rows (53,703
-#: contexts, 4.7 million kept ids and 0.82 million stored probabilities,
-#: 11 MB), fits.
+#: the benchmark's largest, the closed-h0 suspect's nucleus rows (53,769
+#: contexts, 4.7 million kept ids and 0.15 million stored probabilities,
+#: 5.9 MB), fits.
 _RESERVE_BYTES = 64 << 20
 
 #: Cumulative sums a draw counts before it reads a whole row.  A draw
@@ -440,20 +440,20 @@ class NucleusRows:
     probabilities.  Rows lie back to back in the flat arrays ``idx`` and
     ``q``, in build order.  Context id ``c``'s ids start at ``istart[c]``
     and its ``keep[c]`` kept ones are all stored (0 while it is not
-    built).  Its probabilities start at ``qstart[c]``, and only its first
-    ``stored[c]`` are stored: ``max(min(keep, _HEAD), m + 1)``, where
-    ``m`` counts its kept values above its last, so each kept entry past
-    them equals the last stored one.  ``idx`` is read through a sliding
-    window of width V, so gathering V-wide rows is one index; past
-    ``keep`` such a row holds later rows' ids.  ``q`` is read through a
-    window of ``_HEAD`` entries, which is all most draws need
-    (:meth:`draw`), and V-wide by a gather that repeats the last stored
-    entry (:meth:`_q_wide`).  ``nbytes`` counts the entries written to
-    both arrays.  Once half the rows are built, the rest are built at
-    once.  The model keeps the store (:meth:`NGramModel._nucleus`), so the
-    store holds no reference back: the calls that build rows get it.
-    A state finds its row's id through the model
-    (:meth:`NGramModel._context_ids`), which :meth:`ready` builds.
+    built).  It stores ``stored[c]`` probabilities, ``m + 1``, where ``m``
+    counts its kept values above its last: those values, then the last,
+    at ``q[qlast[c]]``, which each later kept entry equals.  ``idx`` is
+    read through a sliding window of width V, so gathering V-wide rows is
+    one index; past ``keep`` such a row holds later rows' ids.  ``q`` is
+    read by one gather that repeats the last stored entry, ``_HEAD``
+    entries wide for a draw's head, which is all most draws need
+    (:meth:`draw`), or V wide (:meth:`_q_rows`).  ``nbytes`` counts the
+    entries written to both arrays.  Once half the rows are built, the
+    rest are built at once.  The model keeps the store
+    (:meth:`NGramModel._nucleus`), so the store holds no reference back:
+    the calls that build rows get it.  A state finds its row's id through
+    the model (:meth:`NGramModel._context_ids`), which :meth:`ready`
+    builds.
     """
 
     def __init__(self, model: NGramModel, temperature: float, nucleus_p: float):
@@ -463,13 +463,13 @@ class NucleusRows:
         self.bound = bound = int(model._first[-1]) + 1
         # offsets into the flat arrays, 4 bytes each where every one fits
         offset = np.uint32 if (bound + 1) * v <= np.iinfo(np.uint32).max else np.intp
-        self.istart, self.qstart = np.zeros(bound, offset), np.zeros(bound, offset)
+        self.istart, self.qlast = np.zeros(bound, offset), np.zeros(bound, offset)
         self.keep = np.zeros(bound, np.min_scalar_type(v))
         self.stored = np.zeros_like(self.keep)
-        # row V - s is max(s - 1 - j, 0) for each j < V: how far entry j of a
+        # row s is max(s - 1 - j, 0) for each j < V: how far entry j of a
         # row that stores s probabilities lies before its last stored one
-        back = np.concatenate([np.arange(v - 1, 0, -1), np.zeros(v, np.intp)])
-        self._back = np.lib.stride_tricks.sliding_window_view(back, v)
+        back = np.concatenate([np.arange(v - 1, 0, -1), np.zeros(v + 1, np.intp)])
+        self._back = np.lib.stride_tricks.sliding_window_view(back, v)[::-1]
         self._columns = np.arange(v)
         self.n = self.size = self.qsize = 0  # rows built, ids and probabilities written
         self.q, self.idx = np.zeros(0), np.zeros(0, np.min_scalar_type(v - 1))
@@ -479,14 +479,12 @@ class NucleusRows:
     def _fit(self, q_entries: int, idx_entries: int) -> None:
         """Room for ``q_entries`` probabilities and ``idx_entries`` token
         ids.  A short array doubles, or grows to the entries asked if that
-        is more, up to every row at full width plus the entries the last
-        row's window reads (``_HEAD`` probabilities, V ids); it is zero
-        past the entries written."""
+        is more, up to every row at full width, plus the V ids the last
+        row's window reads; it is zero past the entries written."""
         if q_entries <= len(self.q) and idx_entries <= len(self.idx):
             return
         v = self.vocab_size
-        head = min(_HEAD, v)
-        for name, entries, written, pad in (("q", q_entries, self.qsize, head),
+        for name, entries, written, pad in (("q", q_entries, self.qsize, 0),
                                             ("idx", idx_entries, self.size, v)):
             old = getattr(self, name)
             if entries > len(old):
@@ -494,8 +492,7 @@ class NucleusRows:
                                old.dtype)
                 grown[:written] = old[:written]
                 setattr(self, name, grown)
-        window = np.lib.stride_tricks.sliding_window_view
-        self._q_head, self._idx_rows = window(self.q, head), window(self.idx, v)
+        self._idx_rows = np.lib.stride_tricks.sliding_window_view(self.idx, v)
 
     def ready(self, model: NGramModel, ids: np.ndarray) -> np.ndarray:
         """``ids``, with the rows of the ids first reached built; once half
@@ -517,11 +514,11 @@ class NucleusRows:
             part = ids[lo : lo + batch]
             q, order, keep, stored = self._build(model, part)
             end, qend = self.size + int(keep.sum()), self.qsize + int(stored.sum())
-            self._fit(qend + min(_HEAD, v), end + v)
+            self._fit(qend, end + v)
             self.q[self.qsize : qend] = q[self._columns < stored[:, None]]
             self.idx[self.size : end] = order[self._columns < keep[:, None]]
             self.istart[part] = self.size + np.cumsum(keep) - keep
-            self.qstart[part] = self.qsize + np.cumsum(stored) - stored
+            self.qlast[part] = self.qsize + np.cumsum(stored) - 1
             self.keep[part], self.stored[part] = keep, stored
             self.size, self.qsize, self.n = end, qend, self.n + len(part)
 
@@ -546,20 +543,20 @@ class NucleusRows:
         # the row descends, so its first entry at or below its last kept one
         # follows every entry above it
         above = (q <= q[np.arange(len(q)), keep - 1][:, None]).argmax(axis=1)
-        return q, order, keep, np.maximum(np.minimum(keep, _HEAD), above + 1)
+        return q, order, keep, above + 1
 
-    def _q_wide(self, ids: np.ndarray) -> np.ndarray:
-        """V-wide probability rows of ``ids``: each stored entry, then the
-        last one repeated, which up to ``keep`` is the row's own value."""
-        stored = self.stored[ids]
-        last = self.qstart[ids].astype(np.intp) + stored - 1
-        return self.q[last[:, None] - self._back[self.vocab_size - stored]]
+    def _q_rows(self, last: np.ndarray, stored: np.ndarray, width: int | None = None):
+        """The first ``width`` (by default V) probabilities of the rows whose
+        last stored entry is ``q[last]`` and that store ``stored``: each
+        stored entry, then the last one repeated, which up to ``keep`` is
+        the row's own value."""
+        return self.q.take(last[:, None] - self._back[stored, :width])
 
     def kept(self, ids: np.ndarray) -> tuple:
         """V-wide rows of ``ids``: the probabilities, 0 past the kept ones,
         the token ids, which past them are other rows', and the kept counts."""
         keep = self.keep[ids]
-        q = self._q_wide(ids)
+        q = self._q_rows(self.qlast[ids], self.stored[ids])
         q *= self._columns < keep[:, None]  # finite, so exactly 0 past keep
         return q, self._idx_rows[self.istart[ids]], keep
 
@@ -570,8 +567,9 @@ class NucleusRows:
 
     def sample(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Kept id of each row ``ids`` at uniform ``u``."""
-        return self.draw(ids, self._q_head[self.qstart[ids]].cumsum(axis=1), u,
-                         lambda past: self._q_wide(ids[past]).cumsum(axis=1))
+        last, stored = self.qlast[ids], self.stored[ids]
+        return self.draw(ids, self._q_rows(last, stored, _HEAD).cumsum(axis=1), u,
+                         lambda past: self._q_rows(last[past], stored[past]).cumsum(axis=1))
 
     def draw(self, ids: np.ndarray, head: np.ndarray, u: np.ndarray, full) -> np.ndarray:
         """Kept id of each row ``ids`` at the count of its cumulative sums

@@ -33,6 +33,14 @@ def distributions(model, ids: np.ndarray) -> np.ndarray:
     return model._distributions(ids)
 
 
+def distributions_at(model, tokens: np.ndarray, lens, doc: np.ndarray,
+                     pos: np.ndarray) -> np.ndarray:
+    """The model's next-token distribution after document ``d``'s first
+    ``p`` tokens for each (d, p) of ``zip(doc, pos)``, by the lookup
+    :meth:`~radioscope.models.NGramModel.greedy_at` makes."""
+    return model._distributions(model._context_ids(model._locate(tokens, lens, doc, pos)))
+
+
 def context_table(model):
     """The model's table from state code to context id, None until a lookup."""
     return model._context_of
@@ -51,10 +59,10 @@ def padded(store, ids: np.ndarray) -> tuple:
 
 def assert_layout(store, grown: bool | None = None) -> None:
     """A nucleus store's built rows tile both flat arrays in one build order:
-    id starts and kept counts the ids written, probability starts and
-    stored counts the probabilities.  Each array holds its reservation or
-    at most twice the entries written, plus what the last row's window
-    reads (``_HEAD`` probabilities, V ids), and at most every row at full
+    id starts and kept counts the ids written, the places of the last
+    stored probabilities and stored counts the probabilities.  Each array
+    holds its reservation or at most twice the entries written, plus the
+    V ids the last row's window reads, and at most every row at full
     width; more than the reservation if ``grown``, no more if False."""
     built = np.flatnonzero(store.keep)
     v = store.vocab_size
@@ -63,11 +71,11 @@ def assert_layout(store, grown: bool | None = None) -> None:
     assert store.qsize == int(store.stored.sum()) <= store.size
     assert store.nbytes == store.qsize * store.q.itemsize + store.size * store.idx.itemsize
     order = store.istart[built].argsort()
-    assert np.array_equal(store.qstart[built].argsort(), order)
+    assert np.array_equal(store.qlast[built].argsort(), order)
+    qstart = store.qlast.astype(np.intp) + 1 - store.stored
     for start, count, array, written, pad, full in (
             (store.istart, store.keep, store.idx, store.size, v, (store.bound + 1) * v),
-            (store.qstart, store.stored, store.q, store.qsize, min(HEAD, v),
-             store.bound * v + min(HEAD, v))):
+            (qstart, store.stored, store.q, store.qsize, 0, store.bound * v)):
         count = count[built][order].astype(np.intp)
         assert np.array_equal(start[built][order], np.cumsum(count) - count)
         assert count.sum() == written
@@ -119,21 +127,26 @@ def within(make, limit: int | None = None):
 
 def stored_counts(store, ids: np.ndarray) -> np.ndarray:
     """Probabilities each nucleus row ``ids`` stores, checked against the
-    rule ``max(min(keep, _HEAD), m + 1)``, m counting its kept values above
-    its last: its head, or up to its last kept value, which the rest equal."""
+    rule ``m + 1``, m counting its kept values above its last: those
+    values, then the last, which the rest equal."""
     q, _, keep = store.kept(ids)
     above = (q > q[np.arange(len(q)), keep - 1][:, None]).sum(axis=1)
     count = store.stored[ids].astype(np.intp)
-    assert np.array_equal(count, np.maximum(np.minimum(keep, HEAD), above + 1))
+    assert np.array_equal(count, above + 1)
     return count
 
 
 def assert_reads_run_past_keep(store, ids: np.ndarray) -> None:
-    """Some of rows ``ids`` are read past ``keep``: a head window into later
-    rows' entries, a V-wide read into the last stored entry repeated."""
+    """Some of rows ``ids`` are read past ``keep``, where a head and a
+    V-wide read both repeat the row's last stored entry, which is
+    positive."""
+    last, stored = store.qlast[ids], store.stored[ids]
+    wide = store._q_rows(last, stored)
+    assert np.array_equal(store._q_rows(last, stored, HEAD), wide[:, :HEAD])
     outside = np.arange(store.vocab_size) >= store.keep[ids][:, None]
-    assert (store._q_head[store.qstart[ids]][outside[:, :HEAD]] > 0).any()
-    assert (store._q_wide(ids)[outside] > 0).any()
+    repeated = np.broadcast_to(store.q[last][:, None], wide.shape)
+    assert outside.any() and np.array_equal(wide[outside], repeated[outside])
+    assert (wide[outside] > 0).all()
 
 
 def assert_bound(store, model) -> None:

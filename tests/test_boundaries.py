@@ -92,6 +92,9 @@ TOKEN_DOORS = {
     "train_ngram": ("document 1", 64,
                     lambda model, key, bad: train_ngram(two_docs(bad), 2, 0.01, 64)),
     "log_loss": ("document 0", 64, lambda model, key, bad: model.log_loss([5, 6, bad, 7])),
+    "next_greedy": ("context", 64, lambda model, key, bad: model.next_greedy([5, 6, bad, 7])),
+    "next_distribution": ("context", 64,
+                          lambda model, key, bad: model.next_distribution([5, 6, bad, 7])),
     "generate": ("prompt 0", 64, lambda model, key, bad: generate(
         model, [5, 6, bad, 7], SamplingConfig(max_tokens=4))),
     "detect_open": ("document 1", 64, lambda model, key, bad: detect_open(

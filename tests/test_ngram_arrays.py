@@ -88,13 +88,23 @@ def _assert_same(model, oracle, contexts, docs, gathered=None):
 
 def _compare(model, oracle, contexts, docs):
     for ctx in contexts:
-        assert np.array_equal(model.next_distribution(ctx),
-                              oracle.next_distribution(ctx)), ctx
-        assert model.next_greedy(ctx) == oracle.next_greedy(ctx), ctx
-    # every context at once, as the whole-corpus readout sees them
-    ends = np.array([len(ctx) for ctx in contexts], dtype=np.intp)
-    got = _greedy_at(model, contexts, np.arange(len(contexts)), ends)
-    assert got.tolist() == [oracle.next_greedy(ctx) for ctx in contexts]
+        if all(0 <= tok < model.vocab_size for tok in ctx):
+            assert np.array_equal(model.next_distribution(ctx),
+                                  oracle.next_distribution(ctx)), ctx
+            assert model.next_greedy(ctx) == oracle.next_greedy(ctx), ctx
+        else:  # a lookup of one context refuses an out-of-vocabulary token
+            for lookup in (model.next_distribution, model.next_greedy):
+                with pytest.raises(ConfigError, match="^context: token"):
+                    lookup(ctx)
+    # every context at once, as the whole-corpus readout sees them, where
+    # an out-of-vocabulary token is a missing one
+    tokens = np.fromiter(itertools.chain(*contexts), np.int64)
+    lens = [len(ctx) for ctx in contexts]
+    at = (np.arange(len(contexts)), np.array(lens, dtype=np.intp))
+    assert (model.greedy_at(tokens, lens, *at).tolist()
+            == [oracle.next_greedy(ctx) for ctx in contexts])
+    assert np.array_equal(contract.distributions_at(model, tokens, lens, *at),
+                          [oracle.next_distribution(ctx) for ctx in contexts])
     for doc in docs:
         assert model.log_loss(doc) == oracle.log_loss(doc)
 

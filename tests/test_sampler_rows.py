@@ -293,10 +293,10 @@ def test_store_memory_follows_the_rows_built():
 
 
 def test_picks_read_past_keep_equal_zero_padded_picks(teacher64):
-    """A walk reads rows that run on past ``keep``: the head into later
-    rows' entries, a V-wide read into the last stored entry repeated; its
-    picks equal those from rows padded with zeros, at u = 0, at each
-    cumulative sum, just below it, and at the row total."""
+    """A walk reads rows that run on past ``keep``, where the head and a
+    V-wide read repeat the last stored entry; its picks equal those from
+    rows padded with zeros, at u = 0, at each cumulative sum, just below
+    it, and at the row total."""
     rows = NucleusRows(teacher64, 0.8, 0.95)
     ids = rows.ready(teacher64, np.random.default_rng(6).permutation(rows.bound))
     contract.assert_reads_run_past_keep(rows, ids)
@@ -333,8 +333,8 @@ def test_stored_rows_equal_the_loop_tables_and_draws(lam, temperature, nucleus_p
 
 def test_a_nucleus_cut_among_tied_values():
     """A row whose nucleus cut falls inside a run of tied observed values
-    keeps part of the run, stores its head only, and reads and draws as
-    the loop's table."""
+    keeps part of the run, stores the one value above the run and one of
+    the run, and reads and draws as the loop's table."""
     # after token 1: token 0 five times, tokens 2..41 twice each
     doc = [1, 0] * 5 + [tok for t in range(2, 42) for tok in (1, t)] * 2
     model = train_ngram([doc], 1, 0.0, 64)
@@ -343,7 +343,7 @@ def test_a_nucleus_cut_among_tied_values():
     ids, loop = _rows_as_the_loop(store, model, LoopTextSampler(model, sampling), [(1,)])
     (keep,) = loop[-1]
     assert 2 < keep < 41  # tied values on both sides of the cut
-    assert keep > contract.HEAD == contract.stored_counts(store, ids)[0]
+    assert keep > contract.HEAD and contract.stored_counts(store, ids)[0] == 2
     taken = _assert_draws_equal_the_loop(store, ids, loop)
     assert ((taken > contract.HEAD) & (taken < keep - 1)).any()
     prompts = [[1]] * 20
@@ -352,10 +352,10 @@ def test_a_nucleus_cut_among_tied_values():
 
 def test_a_completed_store_holds_the_stored_entries(teacher128):
     """A completed store's ``q`` holds exactly the stored entries of its
-    rows, each row's first max(min(keep, head), m + 1), where m counts
-    its kept values above its last, and its rows read as the loop's
-    tables; for the default V = 128 teacher that is at most 2.4 MB,
-    against 12.1 MB for every kept entry."""
+    rows, each row's first m + 1, where m counts its kept values above
+    its last, and its rows read as the loop's tables; for the default
+    V = 128 teacher that is at most 2.4 MB, against 12.1 MB for every
+    kept entry."""
     contexts = [()] + [(b,) for b in range(128)]
     contexts += [(a, b) for a in range(128) for b in range(128)]  # every trained context
     store = NucleusRows(teacher128, 0.8, 0.95)
@@ -366,6 +366,24 @@ def test_a_completed_store_holds_the_stored_entries(teacher128):
     stored, keep = contract.stored_counts(store, every), store.kept(every)[2]
     assert store.nbytes == 8 * stored.sum() + keep.sum()  # 1-byte ids at V = 128
     assert 8 * stored.sum() <= 2.4e6
+
+
+def test_a_completed_suspect_store_writes_m_plus_one_probabilities_a_row(teacher128):
+    """The closed-mode benchmark's suspect, an order-3 student on 300 x 400
+    clean tokens of the default V = 128 teacher, completes a store that
+    writes m + 1 probabilities a row, m counting its kept values above its
+    last, and under 6 MiB of ids and probabilities in all (10.7 MiB when
+    each row wrote at least its first 16 probabilities)."""
+    docs = generate_corpus(teacher128, 300, 400, SamplingConfig(seed=3))
+    student = train_ngram([doc["tokens"] for doc in docs], 3, 0.01, 128)
+    store = NucleusRows(student, 0.8, 0.95)
+    every = np.arange(store.bound)
+    store.ready(student, every)
+    assert store.n == store.bound > 50_000
+    # a few thousand rows at a time: V-wide rows of them all take 55 MB
+    assert store.qsize == sum(contract.stored_counts(store, part).sum()
+                              for part in np.array_split(every, 16))
+    assert store.nbytes < 6 << 20
 
 
 def _uniforms_at(x: np.ndarray, total: np.ndarray) -> np.ndarray:
