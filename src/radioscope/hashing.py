@@ -11,9 +11,16 @@ The library runs the array functions: :func:`window_hashes` hashes a batch
 of windows, :func:`window_table` every window over a set of tokens,
 :func:`stream_block` and :func:`rvalue_batch` expand seeds, and
 :func:`rank_below` ranks each row of stream keys, which defines greenlists
-and MPAC partitions.  :func:`window_hash` and :func:`stream_value` are
-their scalar references on plain Python ints, and tests pin the arrays
-to them.
+and MPAC partitions.  :func:`stream_value` is one value of the stream on
+plain Python ints; :func:`derive_run_key` runs it, and tests pin the
+array expansion to it.
+
+Two reference forms stay here although the pipeline does not run them:
+:func:`window_hash`, the scalar recurrence on plain Python ints, and
+:func:`derive_permutation`, the greenlist as a full permutation.  Tests
+pin :func:`window_hashes` and :func:`green_mask_batch` to them, the loop
+oracles under ``tests/`` import them, and the benchmark's layer timers
+patch them by name until those timers move into the library.
 """
 
 from __future__ import annotations
@@ -116,8 +123,11 @@ class SecretKey:
     window to its last token, so both are rejected at construction.  Some
     accepted keys are still weak: ``s = 1`` hashes a window to the sum of
     its tokens, ignoring their order, and ``s = 2**64 - 2`` (-1 modulo
-    ``HASH_MOD``) to their alternating sum.  Colliding windows weaken the
-    watermark but keep p-values valid, because dedup keys on the seed.
+    ``HASH_MOD``) to their alternating sum.  Colliding windows share a seed
+    and weaken the watermark.  De-duplication admits each (seed, token)
+    pair once, whatever the windows behind it.  That p-values stay valid
+    under such keys is not shown: tokens scored under one shared seed have
+    dependent green indicators (hypergeometric, not binomial).
     """
 
     s: int

@@ -271,14 +271,6 @@ class NGramModel:
             self._counts[length] = self._counts[length].copy()
         self._counts[length][at] += cnt
 
-    def _find(self, context) -> int:
-        """Id (see :meth:`_index`) of the longest trained suffix of ``context``,
-        whose tokens :func:`~radioscope.hashing.token_ids` checks as ``context``."""
-        tokens = token_ids([context], self.vocab_size, "context".format)[-self.order :]
-        n = len(tokens)
-        codes = self._locate(tokens, [n], np.zeros(1, np.intp), np.array([n]))
-        return int(self._context_ids(codes)[0])
-
     def _locate(self, tokens: np.ndarray, lens, doc: np.ndarray, pos: np.ndarray,
                 depth: int | None = None):
         """Code (see :meth:`_context_ids`) of the last ``depth`` (by default
@@ -342,13 +334,10 @@ class NGramModel:
                 left = left[~hit]
         return ids
 
-    def next_distribution(self, context) -> np.ndarray:
-        """Smoothed next-token probabilities given the trailing context."""
-        return self._distributions(np.array([self._find(context)]))[0]
-
     def _distributions(self, ids: np.ndarray) -> np.ndarray:
-        """:meth:`next_distribution` of each context id, one row each: the
-        context's counts scattered over lambda, divided by total + lambda * V."""
+        """The smoothed next-token probabilities of each context id, one row
+        each: the context's counts scattered over lambda, divided by
+        total + lambda * V; the uniform row where no context is trained."""
         v, lam = self.vocab_size, self.smoothing_lambda
         lo = self._off[ids]
         width = self._off[ids + 1] - lo
@@ -368,8 +357,13 @@ class NGramModel:
         return self._stores[key]
 
     def next_greedy(self, context) -> int:
-        """Most likely next token (ties toward the lowest id)."""
-        return self._greedy.item(self._find(context))
+        """Most likely next token after the longest trained suffix of
+        ``context`` (ties toward the lowest id), whose tokens
+        :func:`~radioscope.hashing.token_ids` checks as ``context``."""
+        tokens = token_ids([context], self.vocab_size, "context".format)[-self.order :]
+        n = len(tokens)
+        codes = self._locate(tokens, [n], np.zeros(1, np.intp), np.array([n]))
+        return self._greedy.item(self._context_ids(codes)[0])
 
     def greedy_at(self, tokens: np.ndarray, lens, doc: np.ndarray,
                   pos: np.ndarray) -> np.ndarray:
@@ -793,16 +787,6 @@ class TextSampler:
             codes *= radix
             codes += out[:, t].astype(codes.dtype) + 1
         return out
-
-
-def generate(model: NGramModel, prompt, sampling: SamplingConfig,
-             wm: WatermarkConfig | None = None) -> list[int]:
-    """One-shot generation; the model keeps the rows it builds for later calls."""
-    if sampling.max_tokens < 1:
-        raise ValueError("max_tokens must be >= 1")
-    sampler = TextSampler(model, sampling, wm)
-    uniforms = np.random.default_rng(sampling.seed).random((1, sampling.max_tokens))
-    return sampler.generate([prompt], sampling.max_tokens, uniforms)[0].tolist()
 
 
 def zipf_markov_corpus(vocab_size: int, n_docs: int, doc_len: int, seed: int,

@@ -264,20 +264,6 @@ def mia_detect(suspect: NGramModel, candidate_set, fresh_set):
     return d, p, report
 
 
-def combine_distributions(reports: list[DetectionReport]):
-    """Fisher-combined p-value across per-distribution detection reports."""
-    if not reports:
-        raise ValueError("need at least one report")
-    corpora = [r.meta.get("corpus_id") for r in reports if r.meta.get("corpus_id")]
-    if len(corpora) != len(set(corpora)):
-        warnings.warn("reports share a corpus; Fisher independence is violated",
-                      stacklevel=2)
-    # work from log10_p so underflowed p-values keep their mass
-    lp = stats.log_fisher_combine_logs([r.log10_p * _LN10 for r in reports])
-    p = float(np.exp(lp)) if lp > -745.0 else 0.0
-    return p, lp / _LN10
-
-
 # ---------------------------------------------------------------------------
 # experiment building blocks (shared by run_scenario and direct callers)
 

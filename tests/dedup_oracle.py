@@ -7,7 +7,9 @@ that ``radioscope.dedup`` used before its candidate table, with the
 detectors, with the scoring and tail dispatch they ended in.
 ``set_filter_kgrams`` is the filter build that collected k-grams in a
 set of tuples.  They are kept verbatim so that property tests can
-require identical reports and fingerprints.
+require identical reports and fingerprints, except that
+``loop_detect_open`` reads the suspect's greedy tokens from a
+``DictNGramModel`` twin (see ``ngram_oracle``), never from the model.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from radioscope.dedup import CLOSED, FILTER_KEY, OPEN
 from radioscope.hashing import HASH_MOD, SecretKey, window_hash, window_hashes
 from radioscope.pipelines import DetectionReport
 from radioscope.schemes import AK, score_batch
+from ngram_oracle import check_twin
 
 _LN10 = float(np.log(10.0))
 
@@ -165,15 +168,13 @@ def loop_detect_closed(prompts, completions, key_cfg, phi=None,
                           {"budget": budget})
 
 
-def loop_detect_open(suspect, wm_texts, key_cfg, budget: int = 1_000_000,
+def loop_detect_open(twin, wm_texts, key_cfg, budget: int = 1_000_000,
                      span: int | None = None, supervision: str = "supervised",
-                     dedup: bool = True,
-                     greedy_cache: dict | None = None) -> DetectionReport:
-    """Open-mode scoring, one ``Candidate`` per position."""
+                     dedup: bool = True) -> DetectionReport:
+    """Open-mode scoring of the suspect that ``twin`` copies, one
+    ``Candidate`` per position."""
+    check_twin(twin)
     k = key_cfg.k
-    order = getattr(suspect, "order", None)
-    if greedy_cache is None:
-        greedy_cache = {}
     candidates = []
     for doc_id, doc in enumerate(wm_texts):
         is_dict = isinstance(doc, dict)
@@ -191,14 +192,7 @@ def loop_detect_open(suspect, wm_texts, key_cfg, budget: int = 1_000_000,
             if earlier and span is not None and first_start[window] < pos - k - span:
                 earlier = False  # outside the attention span
             blocked = dedup and (earlier or window in prompt_kgrams)
-            if order is not None:
-                ctx = tuple(tokens[max(0, pos - order) : pos])
-                predicted = greedy_cache.get(ctx)
-                if predicted is None:
-                    predicted = suspect.next_greedy(ctx)
-                    greedy_cache[ctx] = predicted
-            else:
-                predicted = suspect.next_greedy(tokens[:pos])
+            predicted = twin.next_greedy(tokens[:pos])
             candidates.append(Candidate(doc_id, pos, window, predicted, blocked))
     if dedup:
         tape = Tape(mode=OPEN)

@@ -3,7 +3,9 @@
 ``DictNGramModel`` is the dict-of-dicts n-gram model and
 ``loop_zipf_markov_corpus`` the per-token source loop that
 ``radioscope.models`` used before its array form; both are kept verbatim
-so that property tests can require identical outputs.
+so that property tests can require identical outputs.  The loop oracles
+look contexts up in a ``DictNGramModel``, which shares no code with
+``radioscope.models.NGramModel``.
 """
 
 from __future__ import annotations
@@ -81,6 +83,21 @@ class DictNGramModel:
             p = self.next_distribution(toks[max(0, i - self.order) : i])
             total -= float(np.log(max(p[tok], 1e-300)))
         return total
+
+
+def check_twin(twin) -> None:
+    """Refuse anything but a ``DictNGramModel``, so that a loop oracle
+    shares no lookup with the model it checks."""
+    if not isinstance(twin, DictNGramModel):
+        raise TypeError(f"the loop oracles take a DictNGramModel twin, not {type(twin).__name__}")
+
+
+def train_dict_ngram(corpus, order: int, smoothing_lambda: float = 0.01,
+                     vocab_size: int = 256) -> DictNGramModel:
+    """``train_ngram`` of the dict model: the twin of a model trained on ``corpus``."""
+    model = DictNGramModel(order, vocab_size, smoothing_lambda)
+    model.update(corpus)
+    return model
 
 
 def loop_zipf_markov_corpus(vocab_size: int, n_docs: int, doc_len: int,

@@ -8,6 +8,11 @@ per-prompt rule the decode-row walk first coded its prompts by.  They are kept v
 that every step draws one uniform before anything else, so that property
 tests can require identical outputs, and that the log of a kept 0 and the
 division by it run under ``np.errstate``, as the library's do.
+
+The loops look contexts up in a ``DictNGramModel`` twin of the model under
+test, never in the model itself, so a defect in the model's lookup cannot
+sit on both sides of a comparison.  A twin is trained on the test's own
+corpus, or read from the model's counts by ``store_contract.twin``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from radioscope.hashing import derive_permutation, rvalue_batch
 from radioscope.schemes import AK, KGW, MPAC, WatermarkConfig, bias_logits
+from ngram_oracle import DictNGramModel, check_twin
 
 
 def loop_state_code(prompt, depth: int, radix: int) -> int:
@@ -57,26 +63,24 @@ class GreenlistCache:
 class LoopTextSampler:
     """Autoregressive sampler with per-context memoized decoding tables."""
 
-    def __init__(self, model, sampling, wm: WatermarkConfig | None = None,
-                 tables: dict | None = None):
-        self.model = model
+    def __init__(self, twin: DictNGramModel, sampling, wm: WatermarkConfig | None = None):
+        check_twin(twin)
+        self.twin = twin
         self.sampling = sampling
         self.wm = wm
-        self._tables: dict = {} if tables is None else tables
+        self._tables: dict = {}
         self._wm_tables: dict = {}
         self._green = GreenlistCache(wm) if wm is not None and wm.scheme == KGW else None
         if wm is not None and wm.scheme == AK and wm.temperature is not None:
             self.temperature = wm.temperature
         else:
             self.temperature = sampling.temperature
-        if tables is not None and self.temperature != sampling.temperature:
-            self._tables = {}
 
     def _table(self, context):
-        ctx = tuple(context[-self.model.order :])
+        ctx = tuple(context[-self.twin.order :])
         entry = self._tables.get(ctx)
         if entry is None:
-            p = self.model.next_distribution(ctx)
+            p = self.twin.next_distribution(ctx)
             logits = np.log(np.maximum(p, 1e-300)) / self.temperature
             logits -= logits.max()
             q = np.exp(logits)
@@ -106,7 +110,7 @@ class LoopTextSampler:
                 return int(idx[0])
             j = int(np.searchsorted(cum, u, side="right"))
             return int(idx[min(j, len(idx) - 1)])
-        ctx = tuple(context[-self.model.order :])
+        ctx = tuple(context[-self.twin.order :])
         cache_key = (ctx, window)
         entry = self._wm_tables.get(cache_key)
         if entry is None:
@@ -125,7 +129,7 @@ class LoopTextSampler:
             biased = log_kept + wm.delta * self._green.mask(seed)[idx]
             return np.cumsum(np.exp(biased - biased.max()))
         if wm.scheme == MPAC:
-            full = np.full(self.model.vocab_size, -np.inf)
+            full = np.full(self.twin.vocab_size, -np.inf)
             full[idx] = log_kept
             seeds = np.array([wm.seed(window)], dtype=np.uint64)
             biased = bias_logits(seeds, np.where(np.isfinite(full), full, -1e30)[None],
@@ -151,25 +155,24 @@ class LoopTextSampler:
         return out
 
 
-def loop_generate_corpus(model, n_docs: int, doc_len: int, sampling,
-                         wm: WatermarkConfig | None = None, prompt_len: int = 3,
-                         wm_flag: bool | None = None,
-                         tables: dict | None = None) -> list[dict]:
-    """``generate_corpus`` as a per-document, per-token loop."""
-    sampler = LoopTextSampler(model, sampling, wm, tables=tables)
+def loop_generate_corpus(twin: DictNGramModel, n_docs: int, doc_len: int, sampling,
+                         wm: WatermarkConfig | None = None,
+                         prompt_len: int = 3) -> list[dict]:
+    """``generate_corpus`` of the model ``twin`` copies, as a per-document,
+    per-token loop."""
+    sampler = LoopTextSampler(twin, sampling, wm)
     rng = np.random.default_rng(sampling.seed)
-    flag = (wm is not None) if wm_flag is None else wm_flag
     docs = []
     for _ in range(n_docs):
-        prompt = [int(t) for t in rng.integers(model.vocab_size, size=prompt_len)]
+        prompt = [int(t) for t in rng.integers(twin.vocab_size, size=prompt_len)]
         body = sampler.generate(prompt, doc_len - prompt_len, rng)
-        docs.append({"tokens": prompt + body, "wm": flag})
+        docs.append({"tokens": prompt + body, "wm": wm is not None})
     return docs
 
 
-def loop_complete(model, prompts, sampling,
-                  tables: dict | None = None) -> list[list[int]]:
-    """The closed-mode completions of a local suspect, one prompt at a time."""
-    sampler = LoopTextSampler(model, sampling, tables=tables)
+def loop_complete(twin: DictNGramModel, prompts, sampling) -> list[list[int]]:
+    """The closed-mode completions of a local suspect that ``twin`` copies,
+    one prompt at a time."""
+    sampler = LoopTextSampler(twin, sampling)
     rng = np.random.default_rng(sampling.seed)
     return [sampler.generate(p, sampling.max_tokens, rng) for p in prompts]

@@ -1,9 +1,10 @@
 """The sampler's storage contract: the only test code that reads the private
-storage of ``NucleusRows``, ``_WatermarkRows`` and the model's context
-table.  It states each storage invariant once and gives the hooks tests
-need (forcing the dict store or searched levels, counting row builds,
-reading watermark rows, searching every level).  Every other test compares
-behaviour, so a change of layout edits this module, not the tests."""
+storage of ``NucleusRows``, ``_WatermarkRows`` and the model's counts and
+context table.  It states each storage invariant once and gives the hooks
+tests need (forcing the dict store or searched levels, counting row builds,
+reading watermark rows, searching every level, copying a model into the
+loop oracles' twin).  Every other test compares behaviour, so a change of
+layout edits this module, not the tests."""
 
 import contextlib
 import tracemalloc
@@ -11,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 
+from ngram_oracle import DictNGramModel
 from radioscope import models
 from radioscope.hashing import window_hashes
 
@@ -39,6 +41,26 @@ def distributions_at(model, tokens: np.ndarray, lens, doc: np.ndarray,
     ``p`` tokens for each (d, p) of ``zip(doc, pos)``, by the lookup
     :meth:`~radioscope.models.NGramModel.greedy_at` makes."""
     return model._distributions(model._context_ids(model._locate(tokens, lens, doc, pos)))
+
+
+def greedy(model, ids: np.ndarray) -> np.ndarray:
+    """The model's greedy next token of each context id."""
+    return model._greedy[ids]
+
+
+def twin(model) -> DictNGramModel:
+    """A ``DictNGramModel`` holding the model's counts, read from its sorted
+    (context, token) codes level by level: no lookup of the model runs, so
+    the loop oracles fed this twin share none with the code they check."""
+    v = model.vocab_size
+    copy = DictNGramModel(model.order, v, model.smoothing_lambda)
+    for length, (keys, counts) in enumerate(zip(model._keys, model._counts)):
+        level = copy.counts[length]
+        for code, count in zip(keys.tolist(), counts.tolist()):
+            # base V, last token least significant: the oldest token first
+            context = tuple(code // v ** (length - j) % v for j in range(length))
+            level.setdefault(context, {})[code % v] = count
+    return copy
 
 
 def context_table(model):

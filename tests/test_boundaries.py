@@ -18,8 +18,8 @@ import re
 import numpy as np
 import pytest
 
-from radioscope import (ConfigError, MixSpec, NGramModel, SamplingConfig, WatermarkConfig,
-                        build_filter, generate, generate_corpus, mia_detect, mpac_extract,
+from radioscope import (ConfigError, MixSpec, NGramModel, SamplingConfig, TextSampler,
+                        WatermarkConfig, build_filter, generate_corpus, mia_detect, mpac_extract,
                         save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, EXIT_OK, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, parse_scenario, pvalue_for
@@ -91,12 +91,12 @@ def with_text(docs) -> list:
 TOKEN_DOORS = {
     "train_ngram": ("document 1", 64,
                     lambda model, key, bad: train_ngram(two_docs(bad), 2, 0.01, 64)),
+    "NGramModel.update": ("document 1", 64, lambda model, key, bad: NGramModel(
+        2, 64).update(two_docs(bad))),
     "log_loss": ("document 0", 64, lambda model, key, bad: model.log_loss([5, 6, bad, 7])),
     "next_greedy": ("context", 64, lambda model, key, bad: model.next_greedy([5, 6, bad, 7])),
-    "next_distribution": ("context", 64,
-                          lambda model, key, bad: model.next_distribution([5, 6, bad, 7])),
-    "generate": ("prompt 0", 64, lambda model, key, bad: generate(
-        model, [5, 6, bad, 7], SamplingConfig(max_tokens=4))),
+    "TextSampler.generate": ("prompt 0", 64, lambda model, key, bad: TextSampler(
+        model, SamplingConfig()).generate([[5, 6, bad, 7]], 4, np.zeros((1, 4)))),
     "detect_open": ("document 1", 64, lambda model, key, bad: detect_open(
         model, two_docs(bad), WatermarkConfig("kgw", key, 64))),
     "detect_closed_prompt": ("prompt 1", 64, lambda model, key, bad: detect_closed(
@@ -467,7 +467,7 @@ def test_model_refuses_token_ids_that_are_not_integers(bad):
     with pytest.raises(ConfigError, match=f"^document 0: {refused}"):
         model.log_loss([1, bad, 3])
     with pytest.raises(ConfigError, match=f"^prompt 0: {refused}"):
-        generate(model, [1, bad, 3], SamplingConfig(max_tokens=4))
+        TextSampler(model, SamplingConfig()).generate([[1, bad, 3]], 4, np.zeros((1, 4)))
 
 
 def test_model_accepts_integer_ids_of_any_numpy_dtype():
@@ -826,7 +826,7 @@ def test_sampling_refuses_a_key_of_a_smaller_vocabulary(small_model, key, scheme
     with pytest.raises(ConfigError, match=re.escape(SMALLER_KEY)):
         generate_corpus(small_model, 4, 30, SamplingConfig(seed=3), wm=wm)
     with pytest.raises(ConfigError, match=re.escape(SMALLER_KEY)):
-        generate(small_model, [1, 2], SamplingConfig(seed=3, max_tokens=10), wm)
+        TextSampler(small_model, SamplingConfig(seed=3), wm)
 
 
 def test_open_mode_refuses_a_key_of_a_smaller_vocabulary(small_model, key):

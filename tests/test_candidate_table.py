@@ -10,6 +10,8 @@ from radioscope import SecretKey, WatermarkConfig, build_filter, dedup, train_ng
 from radioscope.dedup import FILTER_KEY
 from radioscope.pipelines import derive_run_key, detect_closed, detect_open
 from dedup_oracle import loop_detect_closed, loop_detect_open
+from ngram_oracle import train_dict_ngram
+import store_contract as contract
 
 FIELDS = ("n_scored", "score", "p_value", "log10_p", "dedup_stats", "filter_stats")
 
@@ -46,7 +48,8 @@ def runs(draw):
 @given(runs(), st.booleans())
 def test_open_mode_equals_the_loop(s, as_dicts):
     cfg, v = s["cfg"], s["cfg"].vocab_size
-    suspect = train_ngram(s["corpus"] or [[0]], cfg.k + 1, 0.01, v)
+    corpus = s["corpus"] or [[0]]
+    suspect = train_ngram(corpus, cfg.k + 1, 0.01, v)
     docs = s["docs"]
     if as_dicts:
         docs = [{"tokens": d, "prompt_len": p} for d, p in zip(docs, s["prompt_lens"])]
@@ -54,7 +57,7 @@ def test_open_mode_equals_the_loop(s, as_dicts):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # dedup=False warns
         got = detect_open(suspect, docs, cfg, **kwargs)
-    want = loop_detect_open(suspect, docs, cfg, **kwargs)
+    want = loop_detect_open(train_dict_ngram(corpus, cfg.k + 1, 0.01, v), docs, cfg, **kwargs)
     assert_same_report(got, want)
 
 
@@ -79,10 +82,11 @@ def test_loop_and_table_agree_on_a_teacher_corpus(teacher64):
     """A larger run: 20 random 200-token documents, both modes, both schemes."""
     rng = np.random.default_rng(4)
     docs = [rng.integers(0, 64, size=200).tolist() for _ in range(20)]
+    twin = contract.twin(teacher64)
     for scheme in ("kgw", "ak"):
         cfg = WatermarkConfig(scheme, SecretKey(0xC0FFEE), 64, k=2)
         assert_same_report(detect_open(teacher64, docs, cfg),
-                           loop_detect_open(teacher64, docs, cfg))
+                           loop_detect_open(twin, docs, cfg))
         prompts, completions = [d[:10] for d in docs], [d[10:] for d in docs]
         assert_same_report(detect_closed(None, prompts, cfg, completions=completions),
                            loop_detect_closed(prompts, completions, cfg))

@@ -8,7 +8,6 @@ from radioscope import (
     SecretKey,
     TextSampler,
     WatermarkConfig,
-    generate,
     generate_corpus,
     load_corpus,
     load_model,
@@ -19,8 +18,24 @@ from radioscope import (
     zipf_markov_corpus,
 )
 from radioscope.schemes import ak_score_batch, score_batch
+import store_contract as contract
 
 KEY = SecretKey(0xBEE)
+
+
+def distributions(model, contexts) -> np.ndarray:
+    """The model's smoothed next-token probabilities after each context."""
+    lens = np.array([len(c) for c in contexts])
+    tokens = np.array([tok for c in contexts for tok in c], np.int64)
+    return contract.distributions_at(model, tokens, lens, np.arange(len(lens)), lens)
+
+
+def sample(model, prompt, steps: int, seed: int, wm=None, **knobs) -> list[int]:
+    """``steps`` tokens after ``prompt`` from ``TextSampler.generate``, fed
+    the uniforms of ``seed``."""
+    uniforms = np.random.default_rng(seed).random((1, steps))
+    sampler = TextSampler(model, SamplingConfig(**knobs), wm)
+    return sampler.generate([prompt], steps, uniforms)[0].tolist()
 
 
 class TestNGramModel:
@@ -36,19 +51,23 @@ class TestNGramModel:
     def test_large_lambda_approaches_uniform(self):
         model = train_ngram([[1, 2, 3]] * 5, order=2,
                             smoothing_lambda=1e9, vocab_size=8)
-        dist = model.next_distribution((1, 2))
+        (dist,) = distributions(model, [(1, 2)])
         assert np.allclose(dist, 1 / 8, atol=1e-6)
 
-    def test_next_distribution_formula(self):
+    def test_smoothed_distribution_formula(self):
         corpus = [[4, 5, 6]] * 10  # context (4,5) -> 6, ten times
         model = train_ngram(corpus, order=2, smoothing_lambda=0.01,
                             vocab_size=16)
-        dist = model.next_distribution((4, 5))
+        (dist,) = distributions(model, [(4, 5)])
         assert dist[6] == pytest.approx(10.01 / 10.16, rel=1e-9)
+        # log_loss reads these rows: 4 after (), 5 after (4,), 6 after (4, 5)
+        first = distributions(model, [(), (4,)])[[0, 1], [4, 5]]
+        assert model.log_loss([4, 5, 6]) == pytest.approx(
+            -np.log(first).sum() - np.log(10.01 / 10.16), rel=1e-12)
 
     def test_unseen_context_uniform(self):
         model = NGramModel(order=2, vocab_size=8, smoothing_lambda=0.5)
-        dist = model.next_distribution((3, 3))
+        (dist,) = distributions(model, [(3, 3)])
         assert np.allclose(dist, 1 / 8)
 
     def test_distributions_normalized(self):
@@ -56,15 +75,13 @@ class TestNGramModel:
         corpus = [rng.integers(0, 16, size=100).tolist() for _ in range(20)]
         model = train_ngram(corpus, order=2, smoothing_lambda=0.01,
                             vocab_size=16)
-        for _ in range(1000):
-            ctx = tuple(rng.integers(0, 16, size=2))
-            assert model.next_distribution(ctx).sum() == pytest.approx(1.0,
-                                                                       abs=1e-9)
+        contexts = rng.integers(0, 16, size=(1000, 2)).tolist()
+        assert np.allclose(distributions(model, contexts).sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     def test_all_probabilities_positive_with_lambda(self):
         model = train_ngram([[1, 1, 1]] * 3, order=1, smoothing_lambda=0.1,
                             vocab_size=4)
-        assert (model.next_distribution((1,)) > 0).all()
+        assert (distributions(model, [(1,)]) > 0).all()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -82,32 +99,24 @@ class TestNGramModel:
 
     def test_incremental_update(self):
         model = train_ngram([[1, 2, 3]], order=2, vocab_size=8)
-        before = model.next_distribution((1, 2))[3]
+        before = distributions(model, [(1, 2)])[0, 3]
         model.update([[1, 2, 4]] * 50)
-        after = model.next_distribution((1, 2))[3]
+        after = distributions(model, [(1, 2)])[0, 3]
         assert after < before
 
 
 class TestGeneration:
     def test_seeded_generation_reproducible(self, teacher64):
-        s = SamplingConfig(seed=9, max_tokens=50)
-        assert generate(teacher64, [1, 2], s) == generate(teacher64, [1, 2], s)
+        assert sample(teacher64, [1, 2], 50, 9) == sample(teacher64, [1, 2], 50, 9)
 
     def test_near_zero_temperature_greedy(self, teacher64):
-        s = SamplingConfig(temperature=1e-9, seed=0, max_tokens=20)
-        a = generate(teacher64, [5, 6], s)
-        b = generate(teacher64, [5, 6], SamplingConfig(temperature=1e-9,
-                                                       seed=123, max_tokens=20))
-        assert a == b  # effectively greedy: seed does not matter
-
-    def test_max_tokens_validated(self, teacher64):
-        with pytest.raises(ValueError):
-            generate(teacher64, [1], SamplingConfig(max_tokens=0))
+        a = sample(teacher64, [5, 6], 20, 0, temperature=1e-9)
+        b = sample(teacher64, [5, 6], 20, 123, temperature=1e-9)
+        assert a == b  # effectively greedy: the uniforms do not matter
 
     def test_kgw_green_fraction_embedded(self, teacher64):
         wm = WatermarkConfig("kgw", KEY, 64, k=2, gamma=0.25, delta=3.0)
-        tokens = [1, 2] + generate(teacher64, [1, 2],
-                                   SamplingConfig(seed=4, max_tokens=500), wm)
+        tokens = [1, 2] + sample(teacher64, [1, 2], 500, 4, wm)
         seeds = np.array([wm.seed(tuple(tokens[i - 2 : i]))
                           for i in range(2, len(tokens))], dtype=np.uint64)
         hits = score_batch(seeds, np.array(tokens[2:]), wm).sum()
@@ -115,8 +124,7 @@ class TestGeneration:
 
     def test_ak_scores_above_null_mean(self, teacher64):
         wm = WatermarkConfig("ak", KEY, 64, k=2, temperature=0.7)
-        tokens = [1, 2] + generate(teacher64, [1, 2],
-                                   SamplingConfig(seed=5, max_tokens=500), wm)
+        tokens = [1, 2] + sample(teacher64, [1, 2], 500, 5, wm)
         seeds = np.array([wm.seed(tuple(tokens[i - 2 : i]))
                           for i in range(2, len(tokens))], dtype=np.uint64)
         scores = ak_score_batch(seeds, np.array(tokens[2:]), wm)
@@ -202,10 +210,10 @@ class TestPersistence:
         assert loaded.order == 2
         assert loaded.smoothing_lambda == 0.07
         assert loaded.vocab_size == 16
-        for _ in range(50):
-            ctx = tuple(rng.integers(0, 16, size=2))
-            assert np.allclose(model.next_distribution(ctx),
-                               loaded.next_distribution(ctx))
+        contexts = rng.integers(0, 16, size=(50, 2)).tolist()
+        assert np.array_equal(distributions(model, contexts), distributions(loaded, contexts))
+        doc = corpus[0]
+        assert loaded.log_loss(doc) == model.log_loss(doc)
 
     def test_model_bad_magic(self, tmp_path):
         (tmp_path / "bad.bin").write_bytes(b"XXXX" + b"\x00" * 20)

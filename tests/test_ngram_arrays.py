@@ -89,13 +89,10 @@ def _assert_same(model, oracle, contexts, docs, gathered=None):
 def _compare(model, oracle, contexts, docs):
     for ctx in contexts:
         if all(0 <= tok < model.vocab_size for tok in ctx):
-            assert np.array_equal(model.next_distribution(ctx),
-                                  oracle.next_distribution(ctx)), ctx
             assert model.next_greedy(ctx) == oracle.next_greedy(ctx), ctx
         else:  # a lookup of one context refuses an out-of-vocabulary token
-            for lookup in (model.next_distribution, model.next_greedy):
-                with pytest.raises(ConfigError, match="^context: token"):
-                    lookup(ctx)
+            with pytest.raises(ConfigError, match="^context: token"):
+                model.next_greedy(ctx)
     # every context at once, as the whole-corpus readout sees them, where
     # an out-of-vocabulary token is a missing one
     tokens = np.fromiter(itertools.chain(*contexts), np.int64)
@@ -267,12 +264,13 @@ class TestWholeCorpus:
                            match=f"^document 0: token {bad} at position 2 out of vocabulary$"):
             model.log_loss([1, 2, bad, 3])
 
-    def test_next_distribution_belongs_to_the_caller(self):
+    def test_distributions_belong_to_the_caller(self):
         model = train_ngram([[1, 2, 3, 1, 2, 4]], order=2, vocab_size=8)
-        first = model.next_distribution([1, 2])
+        at = (np.array([1, 2], np.int64), [2], np.zeros(1, np.intp), np.array([2]))
+        first = contract.distributions_at(model, *at)
         want = first.copy()
         first[:] = 0.0
-        assert np.array_equal(model.next_distribution([1, 2]), want)
+        assert np.array_equal(contract.distributions_at(model, *at), want)
 
 
 class TestSource:

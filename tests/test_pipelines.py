@@ -17,7 +17,6 @@ from radioscope import (
     WatermarkConfig,
     build_filter,
     canonical_dedup,
-    combine_distributions,
     contaminated_student,
     derive_run_key,
     detect_closed,
@@ -32,7 +31,7 @@ from radioscope import (
 )
 from radioscope import pipelines
 from radioscope.dedup import candidate_table
-from radioscope.pipelines import _SCENARIO_KEYS, DetectionReport, pvalue_for
+from radioscope.pipelines import _SCENARIO_KEYS, pvalue_for
 from radioscope.schemes import mpac_partitions
 import store_contract as contract
 from test_cli_errors import serving
@@ -324,35 +323,6 @@ class TestMIA:
         with pytest.raises(ValueError):
             mia_detect(clean_student, [{"tokens": [1, 2]}],
                        [{"tokens": [3, 4], "text": "3 4"}])
-
-
-class TestCombine:
-    def fake(self, p, corpus_id=None):
-        meta = {"corpus_id": corpus_id} if corpus_id else {}
-        return DetectionReport("kgw", "open", "supervised", 100, 30.0, p,
-                               float(np.log10(p)), meta=meta)
-
-    def test_single_report_identity(self):
-        p, _ = combine_distributions([self.fake(0.23)])
-        assert p == pytest.approx(0.23, rel=1e-9)
-
-    def test_pair_example(self):
-        p, _ = combine_distributions([self.fake(0.1), self.fake(0.1)])
-        assert p == pytest.approx(0.0560517, abs=1e-6)
-
-    def test_combined_below_min_for_small_ps(self):
-        ps = [0.05, 0.04, 0.06, 0.03, 0.05]
-        combined, _ = combine_distributions([self.fake(p) for p in ps])
-        assert combined < min(ps)
-
-    def test_overlap_warning(self):
-        reports = [self.fake(0.1, "corpus-a"), self.fake(0.2, "corpus-a")]
-        with pytest.warns(UserWarning, match="share a corpus"):
-            combine_distributions(reports)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_distributions([])
 
 
 class TestScenario:

@@ -22,9 +22,9 @@ PUBLIC = [
     "KGW", "MPAC", "MixSpec", "NGramModel", "OPEN", "ProtocolError", "RemoteError",
     "RemoteModel", "SamplingConfig", "SecretKey", "StatError", "TextSampler",
     "TransportError", "WatermarkConfig", "build_filter",
-    "canonical_dedup", "combine_distributions", "contaminated_student",
+    "canonical_dedup", "contaminated_student",
     "derive_run_key", "detect_closed", "detect_open",
-    "generate", "generate_corpus", "ks_two_sample", "load_corpus", "load_filter",
+    "generate_corpus", "ks_two_sample", "load_corpus", "load_filter",
     "load_model", "log_binomial_pvalue", "log_gamma_pvalue", "make_teacher",
     "mia_detect", "mix_dataset", "mpac_extract", "parse_scenario", "run_detection",
     "run_scenario", "save_corpus", "save_filter", "save_model", "score_batch",
