@@ -254,6 +254,9 @@ def cmd_detect(args, config, manifest) -> int:
     if args.mode == OPEN and (args.filter or args.seed is not None):
         raise ConfigError(f"{'--filter' if args.filter else '--seed'} applies to closed "
                           "mode only")
+    if args.seed is not None and args.endpoint:
+        raise ConfigError("--seed seeds a --model suspect's sampling; an --endpoint "
+                          "suspect samples its own")
     if args.threads is not None and not args.endpoint:
         raise ConfigError("--threads sets the requests in flight to --endpoint; "
                           "it needs --endpoint")
@@ -328,16 +331,14 @@ def cmd_mia(args, config, manifest) -> int:
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_manifest(out_dir, manifest, [Path(args.candidate), Path(args.fresh)], None)
-    print(f"mia d={d:.4f} p={p:.6g} "
-          f"(skipped {report['skipped']} documents without text)")
+    print(f"mia d={d:.4f} p={p:.6g}")
     return EXIT_OK
 
 
 def cmd_filter(args, config, manifest) -> int:
     corpus = load_corpus(args.corpus)
     k = _resolve(args, config, "k")
-    phi = build_filter([doc["tokens"] for doc in corpus], k,
-                       source=str(args.corpus))
+    phi = build_filter([doc["tokens"] for doc in corpus], k)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_filter(phi, out)

@@ -121,7 +121,6 @@ class FilterSet:
 
     kgrams: np.ndarray
     k: int
-    source: str = ""
 
     def hits(self, windows: np.ndarray) -> np.ndarray:
         """Whether each row of an ``(n, k)`` window array is in the filter."""
@@ -134,7 +133,7 @@ class FilterSet:
         return len(self.kgrams)
 
 
-def build_filter(corpus, k: int, source: str = "") -> FilterSet:
+def build_filter(corpus, k: int) -> FilterSet:
     """All distinct k-grams across documents; windows never span documents.
     ``k`` follows the key's rule, and token ids must be non-negative 64-bit
     integers (ConfigError otherwise)."""
@@ -181,7 +180,7 @@ def build_filter(corpus, k: int, source: str = "") -> FilterSet:
     # takes 0.02 s
     new = np.ones(len(fps), bool)
     new[1:] = fps[1:] != fps[:-1]
-    return FilterSet(kgrams=fps[new], k=k, source=source)
+    return FilterSet(kgrams=fps[new], k=k)
 
 
 _FILTER_MAGIC = b"RSF1"
@@ -210,7 +209,7 @@ def load_filter(path) -> FilterSet:
             raise ValueError(f"{path}: corrupt filter file (k = {k}; {count} "
                              f"fingerprints need {size} bytes)")
         fps = np.frombuffer(f.read(8 * count), dtype="<u8").astype(np.uint64)
-    return FilterSet(kgrams=fps, k=k, source=str(path))
+    return FilterSet(kgrams=fps, k=k)
 
 
 def canonical_dedup(cands: np.ndarray) -> np.ndarray:

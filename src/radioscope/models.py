@@ -121,23 +121,6 @@ class SamplingConfig:
         check_rules(self.rules, vars(self))
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    """Watermarked fraction rho of the training set, supervision degree d."""
-
-    rho: float
-    d: float = 1.0
-
-    #: Each field's rule (see :func:`~radioscope.hashing.check_value`)
-    rules = {
-        "rho": lambda v, o: 0 <= v <= 1 or "lie in [0, 1]",
-        "d": lambda v, o: 0 <= v <= 1 or "lie in [0, 1]",
-    }
-
-    def __post_init__(self):
-        check_rules(self.rules, vars(self))
-
-
 #: Tokens per ``np.unique`` pass in :meth:`NGramModel.update`.  Chunks bound
 #: the temporaries: order-3 training on 2000 x 500 tokens of
 #: :func:`zipf_markov_corpus` at V = 128 peaks at 36 MB (traced
@@ -205,7 +188,8 @@ class NGramModel:
             starts.append(first + before)
             del ctx
             # the row maximum of count * V + (V - 1 - token) is the highest
-            # count with the lowest token (exact while counts stay < 2**32);
+            # count with the lowest token (exact while count * V + V - 1 <
+            # 2**63, which load_model checks);
             # one level at a time, so no key array outgrows its level
             best = level * v
             best += v - 1
@@ -862,35 +846,11 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
             for prompt, body in zip(prompts.tolist(), bodies.tolist())]
 
 
-def mix_dataset(wm_corpus: list[dict], clean_corpus: list[dict],
-                spec: MixSpec) -> tuple[list[dict], list[dict]]:
-    """Training mixture D and the supervised detection corpus D~A.
-
-    D takes ``round(rho * |D|)`` watermarked documents and fills the rest
-    with clean ones; D~A contains those watermarked training documents
-    diluted to degree d with fresh watermarked decoys.
-    """
-    total = len(clean_corpus)
-    n_wm = round(spec.rho * total)
-    if n_wm > len(wm_corpus):
-        raise ValueError("not enough watermarked documents for requested rho")
-    d_train = wm_corpus[:n_wm] + clean_corpus[: total - n_wm]
-    if spec.d > 0 and n_wm > 0:
-        target = round(n_wm / spec.d)
-        n_decoys = target - n_wm
-        if n_wm + n_decoys > len(wm_corpus):
-            raise ValueError("not enough watermarked documents for requested d")
-        supervised = wm_corpus[: n_wm + n_decoys]
-    else:
-        supervised = []
-    return d_train, supervised
-
-
 # ---------------------------------------------------------------------------
 # corpus and checkpoint files
 
 def save_corpus(docs: list[dict], path) -> None:
-    """JSONL, one document per line: tokens, optional text / wm tag."""
+    """JSONL, one document per line: its tokens, wm tag and any other fields."""
     with open(path, "w") as f:
         for doc in docs:
             f.write(json.dumps(doc, separators=(",", ":")) + "\n")
@@ -939,7 +899,8 @@ def load_model(path) -> NGramModel:
     RSM1 checkpoint too), a damaged archive or one that lacks a field, and
     a level unless its keys and counts are unsigned arrays of one length,
     the keys strictly increasing and below ``V ** (level + 1)`` and the
-    counts positive.
+    counts positive, each with ``count * V + V - 1 < 2**63``: then greedy
+    keys and row totals, which sum at most V counts, fit in int64.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -954,11 +915,13 @@ def load_model(path) -> NGramModel:
                           for n in range(model.order + 1)]
         except (zipfile.BadZipFile, KeyError) as exc:
             raise ValueError(f"corrupt model checkpoint {path}: {exc}") from exc
+    v = model.vocab_size
     for n, (keys, counts) in enumerate(levels):
         if not (keys.dtype.kind == counts.dtype.kind == "u" and keys.ndim == 1
                 and keys.shape == counts.shape and (counts > 0).all()
+                and int(counts.max(initial=0)) * v + v - 1 < 2**63
                 and (keys[1:] > keys[:-1]).all()
-                and (keys < model.vocab_size ** (n + 1)).all()):
+                and (keys < v ** (n + 1)).all()):
             raise ValueError(f"corrupt model checkpoint {path}: level {n}")
         model._keys[n], model._counts[n] = keys.astype(np.int64), counts.astype(np.int64)
     model._index()

@@ -24,14 +24,12 @@ from .hashing import (ConfigError, SecretKey, at_least, check_rules, check_value
                       derive_run_key, token_ids)
 from .models import (
     PROMPT_TOKENS,
-    MixSpec,
     NGramModel,
     SamplingConfig,
     TextSampler,
     _check_key_vocab,
     generate_corpus,
     make_teacher,
-    mix_dataset,
     train_ngram,
 )
 from .remote import CapabilityError, RemoteModel
@@ -78,6 +76,13 @@ def pvalue_for(score: float, n: int, cfg: WatermarkConfig) -> tuple[float, float
 
 #: The rule of detection's ``budget`` (see :func:`~radioscope.hashing.check_value`)
 DETECTION_RULES = {"budget": at_least(0)}
+
+#: The rules of :func:`contaminated_student`'s watermarked fraction ``rho``
+#: of the training set and its supervision degree ``d``
+MIX_RULES = {
+    "rho": lambda v, o: 0 <= v <= 1 or "lie in [0, 1]",
+    "d": lambda v, o: 0 <= v <= 1 or "lie in [0, 1]",
+}
 
 
 def _check_run(cfg: WatermarkConfig, budget: int) -> None:
@@ -235,32 +240,23 @@ def mia_detect(suspect: NGramModel, candidate_set, fresh_set):
     """Calibrated-loss membership inference baseline (no watermark needed).
 
     Per-document loss is the model's total log-loss divided by the zlib
-    compressed length of the document's text payload; the two samples are
-    compared with a two-sample K-S test.  A document without text is
-    skipped; a bad token of a scored one is refused as ``candidate d`` or
-    ``fresh d``, d counting the set's documents.
+    compressed length of the document's tokens, written as decimal ids
+    joined by spaces; a ``text`` field is not read.  The two samples are
+    compared with a two-sample K-S test.  A bad token is refused as
+    ``candidate d`` or ``fresh d``, d counting the set's documents.
     """
     def calibrated(docs, name):
-        docs = list(docs)
-        scored = [d for d, doc in enumerate(docs) if doc.get("text")]
-        token_ids([docs[d]["tokens"] for d in scored], suspect.vocab_size,
-                  lambda i: name(scored[i]))
-        values = [suspect.log_loss(docs[d]["tokens"]) / len(zlib.compress(docs[d]["text"].encode()))
-                  for d in scored]
-        return values, len(docs) - len(scored)
+        tokens = [doc["tokens"] for doc in docs]
+        token_ids(tokens, suspect.vocab_size, name)
+        return [suspect.log_loss(t) / len(zlib.compress(" ".join(map(str, t)).encode()))
+                for t in tokens]
 
-    cand, cand_skipped = calibrated(candidate_set, "candidate {}".format)
-    fresh, fresh_skipped = calibrated(fresh_set, "fresh {}".format)
+    cand = calibrated(candidate_set, "candidate {}".format)
+    fresh = calibrated(fresh_set, "fresh {}".format)
     if not cand or not fresh:
-        raise ValueError("both document sets need at least one text payload")
+        raise ValueError("both document sets need at least one document")
     d, p = stats.ks_two_sample(cand, fresh)
-    report = {
-        "d": d,
-        "p": p,
-        "n_candidate": len(cand),
-        "n_fresh": len(fresh),
-        "skipped": cand_skipped + fresh_skipped,
-    }
+    report = {"d": d, "p": p, "n_candidate": len(cand), "n_fresh": len(fresh)}
     return d, p, report
 
 
@@ -273,22 +269,28 @@ def contaminated_student(teacher: NGramModel, wm_cfg: WatermarkConfig | None,
                          sampling: SamplingConfig, d: float = 1.0):
     """Train a student on a rho-mix of watermarked and clean teacher text.
 
-    Returns ``(student, train_docs, supervised_docs)`` where
-    ``supervised_docs`` is the detector-visible watermarked corpus diluted
-    to supervision degree ``d``.
+    Returns ``(student, train_docs, supervised_docs)``.  The training set is
+    ``n_wm = round(rho * n_docs)`` watermarked documents and ``n_docs - n_wm``
+    clean ones; ``supervised_docs``, the watermarked corpus the detector
+    holds (D~A), is the first ``round(n_wm / d)`` watermarked documents: the
+    trained ones and fresh decoys, empty at d = 0.  Each corpus's first
+    documents do not depend on how many follow, so only those used are
+    generated.
     """
+    check_rules(MIX_RULES, {"rho": rho, "d": d})
     n_wm = round(rho * n_docs)
-    wm_docs: list[dict] = []
+    n_supervised = round(n_wm / d) if d > 0 else 0
+    wm_docs, clean_docs = [], []
     if n_wm > 0:
-        n_total = round(n_wm / d) if d > 0 else n_wm
-        wm_docs = generate_corpus(teacher, n_total, doc_len,
+        wm_docs = generate_corpus(teacher, max(n_wm, n_supervised), doc_len,
                                   replace(sampling, seed=sampling.seed + 1), wm=wm_cfg)
-    clean_docs = generate_corpus(teacher, n_docs, doc_len,
-                                 replace(sampling, seed=sampling.seed + 2))
-    train_docs, supervised = mix_dataset(wm_docs, clean_docs, MixSpec(rho, d))
+    if n_wm < n_docs:
+        clean_docs = generate_corpus(teacher, n_docs - n_wm, doc_len,
+                                     replace(sampling, seed=sampling.seed + 2))
+    train_docs = wm_docs[:n_wm] + clean_docs
     student = train_ngram([doc["tokens"] for doc in train_docs], order,
                           smoothing_lambda, teacher.vocab_size)
-    return student, train_docs, supervised
+    return student, train_docs, wm_docs[:n_supervised]
 
 
 def run_detection(student: NGramModel, teacher: NGramModel,
@@ -341,7 +343,7 @@ def _detect_len(v, spec):
 
 
 def _rho_value(v, spec):
-    within = MixSpec.rules["rho"](v, spec)
+    within = MIX_RULES["rho"](v, spec)
     if within is not True or spec["scenario"] != "d_sweep":
         return within
     # d_sweep's MIA needs watermarked training documents
@@ -383,7 +385,7 @@ _SCENARIO_KEYS = {
     "repetitions": (3, int, at_least(1)),
     "budget": (1_000_000, int, DETECTION_RULES["budget"]),
     "modes": ([OPEN], str, lambda v, spec: v in (OPEN, CLOSED) or "be open or closed"),
-    "rho": ([0.0, 0.5, 1.0], float, MixSpec.rules["rho"]),
+    "rho": ([0.0, 0.5, 1.0], float, MIX_RULES["rho"]),
     "rho_value": (1.0, float, _rho_value),
     "d_values": ([1.0, 0.1, 0.01], float, lambda v, spec: 0 < v <= 1 or "lie in (0, 1]"),
     "k_values": ([1, 2, 4], int, WatermarkConfig.rules["k"]),
@@ -437,11 +439,6 @@ def parse_scenario(path) -> dict:
     return spec
 
 
-def _attach_text(docs: list[dict]) -> list[dict]:
-    # MIA calibration needs a text payload; token serialization stands in
-    return [{**doc, "text": " ".join(map(str, doc["tokens"]))} for doc in docs]
-
-
 def run_scenario(spec_path, out_dir=None) -> Path:
     """Run a scenario end to end; writes results.csv and summary.svg.
 
@@ -483,8 +480,7 @@ def run_scenario(spec_path, out_dir=None) -> Path:
         if sweep == "d":  # MIA on the watermarked documents the detector holds
             fresh = generate_corpus(teacher, len(supervised), spec["doc_len"],
                                     replace(base, seed=base.seed + 5), wm=wm)
-            stat, p, _ = mia_detect(student, _attach_text(supervised),
-                                    _attach_text(fresh))
+            stat, p, _ = mia_detect(student, supervised, fresh)
             rows.append({**row, "value": value, "mode": CLOSED, "phase": "",
                          "n_scored": len(supervised), "score": stat,
                          "log10_p": float(np.log10(max(p, 1e-300)))})

@@ -37,7 +37,7 @@ from radioscope import (
     mpac_extract,
     train_ngram,
 )
-from radioscope.pipelines import _attach_text, contaminated_student, run_detection
+from radioscope.pipelines import contaminated_student, run_detection
 from radioscope.schemes import aaronson_pick
 from radioscope.stats import log_fisher_combine_logs
 
@@ -305,19 +305,15 @@ def test_c08_ak_distribution_preserved():
 
 
 def test_c09_mia_baseline(teacher128):
-    train = _attach_text(generate_corpus(teacher128, 200, 150,
-                                         SamplingConfig(seed=9000)))
+    train = generate_corpus(teacher128, 200, 150, SamplingConfig(seed=9000))
     student = train_ngram([d["tokens"] for d in train], order=5,
                           smoothing_lambda=0.01, vocab_size=128)
-    fresh = _attach_text(generate_corpus(teacher128, 200, 150,
-                                         SamplingConfig(seed=9001)))
+    fresh = generate_corpus(teacher128, 200, 150, SamplingConfig(seed=9001))
     _, p_full, _ = mia_detect(student, train, fresh)
     diluted_ps = []
     for seed in range(10):
-        decoys = _attach_text(generate_corpus(teacher128, 198, 150,
-                                              SamplingConfig(seed=9100 + seed)))
-        ref = _attach_text(generate_corpus(teacher128, 200, 150,
-                                           SamplingConfig(seed=9200 + seed)))
+        decoys = generate_corpus(teacher128, 198, 150, SamplingConfig(seed=9100 + seed))
+        ref = generate_corpus(teacher128, 200, 150, SamplingConfig(seed=9200 + seed))
         candidate = train[2 * seed : 2 * seed + 2] + decoys
         _, p, _ = mia_detect(student, candidate, ref)
         diluted_ps.append(p)

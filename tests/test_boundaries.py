@@ -18,9 +18,9 @@ import re
 import numpy as np
 import pytest
 
-from radioscope import (ConfigError, MixSpec, NGramModel, SamplingConfig, TextSampler,
-                        WatermarkConfig, build_filter, generate_corpus, mia_detect, mpac_extract,
-                        save_model, train_ngram)
+from radioscope import (ConfigError, NGramModel, SamplingConfig, TextSampler, WatermarkConfig,
+                        build_filter, contaminated_student, generate_corpus, mia_detect,
+                        mpac_extract, save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, EXIT_OK, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, parse_scenario, pvalue_for
 from radioscope.schemes import score_batch
@@ -79,8 +79,8 @@ def two_docs(bad) -> list:
     return [[1, 2, 3, 4], [5, 6, bad, 7]]
 
 
-def with_text(docs) -> list:
-    return [{"tokens": doc, "text": f"document {d}"} for d, doc in enumerate(docs)]
+def as_docs(docs) -> list:
+    return [{"tokens": doc} for doc in docs]
 
 
 #: Every door a token list enters by -> the name of the document that holds
@@ -105,9 +105,9 @@ TOKEN_DOORS = {
         model, [[1, 2], [3, 4]], WatermarkConfig("kgw", key, 64), completions=two_docs(bad))),
     "build_filter": ("document 1", -1, lambda model, key, bad: build_filter(two_docs(bad), 2)),
     "mia_detect_candidate": ("candidate 1", 64, lambda model, key, bad: mia_detect(
-        model, with_text(two_docs(bad)), with_text(two_docs(7)))),
+        model, as_docs(two_docs(bad)), as_docs(two_docs(7)))),
     "mia_detect_fresh": ("fresh 1", 64, lambda model, key, bad: mia_detect(
-        model, with_text(two_docs(7)), with_text(two_docs(bad)))),
+        model, as_docs(two_docs(7)), as_docs(two_docs(bad)))),
     "mpac_extract": ("document 1", 64, lambda model, key, bad: mpac_extract(
         two_docs(bad), WatermarkConfig("mpac", key, 64, message="01"))),
     "cli_train": ("document 1", 64, ["train", "--corpus", "{corpus}", "--vocab-size", "64"]),
@@ -142,7 +142,7 @@ def test_every_door_names_a_bad_token_by_its_document_and_position(
              "fresh": tmp_path / "fresh.jsonl"}
     save_model(small_model, files["model"])
     for path, docs in ((files["corpus"], two_docs(bad)), (files["fresh"], two_docs(7))):
-        path.write_text("".join(json.dumps(doc) + "\n" for doc in with_text(docs)))
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in as_docs(docs)))
     argv = [arg.format(**files) for arg in door]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ERROR
     assert one_error_line(capsys) == f"error: {refusal}\n"
@@ -654,6 +654,12 @@ def test_scenario_refuses_values_out_of_range(tmp_path, lines, error):
         parse_scenario(path)
 
 
+def mix(model, rho, d=1.0):
+    """A student of ``model``'s text at watermarked share ``rho`` and supervision ``d``."""
+    return contaminated_student(model, None, rho, n_docs=4, doc_len=10, order=2,
+                                sampling=SamplingConfig(), d=d)
+
+
 #: One refused value per value rule, through every door it has.  Each row is
 #: the text every door gives after its prefix; the library's name for the
 #: value and a call that refuses it; the command, setting and value a CLI
@@ -706,9 +712,9 @@ DOORS = {
     "max_tokens": ("must be >= 0, got -1",
                    ("max_tokens", lambda key, model: SamplingConfig(max_tokens=-1)),
                    ("detect", "max_tokens", "-1", False), None),
-    "rho": ("must lie in [0, 1], got -0.5", ("rho", lambda key, model: MixSpec(-0.5)), None,
-            "rho_value"),
-    "d": ("must lie in [0, 1], got 1.5", ("d", lambda key, model: MixSpec(0.5, d=1.5)),
+    "rho": ("must lie in [0, 1], got -0.5", ("rho", lambda key, model: mix(model, -0.5)),
+            None, "rho_value"),
+    "d": ("must lie in [0, 1], got 1.5", ("d", lambda key, model: mix(model, 0.5, d=1.5)),
           None, None),
     "n_docs": ("must be >= 0, got -1",
                ("n_docs", lambda key, model: generate_corpus(model, -1, 10, SamplingConfig())),

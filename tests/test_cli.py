@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -271,22 +273,43 @@ class TestScenarioAndMIA:
                    "--out", str(workdir / "o")) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
-    def test_mia_command(self, workdir):
+    def test_mia_command_on_generated_corpora(self, workdir, capsys):
+        """generate -> train -> mia runs on the corpora generate writes."""
         corpus = gen(workdir, docs=30, doc_len=100)
-        # attach text fields so losses can be calibrated
-        docs = load_corpus(corpus)
-        for d in docs:
-            d["text"] = " ".join(map(str, d["tokens"]))
-        with_text = workdir / "wt.jsonl"
-        with_text.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
+        fresh = gen(workdir, "fresh.jsonl", "--seed", "4", docs=30, doc_len=100)
         model = workdir / "m.bin"
         assert run("train", "--corpus", str(corpus), "--order", "3",
                    "--vocab-size", "64", "--out", str(model)) == EXIT_OK
-        out = workdir / "mia"
-        assert run("mia", "--model", str(model), "--candidate", str(with_text),
-                   "--fresh", str(with_text), "--out", str(out)) == EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        assert report["d"] == 0.0
+        for other, out in [(corpus, workdir / "same"), (fresh, workdir / "mia")]:
+            assert run("mia", "--model", str(model), "--candidate", str(corpus),
+                       "--fresh", str(other), "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-2].startswith("mia d=0.0000 p=")
+        report = json.loads((workdir / "mia" / "report.json").read_text())
+        assert set(report) == {"d", "p", "n_candidate", "n_fresh"}
+        assert report["n_candidate"] == report["n_fresh"] == 30
+        assert report["p"] < 1e-3  # an order-3 student on 3,000 tokens memorizes them
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    """README's Quick start, its key exported and each ``radioscope`` line
+    run through ``main`` in an empty directory, ends in a report whose
+    log10 p is "far below zero"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    env = dict(word.split("=", 1) for words in lines if words[:1] == ["export"]
+               for word in words[1:])
+    commands = [words[1:] for words in lines if words[:1] == ["radioscope"]]
+    assert list(env) == ["RADIOSCOPE_KEY"]
+    assert [argv[0] for argv in commands] == ["generate", "train", "detect"]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    report = json.loads((tmp_path / "report" / "report.json").read_text())
+    assert report["runs"][0]["log10_p"] < -5
 
 
 def test_importing_the_cli_leaves_requests_unimported():

@@ -89,6 +89,24 @@ def test_open_mode_on_endpoint_is_capability_error(tmp_path, corpus, capsys):
     assert "detect_closed" in _one_error_line(capsys)
 
 
+def test_seed_with_endpoint_is_refused_before_any_request(tmp_path, corpus, capsys):
+    """An endpoint samples its own completions, so ``--seed`` is refused
+    there; a shared config file's ``seed`` stays accepted."""
+    requests = []
+    handler = type("Counting", (AnsweringHandler,), {
+        "do_POST": lambda self: requests.append(1) or AnsweringHandler.do_POST(self)})
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("seed = 5\nmax_tokens = 3\n")
+    argv = ["detect", "--mode", "closed", "--corpus", str(corpus), "--key", KEY_HEX,
+            "--vocab-size", "8", "--config", str(shared), "--out", str(tmp_path / "out")]
+    with serving(handler) as url:
+        assert main([*argv, "--endpoint", url, "--seed", "5"]) == EXIT_ERROR
+        assert "--seed" in _one_error_line(capsys)
+        assert requests == []
+        assert main([*argv, "--endpoint", url]) == 0
+    assert requests
+
+
 def test_interrupted_run_writes_partial_report(tmp_path, corpus, endpoint, capsys):
     out = tmp_path / "out"
     code = main(["detect", "--mode", "closed", "--endpoint", endpoint,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from radioscope import (
-    MixSpec,
     NGramModel,
     SamplingConfig,
     SecretKey,
@@ -11,7 +10,6 @@ from radioscope import (
     generate_corpus,
     load_corpus,
     load_model,
-    mix_dataset,
     save_corpus,
     save_model,
     train_ngram,
@@ -144,45 +142,14 @@ class TestGeneration:
         b = generate_corpus(teacher64, 4, 60, s)
         assert solo == a == b
 
-
-class TestMixDataset:
-    def docs(self, n, wm):
-        return [{"tokens": [i, i + 1, i + 2], "wm": wm} for i in range(n)]
-
-    def test_rho_zero_all_clean(self):
-        d, sup = mix_dataset(self.docs(10, True), self.docs(10, False),
-                             MixSpec(0.0))
-        assert all(not doc["wm"] for doc in d)
-        assert sup == []
-
-    def test_rho_one_full_supervision(self):
-        wm = self.docs(10, True)
-        d, sup = mix_dataset(wm, self.docs(10, False), MixSpec(1.0, 1.0))
-        assert sup == wm
-        assert all(doc["wm"] for doc in d)
-
-    def test_rounding_rule(self):
-        d, _ = mix_dataset(self.docs(60, True), self.docs(1000, False),
-                           MixSpec(0.05))
-        assert sum(doc["wm"] for doc in d) == 50
-        assert len(d) == 1000
-
-    def test_dilution_adds_decoys(self):
-        wm = self.docs(100, True)
-        d, sup = mix_dataset(wm, self.docs(100, False), MixSpec(0.1, 0.1))
-        n_wm = sum(doc["wm"] for doc in d)
-        assert n_wm == 10
-        assert len(sup) == 100  # 10 real training docs + 90 decoys
-
-    def test_insufficient_corpus(self):
-        with pytest.raises(ValueError):
-            mix_dataset(self.docs(2, True), self.docs(10, False), MixSpec(1.0))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            MixSpec(1.5)
-        with pytest.raises(ValueError):
-            MixSpec(0.5, -0.1)
+    @pytest.mark.parametrize("wm", [None, WatermarkConfig("kgw", KEY, 64, k=2),
+                                    WatermarkConfig("ak", KEY, 64, k=3)],
+                             ids=["plain", "kgw", "ak"])
+    def test_first_documents_do_not_depend_on_how_many_follow(self, teacher64, wm):
+        """What lets ``contaminated_student`` generate only the documents it uses."""
+        s = SamplingConfig(seed=13)
+        assert generate_corpus(teacher64, 3, 50, s, wm) == generate_corpus(
+            teacher64, 7, 50, s, wm)[:3]
 
 
 class TestPersistence:

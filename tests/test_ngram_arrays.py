@@ -1,6 +1,7 @@
 """The array-backed n-gram model and source against their loop oracles."""
 
 import itertools
+import re
 import struct
 import tracemalloc
 
@@ -356,6 +357,29 @@ class TestCheckpoint:
             np.savez(f, **fields)
         with pytest.raises(ValueError, match="corrupt model checkpoint"):
             load_model(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("count", [2**60, 2**61, 2**63 + 1, 2**64 - 1])
+    def test_count_beyond_int64_keys_is_refused(self, tmp_path, count):
+        """A count c with c * V + V - 1 >= 2**63 would wrap the greedy key
+        (2**61: the greedy token after 1 read 2, not 3) or load negative
+        (2**63 + 1); the largest count below the bound loads exactly."""
+        model = train_ngram([[1, 2], [1, 3]], order=1, vocab_size=8)
+        save_model(model, tmp_path / "m.bin")
+        with open(tmp_path / "m.bin", "rb") as f:
+            f.read(4)
+            with np.load(f, allow_pickle=False) as z:
+                fields = {name: z[name] for name in z.files}
+        assert fields["keys1"].tolist() == [8 + 2, 8 + 3]  # (1 -> 2), (1 -> 3)
+        for c, name in [((2**63 - 8) // 8, "top.bin"), (count, "bad.bin")]:
+            with open(tmp_path / name, "wb") as f:
+                f.write(b"RSM2")
+                np.savez(f, **fields | {"counts1": np.array([1, c], np.uint64)})
+        top = load_model(tmp_path / "top.bin")
+        assert top.next_greedy([1]) == 3
+        bad = tmp_path / "bad.bin"
+        with pytest.raises(ValueError, match=f"^corrupt model checkpoint {re.escape(str(bad))}: "
+                                             "level 1$"):
+            load_model(bad)
 
 
 class TestFilter:

@@ -11,6 +11,7 @@ from radioscope import (
     CapabilityError,
     ConfigError,
     DetectionInterrupted,
+    NGramModel,
     RemoteModel,
     SamplingConfig,
     SecretKey,
@@ -64,6 +65,64 @@ def test_contaminated_student_builds_each_teacher_row_once(fresh_teacher64, monk
                          sampling=SamplingConfig(seed=25))
     assert [model for model, _ in made] == [fresh_teacher64]
     assert len(built) == 1 and _each_row_built_once(built)
+
+
+class TestContaminatedStudent:
+    """The mix, with ``generate_corpus`` stubbed: each call is recorded as
+    ``(n_docs, seed)`` and returns documents tagged by corpus and index."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def stub(model, n_docs, doc_len, sampling, wm=None):
+            calls.append((n_docs, sampling.seed))
+            return [{"tokens": [1, 2, 3], "wm": wm is not None, "i": i} for i in range(n_docs)]
+
+        monkeypatch.setattr(pipelines, "generate_corpus", stub)
+        return calls
+
+    def mix(self, rho, d=1.0, n_docs=10):
+        return contaminated_student(NGramModel(2, 16), wm_cfg(16), rho, n_docs=n_docs,
+                                    doc_len=3, order=2, sampling=SamplingConfig(seed=30), d=d)
+
+    def test_rho_zero_all_clean_without_a_watermarked_call(self, calls):
+        _, train, supervised = self.mix(0.0)
+        assert not any(doc["wm"] for doc in train) and len(train) == 10
+        assert supervised == []
+        assert calls == [(10, 32)]
+
+    def test_rho_one_full_supervision_without_a_clean_call(self, calls):
+        _, train, supervised = self.mix(1.0, 1.0)
+        assert supervised == train
+        assert all(doc["wm"] for doc in train) and len(train) == 10
+        assert calls == [(10, 31)]
+
+    def test_rounding_rule(self, calls):
+        _, train, _ = self.mix(0.05, n_docs=1000)
+        assert sum(doc["wm"] for doc in train) == 50
+        assert len(train) == 1000
+        assert calls == [(50, 31), (950, 32)]
+
+    def test_dilution_adds_decoys(self, calls):
+        _, train, supervised = self.mix(0.1, 0.1, n_docs=100)
+        assert sum(doc["wm"] for doc in train) == 10
+        assert len(supervised) == 100  # 10 real training docs + 90 decoys
+        assert supervised[:10] == train[:10]
+        assert calls == [(100, 31), (90, 32)]
+
+    def test_no_supervision_holds_nothing(self, calls):
+        _, train, supervised = self.mix(0.5, 0.0)
+        assert sum(doc["wm"] for doc in train) == 5
+        assert supervised == []
+        assert calls == [(5, 31), (5, 32)]
+
+    @pytest.mark.parametrize("rho,d,name", [(1.5, 1.0, "rho"), (-0.5, 1.0, "rho"),
+                                             (0.5, -0.1, "d"), (0.5, 1.5, "d")])
+    def test_bad_mix_refused_before_any_call(self, calls, rho, d, name):
+        with pytest.raises(ConfigError, match=f"^{name} must lie in \\[0, 1\\]"):
+            self.mix(rho, d)
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -293,8 +352,7 @@ class TestRemoteClosed:
 
 class TestMIA:
     def make_docs(self, teacher, n, seed):
-        docs = generate_corpus(teacher, n, 120, SamplingConfig(seed=seed))
-        return [{**d, "text": " ".join(map(str, d["tokens"]))} for d in docs]
+        return generate_corpus(teacher, n, 120, SamplingConfig(seed=seed))
 
     def test_identical_sets_not_flagged(self, teacher64, clean_student):
         docs = self.make_docs(teacher64, 30, 40)
@@ -310,19 +368,23 @@ class TestMIA:
         _, p, _ = mia_detect(student, train, fresh)
         assert p < 1e-3
 
-    def test_missing_text_excluded_with_count(self, teacher64, clean_student):
+    def test_text_field_is_not_read(self, teacher64, clean_student):
+        """Calibration reads the tokens: documents with and without a
+        ``text`` field, or with another one, give the same report."""
         docs = self.make_docs(teacher64, 10, 43)
-        broken = [dict(d) for d in docs]
-        for d in broken[:4]:
-            del d["text"]
-        _, _, report = mia_detect(clean_student, broken, docs)
-        assert report["skipped"] == 4
-        assert report["n_candidate"] == 6
+        fresh = self.make_docs(teacher64, 10, 44)
+        serialized = [{**d, "text": " ".join(map(str, d["tokens"]))} for d in docs]
+        other = [{**d, "text": "unrelated"} for d in docs]
+        reports = [mia_detect(clean_student, c, fresh)[2] for c in (docs, serialized, other)]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["n_candidate"] == 10 and set(reports[0]) == {
+            "d", "p", "n_candidate", "n_fresh"}
 
-    def test_all_text_missing_rejected(self, clean_student):
-        with pytest.raises(ValueError):
-            mia_detect(clean_student, [{"tokens": [1, 2]}],
-                       [{"tokens": [3, 4], "text": "3 4"}])
+    def test_empty_set_rejected(self, clean_student):
+        with pytest.raises(ValueError, match="at least one document"):
+            mia_detect(clean_student, [], [{"tokens": [3, 4]}])
+        with pytest.raises(ValueError, match="at least one document"):
+            mia_detect(clean_student, [{"tokens": [3, 4]}], [])
 
 
 class TestScenario:
