@@ -67,8 +67,11 @@ _SETTINGS = {
     "docs": (100, int, CORPUS_RULES["n_docs"]),
 }
 
-# argparse keywords of a setting's flag besides its reader
-_FLAG_KEYWORDS = {"scheme": {"choices": [KGW, AK, MPAC]}}
+#: The watermark flags each scheme reads besides ``--scheme`` and ``--k``; a
+#: flag of another watermark setting is refused, and text without a watermark
+#: reads none of them
+_SCHEME_FLAGS = {KGW: ("gamma", "delta"), AK: ("temp",), MPAC: ("delta", "message")}
+_WATERMARK_FLAGS = ("scheme", "k", "gamma", "delta", "temp", "message")
 
 
 def _read_key(text: str, source: str) -> SecretKey:
@@ -176,47 +179,45 @@ def _redact(argv: list[str], options: dict) -> list[str]:
     return out
 
 
+def _refuse_flags(args, names, why: str) -> None:
+    """Refuse the first of the named flags that was given, as ``--<name> <why>``."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise ConfigError(f"--{name} {why}")
+
+
 def _wm_config(args, config, key: SecretKey, vocab_size: int, embeds: bool) -> WatermarkConfig:
-    """The watermark settings; the strength (``delta``, ``temp``) only for a
-    command that ``embeds``, since scoring and its tails read neither."""
+    """The watermark settings of the scheme's row of ``_SCHEME_FLAGS``, each
+    other at ``WatermarkConfig``'s default; the strength (``delta``, ``temp``)
+    only for a command that ``embeds``, since scoring and its tails read neither."""
     scheme = _resolve(args, config, "scheme")
-    strength = {}
-    if embeds:
-        if scheme == AK and args.delta is not None:
-            raise ConfigError("--delta does not apply to the ak scheme "
-                              "(use --temp to control strength)")
-        strength = {"delta": _resolve(args, config, "delta"),
-                    "temperature": _resolve(args, config, "temp")}
-    return WatermarkConfig(scheme=scheme, key=key, vocab_size=vocab_size,
-                           k=_resolve(args, config, "k"), gamma=_resolve(args, config, "gamma"),
-                           message=_resolve(args, config, "message"), **strength)
+    row = _SCHEME_FLAGS[scheme]
+    _refuse_flags(args, [name for name in _WATERMARK_FLAGS if name not in ("scheme", "k", *row)],
+                  f"does not apply to the {scheme} scheme, which reads --k, "
+                  + ", ".join("--" + name for name in row))
+    read = {"temperature" if name == "temp" else name: _resolve(args, config, name)
+            for name in ("k", *row) if embeds or name not in ("delta", "temp")}
+    return WatermarkConfig(scheme=scheme, key=key, vocab_size=vocab_size, **read)
 
 
-def _sampling(args, config) -> SamplingConfig:
-    return SamplingConfig(
-        temperature=_resolve(args, config, "sampling_temperature"),
-        nucleus_p=_resolve(args, config, "nucleus_p"),
-        max_tokens=_resolve(args, config, "max_tokens"),
-        seed=_resolve(args, config, "seed"),
-    )
+def _sampling(args, config, *names) -> SamplingConfig:
+    """The named sampling settings, each other at ``SamplingConfig``'s default."""
+    return SamplingConfig(**{name.removeprefix("sampling_"): _resolve(args, config, name)
+                             for name in names})
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_generate(args, config, manifest) -> int:
-    key = None
-    wm = None
+    key = wm = None
     vocab = _resolve(args, config, "vocab_size")
     if args.no_watermark:
-        given = [name for name in ("scheme", "k", "gamma", "delta", "temp", "message")
-                 if getattr(args, name) is not None]  # the watermark's flags
-        if given:
-            raise ConfigError(f"--{given[0]} does not apply with --no-watermark")
+        _refuse_flags(args, (*_WATERMARK_FLAGS, "key"), "does not apply with --no-watermark")
     else:
         key = _resolve_key(args, config)
         wm = _wm_config(args, config, key, vocab, embeds=True)
-    sampling = _sampling(args, config)
+    sampling = _sampling(args, config, "sampling_temperature", "nucleus_p", "seed")
     n_docs = _resolve(args, config, "docs")
     doc_len = _resolve(args, config, "doc_len")
     teacher = make_teacher(vocab_size=vocab,
@@ -251,18 +252,18 @@ def cmd_train(args, config, manifest) -> int:
 
 
 def cmd_detect(args, config, manifest) -> int:
-    if args.mode == OPEN and (args.filter or args.seed is not None):
-        raise ConfigError(f"{'--filter' if args.filter else '--seed'} applies to closed "
-                          "mode only")
-    if args.seed is not None and args.endpoint:
-        raise ConfigError("--seed seeds a --model suspect's sampling; an --endpoint "
-                          "suspect samples its own")
-    if args.threads is not None and not args.endpoint:
-        raise ConfigError("--threads sets the requests in flight to --endpoint; "
-                          "it needs --endpoint")
-    if args.credentials is not None and not args.endpoint:
-        raise ConfigError("--credentials is the bearer token for --endpoint; "
-                          "it needs --endpoint")
+    if bool(args.model) == bool(args.endpoint):
+        raise ConfigError("detect takes one suspect: --model or --endpoint")
+    if args.mode == OPEN:
+        _refuse_flags(args, ("filter", "seed"), "applies to closed mode only")
+    if args.endpoint:
+        _refuse_flags(args, ["seed"], "seeds a --model suspect's sampling; an --endpoint "
+                      "suspect samples its own")
+    else:
+        _refuse_flags(args, ["threads"], "sets the requests in flight to --endpoint; it "
+                      "needs --endpoint")
+        _refuse_flags(args, ["credentials"], "is the bearer token for --endpoint; it needs "
+                      "--endpoint")
     key = _resolve_key(args, config)
     vocab = _resolve(args, config, "vocab_size")
     wm = _wm_config(args, config, key, vocab, embeds=False)
@@ -276,16 +277,18 @@ def cmd_detect(args, config, manifest) -> int:
                               max_in_flight=8 if args.threads is None else args.threads)
     else:
         suspect = load_model(args.model)
-    sampling = _sampling(args, config)
     out_dir = Path(args.out)
     try:
         if args.mode == OPEN:
             report = pipelines.detect_open(suspect, docs, wm, budget=budget,
                                            dedup=not args.no_dedup)
         else:
+            # an --endpoint suspect samples by its own settings but for the length
+            reads = (("max_tokens",) if args.endpoint else
+                     ("sampling_temperature", "nucleus_p", "max_tokens", "seed"))
             report = pipelines.detect_closed(
                 suspect, [doc["tokens"] for doc in docs], wm, phi=phi, budget=budget,
-                sampling=sampling, dedup=not args.no_dedup)
+                sampling=_sampling(args, config, *reads), dedup=not args.no_dedup)
     except pipelines.DetectionInterrupted as exc:
         _write_report(out_dir, key, exc.partial)
         raise
@@ -380,8 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def flags(p, *names):
         """A flag per named setting, read by the setting's reader."""
         for name in names:
-            p.add_argument("--" + name.replace("_", "-"), type=_SETTINGS[name][1],
-                           **_FLAG_KEYWORDS.get(name, {}))
+            p.add_argument("--" + name.replace("_", "-"), type=_SETTINGS[name][1])
 
     p = sub.add_parser("generate", help="sample a corpus from the teacher")
     common(p)
@@ -443,10 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "detect" and bool(args.model) == bool(args.endpoint):
-        print("error: detect takes one suspect: --model or --endpoint", file=sys.stderr)
-        return EXIT_ERROR
     try:
+        if args.func not in (cmd_generate, cmd_detect):
+            _refuse_flags(args, ["key"], f"does not apply to {args.command}, which reads no key")
         config, config_hash = _load_config(args.config)
         (commands,) = [a for a in parser._actions if a.dest == "command"]
         options = commands.choices[args.command]._option_string_actions

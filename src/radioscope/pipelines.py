@@ -44,7 +44,6 @@ class DetectionReport:
 
     scheme: str
     mode: str
-    supervision: str
     n_scored: int
     score: float
     p_value: float
@@ -91,8 +90,7 @@ def _check_run(cfg: WatermarkConfig, budget: int) -> None:
     check_rules(DETECTION_RULES, {"budget": budget})
 
 
-def _finish_report(cands, dedup, budget, cfg, mode, supervision,
-                   phi_stats) -> DetectionReport:
+def _finish_report(cands, dedup, budget, cfg, mode, phi_stats) -> DetectionReport:
     if not dedup:
         warnings.warn("de-duplication disabled: p-values are NOT valid and will "
                       "collapse on watermarked text", stacklevel=3)
@@ -103,7 +101,6 @@ def _finish_report(cands, dedup, budget, cfg, mode, supervision,
     return DetectionReport(
         scheme=cfg.scheme,
         mode=mode,
-        supervision=supervision,
         n_scored=n,
         score=score,
         p_value=p,
@@ -119,7 +116,6 @@ def _finish_report(cands, dedup, budget, cfg, mode, supervision,
 def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
                   phi: FilterSet | None = None, budget: int = 1_000_000,
                   sampling: SamplingConfig | None = None, dedup: bool = True,
-                  supervision: str = "supervised",
                   completions: list | None = None) -> DetectionReport:
     """Prompt the suspect, score the resulting text with the watermark key.
 
@@ -158,8 +154,7 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
         hits = phi.hits(tokens[starts[:, None] + np.arange(k)])
         phi_stats = (len(phi), int(hits.sum()) / max(len(hits), 1))
         cands = cands.compress(hits)
-    return _finish_report(cands, dedup, budget, key_cfg, CLOSED, supervision,
-                          phi_stats)
+    return _finish_report(cands, dedup, budget, key_cfg, CLOSED, phi_stats)
 
 
 def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg) -> list[list[int]]:
@@ -167,8 +162,8 @@ def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg) -> list[list[
         try:
             return suspect.complete_many(prompts, sampling.max_tokens)
         except Exception as exc:
-            partial = DetectionReport(key_cfg.scheme, CLOSED, "unknown", 0, 0.0,
-                                      1.0, 0.0, inconclusive=True,
+            partial = DetectionReport(key_cfg.scheme, CLOSED, 0, 0.0, 1.0, 0.0,
+                                      inconclusive=True,
                                       meta={"error": str(exc)})
             raise DetectionInterrupted(str(exc), partial) from exc
     sampler = TextSampler(suspect, sampling)
@@ -177,8 +172,7 @@ def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg) -> list[list[
 
 
 def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
-                budget: int = 1_000_000, supervision: str = "supervised",
-                dedup: bool = True) -> DetectionReport:
+                budget: int = 1_000_000, dedup: bool = True) -> DetectionReport:
     """Reading mode: forward watermarked text, score greedy predictions.
 
     For every position with a full k-window, the suspect's most likely
@@ -197,7 +191,7 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     _check_key_vocab(key_cfg, suspect)
     tokens, lens, cands = _read_open(wm_texts, key_cfg)
     cands["token"] = suspect.greedy_at(tokens, lens, cands["doc"], cands["pos"])
-    return _finish_report(cands, dedup, budget, key_cfg, OPEN, supervision, None)
+    return _finish_report(cands, dedup, budget, key_cfg, OPEN, None)
 
 
 def _read_open(docs, cfg: WatermarkConfig):

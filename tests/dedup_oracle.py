@@ -115,15 +115,14 @@ def _score_candidates(admitted: list[Candidate], cfg) -> float:
     return float(score_batch(seeds, tokens, cfg).sum())
 
 
-def _finish_report(admitted, n_candidates, cfg, mode, supervision,
-                   dedup, phi_stats, meta) -> DetectionReport:
+def _finish_report(admitted, n_candidates, cfg, mode, dedup, phi_stats,
+                   meta) -> DetectionReport:
     score = _score_candidates(admitted, cfg)
     n = len(admitted)
     p, log10_p = pvalue_for(score, n, cfg)
     return DetectionReport(
         scheme=cfg.scheme,
         mode=mode,
-        supervision=supervision,
         n_scored=n,
         score=score,
         p_value=p,
@@ -137,8 +136,7 @@ def _finish_report(admitted, n_candidates, cfg, mode, supervision,
 
 
 def loop_detect_closed(prompts, completions, key_cfg, phi=None,
-                       budget: int = 1_000_000, dedup: bool = True,
-                       supervision: str = "supervised") -> DetectionReport:
+                       budget: int = 1_000_000, dedup: bool = True) -> DetectionReport:
     """Closed-mode scoring of given completions, one ``Candidate`` per position."""
     k = key_cfg.k
     prompts = [list(prompt) for prompt in prompts]
@@ -163,14 +161,12 @@ def loop_detect_closed(prompts, completions, key_cfg, phi=None,
         admitted = sorted(candidates, key=lambda c: (c.doc_id, c.pos))
     admitted = admitted[:budget]
     phi_stats = (len(phi), phi_hits / max(phi_checked, 1)) if phi is not None else None
-    return _finish_report(admitted, len(candidates), key_cfg, CLOSED,
-                          supervision, dedup, phi_stats,
+    return _finish_report(admitted, len(candidates), key_cfg, CLOSED, dedup, phi_stats,
                           {"budget": budget})
 
 
 def loop_detect_open(twin, wm_texts, key_cfg, budget: int = 1_000_000,
-                     span: int | None = None, supervision: str = "supervised",
-                     dedup: bool = True) -> DetectionReport:
+                     span: int | None = None, dedup: bool = True) -> DetectionReport:
     """Open-mode scoring of the suspect that ``twin`` copies, one
     ``Candidate`` per position."""
     check_twin(twin)
@@ -200,5 +196,5 @@ def loop_detect_open(twin, wm_texts, key_cfg, budget: int = 1_000_000,
     else:
         admitted = sorted(candidates, key=lambda c: (c.doc_id, c.pos))
     admitted = admitted[:budget]
-    return _finish_report(admitted, len(candidates), key_cfg, OPEN,
-                          supervision, dedup, None, {"budget": budget})
+    return _finish_report(admitted, len(candidates), key_cfg, OPEN, dedup, None,
+                          {"budget": budget})

@@ -662,14 +662,14 @@ def mix(model, rho, d=1.0):
 
 #: One refused value per value rule, through every door it has.  Each row is
 #: the text every door gives after its prefix; the library's name for the
-#: value and a call that refuses it; the command, setting and value a CLI
-#: flag and a ``--config`` line give, whether the command has the flag, and
-#: any flags the value needs; and the row of SCENARIO_REFUSALS that refuses
-#: it in a scenario file.
+#: value and a call that refuses it; the command (``detect_closed`` is
+#: closed-mode ``detect``), setting and value a CLI flag and a ``--config``
+#: line give, whether the command has the flag, and any flags the value
+#: needs; and the row of SCENARIO_REFUSALS that refuses it in a scenario file.
 DOORS = {
     "scheme": ("must be kgw, ak or mpac, got kgx",
                ("scheme", lambda key, model: WatermarkConfig("kgx", key, 64)),
-               ("detect", "scheme", "kgx", False), None),  # argparse refuses the flag
+               ("detect", "scheme", "kgx", True), None),
     "k": ("must be >= 1, got 0", ("k", lambda key, model: WatermarkConfig("kgw", key, 64, k=0)),
           ("generate", "k", "0", True), "k"),
     # every window is one a filter file can hold, so --k 300 is refused where it is read
@@ -685,7 +685,7 @@ DOORS = {
     "temperature": ("must be > 0, got 0.0",
                     ("temperature", lambda key, model: WatermarkConfig("ak", key, 64,
                                                                        temperature=0.0)),
-                    ("generate", "temp", "0", True), "ak_zero_temperature"),
+                    ("generate", "temp", "0", True, "--scheme", "ak"), "ak_zero_temperature"),
     "message": ("must be an even number of bits for mpac, got 012",
                 ("message", lambda key, model: WatermarkConfig("mpac", key, 64, message="012")),
                 ("generate", "message", "012", True, "--scheme", "mpac"), "mpac_message"),
@@ -711,7 +711,7 @@ DOORS = {
                              "sampling_temperature"),
     "max_tokens": ("must be >= 0, got -1",
                    ("max_tokens", lambda key, model: SamplingConfig(max_tokens=-1)),
-                   ("detect", "max_tokens", "-1", False), None),
+                   ("detect_closed", "max_tokens", "-1", False), None),
     "rho": ("must lie in [0, 1], got -0.5", ("rho", lambda key, model: mix(model, -0.5)),
             None, "rho_value"),
     "d": ("must lie in [0, 1], got 1.5", ("d", lambda key, model: mix(model, 0.5, d=1.5)),
@@ -741,6 +741,8 @@ def command_argv(cli_files, command, setting) -> list[str]:
             "train": ["train", "--corpus", str(corpus), "--out", str(tmp_path / "s.bin")],
             "detect": ["detect", "--mode", "open", "--model", str(model), "--corpus",
                        str(corpus), "--key", KEY_HEX, "--out", str(tmp_path / "out")],
+            "detect_closed": ["detect", "--mode", "closed", "--model", str(model), "--corpus",
+                              str(corpus), "--key", KEY_HEX, "--out", str(tmp_path / "out")],
             "filter": ["filter", "--corpus", str(corpus), "--out", str(tmp_path / "phi.bin")]
             }[command]
     argv += ["--vocab-size", "64"] if command != "filter" else []

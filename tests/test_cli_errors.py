@@ -317,13 +317,20 @@ def answering_url():
         yield url
 
 
+#: The commands that read no key: each refuses ``--key``, however spelled,
+#: and leaves a key in a shared config file or the environment unread
+KEYLESS = ("train", "filter", "mia", "scenario")
+
+
 @pytest.mark.parametrize("source", KEY_SOURCES)
 @pytest.mark.parametrize("command", SECRECY_RUNS)
 def test_no_command_writes_the_key_or_the_credentials(tmp_path, secrecy_inputs, answering_url,
                                                       capsys, monkeypatch, command, source):
     """Whichever command runs and however the key is given, neither the key
     (as given, in decimal, in hex of either case) nor the endpoint's
-    credentials reach a file the run writes, stdout or stderr."""
+    credentials reach a file the run writes, stdout or stderr.  A command
+    that reads no key refuses the flag in one line that names ``--key`` and
+    writes nothing."""
     monkeypatch.delenv("RADIOSCOPE_KEY", raising=False)
     if source == "env":
         monkeypatch.setenv("RADIOSCOPE_KEY", hex(SECRET_KEY))
@@ -333,10 +340,16 @@ def test_no_command_writes_the_key_or_the_credentials(tmp_path, secrecy_inputs, 
     out = tmp_path / "out"
     argv = [arg.format(**{"in": secrecy_inputs, "out": out, "url": answering_url})
             for arg in SECRECY_RUNS[command]]
-    assert main(argv + KEY_SOURCES[source] + ["--config", str(config)]) == 0
+    refused = command in KEYLESS and source.startswith(("flag", "prefix"))
+    assert main(argv + KEY_SOURCES[source] + ["--config", str(config)]) == (
+        EXIT_ERROR if refused else 0)
     captured = capsys.readouterr()
     written = [p.read_bytes() for p in out.rglob("*") if p.is_file()]
-    assert written
+    if refused:
+        assert captured.err == f"error: --key does not apply to {command}, which reads no key\n"
+        assert not out.exists()
+    else:
+        assert written
     for text in [captured.out.encode(), captured.err.encode()] + written:
         for secret in (hex(SECRET_KEY)[2:], str(SECRET_KEY), TOKEN):
             assert secret.lower().encode() not in text.lower()

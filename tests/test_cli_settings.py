@@ -1,6 +1,7 @@
 """``cli._SETTINGS``: every setting a flag sets, a config file sets the same
 way, and README "Configuration" lists each setting as the commands read it."""
 
+import math
 import re
 from pathlib import Path
 
@@ -18,6 +19,8 @@ VALUES = {"scheme": "ak", "k": 1, "gamma": 0.5, "delta": 2.0, "temp": 1.5,
           "seed": 5, "nucleus_p": 0.9, "budget": 50, "docs": 4, "doc_len": 25}
 #: What every run sets unless it tests that setting: the corpus and model are V = 32
 BASE = {"docs": 3, "doc_len": 20, "vocab_size": 32}
+#: The scheme of the runs of a setting that not every scheme reads
+SCHEME = {"temp": "ak", "message": "mpac"}
 
 
 def _subparsers():
@@ -62,6 +65,7 @@ def test_flag_and_config_give_the_same_run(tmp_path, monkeypatch, inputs, comman
     flags = _flags()[command]
     base = [arg for other, value in BASE.items() if other != name and other in flags
             for arg in (flags[other], str(value))]
+    base += ["--scheme", SCHEME[name]] if name in SCHEME else []
     outputs = []
     for source in ("flag", "config"):
         out = tmp_path / source
@@ -73,31 +77,64 @@ def test_flag_and_config_give_the_same_run(tmp_path, monkeypatch, inputs, comman
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+#: The flags that select each scheme
+SCHEME_FLAGS = {"kgw": [], "ak": ["--scheme", "ak"],
+                "mpac": ["--scheme", "mpac", "--message", "0110"]}
+#: Each run whose reads README's table names: its command and its value of
+#: each axis the command's runs vary along (the scheme, detection's mode)
+READING_RUNS = [*[("generate", {"scheme": scheme}) for scheme in SCHEME_FLAGS], ("train", {}),
+                *[("detect", {"scheme": scheme, "mode": mode})
+                  for scheme in ("kgw", "ak") for mode in ("open", "closed")],
+                ("filter", {})]
+
+
 def test_readme_lists_every_setting(tmp_path, monkeypatch, inputs):
     """README "Configuration" holds one row per setting, in table order: its
     flag, its default as a file would write it, and the commands that read
-    it (a command without the flag reads it from the config file only)."""
+    it.  A command's note names the schemes or modes that read the setting,
+    where not all do, and "config only" where the command has no flag for it."""
     monkeypatch.delenv("RADIOSCOPE_KEY", raising=False)
-    read = {name: [] for name in _SETTINGS}
-    resolve = cli._resolve
+    read = {name: {} for name in _SETTINGS}  # setting -> command -> the axes of its runs
+    resolve, seen = cli._resolve, set()
 
     def spy(args, config, name):
-        if args.command not in read[name]:
-            read[name].append(args.command)
+        seen.add(name)
         return resolve(args, config, name)
 
     monkeypatch.setattr(cli, "_resolve", spy)
-    for command in COMMANDS:
-        argv = _argv(command, tmp_path / command, *inputs)
+    for i, (command, axes) in enumerate(READING_RUNS):
+        argv = _argv(command, tmp_path / str(i), *inputs) + SCHEME_FLAGS[axes.get("scheme", "kgw")]
+        if command == "detect":
+            argv[argv.index("--mode") + 1] = axes["mode"]
+        seen.clear()
         assert main(argv + (["--vocab-size", "32"] if command != "filter" else [])) == EXIT_OK
+        for name in seen:
+            read[name].setdefault(command, []).append(axes)
 
     flags = _flags()
+
+    def notes(name, command):
+        """The schemes or modes of the command's runs that read the setting,
+        on each axis where not all of them do, then "config only"."""
+        runs = read[name][command]
+        every = [axes for c, axes in READING_RUNS if c == command]
+        picked = []
+        for axis in every[0]:
+            values = list(dict.fromkeys(axes[axis] for axes in runs))
+            if len(values) < len({axes[axis] for axes in every}):
+                picked += values
+        # the runs that read it are every run of the values it names
+        assert len(runs) == math.prod(len({axes[axis] for axes in runs}) for axis in every[0])
+        if name not in flags[command] and any(name in f for f in flags.values()):
+            picked.append("config only")
+        return picked
 
     def row(name):
         flag = next((f[name] for f in flags.values() if name in f), None)
         default = _SETTINGS[name][0]
-        readers = ", ".join(f"`{command}`" + (" (config only)" if flag and name not in flags[command]
-                                              else "") for command in read[name])
+        readers = ", ".join(f"`{command}`" + (f" ({', '.join(notes(name, command))})"
+                                              if notes(name, command) else "")
+                            for command in read[name])
         return (name, f"`{flag}`" if flag else "config only",
                 "unset" if default is None else f"`{default}`", readers)
 
