@@ -290,12 +290,12 @@ def cmd_detect(args, config, manifest) -> int:
                 suspect, [doc["tokens"] for doc in docs], wm, phi=phi, budget=budget,
                 sampling=_sampling(args, config, *reads), dedup=not args.no_dedup)
     except pipelines.DetectionInterrupted as exc:
-        _write_report(out_dir, key, exc.partial)
+        _write_report(out_dir, wm, exc.partial)
         raise
     if args.no_dedup:
         print("WARNING: de-duplication disabled; the reported p-values are "
               "statistically INVALID", file=sys.stderr)
-    _write_report(out_dir, key, report)
+    _write_report(out_dir, wm, report)
     _write_manifest(out_dir, manifest, [Path(args.corpus)], key)
     print(f"{report.mode} n_scored={report.n_scored} "
           f"score={report.score:.3f} log10_p={report.log10_p:.3f}")
@@ -305,12 +305,13 @@ def cmd_detect(args, config, manifest) -> int:
     return EXIT_OK
 
 
-def _write_report(out_dir: Path, key: SecretKey, report) -> None:
-    """``report.json``: the key's fingerprint and the run, as the one entry
-    of ``runs``."""
+def _write_report(out_dir: Path, wm: WatermarkConfig, report) -> None:
+    """``report.json``: the key's fingerprint and vocabulary, and the run,
+    as the one entry of ``runs``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "key_fingerprint": key.fingerprint(),
+        "key_fingerprint": wm.key.fingerprint(),
+        "vocab_size": wm.vocab_size,
         "runs": [dataclasses.asdict(report)],
     }
     (out_dir / "report.json").write_text(

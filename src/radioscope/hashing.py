@@ -76,14 +76,26 @@ def check_rules(rules: dict, values) -> None:
         check_value(name, values[name], rule, values)
 
 
-def token_ids(docs, vocab_size: int, name="document {}".format, lead: int = 0) -> np.ndarray:
-    """The tokens of ``docs``, joined, after ``lead`` zeros, as int64.
+def token_ids(docs, vocab_size: int, name="document {}".format, lead: int = 0,
+              dtype=np.int64) -> np.ndarray:
+    """The tokens of ``docs``, joined, after ``lead`` zeros, as ``dtype``,
+    which must hold every id below ``vocab_size``.
 
-    ``struct`` packs only integers that fit in int64, which is as fast as
-    ``np.fromiter`` and, unlike it, refuses 2.5 or "2" (but not a bool).  A
-    token that is not an integer id below ``vocab_size`` is refused with a
-    ``ConfigError`` naming its document d as ``name(d)`` and its position.
+    ``docs`` is a list of token lists or a 2-D integer array, one document
+    a row, which is copied straight into the result.  ``struct`` packs only
+    integers that fit in int64, which is as fast as ``np.fromiter`` and,
+    unlike it, refuses 2.5 or "2" (but not a bool).  A token that is not an
+    integer id below ``vocab_size`` is refused with a ``ConfigError`` naming
+    its document d as ``name(d)`` and its position; an array that holds one
+    is read as its lists, so it is refused in the same words.
     """
+    if isinstance(docs, np.ndarray) and docs.ndim == 2:
+        if docs.dtype.kind in "iu" and (
+                not docs.size or 0 <= docs.min() and docs.max() < vocab_size):
+            ids = np.zeros(lead + docs.size, dtype)
+            ids[lead:] = docs.ravel()
+            return ids
+        docs = docs.tolist()
     lens = [len(doc) for doc in docs]
     ends = np.cumsum(lens, dtype=np.int64)
     ids = np.zeros(lead + sum(lens), np.int64)
@@ -102,7 +114,7 @@ def token_ids(docs, vocab_size: int, name="document {}".format, lead: int = 0) -
                 if not 0 <= tok < vocab_size:
                     raise ConfigError(f"{name(d)}: token {tok} at position {pos} "
                                       "out of vocabulary")
-    return ids
+    return ids.astype(dtype, copy=False)
 
 
 def _holds_bool(docs, ids: np.ndarray, ends: np.ndarray) -> bool:

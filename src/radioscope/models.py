@@ -122,10 +122,10 @@ class SamplingConfig:
 
 
 #: Tokens per ``np.unique`` pass in :meth:`NGramModel.update`.  Chunks bound
-#: the temporaries: order-3 training on 2000 x 500 tokens of
-#: :func:`zipf_markov_corpus` at V = 128 peaks at 36 MB (traced
-#: allocations, 27 MB of them the model) in chunks of this size and at
-#: 63 MB in a single pass.
+#: the temporaries: order-3 training on the 2000 x 500 token array of
+#: :func:`zipf_markov_corpus` at V = 128, or on its lists, peaks at 36 MB
+#: (traced allocations, 27 MB of them the model) in chunks of this size
+#: and at 63 MB in a single pass.
 _CHUNK_TOKENS = 1 << 18
 
 
@@ -206,20 +206,21 @@ class NGramModel:
         self._greedy = np.concatenate(greedy + [[0]])
 
     def update(self, corpus) -> None:
-        """Accumulate counts from an iterable of token-id documents.
+        """Accumulate counts from an iterable of token-id documents, or
+        from a 2-D integer array of them, one document a row.
 
         Each chunk of ``_CHUNK_TOKENS`` tokens is merged into the stored
         counts, so a second call continues training.
         """
-        docs = list(corpus)
-        if not docs:
+        docs = corpus if isinstance(corpus, np.ndarray) and corpus.ndim == 2 else list(corpus)
+        if not len(docs):
             raise ValueError("empty corpus")
         order, v = self.order, self.vocab_size
         lens = np.fromiter(map(len, docs), np.int64, len(docs))
         n = int(lens.sum())
         # ``order`` zeros in front give every token that many predecessors;
         # kept in the narrowest dtype that holds a token
-        flat = token_ids(docs, v, lead=order).astype(np.min_scalar_type(v - 1))
+        flat = token_ids(docs, v, lead=order, dtype=np.min_scalar_type(v - 1))
         # predecessors of each token within its own document, capped at
         # order, in the narrowest dtype that holds order
         depth = np.full(n, order, np.min_scalar_type(order))
@@ -368,7 +369,9 @@ class NGramModel:
 
 def train_ngram(corpus, order: int, smoothing_lambda: float = 0.01,
                 vocab_size: int = 256) -> NGramModel:
-    """Train a fresh model; call ``model.update`` again for continued training."""
+    """Train a fresh model on token lists or a 2-D token array (see
+    :meth:`NGramModel.update`); call ``model.update`` again for continued
+    training."""
     model = NGramModel(order, vocab_size, smoothing_lambda)
     model.update(corpus)
     return model
@@ -397,14 +400,23 @@ _RESERVE_BYTES = 64 << 20
 _HEAD = 16
 
 
-def _zeros(n: int, dtype) -> np.ndarray:
-    """``np.zeros(n, dtype)`` in a private anonymous map of its own, whose
-    pages the system backs only once written.  ``np.zeros`` takes blocks
-    below malloc's mmap threshold from the heap, and that threshold rises
-    to the size of each mapped block freed: a second store's zeros then
-    reuse heap pages that are already resident."""
-    size = n * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, size, access=mmap.ACCESS_COPY), dtype)
+def _zeros(shape, dtype) -> np.ndarray:
+    """``np.zeros(shape, dtype)`` in a private anonymous map of its own,
+    whose pages the system backs only once written, and which goes back to
+    the system when the array is dropped; an empty array is a plain one.
+
+    It is for the one-shot arrays larger than malloc's mmap threshold: the
+    decode-row stores and a corpus's uniforms.  ``np.zeros`` takes blocks
+    below that threshold from the heap, and the threshold rises to the size
+    of each mapped block freed, so later blocks of that size stay in the
+    heap, which keeps what it grew.  Per-chunk temporaries, such as
+    training's merged tables and code chunks, stay on the heap: a fresh
+    map pays a page fault per page on every reuse."""
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape)) * dtype.itemsize
+    if not size:
+        return np.zeros(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, size, access=mmap.ACCESS_COPY), dtype).reshape(shape)
 
 
 class NucleusRows:
@@ -577,8 +589,8 @@ class _WatermarkRows:
     and only states with a full window have rows, so ``bound``, the most
     rows the store can hold, is the fewer of ``reach`` and the windowed
     state codes.  The store reserves ``_RESERVE_BYTES`` of rows, or
-    ``bound`` rows if fewer, and doubles, up to ``bound``, when a batch
-    does not fit.
+    ``bound`` rows if fewer, in maps of their own (:func:`_zeros`), and
+    doubles, up to ``bound``, when a batch does not fit.
 
     When a row id for every state code and a window seed for every
     k-window, ``8 * ((V + 1) ** depth + (V + 1) ** k)`` bytes, fit
@@ -600,7 +612,7 @@ class _WatermarkRows:
         shape, dtype = ((), nucleus.idx.dtype) if wm.scheme == AK else ((v,), np.float64)
         # a row is its base, an intp, and its part
         size = min(bound, _RESERVE_BYTES // (np.intp(0).nbytes + np.empty(shape, dtype).nbytes))
-        self.base, self.part = np.empty(size, np.intp), np.empty((size,) + shape, dtype)
+        self.base, self.part = _zeros(size, np.intp), _zeros((size,) + shape, dtype)
         # a row id per state code and a seed per window, 8 bytes each
         self.dense = 8 * (n_codes + radix**k) <= _RESERVE_BYTES
         self.index = None if self.dense else {}
@@ -643,7 +655,7 @@ class _WatermarkRows:
         start, end = self.n, self.n + len(codes)
         if end > len(self.base):
             size = min(self.bound, max(end, 2 * len(self.base)))
-            grown = [np.empty((size,) + old.shape[1:], old.dtype) for old in (self.base, self.part)]
+            grown = [_zeros((size,) + old.shape[1:], old.dtype) for old in (self.base, self.part)]
             grown[0][:start], grown[1][:start] = self.base[:start], self.part[:start]
             self.base, self.part = grown
         batch = max(1, TEMP_ELEMS // self.vocab_size)
@@ -774,12 +786,18 @@ class TextSampler:
 
 
 def zipf_markov_corpus(vocab_size: int, n_docs: int, doc_len: int, seed: int,
-                       zipf_a: float = 1.15) -> list[list[int]]:
+                       zipf_a: float = 1.15) -> np.ndarray:
     """Fixed-seed synthetic source: a Markov chain with Zipf transitions.
 
     Each token's successor distribution is a Zipf profile over a
     token-specific permutation of the vocabulary, which keeps the entropy
-    of the source controllable via ``zipf_a``.
+    of the source controllable via ``zipf_a``.  Returns an ``(n_docs,
+    doc_len)`` array, one document a row, in the narrowest unsigned dtype
+    that holds ``vocab_size - 1``.  The draws are those of a per-token
+    loop, in its order: the V successor permutations, then per document
+    its first token and its ``doc_len - 1`` uniforms.  Each uniform is
+    stored as its successor rank in the token's row, and all documents
+    then walk one position per step.
     """
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
@@ -787,16 +805,18 @@ def zipf_markov_corpus(vocab_size: int, n_docs: int, doc_len: int, seed: int,
     profile /= profile.sum()
     # every token shares the rank profile; only the permutation differs
     cum = np.cumsum(profile)
-    succ = [rng.permutation(vocab_size).tolist() for _ in range(vocab_size)]
-    docs = []
-    for _ in range(n_docs):
-        tok = int(rng.integers(vocab_size))
-        doc = [tok]
+    dtype = np.min_scalar_type(vocab_size - 1)
+    succ = np.empty((vocab_size, vocab_size), dtype)
+    for row in succ:
+        row[:] = rng.permutation(vocab_size)
+    docs = np.empty((n_docs, doc_len), dtype)
+    for doc in docs:
+        first = rng.integers(vocab_size)
         u = rng.random(doc_len - 1)
-        for j in np.minimum(cum.searchsorted(u), vocab_size - 1).tolist():
-            tok = succ[tok][j]
-            doc.append(tok)
-        docs.append(doc)
+        doc[0] = first
+        doc[1:] = np.minimum(cum.searchsorted(u), vocab_size - 1)
+    for t in range(1, doc_len):
+        docs[:, t] = succ[docs[:, t - 1], docs[:, t]]
     return docs
 
 
@@ -837,7 +857,7 @@ def generate_corpus(model: NGramModel, n_docs: int, doc_len: int,
     rng = np.random.default_rng(sampling.seed)
     steps = doc_len - prompt_len
     prompts = np.empty((n_docs, prompt_len), np.int64)
-    uniforms = np.empty((n_docs, steps))
+    uniforms = _zeros((n_docs, steps), np.float64)
     for d in range(n_docs):
         prompts[d] = rng.integers(model.vocab_size, size=prompt_len)
         uniforms[d] = rng.random(steps)

@@ -1,5 +1,6 @@
 """Tokens are checked against the vocabulary at every door, library and
-CLI, and a bad one is named by its document and its position in it,
+CLI, and a bad one is named by its document and its position in it (a
+2-D token array by its row, in the words of its lists),
 ``--threads`` is validated and refused without
 ``--endpoint``, open mode refuses ``--filter``, detection
 refuses a scheme without a test, a negative budget, fewer than one
@@ -20,7 +21,7 @@ import pytest
 
 from radioscope import (ConfigError, NGramModel, SamplingConfig, TextSampler, WatermarkConfig,
                         build_filter, contaminated_student, generate_corpus, mia_detect,
-                        mpac_extract, save_model, train_ngram)
+                        models, mpac_extract, save_model, train_ngram)
 from radioscope.cli import EXIT_ERROR, EXIT_OK, _build_parser, main
 from radioscope.pipelines import detect_closed, detect_open, parse_scenario, pvalue_for
 from radioscope.schemes import score_batch
@@ -146,6 +147,27 @@ def test_every_door_names_a_bad_token_by_its_document_and_position(
     argv = [arg.format(**files) for arg in door]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_ERROR
     assert one_error_line(capsys) == f"error: {refusal}\n"
+
+
+#: The doors that also take the documents as one 2-D array, a row each
+ARRAY_DOORS = {
+    "train_ngram": lambda docs: train_ngram(docs, 2, 0.01, 64),
+    "NGramModel.update": lambda docs: NGramModel(2, 64).update(docs),
+}
+
+
+@pytest.mark.parametrize("docs, refusal", [
+    (np.array([[True, False], [False, True]]), "document 0: token True at position 0 is "
+                                                "not an integer"),
+    (np.array(two_docs(2.5)), "document 0: token 1.0 at position 0 is not an integer"),
+    (np.array(two_docs(-1)), "document 1: token -1 at position 2 out of vocabulary"),
+    (np.array(two_docs(64)), "document 1: token 64 at position 2 out of vocabulary"),
+], ids=["bool", "float", "negative", "V"])
+@pytest.mark.parametrize("door", ARRAY_DOORS.values(), ids=list(ARRAY_DOORS))
+def test_an_array_door_refuses_a_token_as_its_lists(door, docs, refusal):
+    for form in (docs, docs.tolist()):
+        with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+            door(form)
 
 
 def refused_in_filter(bad) -> str:
@@ -542,6 +564,21 @@ def test_generate_corpus_refuses_documents_shorter_than_their_prompt(small_model
         generate_corpus(small_model, 1, 4, SamplingConfig(), prompt_len=5)
     assert [len(doc["tokens"]) for doc in generate_corpus(small_model, 2, 3, SamplingConfig())] \
         == [3, 3]
+
+
+@pytest.mark.parametrize("shape", [0, (0,), (0, 5), (3, 0)])
+def test_an_empty_map_is_an_empty_array(shape):
+    """``_zeros`` of no bytes maps nothing (an ``mmap`` of 0 bytes is
+    refused): a corpus of no documents, or of no steps past the prompt,
+    asks for one."""
+    for dtype in (np.float64, np.intp, np.uint8):
+        empty = models._zeros(shape, dtype)
+        assert empty.shape == np.zeros(shape).shape and empty.dtype == dtype
+
+
+def test_generate_corpus_of_no_documents(small_model, key):
+    for wm in (None, WatermarkConfig("kgw", key, 64)):
+        assert generate_corpus(small_model, 0, 10, SamplingConfig(), wm) == []
 
 
 @pytest.mark.parametrize("lines", [

@@ -116,7 +116,8 @@ class TestDetect:
                    "--corpus", str(corpus), "--key", KEY_HEX,
                    "--vocab-size", "64", "--out", str(out)) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
-        assert sorted(report) == ["key_fingerprint", "runs"]
+        assert sorted(report) == ["key_fingerprint", "runs", "vocab_size"]
+        assert report["vocab_size"] == 64
         (only,) = report["runs"]
         assert only["log10_p"] < -10
         assert only["n_scored"] > 0

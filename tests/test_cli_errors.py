@@ -115,6 +115,7 @@ def test_interrupted_run_writes_partial_report(tmp_path, corpus, endpoint, capsy
     assert code == EXIT_ERROR
     assert "authentication failed" in _one_error_line(capsys)
     report = json.loads((out / "report.json").read_text())
+    assert report["vocab_size"] == 8
     (run,) = report["runs"]
     assert run["inconclusive"] and run["n_scored"] == 0
     assert "authentication failed" in run["meta"]["error"]

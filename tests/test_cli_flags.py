@@ -8,9 +8,7 @@ exit code 1, one ``error:`` line and nothing written.
 The written files are compared without the manifest's ``command`` and
 ``created`` fields, and with the run's directories written as names.
 ``train --k`` acts only through its student-order warning on stderr, which
-counts as printed.  AK's scores read no vocabulary, so under ak ``detect
---vocab-size`` acts only as the bound of the key's tokens, which must cover
-the model's: those runs are given a bound below the model's, and refused.
+counts as printed.
 """
 
 import json
@@ -46,7 +44,6 @@ PLACES = {"--out", "--corpus", "--model", "--mode", "--spec", "--candidate", "--
 
 #: Each other flag's values, none the default: a run takes the first its
 #: command line does not give already (``None``: a flag without a value)
-#: or, for the flags of ``BOUNDS``, the value given there
 VALUES = {
     "--config": ["{in}/k3.cfg"], "--key": ["0x1234567"],
     "--scheme": ["ak", "mpac"], "--k": ["3"], "--gamma": ["0.5"], "--delta": ["1.0"],
@@ -56,8 +53,6 @@ VALUES = {
     "--budget": ["5"], "--filter": ["{in}/phi.bin"], "--no-dedup": [None],
     "--endpoint": ["http://127.0.0.1:9/"], "--credentials": ["TOKEN"], "--threads": ["4"],
 }
-#: (run, flag) -> the value of a flag that acts only as a bound in that run
-BOUNDS = {(f"detect_ak_{mode}", "--vocab-size"): "8" for mode in ("open", "closed")}
 
 
 def _options(command):
@@ -73,8 +68,7 @@ def _added(run):
     for flag in _options(argv[0]):
         if flag in PLACES or flag in argv and VALUES[flag] == [None]:
             continue  # a place, or a switch the run gives already
-        values = [v for v in VALUES[flag] if flag not in argv or v != argv[argv.index(flag) + 1]]
-        value = BOUNDS.get((run, flag), values[0])
+        value = next(v for v in VALUES[flag] if flag not in argv or v != argv[argv.index(flag) + 1])
         yield flag, [flag] + ([value] if value is not None else [])
 
 

@@ -149,7 +149,7 @@ class TestAgainstDictModel:
 
     def test_chunks_merge_into_the_same_counts(self, monkeypatch):
         monkeypatch.setattr(models, "_CHUNK_TOKENS", 97)
-        docs = zipf_markov_corpus(16, 40, 500, seed=4) + [[], [3], [5, 6]]
+        docs = zipf_markov_corpus(16, 40, 500, seed=4).tolist() + [[], [3], [5, 6]]
         model = train_ngram(docs, order=3, vocab_size=16)
         oracle = DictNGramModel(3, 16, 0.01)
         oracle.update(docs)
@@ -219,6 +219,14 @@ class TestMerge:
         assert np.array_equal(flat, before)
         _assert_same(model, oracle, _contexts(8, 3, self.DOCS + more, []), more)
 
+    @pytest.mark.parametrize("chunk", [97, 1 << 18])
+    def test_a_token_array_trains_as_its_lists(self, monkeypatch, chunk):
+        monkeypatch.setattr(models, "_CHUNK_TOKENS", chunk)
+        docs = zipf_markov_corpus(16, 40, 500, seed=4)
+        got, want = (train_ngram(form, order=3, vocab_size=16) for form in (docs, docs.tolist()))
+        assert all(np.array_equal(a, b) for a, b in zip(got._keys + got._counts,
+                                                         want._keys + want._counts))
+
     def test_training_peak_memory(self):
         """Traced peak of order-3 training on 2000 x 500 tokens at V = 128
         (39 MB; the merge by a stable argsort of the table and the chunk
@@ -282,10 +290,34 @@ class TestSource:
         (128, 3, 1000, 7, 1.15),
         (100, 6, 200, 12, 0.7),
         (50, 2, 300, 5, 2.5),
+        (300, 3, 500, 4, 1.15),
+        (1, 3, 20, 2, 1.15),
+        (16, 0, 10, 1, 1.15),
     ])
     def test_matches_per_token_loop(self, vocab, n_docs, doc_len, seed, zipf_a):
-        assert (zipf_markov_corpus(vocab, n_docs, doc_len, seed, zipf_a)
-                == loop_zipf_markov_corpus(vocab, n_docs, doc_len, seed, zipf_a))
+        docs = zipf_markov_corpus(vocab, n_docs, doc_len, seed, zipf_a)
+        assert docs.shape == (n_docs, doc_len)
+        assert docs.dtype == (np.uint16 if vocab > 256 else np.uint8)
+        assert docs.tolist() == loop_zipf_markov_corpus(vocab, n_docs, doc_len, seed, zipf_a)
+
+    def test_traced_memory(self):
+        """The source holds about a byte a token (a list per document took
+        9.2), and a teacher trained on it peaks near its model.
+        Each runs once untraced, so that what numpy allocates on its first
+        use is not counted."""
+        zipf_markov_corpus(128, 2, 10, 7)
+        models.make_teacher(16, source_tokens=2000)
+        tracemalloc.start()
+        try:
+            zipf_markov_corpus(128, 400, 1000, 7)
+            source = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            models.make_teacher(128)
+            teacher = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert source <= 3 * 400 * 1000, f"{source / 1e6:.2f} MB"
+        assert teacher <= 13e6, f"{teacher / 1e6:.2f} MB"
 
 
 class TestKeyWidth:
