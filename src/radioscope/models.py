@@ -7,25 +7,31 @@ watermarked and clean documents, standing in for a fine-tuned suspect.
 Backoff is "stupid": the longest context with observed counts wins, down
 to the unigram level.
 
-Storage is KenLM's sorted-array layout.  For each context length L = 0..n
-the model keeps the sorted unique int64 codes of the observed (L+1)-grams
-(base V, last token least significant, so a code is context * V + token)
-with their counts.  Derived from them are each level's sorted unique
-context codes and, indexed by one context id over all levels, each
-context's CSR row offsets into the token-id and count arrays, row total
-and greedy token.  Every lookup, for one context or every position of a
-corpus at once, codes a context as base-(V+1) digits ``token + 1``, 0
-where a token is missing, and gathers its context id from one table of
-the model (:meth:`NGramModel._context_ids`), made at the first lookup
-after training in the narrowest dtype that holds an id: 4.3 MB in about
-3 ms for an order-3 model at V = 128.  Levels whose table would exceed
+Storage is KenLM's sorted-array layout.  Training counts, for each
+context length L = 0..n, the sorted unique int64 codes of the observed
+(L+1)-grams (base V, last token least significant, so a code is context
+* V + token).  The model keeps each count once, in what its lookups read:
+each level's sorted unique context codes and, indexed by one context id
+over all levels, each context's CSR row offsets into one token-id and
+one count array, row total and greedy token.  Counts, offsets and totals
+are in the narrowest unsigned dtype that holds their largest value,
+token ids and greedy tokens in the one that holds V - 1.  Continued
+training and the checkpoint rebuild the level tables from them (an
+order-3 model of 1M tokens at V = 128 holds 8.2 MB).  Every lookup, for
+one context or every position of a corpus at once, codes a context as
+base-(V+1) digits ``token + 1``, 0 where a token is missing, and gathers
+its context id from one table of the model
+(:meth:`NGramModel._context_ids`), made at the first lookup after
+training in the narrowest dtype that holds an id: 4.3 MB in about 3 ms
+for an order-3 model at V = 128.  Levels whose table would exceed
 ``_RESERVE_BYTES`` are binary-searched.  What is read of the context
 found is read by its id.
 
 A checkpoint is the magic ``RSM2`` followed by one ``np.savez`` archive
 holding ``order``, ``vocab_size``, ``smoothing_lambda`` and, per level L,
 ``keys{L}`` and ``counts{L}``, each in the narrowest unsigned dtype that
-holds it.  It is read with ``allow_pickle=False``.
+holds it.  It is read with ``allow_pickle=False``, and its narrow arrays
+are indexed one level at a time.
 
 Generation samples through decode rows.  A state is the last
 ``max(order, k)`` tokens (``order`` without a watermark), coded as
@@ -123,9 +129,9 @@ class SamplingConfig:
 
 #: Tokens per ``np.unique`` pass in :meth:`NGramModel.update`.  Chunks bound
 #: the temporaries: order-3 training on the 2000 x 500 token array of
-#: :func:`zipf_markov_corpus` at V = 128, or on its lists, peaks at 36 MB
-#: (traced allocations, 27 MB of them the model) in chunks of this size
-#: and at 63 MB in a single pass.
+#: :func:`zipf_markov_corpus` at V = 128, or on its lists, peaks at 33 MB
+#: (traced allocations; the model then holds 8.2 MB) in chunks of this
+#: size and at 63 MB in a single pass.
 _CHUNK_TOKENS = 1 << 18
 
 
@@ -142,8 +148,9 @@ class NGramModel:
 
     ``order`` is the context length: an order-n model conditions on up to n
     previous tokens.  Counts are kept for every context length from 0 to
-    ``order`` so that unseen long contexts back off gracefully.  A
-    (context, token) code is an int64, so
+    ``order``, so that unseen long contexts back off gracefully, each
+    count once, in the narrow arrays the lookups read (:meth:`_index`).
+    A (context, token) code is an int64, so
     ``(order + 1) * ceil(log2(vocab_size))`` may not exceed 63.  Every
     context is found through one table, made at the first lookup
     (:meth:`_context_ids`); training drops it with the nucleus stores.
@@ -158,40 +165,49 @@ class NGramModel:
         self.order = order
         self.vocab_size = vocab_size
         self.smoothing_lambda = smoothing_lambda
-        # per context length L: sorted unique (L+1)-gram codes, their counts
-        self._keys = [np.empty(0, np.int64)] * (order + 1)
-        self._counts = list(self._keys)
-        self._index()
+        empty = np.empty(0, np.int64)
+        self._index([empty] * (order + 1), [empty] * (order + 1))
 
-    def _index(self) -> None:
-        """Each level's sorted context codes and first context id, and the
-        CSR rows of all levels by context id: offsets into the token ids and
-        counts, row totals and greedy tokens.  The per-level counts become
-        views of the flat counts, so the model holds one copy."""
+    def _index(self, keys: list, counts: list) -> None:
+        """Index the tables of each context length L: ``keys[L]``, its
+        sorted unique (L+1)-gram codes, and ``counts[L]``, their counts, of
+        any integer dtype.  The index is all the model keeps of its counts
+        (:meth:`_tables` rebuilds the tables): each level's sorted context
+        codes and first context id, and by context id the CSR offsets into
+        the token ids and counts, row totals and greedy tokens.  Counts,
+        offsets and totals take the narrowest unsigned dtype that holds
+        their largest value, token ids and greedy tokens the one that holds
+        V - 1.  It takes the tables over, one level at a time: it reads the
+        codes as int64 (in place if they are int64), forms totals and
+        greedy keys in int64 and drops the level from both lists."""
         v = self.vocab_size
         # nucleus stores (see _nucleus) and context table (see _context_ids)
         # of earlier counts are dropped
         self._stores, self._context_of = {}, None
-        lens = [len(keys) for keys in self._keys]
-        self._cnt = counts = np.concatenate(self._counts)
-        self._counts = np.split(counts, np.cumsum(lens)[:-1])
-        # token ids in the narrowest dtype that holds V - 1
-        self._tok = np.empty(len(counts), np.min_scalar_type(v - 1))
-        self._ctx, starts, greedy = [], [], []
-        for keys, level, before in zip(self._keys, self._counts, np.cumsum([0] + lens)):
-            tok = self._tok[before : before + len(keys)]
-            np.remainder(keys, v, out=tok, casting="unsafe")
-            ctx = keys // v
+        lens = [len(level) for level in keys]
+        n, top = sum(lens), max(int(level.max(initial=0)) for level in counts)
+        self._cnt = np.empty(n, np.min_scalar_type(top))
+        self._tok = np.empty(n, np.min_scalar_type(v - 1))
+        self._ctx, starts, totals, greedy = [], [], [], []
+        for length, end in enumerate(np.cumsum(lens)):
+            rows = slice(end - lens[length], end)
+            tok, cnt = self._tok[rows], self._cnt[rows]
+            cnt[:] = counts[length]
+            ctx = keys[length].astype(np.int64, copy=False)
+            keys[length] = counts[length] = None
+            np.remainder(ctx, v, out=tok, casting="unsafe")
+            ctx //= v
             first = np.flatnonzero(np.diff(ctx, prepend=-1))
             # a sentinel above every code keeps each search result in range
             self._ctx.append(np.append(ctx[first], np.iinfo(np.int64).max))
-            starts.append(first + before)
+            starts.append(first + rows.start)
             del ctx
-            # the row maximum of count * V + (V - 1 - token) is the highest
-            # count with the lowest token (exact while count * V + V - 1 <
-            # 2**63, which load_model checks);
-            # one level at a time, so no key array outgrows its level
-            best = level * v
+            # row totals, and the row maximum of count * V + (V - 1 - token),
+            # the highest count with the lowest token, in int64 (exact while
+            # count * V + V - 1 < 2**63, which load_model checks)
+            best = cnt.astype(np.int64)
+            totals.append(np.add.reduceat(best, first))
+            best *= v
             best += v - 1
             best -= tok
             greedy.append(v - 1 - np.maximum.reduceat(best, first) % v)
@@ -200,10 +216,24 @@ class NGramModel:
         # last level stands for the uniform row of an untrained model
         self._first = np.cumsum([0] + [len(level) for level in starts])
         # the uniform row is empty, with a total that divides harmlessly
-        self._off = np.concatenate(starts + [[len(counts)] * 2])
-        starts = self._off[:-2]
-        self._total = np.append(np.add.reduceat(counts, starts), 1)
-        self._greedy = np.concatenate(greedy + [[0]])
+        self._off = np.concatenate(starts + [[n] * 2]).astype(np.min_scalar_type(n))
+        total = np.concatenate(totals + [[1]])
+        self._total = total.astype(np.min_scalar_type(total.max()))
+        self._greedy = np.concatenate(greedy + [[0]], dtype=self._tok.dtype, casting="unsafe")
+
+    def _tables(self):
+        """The tables :meth:`_index` was given, rebuilt from the index as
+        int64 one level at a time: for each context length L, the sorted
+        unique (L+1)-gram codes (base V, last token least significant, so
+        context * V + token) and their counts."""
+        v = self.vocab_size
+        for length, ctx in enumerate(self._ctx):
+            off = self._off[self._first[length] : self._first[length + 1] + 1].astype(np.int64)
+            rows = slice(off[0], off[-1])
+            keys = np.repeat(ctx[:-1], np.diff(off))
+            keys *= v
+            keys += self._tok[rows]
+            yield keys, self._cnt[rows].astype(np.int64)
 
     def update(self, corpus) -> None:
         """Accumulate counts from an iterable of token-id documents, or
@@ -226,35 +256,15 @@ class NGramModel:
         depth = np.full(n, order, np.min_scalar_type(order))
         for j in range(order):
             depth[(np.cumsum(lens) - lens)[lens > j] + j] = j
+        keys, counts = map(list, zip(*self._tables()))
         for lo in range(0, n, _CHUNK_TOKENS):
             hi = min(lo + _CHUNK_TOKENS, n)
             code = np.zeros(hi - lo, np.int64)
             for length in range(order + 1):
                 code += flat[order + lo - length : order + hi - length] * np.int64(v**length)
-                self._add(length, code[depth[lo:hi] >= length])
+                _add(keys, counts, length, code[depth[lo:hi] >= length])
         del flat, depth
-        self._index()
-
-    def _add(self, length: int, codes: np.ndarray) -> None:
-        """Count ``codes`` into the sorted table of context length ``length``.
-        A code the table holds adds to its count; the others are written
-        between the table's codes, into one new array per field, so no
-        temporary outgrows the table."""
-        new, cnt = np.unique(codes, return_counts=True)
-        at = self._keys[length].searchsorted(new)
-        miss = at == len(self._keys[length])
-        miss[~miss] = self._keys[length][at[~miss]] != new[~miss]
-        if miss.any():
-            at += np.cumsum(miss) - miss  # each code's place among the merged ones
-            old = np.ones(len(self._keys[length]) + np.count_nonzero(miss), bool)
-            old[at[miss]] = False
-            for table, fill in ((self._keys, new[miss]), (self._counts, 0)):
-                merged = np.empty(len(old), np.int64)
-                merged[old], merged[at[miss]] = table[length], fill
-                table[length] = merged
-        elif self._counts[length].base is not None:  # a view of _cnt, which lookups read
-            self._counts[length] = self._counts[length].copy()
-        self._counts[length][at] += cnt
+        self._index(keys, counts)
 
     def _locate(self, tokens: np.ndarray, lens, doc: np.ndarray, pos: np.ndarray,
                 depth: int | None = None):
@@ -324,8 +334,9 @@ class NGramModel:
         each: the context's counts scattered over lambda, divided by
         total + lambda * V; the uniform row where no context is trained."""
         v, lam = self.vocab_size, self.smoothing_lambda
-        lo = self._off[ids]
-        width = self._off[ids + 1] - lo
+        # signed, as the row starts below go negative
+        lo, hi = (self._off[at].astype(np.intp) for at in (ids, ids + 1))
+        width = hi - lo
         # the index of every count of the rows, row after row
         at = np.repeat(lo - (np.cumsum(width) - width), width) + np.arange(width.sum())
         p = np.full((len(ids), v), lam)
@@ -375,6 +386,26 @@ def train_ngram(corpus, order: int, smoothing_lambda: float = 0.01,
     model = NGramModel(order, vocab_size, smoothing_lambda)
     model.update(corpus)
     return model
+
+
+def _add(keys: list, counts: list, length: int, codes: np.ndarray) -> None:
+    """Count ``codes`` into the int64 tables of context length ``length``,
+    ``keys[length]`` and ``counts[length]``.  A code the table holds adds
+    to its count; the others are written between the table's codes, into
+    one new array per field, so no temporary outgrows the table."""
+    new, cnt = np.unique(codes, return_counts=True)
+    at = keys[length].searchsorted(new)
+    miss = at == len(keys[length])
+    miss[~miss] = keys[length][at[~miss]] != new[~miss]
+    if miss.any():
+        at += np.cumsum(miss) - miss  # each code's place among the merged ones
+        old = np.ones(len(keys[length]) + np.count_nonzero(miss), bool)
+        old[at[miss]] = False
+        for table, fill in ((keys, new[miss]), (counts, 0)):
+            merged = np.empty(len(old), np.int64)
+            merged[old], merged[at[miss]] = table[length], fill
+            table[length] = merged
+    counts[length][at] += cnt
 
 
 def _kept_sums(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -900,12 +931,10 @@ _MODEL_MAGIC = b"RSM2"
 
 def save_model(model: NGramModel, path) -> None:
     """Checkpoint: the magic ``RSM2``, then one ``np.savez`` archive."""
-    levels = {}
-    for length in range(model.order + 1):
-        for name, values in (("keys", model._keys), ("counts", model._counts)):
-            # the narrowest unsigned dtype that holds the level's values
-            narrow = np.min_scalar_type(int(values[length].max(initial=0)))
-            levels[f"{name}{length}"] = values[length].astype(narrow)
+    # each level's values in the narrowest unsigned dtype that holds them
+    levels = {f"{name}{length}": values.astype(np.min_scalar_type(int(values.max(initial=0))))
+              for length, tables in enumerate(model._tables())
+              for name, values in zip(("keys", "counts"), tables)}
     with open(path, "wb") as f:
         f.write(_MODEL_MAGIC)
         np.savez(f, order=model.order, vocab_size=model.vocab_size,
@@ -931,18 +960,18 @@ def load_model(path) -> NGramModel:
             with np.load(f, allow_pickle=False) as z:
                 model = NGramModel(int(z["order"]), int(z["vocab_size"]),
                                    float(z["smoothing_lambda"]))
-                levels = [(z[f"keys{n}"], z[f"counts{n}"])
-                          for n in range(model.order + 1)]
+                keys, counts = ([z[f"{name}{n}"] for n in range(model.order + 1)]
+                                for name in ("keys", "counts"))
         except (zipfile.BadZipFile, KeyError) as exc:
             raise ValueError(f"corrupt model checkpoint {path}: {exc}") from exc
     v = model.vocab_size
-    for n, (keys, counts) in enumerate(levels):
-        if not (keys.dtype.kind == counts.dtype.kind == "u" and keys.ndim == 1
-                and keys.shape == counts.shape and (counts > 0).all()
-                and int(counts.max(initial=0)) * v + v - 1 < 2**63
-                and (keys[1:] > keys[:-1]).all()
-                and (keys < v ** (n + 1)).all()):
+    for n, (level, count) in enumerate(zip(keys, counts)):
+        if not (level.dtype.kind == count.dtype.kind == "u" and level.ndim == 1
+                and level.shape == count.shape and (count > 0).all()
+                and int(count.max(initial=0)) * v + v - 1 < 2**63
+                and (level[1:] > level[:-1]).all()
+                and (level < v ** (n + 1)).all()):
             raise ValueError(f"corrupt model checkpoint {path}: level {n}")
-        model._keys[n], model._counts[n] = keys.astype(np.int64), counts.astype(np.int64)
-    model._index()
+    del level, count  # _index drops each level once read
+    model._index(keys, counts)
     return model

@@ -2,9 +2,10 @@
 storage of ``NucleusRows``, ``_WatermarkRows`` and the model's counts and
 context table.  It states each storage invariant once and gives the hooks
 tests need (forcing the dict store or searched levels, counting row builds,
-reading watermark rows, searching every level, copying a model into the
-loop oracles' twin).  Every other test compares behaviour, so a change of
-layout edits this module, not the tests."""
+reading watermark rows, searching every level, rebuilding a model's
+count tables and copying them into the loop oracles' twin).  Every other
+test compares behaviour, so a change of layout edits this module, not the
+tests."""
 
 import contextlib
 import tracemalloc
@@ -48,13 +49,39 @@ def greedy(model, ids: np.ndarray) -> np.ndarray:
     return model._greedy[ids]
 
 
+def tables(model) -> list:
+    """The model's counts as sorted int64 tables, rebuilt from its index:
+    per context length L, the (L+1)-gram codes (base V, last token least
+    significant) and their counts."""
+    return list(model._tables())
+
+
+#: What an indexed model keeps of its counts: the arrays its lookups read
+INDEX = {"_ctx", "_off", "_tok", "_cnt", "_total", "_greedy", "_first"}
+
+
+def assert_holds_only_the_index(model) -> None:
+    """An indexed model keeps its counts once, in the arrays its lookups
+    read, beside its context table: no per-level table.  Counts, offsets
+    and row totals are in the narrowest dtype that holds their largest
+    value, token ids and greedy tokens in the one that holds V - 1."""
+    held = {name for name, value in vars(model).items()
+            if isinstance(value, np.ndarray)
+            or isinstance(value, list) and any(isinstance(a, np.ndarray) for a in value)}
+    assert held - {"_context_of"} == INDEX
+    for array, top in ((model._cnt, model._cnt.max(initial=0)), (model._off, len(model._cnt)),
+                       (model._total, model._total.max())):
+        assert array.dtype == np.min_scalar_type(top)
+    assert model._tok.dtype == model._greedy.dtype == np.min_scalar_type(model.vocab_size - 1)
+
+
 def twin(model) -> DictNGramModel:
     """A ``DictNGramModel`` holding the model's counts, read from its sorted
     (context, token) codes level by level: no lookup of the model runs, so
     the loop oracles fed this twin share none with the code they check."""
     v = model.vocab_size
     copy = DictNGramModel(model.order, v, model.smoothing_lambda)
-    for length, (keys, counts) in enumerate(zip(model._keys, model._counts)):
+    for length, (keys, counts) in enumerate(tables(model)):
         level = copy.counts[length]
         for code, count in zip(keys.tolist(), counts.tolist()):
             # base V, last token least significant: the oldest token first

@@ -177,8 +177,8 @@ def _merged_in_chunks(model, oracle, batches, chunk, monkeypatch):
     for batch in batches:
         model.update(batch)
         oracle.update(batch)
-    for (keys, counts), (want_keys, want_counts) in zip(
-            zip(model._keys, model._counts), _oracle_tables(oracle)):
+    for (keys, counts), (want_keys, want_counts) in zip(contract.tables(model),
+                                                        _oracle_tables(oracle)):
         assert np.array_equal(keys, want_keys) and np.array_equal(counts, want_counts)
 
 
@@ -206,17 +206,18 @@ class TestMerge:
 
     @pytest.mark.parametrize("more", [DOCS, [[7, 6, 5, 0, 1, 2, 3]]], ids=["hits", "misses"])
     def test_update_of_a_loaded_model(self, tmp_path, monkeypatch, more):
-        """A loaded model's counts are views of its flat counts, which its
-        lookups read: an update merges into new arrays, and the model
-        answers as one trained on both batches."""
+        """A loaded model holds no level tables beside the flat counts its
+        lookups read: an update merges into tables rebuilt from them, and
+        the model answers as one trained on both batches."""
         save_model(train_ngram(self.DOCS, order=3, vocab_size=8), tmp_path / "m.bin")
         model = load_model(tmp_path / "m.bin")
-        assert all(level.base is model._cnt for level in model._counts)
+        contract.assert_holds_only_the_index(model)
         flat, before = model._cnt, model._cnt.copy()
         oracle = DictNGramModel(3, 8)
         oracle.update(self.DOCS)
         _merged_in_chunks(model, oracle, [more], 2, monkeypatch)
         assert np.array_equal(flat, before)
+        contract.assert_holds_only_the_index(model)
         _assert_same(model, oracle, _contexts(8, 3, self.DOCS + more, []), more)
 
     @pytest.mark.parametrize("chunk", [97, 1 << 18])
@@ -224,12 +225,12 @@ class TestMerge:
         monkeypatch.setattr(models, "_CHUNK_TOKENS", chunk)
         docs = zipf_markov_corpus(16, 40, 500, seed=4)
         got, want = (train_ngram(form, order=3, vocab_size=16) for form in (docs, docs.tolist()))
-        assert all(np.array_equal(a, b) for a, b in zip(got._keys + got._counts,
-                                                         want._keys + want._counts))
+        for a, b in zip(contract.tables(got), contract.tables(want)):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_training_peak_memory(self):
         """Traced peak of order-3 training on 2000 x 500 tokens at V = 128
-        (39 MB; the merge by a stable argsort of the table and the chunk
+        (33 MB; the merge by a stable argsort of the table and the chunk
         peaked at 65 MB): the temporaries scale with the model plus one
         chunk."""
         docs = zipf_markov_corpus(128, 2000, 500, seed=3)
@@ -240,6 +241,31 @@ class TestMerge:
         finally:
             tracemalloc.stop()
         assert peak < 50e6, f"{peak / 1e6:.1f} MB"
+
+    def test_model_and_load_memory(self, tmp_path):
+        """The order-3 model of 2000 x 500 tokens at V = 128 keeps its counts
+        once, in narrow arrays: it holds 8.2 MB of traced memory (26.7 MB
+        with int64 level tables beside its index), and loading its
+        checkpoint peaks at 22.9 MB (39.7 MB while the loader made int64
+        copies of every level)."""
+        docs = zipf_markov_corpus(128, 2000, 500, seed=3)
+        tracemalloc.start()
+        try:
+            model = train_ngram(docs, order=3, vocab_size=128)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        contract.assert_holds_only_the_index(model)
+        save_model(model, tmp_path / "m.bin")
+        del model
+        tracemalloc.start()
+        try:
+            contract.assert_holds_only_the_index(load_model(tmp_path / "m.bin"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 9e6, f"{held / 1e6:.2f} MB"
+        assert peak <= 30e6, f"{peak / 1e6:.2f} MB"
 
 
 class TestWholeCorpus:
@@ -318,6 +344,72 @@ class TestSource:
             tracemalloc.stop()
         assert source <= 3 * 400 * 1000, f"{source / 1e6:.2f} MB"
         assert teacher <= 13e6, f"{teacher / 1e6:.2f} MB"
+
+
+class TestWideDtypes:
+    """Models whose codes or counts need 64 bits answer as their dict twin,
+    loaded and trained further too: the index's offsets, row totals and
+    greedy keys are formed as signed 64-bit numbers, whatever the narrow
+    dtypes they are read from."""
+
+    def _round_trip(self, model, oracle, path, contexts, docs, more):
+        _compare(model, oracle, contexts, docs)
+        save_model(model, path)
+        loaded = load_model(path)
+        _compare(loaded, oracle, contexts, docs)
+        save_model(loaded, path.with_suffix(".again"))
+        assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+        loaded.update(more)
+        oracle.update(more)
+        _compare(loaded, oracle, contexts, docs + more)
+        return loaded
+
+    def test_level_codes_of_the_widest_vocabulary(self, tmp_path):
+        """At V = 2**15 the codes of levels 2 and 3 are stored as uint64, a
+        greedy key count * V + V - 1 - token outgrows the counts' uint8,
+        and the update lifts a count past 255."""
+        v = 2**15
+        rng = np.random.default_rng(2)
+        docs = (v - 1 - rng.integers(0, 6, size=(20, 40))).tolist() + [[0, v - 1, 1, v - 2]]
+        more = [[v - 1] * 300, [0, 1, 0, 1, v - 3]]
+        model, oracle = train_ngram(docs, 3, 0.01, v), DictNGramModel(3, v, 0.01)
+        oracle.update(docs)
+        known = _contexts(v, 3, docs + more, [])
+        # every 25th of them: each compares a V-wide distribution
+        contexts = known[::25] + [(v - 1,) * 3, (0, v - 1, 1), (5, 6, 7)]
+        # two short documents: the twin keeps a V-wide row per context read
+        self._round_trip(model, oracle, tmp_path / "m.bin", contexts, [docs[0], docs[-1]], more)
+        with open(tmp_path / "m.bin", "rb") as f:
+            f.read(4)
+            with np.load(f, allow_pickle=False) as z:
+                assert [z[f"keys{n}"].dtype for n in range(4)] == [
+                    np.uint16, np.uint32, np.uint64, np.uint64]
+
+    def test_counts_stored_as_uint64(self, tmp_path):
+        """Counts c and c + 1 with c = 5 * 2**57: their greedy keys differ
+        below float64's resolution, so a key promoted to float would tie
+        and read token 2, and their row total needs 63 bits."""
+        c = 5 * 2**57
+        model = train_ngram([[1, 2], [1, 3]], order=1, vocab_size=8)
+        save_model(model, tmp_path / "m.bin")
+        with open(tmp_path / "m.bin", "rb") as f:
+            f.read(4)
+            with np.load(f, allow_pickle=False) as z:
+                fields = {name: z[name] for name in z.files}
+        with open(tmp_path / "wide.bin", "wb") as f:
+            f.write(b"RSM2")
+            np.savez(f, **fields | {"counts1": np.array([c, c + 1], np.uint64)})
+        oracle = DictNGramModel(1, 8)
+        oracle.update([[1, 2], [1, 3]])
+        oracle.counts[1][(1,)] = {2: c, 3: c + 1}
+        loaded = load_model(tmp_path / "wide.bin")
+        assert loaded.next_greedy([1]) == 3
+        contexts = _contexts(8, 1, [], [])
+        docs = [[1, 2, 1, 3], [0, 1, 2]]
+        # one more (1, 2) ties the counts: the lower token wins
+        again = self._round_trip(loaded, oracle, tmp_path / "again.bin", contexts, docs,
+                                 [[1, 2]])
+        assert again.next_greedy([1]) == 2
 
 
 class TestKeyWidth:
