@@ -7,17 +7,17 @@ document in open mode).  Of the remaining tuples, only the first of each
 distinct (window seed, token) pair is scored: two tuples with the same
 seed and token would repeat the same score increment.  Detection builds
 one candidate table (``CANDIDATE`` rows) with :func:`candidate_table`,
-which marks the blocked rows, and :func:`canonical_dedup` drops them and
-the repeats.  The filter restricts closed-mode scoring to windows likely
-present in the suspect's training data.
+which needs no key and marks the blocked rows; once a key seeds the rows,
+:func:`canonical_dedup` drops them and the repeats.  The filter restricts
+closed-mode scoring to windows likely present in the suspect's training
+data.
 
 Both functions sort one int64 key per row rather than structured fields.
 :func:`_row_ids` gives each row of a few integer columns (a window's
-tokens; a (seed, token) pair; a (doc, pos) pair) one int64 id that is equal
-for equal rows and ascends as the rows do.  Its ids stay below ``2**63 / n``
-for ``n`` rows, so ``id * n + row`` is a distinct int64 per row and one
-unstable ``np.sort`` of it orders the rows by id and, within an id, by row.
-Admission therefore does not depend on the order of the input rows.
+tokens; a (seed, token) pair) one int64 id that is equal for equal rows
+and ascends as the rows do.  Its ids stay below ``2**63 / n`` for ``n``
+rows, so ``id * n + row`` is a distinct int64 per row and one unstable
+``np.sort`` of it orders the rows by id and, within an id, by row.
 """
 
 from __future__ import annotations
@@ -41,18 +41,17 @@ CLOSED = "closed"
 OPEN = "open"
 
 #: One row per scorable position: its document and position, the seed of
-#: the window before it, the token scored against that window, and whether
-#: the window already sits in the scoring context.  Aligned (40 bytes a
-#: row), so each field is read through an aligned view.  Rows are selected
-#: with ``take`` and ``compress``, which copy whole rows: indexing copies a
-#: structured array field by field (0.95 ms against 0.10 ms for ``take`` of
-#: 90 % of a 26,190-row table) and leaves the padding bytes unset.
+#: the window before it (0 until a key seeds it), the token scored against
+#: that window, whether the window already sits in the scoring context, and
+#: the window's row among the run's distinct windows.  Aligned (40 bytes a
+#: row, ``window`` in ``blocked``'s padding), so each field is read through
+#: an aligned view.  Rows are copied whole, by ``take``, ``compress`` or a
+#: byte view: indexing or ``copy`` goes field by field (0.95 ms against 0.10
+#: ms for ``take`` of 90 % of a 26,190-row table, 0.77 against 0.07 ms for a
+#: byte copy of all of it), and indexing leaves the padding bytes unset.
 CANDIDATE = np.dtype([("doc", np.int64), ("pos", np.int64), ("seed", np.uint64),
-                      ("token", np.int64), ("blocked", np.bool_)], align=True)
-
-
-class InputIntegrityError(ValueError):
-    """Duplicate ordering keys in a candidate table."""
+                      ("token", np.int64), ("blocked", np.bool_), ("window", np.int32)],
+                     align=True)
 
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -213,45 +212,32 @@ def load_filter(path) -> FilterSet:
 
 
 def canonical_dedup(cands: np.ndarray) -> np.ndarray:
-    """Admitted rows of a ``CANDIDATE`` table, in (doc, pos) order.
+    """Admitted rows of a ``CANDIDATE`` table, in the (doc, pos) order in
+    which :func:`candidate_table` builds it.
 
-    Rows may come in any order (e.g. from parallel shards); admission
-    happens in (doc, pos) order, so the admitted set does not depend on
-    how the collection was split.  Blocked rows are dropped, and of the
-    rest the first row of each distinct (seed, token) pair is admitted.
-    A repeated (doc, pos) raises :class:`InputIntegrityError`.
-
-    Rows are put in (doc, pos) order by a stable argsort of one int64 id
-    per (doc, pos), which takes one linear pass over a table that is in
-    that order already, as detection builds them.  The pairs are found by
-    one sort of ``pair_id * m + row`` over the ``m`` eligible rows, where
+    Blocked rows are dropped, and of the rest the first row of each
+    distinct (seed, token) pair is admitted.  The pairs are found by one
+    sort of ``pair_id * m + row`` over the ``m`` eligible rows, where
     ``pair_id`` is the (seed, token) pair's :func:`_row_ids` id: the seeds,
     which span up to ``2**64`` values, enter it by their dense rank, so no
     key can overflow.
     """
-    ids = _row_ids([cands["doc"], cands["pos"]])
-    ordered = np.argsort(ids, kind="stable")
-    ids = ids[ordered]
-    repeated = np.flatnonzero(ids[1:] == ids[:-1])
-    if len(repeated):
-        row = cands[ordered[repeated[0]]]
-        raise InputIntegrityError(
-            f"duplicate ordering key {(int(row['doc']), int(row['pos']))}")
-    eligible = ordered[~cands["blocked"][ordered]]
+    eligible = np.flatnonzero(~cands["blocked"])
     order, head = _runs(_row_ids([cands["seed"][eligible], cands["token"][eligible]]))
     return cands.take(eligible[np.sort(order[head])])
 
 
-def candidate_table(tokens, lens, context_lens, k: int, key: SecretKey,
-                    open_mode: bool) -> np.ndarray:
-    """One ``CANDIDATE`` row per position of each document after a full window.
+def candidate_table(tokens, lens, context_lens, k: int,
+                    open_mode: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One ``CANDIDATE`` row per position of each document after a full
+    window, in (doc, pos) order, and the run's ``(m, k)`` distinct windows.
 
     ``tokens`` are the documents joined into one int64 array and ``lens``
-    their lengths.  ``token`` is the document's own next token and ``seed``
-    is the window's hash under ``key``, computed once per distinct window
-    of the run, for all of them at once.  A row is blocked when its window
-    occurs within the first ``context_lens[d]`` tokens of document ``d``
-    and, in open mode, also when it occurs at any earlier start.
+    their lengths.  ``token`` is the document's own next token and
+    ``window`` the row of its window among the distinct ones; ``seed`` is
+    left 0.  A row is blocked when its window occurs within the first
+    ``context_lens[d]`` tokens of document ``d`` and, in open mode, also
+    when it occurs at any earlier start.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
@@ -259,16 +245,14 @@ def candidate_table(tokens, lens, context_lens, k: int, key: SecretKey,
     n = int(counts.sum())
     cands = np.zeros(n, dtype=CANDIDATE)
     if not n:
-        return cands
+        return cands, np.zeros((0, k), np.int64)
     doc = np.repeat(np.arange(len(lens)), counts)
     start = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
     at = start + np.repeat(np.cumsum(lens) - lens, counts)  # in the joined tokens
     order, head = _runs(_row_ids([tokens[at + j] for j in range(k)]))
-    # rows ascend by document and then by start, so in (window, row) order a
-    # window's first row is the one hashed, and the first row of each
-    # document in the window's run is the window's first start there
-    first = order[head]
-    seeds = window_hashes(tokens[at[first, None] + np.arange(k)], key)
+    # rows ascend by document and then by start, so in (window, row) order
+    # the first row of each document in the window's run is the window's
+    # first start there
     in_doc = doc[order]
     pair_head = head.copy()
     pair_head[1:] |= in_doc[1:] != in_doc[:-1]
@@ -277,6 +261,6 @@ def candidate_table(tokens, lens, context_lens, k: int, key: SecretKey,
     if open_mode:
         limit = np.maximum(limit, start)
     cands["doc"], cands["pos"], cands["token"] = doc, start + k, tokens[at + k]
-    cands["seed"][order] = seeds[np.cumsum(head) - 1]
+    cands["window"][order] = np.cumsum(head) - 1
     cands["blocked"][order] = first_start < limit[order]
-    return cands
+    return cands, tokens[at[order[head], None] + np.arange(k)]

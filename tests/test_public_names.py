@@ -18,8 +18,8 @@ def test_all_names_unique():
 #: Every export, so that an added or dropped name shows in the diff.
 PUBLIC = [
     "AK", "AuthError", "CANDIDATE", "CLOSED", "CapabilityError", "ConfigError",
-    "DetectionInterrupted", "DetectionReport", "FilterSet", "InputIntegrityError",
-    "KGW", "MPAC", "NGramModel", "OPEN", "ProtocolError", "RemoteError",
+    "DetectionInterrupted", "DetectionReport", "FilterSet", "KGW",
+    "MPAC", "NGramModel", "OPEN", "ProtocolError", "RemoteError",
     "RemoteModel", "SamplingConfig", "SecretKey", "StatError", "TextSampler",
     "TransportError", "WatermarkConfig", "build_filter",
     "canonical_dedup", "contaminated_student",
