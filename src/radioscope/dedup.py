@@ -4,17 +4,16 @@ Two rules make the scored increments i.i.d. under the null.  A tuple is
 skipped whenever its exact window already occurs in the scoring context
 (the prompt in closed mode; the prompt or any earlier start of the same
 document in open mode).  Of the remaining tuples, only the first of each
-distinct (window seed, token) pair is scored: two tuples with the same
-seed and token would repeat the same score increment.  Detection builds
-one candidate table (``CANDIDATE`` rows) with :func:`candidate_table`,
-which needs no key and marks the blocked rows; once a key seeds the rows,
-:func:`canonical_dedup` drops them and the repeats.  The filter restricts
-closed-mode scoring to windows likely present in the suspect's training
-data.
+distinct (window, token) pair is scored: a second would repeat the same
+score increment under every key.  :func:`candidate_table` builds one
+table of ``CANDIDATE`` rows and marks the blocked ones, and
+:func:`canonical_dedup` drops them and the repeats; neither reads a key.
+The filter restricts closed-mode scoring to windows likely present in
+the suspect's training data.
 
 Both functions sort one int64 key per row rather than structured fields.
 :func:`_row_ids` gives each row of a few integer columns (a window's
-tokens; a (seed, token) pair) one int64 id that is equal for equal rows
+tokens; a (window, token) pair) one int64 id that is equal for equal rows
 and ascends as the rows do.  Its ids stay below ``2**63 / n`` for ``n``
 rows, so ``id * n + row`` is a distinct int64 per row and one unstable
 ``np.sort`` of it orders the rows by id and, within an id, by row.
@@ -40,18 +39,15 @@ FILTER_KEY = SecretKey(0x100000001B3)
 CLOSED = "closed"
 OPEN = "open"
 
-#: One row per scorable position: its document and position, the seed of
-#: the window before it (0 until a key seeds it), the token scored against
-#: that window, whether the window already sits in the scoring context, and
-#: the window's row among the run's distinct windows.  Aligned (40 bytes a
-#: row, ``window`` in ``blocked``'s padding), so each field is read through
-#: an aligned view.  Rows are copied whole, by ``take``, ``compress`` or a
-#: byte view: indexing or ``copy`` goes field by field (0.95 ms against 0.10
-#: ms for ``take`` of 90 % of a 26,190-row table, 0.77 against 0.07 ms for a
-#: byte copy of all of it), and indexing leaves the padding bytes unset.
-CANDIDATE = np.dtype([("doc", np.int64), ("pos", np.int64), ("seed", np.uint64),
-                      ("token", np.int64), ("blocked", np.bool_), ("window", np.int32)],
-                     align=True)
+#: One row per scorable position: its document and position, the token
+#: scored against the window before it, whether that window already sits in
+#: the scoring context, and the window's row among the run's distinct
+#: windows.  Aligned (32 bytes a row, ``window`` in ``blocked``'s padding),
+#: so each field is read through an aligned view.  Rows are copied whole, by
+#: ``take`` or ``compress``: indexing goes field by field (0.95 ms against
+#: 0.10 ms for ``take`` of 90 % of a 26,190-row table of 40-byte rows).
+CANDIDATE = np.dtype([("doc", np.int64), ("pos", np.int64), ("token", np.int64),
+                      ("blocked", np.bool_), ("window", np.int32)], align=True)
 
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -216,14 +212,13 @@ def canonical_dedup(cands: np.ndarray) -> np.ndarray:
     which :func:`candidate_table` builds it.
 
     Blocked rows are dropped, and of the rest the first row of each
-    distinct (seed, token) pair is admitted.  The pairs are found by one
+    distinct (window, token) pair is admitted.  The pairs are found by one
     sort of ``pair_id * m + row`` over the ``m`` eligible rows, where
-    ``pair_id`` is the (seed, token) pair's :func:`_row_ids` id: the seeds,
-    which span up to ``2**64`` values, enter it by their dense rank, so no
-    key can overflow.
+    ``pair_id`` is the (window, token) pair's :func:`_row_ids` id; window
+    ids are below ``2**31``, so no key can overflow.
     """
     eligible = np.flatnonzero(~cands["blocked"])
-    order, head = _runs(_row_ids([cands["seed"][eligible], cands["token"][eligible]]))
+    order, head = _runs(_row_ids([cands["window"][eligible], cands["token"][eligible]]))
     return cands.take(eligible[np.sort(order[head])])
 
 
@@ -234,10 +229,9 @@ def candidate_table(tokens, lens, context_lens, k: int,
 
     ``tokens`` are the documents joined into one int64 array and ``lens``
     their lengths.  ``token`` is the document's own next token and
-    ``window`` the row of its window among the distinct ones; ``seed`` is
-    left 0.  A row is blocked when its window occurs within the first
-    ``context_lens[d]`` tokens of document ``d`` and, in open mode, also
-    when it occurs at any earlier start.
+    ``window`` the row of its window among the distinct ones.  A row is
+    blocked when its window occurs within the first ``context_lens[d]``
+    tokens of document ``d`` and, in open mode, at any earlier start.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)

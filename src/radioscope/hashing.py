@@ -134,12 +134,13 @@ class SecretKey:
     ``s = 0`` and ``s = 2**64 - 1`` (0 modulo ``HASH_MOD``) would hash every
     window to its last token, so both are rejected at construction.  Some
     accepted keys are still weak: ``s = 1`` hashes a window to the sum of
-    its tokens, ignoring their order, and ``s = 2**64 - 2`` (-1 modulo
-    ``HASH_MOD``) to their alternating sum.  Colliding windows share a seed
-    and weaken the watermark.  De-duplication admits each (seed, token)
-    pair once, whatever the windows behind it.  That p-values stay valid
-    under such keys is not shown: tokens scored under one shared seed have
-    dependent green indicators (hypergeometric, not binomial).
+    its tokens, ignoring their order, ``s = 2**64 - 2`` (-1 modulo
+    ``HASH_MOD``) to their alternating sum, and ``s = 2`` merges (a, b)
+    with (a + 1, b - 2).  Detection refuses a key that hashes two windows
+    of its text to one seed; generation still takes it.  No key moves the
+    seed of a window whose first k - 1 tokens are 0: the recurrence starts
+    at ``h = 0``, so (0, ..., 0, b) hashes to b under every key, and across
+    many keys on one text such rows shift the mean z-score under H0.
     """
 
     s: int
@@ -206,6 +207,8 @@ def window_hashes(windows, key: SecretKey) -> np.ndarray:
     maps token x to that seed, ``x * s**j``, and a window sums one entry
     per table; wider tokens run the recurrence.  A sum of ``2**64 - 1``, the
     other form of 0, is mapped to 0: both give :func:`window_hash`'s seeds.
+    Table 0 does not depend on the key, so a window whose other tokens are
+    all 0 hashes to its last token under every key.
     """
     windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] == 0:

@@ -3,10 +3,10 @@
 Closed mode prompts the suspect and scores the resulting text; open mode
 forwards watermarked text through the suspect and scores its greedy
 next-token predictions.  Both make a readout that needs no key
-(:func:`~radioscope.dedup.candidate_table`).  One scorer,
-:func:`_finish_report`, hashes its windows under the key, admits rows with
-:func:`~radioscope.dedup.canonical_dedup`, scores them and converts the
-cumulative score into an exact p-value.
+(:func:`~radioscope.dedup.candidate_table`) and admit its rows once with
+:func:`~radioscope.dedup.canonical_dedup`, which needs none either.  One
+scorer, :func:`_finish_report`, seeds the admitted rows under the key,
+scores them and converts the cumulative score into an exact p-value.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .dedup import CANDIDATE, CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
+from .dedup import CLOSED, OPEN, FilterSet, canonical_dedup, candidate_table
 from .hashing import (ConfigError, SecretKey, at_least, check_rules, check_value,
                       derive_run_key, token_ids, window_hashes)
 from .models import (
@@ -92,22 +92,33 @@ def _check_run(cfg: WatermarkConfig, budget: int) -> None:
     check_rules(DETECTION_RULES, {"budget": budget})
 
 
-def _admit(cands, windows, key: SecretKey, dedup: bool = True) -> np.ndarray:
-    """The readout's rows that ``key`` admits, or all of them without ``dedup``,
-    copied with each row's window seed; each window is hashed once."""
-    rows = cands.view(np.uint8).copy().view(CANDIDATE)  # whole rows, as ``CANDIDATE`` says
-    rows["seed"] = window_hashes(windows, key)[cands["window"]]
-    return canonical_dedup(rows) if dedup else rows
+def _seeds(windows, key: SecretKey) -> np.ndarray:
+    """The seed of each of a run's distinct windows under ``key``;
+    ConfigError, naming no key, if two windows get one seed.
+
+    Rows are admitted by (window, token) and scored by (seed, token).  With
+    seeds one-to-one on the windows, ``(w, t) -> (seed(w), t)`` is one-to-one
+    on the rows' pairs, so two rows share a (window, token) pair exactly
+    when they share a (seed, token) pair: the first row of each pair is the
+    same row, and every run not refused here admits and scores the rows
+    that admission by (seed, token) would, to the same bytes.
+    """
+    seeds = window_hashes(windows, key)
+    if (np.diff(np.sort(seeds)) == 0).any():
+        raise ConfigError("the key hashes two windows of this text to one seed, so "
+                          "their tuples would repeat one score; choose another key")
+    return seeds
 
 
-def _finish_report(cands, windows, dedup, budget, cfg, mode, phi_stats) -> DetectionReport:
-    """Score a readout (rows, their windows, filter stats) under ``cfg``'s key."""
+def _finish_report(rows, n_candidates, windows, dedup, budget, cfg, mode, phi_stats):
+    """Score a readout's admitted rows (all rows without ``dedup``), of
+    ``n_candidates`` candidates over the run's distinct ``windows``."""
     if not dedup:
         warnings.warn("de-duplication disabled: p-values are NOT valid and will "
                       "collapse on watermarked text", stacklevel=3)
-    admitted = _admit(cands, windows, cfg.key, dedup)[:budget]
-    score = float(score_batch(admitted["seed"], admitted["token"], cfg).sum())
-    n = len(admitted)
+    rows = rows[:budget]
+    score = float(score_batch(_seeds(windows, cfg.key)[rows["window"]], rows["token"], cfg).sum())
+    n = len(rows)
     p, log10_p = pvalue_for(score, n, cfg)
     return DetectionReport(
         scheme=cfg.scheme,
@@ -119,7 +130,7 @@ def _finish_report(cands, windows, dedup, budget, cfg, mode, phi_stats) -> Detec
         inconclusive=(n == 0),
         dedup_applied=dedup,
         filter_stats=phi_stats,
-        dedup_stats=(len(cands), n),
+        dedup_stats=(n_candidates, n),
         meta={"budget": budget},
     )
 
@@ -163,7 +174,8 @@ def detect_closed(suspect, prompts, key_cfg: WatermarkConfig,
         hits = phi.hits(windows)[cands["window"]]
         phi_stats = (len(phi), int(hits.sum()) / max(len(hits), 1))
         cands = cands.compress(hits)
-    return _finish_report(cands, windows, dedup, budget, key_cfg, CLOSED, phi_stats)
+    rows = canonical_dedup(cands) if dedup else cands
+    return _finish_report(rows, len(cands), windows, dedup, budget, key_cfg, CLOSED, phi_stats)
 
 
 def _complete(suspect, prompts, sampling: SamplingConfig, key_cfg) -> list[list[int]]:
@@ -200,7 +212,8 @@ def detect_open(suspect, wm_texts, key_cfg: WatermarkConfig,
     _check_key_vocab(key_cfg, suspect)
     tokens, lens, cands, windows = _read_open(wm_texts, key_cfg)
     cands["token"] = suspect.greedy_at(tokens, lens, cands["doc"], cands["pos"])
-    return _finish_report(cands, windows, dedup, budget, key_cfg, OPEN, None)
+    rows = canonical_dedup(cands) if dedup else cands
+    return _finish_report(rows, len(cands), windows, dedup, budget, key_cfg, OPEN, None)
 
 
 def _read_open(docs, cfg: WatermarkConfig):
@@ -237,8 +250,8 @@ def mpac_extract(docs, cfg: WatermarkConfig, reference: str | None = None):
         isinstance(v, str) and len(v) == len(message) and set(v) <= {"0", "1"})
         or f"be {len(message)} bits, each 0 or 1, as the message is", cfg.message)
     _, _, cands, windows = _read_open(docs, cfg)
-    admitted = _admit(cands, windows, cfg.key)
-    return mpac_vote(admitted["seed"], admitted["token"], cfg, reference)
+    rows = canonical_dedup(cands)
+    return mpac_vote(_seeds(windows, cfg.key)[rows["window"]], rows["token"], cfg, reference)
 
 
 def mia_detect(suspect: NGramModel, candidate_set, fresh_set):

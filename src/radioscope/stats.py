@@ -1,4 +1,4 @@
-"""Exact log p-values for watermark scores, Fisher combination, and K-S test.
+"""Exact log p-values for watermark scores, and the two-sample K-S test.
 
 The binomial tail (greenlist scheme) goes through the regularized
 incomplete beta function, the exponential-score tail through the
@@ -149,18 +149,6 @@ def log_gamma_pvalue(score: float, n: int) -> float:
         p = _gamma_series_p(a, score)
         return math.log1p(-p) if p < 1.0 else -math.inf
     return _gamma_cf_log_q(a, score)
-
-
-def log_fisher_combine_logs(log_ps) -> float:
-    """Natural log of the Fisher-combined p-value of natural-log p-values.
-
-    A p-value given by its log keeps its mass where p itself underflows.
-    """
-    log_ps = list(log_ps)
-    if not log_ps:
-        raise StatError("Fisher's method needs at least one p-value")
-    # -2 * sum(ln p) is chi-square with 2m dof, whose survival at x is Q(m, x/2)
-    return log_gamma_pvalue(-sum(log_ps), len(log_ps))
 
 
 def _kolmogorov_sf(lam: float) -> float:

@@ -69,7 +69,7 @@ def main() -> int:
                 outside += not inside
                 parts.append(f"p <= {alpha:g}: {count} in [{lo}, {hi}]"
                              + ("" if inside else " OUTSIDE"))
-            print(f"{mode} {scheme}: {len(args[0])} rows, {n_keys} keys, "
+            print(f"{mode} {scheme}: {args[1]} rows, {n_keys} keys, "
                   f"{per_key_ms:.1f} ms a key, mean p {ps.mean():.3f}; " + "; ".join(parts),
                   flush=True)
     print(f"{outside} counts outside their bands" if outside else "all counts inside their bands")

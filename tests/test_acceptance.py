@@ -39,7 +39,6 @@ from radioscope import (
 )
 from radioscope.pipelines import contaminated_student, run_detection
 from radioscope.schemes import aaronson_pick
-from radioscope.stats import log_fisher_combine_logs
 
 
 #: Each criterion's detail as printed, without its wall time
@@ -280,9 +279,6 @@ def test_c07_exact_statistics():
             if not math.isclose(got, exact, rel_tol=1e-10):
                 ok = False
                 details.append(f"gamma({s},{n})")
-    if abs(math.exp(log_fisher_combine_logs([math.log(0.1)] * 2)) - 0.0560517) > 1e-6:
-        ok = False
-        details.append("fisher")
     d, _ = ks_two_sample([1, 3], [2, 4])
     if d != 0.5:
         ok = False

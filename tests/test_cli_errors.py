@@ -243,6 +243,25 @@ def test_a_bad_key_is_named_by_its_source_not_its_value(tmp_path, corpus, capsys
         assert _one_error_line(capsys) == err
 
 
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_a_key_that_merges_windows_is_one_error_line(tmp_path, capsys, mode):
+    """``--key 1`` hashes a window to the sum of its tokens, so (3, 4) and
+    (4, 3) of the text share a seed: detection refuses the key in one line
+    that holds no digit of it, and writes no report."""
+    from radioscope import save_model, train_ngram
+
+    model, corpus, out = tmp_path / "m.bin", tmp_path / "c.jsonl", tmp_path / "out"
+    save_model(train_ngram([list(range(128))], 3, 0.01, 128), model)
+    corpus.write_text('{"tokens": [1, 2, 3, 4, 3, 2, 1]}\n')
+    assert main(["detect", "--mode", mode, "--model", str(model), "--corpus", str(corpus),
+                 "--key", "1", "--vocab-size", "128", "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the key hashes two windows of this text to one seed")
+    assert not any(ch.isdigit() for ch in captured.out + captured.err)
+    assert not (out / "report.json").exists()
+
+
 def test_an_interrupted_run_writes_no_credentials(tmp_path, corpus, endpoint, capsys):
     """The partial report and the error line of a refused endpoint carry
     neither the credentials nor the key."""

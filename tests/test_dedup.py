@@ -18,24 +18,22 @@ from radioscope import (
 )
 from radioscope.dedup import _row_ids, candidate_table
 from radioscope.hashing import ConfigError, window_hash
-from radioscope.pipelines import _admit, derive_run_key
+from radioscope.pipelines import _seeds, derive_run_key
 
 KEY = SecretKey(0xFACE)
 CFG = WatermarkConfig("kgw", KEY, 16, k=2)
 
 
 def table(rows):
-    """A candidate table from (doc, pos, seed, token, blocked) tuples, all
-    of window 0."""
-    return np.array([(*row, 0) for row in rows], dtype=CANDIDATE)
+    """A candidate table from (doc, pos, window, token, blocked) tuples,
+    each row carrying its own window id."""
+    return np.array([(doc, pos, token, blocked, window)
+                     for doc, pos, window, token, blocked in rows], dtype=CANDIDATE)
 
 
-def seed(window):
-    return CFG.seed(window)
-
-
-def pairs(cands):
-    return {(int(c["seed"]), int(c["token"])) for c in cands}
+def pairs(cands, windows):
+    """The (window, token) pairs of a readout's rows, with ``windows`` its distinct windows."""
+    return {(tuple(windows[c["window"]].tolist()), int(c["token"])) for c in cands}
 
 
 def docs_readout(docs, context_lens, k, open_mode):
@@ -44,35 +42,33 @@ def docs_readout(docs, context_lens, k, open_mode):
     return candidate_table(tokens, [len(doc) for doc in docs], context_lens, k, open_mode)
 
 
-def docs_table(docs, context_lens, k, key, open_mode):
-    """The rows of :func:`docs_readout`, each with its window's seed under ``key``."""
-    return _admit(*docs_readout(docs, context_lens, k, open_mode), key, dedup=False)
+def docs_table(docs, context_lens, k, open_mode):
+    """The rows of :func:`docs_readout`."""
+    return docs_readout(docs, context_lens, k, open_mode)[0]
 
 
 class TestTapeAdmit:
     """Admission of single tuples: repeats, context blocking, new tokens."""
 
     def test_second_presentation_rejected(self):
-        cands = table([(0, 2, seed((1, 2)), 3, False), (0, 7, seed((1, 2)), 3, False)])
+        cands = table([(0, 2, 0, 3, False), (0, 7, 0, 3, False)])
         assert canonical_dedup(cands)["pos"].tolist() == [2]
 
     def test_window_in_prompt_rejected(self):
         # stream 9 5 6 2 | 5 6 7: the window (5, 6) before 7 is a prompt k-gram
-        cands = docs_table([[9, 5, 6, 2, 5, 6, 7]], [4], CFG.k, CFG.key,
-                           open_mode=False)
+        cands = docs_table([[9, 5, 6, 2, 5, 6, 7]], [4], CFG.k, open_mode=False)
         blocked = dict(zip(cands["pos"].tolist(), cands["blocked"].tolist()))
         assert blocked == {2: True, 3: True, 4: True, 5: False, 6: True}
         assert canonical_dedup(cands)["pos"].tolist() == [5]
 
     def test_first_occurrence_admitted(self):
-        cands = docs_table([[1, 2, 3, 5, 6, 7, 5, 6, 8]], [0], CFG.k, CFG.key,
-                           open_mode=True)
+        cands = docs_table([[1, 2, 3, 5, 6, 7, 5, 6, 8]], [0], CFG.k, open_mode=True)
         blocked = dict(zip(cands["pos"].tolist(), cands["blocked"].tolist()))
         assert blocked[5] is False  # (5, 6) first seen
         assert blocked[8] is True  # (5, 6) again, at a later start
 
     def test_same_window_different_token_admitted_by_default(self):
-        cands = table([(0, 2, seed((1, 2)), 3, False), (0, 7, seed((1, 2)), 4, False)])
+        cands = table([(0, 2, 0, 3, False), (0, 7, 0, 4, False)])
         assert canonical_dedup(cands)["pos"].tolist() == [2, 7]
 
 
@@ -167,40 +163,37 @@ class TestFilter:
             load_filter(path)
 
 
-def make_candidates(corpus, k=2):
-    cfg = WatermarkConfig("kgw", KEY, 16, k=k)
-    return docs_table(corpus, [0] * len(corpus), cfg.k, cfg.key, open_mode=False)
+def admitted_pairs(corpus, k=2):
+    """The (window, token) pairs that closed mode admits from ``corpus``."""
+    rows, windows = docs_readout(corpus, [0] * len(corpus), k, open_mode=False)
+    return pairs(canonical_dedup(rows), windows)
 
 
 class TestCanonicalDedup:
     def test_all_distinct_all_admitted(self):
-        cands = table([(0, i + 2, seed((i, i + 1)), i + 2, False) for i in range(10)])
+        cands = table([(0, i + 2, i, i + 2, False) for i in range(10)])
         admitted = canonical_dedup(cands)
         assert len(admitted) == 10
 
     def test_document_order_invariance_of_tuple_set(self):
         rng = np.random.default_rng(8)
         corpus = [rng.integers(0, 8, size=30).tolist() for _ in range(4)]
-        forward = canonical_dedup(make_candidates(corpus))
-        backward = canonical_dedup(make_candidates(corpus[::-1]))
-        assert pairs(forward) == pairs(backward)
+        assert admitted_pairs(corpus) == admitted_pairs(corpus[::-1])
 
     def test_context_blocked_never_admitted(self):
-        cands = table([(0, 2, seed((1, 2)), 3, True), (0, 3, seed((2, 3)), 4, False)])
+        cands = table([(0, 2, 0, 3, True), (0, 3, 1, 4, False)])
         admitted = canonical_dedup(cands)
         assert admitted["pos"].tolist() == [3]
 
     def test_blocked_row_does_not_shadow_a_later_repeat(self):
-        cands = table([(0, 2, seed((1, 2)), 3, True), (1, 2, seed((1, 2)), 3, False)])
+        cands = table([(0, 2, 0, 3, True), (1, 2, 0, 3, False)])
         assert canonical_dedup(cands)["doc"].tolist() == [1]
 
     def test_score_sum_invariant_under_doc_permutation(self):
         # same documents, shuffled order: same set, same cumulative score
         rng = np.random.default_rng(9)
         corpus = [rng.integers(0, 8, size=25).tolist() for _ in range(5)]
-        a = canonical_dedup(make_candidates(corpus))
-        b = canonical_dedup(make_candidates([corpus[i] for i in [3, 1, 4, 0, 2]]))
-        assert pairs(a) == pairs(b)
+        assert admitted_pairs(corpus) == admitted_pairs([corpus[i] for i in [3, 1, 4, 0, 2]])
 
     def test_empty_table(self):
         assert len(canonical_dedup(table([]))) == 0
@@ -270,8 +263,8 @@ def loop_candidates(docs, context_lens, k, open_mode):
 def test_wide_window_codes_equal_the_oracle(data):
     """Vocabularies up to 2**16 and windows up to 5 tokens, where a window's
     base-V code needs up to 80 bits and the ids fall back to ranks: the
-    table and the admitted rows equal the per-position oracle's, and each
-    row's window is its own among the run's distinct windows."""
+    table, its seeds and the admitted rows equal the per-position oracle's,
+    and each row's window is its own among the run's distinct windows."""
     v = data.draw(st.integers(2, 2**16) | st.just(2**16))
     k = data.draw(st.integers(1, 5))
     # splitmix keys: the oracle's (k+1)-tuple fingerprints do not collide
@@ -284,43 +277,15 @@ def test_wide_window_codes_equal_the_oracle(data):
                                       max_size=len(docs)))
     open_mode = data.draw(st.booleans())
     rows, windows = docs_readout(docs, context_lens, k, open_mode)
-    cands = _admit(rows, windows, key, dedup=False)
     want = loop_candidates(docs, context_lens, k, open_mode)
     assert len(set(map(tuple, windows.tolist()))) == len(windows)
     assert [tuple(w) for w in windows[rows["window"]].tolist()] == [c.window for c in want]
-    assert [(int(c["doc"]), int(c["pos"]), int(c["seed"]), int(c["token"]),
-             bool(c["blocked"])) for c in cands] == [
-        (c.doc_id, c.pos, window_hash(c.window, key), c.token, c.context_blocked)
-        for c in want]
-    admitted = canonical_dedup(cands)
+    assert [(int(c["doc"]), int(c["pos"]), int(c["token"]), bool(c["blocked"]))
+            for c in rows] == [(c.doc_id, c.pos, c.token, c.context_blocked) for c in want]
+    assert _seeds(windows, key)[rows["window"]].tolist() == [
+        window_hash(c.window, key) for c in want]
+    # the oracle admits by (seed, token), the table by (window, token)
+    admitted = canonical_dedup(rows)
     oracle = dedup_oracle.canonical_dedup(want, dedup_oracle.Tape(), key)
     assert list(zip(admitted["doc"].tolist(), admitted["pos"].tolist())) == [
         (c.doc_id, c.pos) for c in oracle]
-
-
-@pytest.mark.parametrize("open_mode", [False, True])
-def test_weak_key_admission_is_keyed_on_the_seed(open_mode):
-    """``SecretKey(1)`` hashes a window to the sum of its tokens, so (1, 2)
-    and (2, 1) share a seed, and so do many windows of a small vocabulary:
-    of the tuples with one (seed, token) pair only the first is admitted,
-    whatever their windows."""
-    key, k = SecretKey(1), 2
-    rng = np.random.default_rng(5)
-    # (1, 2) -> 5 at pos 2 and (2, 1) -> 5 at pos 5: one pair
-    docs = [[1, 2, 5, 2, 1, 5]] + [rng.integers(0, 6, size=30).tolist() for _ in range(5)]
-    context_lens = [0, 4, 0, 3, 0, 6]
-    want, seen = [], set()
-    for d, doc in enumerate(docs):  # per-row reference, in (doc, pos) order
-        context = {tuple(doc[i : i + k]) for i in range(context_lens[d] - k + 1)}
-        for pos in range(k, len(doc)):
-            window = tuple(doc[pos - k : pos])
-            earlier = any(tuple(doc[i : i + k]) == window for i in range(pos - k))
-            pair = (window_hash(window, key), doc[pos])
-            if window in context or (open_mode and earlier) or pair in seen:
-                continue
-            seen.add(pair)
-            want.append((d, pos))
-    cands = docs_table(docs, context_lens, k, key, open_mode)
-    got = canonical_dedup(cands)
-    assert list(zip(got["doc"].tolist(), got["pos"].tolist())) == want
-    assert (0, 2) in want and (0, 5) not in want

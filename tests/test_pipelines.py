@@ -217,9 +217,9 @@ class TestMpacExtract:
 
     def test_c10_votes_with_the_rows_detection_admits(self, teacher128, monkeypatch):
         """c10's watermarked corpus: extraction votes with exactly the rows
-        ``canonical_dedup`` admits from the open readout, each row seeded
-        with its window's hash under the key; detection reads the same
-        readout through the same reader."""
+        ``canonical_dedup`` admits from the open readout, each with its
+        window's seed under the key; detection reads the same readout
+        through the same reader."""
         cfg = WatermarkConfig("mpac", SecretKey(0xA11CE), 128, k=2, delta=12.0,
                               message="10110010")
         docs = generate_corpus(teacher128, 10, 250,
@@ -230,17 +230,16 @@ class TestMpacExtract:
         tokens = np.concatenate([doc["tokens"] for doc in docs])
         table, windows = candidate_table(tokens, [250] * 10, [0] * 10, 2, open_mode=True)
         (_, (_, _, extracted, extracted_windows)), (_, (_, _, detected, detected_windows)) = read
-        assert np.array_equal(extracted, table) and not table["seed"].any()
+        assert np.array_equal(extracted, table)
         assert np.array_equal(extracted_windows, windows)
         assert np.array_equal(detected_windows, windows)
         # detection then replaces each row's token with the suspect's greedy one
-        for name in ("doc", "pos", "seed", "blocked", "window"):
+        for name in ("doc", "pos", "blocked", "window"):
             assert np.array_equal(detected[name], table[name])
-        table["seed"] = [cfg.seed(window) for window in windows[table["window"]].tolist()]
         admitted = canonical_dedup(table)
         assert (len(table), len(admitted)) == (2480, 2147)
         (seeds, voted_tokens, _, _), _ = voted[0]
-        assert np.array_equal(seeds, admitted["seed"])
+        assert seeds.tolist() == [cfg.seed(w) for w in windows[admitted["window"]].tolist()]
         assert np.array_equal(voted_tokens, admitted["token"])
 
     @pytest.mark.parametrize("reference", ["1", "011", "0120"])
@@ -253,6 +252,40 @@ class TestMpacExtract:
         with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
             mpac_extract([list(range(1, 11))], cfg, reference)
         assert mpac_extract([list(range(1, 11))], cfg, "0110")[1] == 0.25
+
+
+class TestWeakKeys:
+    """A key under which two windows of the text share a seed is refused
+    by every door that scores text; the refusal names no key."""
+
+    @pytest.fixture(scope="class")
+    def text(self, teacher128):
+        docs = generate_corpus(teacher128, 6, 120, SamplingConfig(seed=19))
+        return [doc["tokens"] for doc in docs]
+
+    DOORS = {
+        "open": lambda teacher, text, key: detect_open(
+            teacher, text, WatermarkConfig("kgw", key, 128, k=2)),
+        "closed": lambda teacher, text, key: detect_closed(
+            teacher, [doc[:20] for doc in text], WatermarkConfig("ak", key, 128, k=2),
+            sampling=SamplingConfig(seed=20, max_tokens=60)),
+        "mpac": lambda teacher, text, key: mpac_extract(
+            text, WatermarkConfig("mpac", key, 128, k=2, message="0110")),
+    }
+
+    @pytest.mark.parametrize("door", DOORS)
+    @pytest.mark.parametrize("s", [1, 2, 2**64 - 2])
+    def test_a_key_that_merges_windows_is_refused(self, teacher128, text, door, s):
+        """1 hashes a window to the sum of its tokens, 2**64 - 2 to their
+        alternating sum, and 2 merges (a, b) with (a + 1, b - 2)."""
+        with pytest.raises(ConfigError, match="^the key hashes two windows") as refused:
+            self.DOORS[door](teacher128, text, SecretKey(s))
+        assert not re.search(r"\d", str(refused.value))
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_derived_keys_and_the_readme_key_are_accepted(self, teacher128, text, door):
+        for key in [SecretKey(0xDEADBEEFCAFE), *(derive_run_key(42, i) for i in range(3))]:
+            self.DOORS[door](teacher128, text, key)
 
 
 class TestDetectClosed:

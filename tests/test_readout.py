@@ -33,8 +33,9 @@ def cfg(scheme, key):
 
 
 def readout(detect, *args, **kwargs):
-    """The arguments a detection run hands its scorer: the readout, its
-    filter stats and the run's own config."""
+    """The arguments a detection run hands its scorer: the readout's
+    admitted rows, its candidate count, windows and filter stats, and the
+    run's own config."""
     seen = []
     real = pipelines._finish_report
     with pytest.MonkeyPatch.context() as patch:
@@ -45,8 +46,9 @@ def readout(detect, *args, **kwargs):
 
 def rescore(args, key_cfg):
     """The report of the readout in ``args`` under ``key_cfg``."""
-    cands, windows, dedup, budget, _, mode, phi_stats = args
-    return pipelines._finish_report(cands, windows, dedup, budget, key_cfg, mode, phi_stats)
+    rows, n_candidates, windows, dedup, budget, _, mode, phi_stats = args
+    return pipelines._finish_report(rows, n_candidates, windows, dedup, budget, key_cfg,
+                                    mode, phi_stats)
 
 
 @pytest.fixture(scope="module")

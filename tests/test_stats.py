@@ -4,11 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from radioscope import StatError, ks_two_sample, log_binomial_pvalue, log_gamma_pvalue
-from radioscope.stats import log_fisher_combine_logs
 
 
 def binomial_pvalue(s: int, n: int, gamma: float) -> float:
@@ -19,11 +16,6 @@ def binomial_pvalue(s: int, n: int, gamma: float) -> float:
 def gamma_pvalue(score: float, n: int) -> float:
     """P(S >= score) for S ~ Gamma(n, 1), through the log form."""
     return math.exp(log_gamma_pvalue(score, n))
-
-
-def fisher_combine(p_values) -> float:
-    """The Fisher-combined p-value, through the log form."""
-    return math.exp(log_fisher_combine_logs([math.log(p) for p in p_values]))
 
 
 def binomial_oracle(s: int, n: int, gamma: Fraction) -> Fraction:
@@ -155,43 +147,6 @@ class TestGamma:
         pvals = [gamma_pvalue(float(s), 50) for s in draws]
         _, ks_p = scipy.stats.kstest(pvals, "uniform")
         assert ks_p > 0.01
-
-
-class TestFisher:
-    def test_all_ones(self):
-        assert fisher_combine([1.0, 1.0, 1.0]) == pytest.approx(1.0)
-
-    def test_single_p_identity(self):
-        for p in (0.9, 0.3, 0.011):
-            assert fisher_combine([p]) == pytest.approx(p, rel=1e-10)
-
-    def test_spec_example(self):
-        assert fisher_combine([0.1, 0.1]) == pytest.approx(0.0560517, abs=1e-6)
-
-    def test_permutation_invariant(self):
-        ps = [0.3, 0.02, 0.77, 0.11]
-        assert fisher_combine(ps) == pytest.approx(fisher_combine(ps[::-1]),
-                                                   rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(StatError):
-            log_fisher_combine_logs([])
-
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(10)
-        for _ in range(25):
-            ps = rng.uniform(1e-6, 1, size=int(rng.integers(1, 8)))
-            _, expect = scipy.stats.combine_pvalues(ps, method="fisher")
-            assert fisher_combine(list(ps)) == pytest.approx(expect, rel=1e-8)
-
-    def test_log_variant_handles_tiny(self):
-        lp = log_fisher_combine_logs([math.log(1e-200), math.log(1e-250)])
-        assert lp < math.log(1e-300)  # far below float underflow on p itself
-
-    @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_output_in_unit_interval(self, ps):
-        assert 0.0 <= fisher_combine(ps) <= 1.0
 
 
 class TestKS:
